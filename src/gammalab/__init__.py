@@ -31,7 +31,7 @@ from .kernels import (
 from .quad import EndpointHint, EndpointKind, QuadResult, integrate, \
     integrate_semi_infinite
 from .integral_catalog import integral_catalog, list_integral_ids
-from .registry import IdentityRecord, Registry, Verdict
+from .registry import EvalOptions, IdentityRecord, Registry, Verdict
 from .series import Alternating, ClosedTail, EulerMaclaurin, NoTail, \
     SeriesResult, SeriesSpec, cvz_alternating, sum_series
 from .series_catalog import list_series_ids, power_series_eval, sum_catalog
@@ -45,7 +45,7 @@ __all__ = [
     "zeta_family",
     "EndpointHint", "EndpointKind", "QuadResult", "integrate",
     "integrate_semi_infinite", "integral_catalog", "list_integral_ids",
-    "IdentityRecord", "Registry", "Verdict",
+    "EvalOptions", "IdentityRecord", "Registry", "Verdict",
     "Alternating", "ClosedTail", "EulerMaclaurin", "NoTail", "SeriesResult",
     "SeriesSpec", "cvz_alternating", "sum_series",
     "list_series_ids", "power_series_eval", "sum_catalog",

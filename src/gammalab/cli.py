@@ -10,12 +10,13 @@ import argparse
 import difflib
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 
 from . import kernels
 from .errors import GammalabError
 from .integral_catalog import integral_catalog, list_integral_ids
-from .registry import Registry, TOL_CLASS, failures, set_runtime_options
+from .registry import EvalOptions, Registry, TOL_CLASS, failures
 from .report import build_report, fmt15, to_json, to_markdown
 from .series_catalog import list_series_ids, sum_catalog
 
@@ -23,8 +24,7 @@ from .series_catalog import list_series_ids, sum_catalog
 @dataclass
 class Config:
     tol_class: str | None = None
-    max_terms: int | None = None
-    quad_level_cap: int = 10
+    opts: EvalOptions = EvalOptions()
     parallelism: int = 1
     json_path: str | None = None
     md_path: str | None = None
@@ -33,14 +33,12 @@ class Config:
     def __post_init__(self) -> None:
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if self.quad_level_cap > 14:
-            raise ValueError("quadrature level cap must be <= 14")
 
     def snapshot(self) -> dict:
         return {
             "tol_class": self.tol_class or "per-record",
-            "max_terms": self.max_terms or "per-entry",
-            "quad_level_cap": self.quad_level_cap,
+            "max_terms": self.opts.max_terms or "per-entry",
+            "quad_level_cap": self.opts.level_cap,
             "parallelism": self.parallelism,
         }
 
@@ -70,54 +68,37 @@ def _near_matches(key: str, pool) -> str:
     return f" (near matches: {', '.join(close)})" if close else ""
 
 
-# one task of the parallel suite; module-level so it pickles
-def _suite_task(task) -> object:
-    rid, params, tol_class, disputed, runtime = task
-    set_runtime_options(**runtime)
-    reg = Registry()
-    if reg.record(rid).probe is not None:
-        return reg._verify_probe(reg.record(rid))
-    if disputed:
-        v = reg.verify_identity(rid, params, tol_class="strict", boost=4)
-        return v
-    return reg.verify_identity(rid, params, tol_class=tol_class)
+# the registry of one pool worker, built once by its initializer
+_worker_registry: Registry | None = None
+
+
+def _start_worker() -> None:
+    global _worker_registry
+    _worker_registry = Registry()
+
+
+def _worker_verdict(rid, params, tol_class, opts):
+    return _worker_registry.suite_verdict(rid, params, tol_class, opts)
 
 
 def _run_suite(reg: Registry, records, cfg: Config):
-    if cfg.parallelism == 1:
-        return reg.run_suite([r.id for r in records], tol_class=cfg.tol_class)
-    runtime = {"max_terms": cfg.max_terms, "level_cap": cfg.quad_level_cap}
-    tasks = []
-    for rec in sorted(records, key=lambda r: r.id):
-        if rec.probe is not None:
-            tasks.append((rec.id, (), cfg.tol_class, False, runtime))
-            continue
-        for params in rec.default_params:
-            tasks.append((rec.id, params, cfg.tol_class,
-                          rec.expected == "DISPUTED", runtime))
-    with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-        verdicts = list(pool.map(_suite_task, tasks))
-    # re-attach dispute notes dropped by the worker round-trip
-    out = []
-    for v in verdicts:
-        rec = reg.record(v.id)
-        if rec.expected == "DISPUTED" and rec.reported:
-            diag = dict(v.diagnostics)
-            diag["reported"] = rec.reported
-            v = type(v)(v.id, v.params, v.lhs_value, v.lhs_err, v.rhs_value,
-                        v.rhs_err, v.residual, v.budget, v.status,
-                        v.expected, v.tol_class, v.wall_time, v.note, diag)
-        out.append(v)
-    return out
+    """Serial and pool runs evaluate the same task list with the same
+    verdict method, so their records are equal."""
+    tasks = reg.suite_tasks([r.id for r in records])
+    ids, params = zip(*tasks)
+    args = (ids, params, repeat(cfg.tol_class), repeat(cfg.opts))
+    workers = min(cfg.parallelism, len(tasks))
+    if workers == 1:
+        return list(map(reg.suite_verdict, *args))
+    with ProcessPoolExecutor(workers, initializer=_start_worker) as pool:
+        return list(pool.map(_worker_verdict, *args))
 
 
 def cmd_verify(args) -> int:
-    cfg = Config(tol_class=args.tol_class, max_terms=args.max_terms,
-                 quad_level_cap=args.quad_level_cap,
+    cfg = Config(tol_class=args.tol_class,
+                 opts=EvalOptions(args.max_terms, args.quad_level_cap),
                  parallelism=args.parallelism, json_path=args.json,
                  md_path=args.md, no_timing=args.no_timing)
-    set_runtime_options(max_terms=cfg.max_terms,
-                        level_cap=cfg.quad_level_cap)
     reg = Registry()
     if args.ids:
         records = []

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable
 
 from . import kernels as K
-from .errors import DomainError, MisuseError, UnknownKeyError
+from .errors import DomainError, GammalabError, MisuseError, UnknownKeyError
 from .integral_catalog import integral_catalog, probe_cauchy
 from .kernels import get_constants
 from .series import kahan_sum
@@ -37,25 +37,31 @@ from .series_catalog import (
     _tail_zh,
 )
 
-__all__ = ["IdentityRecord", "Verdict", "Registry", "TOL_CLASS"]
+__all__ = ["EvalOptions", "IdentityRecord", "Verdict", "Registry",
+           "TOL_CLASS"]
 
 TOL_CLASS = {"strict": 1e-9, "standard": 1e-7, "slow": 1e-5}
 _REFUTE_FACTOR = 100.0
 
-# process-wide evaluation knobs, set by the CLI front end
-_RUNTIME: dict = {"max_terms": None, "level_cap": 10}
 
+@dataclass(frozen=True)
+class EvalOptions:
+    """How the routes of one verdict are evaluated, passed per call.
 
-def set_runtime_options(max_terms: int | None = None,
-                        level_cap: int | None = None) -> None:
-    if max_terms is not None:
-        if max_terms < 1:
+    ``max_terms`` caps every catalog series (``None``: each entry's own
+    default); ``level_cap`` caps the tanh-sinh refinement levels;
+    ``precise`` asks for quadrature tolerance 1e-12 and 40 000 series
+    terms, as used to adjudicate DISPUTED records.
+    """
+    max_terms: int | None = None
+    level_cap: int = 10
+    precise: bool = False
+
+    def __post_init__(self) -> None:
+        if self.max_terms is not None and self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
-        _RUNTIME["max_terms"] = max_terms
-    if level_cap is not None:
-        if not 3 <= level_cap <= 14:
+        if not 3 <= self.level_cap <= 14:
             raise DomainError("quadrature level cap must be in [3, 14]")
-        _RUNTIME["level_cap"] = level_cap
 
 
 _PI = math.pi
@@ -68,8 +74,8 @@ class Recipe:
     fn: Callable[..., tuple[float, float]] = field(repr=False)
 
     def evaluate(self, params: tuple[float, ...],
-                 boost: int = 1) -> tuple[float, float]:
-        return self.fn(params, boost)
+                 opts: EvalOptions = EvalOptions()) -> tuple[float, float]:
+        return self.fn(params, opts)
 
 
 @dataclass(frozen=True)
@@ -119,25 +125,25 @@ def _status(residual: float, budget: float) -> str:
 # ---------------------------------------------------------------------------
 
 def _quad(key: str, pmap: Callable[[tuple], tuple] = lambda p: p) -> Recipe:
-    def fn(params, boost):
-        tol = None if boost == 1 else 1e-12
-        r = integral_catalog(key, pmap(params), tol=tol,
-                             max_level=_RUNTIME["level_cap"])
+    def fn(params, opts):
+        r = integral_catalog(key, pmap(params),
+                             tol=1e-12 if opts.precise else None,
+                             max_level=opts.level_cap)
         return r.value, r.abs_err
     return Recipe(f"quadrature {key}", fn)
 
 
 def _ser(key: str, pmap: Callable[[tuple], tuple] = lambda p: p,
          scale: float = 1.0) -> Recipe:
-    def fn(params, boost):
-        mt = _RUNTIME["max_terms"] if boost == 1 else 40_000
+    def fn(params, opts):
+        mt = 40_000 if opts.precise else opts.max_terms
         r = sum_catalog(key, pmap(params), max_terms=mt)
         return scale * r.value, abs(scale) * r.abs_err
     return Recipe(f"series {key}", fn)
 
 
 def _ps(key: str) -> Recipe:
-    def fn(params, boost):
+    def fn(params, opts):
         r = power_series_eval(key, params[0])
         return r.value, r.abs_err
     return Recipe(f"power series {key}", fn)
@@ -145,7 +151,7 @@ def _ps(key: str) -> Recipe:
 
 def _expr(label: str, fn_val: Callable[..., float],
           err: float = 3e-14) -> Recipe:
-    def fn(params, boost):
+    def fn(params, opts):
         v = fn_val(*params)
         return v, err * max(1.0, abs(v))
     return Recipe(label, fn)
@@ -400,7 +406,7 @@ def _alt_quarter_sum() -> float:
         for n in range(1, 100_000))
 
 
-def _psi_sin_recipe(params: tuple, boost: int) -> tuple[float, float]:
+def _psi_sin_recipe(params: tuple, opts: EvalOptions) -> tuple[float, float]:
     r = psi_sin_partial(params[0])
     return r.value, r.abs_err
 
@@ -1084,7 +1090,7 @@ class Registry:
     def verify_identity(self, rid: str,
                         params: tuple[float, ...] | None = None,
                         tol_class: str | None = None,
-                        boost: int = 1,
+                        opts: EvalOptions = EvalOptions(),
                         swap_routes: bool = False) -> Verdict:
         rec = self.record(rid)
         if rec.probe is not None:
@@ -1098,10 +1104,12 @@ class Registry:
         t0 = time.perf_counter()
         lhs, rhs = (rec.rhs, rec.lhs) if swap_routes else (rec.lhs, rec.rhs)
         note = ""
+        # a numeric or domain failure of a route gives an INCONCLUSIVE
+        # verdict; any other exception is a program error and propagates
         try:
-            lv, le = lhs.evaluate(tuple(params), boost)
-            rv, re_ = rhs.evaluate(tuple(params), boost)
-        except Exception as exc:  # route failure -> INCONCLUSIVE verdict
+            lv, le = lhs.evaluate(tuple(params), opts)
+            rv, re_ = rhs.evaluate(tuple(params), opts)
+        except (GammalabError, ArithmeticError, ValueError) as exc:
             dt = time.perf_counter() - t0
             return Verdict(rec.id, tuple(params), math.nan, math.inf,
                            math.nan, math.inf, math.inf, math.inf,
@@ -1133,49 +1141,45 @@ class Registry:
                        note="successive cutoff increments must not shrink",
                        diagnostics={"values": vals})
 
-    def adjudicate_dispute(self, rid: str) -> Verdict:
+    def suite_verdict(self, rid: str, params: tuple[float, ...],
+                      tol_class: str | None = None,
+                      opts: EvalOptions = EvalOptions()) -> Verdict:
+        """The suite's verdict for one record at ``params``.  A DISPUTED
+        record is run at the strict class with precise options and carries
+        the source's quoted values as ``diagnostics["reported"]``."""
         rec = self.record(rid)
         if rec.expected != "DISPUTED":
-            raise MisuseError(f"{rid} is not in the disputed set")
-        verdict = self.verify_identity(rid, tol_class="strict", boost=4)
-        diag = dict(verdict.diagnostics)
-        diag["reported"] = rec.reported
-        return Verdict(verdict.id, verdict.params, verdict.lhs_value,
-                       verdict.lhs_err, verdict.rhs_value, verdict.rhs_err,
-                       verdict.residual, verdict.budget, verdict.status,
-                       verdict.expected, verdict.tol_class,
-                       verdict.wall_time, note=verdict.note,
-                       diagnostics=diag)
+            return self.verify_identity(rid, params, tol_class, opts)
+        v = self.verify_identity(rid, params, "strict",
+                                 replace(opts, precise=True))
+        return replace(v, diagnostics={**v.diagnostics,
+                                       "reported": rec.reported})
 
-    def run_suite(self, selection: list[str] | None = None,
-                  section: int | None = None,
-                  tol_class: str | None = None) -> list[Verdict]:
+    def suite_tasks(self, selection: list[str] | None = None,
+                    section: int | None = None) -> list[tuple[str, tuple]]:
+        """``(id, params)`` of every suite verdict, in catalog order."""
         if selection is not None:
             records = [self.record(rid) for rid in selection]
         else:
             records = self.list_identities(section=section)
         if not records:
             raise DomainError("empty selection")
-        verdicts: list[Verdict] = []
-        for rec in sorted(records, key=lambda r: r.id):
-            if rec.probe is not None:
-                verdicts.append(self._verify_probe(rec))
-                continue
-            for params in rec.default_params:
-                if rec.expected == "DISPUTED":
-                    v = self.verify_identity(rec.id, params,
-                                             tol_class="strict", boost=4)
-                    diag = dict(v.diagnostics)
-                    diag["reported"] = rec.reported
-                    v = Verdict(v.id, v.params, v.lhs_value, v.lhs_err,
-                                v.rhs_value, v.rhs_err, v.residual, v.budget,
-                                v.status, v.expected, v.tol_class,
-                                v.wall_time, v.note, diag)
-                else:
-                    v = self.verify_identity(rec.id, params,
-                                             tol_class=tol_class)
-                verdicts.append(v)
-        return verdicts
+        return [(rec.id, params)
+                for rec in sorted(records, key=lambda r: r.id)
+                for params in rec.default_params]
+
+    def adjudicate_dispute(self, rid: str) -> Verdict:
+        rec = self.record(rid)
+        if rec.expected != "DISPUTED":
+            raise MisuseError(f"{rid} is not in the disputed set")
+        return self.suite_verdict(rid, rec.default_params[0])
+
+    def run_suite(self, selection: list[str] | None = None,
+                  section: int | None = None,
+                  tol_class: str | None = None,
+                  opts: EvalOptions = EvalOptions()) -> list[Verdict]:
+        return [self.suite_verdict(rid, params, tol_class, opts)
+                for rid, params in self.suite_tasks(selection, section)]
 
 
 def failures(verdicts: list[Verdict]) -> list[Verdict]:

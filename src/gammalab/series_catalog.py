@@ -39,7 +39,6 @@ from .series import SeriesResult, cvz_alternating, kahan_sum
 __all__ = ["SeriesEntry", "SERIES_CATALOG", "sum_catalog",
            "power_series_eval", "list_series_ids"]
 
-_EPS = 2.220446049250313e-16
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 
@@ -139,7 +138,7 @@ def s_1_20(u: float, max_terms: int = 4000) -> SeriesResult:
     direct = _np_sum(np.log(n) / (n * n + u * u))
     tail = _tail_log_quad(max_terms, -u * u)
     value = direct + tail
-    err = 1e-15 * max_terms * _EPS * 0 + 5e-15 * (1.0 + abs(value))
+    err = 5e-15 * (1.0 + abs(value))
     if abs(u) < 1.0:
         # Taylor cross-route: sum_m (-1)^m zeta'(2m) u^(2m-2)
         alt = 0.0

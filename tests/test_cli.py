@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gammalab import cli
 from gammalab.registry import IdentityRecord, Recipe, Registry, build_records
 
@@ -113,3 +115,47 @@ def test_list_filters(capsys):
 def test_usage_error_exit_code(capsys):
     assert run(["verify", "--tol-class", "bogus"]) == 1
     capsys.readouterr()
+
+
+def test_options_do_not_leak_between_calls(tmp_path, capsys):
+    a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
+    base = ["verify", "--ids", "I-5.45.3", "--no-timing", "--json"]
+    assert run(base + [str(a)]) == 0
+    run(base + [str(b), "--max-terms", "20"])
+    assert run(base + [str(c)]) == 0
+    capsys.readouterr()
+    assert c.read_bytes() == a.read_bytes()
+
+
+def test_parallel_verdicts_equal_serial(tmp_path, capsys):
+    docs = []
+    for par in ("1", "2"):
+        path = tmp_path / f"p{par}.json"
+        assert run(["verify", "--ids", "D-4.30,I-3.14,D-5.18,I-8.11",
+                    "--no-timing", "--json", str(path),
+                    "--parallelism", par]) == 0
+        docs.append(json.loads(path.read_text()))
+    capsys.readouterr()
+    serial, parallel = docs
+    assert parallel["verdicts"] == serial["verdicts"]
+    assert parallel["summary"] == serial["summary"]
+    assert parallel["config"] == {**serial["config"], "parallelism": 2}
+
+
+@pytest.mark.parametrize("extra", [
+    ["--max-terms", "0"],
+    ["--quad-level-cap", "2"],
+    ["--quad-level-cap", "15"],
+    ["--parallelism", "0"],
+])
+def test_verify_rejects_bad_options(extra, capsys):
+    assert run(["verify", "--ids", "I-6.16"] + extra) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_parallelism_clamped_to_task_count(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-verdict selection started a pool")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    assert run(["verify", "--ids", "I-6.16", "--parallelism", "8"]) == 0
+    assert "CONFIRMED" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 status monotonicity, route independence, dispute adjudication."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -72,6 +73,15 @@ def test_route_failure_becomes_inconclusive():
     v = r.verify_identity("I-9.1")
     assert v.status == "INCONCLUSIVE"
     assert "route failure" in v.note
+
+
+def test_program_error_in_route_propagates():
+    bad = IdentityRecord(
+        "I-9.1", 9, "scratch: buggy route",
+        Recipe("bug", lambda p, opts: (p[0], 0.0)),
+        Recipe("one", lambda p, opts: (1.0, 1e-15)))
+    with pytest.raises(IndexError):
+        Registry(records=[bad]).verify_identity("I-9.1")
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +203,14 @@ def test_dispute_7_11_symmetric_values(reg):
     assert v.status == "CONFIRMED"
     assert v.lhs_value == pytest.approx(-0.176012, abs=5e-7)
     assert v.rhs_value == pytest.approx(-0.176012, abs=5e-7)
+
+
+def test_adjudication_equals_suite_verdict(reg, all_verdicts):
+    suite = next(v for v in all_verdicts if v.id == "D-4.30")
+    adjudicated = reg.adjudicate_dispute("D-4.30")
+    assert replace(adjudicated, wall_time=0.0) == replace(suite,
+                                                          wall_time=0.0)
+    assert adjudicated.diagnostics["reported"] == {}
 
 
 def test_probes_confirm_divergence(reg):
