@@ -3,8 +3,8 @@
 The package has four layers:
 
 * :mod:`gammalab.kernels` -- scalar special functions with error estimates;
-* :mod:`gammalab.series` / :mod:`gammalab.series_catalog` -- the series
-  engine and the catalog of named slow sums;
+* :mod:`gammalab.series` / :mod:`gammalab.series_catalog` -- the
+  tail-summation primitive and the catalog of named slow sums;
 * :mod:`gammalab.quad` / :mod:`gammalab.integral_catalog` -- tanh-sinh
   quadrature and the catalog of named integrals;
 * :mod:`gammalab.registry` -- identity records, verdicts and the suite
@@ -32,8 +32,7 @@ from .quad import EndpointHint, EndpointKind, QuadResult, integrate, \
     integrate_semi_infinite
 from .integral_catalog import integral_catalog, list_integral_ids
 from .registry import EvalOptions, IdentityRecord, Registry, Verdict
-from .series import Alternating, ClosedTail, EulerMaclaurin, NoTail, \
-    SeriesResult, SeriesSpec, cvz_alternating, sum_series
+from .series import SeriesResult, cvz_alternating
 from .series_catalog import list_series_ids, power_series_eval, sum_catalog
 
 __version__ = "0.1.0"
@@ -46,8 +45,7 @@ __all__ = [
     "EndpointHint", "EndpointKind", "QuadResult", "integrate",
     "integrate_semi_infinite", "integral_catalog", "list_integral_ids",
     "EvalOptions", "IdentityRecord", "Registry", "Verdict",
-    "Alternating", "ClosedTail", "EulerMaclaurin", "NoTail", "SeriesResult",
-    "SeriesSpec", "cvz_alternating", "sum_series",
+    "SeriesResult", "cvz_alternating",
     "list_series_ids", "power_series_eval", "sum_catalog",
     "__version__",
 ]

@@ -470,14 +470,19 @@ def sine_integral(x: float) -> FnEvalResult:
     return FnEvalResult(si, 1e-14 + 1e-15 * abs(si))
 
 
-# lattice caches: the series catalog needs Si/si/Ci at multiples of pi
+# lattice caches: the series catalog needs Si/si/Ci at multiples of pi.
+# Only the exact values (n <= 200) are cached: past that the asymptotic
+# series costs less than a cache entry, and long sums would fill the cache.
 @lru_cache(maxsize=None)
+def _sici_at_pi_mult(n: int, twice: bool) -> tuple[float, float]:
+    return _sici_raw((2.0 * math.pi if twice else math.pi) * n)
+
+
 def _si_small_at_pi_mult(n: int, twice: bool = True) -> float:
     """si(2*pi*n) (twice=True) or si(pi*n); asymptotic beyond n=200."""
-    x = (2.0 * math.pi if twice else math.pi) * n
     if n <= 200:
-        si, _ = _sici_raw(x)
-        return si - 0.5 * math.pi
+        return _sici_at_pi_mult(n, twice)[0] - 0.5 * math.pi
+    x = (2.0 * math.pi if twice else math.pi) * n
     sgn = 1.0 if twice else (-1.0) ** (n % 2)
     x2 = x * x
     f = (1.0 / x) * (1.0 - 2.0 / x2 + 24.0 / (x2 * x2)
@@ -485,13 +490,11 @@ def _si_small_at_pi_mult(n: int, twice: bool = True) -> float:
     return -sgn * f
 
 
-@lru_cache(maxsize=None)
 def _ci_at_2pi_mult(n: int) -> float:
     """Ci(2*pi*n); asymptotic beyond n=200."""
-    x = 2.0 * math.pi * n
     if n <= 200:
-        _, ci = _sici_raw(x)
-        return ci
+        return _sici_at_pi_mult(n, True)[1]
+    x = 2.0 * math.pi * n
     x2 = x * x
     return -(1.0 / x2) * (1.0 - 6.0 / x2 + 120.0 / (x2 * x2))
 

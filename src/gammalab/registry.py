@@ -26,15 +26,12 @@ from . import kernels as K
 from .errors import DomainError, GammalabError, MisuseError, UnknownKeyError
 from .integral_catalog import integral_catalog, probe_cauchy
 from .kernels import get_constants
-from .series import kahan_sum
+from .series import kahan_sum, quad_tail, zeta_tail_sum
 from .series_catalog import (
     log_weighted_sin_sum,
     power_series_eval,
     psi_sin_partial,
     sum_catalog,
-    _tail_log_quad,
-    _tail_pow_quad,
-    _tail_zh,
 )
 
 __all__ = ["EvalOptions", "IdentityRecord", "Verdict", "Registry",
@@ -48,10 +45,12 @@ _REFUTE_FACTOR = 100.0
 class EvalOptions:
     """How the routes of one verdict are evaluated, passed per call.
 
-    ``max_terms`` caps every catalog series (``None``: each entry's own
-    default); ``level_cap`` caps the tanh-sinh refinement levels;
-    ``precise`` asks for quadrature tolerance 1e-12 and 40 000 series
-    terms, as used to adjudicate DISPUTED records.
+    ``max_terms`` caps the terms of every ``series`` and ``power series``
+    route (``None``: each entry's own default); series constants inside
+    closed-form routes keep their own term counts.  ``level_cap`` caps the
+    tanh-sinh refinement levels.  ``precise`` asks for quadrature tolerance
+    1e-12 and, unless ``max_terms`` is given, 40 000 terms per ``series``
+    route, as used to adjudicate DISPUTED records.
     """
     max_terms: int | None = None
     level_cap: int = 10
@@ -136,7 +135,9 @@ def _quad(key: str, pmap: Callable[[tuple], tuple] = lambda p: p) -> Recipe:
 def _ser(key: str, pmap: Callable[[tuple], tuple] = lambda p: p,
          scale: float = 1.0) -> Recipe:
     def fn(params, opts):
-        mt = 40_000 if opts.precise else opts.max_terms
+        mt = opts.max_terms
+        if mt is None and opts.precise:
+            mt = 40_000
         r = sum_catalog(key, pmap(params), max_terms=mt)
         return scale * r.value, abs(scale) * r.abs_err
     return Recipe(f"series {key}", fn)
@@ -144,7 +145,7 @@ def _ser(key: str, pmap: Callable[[tuple], tuple] = lambda p: p,
 
 def _ps(key: str) -> Recipe:
     def fn(params, opts):
-        r = power_series_eval(key, params[0])
+        r = power_series_eval(key, params[0], opts.max_terms or 300)
         return r.value, r.abs_err
     return Recipe(f"power series {key}", fn)
 
@@ -184,9 +185,10 @@ def _ci(x: float) -> float:
 
 def _sum_log_quarter(q: float, n_terms: int = 4000) -> float:
     """sum log n/(4 n^2 - p^2) with q = p^2/4."""
-    acc = kahan_sum(math.log(n) / (4.0 * (n * n - q))
-                    for n in range(2, n_terms + 1))
-    return acc + 0.25 * _tail_log_quad(n_terms, q)
+    log_tail, _ = quad_tail(q, {0: 0.25}, n_terms)
+    return zeta_tail_sum(
+        (math.log(n) / (4.0 * (n * n - q)) for n in range(2, n_terms + 1)),
+        n_terms, log_tail=log_tail).value
 
 
 @lru_cache(maxsize=1)
@@ -302,21 +304,18 @@ def _rhs_3_14(p: float) -> float:
 
 def _ci_lattice_sum(power: int, n_terms: int = 4000) -> float:
     """sum Ci(2 pi n)/n^power with the asymptotic lattice tail."""
-    acc = kahan_sum(K._ci_at_2pi_mult(n) / float(n) ** power
-                    for n in range(1, n_terms + 1))
-    a = n_terms + 1.0
-    acc += (-1.0 / _TWO_PI ** 2 * K._hurwitz(power + 2.0, a)
-            + 6.0 / _TWO_PI ** 4 * K._hurwitz(power + 4.0, a)
-            - 120.0 / _TWO_PI ** 6 * K._hurwitz(power + 6.0, a))
-    return acc
+    return zeta_tail_sum(
+        (K._ci_at_2pi_mult(n) / float(n) ** power
+         for n in range(1, n_terms + 1)), n_terms,
+        {power + 2: -1.0 / _TWO_PI ** 2, power + 4: 6.0 / _TWO_PI ** 4,
+         power + 6: -120.0 / _TWO_PI ** 6}).value
 
 
 def _ci_over_4n2m1() -> float:
-    acc = kahan_sum(K._ci_at_2pi_mult(n) / (4.0 * n * n - 1.0)
-                    for n in range(1, 2001))
-    a = 2001.0
-    acc += -1.0 / (4.0 * _TWO_PI ** 2) * _tail_pow_quad(2000, 0.25, 2)
-    return acc
+    tail, _ = quad_tail(0.25, {2: -0.25 / _TWO_PI ** 2}, 2000)
+    return zeta_tail_sum(
+        (K._ci_at_2pi_mult(n) / (4.0 * n * n - 1.0) for n in range(1, 2001)),
+        2000, tail).value
 
 
 def _rhs_3_19(x: float) -> float:
@@ -372,12 +371,11 @@ def _lhs_5_48(x: float) -> float:
 
 
 def _rhs_5_53(u: float) -> float:
-    n_terms = 4000
-    acc = 2.0 * kahan_sum(math.log1p(u / n) / n
-                          for n in range(1, n_terms + 1))
-    coeffs = {k + 1: 2.0 * (-1.0) ** (k + 1) * u ** k / k
-              for k in range(1, 10)}
-    acc += _tail_zh(coeffs, n_terms)
+    # 2 log(1+u/n)/n = 2 sum_k (-1)^(k+1) u^k/(k n^(k+1))
+    acc = zeta_tail_sum(
+        (2.0 * math.log1p(u / n) / n for n in range(1, 4001)), 4000,
+        {k + 1: 2.0 * (-1.0) ** (k + 1) * u ** k / k
+         for k in range(1, 10)}).value
     return acc + power_series_eval("PS-5.53", u).value
 
 
@@ -391,10 +389,9 @@ def _rhs_6_10(u: float) -> float:
 
 def _rhs_6_38() -> float:
     # the (6.40) minus (6.39) assembly; the weighted log sum runs from n=1
-    n_terms = 3000
-    acc = kahan_sum(math.log1p(-0.25 / (n * n)) / (n * n)
-                    for n in range(1, n_terms + 1))
-    acc += _tail_zh({2 * j + 2: -0.25 ** j / j for j in range(1, 8)}, n_terms)
+    acc = zeta_tail_sum(
+        (math.log1p(-0.25 / (n * n)) / (n * n) for n in range(1, 3001)), 3000,
+        {2 * j + 2: -0.25 ** j / j for j in range(1, 8)}).value
     return (-2.0 * _C.log_A + (2.0 - 3.5 * _C.zeta3) / _PI ** 2
             + (_G + math.log(_PI)) / 6.0 - acc / (2.0 * _PI ** 2))
 

@@ -1,14 +1,16 @@
-"""Infinite-series evaluation: compensated partial sums plus tail models.
+"""Infinite-series evaluation: one tail-summation primitive.
 
-Four tail models cover everything the catalogs need:
+``zeta_tail_sum`` adds a compensated partial sum over n <= N to an
+analytic tail written in Hurwitz zeta functions,
 
-* ``EulerMaclaurin`` -- smooth monotone-ish tails; the correction is
-  integral + f(N)/2 - f'(N)/12 (+ f'''(N)/720 at degree 2), with the
-  integral either supplied analytically or computed by the quadrature
-  engine after the substitution x = N/t.
-* ``ClosedTail``   -- caller knows the tail in closed form.
-* ``Alternating``  -- plain alternating truncation, |error| <= next term.
-* ``NoTail``       -- geometric estimate from the last term ratio.
+    sum_{n>N} sum_k (c_k - d_k log n) n^-k
+        = sum_k c_k zeta(k, N+1) + d_k zeta'(k, N+1),
+
+and bounds the truncation by the first omitted order of the expansion,
+2 |e_k| zeta(k, N+1), so that the error grows as N shrinks.  The factor 2
+covers the orders after the first omitted one whenever they shrink at
+least geometrically by 1/2 from n = N+1 on.  ``quad_tail`` builds such an
+expansion for the recurring denominators n^2 - q.
 
 ``cvz_alternating`` is the Chebyshev-weight acceleration for alternating
 series whose terms decay too slowly to truncate (error ~ 5.83^-n).
@@ -17,23 +19,16 @@ series whose terms decay too slowly to truncate (error ~ 5.83^-n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .quad import LOG_SING, REGULAR, integrate
+from .kernels import _hurwitz, _hurwitz_prime
 
-__all__ = [
-    "SeriesResult",
-    "SeriesSpec",
-    "EulerMaclaurin",
-    "ClosedTail",
-    "Alternating",
-    "NoTail",
-    "sum_series",
-    "cvz_alternating",
-    "kahan_sum",
-]
+__all__ = ["SeriesResult", "zeta_tail_sum", "quad_tail", "cvz_alternating",
+           "kahan_sum"]
 
 _EPS = 2.220446049250313e-16
 
@@ -44,56 +39,6 @@ class SeriesResult:
     abs_err: float
     terms_used: int
     method: str
-
-
-@dataclass(frozen=True)
-class EulerMaclaurin:
-    """Tail via Euler-Maclaurin from index N on.
-
-    ``smooth`` continues the term to real arguments (defaults to the term
-    function itself, which then must accept floats); ``integral`` maps N to
-    the exact integral of ``smooth`` over [N, inf) when known.
-    """
-
-    degree: int = 1
-    smooth: Callable[[float], float] | None = None
-    deriv: Callable[[float], float] | None = None
-    integral: Callable[[float], float] | None = None
-
-    name = "euler_maclaurin"
-
-
-@dataclass(frozen=True)
-class ClosedTail:
-    """Caller-supplied tail: fn(N) -> (tail_value, tail_err)."""
-
-    fn: Callable[[int], tuple[float, float]] = field(repr=False)
-
-    name = "asymptotic_subtraction"
-
-
-@dataclass(frozen=True)
-class Alternating:
-    name = "alternating"
-
-
-@dataclass(frozen=True)
-class NoTail:
-    name = "none"
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    term: Callable[[int], float]
-    n0: int = 1
-    tail: EulerMaclaurin | ClosedTail | Alternating | NoTail = NoTail()
-    max_terms: int = 10_000
-
-    def __post_init__(self) -> None:
-        if self.n0 < 0:
-            raise DomainError(f"n0 must be >= 0, got {self.n0}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
 def kahan_sum(values) -> float:
@@ -107,116 +52,77 @@ def kahan_sum(values) -> float:
     return acc
 
 
-def _numeric_tail_integral(smooth: Callable[[float], float],
-                           n: float) -> tuple[float, float]:
-    """integral_N^inf f(x) dx by x = N/t, t in (0, 1]."""
-
-    def g(t: float, da: float, db: float) -> float:
-        return smooth(n / da) * n / (da * da)
-
-    r = integrate(g, 0.0, 1.0, (LOG_SING, REGULAR), tol=1e-13)
-    return r.value, r.abs_err
-
-
-def sum_series(spec: SeriesSpec, tol: float = 1e-12) -> SeriesResult:
-    """Evaluate the series described by ``spec``.
-
-    The partial sum always runs with compensated addition.  When the tail
-    model's hypotheses hold the result is within ``abs_err`` of the true
-    sum; an exhausted alternating/no-tail budget shows up as a large
-    ``abs_err`` rather than an exception.
+def zeta_tail_sum(terms: Iterable[float] | np.ndarray, n_last: int,
+                  tail: Mapping[int, float] = {},
+                  log_tail: Mapping[int, float] = {},
+                  omitted: Mapping[int, float] = {},
+                  log_omitted: Mapping[int, float] = {},
+                  floor: float = 2e-14, shift: float = 1.0,
+                  method: str = "direct+zh_tail") -> SeriesResult:
+    """``terms`` summed (compensated; a numpy array pairwise) plus the tail
+    past ``n_last``: ``tail`` maps k to c_k of c_k n^-k, ``log_tail`` maps
+    k to d_k of d_k log(n) n^-k.  ``omitted`` and ``log_omitted`` hold the
+    first orders the expansion leaves out; each adds 2|e_k| zeta(k, a) or
+    2|e_k| |zeta'(k, a)| to the error, on top of ``floor * (1 + |value|)``.
+    The zeta functions are taken at a = n_last + ``shift``.
     """
-    term = spec.term
-    tail = spec.tail
-    n0 = spec.n0
+    a = n_last + shift
+    if isinstance(terms, np.ndarray):
+        partial = float(terms.sum())
+    else:
+        partial = kahan_sum(terms)
+    value = partial + math.fsum(
+        [c * _hurwitz(float(k), a) for k, c in tail.items()]
+        + [-d * _hurwitz_prime(float(k), a) for k, d in log_tail.items()])
+    if not math.isfinite(value):
+        raise EvaluationError(f"series not finite with N={n_last}")
+    err = (floor * (1.0 + abs(value))
+           + 2.0 * sum(abs(e) * _hurwitz(float(k), a)
+                       for k, e in omitted.items())
+           + 2.0 * sum(abs(e * _hurwitz_prime(float(k), a))
+                       for k, e in log_omitted.items()))
+    return SeriesResult(value, err, n_last, method)
 
-    if isinstance(tail, Alternating):
-        acc = 0.0
-        comp = 0.0
-        used = 0
-        prev = math.inf
-        for n in range(n0, n0 + spec.max_terms):
-            t = term(n)
-            if not math.isfinite(t):
-                raise EvaluationError(f"series term not finite at n={n}")
-            y = t - comp
-            s = acc + y
-            comp = (s - acc) - y
-            acc = s
-            used += 1
-            if abs(t) <= tol * 0.1 and abs(t) <= prev:
-                break
-            prev = abs(t)
-        nxt = abs(term(n0 + used))
-        return SeriesResult(acc, nxt + used * _EPS * abs(acc), used, tail.name)
 
-    n_sum = spec.max_terms
-    acc = 0.0
-    comp = 0.0
-    last = 0.0
-    second_last = 0.0
-    used = 0
-    for n in range(n0, n0 + n_sum):
-        t = term(n)
-        if not math.isfinite(t):
-            raise EvaluationError(f"series term not finite at n={n}")
-        y = t - comp
-        s = acc + y
-        comp = (s - acc) - y
-        acc = s
-        second_last, last = last, t
-        used += 1
-    n_next = n0 + used
-    rounding = used * _EPS * 0.01 + 20.0 * _EPS * abs(acc)
+def quad_tail(q: float, orders: Mapping[int, float], n_last: int,
+              omit: Mapping[int, float] = {}
+              ) -> tuple[dict[int, float], dict[int, float]]:
+    """Expansion of sum_{n>N} sum_s a_s n^-s / (n^2 - q) in zeta orders.
 
-    if isinstance(tail, NoTail):
-        if last == 0.0:
-            return SeriesResult(acc, rounding, used, tail.name)
-        if second_last != 0.0 and abs(last) < abs(second_last):
-            r = min(abs(last) / abs(second_last), 0.9)
-            est = abs(last) * r / (1.0 - r)
-        else:
-            est = abs(last) * used  # no decay evidence: flag loudly
-        return SeriesResult(acc, est + rounding, used, tail.name)
-
-    if isinstance(tail, ClosedTail):
-        tv, te = tail.fn(n_next)
-        return SeriesResult(acc + tv, te + rounding, used, tail.name)
-
-    if isinstance(tail, EulerMaclaurin):
-        f = tail.smooth if tail.smooth is not None else term
-        nf = float(n_next)
-        if tail.integral is not None:
-            tint, ierr = tail.integral(nf), 0.0
-        else:
-            tint, ierr = _numeric_tail_integral(f, nf)
-        f_n = f(nf)
-        if tail.deriv is not None:
-            fp = tail.deriv(nf)
-            fp_err = 0.0
-        else:
-            fp = 0.5 * (f(nf + 1.0) - f(nf - 1.0))
-            fp_err = abs(fp) * 1e-4 + 1e-20
-        correction = tint + 0.5 * f_n - fp / 12.0
-        em_err = abs(fp) * 2e-3 + ierr + fp_err
-        if tail.degree >= 2:
-            f3 = (f(nf + 2.0) - 2.0 * f(nf + 1.0) + 2.0 * f(nf - 1.0)
-                  - f(nf - 2.0)) / 2.0
-            correction += f3 / 720.0
-            em_err = abs(f3) * 2e-2 + ierr + fp_err
-        return SeriesResult(acc + correction, em_err + rounding, used,
-                            tail.name)
-
-    raise DomainError(f"unknown tail model {tail!r}")
+    1/(n^2 - q) = sum_j q^j n^(-2j-2), so ``orders`` {s: a_s} becomes
+    {s+2+2j: a_s q^j} for j < J, with J chosen so that the omitted orders
+    are 1e-17 of the leading one.  Returns ``(tail, omitted)`` for
+    :func:`zeta_tail_sum`; ``omit`` lists asymptotic orders the caller
+    leaves out, whose leading zeta order joins ``omitted``.  Requires
+    (N+1)^2 >= 2|q|, so that each further order shrinks by 1/2 or more.
+    """
+    r = abs(q) / (n_last + 1.0) ** 2
+    if r > 0.5:
+        raise DomainError(
+            f"tail expansion needs (N+1)^2 >= 2|q|; N={n_last}, q={q}")
+    n_ord = (1 if r == 0.0
+             else max(1, math.ceil(math.log(1e-17) / math.log(r))))
+    tail: dict[int, float] = {}
+    omitted: dict[int, float] = {}
+    for s, c in orders.items():
+        for j in range(n_ord):
+            tail[s + 2 + 2 * j] = tail.get(s + 2 + 2 * j, 0.0) + c * q ** j
+        k = s + 2 + 2 * n_ord
+        omitted[k] = omitted.get(k, 0.0) + abs(c * q ** n_ord)
+    for s, c in omit.items():
+        omitted[s + 2] = omitted.get(s + 2, 0.0) + abs(c)
+    return tail, omitted
 
 
 def cvz_alternating(a: Callable[[int], float], n_terms: int = 44) -> tuple[float, float]:
     """sum_{k>=0} (-1)^k a_k for positive, smoothly decaying a_k.
 
     Chebyshev-polynomial weights; geometric convergence at rate ~1/5.83.
-    Returns (value, error_estimate), the estimate taken from a shorter
-    re-summation.
+    Returns (value, error_estimate), the estimate taken from a re-summation
+    eight orders shorter, so ``n_terms`` must exceed 8.
     """
+    if n_terms <= 8:
+        raise DomainError(f"cvz_alternating needs n_terms > 8, got {n_terms}")
 
     def run(n: int) -> float:
         d = (3.0 + math.sqrt(8.0)) ** n

@@ -1,19 +1,20 @@
 """The named-series catalog: every slow sum the identity registry needs.
 
 Each entry returns a :class:`SeriesResult` whose ``abs_err`` covers both
-truncation and the analytic-tail remainder.  Tails of the recurring shapes
-
-    sum_{n>N} n^-s / (n^2 - q)   and   sum_{n>N} log n * n^-s / (n^2 - q)
-
-are resummed exactly through Hurwitz-zeta expansions, so the direct parts
-can stop after a few thousand terms without giving up precision.
+rounding and truncation.  Most entries sum their first ``max_terms`` terms
+directly and close the rest with an analytic Hurwitz-zeta tail through
+:func:`~gammalab.series.zeta_tail_sum`, whose error comes from the first
+order the tail leaves out and so grows as ``max_terms`` shrinks.  Each
+entry declares the smallest ``max_terms`` (``n_min``) at which its bound
+holds; :func:`sum_catalog` rejects smaller caps with ``DomainError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -34,13 +35,16 @@ from .kernels import (
     _zeta_prime_int,
     get_constants,
 )
-from .series import SeriesResult, cvz_alternating, kahan_sum
+from .series import SeriesResult, cvz_alternating, kahan_sum, quad_tail, \
+    zeta_tail_sum
 
 __all__ = ["SeriesEntry", "SERIES_CATALOG", "sum_catalog",
            "power_series_eval", "list_series_ids"]
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
+# cvz_alternating estimates its error from a re-summation 8 orders shorter
+_CVZ_N_MIN = 9
 
 
 @dataclass(frozen=True)
@@ -48,14 +52,15 @@ class SeriesEntry:
     label: str
     nparams: int
     fn: Callable[..., SeriesResult]
+    n_min: int = 1
 
 
 SERIES_CATALOG: dict[str, SeriesEntry] = {}
 
 
-def _entry(key: str, label: str, nparams: int = 0):
+def _entry(key: str, label: str, nparams: int = 0, n_min: int = 1):
     def deco(fn):
-        SERIES_CATALOG[key] = SeriesEntry(label, nparams, fn)
+        SERIES_CATALOG[key] = SeriesEntry(label, nparams, fn, n_min)
         return fn
     return deco
 
@@ -73,54 +78,12 @@ def sum_catalog(key: str, params: tuple[float, ...] = (),
     if len(params) != entry.nparams:
         raise DomainError(
             f"{key} takes {entry.nparams} parameter(s), got {len(params)}")
-    if max_terms is not None:
-        return entry.fn(*params, max_terms=max_terms)
-    return entry.fn(*params)
-
-
-# ---------------------------------------------------------------------------
-# exact tail helpers
-# ---------------------------------------------------------------------------
-
-def _tail_pow_quad(n_from: int, q: float, s: int) -> float:
-    """sum_{n>N} 1/(n^s (n^2-q)) as sum_j q^j zeta(s+2+2j, N+1)."""
-    a = n_from + 1.0
-    acc = 0.0
-    qj = 1.0
-    for j in range(60):
-        t = qj * _hurwitz(float(s + 2 + 2 * j), a)
-        acc += t
-        if abs(t) < 1e-20 * max(abs(acc), 1e-30):
-            break
-        qj *= q
-    return acc
-
-
-def _tail_log_quad(n_from: int, q: float, s: int = 0) -> float:
-    """sum_{n>N} log n * n^-s / (n^2-q), by the same expansion."""
-    a = n_from + 1.0
-    acc = 0.0
-    qj = 1.0
-    for j in range(60):
-        t = -qj * _hurwitz_prime(float(s + 2 + 2 * j), a)
-        acc += t
-        if abs(t) < 1e-20 * max(abs(acc), 1e-30):
-            break
-        qj *= q
-    return acc
-
-
-def _tail_zh(coeffs: dict[int, float], n_from: int) -> float:
-    """sum_{n>N} sum_k c_k n^-k  with exact Hurwitz tails."""
-    a = n_from + 1.0
-    return math.fsum(c * _hurwitz(float(k), a) for k, c in coeffs.items())
-
-
-def _tail_zh_log(coeffs: dict[int, float], n_from: int) -> float:
-    """sum_{n>N} sum_k c_k log(n) n^-k."""
-    a = n_from + 1.0
-    return math.fsum(-c * _hurwitz_prime(float(k), a)
-                     for k, c in coeffs.items())
+    if max_terms is None:
+        return entry.fn(*params)
+    if max_terms < entry.n_min:
+        raise DomainError(
+            f"{key} needs max_terms >= {entry.n_min}, got {max_terms}")
+    return entry.fn(*params, max_terms=max_terms)
 
 
 def _np_sum(values: np.ndarray) -> float:
@@ -132,86 +95,65 @@ def _np_sum(values: np.ndarray) -> float:
 # section 1: the log-weighted quadratic-denominator lemmas
 # ---------------------------------------------------------------------------
 
+def _taylor_check(value: float, u: float, coeff: Callable[[int], float]
+                  ) -> float:
+    """|value - sum_m coeff(m) u^(2m-2)|, the cross-route check for |u| < 1."""
+    alt = 0.0
+    pw = 1.0
+    for m in range(1, 80):
+        t = coeff(m) * pw
+        alt += t
+        pw *= u * u
+        if abs(t) < 1e-18:
+            break
+    return abs(value - alt)
+
+
 @_entry("S-1.20", "sum log n/(n^2+u^2)", 1)
 def s_1_20(u: float, max_terms: int = 4000) -> SeriesResult:
+    log_tail, log_omitted = quad_tail(-u * u, {0: 1.0}, max_terms)
     n = np.arange(1, max_terms + 1, dtype=float)
-    direct = _np_sum(np.log(n) / (n * n + u * u))
-    tail = _tail_log_quad(max_terms, -u * u)
-    value = direct + tail
-    err = 5e-15 * (1.0 + abs(value))
+    r = zeta_tail_sum(np.log(n) / (n * n + u * u), max_terms,
+                      log_tail=log_tail, log_omitted=log_omitted, floor=5e-15)
     if abs(u) < 1.0:
         # Taylor cross-route: sum_m (-1)^m zeta'(2m) u^(2m-2)
-        alt = 0.0
-        pw = 1.0
-        for m in range(1, 80):
-            t = (-1.0) ** m * _zeta_prime_int(2 * m) * pw
-            alt += t
-            pw *= u * u
-            if abs(t) < 1e-18:
-                break
-        err += abs(value - alt)
-    return SeriesResult(value, err, max_terms, "direct+zh_tail")
+        return replace(r, abs_err=r.abs_err + _taylor_check(
+            r.value, u, lambda m: (-1.0) ** m * _zeta_prime_int(2 * m)))
+    return r
 
 
 @_entry("S-1.23", "sum 1/(n^2+u^2)", 1)
 def s_1_23(u: float, max_terms: int = 4000) -> SeriesResult:
+    tail, omitted = quad_tail(-u * u, {0: 1.0}, max_terms)
     n = np.arange(1, max_terms + 1, dtype=float)
-    direct = _np_sum(1.0 / (n * n + u * u))
-    value = direct + _tail_pow_quad(max_terms, -u * u, 0)
-    err = 5e-15 * (1.0 + abs(value))
+    r = zeta_tail_sum(1.0 / (n * n + u * u), max_terms, tail,
+                      omitted=omitted, floor=5e-15)
     if abs(u) < 1.0:
-        alt = 0.0
-        pw = 1.0
-        for m in range(1, 80):
-            t = (-1.0) ** (m + 1) * _zeta_int(2 * m) * pw
-            alt += t
-            pw *= u * u
-            if abs(t) < 1e-18:
-                break
-        err += abs(value - alt)
-    return SeriesResult(value, err, max_terms, "direct+zh_tail")
-
-
-@_entry("S-2.8", "sum 1/(n (n^2-p^2))", 1)
-def s_2_8(p: float, max_terms: int = 4000) -> SeriesResult:
-    if abs(p) >= 1.0 and abs(p - round(p)) < 1e-12:
-        raise DomainError(f"pole at integer p={p}")
-    n = np.arange(1, max_terms + 1, dtype=float)
-    direct = _np_sum(1.0 / (n * (n * n - p * p)))
-    value = direct + _tail_pow_quad(max_terms, p * p, 1)
-    return SeriesResult(value, 5e-15 * (1.0 + abs(value)), max_terms,
-                        "direct+zh_tail")
+        return replace(r, abs_err=r.abs_err + _taylor_check(
+            r.value, u, lambda m: (-1.0) ** (m + 1) * _zeta_int(2 * m)))
+    return r
 
 
 # ---------------------------------------------------------------------------
 # section 3: si/Ci-weighted sums
 # ---------------------------------------------------------------------------
-
-def _si_asym_2pi(n: float) -> float:
-    x = _TWO_PI * n
-    x2 = x * x
-    return -(1.0 / x) * (1.0 - 2.0 / x2 + 24.0 / (x2 * x2)
-                         - 720.0 / (x2 * x2 * x2))
-
+# The lattice values si(2 pi n), Ci(2 pi n) are exact up to n = 200 and
+# asymptotic after; the tails use the same asymptotic expansions, whose
+# remainders are bounded by their first omitted term.
 
 @_entry("S-3.8", "sum si(2 pi n)/(n (4n^2-p^2))", 1)
 def s_3_8(p: float, max_terms: int = 4000) -> SeriesResult:
     if not 0.0 < abs(p) < 2.0:
         raise DomainError(f"requires 0 < |p| < 2, got {p}")
-    q = 0.25 * p * p
-    acc = kahan_sum(
-        _si_small_at_pi_mult(n) / (n * (4.0 * n * n - p * p))
-        for n in range(1, 201))
-    acc += kahan_sum(
-        _si_asym_2pi(n) / (n * (4.0 * n * n - p * p))
-        for n in range(201, max_terms + 1))
-    # beyond: si(2 pi n) ~ -1/(2 pi n) + 2/(2 pi n)^3 - 24/(2 pi n)^5
-    tail = (-1.0 / _TWO_PI * _tail_pow_quad(max_terms, q, 2)
-            + 2.0 / _TWO_PI ** 3 * _tail_pow_quad(max_terms, q, 4)
-            - 24.0 / _TWO_PI ** 5 * _tail_pow_quad(max_terms, q, 6)) / 4.0
-    value = acc + tail
-    return SeriesResult(value, 1e-14 * (1.0 + abs(value)), max_terms,
-                        "lattice+asymptotic")
+    # si(2 pi n) ~ -1/(2 pi n) + 2/(2 pi n)^3 - 24/(2 pi n)^5 + 720/(2 pi n)^7
+    tail, omitted = quad_tail(
+        0.25 * p * p, {2: -0.25 / _TWO_PI, 4: 0.5 / _TWO_PI ** 3,
+                       6: -6.0 / _TWO_PI ** 5}, max_terms,
+        omit={8: 180.0 / _TWO_PI ** 7})
+    return zeta_tail_sum(
+        (_si_small_at_pi_mult(n) / (n * (4.0 * n * n - p * p))
+         for n in range(1, max_terms + 1)), max_terms, tail,
+        omitted=omitted, floor=1e-14, method="lattice+asymptotic")
 
 
 @_entry("S-3.14", "sum [Ci(2 pi n)-gamma-log(2 pi n)]/(4n^2-p^2)", 1)
@@ -220,87 +162,89 @@ def s_3_14(p: float, max_terms: int = 4000) -> SeriesResult:
         raise DomainError(f"requires 0 < |p| < 2, got {p}")
     g = _euler_gamma()
     q = 0.25 * p * p
-    # Ci part
-    acc = kahan_sum(
-        _ci_at_2pi_mult(n) / (4.0 * n * n - p * p) for n in range(1, 201))
-    acc += kahan_sum(
-        -(1.0 / (_TWO_PI * n) ** 2) * (1.0 - 6.0 / (_TWO_PI * n) ** 2)
-        / (4.0 * n * n - p * p) for n in range(201, max_terms + 1))
-    tail_ci = (-1.0 / _TWO_PI ** 2 * _tail_pow_quad(max_terms, q, 2)
-               + 6.0 / _TWO_PI ** 4 * _tail_pow_quad(max_terms, q, 4)) / 4.0
+    # Ci part: Ci(2 pi n) ~ -1/x^2 + 6/x^4 - 120/x^6 + 5040/x^8, x = 2 pi n
+    tail, omitted = quad_tail(
+        q, {2: -0.25 / _TWO_PI ** 2, 4: 1.5 / _TWO_PI ** 4,
+            6: -30.0 / _TWO_PI ** 6}, max_terms,
+        omit={8: 1260.0 / _TWO_PI ** 8})
+    ci = zeta_tail_sum(
+        (_ci_at_2pi_mult(n) / (4.0 * n * n - p * p)
+         for n in range(1, max_terms + 1)), max_terms, tail,
+        omitted=omitted, floor=0.0)
     # -(gamma + log 2 pi) sum 1/(4n^2-p^2): exact closed form
     s_quad = 0.5 / (p * p) - _PI / (4.0 * p) * (
         math.cos(_PI * p / 2.0) / math.sin(_PI * p / 2.0))
     # - sum log n/(4 n^2 - p^2)
+    log_tail, log_omitted = quad_tail(q, {0: 0.25}, max_terms)
     n = np.arange(1, max_terms + 1, dtype=float)
-    s_log = _np_sum(np.log(n) / (4.0 * n * n - p * p)) + 0.25 * _tail_log_quad(
-        max_terms, q)
-    value = acc + tail_ci - (g + math.log(_TWO_PI)) * s_quad - s_log
-    return SeriesResult(value, 2e-14 * (1.0 + abs(value)), max_terms,
-                        "lattice+closed_forms")
+    s_log = zeta_tail_sum(np.log(n) / (4.0 * n * n - p * p), max_terms,
+                          log_tail=log_tail, log_omitted=log_omitted,
+                          floor=0.0)
+    value = ci.value - (g + math.log(_TWO_PI)) * s_quad - s_log.value
+    err = ci.abs_err + s_log.abs_err + 2e-14 * (1.0 + abs(value))
+    return SeriesResult(value, err, max_terms, "lattice+closed_forms")
 
 
 @_entry("S-4.26", "sum Si(2 pi n)/n^2", 0)
 def s_4_26(max_terms: int = 200) -> SeriesResult:
-    value = 0.5 * _PI * _zeta_int(2)
-    value += kahan_sum(_si_small_at_pi_mult(n) / (n * n)
-                       for n in range(1, 201))
-    a = 201.0
-    value += (-1.0 / _TWO_PI * _hurwitz(3.0, a)
-              + 2.0 / _TWO_PI ** 3 * _hurwitz(5.0, a)
-              - 24.0 / _TWO_PI ** 5 * _hurwitz(7.0, a)
-              + 720.0 / _TWO_PI ** 7 * _hurwitz(9.0, a))
-    return SeriesResult(value, 1e-13 * (1.0 + abs(value)), 200,
-                        "lattice+asymptotic")
+    r = zeta_tail_sum(
+        (_si_small_at_pi_mult(n) / (n * n) for n in range(1, max_terms + 1)),
+        max_terms,
+        {3: -1.0 / _TWO_PI, 5: 2.0 / _TWO_PI ** 3, 7: -24.0 / _TWO_PI ** 5,
+         9: 720.0 / _TWO_PI ** 7},
+        omitted={11: 40320.0 / _TWO_PI ** 9}, floor=0.0)
+    value = 0.5 * _PI * _zeta_int(2) + r.value
+    return SeriesResult(value, r.abs_err + 1e-13 * (1.0 + abs(value)),
+                        max_terms, "lattice+asymptotic")
 
 
 @_entry("S-4.29-rhs", "sum Si(n pi)/n^2", 0)
 def s_4_29_rhs(max_terms: int = 4000) -> SeriesResult:
-    value = 0.5 * _PI * _zeta_int(2)
-    value += kahan_sum(
-        _si_small_at_pi_mult(n, twice=False) / (n * n) for n in range(1, 201))
-    # si(n pi) = -(-1)^n f(n pi); sum the asymptotic form out to max_terms
-    value += kahan_sum(
-        -(-1.0) ** (n % 2) * _f_asym(n * _PI) / (n * n)
-        for n in range(201, max_terms + 1))
+    # si(n pi) alternates in sign with |si(n pi)| <= 1/(n pi), so the rest
+    # is bounded by its first term
+    value = 0.5 * _PI * _zeta_int(2) + kahan_sum(
+        _si_small_at_pi_mult(n, twice=False) / (n * n)
+        for n in range(1, max_terms + 1))
     err = 1.0 / (_PI * (max_terms + 1.0) ** 3) + 1e-13 * (1.0 + abs(value))
     return SeriesResult(value, err, max_terms, "lattice+asymptotic")
 
 
-def _f_asym(x: float) -> float:
-    x2 = x * x
-    return (1.0 / x) * (1.0 - 2.0 / x2 + 24.0 / (x2 * x2)
-                        - 720.0 / (x2 * x2 * x2))
-
-
 @_entry("S-4.30-rhs", "sum Si((2n-1) pi)/(2n-1)^2", 0)
 def s_4_30_rhs(max_terms: int = 4000) -> SeriesResult:
+    # Si(m pi) = pi/2 + 1/(m pi) - 2/(m pi)^3 + 24/(m pi)^5 - ... for odd m,
+    # and sum_{n>N} (2n-1)^-k = 2^-k zeta(k, N + 1/2)
+    return zeta_tail_sum(
+        ((0.5 * _PI + _si_small_at_pi_mult(2 * n - 1, twice=False))
+         / (2 * n - 1) ** 2 for n in range(1, max_terms + 1)),
+        max_terms,
+        {2: 0.125 * _PI, 3: 0.125 / _PI, 5: -2.0 / (32.0 * _PI ** 3),
+         7: 24.0 / (128.0 * _PI ** 5)},
+        omitted={9: 720.0 / (512.0 * _PI ** 7)}, floor=1e-12, shift=0.5,
+        method="lattice+asymptotic")
+
+
+def _ratio_half_sum(term: Callable[[int], float], n_first: int,
+                    max_terms: int) -> tuple[float, float]:
+    """Sum of term(n) from n_first on, at most max_terms terms, stopping
+    once a term is below 1e-19.  The terms shrink by 1/2 or faster, so
+    2 |next term| bounds what is left; returns (sum, bound)."""
     acc = 0.0
-    for n in range(1, max_terms + 1):
-        m = 2 * n - 1
-        if m <= 401:
-            si_m = _si_small_at_pi_mult(m, twice=False)
-        else:
-            si_m = _f_asym(m * _PI)  # si((2n-1) pi) = +f for odd m
-        acc += (0.5 * _PI + si_m) / (m * m)
-    a = max_terms + 0.5
-    tail = 0.5 * _PI * 0.25 * _hurwitz(2.0, a) + (1.0 / _PI) * 0.125 * _hurwitz(
-        3.0, a)
-    value = acc + tail
-    return SeriesResult(value, 1e-12 * (1.0 + abs(value)), max_terms,
-                        "lattice+asymptotic")
+    n = n_first - 1
+    for n in range(n_first, n_first + max_terms):
+        t = term(n)
+        acc += t
+        if abs(t) < 1e-19:
+            break
+    return acc, 2.0 * abs(term(n + 1))
 
 
 @_entry("S-4.27", "sum zeta(2n)/(2n+1)^2", 0)
 def s_4_27(max_terms: int = 400) -> SeriesResult:
     # zeta(2n) -> 1, so split off sum 1/(2n+1)^2 = pi^2/8 - 1
-    value = _PI * _PI / 8.0 - 1.0
-    for n in range(1, max_terms + 1):
-        t = _hurwitz(2.0 * n, 2.0) / (2 * n + 1) ** 2
-        value += t
-        if t < 1e-19:
-            break
-    return SeriesResult(value, 1e-14 * (1.0 + abs(value)), max_terms,
+    acc, rest = _ratio_half_sum(
+        lambda n: _hurwitz(2.0 * n, 2.0) / (2 * n + 1) ** 2, 1, max_terms)
+    value = _PI * _PI / 8.0 - 1.0 + acc
+    return SeriesResult(value, rest + 1e-14 * (1.0 + abs(value)), max_terms,
                         "zeta_split")
 
 
@@ -308,19 +252,21 @@ def s_4_27(max_terms: int = 400) -> SeriesResult:
 # section 4: harmonic/log families
 # ---------------------------------------------------------------------------
 
-@_entry("S-4.4-Tn", "T_n = sum_{m != n} log m/(m^2-n^2)", 1)
+# the registry uses n <= 8; the tail expansion needs (N+1)^2 >= 2n^2
+@_entry("S-4.4-Tn", "T_n = sum_{m != n} log m/(m^2-n^2)", 1, n_min=11)
 def s_4_4_tn(n: float, max_terms: int = 20000) -> SeriesResult:
     n = int(n)
     if n < 1:
         raise DomainError(f"requires integer n >= 1, got {n}")
+    log_tail, log_omitted = quad_tail(float(n) * float(n), {0: 1.0},
+                                      max_terms)
     m = np.arange(1, max_terms + 1, dtype=float)
     den = m * m - float(n) * float(n)
     den[n - 1] = 1.0  # excluded term, blanked below
     vals = np.log(m) / den
     vals[n - 1] = 0.0
-    value = _np_sum(vals) + _tail_log_quad(max_terms, float(n) * float(n))
-    return SeriesResult(value, 1e-13 * (1.0 + abs(value)), max_terms,
-                        "direct+zh_tail")
+    return zeta_tail_sum(vals, max_terms, log_tail=log_tail,
+                         log_omitted=log_omitted, floor=1e-13)
 
 
 @lru_cache(maxsize=8)
@@ -349,45 +295,44 @@ def _tn_batch(n_max: int, m_terms: int = 20000) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _with_harmonic(max_terms: int):
+    """(n, H_n) for n = 1 .. max_terms."""
+    return zip(range(1, max_terms + 1),
+               accumulate(1.0 / n for n in range(1, max_terms + 1)))
+
+
 @_entry("S-4.31.1", "sum (gamma + log n - H_n)/n", 0)
 def s_4_31_1(max_terms: int = 2000) -> SeriesResult:
     g = _euler_gamma()
-    acc = 0.0
-    h = 0.0
-    for n in range(1, max_terms + 1):
-        h += 1.0 / n
-        acc += (g + math.log(n) - h) / n
-    # gamma + log n - H_n = -1/2n + 1/12n^2 - 1/120n^4 + 1/252n^6 - ...
-    tail = _tail_zh({2: -0.5, 3: 1.0 / 12.0, 5: -1.0 / 120.0,
-                     7: 1.0 / 252.0}, max_terms)
-    value = acc + tail
-    return SeriesResult(value, 1e-13 * (1.0 + abs(value)), max_terms,
-                        "direct+asymptotic_tail")
+    # gamma + log n - H_n = -1/2n + 1/12n^2 - 1/120n^4 + 1/252n^6 - 1/240n^8
+    return zeta_tail_sum(
+        ((g + math.log(n) - h) / n for n, h in _with_harmonic(max_terms)),
+        max_terms, {2: -0.5, 3: 1.0 / 12.0, 5: -1.0 / 120.0, 7: 1.0 / 252.0},
+        omitted={9: -1.0 / 240.0}, floor=1e-13,
+        method="direct+asymptotic_tail")
 
 
 @_entry("S-4.32", "sum H_n [log(1+1/n) - 1/n]", 0)
 def s_4_32(max_terms: int = 2000) -> SeriesResult:
-    acc = 0.0
-    h = 0.0
-    for n in range(1, max_terms + 1):
-        h += 1.0 / n
-        acc += h * (math.log1p(1.0 / n) - 1.0 / n)
     g = _euler_gamma()
+    # H_n = log n + gamma + 1/2n - ..., times -1/2n^2 + 1/3n^3 - ...
     log_part = {2: -0.5, 3: 1.0 / 3.0, 4: -0.25, 5: 0.2, 6: -1.0 / 6.0}
-    plain = {3: -0.25, 4: 5.0 / 24.0, 5: -11.0 / 72.0, 6: 7.0 / 60.0}
-    tail = (_tail_zh_log(log_part, max_terms)
-            + _tail_zh({k: g * c for k, c in log_part.items()}, max_terms)
-            + _tail_zh(plain, max_terms))
-    value = acc + tail
-    return SeriesResult(value, 1e-13 * (1.0 + abs(value)), max_terms,
-                        "direct+asymptotic_tail")
+    plain = {2: 0.0, 3: -0.25, 4: 5.0 / 24.0, 5: -11.0 / 72.0, 6: 7.0 / 60.0}
+    return zeta_tail_sum(
+        (h * (math.log1p(1.0 / n) - 1.0 / n)
+         for n, h in _with_harmonic(max_terms)),
+        max_terms, {k: g * c + plain[k] for k, c in log_part.items()},
+        log_part, omitted={7: g / 7.0 - 7.0 / 72.0},
+        log_omitted={7: 1.0 / 7.0}, floor=1e-13,
+        method="direct+asymptotic_tail")
 
 
 # ---------------------------------------------------------------------------
 # section 5
 # ---------------------------------------------------------------------------
 
-@_entry("S-5.13", "sum [n/(n^2-x^2) - log(1+1/n)]", 1)
+# the Euler-Maclaurin bound |f'(N)| 1e-3 holds, with a margin of 3, from N = 8
+@_entry("S-5.13", "sum [n/(n^2-x^2) - log(1+1/n)]", 1, n_min=8)
 def s_5_13(x: float, max_terms: int = 10000) -> SeriesResult:
     if abs(x) >= 1.0 and abs(x - round(x)) < 1e-12:
         raise DomainError(f"pole at integer x={x}")
@@ -406,142 +351,104 @@ def s_5_13(x: float, max_terms: int = 10000) -> SeriesResult:
 
 @_entry("S-5.18", "sum [n log(1-1/4n^2) + log(1+1/n)/4]", 0)
 def s_5_18(max_terms: int = 10000) -> SeriesResult:
-    acc = kahan_sum(
-        n * math.log1p(-0.25 / (n * n)) + 0.25 * math.log1p(1.0 / n)
-        for n in range(1, max_terms + 1))
-    # term ~ -1/8 n^-2 + 5/96 n^-3 - 1/16 n^-4 + 43/960 n^-5
-    tail = _tail_zh({2: -0.125, 3: 5.0 / 96.0, 4: -1.0 / 16.0,
-                     5: 43.0 / 960.0}, max_terms)
-    value = acc + tail
-    return SeriesResult(value, 3e-14 * (1.0 + abs(value)) + 1e-15, max_terms,
-                        "direct+asymptotic_tail")
+    # term ~ -1/8 n^-2 + 5/96 n^-3 - 1/16 n^-4 + 43/960 n^-5 - 1/24 n^-6
+    return zeta_tail_sum(
+        (n * math.log1p(-0.25 / (n * n)) + 0.25 * math.log1p(1.0 / n)
+         for n in range(1, max_terms + 1)),
+        max_terms, {2: -0.125, 3: 5.0 / 96.0, 4: -1.0 / 16.0,
+                    5: 43.0 / 960.0},
+        omitted={6: -1.0 / 24.0}, floor=3e-14,
+        method="direct+asymptotic_tail")
 
 
 @_entry("S-5.44.4", "sum [(1+n) log(1+1/n) - 1 - 1/(2n)]", 0)
 def s_5_44_4(max_terms: int = 4000) -> SeriesResult:
-    acc = kahan_sum((1.0 + n) * math.log1p(1.0 / n) - 1.0 - 0.5 / n
-                    for n in range(1, max_terms + 1))
     # exact expansion coefficient of n^-m is (-1)^(m+1)/(m(m+1)), m >= 2
-    coeffs = {m: (-1.0) ** (m + 1) / (m * (m + 1.0)) for m in range(2, 9)}
-    value = acc + _tail_zh(coeffs, max_terms)
-    return SeriesResult(value, 2e-14 * (1.0 + abs(value)), max_terms,
-                        "direct+asymptotic_tail")
+    def c(m):
+        return (-1.0) ** (m + 1) / (m * (m + 1.0))
+    return zeta_tail_sum(
+        ((1.0 + n) * math.log1p(1.0 / n) - 1.0 - 0.5 / n
+         for n in range(1, max_terms + 1)),
+        max_terms, {m: c(m) for m in range(2, 9)}, omitted={9: c(9)},
+        method="direct+asymptotic_tail")
 
 
 @_entry("S-5.44.5", "sum [(1/2+n) log(1+1/n) - 1]", 0)
 def s_5_44_5(max_terms: int = 4000) -> SeriesResult:
-    acc = kahan_sum((0.5 + n) * math.log1p(1.0 / n) - 1.0
-                    for n in range(1, max_terms + 1))
-    coeffs = {m: (-1.0) ** m * (m - 1.0) / (2.0 * m * (m + 1.0))
-              for m in range(2, 9)}
-    value = acc + _tail_zh(coeffs, max_terms)
-    return SeriesResult(value, 2e-14 * (1.0 + abs(value)), max_terms,
-                        "direct+asymptotic_tail")
+    def c(m):
+        return (-1.0) ** m * (m - 1.0) / (2.0 * m * (m + 1.0))
+    return zeta_tail_sum(
+        ((0.5 + n) * math.log1p(1.0 / n) - 1.0
+         for n in range(1, max_terms + 1)),
+        max_terms, {m: c(m) for m in range(2, 9)}, omitted={9: c(9)},
+        method="direct+asymptotic_tail")
 
 
 @_entry("S-5.45", "sum log(n+1)/(n(n+1))", 0)
 def s_5_45(max_terms: int = 4000) -> SeriesResult:
-    acc = kahan_sum(math.log(n + 1.0) / (n * (n + 1.0))
-                    for n in range(1, max_terms + 1))
-    log_part = {2: 1.0, 3: -1.0, 4: 1.0, 5: -1.0, 6: 1.0}
-    plain = {3: 1.0, 4: -1.5, 5: 11.0 / 6.0, 6: -25.0 / 12.0}
-    value = acc + _tail_zh_log(log_part, max_terms) + _tail_zh(plain, max_terms)
-    return SeriesResult(value, 2e-14 * (1.0 + abs(value)), max_terms,
-                        "direct+asymptotic_tail")
+    # (log n + log(1+1/n)) (n^-2 - n^-3 + ...)
+    return zeta_tail_sum(
+        (math.log(n + 1.0) / (n * (n + 1.0)) for n in range(1, max_terms + 1)),
+        max_terms, {3: 1.0, 4: -1.5, 5: 11.0 / 6.0, 6: -25.0 / 12.0},
+        {2: 1.0, 3: -1.0, 4: 1.0, 5: -1.0, 6: 1.0},
+        omitted={7: 137.0 / 60.0}, log_omitted={7: -1.0},
+        method="direct+asymptotic_tail")
 
 
 @_entry("S-5.45.2", "sum (-1)^(n+1) zeta(n+1)/n", 0)
 def s_5_45_2(max_terms: int = 80) -> SeriesResult:
-    value = math.log(2.0)
-    for n in range(1, max_terms + 1):
-        t = (-1.0) ** (n + 1) * _hurwitz(n + 1.0, 2.0) / n
-        value += t
-        if abs(t) < 1e-19:
-            break
-    return SeriesResult(value, 1e-14 * (1.0 + abs(value)), max_terms,
+    # zeta(n+1) - 1 carries the sum; the 1s give log 2
+    acc, rest = _ratio_half_sum(
+        lambda n: (-1.0) ** (n + 1) * _hurwitz(n + 1.0, 2.0) / n, 1,
+        max_terms)
+    value = math.log(2.0) + acc
+    return SeriesResult(value, rest + 1e-14 * (1.0 + abs(value)), max_terms,
                         "zeta_split")
 
 
 @_entry("S-5.45.3", "-sum_{n>=2} zeta'(n)", 0)
 def s_5_45_3(max_terms: int = 80) -> SeriesResult:
-    value = 0.0
-    for n in range(2, max_terms + 2):
-        t = -_zeta_prime_int(n)
-        value += t
-        if abs(t) < 1e-19:
-            break
-    return SeriesResult(value, 1e-14 * (1.0 + abs(value)), max_terms,
+    value, rest = _ratio_half_sum(lambda n: -_zeta_prime_int(n), 2,
+                                  max_terms)
+    return SeriesResult(value, rest + 1e-14 * (1.0 + abs(value)), max_terms,
                         "direct")
 
 
 @_entry("S-5.45.4", "sum log(1+1/n)/n", 0)
 def s_5_45_4(max_terms: int = 4000) -> SeriesResult:
-    acc = kahan_sum(math.log1p(1.0 / n) / n for n in range(1, max_terms + 1))
-    coeffs = {m: (-1.0) ** m / (m - 1.0) for m in range(2, 9)}
-    value = acc + _tail_zh(coeffs, max_terms)
-    return SeriesResult(value, 2e-14 * (1.0 + abs(value)), max_terms,
-                        "direct+asymptotic_tail")
+    def c(m):
+        return (-1.0) ** m / (m - 1.0)
+    return zeta_tail_sum(
+        (math.log1p(1.0 / n) / n for n in range(1, max_terms + 1)),
+        max_terms, {m: c(m) for m in range(2, 9)}, omitted={9: c(9)},
+        method="direct+asymptotic_tail")
 
 
 @_entry("S-5.46.2", "sum [zeta(2n+1) - 1]", 0)
 def s_5_46_2(max_terms: int = 60) -> SeriesResult:
-    value = 0.0
-    for n in range(1, max_terms + 1):
-        t = _hurwitz(2.0 * n + 1.0, 2.0)
-        value += t
-        if t < 1e-19:
-            break
-    return SeriesResult(value, 1e-14 * (1.0 + abs(value)) + t / 3.0,
-                        max_terms, "zeta_minus_one")
-
-
-@_entry("S-5.49", "sum_{n>=2} log(1-1/n^2)/n", 0)
-def s_5_49(max_terms: int = 4000) -> SeriesResult:
-    acc = kahan_sum(math.log1p(-1.0 / (n * n)) / n
-                    for n in range(2, max_terms + 1))
-    coeffs = {3: -1.0, 5: -0.5, 7: -1.0 / 3.0}
-    value = acc + _tail_zh(coeffs, max_terms)
-    return SeriesResult(value, 2e-14 * (1.0 + abs(value)), max_terms,
-                        "direct+asymptotic_tail")
+    value, rest = _ratio_half_sum(lambda n: _hurwitz(2.0 * n + 1.0, 2.0), 1,
+                                  max_terms)
+    return SeriesResult(value, rest + 1e-14 * (1.0 + abs(value)), max_terms,
+                        "zeta_minus_one")
 
 
 @_entry("S-5.56", "sum_{j>=2} [j log(1-1/j) + 1 + 1/(2j)]", 0)
 def s_5_56(max_terms: int = 4000) -> SeriesResult:
-    acc = kahan_sum(j * math.log1p(-1.0 / j) + 1.0 + 0.5 / j
-                    for j in range(2, max_terms + 1))
     # j log(1-1/j) = -1 - 1/(2j) - sum_{k>=2} j^-k/(k+1)
-    coeffs = {k: -1.0 / (k + 1.0) for k in range(2, 9)}
-    value = acc + _tail_zh(coeffs, max_terms)
-    return SeriesResult(value, 2e-14 * (1.0 + abs(value)), max_terms,
-                        "direct+asymptotic_tail")
-
-
-@_entry("S-5.57-aux", "sum_{j>=2} j/(j^2-1)^2  (which=1)  or  1/(j(j^2-1))  (which=2)", 1)
-def s_5_57_aux(which: float, max_terms: int = 4000) -> SeriesResult:
-    which = int(which)
-    if which == 1:
-        acc = kahan_sum(j / (j * j - 1.0) ** 2 for j in range(2, max_terms + 1))
-        a = max_terms + 1.0
-        tail = math.fsum(m * _hurwitz(2.0 * m + 1.0, a) for m in range(1, 12))
-    elif which == 2:
-        acc = kahan_sum(1.0 / (j * (j * j - 1.0))
-                        for j in range(2, max_terms + 1))
-        tail = _tail_pow_quad(max_terms, 1.0, 1)
-    else:
-        raise DomainError("which must be 1 or 2")
-    value = acc + tail
-    return SeriesResult(value, 1e-14 * (1.0 + abs(value)), max_terms,
-                        "direct+zh_tail")
+    return zeta_tail_sum(
+        (j * math.log1p(-1.0 / j) + 1.0 + 0.5 / j
+         for j in range(2, max_terms + 1)),
+        max_terms, {k: -1.0 / (k + 1.0) for k in range(2, 9)},
+        omitted={9: -0.1}, method="direct+asymptotic_tail")
 
 
 @_entry("S-5.58.1", "sum [j log(1+1/j) - 1 + 1/(2j)]", 0)
 def s_5_58_1(max_terms: int = 4000) -> SeriesResult:
-    acc = kahan_sum(j * math.log1p(1.0 / j) - 1.0 + 0.5 / j
-                    for j in range(1, max_terms + 1))
-    coeffs = {k: (-1.0) ** k / (k + 1.0) for k in range(2, 9)}
-    value = acc + _tail_zh(coeffs, max_terms)
-    return SeriesResult(value, 2e-14 * (1.0 + abs(value)), max_terms,
-                        "direct+asymptotic_tail")
+    return zeta_tail_sum(
+        (j * math.log1p(1.0 / j) - 1.0 + 0.5 / j
+         for j in range(1, max_terms + 1)),
+        max_terms, {k: (-1.0) ** k / (k + 1.0) for k in range(2, 9)},
+        omitted={9: -0.1}, method="direct+asymptotic_tail")
 
 
 # ---------------------------------------------------------------------------
@@ -550,15 +457,14 @@ def s_5_58_1(max_terms: int = 4000) -> SeriesResult:
 
 @_entry("S-6.3", "sum_{n>=2} log(1-1/n^2)", 0)
 def s_6_3(max_terms: int = 4000) -> SeriesResult:
-    acc = kahan_sum(math.log1p(-1.0 / (n * n))
-                    for n in range(2, max_terms + 1))
-    coeffs = {2 * k: -1.0 / k for k in range(1, 8)}
-    value = acc + _tail_zh(coeffs, max_terms)
-    return SeriesResult(value, 2e-14 * (1.0 + abs(value)), max_terms,
-                        "direct+asymptotic_tail")
+    # log(1-1/n^2) = -sum_k n^-2k/k
+    return zeta_tail_sum(
+        (math.log1p(-1.0 / (n * n)) for n in range(2, max_terms + 1)),
+        max_terms, {2 * k: -1.0 / k for k in range(1, 8)},
+        omitted={16: -1.0 / 8.0}, method="direct+asymptotic_tail")
 
 
-@_entry("S-6.4", "sum_{n>=2} (-1)^(n+1) log(1-1/n^2)", 0)
+@_entry("S-6.4", "sum_{n>=2} (-1)^(n+1) log(1-1/n^2)", 0, n_min=_CVZ_N_MIN)
 def s_6_4(max_terms: int = 44) -> SeriesResult:
     n_ord = min(max_terms, 80)  # acceleration order, not a term count
     v, e = cvz_alternating(
@@ -568,33 +474,28 @@ def s_6_4(max_terms: int = 44) -> SeriesResult:
 
 @_entry("S-6.5", "sum (-1)^(n+1) log(1+1/n)", 0)
 def s_6_5(max_terms: int = 4000) -> SeriesResult:
-    # paired: equals sum_k -log(1 - 1/(4k^2))
-    acc = kahan_sum(-math.log1p(-0.25 / (k * k))
-                    for k in range(1, max_terms + 1))
-    coeffs = {2 * j: 0.25 ** j / j for j in range(1, 8)}
-    value = acc + _tail_zh(coeffs, max_terms)
-    return SeriesResult(value, 2e-14 * (1.0 + abs(value)), max_terms,
-                        "paired+asymptotic_tail")
+    # paired: equals sum_k -log(1 - 1/(4k^2)) = sum_j sum_k 4^-j k^-2j / j
+    return zeta_tail_sum(
+        (-math.log1p(-0.25 / (k * k)) for k in range(1, max_terms + 1)),
+        max_terms, {2 * j: 0.25 ** j / j for j in range(1, 8)},
+        omitted={16: 0.25 ** 8 / 8.0}, method="paired+asymptotic_tail")
 
 
 @_entry("S-6.6", "sum_{n>=2} (-1)^(n+1) log(1-1/n)", 0)
 def s_6_6(max_terms: int = 4000) -> SeriesResult:
     # pairing consecutive terms gives the same reduced series as S-6.5
-    r = s_6_5(max_terms)
-    return SeriesResult(r.value, r.abs_err, r.terms_used,
-                        "paired+asymptotic_tail")
+    return s_6_5(max_terms)
 
 
 @_entry("S-6.23", "sum_{n>=2} psi(n+1/2) log(1-1/n^2)", 0)
 def s_6_23(max_terms: int = 3000) -> SeriesResult:
-    acc = kahan_sum(_digamma_pos(n + 0.5) * math.log1p(-1.0 / (n * n))
-                    for n in range(2, max_terms + 1))
-    # psi(n+1/2) = log n + 1/(24 n^2) + O(n^-4)
-    tail = (_tail_zh_log({2: -1.0, 4: -0.5}, max_terms)
-            + _tail_zh({4: -1.0 / 24.0}, max_terms))
-    value = acc + tail
-    return SeriesResult(value, 1e-13 * (1.0 + abs(value)), max_terms,
-                        "direct+asymptotic_tail")
+    # psi(n+1/2) = log n + 1/(24 n^2) - 7/(960 n^4) + ...
+    return zeta_tail_sum(
+        (_digamma_pos(n + 0.5) * math.log1p(-1.0 / (n * n))
+         for n in range(2, max_terms + 1)),
+        max_terms, {4: -1.0 / 24.0}, {2: -1.0, 4: -0.5},
+        omitted={6: -13.0 / 960.0}, log_omitted={6: -1.0 / 3.0},
+        floor=1e-13, method="direct+asymptotic_tail")
 
 
 @_entry("S-6.24-aux", "sum n/(4n^2-1)^k for k in {2,3}", 1)
@@ -602,21 +503,22 @@ def s_6_24_aux(k: float, max_terms: int = 3000) -> SeriesResult:
     k = int(k)
     if k not in (2, 3):
         raise DomainError("k must be 2 or 3")
-    acc = kahan_sum(n / (4.0 * n * n - 1.0) ** k
-                    for n in range(1, max_terms + 1))
-    a = max_terms + 1.0
     q = 0.25
     if k == 2:
-        tail = (1.0 / 16.0) * math.fsum(
-            m * q ** (m - 1) * _hurwitz(2.0 * m + 1.0, a)
-            for m in range(1, 12))
+        # n/(16 (n^2-q)^2) = sum_m m q^(m-1) n^-(2m+1) / 16
+        def c(m):
+            return m * q ** (m - 1) / 16.0
+        orders = range(1, 12)
     else:
-        tail = (1.0 / 64.0) * math.fsum(
-            math.comb(m, 2) * q ** (m - 2) * _hurwitz(2.0 * m + 1.0, a)
-            for m in range(2, 13))
-    value = acc + tail
-    return SeriesResult(value, 1e-14 * (1.0 + abs(value)), max_terms,
-                        "direct+zh_tail")
+        # n/(64 (n^2-q)^3) = sum_m C(m,2) q^(m-2) n^-(2m+1) / 64
+        def c(m):
+            return math.comb(m, 2) * q ** (m - 2) / 64.0
+        orders = range(2, 13)
+    nxt = orders.stop
+    return zeta_tail_sum(
+        (n / (4.0 * n * n - 1.0) ** k for n in range(1, max_terms + 1)),
+        max_terms, {2 * m + 1: c(m) for m in orders},
+        omitted={2 * nxt + 1: c(nxt)}, floor=1e-14)
 
 
 @_entry("S-6.33", "sum (-1)^n n/(4n^2-1)^3", 0)
@@ -631,7 +533,7 @@ def s_6_33(max_terms: int = 2000) -> SeriesResult:
 # section 7 / 8
 # ---------------------------------------------------------------------------
 
-@_entry("S-7.11", "sum (-1)^n log(1+1/n)/(2n+1)", 0)
+@_entry("S-7.11", "sum (-1)^n log(1+1/n)/(2n+1)", 0, n_min=_CVZ_N_MIN)
 def s_7_11(max_terms: int = 44) -> SeriesResult:
     n_ord = min(max_terms, 80)
     v, e = cvz_alternating(
@@ -639,7 +541,7 @@ def s_7_11(max_terms: int = 44) -> SeriesResult:
     return SeriesResult(-v, e, n_ord, "cvz")
 
 
-@_entry("S-7.11-aux", "sum (-1)^n n log n/(4n^2-1)", 0)
+@_entry("S-7.11-aux", "sum (-1)^n n log n/(4n^2-1)", 0, n_min=_CVZ_N_MIN)
 def s_7_11_aux(max_terms: int = 44) -> SeriesResult:
     n_ord = min(max_terms, 80)
     v, e = cvz_alternating(
@@ -650,22 +552,21 @@ def s_7_11_aux(max_terms: int = 44) -> SeriesResult:
 
 @_entry("S-7.12", "sum log(1+1/n)/(2n+1)", 0)
 def s_7_12(max_terms: int = 4000) -> SeriesResult:
-    acc = kahan_sum(math.log1p(1.0 / n) / (2.0 * n + 1.0)
-                    for n in range(1, max_terms + 1))
-    # log(1+1/n)/(2n+1): product expansion through n^-6
-    coeffs = {2: 0.5, 3: -0.5, 4: 5.0 / 12.0, 5: -1.0 / 3.0, 6: 4.0 / 15.0}
-    tail = _tail_zh(coeffs, max_terms)
-    err = _hurwitz(7.0, max_terms + 1.0) * 0.3 + 2e-14 * (1.0 + abs(acc))
-    return SeriesResult(acc + tail, err, max_terms,
-                        "direct+asymptotic_tail")
+    # log(1+1/n)/(2n+1): product expansion through n^-6, next -13/60 n^-7
+    return zeta_tail_sum(
+        (math.log1p(1.0 / n) / (2.0 * n + 1.0)
+         for n in range(1, max_terms + 1)),
+        max_terms, {2: 0.5, 3: -0.5, 4: 5.0 / 12.0, 5: -1.0 / 3.0,
+                    6: 4.0 / 15.0},
+        omitted={7: -13.0 / 60.0}, method="direct+asymptotic_tail")
 
 
 @_entry("S-8.11", "sum 1/(4n^2-1)", 0)
 def s_8_11(max_terms: int = 4000) -> SeriesResult:
-    acc = kahan_sum(1.0 / (4.0 * n * n - 1.0) for n in range(1, max_terms + 1))
-    value = acc + 0.25 * _tail_pow_quad(max_terms, 0.25, 0)
-    return SeriesResult(value, 1e-14 * (1.0 + abs(value)), max_terms,
-                        "direct+zh_tail")
+    tail, omitted = quad_tail(0.25, {0: 0.25}, max_terms)
+    return zeta_tail_sum(
+        (1.0 / (4.0 * n * n - 1.0) for n in range(1, max_terms + 1)),
+        max_terms, tail, omitted=omitted, floor=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +583,8 @@ def power_series_eval(key: str, x: float, max_terms: int = 300) -> SeriesResult:
 
     Every family converges on the unit disc; the zeta(k) -> 1 part of each
     coefficient is resummed in closed form so that arguments near the
-    boundary stay cheap and accurate.
+    boundary stay cheap and accurate.  At most ``max_terms`` terms are
+    summed; the error bounds the terms left out.
     """
     if key not in _PS_KEYS:
         raise UnknownKeyError(f"unknown power series id {key!r}")
@@ -691,64 +593,67 @@ def power_series_eval(key: str, x: float, max_terms: int = 300) -> SeriesResult:
     g = _euler_gamma()
     x2 = x * x
     if key == "PS-5.1":
-        value = g - x2 / (1.0 + x2)
-        value += _ps_fast(lambda n: (-1.0) ** n * _zeta_m1(2 * n + 1), x2,
-                          start_pow=1, max_terms=max_terms)
+        s, rest = _ps_fast(lambda n: (-1.0) ** n * _zeta_m1(2 * n + 1), x2,
+                           1, max_terms)
+        value = g - x2 / (1.0 + x2) + s
     elif key == "PS-5.17":
         # terms x^(2n+2): the zeta->1 part is sum_{m>=2} x2^m/m
-        value = -math.log1p(-x2) - x2 + _ps_fast(
-            lambda n: _zeta_m1(2 * n + 1) / (n + 1.0), x2, start_pow=2,
-            max_terms=max_terms)
+        s, rest = _ps_fast(lambda n: _zeta_m1(2 * n + 1) / (n + 1.0), x2, 2,
+                           max_terms)
+        value = -math.log1p(-x2) - x2 + s
     elif key == "PS-5.30":
-        value = x2 / (1.0 - x2) + _ps_fast(
-            lambda n: _zeta_m1(2 * n + 1), x2, start_pow=1,
-            max_terms=max_terms)
+        s, rest = _ps_fast(lambda n: _zeta_m1(2 * n + 1), x2, 1, max_terms)
+        value = x2 / (1.0 - x2) + s
     elif key == "PS-5.32":
-        value = math.atanh(x) - x + x * _ps_fast(
-            lambda n: _zeta_m1(2 * n + 1) / (2 * n + 1.0), x2, start_pow=1,
-            max_terms=max_terms)
+        s, rest = _ps_fast(lambda n: _zeta_m1(2 * n + 1) / (2 * n + 1.0), x2,
+                           1, max_terms)
+        value = math.atanh(x) - x + x * s
+        rest *= abs(x)
     elif key == "PS-5.41":
-        # real part: sum (-1)^m zeta(2m)/(2m) x^2m; imag: -gx + odd family
-        re = _ps_fast(lambda m: (-1.0) ** m * _zeta_int(2 * m) / (2.0 * m),
-                      x2, start_pow=1, max_terms=max_terms)
-        im = -g * x + x * _ps_fast(
+        # real part: sum (-1)^m zeta(2m)/(2m) x^2m; imag: -gx + odd family;
+        # zeta(k)/k no longer shrinks geometrically, only x^2 does
+        re, re_rest = _ps_fast(
+            lambda m: (-1.0) ** m * _zeta_int(2 * m) / (2.0 * m), x2, 1,
+            max_terms, ratio=1.0)
+        im, im_rest = _ps_fast(
             lambda m: (-1.0) ** (m + 1) * _zeta_int(2 * m + 1)
-            / (2.0 * m + 1.0), x2, start_pow=1, max_terms=max_terms)
-        return SeriesResult(complex(re, im), 1e-13 * (1.0 + abs(re) + abs(im)),
-                            max_terms, "taylor")
+            / (2.0 * m + 1.0), x2, 1, max_terms, ratio=1.0)
+        im = -g * x + x * im
+        err = (1e-13 * (1.0 + abs(re) + abs(im)) + re_rest
+               + abs(x) * im_rest)
+        return SeriesResult(complex(re, im), err, max_terms, "taylor")
     elif key == "PS-5.53":
-        value = -math.log1p(-x2) + _ps_fast(
-            lambda n: _zeta_m1(2 * n + 1) / n, x2, start_pow=1,
-            max_terms=max_terms)
+        s, rest = _ps_fast(lambda n: _zeta_m1(2 * n + 1) / n, x2, 1,
+                           max_terms)
+        value = -math.log1p(-x2) + s
     elif key == "PS-5.54":
-        value = -math.log1p(-x2) + _ps_fast(
-            lambda n: _zeta_m1(2 * n) / n, x2, start_pow=1,
-            max_terms=max_terms)
+        s, rest = _ps_fast(lambda n: _zeta_m1(2 * n) / n, x2, 1, max_terms)
+        value = -math.log1p(-x2) + s
     else:  # PS-5.55
-        value = 2.0 * math.atanh(x) + math.log1p(-x2) / x + (1.0 / x) * _ps_fast(
-            lambda n: _zeta_m1(2 * n) / (n * (2 * n - 1.0)), x2, start_pow=1,
-            max_terms=max_terms)
-    return SeriesResult(value, 2e-15 * (1.0 + abs(value)) + _ps_tail_bound(x2),
+        s, rest = _ps_fast(lambda n: _zeta_m1(2 * n) / (n * (2 * n - 1.0)),
+                           x2, 1, max_terms)
+        value = 2.0 * math.atanh(x) + math.log1p(-x2) / x + s / x
+        rest /= abs(x)
+    return SeriesResult(value, 2e-15 * (1.0 + abs(value)) + rest,
                         max_terms, "taylor_accelerated")
 
 
 def _ps_fast(coeff: Callable[[int], float], x2: float, start_pow: int,
-             max_terms: int) -> float:
+             max_terms: int, ratio: float = 0.25) -> tuple[float, float]:
+    """sum_{n>=1} coeff(n) x2^(n+start_pow-1) over at most max_terms terms,
+    stopping once a term is 1e-19 of the sum.  |coeff(n+1)| <= ratio
+    |coeff(n)| (the zeta-1 coefficients shrink by 1/4), so the terms left
+    out are at most |next term| / (1 - ratio x2); returns (sum, bound)."""
     acc = 0.0
     pw = x2 ** start_pow
-    for n in range(1, max_terms):
+    n = 0
+    for n in range(1, max_terms + 1):
         t = coeff(n) * pw
         acc += t
+        pw *= x2
         if abs(t) < 1e-19 * max(abs(acc), 1e-25):
             break
-        pw *= x2
-    return acc
-
-
-def _ps_tail_bound(x2: float) -> float:
-    # the zeta-1 coefficients decay like 4^-n on top of x2^n
-    r = 0.25 * x2
-    return 1e-19 * r / max(1.0 - r, 0.5)
+    return acc, abs(coeff(n + 1) * pw) / (1.0 - ratio * x2)
 
 
 _PS_KEYS = ("PS-5.1", "PS-5.17", "PS-5.30", "PS-5.32", "PS-5.41",
@@ -780,15 +685,18 @@ def _sin_zeta_sum(j: int, t: float) -> float:
 
 @_entry("FS-6.2", "sum_{n>=2} log(1-1/n^2) cos(2 pi n x)", 1)
 def fs_6_2(x: float, max_terms: int = 40) -> SeriesResult:
-    # log(1-1/n^2) = -sum_j 1/(j n^2j); the j <= 6 slices are exact
+    # log(1-1/n^2) = -sum_j 1/(j n^2j); the j <= 6 slices are exact and the
+    # residual, below (4/3) n^-14/7, is summed directly
     acc = 0.0
     for j in range(1, 7):
         acc -= (_cos_zeta_sum(j, x) - math.cos(_TWO_PI * x)) / j
-    for n in range(2, max_terms + 1):
-        rho = math.log1p(-1.0 / (n * n)) + math.fsum(
-            1.0 / (j * float(n) ** (2 * j)) for j in range(1, 7))
-        acc += rho * math.cos(_TWO_PI * n * x)
-    return SeriesResult(acc, 1e-13 * (1.0 + abs(acc)), max_terms,
+    r = zeta_tail_sum(
+        ((math.log1p(-1.0 / (n * n)) + math.fsum(
+            1.0 / (j * float(n) ** (2 * j)) for j in range(1, 7)))
+         * math.cos(_TWO_PI * n * x) for n in range(2, max_terms + 1)),
+        max_terms, omitted={14: 1.0 / 7.0}, floor=0.0)
+    acc += r.value
+    return SeriesResult(acc, r.abs_err + 1e-13 * (1.0 + abs(acc)), max_terms,
                         "bernoulli_closed+residual")
 
 
@@ -820,7 +728,8 @@ def fs_7_1(x: float, max_terms: int = 200000) -> SeriesResult:
     return SeriesResult(acc, err, max_terms, "closed+residual")
 
 
-@_entry("FS-4.16", "Fourier partial sum for log G(x)", 1)
+# the value is the mean of the last 64 partial sums
+@_entry("FS-4.16", "Fourier partial sum for log G(x)", 1, n_min=64)
 def fs_4_16(x: float, max_terms: int = 2000) -> SeriesResult:
     if not 0.0 < x < 1.0:
         raise DomainError(f"requires 0 < x < 1, got {x}")
@@ -886,8 +795,9 @@ def psi_sin_partial(u: float, max_terms: int = 20000) -> SeriesResult:
     r1 = _np_sum(logn * np.sin(_TWO_PI * n * u) / (2.0 * n * (4.0 * n * n - 1.0)))
     r2 = _np_sum(logn * np.cos(_TWO_PI * n * u) / (4.0 * n * n * (4.0 * n * n - 1.0)))
     # sum log n/(4n^2-1), exact tail
-    k_log = 0.25 * (_np_sum(logn / (n * n - 0.25))
-                    + _tail_log_quad(max_terms, 0.25))
+    log_tail, log_omitted = quad_tail(0.25, {0: 0.25}, max_terms)
+    k_log = zeta_tail_sum(logn / (4.0 * n * n - 1.0), max_terms,
+                          log_tail=log_tail, log_omitted=log_omitted).value
     series = su * (0.5 * s_a + r1) + cu * (0.25 * s_c + r2) - k_log
     value = (2.0 / _PI * series
              + (c.gamma + c.log_2pi) * (cu - 1.0) / _PI - 0.5 * su)
@@ -897,17 +807,19 @@ def psi_sin_partial(u: float, max_terms: int = 20000) -> SeriesResult:
 
 @_entry("FS-8.13", "sum cos(2 pi n t)/(4n^2-1)", 1)
 def fs_8_13(t: float, max_terms: int = 40) -> SeriesResult:
-    # 1/(n^2 - 1/4) = sum_j 4^-j n^(-2j-2); five exact slices + residual
+    # 1/(n^2 - 1/4) = sum_j 4^-j n^(-2j-2); five exact slices + residual,
+    # the residual below (4/3) 4^-5 n^-12
     acc = 0.0
     for j in range(5):
         acc += 0.25 ** j * _cos_zeta_sum(j + 1, t)
-    for n in range(1, max_terms + 1):
-        rho = 1.0 / (n * n - 0.25) - math.fsum(
-            0.25 ** j / float(n) ** (2 * j + 2) for j in range(5))
-        acc += rho * math.cos(_TWO_PI * n * t)
-    acc *= 0.25
-    return SeriesResult(acc, 1e-13 * (1.0 + abs(acc)), max_terms,
-                        "bernoulli_closed+residual")
+    r = zeta_tail_sum(
+        ((1.0 / (n * n - 0.25) - math.fsum(
+            0.25 ** j / float(n) ** (2 * j + 2) for j in range(5)))
+         * math.cos(_TWO_PI * n * t) for n in range(1, max_terms + 1)),
+        max_terms, omitted={12: 0.25 ** 5}, floor=0.0)
+    acc = 0.25 * (acc + r.value)
+    return SeriesResult(acc, 0.25 * r.abs_err + 1e-13 * (1.0 + abs(acc)),
+                        max_terms, "bernoulli_closed+residual")
 
 
 @_entry("FS-8.14", "sum n sin(2 pi n t)/(4n^2-1)", 1)
@@ -917,10 +829,11 @@ def fs_8_14(t: float, max_terms: int = 40) -> SeriesResult:
     acc = 0.5 * (_PI - _TWO_PI * t)  # sum sin(2 pi n t)/n, sawtooth
     for j in range(1, 5):
         acc += 0.25 ** j * _sin_zeta_sum(j, t)
-    for n in range(1, max_terms + 1):
-        rho = n / (n * n - 0.25) - math.fsum(
-            0.25 ** j / float(n) ** (2 * j + 1) for j in range(5))
-        acc += rho * math.sin(_TWO_PI * n * t)
-    acc *= 0.25
-    return SeriesResult(acc, 1e-13 * (1.0 + abs(acc)), max_terms,
-                        "bernoulli_closed+residual")
+    r = zeta_tail_sum(
+        ((n / (n * n - 0.25) - math.fsum(
+            0.25 ** j / float(n) ** (2 * j + 1) for j in range(5)))
+         * math.sin(_TWO_PI * n * t) for n in range(1, max_terms + 1)),
+        max_terms, omitted={11: 0.25 ** 5}, floor=0.0)
+    acc = 0.25 * (acc + r.value)
+    return SeriesResult(acc, 0.25 * r.abs_err + 1e-13 * (1.0 + abs(acc)),
+                        max_terms, "bernoulli_closed+residual")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gammalab import cli
+from gammalab import cli, registry
 from gammalab.registry import IdentityRecord, Recipe, Registry, build_records
 
 
@@ -159,3 +159,16 @@ def test_parallelism_clamped_to_task_count(monkeypatch, capsys):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
     assert run(["verify", "--ids", "I-6.16", "--parallelism", "8"]) == 0
     assert "CONFIRMED" in capsys.readouterr().out
+
+
+def test_max_terms_reaches_disputed_series_route(monkeypatch, capsys):
+    caps = []
+    original = registry.sum_catalog
+
+    def recording(key, params=(), max_terms=None):
+        caps.append((key, max_terms))
+        return original(key, params, max_terms)
+    monkeypatch.setattr(registry, "sum_catalog", recording)
+    assert run(["verify", "--ids", "D-5.18", "--max-terms", "20"]) == 0
+    capsys.readouterr()
+    assert caps == [("S-5.18", 20)]

@@ -8,6 +8,7 @@ import pytest
 
 from gammalab.errors import DomainError, MisuseError, UnknownKeyError
 from gammalab.registry import (
+    EvalOptions,
     IdentityRecord,
     Recipe,
     Registry,
@@ -224,6 +225,16 @@ def test_probes_confirm_divergence(reg):
 def test_run_suite_rejects_empty_selection(reg):
     with pytest.raises(DomainError):
         reg.run_suite(section=9)
+
+
+@pytest.mark.parametrize("max_terms", [1, 3, 20])
+def test_small_term_caps_never_refute(reg, max_terms):
+    # every series route widens its error as the cap shrinks, or refuses a
+    # cap below its minimum (INCONCLUSIVE); a true identity is never REFUTED
+    series_ids = [r.id for r in reg.list_identities()
+                  if "series" in r.lhs.label or "series" in r.rhs.label]
+    verdicts = reg.run_suite(series_ids, opts=EvalOptions(max_terms=max_terms))
+    assert failures(verdicts) == []
 
 
 def test_exit_code_contract_with_corrupted_entry():

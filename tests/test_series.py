@@ -1,5 +1,6 @@
-"""Series engine and catalog tests."""
+"""Tail-summation primitive and catalog tests."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,19 +8,11 @@ import pytest
 
 from gammalab import kernels as K
 from gammalab.errors import DomainError, EvaluationError, UnknownKeyError
-from gammalab.series import (
-    Alternating,
-    ClosedTail,
-    EulerMaclaurin,
-    NoTail,
-    SeriesSpec,
-    cvz_alternating,
-    sum_series,
-)
+from gammalab.series import cvz_alternating, quad_tail, zeta_tail_sum
 from gammalab.series_catalog import (
+    SERIES_CATALOG,
     power_series_eval,
     sum_catalog,
-    _tail_pow_quad,
 )
 
 C = K.get_constants()
@@ -27,70 +20,76 @@ PI = math.pi
 
 
 # ---------------------------------------------------------------------------
-# generic engine
+# the tail-summation primitive
 # ---------------------------------------------------------------------------
 
-def test_engine_quarter_square_telescoping_reference():
-    # telescoping oracle: sum 1/(4n^2-1) = (1 - 1/(2N+1))/2 -> 1/2
-    spec = SeriesSpec(term=lambda n: 1.0 / (4.0 * n * n - 1.0), n0=1,
-                      tail=EulerMaclaurin(
-                          degree=2,
-                          smooth=lambda x: 1.0 / (4.0 * x * x - 1.0)),
-                      max_terms=10_000)
-    r = sum_series(spec)
-    assert r.value == pytest.approx(0.5, abs=1e-12)
-    assert abs(r.value - 0.5) <= r.abs_err
+def _quarter_square(n_last, tail, omitted={}):
+    return zeta_tail_sum((1.0 / (4.0 * n * n - 1.0)
+                          for n in range(1, n_last + 1)),
+                         n_last, tail, omitted=omitted)
 
 
-def test_engine_zero_series():
-    spec = SeriesSpec(term=lambda n: 0.0, n0=1, tail=NoTail(), max_terms=50)
-    r = sum_series(spec)
+def test_zeta_tail_sum_quarter_square_telescoping():
+    # telescoping oracle: sum_{n<=N} 1/(4n^2-1) = N/(2N+1) -> 1/2
+    for n_last in (1, 3, 10, 100, 1000):
+        direct = _quarter_square(n_last, {})
+        assert direct.value == pytest.approx(n_last / (2.0 * n_last + 1.0),
+                                             rel=1e-15)
+        tail, omitted = quad_tail(0.25, {0: 0.25}, n_last)
+        r = _quarter_square(n_last, tail, omitted)
+        assert abs(r.value - 0.5) <= r.abs_err < 1e-13
+        assert r.terms_used == n_last
+
+
+def test_zeta_tail_sum_error_shrinks_with_n():
+    # a tail cut after two orders: 1/(4n^2-1) = n^-2/4 + n^-4/16 + n^-6/64...
+    errs = []
+    for n_last in (1, 2, 5, 20, 100, 1000):
+        r = _quarter_square(n_last, {2: 0.25, 4: 0.0625},
+                            omitted={6: 0.25 ** 3})
+        assert abs(r.value - 0.5) <= r.abs_err
+        errs.append(r.abs_err)
+    assert errs == sorted(errs, reverse=True) and errs[0] > 1e3 * errs[-1]
+
+
+def test_zeta_tail_sum_zero_series():
+    r = zeta_tail_sum([0.0] * 50, 50)
     assert r.value == 0.0 and r.abs_err < 1e-13
 
 
-def test_engine_em_degree_two():
-    spec = SeriesSpec(term=lambda n: n / (4.0 * n * n - 1.0) ** 2, n0=1,
-                      tail=EulerMaclaurin(
-                          degree=2,
-                          smooth=lambda x: x / (4.0 * x * x - 1.0) ** 2),
-                      max_terms=10_000)
-    r = sum_series(spec)
-    assert r.value == pytest.approx(0.125, abs=1e-10)
+def test_zeta_tail_sum_quartic_lattice():
+    # sum n/(4n^2-1)^2 = 1/8; the tail is sum_m m q^(m-1) n^-(2m+1)/16
+    for n_last in (1, 5, 50):
+        r = zeta_tail_sum(
+            (n / (4.0 * n * n - 1.0) ** 2 for n in range(1, n_last + 1)),
+            n_last, {2 * m + 1: m * 0.25 ** (m - 1) / 16.0 for m in (1, 2, 3)},
+            omitted={9: 4 * 0.25 ** 3 / 16.0})
+        assert abs(r.value - 0.125) <= r.abs_err
 
 
-def test_engine_closed_tail():
-    # geometric series with exact tail
-    spec = SeriesSpec(term=lambda n: 0.5 ** n, n0=1,
-                      tail=ClosedTail(lambda n0: (0.5 ** n0 * 2.0, 1e-16)),
-                      max_terms=30)
-    r = sum_series(spec)
-    assert r.value == pytest.approx(1.0, rel=1e-14)
+def test_zeta_tail_sum_log_tail():
+    # sum log n/n^2 = -zeta'(2), numpy terms and an exact log tail
+    n = np.arange(1, 11, dtype=float)
+    r = zeta_tail_sum(np.log(n) / (n * n), 10, log_tail={2: 1.0})
+    assert r.value == pytest.approx(-K._zeta_prime_int(2), abs=1e-15)
 
 
-def test_engine_alternating_and_tail_bound_property():
-    spec = SeriesSpec(term=lambda n: (-1.0) ** (n + 1) / n ** 2, n0=1,
-                      tail=Alternating(), max_terms=100_000)
-    r = sum_series(spec, tol=1e-9)
-    exact = PI ** 2 / 12.0
-    assert abs(r.value - exact) <= r.abs_err
-    # |value - partial(N)| <= |term(N+1)| for alternating truncations
-    for n_stop in (10, 100, 1000):
-        partial = sum((-1.0) ** (n + 1) / n ** 2 for n in range(1, n_stop + 1))
-        assert abs(exact - partial) <= 1.0 / (n_stop + 1) ** 2
-
-
-def test_engine_nonfinite_term_raises():
-    spec = SeriesSpec(term=lambda n: math.inf if n == 5 else 0.0, n0=1,
-                      tail=NoTail(), max_terms=10)
+def test_zeta_tail_sum_nonfinite_raises():
     with pytest.raises(EvaluationError):
-        sum_series(spec)
+        zeta_tail_sum((math.inf if n == 5 else 0.0 for n in range(1, 11)), 10)
 
 
-def test_engine_validates_spec():
+def test_catalog_rejects_max_terms_below_n_min():
+    assert SERIES_CATALOG["S-5.13"].n_min == 8
     with pytest.raises(DomainError):
-        SeriesSpec(term=lambda n: 0.0, n0=-1)
+        sum_catalog("S-5.13", (0.5,), max_terms=7)
     with pytest.raises(DomainError):
-        SeriesSpec(term=lambda n: 0.0, max_terms=0)
+        cvz_alternating(lambda k: 1.0 / (k + 1.0), 8)
+    # the n^2 - q expansion needs (N+1)^2 >= 2|q|
+    with pytest.raises(DomainError):
+        quad_tail(64.0, {0: 1.0}, 10)
+    with pytest.raises(DomainError):
+        sum_catalog("S-4.4-Tn", (40.0,), max_terms=50)
 
 
 def test_cvz_alternating_log2():
@@ -100,15 +99,47 @@ def test_cvz_alternating_log2():
 
 
 def test_terms_used_never_exceeds_budget():
-    for spec in (
-        SeriesSpec(term=lambda n: 1.0 / n ** 2, n0=1, tail=NoTail(),
-                   max_terms=500),
-        SeriesSpec(term=lambda n: (-1.0) ** n / n, n0=1, tail=Alternating(),
-                   max_terms=500),
-    ):
-        assert sum_series(spec).terms_used <= spec.max_terms
     r = sum_catalog("S-6.3", max_terms=800)
     assert r.terms_used <= 800
+    assert power_series_eval("PS-5.41", 0.9, max_terms=50).terms_used <= 50
+
+
+# ---------------------------------------------------------------------------
+# every catalog entry: the error grows as max_terms shrinks
+# ---------------------------------------------------------------------------
+
+_TEST_PARAMS = {
+    "S-1.20": [(0.5,), (1.2,)], "S-1.23": [(0.5,), (1.2,)],
+    "S-3.8": [(1.0,), (1.9,)], "S-3.14": [(0.5,), (1.5,)],
+    "S-4.4-Tn": [(1.0,), (8.0,)], "S-5.13": [(0.25,), (0.95,)],
+    "S-6.24-aux": [(2.0,), (3.0,)],
+    "FS-6.2": [(0.3,)], "FS-7.1": [(0.3,)], "FS-4.16": [(0.25,)],
+    "FS-8.13": [(0.3,)], "FS-8.14": [(0.3,)],
+}
+_N_GRID = (1, 2, 3, 5, 8, 9, 11, 20, 64, 100, 256, 1000, 4000)
+
+
+def _test_params(key):
+    if key.startswith("PS-"):
+        return [(0.5,), (0.95,)]
+    return _TEST_PARAMS.get(key, [()])
+
+
+@pytest.mark.parametrize("key", sorted(SERIES_CATALOG))
+def test_catalog_error_grows_as_max_terms_shrinks(key):
+    entry = SERIES_CATALOG[key]
+    n_def = inspect.signature(entry.fn).parameters["max_terms"].default
+    grid = sorted({n for n in _N_GRID if n < n_def} | {entry.n_min})
+    for params in _test_params(key):
+        ref = sum_catalog(key, params)
+        for n in grid:
+            if n < entry.n_min:
+                with pytest.raises(DomainError):
+                    sum_catalog(key, params, max_terms=n)
+                continue
+            r = sum_catalog(key, params, max_terms=n)
+            assert abs(r.value - ref.value) <= r.abs_err + ref.abs_err, \
+                (key, params, n)
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +148,14 @@ def test_terms_used_never_exceeds_budget():
 
 @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 5.0])
 def test_coth_closed_form(x):
-    spec = SeriesSpec(
-        term=lambda n: 2.0 * x / (x * x + 4.0 * PI ** 2 * n * n), n0=1,
-        tail=EulerMaclaurin(
-            degree=2,
-            smooth=lambda t: 2.0 * x / (x * x + 4.0 * PI ** 2 * t * t)),
-        max_terms=10_000)
+    # sum 2x/(x^2 + 4 pi^2 n^2) = (2x/4pi^2) sum 1/(n^2 + (x/2pi)^2)
+    c = 2.0 * x / (4.0 * PI ** 2)
+    tail, omitted = quad_tail(-(x / (2.0 * PI)) ** 2, {0: c}, 1000)
+    r = zeta_tail_sum((2.0 * x / (x * x + 4.0 * PI ** 2 * n * n)
+                       for n in range(1, 1001)), 1000, tail, omitted=omitted)
     closed = 1.0 / math.expm1(x) - 1.0 / x + 0.5
-    assert sum_series(spec).value == pytest.approx(closed, abs=1e-10)
+    assert r.value == pytest.approx(closed, abs=1e-13)
+    assert abs(r.value - closed) <= r.abs_err
 
 
 @pytest.mark.parametrize("u", [0.1, 0.3, 0.5])
@@ -150,7 +181,8 @@ def test_partial_fraction_lemma(n):
     den[n - 1] = 1.0
     vals = 1.0 / den
     vals[n - 1] = 0.0
-    total = float(vals.sum()) + _tail_pow_quad(m_hi, float(n * n), 0)
+    tail, omitted = quad_tail(float(n * n), {0: 1.0}, m_hi)
+    total = zeta_tail_sum(vals, m_hi, tail, omitted=omitted).value
     assert abs(total - 0.75 / (n * n)) < 1e-10
 
 
