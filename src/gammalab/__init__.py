@@ -28,8 +28,7 @@ from .kernels import (
     stieltjes_gamma1,
     zeta_family,
 )
-from .quad import EndpointHint, EndpointKind, QuadResult, integrate, \
-    integrate_semi_infinite
+from .quad import QuadResult, integrate, integrate_semi_infinite
 from .integral_catalog import integral_catalog, list_integral_ids
 from .registry import EvalOptions, IdentityRecord, Registry, Verdict
 from .series import SeriesResult, cvz_alternating
@@ -42,8 +41,8 @@ __all__ = [
     "digamma", "exp_integral", "get_constants", "lambda_fn", "log_barnes_g",
     "log_gamma", "polygamma", "sici", "sine_integral", "stieltjes_gamma1",
     "zeta_family",
-    "EndpointHint", "EndpointKind", "QuadResult", "integrate",
-    "integrate_semi_infinite", "integral_catalog", "list_integral_ids",
+    "QuadResult", "integrate", "integrate_semi_infinite",
+    "integral_catalog", "list_integral_ids",
     "EvalOptions", "IdentityRecord", "Registry", "Verdict",
     "SeriesResult", "cvz_alternating",
     "list_series_ids", "power_series_eval", "sum_catalog",

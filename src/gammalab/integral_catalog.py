@@ -1,8 +1,9 @@
 """The named-integral catalog.
 
-Every integrand is written against the ``(x, da, db)`` protocol of the
-quadrature engine: singular or cancelling factors are evaluated from the
-exact endpoint distances, removable 0/0 spots get explicit Taylor patches,
+Every finite-interval integrand is written against the ``(x, da, db)``
+protocol of the quadrature engine, and every half-line one receives the
+exact t: singular or cancelling factors are evaluated from the exact
+endpoint distances, removable 0/0 spots get explicit Taylor patches,
 and cot-weighted entries keep full relative accuracy at both ends of the
 interval.  Default tolerances: 1e-10, relaxed to 1e-8 for the cot-weighted
 family.
@@ -26,7 +27,7 @@ from .kernels import (
     _sici_raw,
     _zeta_int,
 )
-from .quad import LOG_SING, REGULAR, QuadResult, integrate, removable
+from .quad import QuadResult, integrate, integrate_semi_infinite
 
 __all__ = ["IntegralEntry", "INTEGRAL_CATALOG", "integral_catalog",
            "list_integral_ids", "probe_cauchy"]
@@ -152,41 +153,40 @@ def _one_over_x_minus_pi_cot(x: float) -> float:
 def q_1_1(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return math.exp(-p * x) * _lgamma_s(x, da, db)
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-1.11", "int_0^1 e^(-p x) log x dx", 1)
 def q_1_11(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return math.exp(-p * x) * math.log(da)
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-1.12", "int_0^1 e^(-p x) psi(1+x) dx", 1)
 def q_1_12(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return math.exp(-p * x) * _digamma_pos(1.0 + x)
-    return integrate(f, 0.0, 1.0, (REGULAR, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-1.13", "int_0^inf e^(-p x) psi(1+x) dx", 1)
 def q_1_13(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     if p <= 0.0:
         raise DomainError(f"requires p > 0, got {p}")
-    t_split = 60.0 / p
-    def f(x, da, db):
+    def f(x):
         return math.exp(-p * x) * _digamma_pos(1.0 + x)
-    core = integrate(f, 0.0, t_split, (REGULAR, REGULAR), tol, max_level)
-    tail = math.exp(-p * t_split) * (math.log(1.0 + t_split) + 2.0) / p
-    return QuadResult(core.value, core.abs_err + tail, core.evals,
-                      core.converged)
+    def tail(t):
+        # psi(1+x) grows like log x, so f decays slower than e^(-p x)
+        return 0.0, math.exp(-p * t) * (math.log(1.0 + t) + 2.0) / p
+    return integrate_semi_infinite(f, p, tol, max_level, tail)
 
 
 @_entry("Q-2.6-moment", "int_0^1 x e^(-p x) log Gamma(x) dx", 1)
 def q_2_6_moment(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return x * math.exp(-p * x) * _lgamma_s(x, da, db)
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 # ---------------------------------------------------------------------------
@@ -197,21 +197,21 @@ def q_2_6_moment(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResul
 def q_2_1(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return _lgamma_s(x, da, db) * math.cos(p * _PI * x)
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-2.2", "int_0^1 log Gamma(x) sin(p pi x) dx", 1)
 def q_2_2(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return _lgamma_s(x, da, db) * math.sin(p * _PI * x)
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-2.6", "int_0^1 log(sin(pi x)) sin(p pi x) dx", 1)
 def q_2_6(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return _log_sin_pi(x, da, db) * math.sin(p * _PI * x)
-    return integrate(f, 0.0, 1.0, (LOG_SING, LOG_SING), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-2.9", "int_0^1 log(2 sin(pi x)) cos(2 p pi x) dx", 1)
@@ -219,21 +219,21 @@ def q_2_9(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     ln2 = math.log(2.0)
     def f(x, da, db):
         return (ln2 + _log_sin_pi(x, da, db)) * math.cos(2.0 * p * _PI * x)
-    return integrate(f, 0.0, 1.0, (LOG_SING, LOG_SING), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-2.10", "int_0^(1/2) log(sin(pi x)) cos(2 p pi x) dx", 1)
 def q_2_10(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return math.log(math.sin(_PI * da)) * math.cos(2.0 * p * _PI * x)
-    return integrate(f, 0.0, 0.5, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 0.5, tol=tol, max_level=max_level)
 
 
 @_entry("Q-2.12", "int_0^1 log(sin(pi x)) sin((2x-1) p pi) dx", 1)
 def q_2_12(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return _log_sin_pi(x, da, db) * math.sin((2.0 * x - 1.0) * p * _PI)
-    return integrate(f, 0.0, 1.0, (LOG_SING, LOG_SING), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-2.13", "int_0^1 (2x-1)^(2n+1) log(sin(pi x)) dx", 1)
@@ -241,7 +241,7 @@ def q_2_13(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     m = 2 * int(n) + 1
     def f(x, da, db):
         return (2.0 * x - 1.0) ** m * _log_sin_pi(x, da, db)
-    return integrate(f, 0.0, 1.0, (LOG_SING, LOG_SING), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +254,14 @@ def _x_lgamma(x: float, da: float, db: float) -> float:
 
 @_entry("Q-4.1", "int_0^1 x log Gamma(x) dx")
 def q_4_1(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
-    return integrate(_x_lgamma, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(_x_lgamma, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.11", "int_0^1 x^2 log Gamma(x) dx")
 def q_4_11(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return x * x * _lgamma_s(x, da, db)
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.4", "int_0^1 x log Gamma(x) cos(2 n pi x) dx", 1)
@@ -269,7 +269,7 @@ def q_4_4(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     w = 2.0 * _check_mode(n) * _PI
     def f(x, da, db):
         return _x_lgamma(x, da, db) * math.cos(w * x)
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.8", "int_0^1 x log Gamma(x) sin(2 n pi x) dx", 1)
@@ -277,7 +277,7 @@ def q_4_8(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     w = 2.0 * _check_mode(n) * _PI
     def f(x, da, db):
         return _x_lgamma(x, da, db) * math.sin(w * x)
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.12.7", "int_0^1 B_(2n+1)(x) cot(pi x) dx", 1, tol=1e-8)
@@ -287,7 +287,7 @@ def q_4_12_7(n: float, tol: float = 1e-8, max_level: int = 10) -> QuadResult:
         # odd Bernoulli polynomials vanish at both ends and at 1/2
         b = _bpoly(m, da) if da <= db else -_bpoly(m, db)
         return b * _cot_pi_s(x, da, db)
-    return integrate(f, 0.0, 1.0, (REGULAR, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.12.8", "int_0^1 B_(2n)(x) log(sin(pi x)) dx", 1)
@@ -296,7 +296,7 @@ def q_4_12_8(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         b = _bpoly(m, da) if da <= db else _bpoly(m, db)
         return b * _log_sin_pi(x, da, db)
-    return integrate(f, 0.0, 1.0, (LOG_SING, LOG_SING), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.12.10", "int_0^1 B_(2n)(x) log Gamma(x) dx", 1)
@@ -305,7 +305,7 @@ def q_4_12_10(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         b = _bpoly(m, da) if da <= db else _bpoly(m, db)
         return b * _lgamma_s(x, da, db)
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.17", "int_0^u log Gamma(x) dx", 1)
@@ -314,7 +314,7 @@ def q_4_17(u: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
         raise DomainError(f"requires 0 < u <= 1, got {u}")
     def f(x, da, db):
         return _lgamma1p(da) - math.log(da) if da <= 0.5 else _lgamma(x)
-    return integrate(f, 0.0, u, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, u, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.25", "int_0^1 x log(x) sin(2 n pi x) dx", 1)
@@ -322,21 +322,21 @@ def q_4_25(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     w = 2.0 * _check_mode(n) * _PI
     def f(x, da, db):
         return x * math.log(da) * math.sin(w * x)
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.26-lhs", "int_0^1 x log(x) cot(pi x) dx", tol=1e-8)
 def q_4_26_lhs(tol: float = 1e-8, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return x * math.log(da) * _cot_pi_s(x, da, db)
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.28-lhs", "int_0^1 log(x) log(sin(pi x)) dx")
 def q_4_28_lhs(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return math.log(da) * _log_sin_pi(x, da, db)
-    return integrate(f, 0.0, 1.0, (LOG_SING, LOG_SING), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.29-lhs", "int_0^pi log(x) log(2 sin(x/2)) dx")
@@ -346,7 +346,7 @@ def q_4_29_lhs(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
         return math.log(da) * (ln2 + math.log(math.sin(0.5 * da))
                                if da < 2.0 else
                                ln2 + math.log(math.cos(0.5 * db)))
-    return integrate(f, 0.0, _PI, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, _PI, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.30-lhs", "int_0^pi log(x) log(cot(x/2)) dx")
@@ -357,21 +357,21 @@ def q_4_30_lhs(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
         else:
             lcos = math.log(math.cos(0.5 * x))
         return math.log(da) * (lcos - math.log(math.sin(0.5 * da)))
-    return integrate(f, 0.0, _PI, (LOG_SING, LOG_SING), tol, max_level)
+    return integrate(f, 0.0, _PI, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.31", "int_0^1 x log Gamma(x) cot(pi x) dx", tol=1e-8)
 def q_4_31(tol: float = 1e-8, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return _x_lgamma(x, da, db) * _cot_pi_s(x, da, db)
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.33", "int_0^1 log G(1+x) cot(pi x) dx", tol=1e-8)
 def q_4_33(tol: float = 1e-8, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return _ln_g1p(x, db) * _cot_pi_s(x, da, db)
-    return integrate(f, 0.0, 1.0, (REGULAR, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.34", "int_0^1 [log G(1+x) - x log Gamma(x)] cot(pi x) dx",
@@ -379,7 +379,7 @@ def q_4_33(tol: float = 1e-8, max_level: int = 10) -> QuadResult:
 def q_4_34(tol: float = 1e-8, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return (_ln_g1p(x, db) - _x_lgamma(x, da, db)) * _cot_pi_s(x, da, db)
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.35", "int_0^1 log Gamma(1+x) cot(pi x) dx", tol=1e-8)
@@ -387,7 +387,7 @@ def q_4_35(tol: float = 1e-8, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         lg = _lgamma1p(da) if da <= 0.5 else _lgamma1p(-db) + math.log1p(-db)
         return lg * _cot_pi_s(x, da, db)
-    return integrate(f, 0.0, 1.0, (REGULAR, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.36", "int_0^1 log^2 Gamma(x) dx")
@@ -395,14 +395,14 @@ def q_4_36(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         v = _lgamma_s(x, da, db)
         return v * v
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.36-lhs", "int_0^1 x log Gamma(x) psi(x) dx")
 def q_4_36_lhs(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return x * _lgamma_s(x, da, db) * _psi_s(x, da, db)
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-4.37-lhs", "int_0^1 x log Gamma(x) psi(1-x) dx")
@@ -411,23 +411,12 @@ def q_4_37_lhs(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
         psi_ref = (_digamma_pos(1.0 + db) - 1.0 / db if db <= 0.5
                    else _digamma_pos(1.0 - x))
         return x * _lgamma_s(x, da, db) * psi_ref
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 # ---------------------------------------------------------------------------
-# section 5: semi-infinite family (finite window + analytic tail bound)
+# section 5: semi-infinite family
 # ---------------------------------------------------------------------------
-
-def _exp_window(f: Callable[[float], float], rate: float, tol: float,
-                max_level: int, teeny: float = 1e-280) -> QuadResult:
-    t_hi = 46.0 / rate
-    def g(t, da, db):
-        return f(da)  # use the exact distance from 0 as the argument
-    core = integrate(g, 0.0, t_hi, (REGULAR, REGULAR), tol, max_level)
-    tail = 2.0 * abs(f(t_hi)) / rate + teeny
-    return QuadResult(core.value, core.abs_err + tail, core.evals,
-                      core.converged)
-
 
 @_entry("Q-5.4", "int_0^inf [sin(xt)/(t(e^t-1)) - x/(t e^t)] dt", 1)
 def q_5_4(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
@@ -437,7 +426,7 @@ def q_5_4(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
                     + (x / 6.0 + x ** 3 / 12.0) * t * t)
         e = math.expm1(t)
         return (math.sin(x * t) + x * math.expm1(-t)) / (t * e)
-    return _exp_window(f, 1.0, tol, max_level)
+    return integrate_semi_infinite(f, 1.0, tol, max_level)
 
 
 @_entry("Q-5.5", "int_0^inf [cos(xt)/(e^t-1) - 1/(t e^t)] dt", 1)
@@ -448,28 +437,30 @@ def q_5_5(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
                     + (x * x / 4.0 + 1.0 / 6.0) * t * t)
         e = math.expm1(t)
         return (t * math.cos(x * t) + math.expm1(-t)) / (t * e)
-    return _exp_window(f, 1.0, tol, max_level)
+    return integrate_semi_infinite(f, 1.0, tol, max_level)
 
 
 @_entry("Q-5.7", "int_0^inf [1/(e^t-1) - 1/t] cos(xt) dt", 1)
 def q_5_7(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     if x <= 0.0:
         raise DomainError(f"requires x > 0, got {x}")
-    t_hi = 46.0
-    def f(t, da, db):
-        u = da
-        if u < 1e-3:
-            base = -0.5 + u / 12.0 - u ** 3 / 720.0
+    def f(t):
+        if t < 1e-3:
+            base = -0.5 + t / 12.0 - t ** 3 / 720.0
         else:
-            e = math.expm1(u)
-            base = (u - e) / (u * e)
-        return base * math.cos(x * u)
-    core = integrate(f, 0.0, t_hi, (REGULAR, REGULAR), tol, max_level)
-    # remaining tail: -int_T^inf cos(xt)/t dt = Ci(x T), plus e^-T dust
-    _, ci_tail = _sici_raw(x * t_hi)
-    return QuadResult(core.value + ci_tail, core.abs_err + 2e-20,
-                      core.evals, core.converged)
+            e = math.expm1(t)
+            base = (t - e) / (t * e)
+        return base * math.cos(x * t)
+    def tail(t):
+        # -int_T^inf cos(xt)/t dt = Ci(x T), plus e^-T dust
+        return _sici_raw(x * t)[1], 2e-20
+    return integrate_semi_infinite(f, 1.0, tol, max_level, tail)
 
+
+# sinh(xt)/(e^t-1) and cosh(xt)/(e^t-1) are evaluated as
+# e^(-(1-x)t) (1 -+ e^(-2xt)) / (2 (1-e^(-t))): no factor overflows on the
+# window [0, 46/(1-x)], and 1 - e^(-2xt) comes from expm1, not from a
+# difference of nearly equal exponentials.
 
 @_entry("Q-5.34", "int_0^inf [sinh(xt)/(t(e^t-1)) - x/(t e^t)] dt", 1)
 def q_5_34(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
@@ -479,9 +470,10 @@ def q_5_34(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
         if t < 1e-4:
             return (0.5 * x + (x ** 3 / 6.0 - 5.0 * x / 12.0) * t
                     + (x / 6.0 - x ** 3 / 12.0) * t * t)
-        e = math.expm1(t)
-        return (math.sinh(x * t) + x * math.expm1(-t)) / (t * e)
-    return _exp_window(f, 1.0 - x, tol, max_level)
+        em = math.expm1(-t)
+        sinh_e = -0.5 * math.exp(-(1.0 - x) * t) * math.expm1(-2.0 * x * t)
+        return (sinh_e + x * math.exp(-t) * em) / (-t * em)
+    return integrate_semi_infinite(f, 1.0 - x, tol, max_level)
 
 
 @_entry("Q-5.36", "int_0^inf [cosh(xt)/(e^t-1) - 1/(t e^t)] dt", 1)
@@ -492,9 +484,11 @@ def q_5_36(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
         if t < 1e-4:
             return (0.5 + (x * x / 2.0 - 5.0 / 12.0) * t
                     + (1.0 / 6.0 - x * x / 4.0) * t * t)
-        e = math.expm1(t)
-        return (t * math.cosh(x * t) + math.expm1(-t)) / (t * e)
-    return _exp_window(f, 1.0 - x, tol, max_level)
+        em = math.expm1(-t)
+        cosh_e = (0.5 * math.exp(-(1.0 - x) * t)
+                  * (1.0 + math.exp(-2.0 * x * t)))
+        return (t * cosh_e + math.exp(-t) * em) / (-t * em)
+    return integrate_semi_infinite(f, 1.0 - x, tol, max_level)
 
 
 @_entry("Q-5.20", "int_0^x pi t cot(pi t) dt", 1)
@@ -503,7 +497,7 @@ def q_5_20(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
         raise DomainError(f"requires 0 < x < 1, got {x}")
     def f(t, da, db):
         return _PI * t * math.cos(_PI * t) / math.sin(_PI * t)
-    return integrate(f, 0.0, x, (removable(1.0), REGULAR), tol, max_level)
+    return integrate(f, 0.0, x, (1.0, None), tol, max_level)
 
 
 @_entry("Q-5.45-int", "int_0^1 (psi(1+x) + gamma)/x dx")
@@ -514,7 +508,7 @@ def q_5_45_int(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
         if da < 1e-4:
             return z[0] - z[1] * da + z[2] * da * da - z[3] * da ** 3
         return (_digamma_pos(1.0 + x) + g) / x
-    return integrate(f, 0.0, 1.0, (REGULAR, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-5.45-int-b", "int_0^1 (1-x) log(1-x)/(x log x) dx")
@@ -524,16 +518,7 @@ def q_5_45_int_b(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
         lg = math.log(da) if da < 0.5 else math.log1p(-db)
         return num / (x * lg)
     # the integrand vanishes only like -1/log(x) at 0: no limit patch
-    return integrate(f, 0.0, 1.0, (REGULAR, LOG_SING), tol, max_level)
-
-
-@_entry("Q-5.51-int", "int_0^1 [(1/(2x))(1/x - pi cot(pi x)) - x/(1-x^2)] dx")
-def q_5_51_int(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
-    def f(x, da, db):
-        lead = 0.5 * _one_over_x_minus_pi_cot(x) / x if x >= 1e-8 else (
-            _zeta_int(2))
-        return lead - x / (db * (1.0 + x))
-    return integrate(f, 0.0, 1.0, (REGULAR, removable(0.75)), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-5.53-lhs", "int_0^u (1/x)(1/x - pi cot(pi x)) dx", 1)
@@ -545,7 +530,7 @@ def q_5_53_lhs(u: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
         if x < 1e-8:
             return z2
         return _one_over_x_minus_pi_cot(x) / x
-    return integrate(f, 0.0, u, (removable(z2), REGULAR), tol, max_level)
+    return integrate(f, 0.0, u, (z2, None), tol, max_level)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +544,7 @@ def q_6_7_1(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
         psi_ref = (_digamma_pos(1.0 + db) - 1.0 / db if db <= 0.5
                    else _digamma_pos(1.0 - x))
         return 2.0 * s * s * psi_ref
-    return integrate(f, 0.0, 1.0, (REGULAR, removable(0.0)), tol, max_level)
+    return integrate(f, 0.0, 1.0, (None, 0.0), tol, max_level)
 
 
 @_entry("Q-6.9", "int_0^1 log Gamma(x) sin(2 k pi x) dx", 1)
@@ -567,7 +552,7 @@ def q_6_9(k: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     w = 2.0 * _check_mode(k) * _PI
     def f(x, da, db):
         return _lgamma_s(x, da, db) * math.sin(w * x)
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-6.17", "int_0^1 log Gamma(x) cos(2 k pi x) dx", 1)
@@ -575,7 +560,7 @@ def q_6_17(k: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     w = 2.0 * _check_mode(k) * _PI
     def f(x, da, db):
         return _lgamma_s(x, da, db) * math.cos(w * x)
-    return integrate(f, 0.0, 1.0, (LOG_SING, REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
 
 
 @_entry("Q-6.10", "int_0^u psi(1+x) cos^2(pi x) dx", 1)
@@ -585,7 +570,7 @@ def q_6_10(u: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         c = math.cos(_PI * x)
         return _digamma_pos(1.0 + x) * c * c
-    return integrate(f, 0.0, u, (REGULAR, REGULAR), tol, max_level)
+    return integrate(f, 0.0, u, tol=tol, max_level=max_level)
 
 
 @_entry("Q-6.14", "int_0^(1/2) psi(1+x) cos^2(pi x) dx")
@@ -598,7 +583,7 @@ def q_6_14_1(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         s = math.sin(_PI * min(da, db))
         return _psi_s(x, da, db) * s * s
-    return integrate(f, 0.0, 1.0, (removable(0.0), REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, (0.0, None), tol, max_level)
 
 
 @_entry("Q-6.14.2", "int_0^(1/2) psi(x) sin^2(pi x) dx")
@@ -606,7 +591,7 @@ def q_6_14_2(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         s = math.sin(_PI * da) if da < 0.5 else math.sin(_PI * x)
         return _psi_s(x, da, 1.0 - x) * s * s
-    return integrate(f, 0.0, 0.5, (removable(0.0), REGULAR), tol, max_level)
+    return integrate(f, 0.0, 0.5, (0.0, None), tol, max_level)
 
 
 @_entry("Q-6.15", "int_0^u sin^2(pi x)/x dx", 1)
@@ -616,14 +601,7 @@ def q_6_15(u: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         s = math.sin(_PI * x)
         return s * s / da
-    return integrate(f, 0.0, u, (removable(0.0), REGULAR), tol, max_level)
-
-
-@_entry("Q-6.22", "int_0^1 psi(x) sin(pi x) dx")
-def q_6_22(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
-    def f(x, da, db):
-        return _psi_s(x, da, db) * math.sin(_PI * min(da, db))
-    return integrate(f, 0.0, 1.0, (removable(-_PI), REGULAR), tol, max_level)
+    return integrate(f, 0.0, u, (0.0, None), tol, max_level)
 
 
 @_entry("Q-6.24", "int_0^1 x(1-x) cos(pi x) cot(pi x) dx", tol=1e-8)
@@ -631,15 +609,14 @@ def q_6_24(tol: float = 1e-8, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         c = math.cos(_PI * x)
         return da * db * c * _cot_pi_s(x, da, db)
-    return integrate(f, 0.0, 1.0, (removable(1.0 / _PI),
-                                   removable(1.0 / _PI)), tol, max_level)
+    return integrate(f, 0.0, 1.0, (1.0 / _PI, 1.0 / _PI), tol, max_level)
 
 
 @_entry("Q-6.34", "int_0^1 psi(x) x(1-x) cos(pi x) dx")
 def q_6_34(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         return _psi_s(x, da, db) * da * db * math.cos(_PI * x)
-    return integrate(f, 0.0, 1.0, (removable(-1.0), REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, (-1.0, None), tol, max_level)
 
 
 @_entry("Q-6.38", "int_0^1 x(1-x) cos(pi x) psi(x/2) dx")
@@ -648,7 +625,7 @@ def q_6_38(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
         psi_half = _digamma_pos(1.0 + 0.5 * da) - 2.0 / da if da <= 1.0 \
             else _digamma_pos(0.5 * x)
         return da * db * math.cos(_PI * x) * psi_half
-    return integrate(f, 0.0, 1.0, (removable(-2.0), REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, (-2.0, None), tol, max_level)
 
 
 @_entry("Q-6.40", "int_0^1 x(1-x) psi(x/2) dx")
@@ -657,7 +634,7 @@ def q_6_40(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
         psi_half = _digamma_pos(1.0 + 0.5 * da) - 2.0 / da if da <= 1.0 \
             else _digamma_pos(0.5 * x)
         return da * db * psi_half
-    return integrate(f, 0.0, 1.0, (removable(-2.0), REGULAR), tol, max_level)
+    return integrate(f, 0.0, 1.0, (-2.0, None), tol, max_level)
 
 
 @_entry("Q-7.15", "int_0^u psi(x) sin(pi x) dx", 1)
@@ -667,12 +644,9 @@ def q_7_15(u: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def f(x, da, db):
         s = math.sin(_PI * da) if da <= 0.5 else math.sin(_PI * x)
         return _psi_s(x, da, 1.0 - x) * s
-    return integrate(f, 0.0, u, (removable(-_PI), REGULAR), tol, max_level)
+    return integrate(f, 0.0, u, (-_PI, None), tol, max_level)
 
 
-_alias("Q-3.6", "Q-2.1", "int_0^1 log Gamma(x) cos(p pi x) dx")
-_alias("Q-3.7", "Q-2.2", "int_0^1 log Gamma(x) sin(p pi x) dx")
-_alias("Q-6.8", "Q-6.9", "int_0^1 log Gamma(x) sin(2 k pi x) dx")
 _alias("Q-6.16", "Q-4.8", "int_0^1 x log Gamma(x) sin(2 n pi x) dx")
 _alias("Q-7.13", "Q-6.14.1", "int_0^1 psi(x) sin^2(pi x) dx")
 _alias("Q-5.35", "Q-5.34", "int_0^inf [sinh(xt)/(t(e^t-1)) - x/(t e^t)] dt")
@@ -703,4 +677,4 @@ def probe_cauchy(which: str, eps: float, tol: float = 1e-9,
             return math.log(x) * _cot_pi_s(x, x, 1.0 - x)
     else:
         raise UnknownKeyError(f"unknown probe {which!r}")
-    return integrate(f, eps, 1.0 - eps, (REGULAR, REGULAR), tol, max_level)
+    return integrate(f, eps, 1.0 - eps, tol=tol, max_level=max_level)

@@ -3,15 +3,27 @@
 The tanh-sinh substitution x = (a+b)/2 + (b-a)/2 * tanh((pi/2) sinh t)
 turns endpoint log-singular integrands into smooth, double-exponentially
 decaying ones, so one fixed rule family with level doubling covers every
-integrand this package meets.  Integrands receive ``(x, da, db)`` where
-``da``/``db`` are the exact distances to the endpoints; singular factors
-like ``log x`` must be evaluated as ``log(da)`` so that nodes hugging an
-endpoint keep full precision.
+integrand this package meets.  Two calls cover every interval:
+
+* ``integrate(f, a, b, limits)`` on a finite (a, b).  Integrands receive
+  ``(x, da, db)`` where ``da``/``db`` are the exact distances to the
+  endpoints; singular factors like ``log x`` must be evaluated as
+  ``log(da)`` so that nodes hugging an endpoint keep full precision.  A
+  log singularity needs no declaration.  ``limits=(lo, hi)`` names a
+  removable 0/0 value at an endpoint: nodes closer to that endpoint than
+  1e-8 of the interval use it instead of calling f.
+* ``integrate_semi_infinite(f, rate, ..., tail)`` on [0, inf).  ``f(t)``
+  receives the exact t.  The rule runs on [0, T] with T = 46/rate, and
+  ``tail(T)`` returns ``(value, bound)`` for the rest, added to the value
+  and the error.  The default tail is ``(0, 2|f(T)|/rate)``: it bounds the
+  rest when |f(t)| <= |f(T)| e^(-rate (t-T)) for t >= T, that is when f
+  decays at least at ``rate`` from T on.  An integrand that decays more
+  slowly, or oscillates with a non-decaying envelope, must pass its own
+  tail.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,44 +31,11 @@ from typing import Callable
 
 from .errors import DomainError, EvaluationError
 
-__all__ = [
-    "EndpointKind",
-    "EndpointHint",
-    "QuadResult",
-    "integrate",
-    "integrate_semi_infinite",
-]
+__all__ = ["QuadResult", "integrate", "integrate_semi_infinite"]
 
 _EPS = 2.220446049250313e-16
 _T_MAX = 4.0
 _DEFAULT_MAX_LEVEL = 10
-
-
-class EndpointKind(enum.Enum):
-    REGULAR = "regular"
-    LOG_SINGULARITY = "log_singularity"
-    REMOVABLE = "removable_by_limit"
-
-
-@dataclass(frozen=True)
-class EndpointHint:
-    """Behaviour of the integrand at one endpoint.
-
-    ``limit`` is consulted only for REMOVABLE: nodes closer to the endpoint
-    than 1e-8 of the interval use the supplied limit value instead of
-    probing the integrand there.
-    """
-
-    kind: EndpointKind = EndpointKind.REGULAR
-    limit: float | None = None
-
-
-REGULAR = EndpointHint(EndpointKind.REGULAR)
-LOG_SING = EndpointHint(EndpointKind.LOG_SINGULARITY)
-
-
-def removable(limit: float) -> EndpointHint:
-    return EndpointHint(EndpointKind.REMOVABLE, limit)
 
 
 @dataclass(frozen=True)
@@ -93,17 +72,20 @@ def integrate(
     f: Callable[[float, float, float], float],
     a: float,
     b: float,
-    hints: tuple[EndpointHint, EndpointHint] = (REGULAR, REGULAR),
+    limits: tuple[float | None, float | None] = (None, None),
     tol: float = 1e-10,
     max_level: int = _DEFAULT_MAX_LEVEL,
 ) -> QuadResult:
-    """Integrate f over (a, b); f is called as f(x, x-a, b-x)."""
+    """Integrate f over (a, b); f is called as f(x, x-a, b-x).
+
+    ``limits`` holds the removable value of f at a and at b, or None.
+    """
     if not (a < b):
         raise DomainError(f"integrate requires a < b, got [{a}, {b}]")
     if max_level > 14:
         raise DomainError("level cap is 14")
     width = b - a
-    lo_hint, hi_hint = hints
+    lo_lim, hi_lim = limits
     cut = 1e-8 * width
 
     def eval_at(sigma: float, om_sigma: float) -> float:
@@ -116,10 +98,10 @@ def integrate(
             db = width * om_sigma
             x = b - db
             da = width - db
-        if da < cut and lo_hint.kind is EndpointKind.REMOVABLE:
-            return lo_hint.limit
-        if db < cut and hi_hint.kind is EndpointKind.REMOVABLE:
-            return hi_hint.limit
+        if da < cut and lo_lim is not None:
+            return lo_lim
+        if db < cut and hi_lim is not None:
+            return hi_lim
         v = f(x, da, db)
         if not math.isfinite(v):
             raise EvaluationError(f"integrand not finite at x={x!r}: {v!r}")
@@ -173,45 +155,32 @@ def integrate(
 
 
 def integrate_semi_infinite(
-    f: Callable[[float, float], float],
-    a: float,
-    decay: tuple[str, float] | None,
+    f: Callable[[float], float],
+    rate: float,
     tol: float = 1e-10,
     max_level: int = _DEFAULT_MAX_LEVEL,
+    tail: Callable[[float], tuple[float, float]] | None = None,
 ) -> QuadResult:
-    """Integrate f over [a, inf); f is called as f(x, x-a).
+    """Integrate f over [0, inf); f is called as f(t).
 
-    ``decay=("exponential", rate)`` splits at T = a + 46/rate and bounds the
-    tail analytically; ``decay=None`` probes growing blocks and reports
-    converged=False when they fail to shrink below tolerance.
+    The rule runs on [0, T], T = 46/rate; ``tail(T)`` gives the value and
+    error bound of the integral over [T, inf), by default
+    ``(0, 2|f(T)|/rate)`` (see the module docstring for when that holds).
     """
+    if not rate > 0.0:
+        raise DomainError(f"decay rate must be positive, got {rate}")
+    t_split = 46.0 / rate
 
-    def wrap(x: float, da: float, db: float) -> float:
-        return f(x, da)
+    def g(x: float, da: float, db: float) -> float:
+        return f(da)
 
-    if decay is not None:
-        kind, rate = decay
-        if kind != "exponential" or rate <= 0.0:
-            raise DomainError(f"unsupported decay spec {decay!r}")
-        t_split = a + 46.0 / rate
-        core = integrate(wrap, a, t_split, (REGULAR, REGULAR), tol, max_level)
-        f_end = abs(f(t_split, t_split - a))
-        tail_bound = 2.0 * f_end / rate + 1e-280
-        return QuadResult(core.value, core.abs_err + tail_bound,
-                          core.evals + 1, core.converged)
-
-    # no decay information: accumulate blocks until they stop mattering
-    edges = [a, a + 10.0, a + 30.0, a + 70.0, a + 150.0, a + 310.0]
-    acc = 0.0
-    err = 0.0
-    evals = 0
-    last = math.inf
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        r = integrate(wrap, lo, hi, (REGULAR, REGULAR), tol, max_level)
-        acc += r.value
-        err += r.abs_err
-        evals += r.evals
-        last = abs(r.value)
-        if last < tol:
-            return QuadResult(acc, err + last, evals, True)
-    return QuadResult(acc, err + 3.0 * last, evals, False)
+    core = integrate(g, 0.0, t_split, tol=tol, max_level=max_level)
+    evals = core.evals
+    if tail is None:
+        tail_value = 0.0
+        tail_bound = 2.0 * abs(f(t_split)) / rate + 1e-280
+        evals += 1
+    else:
+        tail_value, tail_bound = tail(t_split)
+    return QuadResult(core.value + tail_value, core.abs_err + tail_bound,
+                      evals, core.converged)

@@ -601,49 +601,40 @@ def power_series_eval(key: str, x: float, max_terms: int = 300) -> SeriesResult:
         s, rest = _ps_fast(lambda n: _zeta_m1(2 * n + 1) / (n + 1.0), x2, 2,
                            max_terms)
         value = -math.log1p(-x2) - x2 + s
-    elif key == "PS-5.30":
-        s, rest = _ps_fast(lambda n: _zeta_m1(2 * n + 1), x2, 1, max_terms)
-        value = x2 / (1.0 - x2) + s
     elif key == "PS-5.32":
         s, rest = _ps_fast(lambda n: _zeta_m1(2 * n + 1) / (2 * n + 1.0), x2,
                            1, max_terms)
         value = math.atanh(x) - x + x * s
         rest *= abs(x)
     elif key == "PS-5.41":
-        # real part: sum (-1)^m zeta(2m)/(2m) x^2m; imag: -gx + odd family;
-        # zeta(k)/k no longer shrinks geometrically, only x^2 does
+        # log Gamma(1+z) = -log(1+z) + (1-gamma) z
+        #                  + sum_{k>=2} (-1)^k (zeta(k)-1) z^k/k at z = ix
         re, re_rest = _ps_fast(
-            lambda m: (-1.0) ** m * _zeta_int(2 * m) / (2.0 * m), x2, 1,
-            max_terms, ratio=1.0)
+            lambda m: (-1.0) ** m * _zeta_m1(2 * m) / (2.0 * m), x2, 1,
+            max_terms)
         im, im_rest = _ps_fast(
-            lambda m: (-1.0) ** (m + 1) * _zeta_int(2 * m + 1)
-            / (2.0 * m + 1.0), x2, 1, max_terms, ratio=1.0)
-        im = -g * x + x * im
+            lambda m: (-1.0) ** (m + 1) * _zeta_m1(2 * m + 1)
+            / (2.0 * m + 1.0), x2, 1, max_terms)
+        re = -0.5 * math.log1p(x2) + re
+        im = (1.0 - g) * x - math.atan(x) + x * im
         err = (1e-13 * (1.0 + abs(re) + abs(im)) + re_rest
                + abs(x) * im_rest)
-        return SeriesResult(complex(re, im), err, max_terms, "taylor")
-    elif key == "PS-5.53":
+        return SeriesResult(complex(re, im), err, max_terms,
+                            "taylor_accelerated")
+    else:  # PS-5.53
         s, rest = _ps_fast(lambda n: _zeta_m1(2 * n + 1) / n, x2, 1,
                            max_terms)
         value = -math.log1p(-x2) + s
-    elif key == "PS-5.54":
-        s, rest = _ps_fast(lambda n: _zeta_m1(2 * n) / n, x2, 1, max_terms)
-        value = -math.log1p(-x2) + s
-    else:  # PS-5.55
-        s, rest = _ps_fast(lambda n: _zeta_m1(2 * n) / (n * (2 * n - 1.0)),
-                           x2, 1, max_terms)
-        value = 2.0 * math.atanh(x) + math.log1p(-x2) / x + s / x
-        rest /= abs(x)
     return SeriesResult(value, 2e-15 * (1.0 + abs(value)) + rest,
                         max_terms, "taylor_accelerated")
 
 
 def _ps_fast(coeff: Callable[[int], float], x2: float, start_pow: int,
-             max_terms: int, ratio: float = 0.25) -> tuple[float, float]:
+             max_terms: int) -> tuple[float, float]:
     """sum_{n>=1} coeff(n) x2^(n+start_pow-1) over at most max_terms terms,
-    stopping once a term is 1e-19 of the sum.  |coeff(n+1)| <= ratio
-    |coeff(n)| (the zeta-1 coefficients shrink by 1/4), so the terms left
-    out are at most |next term| / (1 - ratio x2); returns (sum, bound)."""
+    stopping once a term is 1e-19 of the sum.  |coeff(n+1)| <= |coeff(n)|/4
+    (the zeta-1 coefficients shrink by 1/4), so the terms left out are at
+    most |next term| / (1 - x2/4); returns (sum, bound)."""
     acc = 0.0
     pw = x2 ** start_pow
     n = 0
@@ -653,11 +644,10 @@ def _ps_fast(coeff: Callable[[int], float], x2: float, start_pow: int,
         pw *= x2
         if abs(t) < 1e-19 * max(abs(acc), 1e-25):
             break
-    return acc, abs(coeff(n + 1) * pw) / (1.0 - ratio * x2)
+    return acc, abs(coeff(n + 1) * pw) / (1.0 - 0.25 * x2)
 
 
-_PS_KEYS = ("PS-5.1", "PS-5.17", "PS-5.30", "PS-5.32", "PS-5.41",
-            "PS-5.53", "PS-5.54", "PS-5.55")
+_PS_KEYS = ("PS-5.1", "PS-5.17", "PS-5.32", "PS-5.41", "PS-5.53")
 
 for _k in _PS_KEYS:
     SERIES_CATALOG[_k] = SeriesEntry(f"power series {_k}", 1,

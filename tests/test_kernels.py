@@ -199,9 +199,9 @@ def test_exp_integral_small_x_limit():
 
 
 def test_exp_integral_closure_via_quadrature():
-    from gammalab.quad import LOG_SING, REGULAR, integrate
+    from gammalab.quad import integrate
     r = integrate(lambda x, da, db: math.exp(-x) * math.log(da), 0.0, 1.0,
-                  (LOG_SING, REGULAR), tol=1e-12)
+                  tol=1e-12)
     rhs = -(GAMMA + 0.0 - K.exp_integral(-1.0).value)
     assert abs(r.value - rhs) < 1e-10
 

@@ -85,6 +85,36 @@ def test_program_error_in_route_propagates():
         Registry(records=[bad]).verify_identity("I-9.1")
 
 
+# catalog entries that only tests call; every other key must be reached by
+# the suite, so an entry that loses its last identity fails the guard below
+_TEST_ONLY_KEYS = {
+    "Q-2.6-moment",   # test_quad::test_parametric_derivative_check
+    "Q-5.34",         # reached by the suite as its alias Q-5.35
+    "S-1.23",         # test_series::test_lemma_taylor_vs_direct
+    "S-6.24-aux",     # test_series::test_quartic_and_sextic_lattice_sums
+    "FS-6.2",         # test_series::test_fourier_partial_sums
+    "FS-7.1",         # test_series::test_fourier_partial_sums
+}
+
+
+def test_every_catalog_entry_is_reached(monkeypatch):
+    from gammalab import registry
+    from gammalab.integral_catalog import INTEGRAL_CATALOG
+    from gammalab.series_catalog import SERIES_CATALOG
+
+    reached = set()
+    for name in ("integral_catalog", "sum_catalog", "power_series_eval"):
+        def spy(key, *args, _fn=getattr(registry, name), **kwargs):
+            reached.add(key)
+            return _fn(key, *args, **kwargs)
+        monkeypatch.setattr(registry, name, spy)
+    Registry().run_suite()
+    keys = set(INTEGRAL_CATALOG) | set(SERIES_CATALOG)
+    assert _TEST_ONLY_KEYS <= keys
+    assert not _TEST_ONLY_KEYS & reached, "test-only key now has an identity"
+    assert keys - reached == _TEST_ONLY_KEYS, "orphan catalog entries"
+
+
 # ---------------------------------------------------------------------------
 # verdict semantics
 # ---------------------------------------------------------------------------
@@ -248,3 +278,13 @@ def test_exit_code_contract_with_corrupted_entry():
     r = Registry(records=[corrupted])
     verdicts = r.run_suite()
     assert len(failures(verdicts)) == 1
+
+
+@pytest.mark.parametrize("x", [0.95, 0.99, 0.999])
+def test_laplace_identities_near_one(reg, x):
+    # the sinh/cosh windows reach 46/(1-x); no route may overflow there,
+    # and log Gamma(1+ix) must stay accurate as |x| -> 1
+    for rid in ("I-5.35", "I-5.36", "I-5.4"):
+        v = reg.verify_identity(rid, (x,))
+        assert not v.note.startswith("route failure"), (rid, v.note)
+        assert v.status == "CONFIRMED", (rid, v.residual, v.budget)

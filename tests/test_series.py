@@ -257,6 +257,15 @@ def test_power_series_examples():
         power_series_eval("PS-9.9", 0.1)
 
 
+@pytest.mark.parametrize("x", [0.95, 0.99, 0.999])
+def test_ps_5_41_accurate_near_one(x):
+    # Re log Gamma(1+ix) = log(pi x/sinh(pi x))/2
+    r = power_series_eval("PS-5.41", x)
+    exact = 0.5 * math.log(PI * x / math.sinh(PI * x))
+    assert abs(r.value.real - exact) <= r.abs_err
+    assert r.abs_err < 1e-12
+
+
 def test_alternating_catalog_entries():
     assert sum_catalog("S-6.5").value == pytest.approx(math.log(PI / 2),
                                                        abs=1e-12)
