@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -342,30 +345,41 @@ def _euler_gamma() -> float:
 # Lambda: the regularised sum  lim ( sum j/(j^2+v^2) - log n )
 # ---------------------------------------------------------------------------
 
-_LAMBDA_N = 10_000
+# past this |v| the asymptotic expansion is exact to double precision, where
+# the direct sum would need 4|v| terms
+_LAMBDA_V_ASYMPTOTIC = 1e4
 
 
-def _lambda_series(v: float, n_terms: int = _LAMBDA_N) -> tuple[float, float]:
-    """Direct series with an Euler-Maclaurin tail; returns (value, err)."""
-    v2 = v * v
-    acc = 0.0
-    comp = 0.0
-    for j in range(1, n_terms):
-        t = j / (j * j + v2) - math.log1p(1.0 / j)
-        y = t - comp
-        s = acc + y
-        comp = (s - acc) - y
-        acc = s
-    n = float(n_terms)
-    # integral_N^inf [x/(x^2+v^2) - log(1+1/x)] dx, rearranged so that no
-    # two ~N*log(N) quantities are subtracted
-    tail_int = ((n + 1.0) * math.log1p(1.0 / n) - 1.0
-                - 0.5 * math.log1p(v2 / (n * n)))
-    f_n = n / (n * n + v2) - math.log1p(1.0 / n)
-    fp_n = (v2 - n * n) / (n * n + v2) ** 2 + 1.0 / (n * (n + 1.0))
-    tail = tail_int + 0.5 * f_n - fp_n / 12.0
-    err = abs(fp_n) * 1e-3 + 40.0 * _EPS + n_terms * _EPS * 1e-2
-    return acc + tail, err
+def _lambda_sum(c: float, n_last: int):
+    """sum_{n>=1} [n/(n^2+c) - log(1+1/n)] as a SeriesResult: lambda(v) at
+    c = v^2, and -(psi(1+x) + psi(1-x))/2 at c = -x^2.
+
+    Past ``n_last`` the terms expand as sum_j (-c)^j n^(-2j-1)
+    (``quad_tail``) plus sum_k (-1)^k n^-k / k from -log(1+1/n), kept to
+    k = 40; the two n^-1 orders cancel.
+    """
+    from .series import quad_tail, zeta_tail_sum
+    tail, omitted = quad_tail(-c, {-1: 1.0}, n_last)
+    del tail[1]
+    for k in range(2, 41):
+        tail[k] = tail.get(k, 0.0) + (-1.0) ** k / k
+    omitted[41] = omitted.get(41, 0.0) + 1.0 / 41.0
+    n = np.arange(1, n_last + 1, dtype=float)
+    return zeta_tail_sum(n / (n * n + c) - np.log1p(1.0 / n), n_last, tail,
+                         omitted=omitted)
+
+
+def _lambda_series(v: float) -> tuple[float, float]:
+    """lambda(v) by the direct series, independent of the digamma route;
+    returns (value, err).  N = max(64, 4|v|) keeps the tail expansion
+    convergent; past |v| = 1e4 it is -log|v| - 1/(12 v^2), whose remainder
+    is below 1/(12 v^4)."""
+    if abs(v) > _LAMBDA_V_ASYMPTOTIC:
+        w = 1.0 / (v * v)
+        val = -math.log(abs(v)) - w / 12.0
+        return val, w * w / 12.0 + 4.0 * _EPS * abs(val)
+    r = _lambda_sum(v * v, max(64, math.ceil(4.0 * abs(v))))
+    return r.value, r.abs_err
 
 
 def _lambda_digamma(v: float) -> tuple[float, float]:
@@ -564,6 +578,8 @@ def _hurwitz(s: float, a: float) -> float:
     return _hurwitz_em(s, a)
 
 
+# a T_n batch asks for the same zeta'(k, M+1) for every n
+@lru_cache(maxsize=1024)
 def _hurwitz_prime(s: float, a: float) -> float:
     """d/ds zeta(s, a): used for the log-weighted tail expansions."""
     return _hurwitz_em(s, a, order=1)
@@ -574,25 +590,29 @@ def _hurwitz_prime(s: float, a: float) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1)
-def _gamma1_value() -> float:
-    n = 100_000
-    acc = 0.0
-    comp = 0.0
-    log = math.log
-    for k in range(2, n + 1):
-        t = log(k) / k
-        y = t - comp
-        s = acc + y
-        comp = (s - acc) - y
-        acc = s
-    ln = log(n)
-    # corrections: -f(N)/2 - f'(N)/12 with f = log x / x
-    return acc - 0.5 * ln * ln - 0.5 * ln / n - (1.0 - ln) / (12.0 * n * n)
+def _gamma1() -> tuple[float, float]:
+    """(gamma_1, err) as sum_{n>=1} g(n), g(n) = log n/n - (log^2(n+1) -
+    log^2 n)/2, whose partial sums are sum_{k<=N} log k/k - log^2(N+1)/2.
+
+    With L = log(1+1/n), g(n) = log n (1/n - L) - L^2/2
+    = sum_{k>=2} (-1)^k (log n - H_(k-1)) n^-k / k, the tail past N = 64.
+    """
+    from .series import zeta_tail_sum
+    n_last, k_next = 64, 11  # 65^-10 < 1e-17
+    n = np.arange(1, n_last + 1, dtype=float)
+    ell = np.log1p(1.0 / n)
+    h = list(accumulate(1.0 / j for j in range(1, k_next)))  # H_1, H_2, ...
+    log_tail = {k: (-1.0) ** k / k for k in range(2, k_next)}
+    r = zeta_tail_sum(np.log(n) * (1.0 / n - ell) - 0.5 * ell * ell, n_last,
+                      {k: -d * h[k - 2] for k, d in log_tail.items()},
+                      log_tail, omitted={k_next: h[k_next - 2] / k_next},
+                      log_omitted={k_next: 1.0 / k_next})
+    return r.value, r.abs_err
 
 
 def stieltjes_gamma1() -> FnEvalResult:
-    """gamma_1, from its limit definition with Euler-Maclaurin corrections."""
-    return FnEvalResult(_gamma1_value(), 1e-12)
+    """gamma_1, from a telescoped form of its limit definition."""
+    return FnEvalResult(*_gamma1())
 
 
 # ---------------------------------------------------------------------------
@@ -730,34 +750,21 @@ class ConstantsCache:
     catalan: float
 
 
-def _catalan_value() -> float:
-    # beta(2) by alternating-series acceleration (Chebyshev weights)
-    n = 40
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = 0.5 * (d + 1.0 / d)
-    b = -1.0
-    c = -d
-    s = 0.0
-    for k in range(n):
-        c = b - c
-        s += c / (2 * k + 1) ** 2
-        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-    return s / d
-
-
 @lru_cache(maxsize=1)
 def get_constants() -> ConstantsCache:
+    from .series import cvz_alternating
     g = _euler_gamma()
     zp2 = _hurwitz_em(2.0, 1.0, order=1)
     zp_neg1 = (1.0 - g - _LOG_2PI) / 12.0 + zp2 / (2.0 * math.pi ** 2)
     return ConstantsCache(
         gamma=g,
-        gamma1=_gamma1_value(),
+        gamma1=_gamma1()[0],
         log_2pi=_LOG_2PI,
         zeta2=math.pi ** 2 / 6.0,
         zeta3=_zeta_int(3),
         zeta_prime_2=zp2,
         zeta_prime_neg1=zp_neg1,
         log_A=1.0 / 12.0 - zp_neg1,
-        catalan=_catalan_value(),
+        # beta(2) = sum (-1)^k/(2k+1)^2
+        catalan=cvz_alternating(lambda k: 1.0 / (2 * k + 1) ** 2, 40)[0],
     )

@@ -136,7 +136,7 @@ def integrate(
         total += new
         value = h * total
         e1 = abs(value - prev)
-        floor = 40.0 * _EPS * h * abs_total * 2.0 ** level
+        floor = 40.0 * _EPS * h * abs_total
         if prev2 is not None:
             e2 = abs(prev - prev2)
             if e1 == 0.0:

@@ -28,6 +28,9 @@ from .integral_catalog import integral_catalog, probe_cauchy
 from .kernels import get_constants
 from .series import kahan_sum, quad_tail, zeta_tail_sum
 from .series_catalog import (
+    _cos_zeta_sum,
+    _ps_fast,
+    _zeta_m1,
     log_weighted_sin_sum,
     power_series_eval,
     psi_sin_partial,
@@ -225,16 +228,14 @@ def _rhs_1_13(p: float) -> float:
 
 
 def _rhs_1_17(p: float) -> float:
-    acc = _PI / (2.0 * p) * _L2PI
-    for n in range(0, 400):
-        sgn = (-1.0) ** n
-        t = ((_G + _L2PI) * K._zeta_int(2 * n + 2)
-             - K._zeta_prime_int(2 * n + 2)) * sgn * p ** (2 * n)
-        t += 0.5 * _PI * K._zeta_int(2 * n + 3) * sgn * p ** (2 * n + 1)
-        acc += t
-        if abs(t) < 1e-18:
-            break
-    return acc
+    # sum_{m>=1} (-1)^(m-1) [(gamma + log 2pi) zeta(2m) - zeta'(2m)
+    #   + (pi/2) zeta(2m+1) p] p^(2m-2); the zeta -> 1 parts sum to
+    # 1/(1+p^2) and p/(1+p^2), the rest shrinks by 1/4 per term
+    s, _ = _ps_fast(lambda m: (-1.0) ** (m - 1) * (
+        (_G + _L2PI) * _zeta_m1(2 * m) - K._zeta_prime_int(2 * m)
+        + 0.5 * _PI * p * _zeta_m1(2 * m + 1)), p * p, 0, 400)
+    return (_PI / (2.0 * p) * _L2PI
+            + ((_G + _L2PI) + 0.5 * _PI * p) / (1.0 + p * p) + s)
 
 
 def _lhs_1_17(p: float) -> float:
@@ -243,15 +244,10 @@ def _lhs_1_17(p: float) -> float:
 
 
 def _zeta_alternating(t: float) -> float:
-    acc = 0.0
-    pw = t * t
-    for n in range(1, 400):
-        term = (-1.0) ** n * K._zeta_int(2 * n) * pw
-        acc += term
-        if abs(term) < 1e-18:
-            break
-        pw *= t * t
-    return 1.0 - 2.0 * acc
+    # sum (-1)^n zeta(2n) t^2n with zeta(2n) = 1 + (zeta(2n) - 1): the 1s
+    # sum to -t^2/(1+t^2)
+    s, _ = _ps_fast(lambda n: (-1.0) ** n * _zeta_m1(2 * n), t * t, 1, 400)
+    return 1.0 + 2.0 * t * t / (1.0 + t * t) - 2.0 * s
 
 
 def _rhs_2_1(p: float) -> float:
@@ -323,13 +319,23 @@ def _rhs_3_19(x: float) -> float:
     return 2.0 / _PI - 4.0 / _PI * sum_catalog("FS-8.13", (t,)).value
 
 
-def _alt_cos_sum(u: float, x: float) -> float:
-    """sum (-1)^(n+1) cos(n u)/(n^2 - x^2), accelerated."""
-    acc = _PI * _PI / 12.0 - u * u / 4.0  # sum (-1)^(n+1) cos(nu)/n^2
-    acc += x * x * kahan_sum(
-        (-1.0) ** (n + 1) * math.cos(n * u) / (n * n * (n * n - x * x))
-        for n in range(1, 6000))
-    return acc
+def _alt_cos_sum(u: float, x: float) -> tuple[float, float]:
+    """sum (-1)^(n+1) cos(n u)/(n^2 - x^2) for |x| < 1, as (value, err).
+
+    1/(n^2-x^2) = sum_j x^2j n^(-2j-2), and (-1)^(n+1) cos(n u)
+    = -cos(2 pi n t) with t = (u + pi)/(2 pi): five slices are exact
+    Bernoulli sums.  The residual x^10/(n^10 (n^2-x^2)), below (4/3) x^10
+    n^-12 from n = 2 on, keeps cos(n u), so that its n = 1 term, of size
+    cos(u)/(1-x^2), stays accurate relative to cos(u) as x -> 1.
+    """
+    t = (u + _PI) / _TWO_PI
+    acc = math.fsum(x ** (2 * j) * _cos_zeta_sum(j + 1, t) for j in range(5))
+    r = zeta_tail_sum(
+        ((-1.0) ** (n + 1) * math.cos(n * u) * x ** 10
+         / (float(n) ** 10 * (n - x) * (n + x)) for n in range(1, 41)),
+        40, omitted={12: x ** 10}, floor=0.0)
+    value = r.value - acc
+    return value, r.abs_err + 1e-14 * (1.0 + abs(value))
 
 
 def _rhs_4_4(n: float) -> float:
@@ -358,16 +364,6 @@ def _em_log2gamma() -> float:
 def _rhs_5_48(x: float) -> float:
     return (-_G * x * x - K._lnG(1.0 + x) - K._lnG(1.0 - x)
             + math.log1p(-x * x))
-
-
-def _lhs_5_48(x: float) -> float:
-    acc = 0.0
-    for n in range(1, 400):
-        t = K._hurwitz(2.0 * n + 1.0, 2.0) * x ** (2 * n + 2) / (n + 1.0)
-        acc += t
-        if t < 1e-18:
-            break
-    return acc
 
 
 def _rhs_5_53(u: float) -> float:
@@ -540,7 +536,7 @@ def build_records() -> list[IdentityRecord]:
         _expr("pi cos(ux)/sin(pi x)",
               lambda u, x: _PI * math.cos(u * x) / math.sin(_PI * x)),
         _expr("1/x + 2x sum (-1)^(n+1) cos(nu)/(n^2-x^2)",
-              lambda u, x: 1.0 / x + 2.0 * x * _alt_cos_sum(u, x),
+              lambda u, x: 1.0 / x + 2.0 * x * _alt_cos_sum(u, x)[0],
               err=1e-12),
         param_names=("u", "x"), param_domain=((0.0, _PI), (0.0, 1.0)),
         default_params=((0.5, 0.3), (0.5, 0.7), (2.0, 0.3), (2.0, 0.7))))
@@ -548,7 +544,8 @@ def build_records() -> list[IdentityRecord]:
         "I-3.24", 3, "(3.24): cosecant partial-fraction expansion",
         _expr("pi/sin(pi x)", lambda x: _PI / math.sin(_PI * x)),
         _expr("1/x + 2x sum (-1)^(n+1)/(n^2-x^2)",
-              lambda x: 1.0 / x + 2.0 * x * _alt_cos_sum(0.0, x), err=1e-12),
+              lambda x: 1.0 / x + 2.0 * x * _alt_cos_sum(0.0, x)[0],
+              err=1e-12),
         param_names=("x",), param_domain=((0.0, 1.0),),
         default_params=((0.3,), (0.7,))))
 
@@ -841,7 +838,9 @@ def build_records() -> list[IdentityRecord]:
         _ser("S-5.46.2"), _expr("1/4", lambda: 0.25)))
     add(IdentityRecord(
         "I-5.48", 5, "(5.48): shifted zeta series vs Barnes G quotient",
-        _expr("sum [zeta(2n+1)-1] x^(2n+2)/(n+1)", _lhs_5_48, err=1e-13),
+        _expr("sum [zeta(2n+1)-1] x^(2n+2)/(n+1)",
+              lambda x: _ps_fast(lambda n: _zeta_m1(2 * n + 1) / (n + 1.0),
+                                 x * x, 2, 400)[0], err=1e-13),
         _expr("Barnes G quotient form", _rhs_5_48),
         param_names=("x",), param_domain=((0.0, 1.0),),
         default_params=((0.3,), (0.7,), (0.95,))))
@@ -1015,7 +1014,7 @@ def build_records() -> list[IdentityRecord]:
         "I-8.7", 8, "(8.7): cosecant expansion",
         _expr("pi/sin(mu pi)", lambda mu: _PI / math.sin(mu * _PI)),
         _expr("1/mu - 2 mu sum (-1)^n/(n^2-mu^2)",
-              lambda mu: 1.0 / mu + 2.0 * mu * _alt_cos_sum(0.0, mu),
+              lambda mu: 1.0 / mu + 2.0 * mu * _alt_cos_sum(0.0, mu)[0],
               err=1e-12),
         param_names=("mu",), param_domain=((0.0, 1.0),),
         default_params=((0.3,), (0.7,))))

@@ -14,6 +14,10 @@ expansion for the recurring denominators n^2 - q.
 
 ``cvz_alternating`` is the Chebyshev-weight acceleration for alternating
 series whose terms decay too slowly to truncate (error ~ 5.83^-n).
+
+The two primitives serve the series catalog, the kernels (lambda, gamma_1
+and Catalan's constant, imported inside the functions, since this module
+imports ``kernels``) and the registry's closed-form helpers.
 """
 
 from __future__ import annotations

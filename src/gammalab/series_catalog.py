@@ -27,7 +27,7 @@ from .kernels import (
     _digamma_pos,
     _euler_gamma,
     _hurwitz,
-    _hurwitz_prime,
+    _lambda_sum,
     _lnG,
     _si_small_at_pi_mult,
     _sici_raw,
@@ -252,47 +252,40 @@ def s_4_27(max_terms: int = 400) -> SeriesResult:
 # section 4: harmonic/log families
 # ---------------------------------------------------------------------------
 
+def _tn(n: int, logm: np.ndarray, m2: np.ndarray) -> SeriesResult:
+    """T_n over m <= M = len(logm), given log m and m^2, plus the tail
+    sum_{m>M} log m/(m^2-n^2); needs (M+1)^2 >= 2n^2."""
+    m_terms = len(logm)
+    n2 = float(n) * float(n)
+    log_tail, log_omitted = quad_tail(n2, {0: 1.0}, m_terms)
+    den = m2 - n2
+    den[n - 1] = 1.0  # excluded term, blanked below
+    vals = logm / den
+    vals[n - 1] = 0.0
+    return zeta_tail_sum(vals, m_terms, log_tail=log_tail,
+                         log_omitted=log_omitted, floor=1e-13)
+
+
+def _log_and_square(m_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    m = np.arange(1, m_terms + 1, dtype=float)
+    return np.log(m), m * m
+
+
 # the registry uses n <= 8; the tail expansion needs (N+1)^2 >= 2n^2
 @_entry("S-4.4-Tn", "T_n = sum_{m != n} log m/(m^2-n^2)", 1, n_min=11)
 def s_4_4_tn(n: float, max_terms: int = 20000) -> SeriesResult:
     n = int(n)
     if n < 1:
         raise DomainError(f"requires integer n >= 1, got {n}")
-    log_tail, log_omitted = quad_tail(float(n) * float(n), {0: 1.0},
-                                      max_terms)
-    m = np.arange(1, max_terms + 1, dtype=float)
-    den = m * m - float(n) * float(n)
-    den[n - 1] = 1.0  # excluded term, blanked below
-    vals = np.log(m) / den
-    vals[n - 1] = 0.0
-    return zeta_tail_sum(vals, max_terms, log_tail=log_tail,
-                         log_omitted=log_omitted, floor=1e-13)
+    return _tn(n, *_log_and_square(max_terms))
 
 
 @lru_cache(maxsize=8)
-def _tn_batch(n_max: int, m_terms: int = 20000) -> tuple[float, ...]:
-    """T_1 .. T_{n_max} in one vectorised pass."""
-    m = np.arange(1, m_terms + 1, dtype=float)
-    logm = np.log(m)
-    m2 = m * m
-    out = []
-    zp = [-_hurwitz_prime(float(2 + 2 * j), m_terms + 1.0) for j in range(12)]
-    for n in range(1, n_max + 1):
-        n2 = float(n * n)
-        den = m2 - n2
-        den[n - 1] = 1.0
-        vals = logm / den
-        vals[n - 1] = 0.0
-        tail = 0.0
-        qj = 1.0
-        for j in range(12):
-            t = qj * zp[j]
-            tail += t
-            if abs(t) < 1e-19:
-                break
-            qj *= n2
-        out.append(float(vals.sum()) + tail)
-    return tuple(out)
+def _tn_batch(n_max: int) -> tuple[SeriesResult, ...]:
+    """T_1 .. T_{n_max} over M = 4 n_max terms each, sharing log m and m^2
+    (the zeta'(k, M+1) of their tails are cached)."""
+    logm, m2 = _log_and_square(4 * n_max)
+    return tuple(_tn(n, logm, m2) for n in range(1, n_max + 1))
 
 
 def _with_harmonic(max_terms: int):
@@ -331,22 +324,12 @@ def s_4_32(max_terms: int = 2000) -> SeriesResult:
 # section 5
 # ---------------------------------------------------------------------------
 
-# the Euler-Maclaurin bound |f'(N)| 1e-3 holds, with a margin of 3, from N = 8
-@_entry("S-5.13", "sum [n/(n^2-x^2) - log(1+1/n)]", 1, n_min=8)
+@_entry("S-5.13", "sum [n/(n^2-x^2) - log(1+1/n)]", 1)
 def s_5_13(x: float, max_terms: int = 10000) -> SeriesResult:
     if abs(x) >= 1.0 and abs(x - round(x)) < 1e-12:
         raise DomainError(f"pole at integer x={x}")
-    c = x * x
-    acc = kahan_sum(n / (n * n - c) - math.log1p(1.0 / n)
-                    for n in range(1, max_terms))
-    n = float(max_terms)
-    tail_int = ((n + 1.0) * math.log1p(1.0 / n) - 1.0
-                - 0.5 * math.log1p(-c / (n * n)))
-    f_n = n / (n * n - c) - math.log1p(1.0 / n)
-    fp_n = -(n * n + c) / (n * n - c) ** 2 + 1.0 / (n * (n + 1.0))
-    value = acc + tail_int + 0.5 * f_n - fp_n / 12.0
-    return SeriesResult(value, abs(fp_n) * 1e-3 + 1e-13 * (1.0 + abs(value)),
-                        max_terms, "direct+em_tail")
+    # the lambda sum at c = -x^2; its tail needs (N+1)^2 >= 2 x^2
+    return _lambda_sum(-x * x, max_terms)
 
 
 @_entry("S-5.18", "sum [n log(1-1/4n^2) + log(1+1/n)/4]", 0)
@@ -729,7 +712,7 @@ def fs_4_16(x: float, max_terms: int = 2000) -> SeriesResult:
     hn = np.cumsum(1.0 / n)
     logn = np.log(n)
     a_n = ((0.5 * logn - c.gamma - c.log_2pi - 1.0) / (2.0 * _PI ** 2 * n * n)
-           - 1.0 / (4.0 * n) - np.asarray(tns) / _PI ** 2)
+           - 1.0 / (4.0 * n) - np.array([t.value for t in tns]) / _PI ** 2)
     b_n = (0.5 / n - c.gamma - np.log(4.0 * _PI ** 2 * n) - hn) / (
         2.0 * _PI * n)
     a0 = 1.0 / 12.0 - 2.0 * c.log_A - 0.25 * c.log_2pi
@@ -737,7 +720,9 @@ def fs_4_16(x: float, max_terms: int = 2000) -> SeriesResult:
     partials = a0 + np.cumsum(terms)
     window = partials[-64:]
     value = float(window.mean())
-    err = float(window.max() - window.min()) + 1e-12
+    # each partial sum carries at most the T_n errors over pi^2
+    err = (float(window.max() - window.min()) + 1e-12
+           + math.fsum(t.abs_err for t in tns) / _PI ** 2)
     return SeriesResult(value, err, max_terms, "fourier_partial_mean")
 
 

@@ -1,0 +1,116 @@
+"""Independent high-precision oracle: every sum the package takes through
+``zeta_tail_sum`` or ``cvz_alternating`` must lie within its own reported
+error of mpmath at 30 digits."""
+
+import math
+
+import numpy as np
+import pytest
+
+mp = pytest.importorskip("mpmath")
+
+from gammalab import kernels as K  # noqa: E402
+from gammalab import registry as R  # noqa: E402
+from gammalab.integral_catalog import integral_catalog  # noqa: E402
+from gammalab.series import cvz_alternating  # noqa: E402
+from gammalab.series_catalog import _tn_batch, sum_catalog  # noqa: E402
+
+mp.mp.dps = 30
+PI = math.pi
+
+
+def _close(value, ref, err):
+    return abs(mp.mpf(value) - ref) <= err
+
+
+def test_gamma1():
+    r = K.stieltjes_gamma1()
+    assert _close(r.value, mp.stieltjes(1), r.abs_err)
+    assert r.abs_err < 1e-13
+
+
+def test_catalan():
+    v, e = cvz_alternating(lambda k: 1.0 / (2 * k + 1) ** 2, 40)
+    assert v == K.get_constants().catalan
+    assert _close(v, mp.catalan, e)
+
+
+# the benchmark's kernel range, then the direct sum's far end (N = 4|v|)
+# and the asymptotic branch past |v| = 1e4
+_LAMBDA_V = [float(v) for v in np.linspace(-1.3, 8.0, 32)] + [
+    0.0, 20.0, 1e3, 9999.0, 1.0001e4, 1e5, -1e5]
+
+
+@pytest.mark.parametrize("v", _LAMBDA_V)
+def test_lambda_series(v):
+    value, err = K._lambda_series(v)
+    assert _close(value, -mp.re(mp.digamma(1 + 1j * mp.mpf(v))), err), v
+
+
+@pytest.mark.parametrize("x", [0.25, 0.5, 0.95])
+def test_s_5_13(x):
+    r = sum_catalog("S-5.13", (x,))
+    x = mp.mpf(x)
+    assert _close(r.value, -(mp.digamma(1 + x) + mp.digamma(1 - x)) / 2,
+                  r.abs_err)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_tn(n):
+    def term(m):
+        return mp.log(m) / (m * m - n * n)
+    ref = mp.nsum(term, [n + 1, mp.inf], method="euler-maclaurin")
+    if n > 1:
+        ref += mp.nsum(term, [1, n - 1])
+    r = sum_catalog("S-4.4-Tn", (float(n),))
+    assert _close(r.value, ref, r.abs_err)
+    batch = _tn_batch(8)[n - 1]
+    assert _close(batch.value, ref, batch.abs_err)
+
+
+@pytest.mark.parametrize("u", [0.0, 1e-3, 0.5 * PI, 3.1, PI])
+@pytest.mark.parametrize("x", [0.3, 0.9, 0.999])
+def test_alt_cos_sum(u, x):
+    # sum (-1)^(n+1) cos(nu)/(n^2-x^2) = (pi cos(ux)/sin(pi x) - 1/x)/(2x)
+    value, err = R._alt_cos_sum(u, x)
+    xm = mp.mpf(x)
+    ref = (mp.pi * mp.cos(u * xm) / mp.sin(mp.pi * xm) - 1 / xm) / (2 * xm)
+    assert _close(value, ref, err)
+    # within what the routes of I-3.22, I-3.24 and I-8.7 claim
+    assert 2.0 * x * err <= 1e-12 * max(1.0, abs(1.0 / x + 2.0 * x * value))
+
+
+@pytest.mark.parametrize("t", [0.5, 0.95, 0.99, 0.999, 1.0])
+def test_zeta_alternating(t):
+    value = R._zeta_alternating(t)
+    ref = mp.pi * t / mp.tanh(mp.pi * t)
+    assert _close(value, ref, 3e-14 * max(1.0, abs(value)))
+
+
+@pytest.mark.parametrize("p", [0.01, 0.5, 0.99])
+def test_rhs_1_17(p):
+    pm, lg = mp.mpf(p), mp.log(2 * mp.pi)
+
+    def term(k):
+        even = (mp.euler + lg) * mp.zeta(2 * k + 2) - mp.zeta(2 * k + 2, 1, 1)
+        odd = mp.pi / 2 * mp.zeta(2 * k + 3) * pm
+        return (-1) ** k * (even + odd) * pm ** (2 * k)
+    ref = mp.pi / (2 * pm) * lg + mp.nsum(term, [0, mp.inf])
+    value = R._rhs_1_17(p)
+    assert _close(value, ref, 3e-14 * max(1.0, abs(value)))
+
+
+@pytest.mark.parametrize("x", [0.3, 0.95, 0.999])
+def test_lhs_5_48(x):
+    value, err = R.Registry().record("I-5.48").lhs.evaluate((x,))
+    xm = mp.mpf(x)
+    ref = mp.nsum(lambda n: (mp.zeta(2 * n + 1) - 1) * xm ** (2 * n + 2)
+                  / (n + 1), [1, mp.inf])
+    assert _close(value, ref, err)
+
+
+def test_q_5_36_near_one():
+    r = integral_catalog("Q-5.36", (0.999,))
+    x = mp.mpf(0.999)
+    assert _close(r.value, -(mp.digamma(1 + x) + mp.digamma(1 - x)) / 2,
+                  r.abs_err)

@@ -229,3 +229,13 @@ def test_sinh_cosh_transforms_near_one(x):
         r = integral_catalog(key, (x,))
         assert math.isfinite(r.value) and math.isfinite(r.abs_err)
         assert abs(r.value - value) <= r.abs_err, key
+
+
+def test_rounding_floor_does_not_grow_with_level():
+    # Q-5.36 at x = 0.999 is ~500; a floor that doubled per level passed the
+    # tolerance after five levels and ran the rule to the level cap
+    r = integral_catalog("Q-5.36", (0.999,))
+    assert r.converged
+    assert r.evals <= 1024
+    exact = -0.5 * (K.digamma(1.999).value + K.digamma(0.001).value)
+    assert abs(r.value - exact) <= r.abs_err

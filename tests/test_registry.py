@@ -288,3 +288,14 @@ def test_laplace_identities_near_one(reg, x):
         v = reg.verify_identity(rid, (x,))
         assert not v.note.startswith("route failure"), (rid, v.note)
         assert v.status == "CONFIRMED", (rid, v.residual, v.budget)
+
+
+@pytest.mark.parametrize("rid,t", [
+    ("I-1.25", 0.95), ("I-1.25", 0.99), ("I-1.25", 0.999),
+    ("I-1.17", 0.95), ("I-1.17", 0.99)])
+def test_zeta_power_series_near_one(reg, rid, t):
+    # sum zeta(k) t^k converges at ratio t; the zeta -> 1 part is summed in
+    # closed form, so the series route stays exact up to the domain's top
+    v = reg.verify_identity(rid, (t,))
+    assert v.status == "CONFIRMED", (rid, t, v.residual, v.budget)
+    assert v.residual <= 1e-13 * max(1.0, abs(v.rhs_value))

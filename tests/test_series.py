@@ -80,9 +80,12 @@ def test_zeta_tail_sum_nonfinite_raises():
 
 
 def test_catalog_rejects_max_terms_below_n_min():
-    assert SERIES_CATALOG["S-5.13"].n_min == 8
+    assert SERIES_CATALOG["S-4.4-Tn"].n_min == 11
     with pytest.raises(DomainError):
-        sum_catalog("S-5.13", (0.5,), max_terms=7)
+        sum_catalog("S-4.4-Tn", (1.0,), max_terms=10)
+    # S-5.13 takes any N >= 1 whose tail expansion converges at its x
+    with pytest.raises(DomainError):
+        sum_catalog("S-5.13", (1.5,), max_terms=1)
     with pytest.raises(DomainError):
         cvz_alternating(lambda k: 1.0 / (k + 1.0), 8)
     # the n^2 - q expansion needs (N+1)^2 >= 2|q|
