@@ -242,7 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--all", action="store_true", help="full catalog "
                      "(default)")
     v.add_argument("--tol-class", choices=sorted(TOL_CLASS), default=None)
-    v.add_argument("--max-terms", type=int, default=None)
+    v.add_argument("--max-terms", type=int, default=None,
+                   help="cap on the terms of every series route; by default "
+                   "each sums the terms its own error bound needs for 1e-14, "
+                   "and below that a capped entry reports its larger error")
     v.add_argument("--quad-level-cap", type=int, default=10)
     v.add_argument("--parallelism", type=int, default=1)
     v.add_argument("--json", metavar="PATH")

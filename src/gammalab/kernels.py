@@ -71,21 +71,28 @@ def _require_finite(x: float, name: str = "x") -> float:
 # Bernoulli numbers (exact) and derived coefficient tables
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# B_0, B_1, ...: one exact table, grown only when a larger n is asked for.
+# It is rebound, never mutated, so concurrent callers at worst recompute.
+_BERNOULLI: tuple[Fraction, ...] = (Fraction(1),)
+
+
 def _bernoulli_fractions(n_max: int) -> tuple[Fraction, ...]:
     """B_0 .. B_{n_max} via the defining recurrence, exactly."""
-    bs = [Fraction(1)]
-    for m in range(1, n_max + 1):
-        acc = Fraction(0)
-        for k in range(m):
-            acc += math.comb(m + 1, k) * bs[k]
-        bs.append(-acc / (m + 1))
-    return tuple(bs)
+    global _BERNOULLI
+    if len(_BERNOULLI) <= n_max:
+        bs = list(_BERNOULLI)
+        for m in range(len(bs), n_max + 1):
+            acc = Fraction(0)
+            for k in range(m):
+                acc += math.comb(m + 1, k) * bs[k]
+            bs.append(-acc / (m + 1))
+        _BERNOULLI = tuple(bs)
+    return _BERNOULLI[:n_max + 1]
 
 
 @lru_cache(maxsize=None)
 def _bernoulli_float(n: int) -> float:
-    return float(_bernoulli_fractions(max(n, 2))[n])
+    return float(_bernoulli_fractions(n)[n])
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +357,28 @@ def _euler_gamma() -> float:
 _LAMBDA_V_ASYMPTOTIC = 1e4
 
 
-def _lambda_sum(c: float, n_last: int):
-    """sum_{n>=1} [n/(n^2+c) - log(1+1/n)] as a SeriesResult: lambda(v) at
-    c = v^2, and -(psi(1+x) + psi(1-x))/2 at c = -x^2.
-
-    Past ``n_last`` the terms expand as sum_j (-c)^j n^(-2j-1)
-    (``quad_tail``) plus sum_k (-1)^k n^-k / k from -log(1+1/n), kept to
-    k = 40; the two n^-1 orders cancel.
-    """
-    from .series import quad_tail, zeta_tail_sum
+def _lambda_tail(c: float, n_last: int
+                 ) -> tuple[dict[int, float], dict[int, float]]:
+    """The zeta expansion ``(tail, omitted)`` of the lambda sum past
+    ``n_last``: sum_j (-c)^j n^(-2j-1) (``quad_tail``) plus
+    sum_k (-1)^k n^-k / k from -log(1+1/n), kept to k = 40; the two n^-1
+    orders cancel."""
+    from .series import quad_tail
     tail, omitted = quad_tail(-c, {-1: 1.0}, n_last)
     del tail[1]
     for k in range(2, 41):
         tail[k] = tail.get(k, 0.0) + (-1.0) ** k / k
     omitted[41] = omitted.get(41, 0.0) + 1.0 / 41.0
+    return tail, omitted
+
+
+def _lambda_sum(c: float, n_last: int):
+    """sum_{n>=1} [n/(n^2+c) - log(1+1/n)] as a SeriesResult: lambda(v) at
+    c = v^2, and -(psi(1+x) + psi(1-x))/2 at c = -x^2; the terms past
+    ``n_last`` through :func:`_lambda_tail`.
+    """
+    from .series import zeta_tail_sum
+    tail, omitted = _lambda_tail(c, n_last)
     n = np.arange(1, n_last + 1, dtype=float)
     return zeta_tail_sum(n / (n * n + c) - np.log1p(1.0 / n), n_last, tail,
                          omitted=omitted)

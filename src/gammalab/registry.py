@@ -26,11 +26,13 @@ from . import kernels as K
 from .errors import DomainError, GammalabError, MisuseError, UnknownKeyError
 from .integral_catalog import integral_catalog, probe_cauchy
 from .kernels import get_constants
-from .series import kahan_sum, quad_tail, zeta_tail_sum
+from .series import kahan_sum, tail_bound, target_terms, zeta_tail_sum
 from .series_catalog import (
     _cos_zeta_sum,
     _ps_fast,
     _zeta_m1,
+    ci_quarter_sum,
+    log_quarter_sum,
     log_weighted_sin_sum,
     power_series_eval,
     psi_sin_partial,
@@ -48,12 +50,14 @@ _REFUTE_FACTOR = 100.0
 class EvalOptions:
     """How the routes of one verdict are evaluated, passed per call.
 
-    ``max_terms`` caps the terms of every ``series`` and ``power series``
-    route (``None``: each entry's own default); series constants inside
-    closed-form routes keep their own term counts.  ``level_cap`` caps the
-    tanh-sinh refinement levels.  ``precise`` asks for quadrature tolerance
-    1e-12 and, unless ``max_terms`` is given, 40 000 terms per ``series``
-    route, as used to adjudicate DISPUTED records.
+    Every series route, and every series inside a closed-form route, sums
+    the terms its own truncation bound asks for to reach
+    ``series.TARGET_ERR``.  ``max_terms`` caps the terms of every
+    ``series`` and ``power series`` route (``None``: no cap); below the
+    target N an entry sums at the cap and reports its larger error.
+    Series inside closed-form routes are not capped.  ``level_cap`` caps
+    the tanh-sinh refinement levels.  ``precise`` asks for quadrature
+    tolerance 1e-12, as used to adjudicate DISPUTED records.
     """
     max_terms: int | None = None
     level_cap: int = 10
@@ -138,17 +142,14 @@ def _quad(key: str, pmap: Callable[[tuple], tuple] = lambda p: p) -> Recipe:
 def _ser(key: str, pmap: Callable[[tuple], tuple] = lambda p: p,
          scale: float = 1.0) -> Recipe:
     def fn(params, opts):
-        mt = opts.max_terms
-        if mt is None and opts.precise:
-            mt = 40_000
-        r = sum_catalog(key, pmap(params), max_terms=mt)
+        r = sum_catalog(key, pmap(params), max_terms=opts.max_terms)
         return scale * r.value, abs(scale) * r.abs_err
     return Recipe(f"series {key}", fn)
 
 
 def _ps(key: str) -> Recipe:
     def fn(params, opts):
-        r = power_series_eval(key, params[0], opts.max_terms or 300)
+        r = power_series_eval(key, params[0], opts.max_terms)
         return r.value, r.abs_err
     return Recipe(f"power series {key}", fn)
 
@@ -186,18 +187,10 @@ def _ci(x: float) -> float:
     return K._sici_raw(x)[1]
 
 
-def _sum_log_quarter(q: float, n_terms: int = 4000) -> float:
-    """sum log n/(4 n^2 - p^2) with q = p^2/4."""
-    log_tail, _ = quad_tail(q, {0: 0.25}, n_terms)
-    return zeta_tail_sum(
-        (math.log(n) / (4.0 * (n * n - q)) for n in range(2, n_terms + 1)),
-        n_terms, log_tail=log_tail).value
-
-
 @lru_cache(maxsize=1)
 def _sum_log_4n2m1() -> float:
     """sum log n/(4n^2-1), cached."""
-    return _sum_log_quarter(0.25)
+    return log_quarter_sum(0.25).value
 
 
 def _sum_glc(p: float) -> float:
@@ -231,9 +224,9 @@ def _rhs_1_17(p: float) -> float:
     # sum_{m>=1} (-1)^(m-1) [(gamma + log 2pi) zeta(2m) - zeta'(2m)
     #   + (pi/2) zeta(2m+1) p] p^(2m-2); the zeta -> 1 parts sum to
     # 1/(1+p^2) and p/(1+p^2), the rest shrinks by 1/4 per term
-    s, _ = _ps_fast(lambda m: (-1.0) ** (m - 1) * (
+    s = _ps_fast(lambda m: (-1.0) ** (m - 1) * (
         (_G + _L2PI) * _zeta_m1(2 * m) - K._zeta_prime_int(2 * m)
-        + 0.5 * _PI * p * _zeta_m1(2 * m + 1)), p * p, 0, 400)
+        + 0.5 * _PI * p * _zeta_m1(2 * m + 1)), p * p, 0, 400)[0]
     return (_PI / (2.0 * p) * _L2PI
             + ((_G + _L2PI) + 0.5 * _PI * p) / (1.0 + p * p) + s)
 
@@ -246,7 +239,7 @@ def _lhs_1_17(p: float) -> float:
 def _zeta_alternating(t: float) -> float:
     # sum (-1)^n zeta(2n) t^2n with zeta(2n) = 1 + (zeta(2n) - 1): the 1s
     # sum to -t^2/(1+t^2)
-    s, _ = _ps_fast(lambda n: (-1.0) ** n * _zeta_m1(2 * n), t * t, 1, 400)
+    s = _ps_fast(lambda n: (-1.0) ** n * _zeta_m1(2 * n), t * t, 1, 400)[0]
     return 1.0 + 2.0 * t * t / (1.0 + t * t) - 2.0 * s
 
 
@@ -255,7 +248,8 @@ def _rhs_2_1(p: float) -> float:
     psis = _psi(0.5 * p) + _psi(-0.5 * p)
     return ((_L2PI + _G) * (1.0 - cp) / (p * p * _PI * _PI)
             + sp / (4.0 * p * _PI) * psis
-            + 2.0 * (1.0 - cp) / _PI ** 2 * _sum_log_quarter(0.25 * p * p))
+            + 2.0 * (1.0 - cp) / _PI ** 2
+            * log_quarter_sum(0.25 * p * p).value)
 
 
 def _rhs_2_2(p: float) -> float:
@@ -263,7 +257,7 @@ def _rhs_2_2(p: float) -> float:
     psis = _psi(0.5 * p) + _psi(-0.5 * p)
     return ((_L2PI + _G) * (p * _PI - sp) / (p * p * _PI * _PI)
             + (1.0 - cp) / (4.0 * p * _PI) * psis
-            - 2.0 * sp / _PI ** 2 * _sum_log_quarter(0.25 * p * p))
+            - 2.0 * sp / _PI ** 2 * log_quarter_sum(0.25 * p * p).value)
 
 
 def _rhs_2_6(p: float) -> float:
@@ -298,20 +292,16 @@ def _rhs_3_14(p: float) -> float:
         / (1.0 - cp))
 
 
-def _ci_lattice_sum(power: int, n_terms: int = 4000) -> float:
-    """sum Ci(2 pi n)/n^power with the asymptotic lattice tail."""
+def _ci_lattice_sum(power: int) -> float:
+    """sum Ci(2 pi n)/n^power with the asymptotic lattice tail
+    Ci(x) ~ -1/x^2 + 6/x^4 - 120/x^6 + 5040/x^8."""
+    omitted = {power + 8: 5040.0 / _TWO_PI ** 8}
+    n_terms = target_terms(lambda n: tail_bound(n, omitted))
     return zeta_tail_sum(
         (K._ci_at_2pi_mult(n) / float(n) ** power
          for n in range(1, n_terms + 1)), n_terms,
         {power + 2: -1.0 / _TWO_PI ** 2, power + 4: 6.0 / _TWO_PI ** 4,
-         power + 6: -120.0 / _TWO_PI ** 6}).value
-
-
-def _ci_over_4n2m1() -> float:
-    tail, _ = quad_tail(0.25, {2: -0.25 / _TWO_PI ** 2}, 2000)
-    return zeta_tail_sum(
-        (K._ci_at_2pi_mult(n) / (4.0 * n * n - 1.0) for n in range(1, 2001)),
-        2000, tail).value
+         power + 6: -120.0 / _TWO_PI ** 6}, omitted=omitted).value
 
 
 def _rhs_3_19(x: float) -> float:
@@ -368,10 +358,12 @@ def _rhs_5_48(x: float) -> float:
 
 def _rhs_5_53(u: float) -> float:
     # 2 log(1+u/n)/n = 2 sum_k (-1)^(k+1) u^k/(k n^(k+1))
+    omitted = {11: 0.2 * u ** 10}
+    n_terms = target_terms(lambda n: tail_bound(n, omitted))
     acc = zeta_tail_sum(
-        (2.0 * math.log1p(u / n) / n for n in range(1, 4001)), 4000,
-        {k + 1: 2.0 * (-1.0) ** (k + 1) * u ** k / k
-         for k in range(1, 10)}).value
+        (2.0 * math.log1p(u / n) / n for n in range(1, n_terms + 1)),
+        n_terms, {k + 1: 2.0 * (-1.0) ** (k + 1) * u ** k / k
+                  for k in range(1, 10)}, omitted=omitted).value
     return acc + power_series_eval("PS-5.53", u).value
 
 
@@ -385,9 +377,13 @@ def _rhs_6_10(u: float) -> float:
 
 def _rhs_6_38() -> float:
     # the (6.40) minus (6.39) assembly; the weighted log sum runs from n=1
+    omitted = {18: 0.25 ** 8 / 8.0}
+    n_terms = target_terms(lambda n: tail_bound(n, omitted))
     acc = zeta_tail_sum(
-        (math.log1p(-0.25 / (n * n)) / (n * n) for n in range(1, 3001)), 3000,
-        {2 * j + 2: -0.25 ** j / j for j in range(1, 8)}).value
+        (math.log1p(-0.25 / (n * n)) / (n * n)
+         for n in range(1, n_terms + 1)), n_terms,
+        {2 * j + 2: -0.25 ** j / j for j in range(1, 8)},
+        omitted=omitted).value
     return (-2.0 * _C.log_A + (2.0 - 3.5 * _C.zeta3) / _PI ** 2
             + (_G + math.log(_PI)) / 6.0 - acc / (2.0 * _PI ** 2))
 
@@ -524,7 +520,8 @@ def build_records() -> list[IdentityRecord]:
         _expr("(gamma+log 2pi n)-weighted sum",
               lambda: 0.5 * (g + l2pi) + _sum_log_4n2m1(), err=1e-13),
         _expr("(pi/4) Si(pi) + sum Ci(2 pi n)/(4n^2-1)",
-              lambda: 0.25 * _PI * _si(_PI) + _ci_over_4n2m1(), err=1e-13)))
+              lambda: 0.25 * _PI * _si(_PI) + ci_quarter_sum(0.25).value,
+              err=1e-13)))
     add(IdentityRecord(
         "I-3.19", 3, "(3.19): Fourier expansion of sin x",
         _expr("sin x", math.sin),

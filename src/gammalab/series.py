@@ -7,13 +7,21 @@ analytic tail written in Hurwitz zeta functions,
         = sum_k c_k zeta(k, N+1) + d_k zeta'(k, N+1),
 
 and bounds the truncation by the first omitted order of the expansion,
-2 |e_k| zeta(k, N+1), so that the error grows as N shrinks.  The factor 2
-covers the orders after the first omitted one whenever they shrink at
-least geometrically by 1/2 from n = N+1 on.  ``quad_tail`` builds such an
-expansion for the recurring denominators n^2 - q.
+2 |e_k| zeta(k, N+1) (``tail_bound``), so that the error grows as N
+shrinks.  The factor 2 covers the orders after the first omitted one
+whenever they shrink at least geometrically by 1/2 from n = N+1 on.
+``quad_tail`` builds such an expansion for the recurring denominators
+n^2 - q.
+
+``target_terms`` inverts a truncation bound: it finds the smallest N whose
+bound is at most ``TARGET_ERR`` (Johansson, "Rigorous high-precision
+computation of the Hurwitz zeta function and its derivatives", Numer.
+Algorithms 2015, picks N from the tolerance the same way), so a series is
+summed once, at the N its own bound asks for.
 
 ``cvz_alternating`` is the Chebyshev-weight acceleration for alternating
-series whose terms decay too slowly to truncate (error ~ 5.83^-n).
+series whose terms decay too slowly to truncate (error ~ 5.83^-n; Cohen,
+Rodriguez Villegas and Zagier, Exp. Math. 2000).
 
 The two primitives serve the series catalog, the kernels (lambda, gamma_1
 and Catalan's constant, imported inside the functions, since this module
@@ -31,10 +39,21 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 from .kernels import _hurwitz, _hurwitz_prime
 
-__all__ = ["SeriesResult", "zeta_tail_sum", "quad_tail", "cvz_alternating",
+__all__ = ["SeriesResult", "zeta_tail_sum", "tail_bound", "target_terms",
+           "TARGET_ERR", "quad_tail", "CVZ_TERMS", "cvz_alternating",
            "kahan_sum"]
 
 _EPS = 2.220446049250313e-16
+
+# the truncation error every target-N series is summed to
+TARGET_ERR = 1e-14
+# the largest N a search tries when the caller sets no cap
+_N_LIMIT = 1 << 16
+# the CVZ order for TARGET_ERR: the re-summation eight orders shorter, which
+# sets the error estimate, has error about 2 (3+sqrt 8)^-n, so
+# n = ceil(log(2/tol)/log(3+sqrt 8)), plus those 8 orders (27)
+CVZ_TERMS = math.ceil(math.log(2.0 / TARGET_ERR)
+                      / math.log(3.0 + math.sqrt(8.0))) + 8
 
 
 @dataclass(frozen=True)
@@ -81,11 +100,59 @@ def zeta_tail_sum(terms: Iterable[float] | np.ndarray, n_last: int,
     if not math.isfinite(value):
         raise EvaluationError(f"series not finite with N={n_last}")
     err = (floor * (1.0 + abs(value))
-           + 2.0 * sum(abs(e) * _hurwitz(float(k), a)
-                       for k, e in omitted.items())
-           + 2.0 * sum(abs(e * _hurwitz_prime(float(k), a))
-                       for k, e in log_omitted.items()))
+           + tail_bound(n_last, omitted, log_omitted, shift))
     return SeriesResult(value, err, n_last, method)
+
+
+def tail_bound(n_last: int, omitted: Mapping[int, float] = {},
+               log_omitted: Mapping[int, float] = {},
+               shift: float = 1.0) -> float:
+    """The truncation bound of :func:`zeta_tail_sum`: 2|e_k| zeta(k, a) per
+    ``omitted`` order and 2|e_k zeta'(k, a)| per ``log_omitted`` order, at
+    a = n_last + ``shift``.  A few Hurwitz calls, no summation."""
+    a = n_last + shift
+    return 2.0 * (sum(abs(e) * _hurwitz(float(k), a)
+                      for k, e in omitted.items())
+                  + sum(abs(e * _hurwitz_prime(float(k), a))
+                        for k, e in log_omitted.items()))
+
+
+def target_terms(bound: Callable[[int], float], n_min: int = 1,
+                 cap: int | None = None) -> int:
+    """The smallest N >= ``n_min`` with ``bound(N) <= TARGET_ERR``.
+
+    ``bound`` is the truncation bound the series reports at N; it must not
+    grow with N.  A ``DomainError`` from it means that its expansion does
+    not hold yet at that N.  When no N up to ``cap`` (default 2^16) meets
+    the target, the answer is the cap, where the series reports its larger
+    error, or refuses the cap if its expansion does not hold there.
+    """
+    top = _N_LIMIT if cap is None else cap
+
+    def met(n: int) -> bool:
+        try:
+            return bound(n) <= TARGET_ERR
+        except DomainError:
+            return False
+
+    if n_min >= top or met(n_min):
+        return min(n_min, top)
+    # double to a bracket (lo fails, hi meets), then bisect it
+    lo = hi = n_min
+    while True:
+        hi = min(2 * hi, top)
+        if met(hi):
+            break
+        if hi == top:
+            return top
+        lo = hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if met(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def quad_tail(q: float, orders: Mapping[int, float], n_last: int,
@@ -98,7 +165,9 @@ def quad_tail(q: float, orders: Mapping[int, float], n_last: int,
     are 1e-17 of the leading one.  Returns ``(tail, omitted)`` for
     :func:`zeta_tail_sum`; ``omit`` lists asymptotic orders the caller
     leaves out, whose leading zeta order joins ``omitted``.  Requires
-    (N+1)^2 >= 2|q|, so that each further order shrinks by 1/2 or more.
+    (N+1)^2 >= 2|q|, so that each further order shrinks by 1/2 or more,
+    and |q|^J within the float range; otherwise raises ``DomainError``,
+    which a larger N cures.
     """
     r = abs(q) / (n_last + 1.0) ** 2
     if r > 0.5:
@@ -106,6 +175,9 @@ def quad_tail(q: float, orders: Mapping[int, float], n_last: int,
             f"tail expansion needs (N+1)^2 >= 2|q|; N={n_last}, q={q}")
     n_ord = (1 if r == 0.0
              else max(1, math.ceil(math.log(1e-17) / math.log(r))))
+    if abs(q) > 1.0 and n_ord * math.log(abs(q)) > 700.0:
+        raise DomainError(
+            f"tail expansion needs |q|^{n_ord} < e^700; N={n_last}, q={q}")
     tail: dict[int, float] = {}
     omitted: dict[int, float] = {}
     for s, c in orders.items():
@@ -118,7 +190,8 @@ def quad_tail(q: float, orders: Mapping[int, float], n_last: int,
     return tail, omitted
 
 
-def cvz_alternating(a: Callable[[int], float], n_terms: int = 44) -> tuple[float, float]:
+def cvz_alternating(a: Callable[[int], float],
+                    n_terms: int = CVZ_TERMS) -> tuple[float, float]:
     """sum_{k>=0} (-1)^k a_k for positive, smoothly decaying a_k.
 
     Chebyshev-polynomial weights; geometric convergence at rate ~1/5.83.

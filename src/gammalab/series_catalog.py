@@ -1,12 +1,21 @@
 """The named-series catalog: every slow sum the identity registry needs.
 
 Each entry returns a :class:`SeriesResult` whose ``abs_err`` covers both
-rounding and truncation.  Most entries sum their first ``max_terms`` terms
-directly and close the rest with an analytic Hurwitz-zeta tail through
+rounding and truncation.  Most entries sum their first N terms directly
+and close the rest with an analytic Hurwitz-zeta tail through
 :func:`~gammalab.series.zeta_tail_sum`, whose error comes from the first
-order the tail leaves out and so grows as ``max_terms`` shrinks.  Each
-entry declares the smallest ``max_terms`` (``n_min``) at which its bound
-holds; :func:`sum_catalog` rejects smaller caps with ``DomainError``.
+order the tail leaves out and so grows as N shrinks.  N is not a per-entry
+constant: each entry takes the smallest N whose own truncation bound, the
+code that also reports ``abs_err``, is at most
+:data:`~gammalab.series.TARGET_ERR` (:func:`~gammalab.series.target_terms`).
+The CVZ entries take the acceleration order for that target, and the sums
+whose terms halve (S-4.27, S-5.45.2, S-5.45.3, S-5.46.2) stop at the first
+N whose bound, twice the next term, meets it.
+
+``max_terms`` is a cap: below the target N an entry sums at the cap and
+reports its larger error.  Each entry declares the smallest cap
+(``n_min``) at which its bound holds; :func:`sum_catalog` rejects smaller
+caps with ``DomainError``.  ``FS-4.16`` and ``FS-7.1`` keep a fixed N.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Callable
 
 import numpy as np
@@ -28,6 +37,7 @@ from .kernels import (
     _euler_gamma,
     _hurwitz,
     _lambda_sum,
+    _lambda_tail,
     _lnG,
     _si_small_at_pi_mult,
     _sici_raw,
@@ -35,8 +45,17 @@ from .kernels import (
     _zeta_prime_int,
     get_constants,
 )
-from .series import SeriesResult, cvz_alternating, kahan_sum, quad_tail, \
-    zeta_tail_sum
+from .series import (
+    CVZ_TERMS,
+    TARGET_ERR,
+    SeriesResult,
+    cvz_alternating,
+    kahan_sum,
+    quad_tail,
+    tail_bound,
+    target_terms,
+    zeta_tail_sum,
+)
 
 __all__ = ["SeriesEntry", "SERIES_CATALOG", "sum_catalog",
            "power_series_eval", "list_series_ids"]
@@ -91,6 +110,29 @@ def _np_sum(values: np.ndarray) -> float:
     return float(values.sum())
 
 
+def _target_n(max_terms: int | None, omitted: dict[int, float] = {},
+              log_omitted: dict[int, float] = {}, shift: float = 1.0) -> int:
+    """The N at which a fixed expansion's ``tail_bound`` meets the target,
+    at most ``max_terms``."""
+    return target_terms(
+        lambda n: tail_bound(n, omitted, log_omitted, shift), cap=max_terms)
+
+
+def _quad_expansion(q: float, orders: dict[int, float],
+                    max_terms: int | None, omit: dict[int, float] = {},
+                    n_min: int = 1, log: bool = False
+                    ) -> tuple[int, dict[int, float], dict[int, float]]:
+    """``(N, tail, omitted)``: the N at which the ``quad_tail`` expansion's
+    bound meets the target, at most ``max_terms``, and the expansion there;
+    ``log`` when its orders carry a log n factor."""
+    def bound(n: int) -> float:
+        omitted = quad_tail(q, orders, n, omit)[1]
+        return tail_bound(n, log_omitted=omitted) if log else \
+            tail_bound(n, omitted)
+    n_last = target_terms(bound, n_min, max_terms)
+    return (n_last, *quad_tail(q, orders, n_last, omit))
+
+
 # ---------------------------------------------------------------------------
 # section 1: the log-weighted quadratic-denominator lemmas
 # ---------------------------------------------------------------------------
@@ -110,10 +152,11 @@ def _taylor_check(value: float, u: float, coeff: Callable[[int], float]
 
 
 @_entry("S-1.20", "sum log n/(n^2+u^2)", 1)
-def s_1_20(u: float, max_terms: int = 4000) -> SeriesResult:
-    log_tail, log_omitted = quad_tail(-u * u, {0: 1.0}, max_terms)
-    n = np.arange(1, max_terms + 1, dtype=float)
-    r = zeta_tail_sum(np.log(n) / (n * n + u * u), max_terms,
+def s_1_20(u: float, max_terms: int | None = None) -> SeriesResult:
+    n_last, log_tail, log_omitted = _quad_expansion(-u * u, {0: 1.0},
+                                                    max_terms, log=True)
+    n = np.arange(1, n_last + 1, dtype=float)
+    r = zeta_tail_sum(np.log(n) / (n * n + u * u), n_last,
                       log_tail=log_tail, log_omitted=log_omitted, floor=5e-15)
     if abs(u) < 1.0:
         # Taylor cross-route: sum_m (-1)^m zeta'(2m) u^(2m-2)
@@ -123,10 +166,10 @@ def s_1_20(u: float, max_terms: int = 4000) -> SeriesResult:
 
 
 @_entry("S-1.23", "sum 1/(n^2+u^2)", 1)
-def s_1_23(u: float, max_terms: int = 4000) -> SeriesResult:
-    tail, omitted = quad_tail(-u * u, {0: 1.0}, max_terms)
-    n = np.arange(1, max_terms + 1, dtype=float)
-    r = zeta_tail_sum(1.0 / (n * n + u * u), max_terms, tail,
+def s_1_23(u: float, max_terms: int | None = None) -> SeriesResult:
+    n_last, tail, omitted = _quad_expansion(-u * u, {0: 1.0}, max_terms)
+    n = np.arange(1, n_last + 1, dtype=float)
+    r = zeta_tail_sum(1.0 / (n * n + u * u), n_last, tail,
                       omitted=omitted, floor=5e-15)
     if abs(u) < 1.0:
         return replace(r, abs_err=r.abs_err + _taylor_check(
@@ -142,110 +185,147 @@ def s_1_23(u: float, max_terms: int = 4000) -> SeriesResult:
 # remainders are bounded by their first omitted term.
 
 @_entry("S-3.8", "sum si(2 pi n)/(n (4n^2-p^2))", 1)
-def s_3_8(p: float, max_terms: int = 4000) -> SeriesResult:
+def s_3_8(p: float, max_terms: int | None = None) -> SeriesResult:
     if not 0.0 < abs(p) < 2.0:
         raise DomainError(f"requires 0 < |p| < 2, got {p}")
     # si(2 pi n) ~ -1/(2 pi n) + 2/(2 pi n)^3 - 24/(2 pi n)^5 + 720/(2 pi n)^7
-    tail, omitted = quad_tail(
+    n_last, tail, omitted = _quad_expansion(
         0.25 * p * p, {2: -0.25 / _TWO_PI, 4: 0.5 / _TWO_PI ** 3,
                        6: -6.0 / _TWO_PI ** 5}, max_terms,
         omit={8: 180.0 / _TWO_PI ** 7})
     return zeta_tail_sum(
         (_si_small_at_pi_mult(n) / (n * (4.0 * n * n - p * p))
-         for n in range(1, max_terms + 1)), max_terms, tail,
+         for n in range(1, n_last + 1)), n_last, tail,
         omitted=omitted, floor=1e-14, method="lattice+asymptotic")
 
 
+def ci_quarter_sum(q: float, max_terms: int | None = None) -> SeriesResult:
+    """sum_{n>=1} Ci(2 pi n)/(4 (n^2 - q)) for q < 1, no rounding floor."""
+    # Ci(2 pi n) ~ -1/x^2 + 6/x^4 - 120/x^6 + 5040/x^8, x = 2 pi n
+    n_last, tail, omitted = _quad_expansion(
+        q, {2: -0.25 / _TWO_PI ** 2, 4: 1.5 / _TWO_PI ** 4,
+            6: -30.0 / _TWO_PI ** 6}, max_terms,
+        omit={8: 1260.0 / _TWO_PI ** 8})
+    return zeta_tail_sum(
+        (_ci_at_2pi_mult(n) / (4.0 * (n * n - q))
+         for n in range(1, n_last + 1)), n_last, tail,
+        omitted=omitted, floor=0.0)
+
+
+def log_quarter_sum(q: float, max_terms: int | None = None) -> SeriesResult:
+    """sum_{n>=2} log n/(4 (n^2 - q)) for q <= 1, no rounding floor."""
+    n_last, log_tail, log_omitted = _quad_expansion(q, {0: 0.25}, max_terms,
+                                                    log=True)
+    n = np.arange(2, n_last + 1, dtype=float)
+    return zeta_tail_sum(np.log(n) / (4.0 * (n * n - q)), n_last,
+                         log_tail=log_tail, log_omitted=log_omitted,
+                         floor=0.0)
+
+
 @_entry("S-3.14", "sum [Ci(2 pi n)-gamma-log(2 pi n)]/(4n^2-p^2)", 1)
-def s_3_14(p: float, max_terms: int = 4000) -> SeriesResult:
+def s_3_14(p: float, max_terms: int | None = None) -> SeriesResult:
     if not 0.0 < abs(p) < 2.0:
         raise DomainError(f"requires 0 < |p| < 2, got {p}")
     g = _euler_gamma()
     q = 0.25 * p * p
-    # Ci part: Ci(2 pi n) ~ -1/x^2 + 6/x^4 - 120/x^6 + 5040/x^8, x = 2 pi n
-    tail, omitted = quad_tail(
-        q, {2: -0.25 / _TWO_PI ** 2, 4: 1.5 / _TWO_PI ** 4,
-            6: -30.0 / _TWO_PI ** 6}, max_terms,
-        omit={8: 1260.0 / _TWO_PI ** 8})
-    ci = zeta_tail_sum(
-        (_ci_at_2pi_mult(n) / (4.0 * n * n - p * p)
-         for n in range(1, max_terms + 1)), max_terms, tail,
-        omitted=omitted, floor=0.0)
+    ci = ci_quarter_sum(q, max_terms)
     # -(gamma + log 2 pi) sum 1/(4n^2-p^2): exact closed form
     s_quad = 0.5 / (p * p) - _PI / (4.0 * p) * (
         math.cos(_PI * p / 2.0) / math.sin(_PI * p / 2.0))
-    # - sum log n/(4 n^2 - p^2)
-    log_tail, log_omitted = quad_tail(q, {0: 0.25}, max_terms)
-    n = np.arange(1, max_terms + 1, dtype=float)
-    s_log = zeta_tail_sum(np.log(n) / (4.0 * n * n - p * p), max_terms,
-                          log_tail=log_tail, log_omitted=log_omitted,
-                          floor=0.0)
+    s_log = log_quarter_sum(q, max_terms)
     value = ci.value - (g + math.log(_TWO_PI)) * s_quad - s_log.value
     err = ci.abs_err + s_log.abs_err + 2e-14 * (1.0 + abs(value))
-    return SeriesResult(value, err, max_terms, "lattice+closed_forms")
+    return SeriesResult(value, err, max(ci.terms_used, s_log.terms_used),
+                        "lattice+closed_forms")
 
 
 @_entry("S-4.26", "sum Si(2 pi n)/n^2", 0)
-def s_4_26(max_terms: int = 200) -> SeriesResult:
+def s_4_26(max_terms: int | None = None) -> SeriesResult:
+    omitted = {11: 40320.0 / _TWO_PI ** 9}
+    n_last = _target_n(max_terms, omitted)
     r = zeta_tail_sum(
-        (_si_small_at_pi_mult(n) / (n * n) for n in range(1, max_terms + 1)),
-        max_terms,
+        (_si_small_at_pi_mult(n) / (n * n) for n in range(1, n_last + 1)),
+        n_last,
         {3: -1.0 / _TWO_PI, 5: 2.0 / _TWO_PI ** 3, 7: -24.0 / _TWO_PI ** 5,
          9: 720.0 / _TWO_PI ** 7},
-        omitted={11: 40320.0 / _TWO_PI ** 9}, floor=0.0)
+        omitted=omitted, floor=0.0)
     value = 0.5 * _PI * _zeta_int(2) + r.value
     return SeriesResult(value, r.abs_err + 1e-13 * (1.0 + abs(value)),
-                        max_terms, "lattice+asymptotic")
+                        n_last, "lattice+asymptotic")
 
 
-@_entry("S-4.29-rhs", "sum Si(n pi)/n^2", 0)
-def s_4_29_rhs(max_terms: int = 4000) -> SeriesResult:
-    # si(n pi) alternates in sign with |si(n pi)| <= 1/(n pi), so the rest
-    # is bounded by its first term
-    value = 0.5 * _PI * _zeta_int(2) + kahan_sum(
+def _alternating_tail(orders: dict[int, float], half: int) -> float:
+    """sum_{n>N} (-1)^n sum_k c_k n^-k for even N = 2 ``half``, from
+    sum_{n>N} (-1)^n n^-k = 2^-k [zeta(k, half+1) - zeta(k, half+1/2)]."""
+    return math.fsum(c * 2.0 ** -k * (_hurwitz(float(k), half + 1.0)
+                                      - _hurwitz(float(k), half + 0.5))
+                     for k, c in orders.items())
+
+
+def _even_target_n(max_terms: int | None, omitted: dict[int, float]) -> int:
+    """The even N >= 2 at which ``tail_bound`` meets the target, at most
+    ``max_terms``."""
+    return 2 * target_terms(lambda h: tail_bound(2 * h, omitted), cap=(
+        None if max_terms is None else max_terms // 2))
+
+
+@_entry("S-4.29-rhs", "sum Si(n pi)/n^2", 0, n_min=2)
+def s_4_29_rhs(max_terms: int | None = None) -> SeriesResult:
+    # si(n pi) = -(-1)^n [1/(n pi) - 2/(n pi)^3 + 24/(n pi)^5 - ...], an
+    # enveloping expansion: each remainder is below its first omitted term
+    omitted = {9: 720.0 / _PI ** 7}
+    n_last = _even_target_n(max_terms, omitted)
+    tail = -_alternating_tail(
+        {3: 1.0 / _PI, 5: -2.0 / _PI ** 3, 7: 24.0 / _PI ** 5}, n_last // 2)
+    value = 0.5 * _PI * _zeta_int(2) + tail + kahan_sum(
         _si_small_at_pi_mult(n, twice=False) / (n * n)
-        for n in range(1, max_terms + 1))
-    err = 1.0 / (_PI * (max_terms + 1.0) ** 3) + 1e-13 * (1.0 + abs(value))
-    return SeriesResult(value, err, max_terms, "lattice+asymptotic")
+        for n in range(1, n_last + 1))
+    err = tail_bound(n_last, omitted) + 1e-13 * (1.0 + abs(value))
+    return SeriesResult(value, err, n_last, "lattice+zeta_split")
 
 
 @_entry("S-4.30-rhs", "sum Si((2n-1) pi)/(2n-1)^2", 0)
-def s_4_30_rhs(max_terms: int = 4000) -> SeriesResult:
+def s_4_30_rhs(max_terms: int | None = None) -> SeriesResult:
     # Si(m pi) = pi/2 + 1/(m pi) - 2/(m pi)^3 + 24/(m pi)^5 - ... for odd m,
     # and sum_{n>N} (2n-1)^-k = 2^-k zeta(k, N + 1/2)
+    omitted = {9: 720.0 / (512.0 * _PI ** 7)}
+    n_last = _target_n(max_terms, omitted, shift=0.5)
     return zeta_tail_sum(
         ((0.5 * _PI + _si_small_at_pi_mult(2 * n - 1, twice=False))
-         / (2 * n - 1) ** 2 for n in range(1, max_terms + 1)),
-        max_terms,
+         / (2 * n - 1) ** 2 for n in range(1, n_last + 1)),
+        n_last,
         {2: 0.125 * _PI, 3: 0.125 / _PI, 5: -2.0 / (32.0 * _PI ** 3),
          7: 24.0 / (128.0 * _PI ** 5)},
-        omitted={9: 720.0 / (512.0 * _PI ** 7)}, floor=1e-12, shift=0.5,
+        omitted=omitted, floor=1e-12, shift=0.5,
         method="lattice+asymptotic")
 
 
 def _ratio_half_sum(term: Callable[[int], float], n_first: int,
-                    max_terms: int) -> tuple[float, float]:
-    """Sum of term(n) from n_first on, at most max_terms terms, stopping
-    once a term is below 1e-19.  The terms shrink by 1/2 or faster, so
-    2 |next term| bounds what is left; returns (sum, bound)."""
+                    max_terms: int | None, method: str,
+                    offset: float = 0.0) -> SeriesResult:
+    """offset + the sum of term(n) from n_first on.  The terms shrink by 1/2
+    or faster, so 2 |next term| bounds what is left; the sum stops at the
+    first N where that bound meets the target, or after max_terms terms."""
     acc = 0.0
-    n = n_first - 1
-    for n in range(n_first, n_first + max_terms):
-        t = term(n)
+    n = n_first
+    t = term(n)
+    for used in count(1):
         acc += t
-        if abs(t) < 1e-19:
+        t = term(n + 1)
+        if 2.0 * abs(t) <= TARGET_ERR or used == max_terms:
             break
-    return acc, 2.0 * abs(term(n + 1))
+        n += 1
+    value = offset + acc
+    return SeriesResult(value, 2.0 * abs(t) + 1e-14 * (1.0 + abs(value)),
+                        used, method)
 
 
 @_entry("S-4.27", "sum zeta(2n)/(2n+1)^2", 0)
-def s_4_27(max_terms: int = 400) -> SeriesResult:
+def s_4_27(max_terms: int | None = None) -> SeriesResult:
     # zeta(2n) -> 1, so split off sum 1/(2n+1)^2 = pi^2/8 - 1
-    acc, rest = _ratio_half_sum(
-        lambda n: _hurwitz(2.0 * n, 2.0) / (2 * n + 1) ** 2, 1, max_terms)
-    value = _PI * _PI / 8.0 - 1.0 + acc
-    return SeriesResult(value, rest + 1e-14 * (1.0 + abs(value)), max_terms,
-                        "zeta_split")
+    return _ratio_half_sum(
+        lambda n: _hurwitz(2.0 * n, 2.0) / (2 * n + 1) ** 2, 1, max_terms,
+        "zeta_split", offset=_PI * _PI / 8.0 - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +352,18 @@ def _log_and_square(m_terms: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # the registry uses n <= 8; the tail expansion needs (N+1)^2 >= 2n^2
-@_entry("S-4.4-Tn", "T_n = sum_{m != n} log m/(m^2-n^2)", 1, n_min=11)
-def s_4_4_tn(n: float, max_terms: int = 20000) -> SeriesResult:
+_TN_N_MIN = 11
+
+
+@_entry("S-4.4-Tn", "T_n = sum_{m != n} log m/(m^2-n^2)", 1,
+        n_min=_TN_N_MIN)
+def s_4_4_tn(n: float, max_terms: int | None = None) -> SeriesResult:
     n = int(n)
     if n < 1:
         raise DomainError(f"requires integer n >= 1, got {n}")
-    return _tn(n, *_log_and_square(max_terms))
+    m_last = _quad_expansion(float(n) * float(n), {0: 1.0}, max_terms,
+                             n_min=_TN_N_MIN, log=True)[0]
+    return _tn(n, *_log_and_square(m_last))
 
 
 @lru_cache(maxsize=8)
@@ -288,35 +374,37 @@ def _tn_batch(n_max: int) -> tuple[SeriesResult, ...]:
     return tuple(_tn(n, logm, m2) for n in range(1, n_max + 1))
 
 
-def _with_harmonic(max_terms: int):
-    """(n, H_n) for n = 1 .. max_terms."""
-    return zip(range(1, max_terms + 1),
-               accumulate(1.0 / n for n in range(1, max_terms + 1)))
+def _with_harmonic(n_last: int):
+    """(n, H_n) for n = 1 .. n_last."""
+    return zip(range(1, n_last + 1),
+               accumulate(1.0 / n for n in range(1, n_last + 1)))
 
 
 @_entry("S-4.31.1", "sum (gamma + log n - H_n)/n", 0)
-def s_4_31_1(max_terms: int = 2000) -> SeriesResult:
+def s_4_31_1(max_terms: int | None = None) -> SeriesResult:
     g = _euler_gamma()
     # gamma + log n - H_n = -1/2n + 1/12n^2 - 1/120n^4 + 1/252n^6 - 1/240n^8
+    omitted = {9: -1.0 / 240.0}
+    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
-        ((g + math.log(n) - h) / n for n, h in _with_harmonic(max_terms)),
-        max_terms, {2: -0.5, 3: 1.0 / 12.0, 5: -1.0 / 120.0, 7: 1.0 / 252.0},
-        omitted={9: -1.0 / 240.0}, floor=1e-13,
-        method="direct+asymptotic_tail")
+        ((g + math.log(n) - h) / n for n, h in _with_harmonic(n_last)),
+        n_last, {2: -0.5, 3: 1.0 / 12.0, 5: -1.0 / 120.0, 7: 1.0 / 252.0},
+        omitted=omitted, floor=1e-13, method="direct+asymptotic_tail")
 
 
 @_entry("S-4.32", "sum H_n [log(1+1/n) - 1/n]", 0)
-def s_4_32(max_terms: int = 2000) -> SeriesResult:
+def s_4_32(max_terms: int | None = None) -> SeriesResult:
     g = _euler_gamma()
     # H_n = log n + gamma + 1/2n - ..., times -1/2n^2 + 1/3n^3 - ...
     log_part = {2: -0.5, 3: 1.0 / 3.0, 4: -0.25, 5: 0.2, 6: -1.0 / 6.0}
     plain = {2: 0.0, 3: -0.25, 4: 5.0 / 24.0, 5: -11.0 / 72.0, 6: 7.0 / 60.0}
+    omitted, log_omitted = {7: g / 7.0 - 7.0 / 72.0}, {7: 1.0 / 7.0}
+    n_last = _target_n(max_terms, omitted, log_omitted)
     return zeta_tail_sum(
         (h * (math.log1p(1.0 / n) - 1.0 / n)
-         for n, h in _with_harmonic(max_terms)),
-        max_terms, {k: g * c + plain[k] for k, c in log_part.items()},
-        log_part, omitted={7: g / 7.0 - 7.0 / 72.0},
-        log_omitted={7: 1.0 / 7.0}, floor=1e-13,
+         for n, h in _with_harmonic(n_last)),
+        n_last, {k: g * c + plain[k] for k, c in log_part.items()},
+        log_part, omitted=omitted, log_omitted=log_omitted, floor=1e-13,
         method="direct+asymptotic_tail")
 
 
@@ -325,113 +413,121 @@ def s_4_32(max_terms: int = 2000) -> SeriesResult:
 # ---------------------------------------------------------------------------
 
 @_entry("S-5.13", "sum [n/(n^2-x^2) - log(1+1/n)]", 1)
-def s_5_13(x: float, max_terms: int = 10000) -> SeriesResult:
+def s_5_13(x: float, max_terms: int | None = None) -> SeriesResult:
     if abs(x) >= 1.0 and abs(x - round(x)) < 1e-12:
         raise DomainError(f"pole at integer x={x}")
     # the lambda sum at c = -x^2; its tail needs (N+1)^2 >= 2 x^2
-    return _lambda_sum(-x * x, max_terms)
+    n_last = target_terms(
+        lambda n: tail_bound(n, _lambda_tail(-x * x, n)[1]), cap=max_terms)
+    return _lambda_sum(-x * x, n_last)
 
 
 @_entry("S-5.18", "sum [n log(1-1/4n^2) + log(1+1/n)/4]", 0)
-def s_5_18(max_terms: int = 10000) -> SeriesResult:
+def s_5_18(max_terms: int | None = None) -> SeriesResult:
     # term ~ -1/8 n^-2 + 5/96 n^-3 - 1/16 n^-4 + 43/960 n^-5 - 1/24 n^-6
+    omitted = {6: -1.0 / 24.0}
+    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
         (n * math.log1p(-0.25 / (n * n)) + 0.25 * math.log1p(1.0 / n)
-         for n in range(1, max_terms + 1)),
-        max_terms, {2: -0.125, 3: 5.0 / 96.0, 4: -1.0 / 16.0,
-                    5: 43.0 / 960.0},
-        omitted={6: -1.0 / 24.0}, floor=3e-14,
-        method="direct+asymptotic_tail")
+         for n in range(1, n_last + 1)),
+        n_last, {2: -0.125, 3: 5.0 / 96.0, 4: -1.0 / 16.0,
+                 5: 43.0 / 960.0},
+        omitted=omitted, floor=3e-14, method="direct+asymptotic_tail")
 
 
 @_entry("S-5.44.4", "sum [(1+n) log(1+1/n) - 1 - 1/(2n)]", 0)
-def s_5_44_4(max_terms: int = 4000) -> SeriesResult:
+def s_5_44_4(max_terms: int | None = None) -> SeriesResult:
     # exact expansion coefficient of n^-m is (-1)^(m+1)/(m(m+1)), m >= 2
     def c(m):
         return (-1.0) ** (m + 1) / (m * (m + 1.0))
+    omitted = {9: c(9)}
+    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
         ((1.0 + n) * math.log1p(1.0 / n) - 1.0 - 0.5 / n
-         for n in range(1, max_terms + 1)),
-        max_terms, {m: c(m) for m in range(2, 9)}, omitted={9: c(9)},
+         for n in range(1, n_last + 1)),
+        n_last, {m: c(m) for m in range(2, 9)}, omitted=omitted,
         method="direct+asymptotic_tail")
 
 
 @_entry("S-5.44.5", "sum [(1/2+n) log(1+1/n) - 1]", 0)
-def s_5_44_5(max_terms: int = 4000) -> SeriesResult:
+def s_5_44_5(max_terms: int | None = None) -> SeriesResult:
     def c(m):
         return (-1.0) ** m * (m - 1.0) / (2.0 * m * (m + 1.0))
+    omitted = {9: c(9)}
+    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
         ((0.5 + n) * math.log1p(1.0 / n) - 1.0
-         for n in range(1, max_terms + 1)),
-        max_terms, {m: c(m) for m in range(2, 9)}, omitted={9: c(9)},
+         for n in range(1, n_last + 1)),
+        n_last, {m: c(m) for m in range(2, 9)}, omitted=omitted,
         method="direct+asymptotic_tail")
 
 
 @_entry("S-5.45", "sum log(n+1)/(n(n+1))", 0)
-def s_5_45(max_terms: int = 4000) -> SeriesResult:
+def s_5_45(max_terms: int | None = None) -> SeriesResult:
     # (log n + log(1+1/n)) (n^-2 - n^-3 + ...)
+    omitted, log_omitted = {7: 137.0 / 60.0}, {7: -1.0}
+    n_last = _target_n(max_terms, omitted, log_omitted)
     return zeta_tail_sum(
-        (math.log(n + 1.0) / (n * (n + 1.0)) for n in range(1, max_terms + 1)),
-        max_terms, {3: 1.0, 4: -1.5, 5: 11.0 / 6.0, 6: -25.0 / 12.0},
+        (math.log(n + 1.0) / (n * (n + 1.0)) for n in range(1, n_last + 1)),
+        n_last, {3: 1.0, 4: -1.5, 5: 11.0 / 6.0, 6: -25.0 / 12.0},
         {2: 1.0, 3: -1.0, 4: 1.0, 5: -1.0, 6: 1.0},
-        omitted={7: 137.0 / 60.0}, log_omitted={7: -1.0},
+        omitted=omitted, log_omitted=log_omitted,
         method="direct+asymptotic_tail")
 
 
 @_entry("S-5.45.2", "sum (-1)^(n+1) zeta(n+1)/n", 0)
-def s_5_45_2(max_terms: int = 80) -> SeriesResult:
+def s_5_45_2(max_terms: int | None = None) -> SeriesResult:
     # zeta(n+1) - 1 carries the sum; the 1s give log 2
-    acc, rest = _ratio_half_sum(
+    return _ratio_half_sum(
         lambda n: (-1.0) ** (n + 1) * _hurwitz(n + 1.0, 2.0) / n, 1,
-        max_terms)
-    value = math.log(2.0) + acc
-    return SeriesResult(value, rest + 1e-14 * (1.0 + abs(value)), max_terms,
-                        "zeta_split")
+        max_terms, "zeta_split", offset=math.log(2.0))
 
 
 @_entry("S-5.45.3", "-sum_{n>=2} zeta'(n)", 0)
-def s_5_45_3(max_terms: int = 80) -> SeriesResult:
-    value, rest = _ratio_half_sum(lambda n: -_zeta_prime_int(n), 2,
-                                  max_terms)
-    return SeriesResult(value, rest + 1e-14 * (1.0 + abs(value)), max_terms,
-                        "direct")
+def s_5_45_3(max_terms: int | None = None) -> SeriesResult:
+    return _ratio_half_sum(lambda n: -_zeta_prime_int(n), 2, max_terms,
+                           "direct")
 
 
 @_entry("S-5.45.4", "sum log(1+1/n)/n", 0)
-def s_5_45_4(max_terms: int = 4000) -> SeriesResult:
+def s_5_45_4(max_terms: int | None = None) -> SeriesResult:
     def c(m):
         return (-1.0) ** m / (m - 1.0)
+    omitted = {9: c(9)}
+    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
-        (math.log1p(1.0 / n) / n for n in range(1, max_terms + 1)),
-        max_terms, {m: c(m) for m in range(2, 9)}, omitted={9: c(9)},
+        (math.log1p(1.0 / n) / n for n in range(1, n_last + 1)),
+        n_last, {m: c(m) for m in range(2, 9)}, omitted=omitted,
         method="direct+asymptotic_tail")
 
 
 @_entry("S-5.46.2", "sum [zeta(2n+1) - 1]", 0)
-def s_5_46_2(max_terms: int = 60) -> SeriesResult:
-    value, rest = _ratio_half_sum(lambda n: _hurwitz(2.0 * n + 1.0, 2.0), 1,
-                                  max_terms)
-    return SeriesResult(value, rest + 1e-14 * (1.0 + abs(value)), max_terms,
-                        "zeta_minus_one")
+def s_5_46_2(max_terms: int | None = None) -> SeriesResult:
+    return _ratio_half_sum(lambda n: _hurwitz(2.0 * n + 1.0, 2.0), 1,
+                           max_terms, "zeta_minus_one")
 
 
 @_entry("S-5.56", "sum_{j>=2} [j log(1-1/j) + 1 + 1/(2j)]", 0)
-def s_5_56(max_terms: int = 4000) -> SeriesResult:
+def s_5_56(max_terms: int | None = None) -> SeriesResult:
     # j log(1-1/j) = -1 - 1/(2j) - sum_{k>=2} j^-k/(k+1)
+    omitted = {9: -0.1}
+    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
         (j * math.log1p(-1.0 / j) + 1.0 + 0.5 / j
-         for j in range(2, max_terms + 1)),
-        max_terms, {k: -1.0 / (k + 1.0) for k in range(2, 9)},
-        omitted={9: -0.1}, method="direct+asymptotic_tail")
+         for j in range(2, n_last + 1)),
+        n_last, {k: -1.0 / (k + 1.0) for k in range(2, 9)},
+        omitted=omitted, method="direct+asymptotic_tail")
 
 
 @_entry("S-5.58.1", "sum [j log(1+1/j) - 1 + 1/(2j)]", 0)
-def s_5_58_1(max_terms: int = 4000) -> SeriesResult:
+def s_5_58_1(max_terms: int | None = None) -> SeriesResult:
+    omitted = {9: -0.1}
+    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
         (j * math.log1p(1.0 / j) - 1.0 + 0.5 / j
-         for j in range(1, max_terms + 1)),
-        max_terms, {k: (-1.0) ** k / (k + 1.0) for k in range(2, 9)},
-        omitted={9: -0.1}, method="direct+asymptotic_tail")
+         for j in range(1, n_last + 1)),
+        n_last, {k: (-1.0) ** k / (k + 1.0) for k in range(2, 9)},
+        omitted=omitted, method="direct+asymptotic_tail")
 
 
 # ---------------------------------------------------------------------------
@@ -439,50 +535,63 @@ def s_5_58_1(max_terms: int = 4000) -> SeriesResult:
 # ---------------------------------------------------------------------------
 
 @_entry("S-6.3", "sum_{n>=2} log(1-1/n^2)", 0)
-def s_6_3(max_terms: int = 4000) -> SeriesResult:
+def s_6_3(max_terms: int | None = None) -> SeriesResult:
     # log(1-1/n^2) = -sum_k n^-2k/k
+    omitted = {16: -1.0 / 8.0}
+    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
-        (math.log1p(-1.0 / (n * n)) for n in range(2, max_terms + 1)),
-        max_terms, {2 * k: -1.0 / k for k in range(1, 8)},
-        omitted={16: -1.0 / 8.0}, method="direct+asymptotic_tail")
+        (math.log1p(-1.0 / (n * n)) for n in range(2, n_last + 1)),
+        n_last, {2 * k: -1.0 / k for k in range(1, 8)},
+        omitted=omitted, method="direct+asymptotic_tail")
+
+
+def _cvz_entry(a: Callable[[int], float], max_terms: int | None,
+               sign: float = 1.0) -> SeriesResult:
+    """sign * sum_k (-1)^k a(k) at the CVZ order for the target (an
+    acceleration order, not a term count), at most ``max_terms``."""
+    n_ord = CVZ_TERMS if max_terms is None else min(max_terms, CVZ_TERMS)
+    v, e = cvz_alternating(a, n_ord)
+    return SeriesResult(sign * v, e, n_ord, "cvz")
 
 
 @_entry("S-6.4", "sum_{n>=2} (-1)^(n+1) log(1-1/n^2)", 0, n_min=_CVZ_N_MIN)
-def s_6_4(max_terms: int = 44) -> SeriesResult:
-    n_ord = min(max_terms, 80)  # acceleration order, not a term count
-    v, e = cvz_alternating(
-        lambda k: -math.log1p(-1.0 / ((k + 2.0) * (k + 2.0))), n_ord)
-    return SeriesResult(v, e, n_ord, "cvz")
+def s_6_4(max_terms: int | None = None) -> SeriesResult:
+    return _cvz_entry(
+        lambda k: -math.log1p(-1.0 / ((k + 2.0) * (k + 2.0))), max_terms)
 
 
 @_entry("S-6.5", "sum (-1)^(n+1) log(1+1/n)", 0)
-def s_6_5(max_terms: int = 4000) -> SeriesResult:
+def s_6_5(max_terms: int | None = None) -> SeriesResult:
     # paired: equals sum_k -log(1 - 1/(4k^2)) = sum_j sum_k 4^-j k^-2j / j
+    omitted = {16: 0.25 ** 8 / 8.0}
+    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
-        (-math.log1p(-0.25 / (k * k)) for k in range(1, max_terms + 1)),
-        max_terms, {2 * j: 0.25 ** j / j for j in range(1, 8)},
-        omitted={16: 0.25 ** 8 / 8.0}, method="paired+asymptotic_tail")
+        (-math.log1p(-0.25 / (k * k)) for k in range(1, n_last + 1)),
+        n_last, {2 * j: 0.25 ** j / j for j in range(1, 8)},
+        omitted=omitted, method="paired+asymptotic_tail")
 
 
 @_entry("S-6.6", "sum_{n>=2} (-1)^(n+1) log(1-1/n)", 0)
-def s_6_6(max_terms: int = 4000) -> SeriesResult:
+def s_6_6(max_terms: int | None = None) -> SeriesResult:
     # pairing consecutive terms gives the same reduced series as S-6.5
     return s_6_5(max_terms)
 
 
 @_entry("S-6.23", "sum_{n>=2} psi(n+1/2) log(1-1/n^2)", 0)
-def s_6_23(max_terms: int = 3000) -> SeriesResult:
+def s_6_23(max_terms: int | None = None) -> SeriesResult:
     # psi(n+1/2) = log n + 1/(24 n^2) - 7/(960 n^4) + ...
+    omitted, log_omitted = {6: -13.0 / 960.0}, {6: -1.0 / 3.0}
+    n_last = _target_n(max_terms, omitted, log_omitted)
     return zeta_tail_sum(
         (_digamma_pos(n + 0.5) * math.log1p(-1.0 / (n * n))
-         for n in range(2, max_terms + 1)),
-        max_terms, {4: -1.0 / 24.0}, {2: -1.0, 4: -0.5},
-        omitted={6: -13.0 / 960.0}, log_omitted={6: -1.0 / 3.0},
+         for n in range(2, n_last + 1)),
+        n_last, {4: -1.0 / 24.0}, {2: -1.0, 4: -0.5},
+        omitted=omitted, log_omitted=log_omitted,
         floor=1e-13, method="direct+asymptotic_tail")
 
 
 @_entry("S-6.24-aux", "sum n/(4n^2-1)^k for k in {2,3}", 1)
-def s_6_24_aux(k: float, max_terms: int = 3000) -> SeriesResult:
+def s_6_24_aux(k: float, max_terms: int | None = None) -> SeriesResult:
     k = int(k)
     if k not in (2, 3):
         raise DomainError("k must be 2 or 3")
@@ -498,18 +607,29 @@ def s_6_24_aux(k: float, max_terms: int = 3000) -> SeriesResult:
             return math.comb(m, 2) * q ** (m - 2) / 64.0
         orders = range(2, 13)
     nxt = orders.stop
+    omitted = {2 * nxt + 1: c(nxt)}
+    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
-        (n / (4.0 * n * n - 1.0) ** k for n in range(1, max_terms + 1)),
-        max_terms, {2 * m + 1: c(m) for m in orders},
-        omitted={2 * nxt + 1: c(nxt)}, floor=1e-14)
+        (n / (4.0 * n * n - 1.0) ** k for n in range(1, n_last + 1)),
+        n_last, {2 * m + 1: c(m) for m in orders},
+        omitted=omitted, floor=1e-14)
 
 
-@_entry("S-6.33", "sum (-1)^n n/(4n^2-1)^3", 0)
-def s_6_33(max_terms: int = 2000) -> SeriesResult:
-    acc = kahan_sum((-1.0) ** (n % 2) * n / (4.0 * n * n - 1.0) ** 3
-                    for n in range(1, max_terms + 1))
-    err = (max_terms + 1.0) / (4.0 * (max_terms + 1.0) ** 2 - 1.0) ** 3
-    return SeriesResult(acc, err + 1e-16, max_terms, "alternating")
+@_entry("S-6.33", "sum (-1)^n n/(4n^2-1)^3", 0, n_min=2)
+def s_6_33(max_terms: int | None = None) -> SeriesResult:
+    # n/(4n^2-1)^3 = sum_m C(m+2, 2) 4^-m n^-(2m+5) / 64; from n = 3 on each
+    # order shrinks by 1/36 or more, so twelve orders leave 1e-17 of the tail
+    def c(m):
+        return math.comb(m + 2, 2) * 0.25 ** m / 64.0
+    omitted = {29: c(12)}
+    n_last = _even_target_n(max_terms, omitted)
+    value = math.fsum(
+        [(-1.0) ** (n % 2) * n / (4.0 * n * n - 1.0) ** 3
+         for n in range(1, n_last + 1)]
+        + [_alternating_tail({2 * m + 5: c(m) for m in range(12)},
+                             n_last // 2)])
+    return SeriesResult(value, tail_bound(n_last, omitted) + 1e-16, n_last,
+                        "alternating+zeta_split")
 
 
 # ---------------------------------------------------------------------------
@@ -517,124 +637,127 @@ def s_6_33(max_terms: int = 2000) -> SeriesResult:
 # ---------------------------------------------------------------------------
 
 @_entry("S-7.11", "sum (-1)^n log(1+1/n)/(2n+1)", 0, n_min=_CVZ_N_MIN)
-def s_7_11(max_terms: int = 44) -> SeriesResult:
-    n_ord = min(max_terms, 80)
-    v, e = cvz_alternating(
-        lambda k: math.log1p(1.0 / (k + 1.0)) / (2.0 * k + 3.0), n_ord)
-    return SeriesResult(-v, e, n_ord, "cvz")
+def s_7_11(max_terms: int | None = None) -> SeriesResult:
+    return _cvz_entry(
+        lambda k: math.log1p(1.0 / (k + 1.0)) / (2.0 * k + 3.0), max_terms,
+        sign=-1.0)
 
 
 @_entry("S-7.11-aux", "sum (-1)^n n log n/(4n^2-1)", 0, n_min=_CVZ_N_MIN)
-def s_7_11_aux(max_terms: int = 44) -> SeriesResult:
-    n_ord = min(max_terms, 80)
-    v, e = cvz_alternating(
+def s_7_11_aux(max_terms: int | None = None) -> SeriesResult:
+    return _cvz_entry(
         lambda k: (k + 1.0) * math.log(k + 1.0)
-        / (4.0 * (k + 1.0) ** 2 - 1.0), n_ord)
-    return SeriesResult(-v, e, n_ord, "cvz")
+        / (4.0 * (k + 1.0) ** 2 - 1.0), max_terms, sign=-1.0)
 
 
 @_entry("S-7.12", "sum log(1+1/n)/(2n+1)", 0)
-def s_7_12(max_terms: int = 4000) -> SeriesResult:
+def s_7_12(max_terms: int | None = None) -> SeriesResult:
     # log(1+1/n)/(2n+1): product expansion through n^-6, next -13/60 n^-7
+    omitted = {7: -13.0 / 60.0}
+    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
         (math.log1p(1.0 / n) / (2.0 * n + 1.0)
-         for n in range(1, max_terms + 1)),
-        max_terms, {2: 0.5, 3: -0.5, 4: 5.0 / 12.0, 5: -1.0 / 3.0,
-                    6: 4.0 / 15.0},
-        omitted={7: -13.0 / 60.0}, method="direct+asymptotic_tail")
+         for n in range(1, n_last + 1)),
+        n_last, {2: 0.5, 3: -0.5, 4: 5.0 / 12.0, 5: -1.0 / 3.0,
+                 6: 4.0 / 15.0},
+        omitted=omitted, method="direct+asymptotic_tail")
 
 
 @_entry("S-8.11", "sum 1/(4n^2-1)", 0)
-def s_8_11(max_terms: int = 4000) -> SeriesResult:
-    tail, omitted = quad_tail(0.25, {0: 0.25}, max_terms)
+def s_8_11(max_terms: int | None = None) -> SeriesResult:
+    n_last, tail, omitted = _quad_expansion(0.25, {0: 0.25}, max_terms)
     return zeta_tail_sum(
-        (1.0 / (4.0 * n * n - 1.0) for n in range(1, max_terms + 1)),
-        max_terms, tail, omitted=omitted, floor=1e-14)
+        (1.0 / (4.0 * n * n - 1.0) for n in range(1, n_last + 1)),
+        n_last, tail, omitted=omitted, floor=1e-14)
 
 
 # ---------------------------------------------------------------------------
 # power-series families (Maclaurin coefficients built from zeta values)
 # ---------------------------------------------------------------------------
 
+# every power series asks for the same zeta(k) - 1, k <= ~80
+@lru_cache(maxsize=None)
 def _zeta_m1(k: int) -> float:
     """zeta(k) - 1, full relative precision."""
     return _hurwitz(float(k), 2.0)
 
 
-def power_series_eval(key: str, x: float, max_terms: int = 300) -> SeriesResult:
+def power_series_eval(key: str, x: float,
+                      max_terms: int | None = None) -> SeriesResult:
     """Evaluate one of the PS-* Maclaurin families at |x| < 1.
 
     Every family converges on the unit disc; the zeta(k) -> 1 part of each
     coefficient is resummed in closed form so that arguments near the
-    boundary stay cheap and accurate.  At most ``max_terms`` terms are
-    summed; the error bounds the terms left out.
+    boundary stay cheap and accurate.  The sum stops once a term is 1e-19
+    of it, or after ``max_terms`` terms; the error bounds the terms left
+    out.
     """
     if key not in _PS_KEYS:
         raise UnknownKeyError(f"unknown power series id {key!r}")
-    if abs(x) >= 1.0:
+    if not abs(x) < 1.0:
         raise DomainError(f"{key} requires |x| < 1, got {x}")
     g = _euler_gamma()
     x2 = x * x
     if key == "PS-5.1":
-        s, rest = _ps_fast(lambda n: (-1.0) ** n * _zeta_m1(2 * n + 1), x2,
-                           1, max_terms)
+        s, rest, used = _ps_fast(lambda n: (-1.0) ** n * _zeta_m1(2 * n + 1),
+                                 x2, 1, max_terms)
         value = g - x2 / (1.0 + x2) + s
     elif key == "PS-5.17":
         # terms x^(2n+2): the zeta->1 part is sum_{m>=2} x2^m/m
-        s, rest = _ps_fast(lambda n: _zeta_m1(2 * n + 1) / (n + 1.0), x2, 2,
-                           max_terms)
+        s, rest, used = _ps_fast(lambda n: _zeta_m1(2 * n + 1) / (n + 1.0),
+                                 x2, 2, max_terms)
         value = -math.log1p(-x2) - x2 + s
     elif key == "PS-5.32":
-        s, rest = _ps_fast(lambda n: _zeta_m1(2 * n + 1) / (2 * n + 1.0), x2,
-                           1, max_terms)
+        s, rest, used = _ps_fast(
+            lambda n: _zeta_m1(2 * n + 1) / (2 * n + 1.0), x2, 1, max_terms)
         value = math.atanh(x) - x + x * s
         rest *= abs(x)
     elif key == "PS-5.41":
         # log Gamma(1+z) = -log(1+z) + (1-gamma) z
         #                  + sum_{k>=2} (-1)^k (zeta(k)-1) z^k/k at z = ix
-        re, re_rest = _ps_fast(
+        re, re_rest, re_used = _ps_fast(
             lambda m: (-1.0) ** m * _zeta_m1(2 * m) / (2.0 * m), x2, 1,
             max_terms)
-        im, im_rest = _ps_fast(
+        im, im_rest, im_used = _ps_fast(
             lambda m: (-1.0) ** (m + 1) * _zeta_m1(2 * m + 1)
             / (2.0 * m + 1.0), x2, 1, max_terms)
         re = -0.5 * math.log1p(x2) + re
         im = (1.0 - g) * x - math.atan(x) + x * im
         err = (1e-13 * (1.0 + abs(re) + abs(im)) + re_rest
                + abs(x) * im_rest)
-        return SeriesResult(complex(re, im), err, max_terms,
+        return SeriesResult(complex(re, im), err, max(re_used, im_used),
                             "taylor_accelerated")
     else:  # PS-5.53
-        s, rest = _ps_fast(lambda n: _zeta_m1(2 * n + 1) / n, x2, 1,
-                           max_terms)
+        s, rest, used = _ps_fast(lambda n: _zeta_m1(2 * n + 1) / n, x2, 1,
+                                 max_terms)
         value = -math.log1p(-x2) + s
     return SeriesResult(value, 2e-15 * (1.0 + abs(value)) + rest,
-                        max_terms, "taylor_accelerated")
+                        used, "taylor_accelerated")
 
 
 def _ps_fast(coeff: Callable[[int], float], x2: float, start_pow: int,
-             max_terms: int) -> tuple[float, float]:
-    """sum_{n>=1} coeff(n) x2^(n+start_pow-1) over at most max_terms terms,
-    stopping once a term is 1e-19 of the sum.  |coeff(n+1)| <= |coeff(n)|/4
-    (the zeta-1 coefficients shrink by 1/4), so the terms left out are at
-    most |next term| / (1 - x2/4); returns (sum, bound)."""
+             max_terms: int | None = None) -> tuple[float, float, int]:
+    """sum_{n>=1} coeff(n) x2^(n+start_pow-1), stopping once a term is
+    1e-19 of the sum, or after max_terms terms.  |coeff(n+1)| <= |coeff(n)|/4
+    (the zeta-1 coefficients shrink by 1/4), so for 0 <= x2 < 1 the terms
+    left out are at most |next term| / (1 - x2/4); returns (sum, bound,
+    terms summed)."""
     acc = 0.0
     pw = x2 ** start_pow
-    n = 0
-    for n in range(1, max_terms + 1):
+    for n in count(1):
         t = coeff(n) * pw
         acc += t
         pw *= x2
-        if abs(t) < 1e-19 * max(abs(acc), 1e-25):
+        if abs(t) <= 1e-19 * max(abs(acc), 1e-25) or n == max_terms:
             break
-    return acc, abs(coeff(n + 1) * pw) / (1.0 - 0.25 * x2)
+    return acc, abs(coeff(n + 1) * pw) / (1.0 - 0.25 * x2), n
 
 
 _PS_KEYS = ("PS-5.1", "PS-5.17", "PS-5.32", "PS-5.41", "PS-5.53")
 
 for _k in _PS_KEYS:
     SERIES_CATALOG[_k] = SeriesEntry(f"power series {_k}", 1,
-                                     (lambda key: lambda x, max_terms=300:
+                                     (lambda key: lambda x, max_terms=None:
                                       power_series_eval(key, x, max_terms))(_k))
 
 
@@ -657,32 +780,38 @@ def _sin_zeta_sum(j: int, t: float) -> float:
 
 
 @_entry("FS-6.2", "sum_{n>=2} log(1-1/n^2) cos(2 pi n x)", 1)
-def fs_6_2(x: float, max_terms: int = 40) -> SeriesResult:
+def fs_6_2(x: float, max_terms: int | None = None) -> SeriesResult:
     # log(1-1/n^2) = -sum_j 1/(j n^2j); the j <= 6 slices are exact and the
     # residual, below (4/3) n^-14/7, is summed directly
     acc = 0.0
     for j in range(1, 7):
         acc -= (_cos_zeta_sum(j, x) - math.cos(_TWO_PI * x)) / j
+    omitted = {14: 1.0 / 7.0}
+    n_last = _target_n(max_terms, omitted)
     r = zeta_tail_sum(
         ((math.log1p(-1.0 / (n * n)) + math.fsum(
             1.0 / (j * float(n) ** (2 * j)) for j in range(1, 7)))
-         * math.cos(_TWO_PI * n * x) for n in range(2, max_terms + 1)),
-        max_terms, omitted={14: 1.0 / 7.0}, floor=0.0)
+         * math.cos(_TWO_PI * n * x) for n in range(2, n_last + 1)),
+        n_last, omitted=omitted, floor=0.0)
     acc += r.value
-    return SeriesResult(acc, r.abs_err + 1e-13 * (1.0 + abs(acc)), max_terms,
+    return SeriesResult(acc, r.abs_err + 1e-13 * (1.0 + abs(acc)), n_last,
                         "bernoulli_closed+residual")
 
 
-def log_weighted_sin_sum(x: float, max_terms: int = 40) -> float:
-    """sum_{n>=2} log(1-1/n^2) sin(2 pi n x)/n  (building block)."""
+def log_weighted_sin_sum(x: float) -> float:
+    """sum_{n>=2} log(1-1/n^2) sin(2 pi n x)/n  (building block).  The
+    j <= 5 slices of log(1-1/n^2) = -sum_j 1/(j n^2j) are exact; the
+    residual, below (4/3) n^-13/6 per term, is summed to the target."""
     acc = 0.0
     for j in range(1, 6):
         acc -= (_sin_zeta_sum(j, x) - math.sin(_TWO_PI * x)) / j
-    for n in range(2, max_terms + 1):
-        rho = math.log1p(-1.0 / (n * n)) + math.fsum(
-            1.0 / (j * float(n) ** (2 * j)) for j in range(1, 6))
-        acc += rho * math.sin(_TWO_PI * n * x) / n
-    return acc
+    omitted = {13: 1.0 / 6.0}
+    n_last = _target_n(None, omitted)
+    return acc + zeta_tail_sum(
+        ((math.log1p(-1.0 / (n * n)) + math.fsum(
+            1.0 / (j * float(n) ** (2 * j)) for j in range(1, 6)))
+         * math.sin(_TWO_PI * n * x) / n for n in range(2, n_last + 1)),
+        n_last, omitted=omitted, floor=0.0).value
 
 
 @_entry("FS-7.1", "sum log(1+1/n) sin((2n+1) pi x)", 1)
@@ -753,7 +882,11 @@ def log_cos_over_n2(u: float) -> float:
             + 0.5 * _PI * cl)
 
 
-def psi_sin_partial(u: float, max_terms: int = 20000) -> SeriesResult:
+# psi_sin_partial's residual sums keep a fixed N
+_PSI_SIN_N = 20000
+
+
+def psi_sin_partial(u: float) -> SeriesResult:
     """Closed-plus-residual evaluation of the log-weighted series side of
     the partial sine transform of psi on [0, u]."""
     if not 0.0 < u <= 1.0:
@@ -765,50 +898,54 @@ def psi_sin_partial(u: float, max_terms: int = 20000) -> SeriesResult:
     else:
         s_a = 0.0
     s_c = log_cos_over_n2(u if u < 1.0 else 1.0)
-    n = np.arange(2, max_terms + 1, dtype=float)
+    n = np.arange(2, _PSI_SIN_N + 1, dtype=float)
     logn = np.log(n)
     r1 = _np_sum(logn * np.sin(_TWO_PI * n * u) / (2.0 * n * (4.0 * n * n - 1.0)))
     r2 = _np_sum(logn * np.cos(_TWO_PI * n * u) / (4.0 * n * n * (4.0 * n * n - 1.0)))
     # sum log n/(4n^2-1), exact tail
-    log_tail, log_omitted = quad_tail(0.25, {0: 0.25}, max_terms)
-    k_log = zeta_tail_sum(logn / (4.0 * n * n - 1.0), max_terms,
+    log_tail, log_omitted = quad_tail(0.25, {0: 0.25}, _PSI_SIN_N)
+    k_log = zeta_tail_sum(logn / (4.0 * n * n - 1.0), _PSI_SIN_N,
                           log_tail=log_tail, log_omitted=log_omitted).value
     series = su * (0.5 * s_a + r1) + cu * (0.25 * s_c + r2) - k_log
     value = (2.0 / _PI * series
              + (c.gamma + c.log_2pi) * (cu - 1.0) / _PI - 0.5 * su)
-    err = math.log(max_terms) / max_terms ** 2 + 1e-12
-    return SeriesResult(value, err, max_terms, "kummer_closed+residual")
+    err = math.log(_PSI_SIN_N) / _PSI_SIN_N ** 2 + 1e-12
+    return SeriesResult(value, err, _PSI_SIN_N, "kummer_closed+residual")
 
 
 @_entry("FS-8.13", "sum cos(2 pi n t)/(4n^2-1)", 1)
-def fs_8_13(t: float, max_terms: int = 40) -> SeriesResult:
+def fs_8_13(t: float, max_terms: int | None = None) -> SeriesResult:
     # 1/(n^2 - 1/4) = sum_j 4^-j n^(-2j-2); five exact slices + residual,
     # the residual below (4/3) 4^-5 n^-12
     acc = 0.0
     for j in range(5):
         acc += 0.25 ** j * _cos_zeta_sum(j + 1, t)
+    omitted = {12: 0.25 ** 5}
+    n_last = _target_n(max_terms, omitted)
     r = zeta_tail_sum(
         ((1.0 / (n * n - 0.25) - math.fsum(
             0.25 ** j / float(n) ** (2 * j + 2) for j in range(5)))
-         * math.cos(_TWO_PI * n * t) for n in range(1, max_terms + 1)),
-        max_terms, omitted={12: 0.25 ** 5}, floor=0.0)
+         * math.cos(_TWO_PI * n * t) for n in range(1, n_last + 1)),
+        n_last, omitted=omitted, floor=0.0)
     acc = 0.25 * (acc + r.value)
     return SeriesResult(acc, 0.25 * r.abs_err + 1e-13 * (1.0 + abs(acc)),
-                        max_terms, "bernoulli_closed+residual")
+                        n_last, "bernoulli_closed+residual")
 
 
 @_entry("FS-8.14", "sum n sin(2 pi n t)/(4n^2-1)", 1)
-def fs_8_14(t: float, max_terms: int = 40) -> SeriesResult:
+def fs_8_14(t: float, max_terms: int | None = None) -> SeriesResult:
     if not 0.0 < t < 1.0:
         raise DomainError(f"requires 0 < t < 1, got {t}")
     acc = 0.5 * (_PI - _TWO_PI * t)  # sum sin(2 pi n t)/n, sawtooth
     for j in range(1, 5):
         acc += 0.25 ** j * _sin_zeta_sum(j, t)
+    omitted = {11: 0.25 ** 5}
+    n_last = _target_n(max_terms, omitted)
     r = zeta_tail_sum(
         ((n / (n * n - 0.25) - math.fsum(
             0.25 ** j / float(n) ** (2 * j + 1) for j in range(5)))
-         * math.sin(_TWO_PI * n * t) for n in range(1, max_terms + 1)),
-        max_terms, omitted={11: 0.25 ** 5}, floor=0.0)
+         * math.sin(_TWO_PI * n * t) for n in range(1, n_last + 1)),
+        n_last, omitted=omitted, floor=0.0)
     acc = 0.25 * (acc + r.value)
     return SeriesResult(acc, 0.25 * r.abs_err + 1e-13 * (1.0 + abs(acc)),
-                        max_terms, "bernoulli_closed+residual")
+                        n_last, "bernoulli_closed+residual")

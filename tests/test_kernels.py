@@ -3,6 +3,7 @@ module invariants (recurrence/reflection grids, two-route agreement,
 functional equations)."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -214,6 +215,18 @@ def test_exp_integral_domain():
 # ---------------------------------------------------------------------------
 # zeta family, Stieltjes constant
 # ---------------------------------------------------------------------------
+
+def test_bernoulli_floats_equal_exact_fractions():
+    # one table, grown on demand: asking for a shorter prefix later neither
+    # shrinks nor rebuilds it
+    exact = K._bernoulli_fractions(30)
+    assert exact[:3] == (Fraction(1), Fraction(-1, 2), Fraction(1, 6))
+    assert exact[12] == Fraction(-691, 2730)
+    assert K._bernoulli_fractions(5) == exact[:6]
+    assert len(K._BERNOULLI) >= 31
+    for n in range(31):
+        assert K._bernoulli_float(n) == float(exact[n]), n
+
 
 def test_zeta_examples():
     assert K.zeta_family("zeta", 2.0).value == pytest.approx(PI ** 2 / 6,

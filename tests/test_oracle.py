@@ -114,3 +114,80 @@ def test_q_5_36_near_one():
     x = mp.mpf(0.999)
     assert _close(r.value, -(mp.digamma(1 + x) + mp.digamma(1 - x)) / 2,
                   r.abs_err)
+
+
+# ---------------------------------------------------------------------------
+# catalog entries at the N their own bound picks for the target error
+# ---------------------------------------------------------------------------
+
+def _aux_f(x, orders=14):
+    """f(x) ~ sum_k (-1)^k (2k)!/x^(2k+1): Si(x) = pi/2 - f cos x - g sin x."""
+    return mp.fsum((-1) ** k * mp.factorial(2 * k) / x ** (2 * k + 1)
+                   for k in range(orders))
+
+
+def _aux_g(x, orders=14):
+    """g(x) ~ sum_k (-1)^k (2k+1)!/x^(2k+2): Ci(x) = f sin x - g cos x."""
+    return mp.fsum((-1) ** k * mp.factorial(2 * k + 1) / x ** (2 * k + 2)
+                   for k in range(orders))
+
+
+def _log_quarter(q):
+    """sum_{n>=2} log n/(4(n^2 - q)) = -(1/4) sum_j q^j zeta'(2j+2)."""
+    return -mp.nsum(lambda j: q ** j * mp.zeta(2 * j + 2, derivative=1),
+                    [0, mp.inf]) / 4
+
+
+# exact lattice values up to n = 30, the auxiliary expansions (14 orders,
+# exact to 1e-37 from x = 60 pi on) after
+_N0 = 30
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
+def test_s_3_14(p):
+    pm = mp.mpf(p)
+    two_pi = 2 * mp.pi
+    ci = (mp.fsum(mp.ci(two_pi * n) / (4 * n * n - pm ** 2)
+                  for n in range(1, _N0 + 1))
+          + mp.nsum(lambda n: -_aux_g(two_pi * n) / (4 * n * n - pm ** 2),
+                    [_N0 + 1, mp.inf]))
+    quarter = mp.nsum(lambda n: 1 / (4 * n * n - pm ** 2), [1, mp.inf])
+    ref = (ci - (mp.euler + mp.log(two_pi)) * quarter
+           - _log_quarter(pm ** 2 / 4))
+    r = sum_catalog("S-3.14", (p,))
+    assert _close(r.value, ref, r.abs_err)
+
+
+def test_s_4_29_rhs():
+    # si(n pi) = -(-1)^n f(n pi); the tail pairs n = 2j-1 and 2j
+    direct = mp.fsum((mp.si(n * mp.pi) - mp.pi / 2) / n ** 2
+                     for n in range(1, 2 * _N0 + 1))
+    tail = mp.nsum(lambda j: _aux_f((2 * j - 1) * mp.pi) / (2 * j - 1) ** 2
+                   - _aux_f(2 * j * mp.pi) / (2 * j) ** 2, [_N0 + 1, mp.inf])
+    r = sum_catalog("S-4.29-rhs")
+    assert _close(r.value, mp.pi ** 3 / 12 + direct + tail, r.abs_err)
+
+
+def test_s_4_30_rhs():
+    # Si(m pi) = pi/2 + f(m pi) for odd m
+    direct = mp.fsum(mp.si((2 * n - 1) * mp.pi) / (2 * n - 1) ** 2
+                     for n in range(1, _N0 + 1))
+    tail = mp.nsum(lambda n: (mp.pi / 2 + _aux_f((2 * n - 1) * mp.pi))
+                   / (2 * n - 1) ** 2, [_N0 + 1, mp.inf])
+    r = sum_catalog("S-4.30-rhs")
+    assert _close(r.value, direct + tail, r.abs_err)
+
+
+def test_s_5_18():
+    ref = mp.nsum(lambda n: n * mp.log(1 - 1 / (4 * n ** 2))
+                  + mp.log(1 + 1 / n) / 4, [1, mp.inf])
+    r = sum_catalog("S-5.18")
+    assert _close(r.value, ref, r.abs_err)
+
+
+def test_s_6_23():
+    # I-6.23's closed form, with its log sum taken from zeta'(2j+2)
+    ref = ((mp.euler + 2 * mp.log(2) - 2) * mp.log(2)
+           - 4 * _log_quarter(mp.mpf(1) / 4))
+    r = sum_catalog("S-6.23")
+    assert _close(r.value, ref, r.abs_err)

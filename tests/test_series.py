@@ -95,6 +95,17 @@ def test_catalog_rejects_max_terms_below_n_min():
         sum_catalog("S-4.4-Tn", (40.0,), max_terms=50)
 
 
+def test_quad_tail_large_q_never_overflows():
+    # near (N+1)^2 = 2|q| the expansion needs ~50 orders of q^j; where |q|^j
+    # leaves the float range it refuses the N, which a larger N cures
+    with pytest.raises(DomainError):
+        quad_tail(-1e6, {-1: 1.0}, 1415)
+    with pytest.raises(DomainError):
+        sum_catalog("S-4.4-Tn", (2000.0,), max_terms=3000)
+    r = sum_catalog("S-4.4-Tn", (2000.0,))
+    assert math.isfinite(r.value) and r.abs_err < 1e-10
+
+
 def test_cvz_alternating_log2():
     v, e = cvz_alternating(lambda k: 1.0 / (k + 1.0))
     assert v == pytest.approx(math.log(2.0), abs=1e-13)
@@ -130,9 +141,13 @@ def _test_params(key):
 
 @pytest.mark.parametrize("key", sorted(SERIES_CATALOG))
 def test_catalog_error_grows_as_max_terms_shrinks(key):
+    # the reference sums at the N its own bound picks; every cap, above or
+    # below that N, must agree with it within both errors.  Only the
+    # fixed-N entries (FS-4.16, FS-7.1) keep a default, and are capped below
     entry = SERIES_CATALOG[key]
     n_def = inspect.signature(entry.fn).parameters["max_terms"].default
-    grid = sorted({n for n in _N_GRID if n < n_def} | {entry.n_min})
+    grid = sorted({n for n in _N_GRID if n_def is None or n < n_def}
+                  | {entry.n_min})
     for params in _test_params(key):
         ref = sum_catalog(key, params)
         for n in grid:
@@ -141,8 +156,19 @@ def test_catalog_error_grows_as_max_terms_shrinks(key):
                     sum_catalog(key, params, max_terms=n)
                 continue
             r = sum_catalog(key, params, max_terms=n)
+            assert r.terms_used <= n, (key, params, n)
             assert abs(r.value - ref.value) <= r.abs_err + ref.abs_err, \
                 (key, params, n)
+
+
+@pytest.mark.parametrize("key", sorted(set(SERIES_CATALOG)
+                                       - {"FS-4.16", "FS-7.1"}))
+def test_target_n_is_small(key):
+    # each entry's own bound meets the target within 1024 terms; only the
+    # two fixed-N Fourier entries sum more
+    for params in _test_params(key):
+        r = sum_catalog(key, params)
+        assert r.terms_used <= 1024, (key, params, r.terms_used)
 
 
 # ---------------------------------------------------------------------------
