@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-import numpy as np
-
 from .errors import (
     DomainError,
     PoleError,
@@ -379,8 +377,8 @@ def _lambda_sum(c: float, n_last: int):
     """
     from .series import zeta_tail_sum
     tail, omitted = _lambda_tail(c, n_last)
-    n = np.arange(1, n_last + 1, dtype=float)
-    return zeta_tail_sum(n / (n * n + c) - np.log1p(1.0 / n), n_last, tail,
+    return zeta_tail_sum((n / (n * n + c) - math.log1p(1.0 / n)
+                          for n in range(1, n_last + 1)), n_last, tail,
                          omitted=omitted)
 
 
@@ -614,11 +612,11 @@ def _gamma1() -> tuple[float, float]:
     """
     from .series import zeta_tail_sum
     n_last, k_next = 64, 11  # 65^-10 < 1e-17
-    n = np.arange(1, n_last + 1, dtype=float)
-    ell = np.log1p(1.0 / n)
+    ell = [math.log1p(1.0 / n) for n in range(1, n_last + 1)]
     h = list(accumulate(1.0 / j for j in range(1, k_next)))  # H_1, H_2, ...
     log_tail = {k: (-1.0) ** k / k for k in range(2, k_next)}
-    r = zeta_tail_sum(np.log(n) * (1.0 / n - ell) - 0.5 * ell * ell, n_last,
+    r = zeta_tail_sum((math.log(n) * (1.0 / n - e) - 0.5 * e * e
+                       for n, e in enumerate(ell, 1)), n_last,
                       {k: -d * h[k - 2] for k, d in log_tail.items()},
                       log_tail, omitted={k_next: h[k_next - 2] / k_next},
                       log_omitted={k_next: 1.0 / k_next})

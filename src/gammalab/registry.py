@@ -26,7 +26,7 @@ from . import kernels as K
 from .errors import DomainError, GammalabError, MisuseError, UnknownKeyError
 from .integral_catalog import integral_catalog, probe_cauchy
 from .kernels import get_constants
-from .series import kahan_sum, tail_bound, target_terms, zeta_tail_sum
+from .series import tail_bound, target_terms, zeta_tail_sum
 from .series_catalog import (
     _cos_zeta_sum,
     _ps_fast,
@@ -274,7 +274,7 @@ def _rhs_2_9(p: float) -> float:
 def _rhs_2_10(p: float) -> float:
     # sum (-1)^n n/(n^2-p^2) = -log 2 + p^2 sum (-1)^n/(n(n^2-p^2))
     acc = -math.log(2.0)
-    acc += p * p * kahan_sum((-1.0) ** (n % 2) / (n * (n * n - p * p))
+    acc += p * p * math.fsum((-1.0) ** (n % 2) / (n * (n * n - p * p))
                              for n in range(1, 4000))
     return math.sin(p * _PI) / (2.0 * _PI * p) * acc
 
@@ -390,7 +390,7 @@ def _rhs_6_38() -> float:
 
 def _alt_quarter_sum() -> float:
     """sum (-1)^n/(4n^2-1) = (2-pi)/4, via the Leibniz split."""
-    return 0.5 * kahan_sum(
+    return 0.5 * math.fsum(
         (-1.0) ** (n % 2) * (1.0 / (2 * n - 1.0) - 1.0 / (2 * n + 1.0))
         for n in range(1, 100_000))
 

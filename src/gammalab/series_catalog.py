@@ -15,18 +15,22 @@ N whose bound, twice the next term, meets it.
 ``max_terms`` is a cap: below the target N an entry sums at the cap and
 reports its larger error.  Each entry declares the smallest cap
 (``n_min``) at which its bound holds; :func:`sum_catalog` rejects smaller
-caps with ``DomainError``.  ``FS-4.16`` and ``FS-7.1`` keep a fixed N.
+caps with ``DomainError``.  Only ``FS-4.16`` keeps a fixed N (2000), the
+mean of its last 64 partial sums, and bounds its error by the first
+omitted coefficients over sin(pi x).  ``FS-7.1`` picks N from the same
+kind of Dirichlet-kernel bound, and :func:`psi_sin_partial` meets
+``_PSI_SIN_TARGET`` = 1e-8 rather than the series target.  Every partial
+sum is exactly rounded (``math.fsum``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate, count
 from typing import Callable
-
-import numpy as np
 
 from .errors import DomainError, UnknownKeyError
 from .kernels import (
@@ -40,7 +44,6 @@ from .kernels import (
     _lambda_tail,
     _lnG,
     _si_small_at_pi_mult,
-    _sici_raw,
     _zeta_int,
     _zeta_prime_int,
     get_constants,
@@ -50,7 +53,6 @@ from .series import (
     TARGET_ERR,
     SeriesResult,
     cvz_alternating,
-    kahan_sum,
     quad_tail,
     tail_bound,
     target_terms,
@@ -105,11 +107,6 @@ def sum_catalog(key: str, params: tuple[float, ...] = (),
     return entry.fn(*params, max_terms=max_terms)
 
 
-def _np_sum(values: np.ndarray) -> float:
-    # pairwise summation inside numpy is plenty for accumulation accuracy
-    return float(values.sum())
-
-
 def _target_n(max_terms: int | None, omitted: dict[int, float] = {},
               log_omitted: dict[int, float] = {}, shift: float = 1.0) -> int:
     """The N at which a fixed expansion's ``tail_bound`` meets the target,
@@ -155,9 +152,10 @@ def _taylor_check(value: float, u: float, coeff: Callable[[int], float]
 def s_1_20(u: float, max_terms: int | None = None) -> SeriesResult:
     n_last, log_tail, log_omitted = _quad_expansion(-u * u, {0: 1.0},
                                                     max_terms, log=True)
-    n = np.arange(1, n_last + 1, dtype=float)
-    r = zeta_tail_sum(np.log(n) / (n * n + u * u), n_last,
-                      log_tail=log_tail, log_omitted=log_omitted, floor=5e-15)
+    u2 = u * u
+    r = zeta_tail_sum(
+        (math.log(n) / (n * n + u2) for n in range(1, n_last + 1)), n_last,
+        log_tail=log_tail, log_omitted=log_omitted, floor=5e-15)
     if abs(u) < 1.0:
         # Taylor cross-route: sum_m (-1)^m zeta'(2m) u^(2m-2)
         return replace(r, abs_err=r.abs_err + _taylor_check(
@@ -168,9 +166,9 @@ def s_1_20(u: float, max_terms: int | None = None) -> SeriesResult:
 @_entry("S-1.23", "sum 1/(n^2+u^2)", 1)
 def s_1_23(u: float, max_terms: int | None = None) -> SeriesResult:
     n_last, tail, omitted = _quad_expansion(-u * u, {0: 1.0}, max_terms)
-    n = np.arange(1, n_last + 1, dtype=float)
-    r = zeta_tail_sum(1.0 / (n * n + u * u), n_last, tail,
-                      omitted=omitted, floor=5e-15)
+    u2 = u * u
+    r = zeta_tail_sum((1.0 / (n * n + u2) for n in range(1, n_last + 1)),
+                      n_last, tail, omitted=omitted, floor=5e-15)
     if abs(u) < 1.0:
         return replace(r, abs_err=r.abs_err + _taylor_check(
             r.value, u, lambda m: (-1.0) ** (m + 1) * _zeta_int(2 * m)))
@@ -216,8 +214,8 @@ def log_quarter_sum(q: float, max_terms: int | None = None) -> SeriesResult:
     """sum_{n>=2} log n/(4 (n^2 - q)) for q <= 1, no rounding floor."""
     n_last, log_tail, log_omitted = _quad_expansion(q, {0: 0.25}, max_terms,
                                                     log=True)
-    n = np.arange(2, n_last + 1, dtype=float)
-    return zeta_tail_sum(np.log(n) / (4.0 * (n * n - q)), n_last,
+    return zeta_tail_sum((math.log(n) / (4.0 * (n * n - q))
+                          for n in range(2, n_last + 1)), n_last,
                          log_tail=log_tail, log_omitted=log_omitted,
                          floor=0.0)
 
@@ -277,7 +275,7 @@ def s_4_29_rhs(max_terms: int | None = None) -> SeriesResult:
     n_last = _even_target_n(max_terms, omitted)
     tail = -_alternating_tail(
         {3: 1.0 / _PI, 5: -2.0 / _PI ** 3, 7: 24.0 / _PI ** 5}, n_last // 2)
-    value = 0.5 * _PI * _zeta_int(2) + tail + kahan_sum(
+    value = 0.5 * _PI * _zeta_int(2) + tail + math.fsum(
         _si_small_at_pi_mult(n, twice=False) / (n * n)
         for n in range(1, n_last + 1))
     err = tail_bound(n_last, omitted) + 1e-13 * (1.0 + abs(value))
@@ -332,25 +330,6 @@ def s_4_27(max_terms: int | None = None) -> SeriesResult:
 # section 4: harmonic/log families
 # ---------------------------------------------------------------------------
 
-def _tn(n: int, logm: np.ndarray, m2: np.ndarray) -> SeriesResult:
-    """T_n over m <= M = len(logm), given log m and m^2, plus the tail
-    sum_{m>M} log m/(m^2-n^2); needs (M+1)^2 >= 2n^2."""
-    m_terms = len(logm)
-    n2 = float(n) * float(n)
-    log_tail, log_omitted = quad_tail(n2, {0: 1.0}, m_terms)
-    den = m2 - n2
-    den[n - 1] = 1.0  # excluded term, blanked below
-    vals = logm / den
-    vals[n - 1] = 0.0
-    return zeta_tail_sum(vals, m_terms, log_tail=log_tail,
-                         log_omitted=log_omitted, floor=1e-13)
-
-
-def _log_and_square(m_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    m = np.arange(1, m_terms + 1, dtype=float)
-    return np.log(m), m * m
-
-
 # the registry uses n <= 8; the tail expansion needs (N+1)^2 >= 2n^2
 _TN_N_MIN = 11
 
@@ -361,17 +340,50 @@ def s_4_4_tn(n: float, max_terms: int | None = None) -> SeriesResult:
     n = int(n)
     if n < 1:
         raise DomainError(f"requires integer n >= 1, got {n}")
-    m_last = _quad_expansion(float(n) * float(n), {0: 1.0}, max_terms,
-                             n_min=_TN_N_MIN, log=True)[0]
-    return _tn(n, *_log_and_square(m_last))
+    n2 = float(n) * float(n)
+    m_last, log_tail, log_omitted = _quad_expansion(
+        n2, {0: 1.0}, max_terms, n_min=_TN_N_MIN, log=True)
+    return zeta_tail_sum(
+        (math.log(m) / (m * m - n2) for m in range(1, m_last + 1) if m != n),
+        m_last, log_tail=log_tail, log_omitted=log_omitted, floor=1e-13)
+
+
+# from this n on, _tn_batch takes T_n from its large-n expansion
+_TN_ASYMPTOTIC_N = 12
+# the expansion's orders zeta'(-2j)/n^(2j+2) kept, j = 1 .. 6; at n = 12
+# the first omitted one is 1.6e-18
+_TN_ORDERS = 6
+
+
+@lru_cache(maxsize=1)
+def _zeta_prime_neg_even() -> tuple[float, ...]:
+    """zeta'(-2j) = (-1)^j (2j)! zeta(2j+1) / (2 (2 pi)^(2j)), j = 1 .. 7."""
+    return tuple((-1.0) ** j * math.factorial(2 * j) * _zeta_int(2 * j + 1)
+                 / (2.0 * _TWO_PI ** (2 * j))
+                 for j in range(1, _TN_ORDERS + 2))
+
+
+def _tn_asymptotic(n: int) -> SeriesResult:
+    """T_n = pi^2/(4n) + (log n/4 + zeta'(0) - 1/2)/n^2
+    + sum_{j>=1} zeta'(-2j)/n^(2j+2), to j = ``_TN_ORDERS``.  The orders
+    alternate in sign and the expansion envelopes T_n, so the first omitted
+    order bounds the truncation; 4 ulp cover the rounding."""
+    zp = _zeta_prime_neg_even()
+    w = 1.0 / (float(n) * float(n))
+    value = math.fsum(
+        [_PI ** 2 / (4.0 * n),
+         (0.25 * math.log(n) - 0.5 * math.log(_TWO_PI) - 0.5) * w]
+        + [zp[j - 1] * w ** (j + 1) for j in range(1, _TN_ORDERS + 1)])
+    err = abs(zp[_TN_ORDERS]) * w ** (_TN_ORDERS + 2) + 4.0 * math.ulp(value)
+    return SeriesResult(value, err, _TN_ORDERS + 2, "asymptotic")
 
 
 @lru_cache(maxsize=8)
 def _tn_batch(n_max: int) -> tuple[SeriesResult, ...]:
-    """T_1 .. T_{n_max} over M = 4 n_max terms each, sharing log m and m^2
-    (the zeta'(k, M+1) of their tails are cached)."""
-    logm, m2 = _log_and_square(4 * n_max)
-    return tuple(_tn(n, logm, m2) for n in range(1, n_max + 1))
+    """T_1 .. T_{n_max}: the direct ``S-4.4-Tn`` series below n = 12, the
+    large-n expansion from there."""
+    return tuple(s_4_4_tn(n) if n < _TN_ASYMPTOTIC_N else _tn_asymptotic(n)
+                 for n in range(1, n_max + 1))
 
 
 def _with_harmonic(n_last: int):
@@ -814,8 +826,14 @@ def log_weighted_sin_sum(x: float) -> float:
         n_last, omitted=omitted, floor=0.0).value
 
 
+def _fs_7_1_residual(n: int) -> float:
+    """e_n = log(1+1/n) - 1/n + 1/(2n^2) = 1/(3n^3) - 1/(4n^4) + ...,
+    positive and decreasing."""
+    return math.log1p(1.0 / n) - 1.0 / n + 0.5 / (n * n)
+
+
 @_entry("FS-7.1", "sum log(1+1/n) sin((2n+1) pi x)", 1)
-def fs_7_1(x: float, max_terms: int = 200000) -> SeriesResult:
+def fs_7_1(x: float, max_terms: int | None = None) -> SeriesResult:
     if not 0.0 < x < 1.0:
         raise DomainError(f"requires 0 < x < 1, got {x}")
     th = _PI * x
@@ -823,35 +841,75 @@ def fs_7_1(x: float, max_terms: int = 200000) -> SeriesResult:
     # log(1+1/n) = 1/n - 1/(2n^2) + e_n
     acc = cs * 0.5 * (_PI - 2.0 * th) + sn * (-math.log(2.0 * math.sin(th)))
     acc -= 0.5 * (cs * _cl2(2.0 * th) + sn * _cos_zeta_sum(1, x))
-    n = np.arange(1, max_terms + 1, dtype=float)
-    e_n = np.log1p(1.0 / n) - 1.0 / n + 0.5 / (n * n)
-    acc += _np_sum(e_n * np.sin((2.0 * n + 1.0) * th))
-    err = 1.0 / (6.0 * max_terms ** 2) + 1e-13 * (1.0 + abs(acc))
-    return SeriesResult(acc, err, max_terms, "closed+residual")
+    # e_n shrinks to 0, so by Abel summation against the Dirichlet kernel
+    # the residual's tail past N is at most e_{N+1}/sin(pi x)
+    def bound(n: int) -> float:
+        return _fs_7_1_residual(n + 1) / sn
+    n_last = target_terms(bound, cap=max_terms)
+    acc += math.fsum(_fs_7_1_residual(n) * math.sin((2 * n + 1) * th)
+                     for n in range(1, n_last + 1))
+    err = bound(n_last) + 1e-13 * (1.0 + abs(acc))
+    return SeriesResult(acc, err, n_last, "closed+residual")
 
 
-# the value is the mean of the last 64 partial sums
-@_entry("FS-4.16", "Fourier partial sum for log G(x)", 1, n_min=64)
+# FS-4.16 averages the last _FS_4_16_WINDOW partial sums
+_FS_4_16_WINDOW = 64
+
+
+@lru_cache(maxsize=8)
+def _log_g_fourier(n_max: int) -> tuple[list[float], list[float]]:
+    """The Fourier coefficients a_n, b_n of log G on (0, 1), n = 1 ..
+    ``n_max``: a_n = (log n/2 - gamma - log 2 pi - 1)/(2 pi^2 n^2)
+    - 1/(4n) - T_n/pi^2 and b_n = (1/2n - gamma - log(4 pi^2 n) - H_n)
+    /(2 pi n).  From the T_n expansion, a_n = -1/(2n) - gamma/(2 pi^2 n^2)
+    + O(n^-4) and b_n = -(log n + gamma + log 2 pi)/(pi n) + O(n^-3): both
+    keep one sign and shrink in size."""
+    c = get_constants()
+    a = []
+    b = []
+    h = 0.0
+    for n, tn in enumerate(_tn_batch(n_max), 1):
+        h += 1.0 / n
+        a.append((0.5 * math.log(n) - c.gamma - c.log_2pi - 1.0)
+                 / (2.0 * _PI ** 2 * n * n) - 0.25 / n - tn.value / _PI ** 2)
+        b.append((0.5 / n - c.gamma - math.log(4.0 * _PI ** 2 * n) - h)
+                 / (2.0 * _PI * n))
+    return a, b
+
+
+@lru_cache(maxsize=8)
+def _fs_4_16_coefficients(n_last: int) -> tuple[list[complex], float, float]:
+    """The x-independent part of FS-4.16 at N = ``n_last``.  The mean of the
+    partial sums S_{N-63} .. S_N weights term n by min(1, (N-n+1)/64).
+    Returns the weighted w_n (a_n - i b_n), n = N down to 1 (Horner's
+    order), |a_{M+1}| + |b_{M+1}| at M = N - 63, and the sum of the T_n
+    errors over pi^2."""
+    a, b = _log_g_fourier(n_last)
+    coeffs = [min(1.0, (n_last - n + 1) / _FS_4_16_WINDOW)
+              * complex(a[n - 1], -b[n - 1]) for n in range(n_last, 0, -1)]
+    m_next = n_last - _FS_4_16_WINDOW + 2
+    return (coeffs, abs(a[m_next - 1]) + abs(b[m_next - 1]),
+            math.fsum(t.abs_err for t in _tn_batch(n_last)) / _PI ** 2)
+
+
+@_entry("FS-4.16", "Fourier partial sum for log G(x)", 1,
+        n_min=_FS_4_16_WINDOW)
 def fs_4_16(x: float, max_terms: int = 2000) -> SeriesResult:
     if not 0.0 < x < 1.0:
         raise DomainError(f"requires 0 < x < 1, got {x}")
     c = get_constants()
-    tns = _tn_batch(max_terms)
-    n = np.arange(1, max_terms + 1, dtype=float)
-    hn = np.cumsum(1.0 / n)
-    logn = np.log(n)
-    a_n = ((0.5 * logn - c.gamma - c.log_2pi - 1.0) / (2.0 * _PI ** 2 * n * n)
-           - 1.0 / (4.0 * n) - np.array([t.value for t in tns]) / _PI ** 2)
-    b_n = (0.5 / n - c.gamma - np.log(4.0 * _PI ** 2 * n) - hn) / (
-        2.0 * _PI * n)
+    coeffs, c_next, tn_err = _fs_4_16_coefficients(max_terms)
+    # value: a0 + Re sum_n w_n (a_n - i b_n) z^n, z = e^(2 pi i x)
+    z = cmath.rect(1.0, _TWO_PI * x)
+    acc = 0j
+    for cn in coeffs:
+        acc = acc * z + cn
     a0 = 1.0 / 12.0 - 2.0 * c.log_A - 0.25 * c.log_2pi
-    terms = a_n * np.cos(_TWO_PI * n * x) + b_n * np.sin(_TWO_PI * n * x)
-    partials = a0 + np.cumsum(terms)
-    window = partials[-64:]
-    value = float(window.mean())
-    # each partial sum carries at most the T_n errors over pi^2
-    err = (float(window.max() - window.min()) + 1e-12
-           + math.fsum(t.abs_err for t in tns) / _PI ** 2)
+    value = a0 + (acc * z).real
+    # a_n and b_n keep one sign and shrink in size, so by Abel summation
+    # against the Dirichlet kernel every averaged partial sum S_m, m >= M,
+    # is within (|a_{M+1}| + |b_{M+1}|)/sin(pi x) of the series
+    err = c_next / math.sin(_PI * x) + 1e-12 + tn_err
     return SeriesResult(value, err, max_terms, "fourier_partial_mean")
 
 
@@ -882,35 +940,67 @@ def log_cos_over_n2(u: float) -> float:
             + 0.5 * _PI * cl)
 
 
-# psi_sin_partial's residual sums keep a fixed N
-_PSI_SIN_N = 20000
+# the truncation error psi_sin_partial sums its residuals to
+_PSI_SIN_TARGET = 1e-8
+
+
+def _psi_sin_bound(n_last: int, su: float, cu: float) -> float:
+    """The truncation bound of :func:`psi_sin_partial`'s residuals past
+    N = ``n_last``, times 2/pi as they enter its value.
+
+    The coefficients c1_n = log n/(2n(4n^2-1)) and c2_n = log n/(4n^2
+    (4n^2-1)) are positive and fall from n = 2 on, so by Abel summation
+    against the Dirichlet kernel each tail is at most c_{N+1}/sin(pi u),
+    and never more than its absolute tail, which is below r/8 and r/16 of
+    the integrals of log t/t^3 and log t/t^4 from N, r = 1/(1 - 1/(4N^2)).
+    The sine residual enters times sin(pi u), which cancels its kernel.
+    """
+    n = n_last + 1.0
+    log_n, log_last = math.log(n), math.log(n_last)
+    r = 1.0 / (1.0 - 0.25 / (n_last * n_last))
+    c1 = log_n / (2.0 * n * (4.0 * n * n - 1.0))
+    c2 = log_n / (4.0 * n * n * (4.0 * n * n - 1.0))
+    abs1 = r * (2.0 * log_last + 1.0) / (32.0 * n_last ** 2)
+    abs2 = r * (3.0 * log_last + 1.0) / (144.0 * n_last ** 3)
+    return 2.0 / _PI * (min(c1, su * abs1) + abs(cu) * min(c2 / su, abs2))
 
 
 def psi_sin_partial(u: float) -> SeriesResult:
     """Closed-plus-residual evaluation of the log-weighted series side of
-    the partial sine transform of psi on [0, u]."""
+    the partial sine transform of psi on [0, u].  The residuals take the N
+    at which their bound meets ``_PSI_SIN_TARGET``; at u = 1 the sine
+    residual vanishes and the cosine one is sum log n/(4n^2-1) + zeta'(2)/4
+    in closed form."""
     if not 0.0 < u <= 1.0:
         raise DomainError(f"requires 0 < u <= 1, got {u}")
     c = get_constants()
-    su, cu = math.sin(_PI * u), math.cos(_PI * u)
-    if u < 1.0:
-        s_a = log_sin_over_n(u)
+    # k_log = sum log n/(4n^2-1)
+    k_log = log_quarter_sum(0.25)
+    if u == 1.0:
+        su, cu, s_a = 0.0, -1.0, 0.0
+        r1 = 0.0
+        # 1/(4n^2 (4n^2-1)) = 1/(4n^2-1) - 1/(4n^2), sum log n/n^2 = -zeta'(2)
+        r2 = k_log.value + 0.25 * _zeta_prime_int(2)
+        n_last, trunc = k_log.terms_used, 2.0 / _PI * k_log.abs_err
     else:
-        s_a = 0.0
-    s_c = log_cos_over_n2(u if u < 1.0 else 1.0)
-    n = np.arange(2, _PSI_SIN_N + 1, dtype=float)
-    logn = np.log(n)
-    r1 = _np_sum(logn * np.sin(_TWO_PI * n * u) / (2.0 * n * (4.0 * n * n - 1.0)))
-    r2 = _np_sum(logn * np.cos(_TWO_PI * n * u) / (4.0 * n * n * (4.0 * n * n - 1.0)))
-    # sum log n/(4n^2-1), exact tail
-    log_tail, log_omitted = quad_tail(0.25, {0: 0.25}, _PSI_SIN_N)
-    k_log = zeta_tail_sum(logn / (4.0 * n * n - 1.0), _PSI_SIN_N,
-                          log_tail=log_tail, log_omitted=log_omitted).value
-    series = su * (0.5 * s_a + r1) + cu * (0.25 * s_c + r2) - k_log
+        su, cu = math.sin(_PI * u), math.cos(_PI * u)
+        s_a = log_sin_over_n(u)
+        n_last = target_terms(lambda n: _psi_sin_bound(n, su, cu), n_min=2,
+                              target=_PSI_SIN_TARGET)
+        w = _TWO_PI * u
+        r1 = math.fsum(math.log(n) * math.sin(w * n)
+                       / (2.0 * n * (4.0 * n * n - 1.0))
+                       for n in range(2, n_last + 1))
+        r2 = math.fsum(math.log(n) * math.cos(w * n)
+                       / (4.0 * n * n * (4.0 * n * n - 1.0))
+                       for n in range(2, n_last + 1))
+        trunc = _psi_sin_bound(n_last, su, cu)
+    s_c = log_cos_over_n2(u)
+    series = su * (0.5 * s_a + r1) + cu * (0.25 * s_c + r2) - k_log.value
     value = (2.0 / _PI * series
              + (c.gamma + c.log_2pi) * (cu - 1.0) / _PI - 0.5 * su)
-    err = math.log(_PSI_SIN_N) / _PSI_SIN_N ** 2 + 1e-12
-    return SeriesResult(value, err, _PSI_SIN_N, "kummer_closed+residual")
+    err = trunc + 2.0 / _PI * k_log.abs_err + 1e-12
+    return SeriesResult(value, err, n_last, "kummer_closed+residual")
 
 
 @_entry("FS-8.13", "sum cos(2 pi n t)/(4n^2-1)", 1)

@@ -1,6 +1,10 @@
 """Command-line front end tests: outputs, exit codes, report files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,3 +176,20 @@ def test_max_terms_reaches_disputed_series_route(monkeypatch, capsys):
     assert run(["verify", "--ids", "D-5.18", "--max-terms", "20"]) == 0
     capsys.readouterr()
     assert caps == [("S-5.18", 20)]
+
+
+def test_verify_all_never_imports_numpy():
+    # the package has no runtime dependency: a whole cold run, lazy imports
+    # included, must finish without numpy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys\n"
+              "from gammalab.cli import main\n"
+              "rc = main(['verify', '--all', '--no-timing'])\n"
+              "print('numpy' in sys.modules)\n"
+              "sys.exit(rc)\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"

@@ -13,7 +13,12 @@ from gammalab import kernels as K  # noqa: E402
 from gammalab import registry as R  # noqa: E402
 from gammalab.integral_catalog import integral_catalog  # noqa: E402
 from gammalab.series import cvz_alternating  # noqa: E402
-from gammalab.series_catalog import _tn_batch, sum_catalog  # noqa: E402
+from gammalab.series_catalog import (  # noqa: E402
+    _tn_asymptotic,
+    _tn_batch,
+    psi_sin_partial,
+    sum_catalog,
+)
 
 mp.mp.dps = 30
 PI = math.pi
@@ -55,17 +60,58 @@ def test_s_5_13(x):
                   r.abs_err)
 
 
+def _tn_tail_oracle(n):
+    """T_n as a direct sum to M = 4n + 8 plus the convergent tail
+    -sum_j n^(2j) zeta'(2j+2, M+1), whose orders shrink by 1/16."""
+    m_last = 4 * n + 8
+    direct = mp.fsum(mp.log(m) / (m * m - n * n)
+                     for m in range(1, m_last + 1) if m != n)
+    return direct - mp.fsum(mp.mpf(n) ** (2 * j) * mp.zeta(2 * j + 2,
+                                                           m_last + 1, 1)
+                            for j in range(26))
+
+
 @pytest.mark.parametrize("n", [1, 2, 8])
 def test_tn(n):
-    def term(m):
-        return mp.log(m) / (m * m - n * n)
-    ref = mp.nsum(term, [n + 1, mp.inf], method="euler-maclaurin")
-    if n > 1:
-        ref += mp.nsum(term, [1, n - 1])
+    ref = _tn_tail_oracle(n)
     r = sum_catalog("S-4.4-Tn", (float(n),))
     assert _close(r.value, ref, r.abs_err)
     batch = _tn_batch(8)[n - 1]
     assert _close(batch.value, ref, batch.abs_err)
+
+
+@pytest.mark.parametrize("n", [12, 13, 20, 50, 200, 2000])
+def test_tn_asymptotic(n):
+    r = _tn_asymptotic(n)
+    assert _close(r.value, _tn_tail_oracle(n), r.abs_err)
+    assert _tn_batch(2000)[n - 1] == r
+
+
+def test_psi_sin_partial_grid():
+    # int_0^u psi(x) sin(pi x) dx, the other side of I-7.15, integrated
+    # piecewise over the sorted grid: at 15 digits the running sum is good
+    # to ~1e-15, far inside the ~1e-8 claims
+    grid = sorted({k / 200 for k in range(1, 201)}
+                  | {1e-4, 1e-3, 0.999, 0.9999})
+    with mp.workdps(15):
+        f = lambda x: mp.digamma(x) * mp.sin(mp.pi * x)  # noqa: E731
+        ref, last = mp.mpf(0), mp.mpf(0)
+        for u in grid:
+            ref += mp.quad(f, [last, u], method="gauss-legendre")
+            last = mp.mpf(u)
+            r = psi_sin_partial(u)
+            assert _close(r.value, ref, r.abs_err), u
+            assert r.abs_err <= 2.5e-8, u
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999,
+                               0.99985])
+def test_fs_4_16_log_barnes_g(x):
+    # the Dirichlet-kernel bound holds at the default N and at caps, and
+    # widens near the ends
+    for cap in (64, 256, 2000):
+        r = sum_catalog("FS-4.16", (x,), max_terms=cap)
+        assert _close(r.value, mp.log(mp.barnesg(x)), r.abs_err), cap
 
 
 @pytest.mark.parametrize("u", [0.0, 1e-3, 0.5 * PI, 3.1, PI])

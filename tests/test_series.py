@@ -2,15 +2,25 @@
 
 import inspect
 import math
+import random
 
 import numpy as np
 import pytest
 
 from gammalab import kernels as K
+from gammalab import series_catalog
 from gammalab.errors import DomainError, EvaluationError, UnknownKeyError
-from gammalab.series import cvz_alternating, quad_tail, zeta_tail_sum
+from gammalab.series import (
+    TARGET_ERR,
+    cvz_alternating,
+    quad_tail,
+    target_terms,
+    zeta_tail_sum,
+)
 from gammalab.series_catalog import (
     SERIES_CATALOG,
+    _log_g_fourier,
+    _tn_asymptotic,
     power_series_eval,
     sum_catalog,
 )
@@ -68,9 +78,9 @@ def test_zeta_tail_sum_quartic_lattice():
 
 
 def test_zeta_tail_sum_log_tail():
-    # sum log n/n^2 = -zeta'(2), numpy terms and an exact log tail
-    n = np.arange(1, 11, dtype=float)
-    r = zeta_tail_sum(np.log(n) / (n * n), 10, log_tail={2: 1.0})
+    # sum log n/n^2 = -zeta'(2), ten terms and an exact log tail
+    r = zeta_tail_sum((math.log(n) / (n * n) for n in range(1, 11)), 10,
+                      log_tail={2: 1.0})
     assert r.value == pytest.approx(-K._zeta_prime_int(2), abs=1e-15)
 
 
@@ -143,7 +153,7 @@ def _test_params(key):
 def test_catalog_error_grows_as_max_terms_shrinks(key):
     # the reference sums at the N its own bound picks; every cap, above or
     # below that N, must agree with it within both errors.  Only the
-    # fixed-N entries (FS-4.16, FS-7.1) keep a default, and are capped below
+    # fixed-N entry FS-4.16 keeps a default, and is capped below it
     entry = SERIES_CATALOG[key]
     n_def = inspect.signature(entry.fn).parameters["max_terms"].default
     grid = sorted({n for n in _N_GRID if n_def is None or n < n_def}
@@ -165,10 +175,115 @@ def test_catalog_error_grows_as_max_terms_shrinks(key):
                                        - {"FS-4.16", "FS-7.1"}))
 def test_target_n_is_small(key):
     # each entry's own bound meets the target within 1024 terms; only the
-    # two fixed-N Fourier entries sum more
+    # fixed-N FS-4.16 and the test-only FS-7.1 (~35k terms at x = 0.3)
+    # sum more
     for params in _test_params(key):
         r = sum_catalog(key, params)
         assert r.terms_used <= 1024, (key, params, r.terms_used)
+
+
+# ---------------------------------------------------------------------------
+# target_terms: the secant search finds the N doubling and bisecting find
+# ---------------------------------------------------------------------------
+
+def _doubling_bisection(bound, n_min=1, cap=None, target=TARGET_ERR):
+    """The reference search: double to a bracket, then bisect it."""
+    top = 1 << 16 if cap is None else cap
+
+    def met(n):
+        try:
+            return bound(n) <= target
+        except DomainError:
+            return False
+
+    if n_min >= top or met(n_min):
+        return min(n_min, top)
+    lo = hi = n_min
+    while True:
+        hi = min(2 * hi, top)
+        if met(hi):
+            break
+        if hi == top:
+            return top
+        lo = hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if met(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _search(search, bound, *args, **kwargs):
+    """(N, bound probes) of one search."""
+    probes = []
+
+    def counted(n):
+        probes.append(n)
+        return bound(n)
+    return search(counted, *args, **kwargs), len(probes)
+
+
+def _same_n(bound, *args, **kwargs):
+    """Both searches' probe counts, after asserting that they agree."""
+    n_new, p_new = _search(target_terms, bound, *args, **kwargs)
+    n_ref, p_ref = _search(_doubling_bisection, bound, *args, **kwargs)
+    assert n_new == n_ref, (args, kwargs, n_new, n_ref)
+    return p_new, p_ref
+
+
+def _catalog_searches(key, monkeypatch):
+    """Every target_terms call an entry makes at its test parameters, with
+    and without caps."""
+    searches = []
+
+    def recording(bound, *args, **kwargs):
+        searches.append((bound, args, kwargs))
+        return target_terms(bound, *args, **kwargs)
+    monkeypatch.setattr(series_catalog, "target_terms", recording)
+    for params in _test_params(key):
+        for cap in (None, 1, 20, 1000):
+            try:
+                sum_catalog(key, params, max_terms=cap)
+            except DomainError:
+                pass  # a cap below the entry's n_min
+    monkeypatch.undo()
+    return searches
+
+
+def test_target_terms_matches_doubling_and_bisection(monkeypatch):
+    # the same N on every search of every catalog entry, in fewer probes
+    new = ref = 0
+    for key in sorted(SERIES_CATALOG):
+        for bound, args, kwargs in _catalog_searches(key, monkeypatch):
+            p_new, p_ref = _same_n(bound, *args, **kwargs)
+            new += p_new
+            ref += p_ref
+    assert ref > 100 and new < 0.7 * ref, (new, ref)
+
+
+def test_target_terms_synthetic_bounds():
+    # power laws in N + shift, with caps, targets and expansions that only
+    # hold (no DomainError) from a threshold on
+    rng = random.Random(7)
+    for _ in range(500):
+        p = rng.uniform(0.5, 30.0)
+        c = 10.0 ** rng.uniform(-6.0, 6.0)
+        shift = rng.choice((0.0, 0.5, 1.0, 3.0))
+        threshold = rng.choice((0, rng.randint(1, 5000)))
+
+        def bound(n, p=p, c=c, shift=shift, threshold=threshold):
+            if n < threshold:
+                raise DomainError("the expansion does not hold yet")
+            return c * (n + shift) ** -p
+        _same_n(bound, rng.choice((1, 2, 11, 64, rng.randint(1, 500))),
+                rng.choice((None, rng.randint(1, 100_000))),
+                target=rng.choice((TARGET_ERR, 1e-8)))
+    # steps give the secant nothing to follow
+    for threshold in (1, 2, 3, 100, 4097, 65535, 65536, 70000):
+        for cap in (None, 1000):
+            _same_n(lambda n: 1.0 if n < threshold else 0.0, 1, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +369,24 @@ def test_catalog_spot_values():
     assert sum_catalog("S-8.11").value == pytest.approx(0.5, abs=1e-12)
 
 
+def test_tn_expansion_agrees_with_direct_series():
+    # FS-4.16 takes T_n from n = 12 on from its large-n expansion
+    for n in range(11, 201):
+        direct = sum_catalog("S-4.4-Tn", (float(n),))
+        expansion = _tn_asymptotic(n)
+        assert abs(direct.value - expansion.value) <= (
+            direct.abs_err + expansion.abs_err), n
+
+
+def test_log_g_fourier_coefficients_keep_sign_and_shrink():
+    # FS-4.16's Dirichlet-kernel bound needs a_n, b_n of one sign and
+    # falling in size from n = M+1 >= 2 on
+    a, b = _log_g_fourier(2000)
+    for c in (a, b):
+        assert all(x < 0.0 for x in c)
+        assert all(abs(y) < abs(x) for x, y in zip(c, c[1:]))
+
+
 def test_si_lattice_sums():
     # frozen from the lattice oracle: sum Si(2 pi n)/n^2
     assert sum_catalog("S-4.26").value == pytest.approx(2.39933343078027,
@@ -320,11 +453,18 @@ def test_alternating_entries_respect_tail_bound(n_stop):
                   for n in range(1, n_stop + 1))
     nxt = math.log1p(1.0 / (n_stop + 1)) / (2 * n_stop + 3)
     assert abs(value - partial) <= nxt
+    # the partial sum exactly rounded, and only the rounding the value
+    # cannot avoid on top of the window
     value = sum_catalog("S-6.33").value
-    partial = sum((-1.0) ** (n % 2) * n / (4.0 * n * n - 1.0) ** 3
-                  for n in range(1, n_stop + 1))
+    partial = math.fsum((-1.0) ** (n % 2) * n / (4.0 * n * n - 1.0) ** 3
+                        for n in range(1, n_stop + 1))
     nxt = (n_stop + 1.0) / (4.0 * (n_stop + 1.0) ** 2 - 1.0) ** 3
-    assert abs(value - partial) <= nxt
+    room = nxt + 2.0 * math.ulp(value)
+    assert abs(value - partial) <= room
+    if room < 1e-15:
+        # the window still catches a value 1e-15 off
+        assert abs(value + 1e-15 - partial) > room
+        assert abs(value - 1e-15 - partial) > room
 
 
 def test_fourier_partial_sums():
