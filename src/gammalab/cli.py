@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from . import kernels
-from .errors import GammalabError
+from .errors import GammalabError, integer_arg
 from .integral_catalog import integral_catalog, list_integral_ids
 from .registry import EvalOptions, Registry, TOL_CLASS, failures
 from .report import build_report, fmt15, to_json, to_markdown
@@ -46,7 +46,8 @@ class Config:
 _FN_KEYS = {
     "log_gamma": (kernels.log_gamma, 1),
     "digamma": (kernels.digamma, 1),
-    "polygamma": (lambda k, x: kernels.polygamma(int(k), x), 2),
+    "polygamma": (lambda k, x: kernels.polygamma(integer_arg(k, "k"), x),
+                  2),
     "lambda": (kernels.lambda_fn, 1),
     "si": (lambda x: kernels.sici(x)[0], 1),
     "ci": (lambda x: kernels.sici(x)[1], 1),
@@ -59,7 +60,8 @@ _FN_KEYS = {
     "gamma1": (kernels.stieltjes_gamma1, 0),
     "log_barnes_g": (kernels.log_barnes_g, 1),
     "clausen_cl2": (kernels.clausen_cl2, 1),
-    "bernoulli_poly": (lambda n, x: kernels.bernoulli_poly(int(n), x), 2),
+    "bernoulli_poly": (lambda n, x: kernels.bernoulli_poly(
+        integer_arg(n, "n"), x), 2),
 }
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument
+check that raises one."""
 
 
 class GammalabError(Exception):
@@ -39,3 +40,11 @@ class UnknownKeyError(GammalabError, KeyError):
 
 class MisuseError(GammalabError, ValueError):
     """API used against its contract (e.g. adjudicating a non-dispute)."""
+
+
+def integer_arg(value: float, name: str) -> int:
+    """``value`` as an int.  A non-integer raises ``DomainError``: an
+    integer argument is never truncated."""
+    if not float(value).is_integer():
+        raise DomainError(f"{name} must be an integer, got {value}")
+    return int(value)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, UnknownKeyError
+from .errors import DomainError, UnknownKeyError, integer_arg
 from .kernels import (
     _bpoly,
     _cl2,
@@ -87,7 +87,7 @@ _OSC_CAP = 8
 
 def _check_mode(n: float) -> int:
     """Oscillatory entries stop at 8 full periods; higher modes are out."""
-    m = int(n)
+    m = integer_arg(n, "oscillation index")
     if not 1 <= m <= _OSC_CAP:
         raise DomainError(f"oscillation index must be in [1, {_OSC_CAP}], "
                           f"got {n}")
@@ -238,7 +238,7 @@ def q_2_12(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
 
 @_entry("Q-2.13", "int_0^1 (2x-1)^(2n+1) log(sin(pi x)) dx", 1)
 def q_2_13(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
-    m = 2 * int(n) + 1
+    m = 2 * integer_arg(n, "n") + 1
     def f(x, da, db):
         return (2.0 * x - 1.0) ** m * _log_sin_pi(x, da, db)
     return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
@@ -282,7 +282,7 @@ def q_4_8(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
 
 @_entry("Q-4.12.7", "int_0^1 B_(2n+1)(x) cot(pi x) dx", 1, tol=1e-8)
 def q_4_12_7(n: float, tol: float = 1e-8, max_level: int = 10) -> QuadResult:
-    m = 2 * int(n) + 1
+    m = 2 * integer_arg(n, "n") + 1
     def f(x, da, db):
         # odd Bernoulli polynomials vanish at both ends and at 1/2
         b = _bpoly(m, da) if da <= db else -_bpoly(m, db)
@@ -292,7 +292,7 @@ def q_4_12_7(n: float, tol: float = 1e-8, max_level: int = 10) -> QuadResult:
 
 @_entry("Q-4.12.8", "int_0^1 B_(2n)(x) log(sin(pi x)) dx", 1)
 def q_4_12_8(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
-    m = 2 * int(n)
+    m = 2 * integer_arg(n, "n")
     def f(x, da, db):
         b = _bpoly(m, da) if da <= db else _bpoly(m, db)
         return b * _log_sin_pi(x, da, db)
@@ -301,7 +301,7 @@ def q_4_12_8(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
 
 @_entry("Q-4.12.10", "int_0^1 B_(2n)(x) log Gamma(x) dx", 1)
 def q_4_12_10(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
-    m = 2 * int(n)
+    m = 2 * integer_arg(n, "n")
     def f(x, da, db):
         b = _bpoly(m, da) if da <= db else _bpoly(m, db)
         return b * _lgamma_s(x, da, db)

@@ -23,12 +23,18 @@ from functools import lru_cache
 from typing import Callable
 
 from . import kernels as K
-from .errors import DomainError, GammalabError, MisuseError, UnknownKeyError
+from .errors import (
+    DomainError,
+    GammalabError,
+    MisuseError,
+    UnknownKeyError,
+    integer_arg,
+)
 from .integral_catalog import integral_catalog, probe_cauchy
 from .kernels import get_constants
-from .series import tail_bound, target_terms, zeta_tail_sum
+from .series import SeriesResult, tail_bound, target_terms, zeta_tail_sum
 from .series_catalog import (
-    _cos_zeta_sum,
+    _bernoulli_fourier,
     _ps_fast,
     _zeta_m1,
     ci_quarter_sum,
@@ -95,6 +101,8 @@ class IdentityRecord:
     expected: str = "CONFIRMED"
     param_names: tuple[str, ...] = ()
     param_domain: tuple[tuple[float, float], ...] = ()
+    # the parameters that take integers only, checked with the domain
+    integer_params: tuple[str, ...] = ()
     default_params: tuple[tuple[float, ...], ...] = ((),)
     reported: dict = field(default_factory=dict)
     probe: str | None = None
@@ -160,6 +168,24 @@ def _expr(label: str, fn_val: Callable[..., float],
         v = fn_val(*params)
         return v, err * max(1.0, abs(v))
     return Recipe(label, fn)
+
+
+def _series_expr(label: str, fn_val: Callable[..., SeriesResult],
+                 err: float = 0.0) -> Recipe:
+    """A closed form around a series: the series' own error plus
+    ``err * max(1, |v|)``."""
+    def fn(params, opts):
+        r = fn_val(*params)
+        return r.value, r.abs_err + err * max(1.0, abs(r.value))
+    return Recipe(label, fn)
+
+
+def _mode(params: tuple) -> tuple:
+    """The integer part of the mode index of I-2.13, I-4.4, I-4.8 and
+    I-4.12.x, whose closed forms take the integer part too.  These records
+    do not declare the index integer yet: sweeps draw it from their
+    continuous ``param_domain``."""
+    return (float(int(params[0])),)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +297,18 @@ def _rhs_2_9(p: float) -> float:
         _psi(1.0 + p) + _psi(1.0 - p) + 2.0 * _G)
 
 
-def _rhs_2_10(p: float) -> float:
-    # sum (-1)^n n/(n^2-p^2) = -log 2 + p^2 sum (-1)^n/(n(n^2-p^2))
+def _rhs_2_10(p: float) -> SeriesResult:
+    """sin(p pi)/(2 pi p) sum (-1)^n n/(n^2-p^2), the sum as -log 2
+    + p^2 sum (-1)^n/(n(n^2-p^2)) to n = 3999.  Its terms alternate and
+    shrink, so the rest is below the first omitted one, which is the
+    error."""
     acc = -math.log(2.0)
     acc += p * p * math.fsum((-1.0) ** (n % 2) / (n * (n * n - p * p))
                              for n in range(1, 4000))
-    return math.sin(p * _PI) / (2.0 * _PI * p) * acc
+    scale = math.sin(p * _PI) / (2.0 * _PI * p)
+    return SeriesResult(scale * acc,
+                        abs(scale) * p * p / (4000.0 * (4000.0 ** 2 - p * p)),
+                        3999, "alternating")
 
 
 def _rhs_3_8(p: float) -> float:
@@ -309,8 +341,8 @@ def _rhs_3_19(x: float) -> float:
     return 2.0 / _PI - 4.0 / _PI * sum_catalog("FS-8.13", (t,)).value
 
 
-def _alt_cos_sum(u: float, x: float) -> tuple[float, float]:
-    """sum (-1)^(n+1) cos(n u)/(n^2 - x^2) for |x| < 1, as (value, err).
+def _alt_cos_sum(u: float, x: float) -> SeriesResult:
+    """sum (-1)^(n+1) cos(n u)/(n^2 - x^2) for |x| < 1.
 
     1/(n^2-x^2) = sum_j x^2j n^(-2j-2), and (-1)^(n+1) cos(n u)
     = -cos(2 pi n t) with t = (u + pi)/(2 pi): five slices are exact
@@ -318,14 +350,11 @@ def _alt_cos_sum(u: float, x: float) -> tuple[float, float]:
     n^-12 from n = 2 on, keeps cos(n u), so that its n = 1 term, of size
     cos(u)/(1-x^2), stays accurate relative to cos(u) as x -> 1.
     """
-    t = (u + _PI) / _TWO_PI
-    acc = math.fsum(x ** (2 * j) * _cos_zeta_sum(j + 1, t) for j in range(5))
-    r = zeta_tail_sum(
-        ((-1.0) ** (n + 1) * math.cos(n * u) * x ** 10
-         / (float(n) ** 10 * (n - x) * (n + x)) for n in range(1, 41)),
-        40, omitted={12: x ** 10}, floor=0.0)
-    value = r.value - acc
-    return value, r.abs_err + 1e-14 * (1.0 + abs(value))
+    return _bernoulli_fourier(
+        {2 * j + 2: -x ** (2 * j) for j in range(5)},
+        lambda n: (-1.0) ** (n + 1) * math.cos(n * u) * x ** 10
+        / (float(n) ** 10 * (n - x) * (n + x)),
+        (u + _PI) / _TWO_PI, {12: x ** 10}, floor=1e-14)
 
 
 def _rhs_4_4(n: float) -> float:
@@ -368,7 +397,8 @@ def _rhs_5_53(u: float) -> float:
 
 
 def _rhs_6_10(u: float) -> float:
-    return (K._lgamma(1.0 + u) + log_weighted_sin_sum(u) / (4.0 * _PI)
+    return (K._lgamma(1.0 + u)
+            + log_weighted_sin_sum(u).value / (4.0 * _PI)
             + 0.5 * u * math.log(2.0)
             + (1.0 - math.cos(_TWO_PI * u)) / 8.0
             + 0.5 * (_G + math.log(_PI)) * (u - math.sin(_TWO_PI * u) / _TWO_PI)
@@ -388,16 +418,17 @@ def _rhs_6_38() -> float:
             + (_G + math.log(_PI)) / 6.0 - acc / (2.0 * _PI ** 2))
 
 
-def _alt_quarter_sum() -> float:
-    """sum (-1)^n/(4n^2-1) = (2-pi)/4, via the Leibniz split."""
-    return 0.5 * math.fsum(
+def _alt_quarter_sum() -> SeriesResult:
+    """I-8.15's left side 2/pi - (4/pi) sum (-1)^n/(4n^2-1), the sum by
+    the Leibniz split (-1)^n [1/(2n-1) - 1/(2n+1)]/2 to n = 99 999.  Its
+    terms alternate and shrink, so the rest is below the first omitted
+    one, which (times 4/pi) is the error."""
+    s = 0.5 * math.fsum(
         (-1.0) ** (n % 2) * (1.0 / (2 * n - 1.0) - 1.0 / (2 * n + 1.0))
         for n in range(1, 100_000))
-
-
-def _psi_sin_recipe(params: tuple, opts: EvalOptions) -> tuple[float, float]:
-    r = psi_sin_partial(params[0])
-    return r.value, r.abs_err
+    rest = 0.5 * (1.0 / 199_999.0 - 1.0 / 200_001.0)
+    return SeriesResult(2.0 / _PI - 4.0 / _PI * s, 4.0 / _PI * rest, 99_999,
+                        "alternating")
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +504,8 @@ def build_records() -> list[IdentityRecord]:
         default_params=((0.1,), (0.2,), (0.3,), (0.4,), (0.45,))))
     add(IdentityRecord(
         "I-2.10", 2, "(2.10): half-interval log-sin cosine transform",
-        _quad("Q-2.10"), _expr("alternating series form (2.10)", _rhs_2_10),
+        _quad("Q-2.10"),
+        _series_expr("alternating series form (2.10)", _rhs_2_10, err=3e-14),
         param_names=("p",), param_domain=((0.0, 1.0),),
         default_params=((0.1,), (0.3,), (0.5,), (0.7,), (0.95,))))
     add(IdentityRecord(
@@ -483,7 +515,7 @@ def build_records() -> list[IdentityRecord]:
         default_params=((0.37,), (1.0,), (2.5,))))
     add(IdentityRecord(
         "I-2.13", 2, "(2.13): odd-power moments of log sin vanish",
-        _quad("Q-2.13"), _expr("zero", lambda n: 0.0, err=1e-16),
+        _quad("Q-2.13", pmap=_mode), _expr("zero", lambda n: 0.0, err=1e-16),
         param_names=("n",), param_domain=((0.0, 3.0),),
         default_params=((0.0,), (1.0,), (2.0,), (3.0,))))
 
@@ -533,7 +565,7 @@ def build_records() -> list[IdentityRecord]:
         _expr("pi cos(ux)/sin(pi x)",
               lambda u, x: _PI * math.cos(u * x) / math.sin(_PI * x)),
         _expr("1/x + 2x sum (-1)^(n+1) cos(nu)/(n^2-x^2)",
-              lambda u, x: 1.0 / x + 2.0 * x * _alt_cos_sum(u, x)[0],
+              lambda u, x: 1.0 / x + 2.0 * x * _alt_cos_sum(u, x).value,
               err=1e-12),
         param_names=("u", "x"), param_domain=((0.0, _PI), (0.0, 1.0)),
         default_params=((0.5, 0.3), (0.5, 0.7), (2.0, 0.3), (2.0, 0.7))))
@@ -541,7 +573,7 @@ def build_records() -> list[IdentityRecord]:
         "I-3.24", 3, "(3.24): cosecant partial-fraction expansion",
         _expr("pi/sin(pi x)", lambda x: _PI / math.sin(_PI * x)),
         _expr("1/x + 2x sum (-1)^(n+1)/(n^2-x^2)",
-              lambda x: 1.0 / x + 2.0 * x * _alt_cos_sum(0.0, x)[0],
+              lambda x: 1.0 / x + 2.0 * x * _alt_cos_sum(0.0, x).value,
               err=1e-12),
         param_names=("x",), param_domain=((0.0, 1.0),),
         default_params=((0.3,), (0.7,))))
@@ -555,7 +587,8 @@ def build_records() -> list[IdentityRecord]:
               + C.zeta_prime_2 / (2.0 * _PI ** 2))))
     add(IdentityRecord(
         "I-4.4", 4, "(4.4): cosine moments of x log Gamma(x)",
-        _quad("Q-4.4"), _expr("T_n closed form (4.4)", _rhs_4_4, err=3e-13),
+        _quad("Q-4.4", pmap=_mode),
+        _expr("T_n closed form (4.4)", _rhs_4_4, err=3e-13),
         param_names=("n",), param_domain=((1.0, 8.0),),
         default_params=((1.0,), (2.0,), (3.0,), (5.0,), (8.0,))))
     add(IdentityRecord(
@@ -567,7 +600,8 @@ def build_records() -> list[IdentityRecord]:
                              / _PI ** 2), err=3e-13)))
     add(IdentityRecord(
         "I-4.8", 4, "(4.8): sine moments of x log Gamma(x)",
-        _quad("Q-4.8"), _expr("harmonic closed form (4.8)", _rhs_4_8),
+        _quad("Q-4.8", pmap=_mode),
+        _expr("harmonic closed form (4.8)", _rhs_4_8),
         param_names=("n",), param_domain=((1.0, 8.0),),
         default_params=((1.0,), (2.0,), (3.0,), (5.0,), (8.0,))))
     add(IdentityRecord(
@@ -578,7 +612,7 @@ def build_records() -> list[IdentityRecord]:
               + C.zeta_prime_2 / (2.0 * _PI ** 2))))
     add(IdentityRecord(
         "I-4.12.7", 4, "(4.12.7): odd Bernoulli polynomial vs cot weight",
-        _quad("Q-4.12.7"),
+        _quad("Q-4.12.7", pmap=_mode),
         _expr("zeta(2n+1) closed form",
               lambda n: (-1.0) ** (int(n) + 1) * 2.0
               * math.factorial(2 * int(n) + 1) * K._zeta_int(2 * int(n) + 1)
@@ -587,7 +621,7 @@ def build_records() -> list[IdentityRecord]:
         default_params=((1.0,), (2.0,), (3.0,))))
     add(IdentityRecord(
         "I-4.12.8", 4, "(4.12.8): even Bernoulli polynomial vs log sin",
-        _quad("Q-4.12.8"),
+        _quad("Q-4.12.8", pmap=_mode),
         _expr("zeta(2n+1) closed form",
               lambda n: (-1.0) ** int(n) * math.factorial(2 * int(n))
               * K._zeta_int(2 * int(n) + 1) / _TWO_PI ** (2 * int(n))),
@@ -595,7 +629,7 @@ def build_records() -> list[IdentityRecord]:
         default_params=((1.0,), (2.0,), (3.0,))))
     add(IdentityRecord(
         "I-4.12.10", 4, "(4.12.10): even Bernoulli polynomial vs log Gamma",
-        _quad("Q-4.12.10"),
+        _quad("Q-4.12.10", pmap=_mode),
         _expr("cot-integral closed form",
               lambda n: _PI / (2.0 * (2 * int(n) + 1))
               * (-1.0) ** (int(n) + 1) * 2.0
@@ -629,7 +663,7 @@ def build_records() -> list[IdentityRecord]:
         _quad("Q-4.25"),
         _expr("-Si(2 n pi)/(4 pi^2 n^2)",
               lambda n: -_si(_TWO_PI * n) / (4.0 * _PI ** 2 * n * n)),
-        param_names=("n",), param_domain=((1.0, 8.0),),
+        param_names=("n",), param_domain=((1.0, 8.0),), integer_params=("n",),
         default_params=((1.0,), (2.0,), (3.0,))))
     add(IdentityRecord(
         "I-4.31", 4, "(4.31): x log Gamma cot integral vs gamma_1",
@@ -891,7 +925,7 @@ def build_records() -> list[IdentityRecord]:
         _quad("Q-6.9"),
         _expr("(gamma + log(2 pi k))/(2 pi k)",
               lambda k: (g + math.log(_TWO_PI * k)) / (_TWO_PI * k)),
-        param_names=("k",), param_domain=((1.0, 8.0),),
+        param_names=("k",), param_domain=((1.0, 8.0),), integer_params=("k",),
         default_params=((1.0,), (2.0,), (3.0,), (5.0,), (8.0,))))
     add(IdentityRecord(
         "I-6.10", 6, "(6.10): partial cos^2 transform of psi(1+x)",
@@ -930,7 +964,7 @@ def build_records() -> list[IdentityRecord]:
         "I-6.17", 6, "(6.17): cosine Fourier coefficients of log Gamma",
         _quad("Q-6.17"),
         _expr("1/(4k)", lambda k: 0.25 / k),
-        param_names=("k",), param_domain=((1.0, 8.0),),
+        param_names=("k",), param_domain=((1.0, 8.0),), integer_params=("k",),
         default_params=((1.0,), (2.0,), (3.0,), (5.0,), (8.0,))))
     add(IdentityRecord(
         "I-6.23", 6, "(6.23): psi(n+1/2)-weighted log series",
@@ -988,7 +1022,8 @@ def build_records() -> list[IdentityRecord]:
         "I-7.15", 7, "(7.15): partial sine transform of psi (bracket "
                      "repaired against the elementary integral)",
         _quad("Q-7.15"),
-        Recipe("Kummer/Barnes closed-plus-residual series", _psi_sin_recipe),
+        _series_expr("Kummer/Barnes closed-plus-residual series",
+                     psi_sin_partial),
         tol_class="standard",
         param_names=("u",), param_domain=((0.0, 1.0),),
         default_params=((0.25,), (0.5,), (1.0,))))
@@ -1011,7 +1046,7 @@ def build_records() -> list[IdentityRecord]:
         "I-8.7", 8, "(8.7): cosecant expansion",
         _expr("pi/sin(mu pi)", lambda mu: _PI / math.sin(mu * _PI)),
         _expr("1/mu - 2 mu sum (-1)^n/(n^2-mu^2)",
-              lambda mu: 1.0 / mu + 2.0 * mu * _alt_cos_sum(0.0, mu)[0],
+              lambda mu: 1.0 / mu + 2.0 * mu * _alt_cos_sum(0.0, mu).value,
               err=1e-12),
         param_names=("mu",), param_domain=((0.0, 1.0),),
         default_params=((0.3,), (0.7,))))
@@ -1035,9 +1070,8 @@ def build_records() -> list[IdentityRecord]:
         default_params=((0.3,),)))
     add(IdentityRecord(
         "I-8.15", 8, "(8.15): alternating quarter-square sum closes to 1",
-        _expr("2/pi - (4/pi) sum (-1)^n/(4n^2-1)",
-              lambda: 2.0 / _PI - 4.0 / _PI * _alt_quarter_sum(),
-              err=1e-12),
+        _series_expr("2/pi - (4/pi) sum (-1)^n/(4n^2-1)", _alt_quarter_sum,
+                     err=1e-12),
         _expr("1", lambda: 1.0)))
 
     rec.sort(key=lambda r: r.id)
@@ -1079,6 +1113,8 @@ class Registry:
             if not lo <= value <= hi:
                 raise DomainError(
                     f"{rec.id}: {name}={value} outside [{lo}, {hi}]")
+            if name in rec.integer_params:
+                integer_arg(value, f"{rec.id}: {name}")
 
     def verify_identity(self, rid: str,
                         params: tuple[float, ...] | None = None,

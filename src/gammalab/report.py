@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .registry import Registry, Verdict
+from .registry import Registry, Verdict, failures
 
 SCHEMA_VERSION = "1.0"
 
@@ -51,8 +51,7 @@ def build_report(registry: Registry, verdicts: list[Verdict],
         "total": len(verdicts),
         "counts": counts,
         "by_expected": cross,
-        "failures": sum(1 for v in verdicts
-                        if v.expected == "CONFIRMED" and v.status == "REFUTED"),
+        "failures": len(failures(verdicts)),
     }
     anchors = {v.id: registry.record(v.id).anchor for v in verdicts}
     return Report(SCHEMA_VERSION, config, verdicts, summary,

@@ -21,6 +21,11 @@ omitted coefficients over sin(pi x).  ``FS-7.1`` picks N from the same
 kind of Dirichlet-kernel bound, and :func:`psi_sin_partial` meets
 ``_PSI_SIN_TARGET`` = 1e-8 rather than the series target.  Every partial
 sum is exactly rounded (``math.fsum``).
+
+``FS-6.2``, ``FS-8.13``, ``FS-8.14``, :func:`log_weighted_sin_sum` and
+the registry's alternating cosine sum share :func:`_bernoulli_fourier`:
+exact Bernoulli slices of their 1/n expansion plus a residual summed to
+the target N.
 """
 
 from __future__ import annotations
@@ -29,10 +34,10 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
 from typing import Callable
 
-from .errors import DomainError, UnknownKeyError
+from .errors import DomainError, UnknownKeyError, integer_arg
 from .kernels import (
     _bpoly,
     _ci_at_2pi_mult,
@@ -337,9 +342,9 @@ _TN_N_MIN = 11
 @_entry("S-4.4-Tn", "T_n = sum_{m != n} log m/(m^2-n^2)", 1,
         n_min=_TN_N_MIN)
 def s_4_4_tn(n: float, max_terms: int | None = None) -> SeriesResult:
-    n = int(n)
+    n = integer_arg(n, "n")
     if n < 1:
-        raise DomainError(f"requires integer n >= 1, got {n}")
+        raise DomainError(f"requires n >= 1, got {n}")
     n2 = float(n) * float(n)
     m_last, log_tail, log_omitted = _quad_expansion(
         n2, {0: 1.0}, max_terms, n_min=_TN_N_MIN, log=True)
@@ -604,7 +609,7 @@ def s_6_23(max_terms: int | None = None) -> SeriesResult:
 
 @_entry("S-6.24-aux", "sum n/(4n^2-1)^k for k in {2,3}", 1)
 def s_6_24_aux(k: float, max_terms: int | None = None) -> SeriesResult:
-    k = int(k)
+    k = integer_arg(k, "k")
     if k not in (2, 3):
         raise DomainError("k must be 2 or 3")
     q = 0.25
@@ -777,53 +782,58 @@ for _k in _PS_KEYS:
 # Fourier-type partial evaluations
 # ---------------------------------------------------------------------------
 
-def _cos_zeta_sum(j: int, t: float) -> float:
-    """sum_{n>=1} cos(2 pi n t)/n^(2j), exact via Bernoulli polynomials."""
+def _bernoulli_slice(k: int, t: float) -> float:
+    """sum_{n>=1} trig(2 pi n t)/n^k, trig = cos for even k and sin for odd
+    k, exact from the Fourier series of B_k (Hurwitz's formula, DLMF
+    24.8.1-2); k = 1 holds for 0 < t < 1."""
     t = t - math.floor(t)
-    return ((-1.0) ** (j + 1) * _TWO_PI ** (2 * j) * _bpoly(2 * j, t)
-            / (2.0 * math.factorial(2 * j)))
+    return ((-1.0) ** (k // 2 + 1) * _TWO_PI ** k * _bpoly(k, t)
+            / (2.0 * math.factorial(k)))
 
 
-def _sin_zeta_sum(j: int, t: float) -> float:
-    """sum_{n>=1} sin(2 pi n t)/n^(2j+1), exact via Bernoulli polynomials."""
-    t = t - math.floor(t)
-    return ((-1.0) ** (j + 1) * _TWO_PI ** (2 * j + 1) * _bpoly(2 * j + 1, t)
-            / (2.0 * math.factorial(2 * j + 1)))
+def _bernoulli_fourier(slices: dict[int, float], term: Callable[[int], float],
+                       t: float, omitted: dict[int, float], n_first: int = 1,
+                       max_terms: int | None = None, floor: float = 1e-13,
+                       scale: float = 1.0) -> SeriesResult:
+    """``scale`` times sum_{n>=n_first} [sum_k a_k trig(2 pi n t)/n^k
+    + term(n)].  The slices {k: a_k} are exact (:func:`_bernoulli_slice`
+    less its terms below ``n_first``); the residual terms, whose first
+    omitted order is ``omitted``, are summed through ``zeta_tail_sum`` to
+    the N that the target asks for, at most ``max_terms``.  The error is
+    the scaled truncation bound plus ``floor * (1 + |value|)``."""
+    n_last = _target_n(max_terms, omitted)
+    exact = [a * (_bernoulli_slice(k, t) - math.fsum(
+        (math.sin if k % 2 else math.cos)(_TWO_PI * n * t) / n ** k
+        for n in range(1, n_first))) for k, a in slices.items()]
+    r = zeta_tail_sum(chain(exact, map(term, range(n_first, n_last + 1))),
+                      n_last, omitted=omitted, floor=0.0)
+    value = scale * r.value
+    return SeriesResult(value, abs(scale) * r.abs_err
+                        + floor * (1.0 + abs(value)), n_last,
+                        "bernoulli_closed+residual")
 
 
 @_entry("FS-6.2", "sum_{n>=2} log(1-1/n^2) cos(2 pi n x)", 1)
 def fs_6_2(x: float, max_terms: int | None = None) -> SeriesResult:
     # log(1-1/n^2) = -sum_j 1/(j n^2j); the j <= 6 slices are exact and the
-    # residual, below (4/3) n^-14/7, is summed directly
-    acc = 0.0
-    for j in range(1, 7):
-        acc -= (_cos_zeta_sum(j, x) - math.cos(_TWO_PI * x)) / j
-    omitted = {14: 1.0 / 7.0}
-    n_last = _target_n(max_terms, omitted)
-    r = zeta_tail_sum(
-        ((math.log1p(-1.0 / (n * n)) + math.fsum(
+    # residual is below (4/3) n^-14/7
+    return _bernoulli_fourier(
+        {2 * j: -1.0 / j for j in range(1, 7)},
+        lambda n: (math.log1p(-1.0 / (n * n)) + math.fsum(
             1.0 / (j * float(n) ** (2 * j)) for j in range(1, 7)))
-         * math.cos(_TWO_PI * n * x) for n in range(2, n_last + 1)),
-        n_last, omitted=omitted, floor=0.0)
-    acc += r.value
-    return SeriesResult(acc, r.abs_err + 1e-13 * (1.0 + abs(acc)), n_last,
-                        "bernoulli_closed+residual")
+        * math.cos(_TWO_PI * n * x), x, {14: 1.0 / 7.0}, n_first=2,
+        max_terms=max_terms)
 
 
-def log_weighted_sin_sum(x: float) -> float:
+def log_weighted_sin_sum(x: float) -> SeriesResult:
     """sum_{n>=2} log(1-1/n^2) sin(2 pi n x)/n  (building block).  The
     j <= 5 slices of log(1-1/n^2) = -sum_j 1/(j n^2j) are exact; the
-    residual, below (4/3) n^-13/6 per term, is summed to the target."""
-    acc = 0.0
-    for j in range(1, 6):
-        acc -= (_sin_zeta_sum(j, x) - math.sin(_TWO_PI * x)) / j
-    omitted = {13: 1.0 / 6.0}
-    n_last = _target_n(None, omitted)
-    return acc + zeta_tail_sum(
-        ((math.log1p(-1.0 / (n * n)) + math.fsum(
+    residual is below (4/3) n^-13/6 per term."""
+    return _bernoulli_fourier(
+        {2 * j + 1: -1.0 / j for j in range(1, 6)},
+        lambda n: (math.log1p(-1.0 / (n * n)) + math.fsum(
             1.0 / (j * float(n) ** (2 * j)) for j in range(1, 6)))
-         * math.sin(_TWO_PI * n * x) / n for n in range(2, n_last + 1)),
-        n_last, omitted=omitted, floor=0.0).value
+        * math.sin(_TWO_PI * n * x) / n, x, {13: 1.0 / 6.0}, n_first=2)
 
 
 def _fs_7_1_residual(n: int) -> float:
@@ -840,7 +850,7 @@ def fs_7_1(x: float, max_terms: int | None = None) -> SeriesResult:
     cs, sn = math.cos(th), math.sin(th)
     # log(1+1/n) = 1/n - 1/(2n^2) + e_n
     acc = cs * 0.5 * (_PI - 2.0 * th) + sn * (-math.log(2.0 * math.sin(th)))
-    acc -= 0.5 * (cs * _cl2(2.0 * th) + sn * _cos_zeta_sum(1, x))
+    acc -= 0.5 * (cs * _cl2(2.0 * th) + sn * _bernoulli_slice(2, x))
     # e_n shrinks to 0, so by Abel summation against the Dirichlet kernel
     # the residual's tail past N is at most e_{N+1}/sin(pi x)
     def bound(n: int) -> float:
@@ -1007,35 +1017,23 @@ def psi_sin_partial(u: float) -> SeriesResult:
 def fs_8_13(t: float, max_terms: int | None = None) -> SeriesResult:
     # 1/(n^2 - 1/4) = sum_j 4^-j n^(-2j-2); five exact slices + residual,
     # the residual below (4/3) 4^-5 n^-12
-    acc = 0.0
-    for j in range(5):
-        acc += 0.25 ** j * _cos_zeta_sum(j + 1, t)
-    omitted = {12: 0.25 ** 5}
-    n_last = _target_n(max_terms, omitted)
-    r = zeta_tail_sum(
-        ((1.0 / (n * n - 0.25) - math.fsum(
+    return _bernoulli_fourier(
+        {2 * j + 2: 0.25 ** j for j in range(5)},
+        lambda n: (1.0 / (n * n - 0.25) - math.fsum(
             0.25 ** j / float(n) ** (2 * j + 2) for j in range(5)))
-         * math.cos(_TWO_PI * n * t) for n in range(1, n_last + 1)),
-        n_last, omitted=omitted, floor=0.0)
-    acc = 0.25 * (acc + r.value)
-    return SeriesResult(acc, 0.25 * r.abs_err + 1e-13 * (1.0 + abs(acc)),
-                        n_last, "bernoulli_closed+residual")
+        * math.cos(_TWO_PI * n * t), t, {12: 0.25 ** 5},
+        max_terms=max_terms, scale=0.25)
 
 
 @_entry("FS-8.14", "sum n sin(2 pi n t)/(4n^2-1)", 1)
 def fs_8_14(t: float, max_terms: int | None = None) -> SeriesResult:
     if not 0.0 < t < 1.0:
         raise DomainError(f"requires 0 < t < 1, got {t}")
-    acc = 0.5 * (_PI - _TWO_PI * t)  # sum sin(2 pi n t)/n, sawtooth
-    for j in range(1, 5):
-        acc += 0.25 ** j * _sin_zeta_sum(j, t)
-    omitted = {11: 0.25 ** 5}
-    n_last = _target_n(max_terms, omitted)
-    r = zeta_tail_sum(
-        ((n / (n * n - 0.25) - math.fsum(
+    # n/(n^2 - 1/4) = sum_j 4^-j n^(-2j-1); the j = 0 slice is the sawtooth
+    # sum sin(2 pi n t)/n, the residual below (4/3) 4^-5 n^-11
+    return _bernoulli_fourier(
+        {2 * j + 1: 0.25 ** j for j in range(5)},
+        lambda n: (n / (n * n - 0.25) - math.fsum(
             0.25 ** j / float(n) ** (2 * j + 1) for j in range(5)))
-         * math.sin(_TWO_PI * n * t) for n in range(1, n_last + 1)),
-        n_last, omitted=omitted, floor=0.0)
-    acc = 0.25 * (acc + r.value)
-    return SeriesResult(acc, 0.25 * r.abs_err + 1e-13 * (1.0 + abs(acc)),
-                        n_last, "bernoulli_closed+residual")
+        * math.sin(_TWO_PI * n * t), t, {11: 0.25 ** 5},
+        max_terms=max_terms, scale=0.25)

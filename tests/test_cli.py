@@ -1,5 +1,6 @@
 """Command-line front end tests: outputs, exit codes, report files."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -35,6 +36,16 @@ def test_eval_unknown_key(capsys):
     assert run(["eval", "series", "S-0.0"]) == 1
     assert run(["eval", "fn", "nosuch"]) == 1
     assert run(["eval", "integral", "Q-6.14", "3"]) == 1  # arity
+
+
+def test_eval_rejects_non_integer_order(capsys):
+    # an order or index is refused, not truncated to the integer below
+    for argv in (["fn", "polygamma", "1.7", "2"],
+                 ["fn", "bernoulli_poly", "2.5", "0.3"],
+                 ["integral", "Q-4.4", "2.5"], ["series", "S-4.4-Tn", "2.5"]):
+        assert run(["eval", *argv]) == 1, argv
+        assert "must be an integer" in capsys.readouterr().err
+    assert run(["eval", "fn", "polygamma", "1", "2"]) == 0
 
 
 def test_verify_single_id(tmp_path, capsys):
@@ -105,6 +116,15 @@ def test_sweep_rejects_bad_range(capsys):
                 "--to", "0.1", "--steps", "5"]) == 1
     assert run(["sweep", "I-2.6", "--param", "q", "--from", "0.1",
                 "--to", "0.9", "--steps", "5"]) == 1
+
+
+def test_sweep_rejects_non_integer_index(capsys):
+    # n = 1, 4.5, 8: the second step is refused, exit 1
+    assert run(["sweep", "I-4.25", "--param", "n", "--from", "1",
+                "--to", "8", "--steps", "3"]) == 1
+    assert "must be an integer" in capsys.readouterr().err
+    assert run(["sweep", "I-4.25", "--param", "n", "--from", "1",
+                "--to", "8", "--steps", "8"]) == 0
 
 
 def test_list_filters(capsys):
@@ -193,3 +213,22 @@ def test_verify_all_never_imports_numpy():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_verify_all_passes_benchmark_reference(tmp_path, monkeypatch):
+    # the gate the benchmark applies to every `verify-all` iteration: same
+    # statuses as its reference file, and no route value drifting from it
+    # by more than both errors
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    if not (bench / "run.py").exists():
+        pytest.skip("no perfbench/ next to the tests")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  bench / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    out = tmp_path / "report.json"
+    assert run(["verify", "--all", "--no-timing", "--json", str(out)]) == 0
+    verdicts = json.loads(out.read_text())["verdicts"]
+    reference = json.loads(bench_run.REFERENCE.read_text())
+    assert bench_run.check_report(verdicts, reference) == (0, False)

@@ -16,6 +16,7 @@ from gammalab.series import cvz_alternating  # noqa: E402
 from gammalab.series_catalog import (  # noqa: E402
     _tn_asymptotic,
     _tn_batch,
+    log_weighted_sin_sum,
     psi_sin_partial,
     sum_catalog,
 )
@@ -115,15 +116,73 @@ def test_fs_4_16_log_barnes_g(x):
 
 
 @pytest.mark.parametrize("u", [0.0, 1e-3, 0.5 * PI, 3.1, PI])
-@pytest.mark.parametrize("x", [0.3, 0.9, 0.999])
+@pytest.mark.parametrize("x", [0.3, 0.9, 0.999, 0.9999, 1.0 - 1e-6])
 def test_alt_cos_sum(u, x):
     # sum (-1)^(n+1) cos(nu)/(n^2-x^2) = (pi cos(ux)/sin(pi x) - 1/x)/(2x)
-    value, err = R._alt_cos_sum(u, x)
+    r = R._alt_cos_sum(u, x)
+    value, err = r.value, r.abs_err
     xm = mp.mpf(x)
     ref = (mp.pi * mp.cos(u * xm) / mp.sin(mp.pi * xm) - 1 / xm) / (2 * xm)
     assert _close(value, ref, err)
     # within what the routes of I-3.22, I-3.24 and I-8.7 claim
     assert 2.0 * x * err <= 1e-12 * max(1.0, abs(1.0 / x + 2.0 * x * value))
+
+
+# Fourier sums whose slices are exact Bernoulli sums: points near 0 and 1,
+# where the slices and the residual each grow
+_T_GRID = [1e-4, 1e-3, 0.1, 0.3, 0.5, 0.77, 0.999, 0.9999]
+
+
+@pytest.mark.parametrize("t", _T_GRID)
+def test_fs_8_13_and_8_14(t):
+    tm = mp.mpf(t)
+    r = sum_catalog("FS-8.13", (t,))
+    assert _close(r.value, mp.mpf(1) / 2 - mp.pi / 4 * mp.sin(mp.pi * tm),
+                  r.abs_err)
+    r = sum_catalog("FS-8.14", (t,))
+    assert _close(r.value, mp.pi / 8 * mp.cos(mp.pi * tm), r.abs_err)
+
+
+@pytest.mark.parametrize("x", _T_GRID)
+def test_fs_6_2(x):
+    # -sum_{n>=2} log(1-1/n^2) cos(2 pi n x) = log 2 + (pi/2) sin 2 pi x
+    #   + (1 - cos 2 pi x)(log pi + gamma + psi(x))
+    xm = mp.mpf(x)
+    ref = -(mp.log(2) + mp.pi / 2 * mp.sin(2 * mp.pi * xm)
+            + (1 - mp.cos(2 * mp.pi * xm))
+            * (mp.log(mp.pi) + mp.euler + mp.digamma(xm)))
+    r = sum_catalog("FS-6.2", (x,))
+    assert _close(r.value, ref, r.abs_err)
+
+
+@pytest.mark.parametrize("x", _T_GRID)
+def test_log_weighted_sin_sum(x):
+    # log(1-1/n^2)/n = -sum_j n^(-2j-1)/j, each order a Clausen-type sine
+    # sum; the orders past j = 36 are below 2^-73 and left out
+    with mp.workdps(25):
+        th = 2 * mp.pi * mp.mpf(x)
+        ref = -mp.fsum((mp.clsin(2 * j + 1, th) - mp.sin(th)) / j
+                       for j in range(1, 37))
+    r = log_weighted_sin_sum(x)
+    assert _close(r.value, ref, r.abs_err)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.95])
+def test_rhs_2_10(p):
+    # the series side of I-2.10 at its default p: a 4 000-term alternating
+    # sum, whose error includes its first omitted term
+    value, err = R.Registry().record("I-2.10").rhs.evaluate((p,))
+    pm = mp.mpf(p)
+    ref = mp.sin(pm * mp.pi) / (2 * mp.pi * pm) * mp.nsum(
+        lambda n: (-1) ** n * n / (n * n - pm * pm), [1, mp.inf])
+    assert _close(value, ref, err)
+
+
+def test_lhs_8_15():
+    # 2/pi - (4/pi) sum (-1)^n/(4n^2-1) = 1; the 100 000-term sum is off by
+    # half its first omitted term
+    value, err = R.Registry().record("I-8.15").lhs.evaluate(())
+    assert _close(value, mp.mpf(1), err)
 
 
 @pytest.mark.parametrize("t", [0.5, 0.95, 0.99, 0.999, 1.0])

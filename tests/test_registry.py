@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from gammalab.errors import DomainError, MisuseError, UnknownKeyError
+from gammalab.integral_catalog import integral_catalog
 from gammalab.registry import (
     EvalOptions,
     IdentityRecord,
@@ -16,6 +17,7 @@ from gammalab.registry import (
     build_records,
     failures,
 )
+from gammalab.series_catalog import sum_catalog
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +65,26 @@ def test_param_domain_enforced(reg):
         reg.verify_identity("I-2.6", (5.0,))
     with pytest.raises(DomainError):
         reg.verify_identity("I-2.6", (0.5, 0.5))
+
+
+@pytest.mark.parametrize("rid", ["I-4.25", "I-6.9", "I-6.17"])
+def test_integer_parameters_reject_non_integers(reg, rid):
+    # Fourier coefficients on [0, 1] exist only for integer k: a non-integer
+    # is refused before any route runs, never truncated
+    assert reg.record(rid).integer_params == reg.record(rid).param_names
+    with pytest.raises(DomainError, match="must be an integer"):
+        reg.verify_identity(rid, (2.5,))
+    assert reg.verify_identity(rid, (2.0,)).status == "CONFIRMED"
+
+
+@pytest.mark.parametrize("key", ["Q-2.13", "Q-4.4", "Q-4.8", "Q-4.12.7",
+                                 "Q-4.12.8", "Q-4.12.10", "Q-4.25", "Q-6.9",
+                                 "Q-6.17", "S-4.4-Tn", "S-6.24-aux"])
+def test_catalog_integer_arguments_are_not_truncated(key):
+    fn = sum_catalog if key.startswith("S-") else integral_catalog
+    with pytest.raises(DomainError, match="must be an integer"):
+        fn(key, (2.5,))
+    fn(key, (2.0,))
 
 
 def test_route_failure_becomes_inconclusive():
