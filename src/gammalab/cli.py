@@ -7,9 +7,7 @@ Exit codes: 0 success, 1 usage or internal error, 2 verification failure
 from __future__ import annotations
 
 import argparse
-import difflib
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -66,6 +64,7 @@ _FN_KEYS = {
 
 
 def _near_matches(key: str, pool) -> str:
+    import difflib
     close = difflib.get_close_matches(key, list(pool), n=4, cutoff=0.4)
     return f" (near matches: {', '.join(close)})" if close else ""
 
@@ -85,13 +84,16 @@ def _worker_verdict(rid, params, tol_class, opts):
 
 def _run_suite(reg: Registry, records, cfg: Config):
     """Serial and pool runs evaluate the same task list with the same
-    verdict method, so their records are equal."""
+    verdict method, so their records are equal.  The pool machinery is
+    imported only when a pool starts, so a serial run never loads
+    ``multiprocessing``."""
     tasks = reg.suite_tasks([r.id for r in records])
     ids, params = zip(*tasks)
     args = (ids, params, repeat(cfg.tol_class), repeat(cfg.opts))
     workers = min(cfg.parallelism, len(tasks))
     if workers == 1:
         return list(map(reg.suite_verdict, *args))
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers, initializer=_start_worker) as pool:
         return list(pool.map(_worker_verdict, *args))
 

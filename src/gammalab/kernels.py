@@ -182,14 +182,26 @@ def _stirling_lgamma(x: float) -> float:
     return acc
 
 
+# the series of _lgamma1p, whose terms shrink like (|y|/3)^k, stops before
+# k = 26 for |y| <= 1/2
+_LGAMMA1P_ORDER = 25
+
+
 @lru_cache(maxsize=None)
 def _lgamma1p_coeffs() -> tuple[float, ...]:
-    # log Gamma(1+y) = -gamma*y + sum_{k>=2} (-1)^k zeta(k)/k * y^k
-    return tuple((-1.0) ** k * _zeta_int(k) / k for k in range(2, 58))
+    # (-1)^k (zeta(k) - 1 - 2^-k)/k, k = 2 .. _LGAMMA1P_ORDER; the
+    # Hurwitz zeta(k, 3) is that difference without the cancellation
+    return tuple((-1.0) ** k * _hurwitz_em(float(k), 3.0) / k
+                 for k in range(2, _LGAMMA1P_ORDER + 1))
 
 
 def _lgamma1p(y: float) -> float:
-    """log Gamma(1+y) for |y| <= 0.5, accurate near the zero at y=0."""
+    """log Gamma(1+y) for |y| <= 0.5, accurate near the zero at y=0.
+
+    log Gamma(1+y) = -gamma y + sum_{k>=2} (-1)^k zeta(k)/k y^k, with the
+    first two terms of zeta(k) = 1 + 2^-k + ... summed in closed form:
+    (3/2 - gamma) y - log1p(y) - log1p(y/2) + sum_{k>=2} (-1)^k
+    (zeta(k) - 1 - 2^-k)/k y^k."""
     acc = 0.0
     pw = y * y
     for c in _lgamma1p_coeffs():
@@ -198,7 +210,8 @@ def _lgamma1p(y: float) -> float:
         if abs(t) < 1e-18 * (abs(acc) + 1e-30):
             break
         pw *= y
-    return acc - _euler_gamma() * y
+    return acc + (((1.5 - _euler_gamma()) * y - math.log1p(0.5 * y))
+                  - math.log1p(y))
 
 
 def _lgamma(x: float) -> float:

@@ -16,11 +16,12 @@ N whose bound, twice the next term, meets it.
 reports its larger error.  Each entry declares the smallest cap
 (``n_min``) at which its bound holds; :func:`sum_catalog` rejects smaller
 caps with ``DomainError``.  Only ``FS-4.16`` keeps a fixed N (2000), the
-mean of its last 64 partial sums, and bounds its error by the first
-omitted coefficients over sin(pi x).  ``FS-7.1`` picks N from the same
-kind of Dirichlet-kernel bound, and :func:`psi_sin_partial` meets
-``_PSI_SIN_TARGET`` = 1e-8 rather than the series target.  Every partial
-sum is exactly rounded (``math.fsum``).
+mean of its last 64 partial sums, and bounds its error by the smaller of
+a Dirichlet-kernel bound, the first omitted coefficients over sin(pi x),
+and a Fejer-kernel bound, about 1/128 of them over sin^2(pi x).
+``FS-7.1`` picks N from the same kind of Dirichlet-kernel bound, and
+:func:`psi_sin_partial` meets ``_PSI_SIN_TARGET`` = 1e-8 rather than the
+series target.  Every partial sum is exactly rounded (``math.fsum``).
 
 ``FS-6.2``, ``FS-8.13``, ``FS-8.14``, :func:`log_weighted_sin_sum` and
 the registry's alternating cosine sum share :func:`_bernoulli_fourier`:
@@ -353,42 +354,39 @@ def s_4_4_tn(n: float, max_terms: int | None = None) -> SeriesResult:
         m_last, log_tail=log_tail, log_omitted=log_omitted, floor=1e-13)
 
 
-# from this n on, _tn_batch takes T_n from its large-n expansion
+# from this n on, the FS-4.16 table takes T_n from its large-n expansion
 _TN_ASYMPTOTIC_N = 12
 # the expansion's orders zeta'(-2j)/n^(2j+2) kept, j = 1 .. 6; at n = 12
 # the first omitted one is 1.6e-18
 _TN_ORDERS = 6
+# zeta'(0) - 1/2, the constant of T_n's order 1/n^2
+_TN_SHIFT = -0.5 * math.log(_TWO_PI) - 0.5
 
 
 @lru_cache(maxsize=1)
-def _zeta_prime_neg_even() -> tuple[float, ...]:
-    """zeta'(-2j) = (-1)^j (2j)! zeta(2j+1) / (2 (2 pi)^(2j)), j = 1 .. 7."""
-    return tuple((-1.0) ** j * math.factorial(2 * j) * _zeta_int(2 * j + 1)
-                 / (2.0 * _TWO_PI ** (2 * j))
-                 for j in range(1, _TN_ORDERS + 2))
+def _tn_orders() -> tuple[tuple[float, ...], float]:
+    """zeta'(-2j) = (-1)^j (2j)! zeta(2j+1) / (2 (2 pi)^(2j)) for j =
+    ``_TN_ORDERS`` down to 1 (Horner's order), and |zeta'(-2j)| at the
+    first omitted j."""
+    zp = [(-1.0) ** j * math.factorial(2 * j) * _zeta_int(2 * j + 1)
+          / (2.0 * _TWO_PI ** (2 * j)) for j in range(1, _TN_ORDERS + 2)]
+    return tuple(reversed(zp[:_TN_ORDERS])), abs(zp[_TN_ORDERS])
 
 
-def _tn_asymptotic(n: int) -> SeriesResult:
+def _tn_asymptotic(n: int) -> tuple[float, float]:
     """T_n = pi^2/(4n) + (log n/4 + zeta'(0) - 1/2)/n^2
-    + sum_{j>=1} zeta'(-2j)/n^(2j+2), to j = ``_TN_ORDERS``.  The orders
-    alternate in sign and the expansion envelopes T_n, so the first omitted
-    order bounds the truncation; 4 ulp cover the rounding."""
-    zp = _zeta_prime_neg_even()
+    + sum_{j>=1} zeta'(-2j)/n^(2j+2), to j = ``_TN_ORDERS``, by Horner's
+    rule in w = 1/n^2, and its error bound.  The orders alternate in sign
+    and the expansion envelopes T_n, so the first omitted order bounds the
+    truncation; 4 ulp cover the rounding."""
+    orders, omitted = _tn_orders()
     w = 1.0 / (float(n) * float(n))
-    value = math.fsum(
-        [_PI ** 2 / (4.0 * n),
-         (0.25 * math.log(n) - 0.5 * math.log(_TWO_PI) - 0.5) * w]
-        + [zp[j - 1] * w ** (j + 1) for j in range(1, _TN_ORDERS + 1)])
-    err = abs(zp[_TN_ORDERS]) * w ** (_TN_ORDERS + 2) + 4.0 * math.ulp(value)
-    return SeriesResult(value, err, _TN_ORDERS + 2, "asymptotic")
-
-
-@lru_cache(maxsize=8)
-def _tn_batch(n_max: int) -> tuple[SeriesResult, ...]:
-    """T_1 .. T_{n_max}: the direct ``S-4.4-Tn`` series below n = 12, the
-    large-n expansion from there."""
-    return tuple(s_4_4_tn(n) if n < _TN_ASYMPTOTIC_N else _tn_asymptotic(n)
-                 for n in range(1, n_max + 1))
+    poly = 0.0
+    for zp in orders:
+        poly = poly * w + zp
+    value = _PI ** 2 / (4.0 * n) + w * (
+        (0.25 * math.log(n) + _TN_SHIFT) + w * poly)
+    return value, omitted * w ** (_TN_ORDERS + 2) + 4.0 * math.ulp(value)
 
 
 def _with_harmonic(n_last: int):
@@ -867,59 +865,89 @@ _FS_4_16_WINDOW = 64
 
 
 @lru_cache(maxsize=8)
-def _log_g_fourier(n_max: int) -> tuple[list[float], list[float]]:
-    """The Fourier coefficients a_n, b_n of log G on (0, 1), n = 1 ..
-    ``n_max``: a_n = (log n/2 - gamma - log 2 pi - 1)/(2 pi^2 n^2)
-    - 1/(4n) - T_n/pi^2 and b_n = (1/2n - gamma - log(4 pi^2 n) - H_n)
-    /(2 pi n).  From the T_n expansion, a_n = -1/(2n) - gamma/(2 pi^2 n^2)
+def _log_g_table(n_last: int) -> tuple[list[complex], float]:
+    """The Fourier coefficients of log G on (0, 1) as a_n - i b_n, n = 1 ..
+    ``n_last``, and the sum of their T_n errors over pi^2.  a_n = (log n/2
+    - gamma - log 2 pi - 1)/(2 pi^2 n^2) - 1/(4n) - T_n/pi^2 and b_n =
+    (1/2n - gamma - log(4 pi^2 n) - H_n)/(2 pi n), with T_n from the
+    direct ``S-4.4-Tn`` series below n = 12 and from its large-n expansion
+    from there.  From that expansion, a_n = -1/(2n) - gamma/(2 pi^2 n^2)
     + O(n^-4) and b_n = -(log n + gamma + log 2 pi)/(pi n) + O(n^-3): both
-    keep one sign and shrink in size."""
+    keep one sign, and their sizes fall and are convex."""
     c = get_constants()
-    a = []
-    b = []
-    h = 0.0
-    for n, tn in enumerate(_tn_batch(n_max), 1):
+    a_shift = -c.gamma - c.log_2pi - 1.0
+    pi2 = _PI ** 2
+    coeffs = []
+    tn_err = h = 0.0
+    for n in range(1, n_last + 1):
+        if n < _TN_ASYMPTOTIC_N:
+            r = s_4_4_tn(n)
+            tn, err = r.value, r.abs_err
+        else:
+            tn, err = _tn_asymptotic(n)
+        tn_err += err
         h += 1.0 / n
-        a.append((0.5 * math.log(n) - c.gamma - c.log_2pi - 1.0)
-                 / (2.0 * _PI ** 2 * n * n) - 0.25 / n - tn.value / _PI ** 2)
-        b.append((0.5 / n - c.gamma - math.log(4.0 * _PI ** 2 * n) - h)
-                 / (2.0 * _PI * n))
-    return a, b
-
-
-@lru_cache(maxsize=8)
-def _fs_4_16_coefficients(n_last: int) -> tuple[list[complex], float, float]:
-    """The x-independent part of FS-4.16 at N = ``n_last``.  The mean of the
-    partial sums S_{N-63} .. S_N weights term n by min(1, (N-n+1)/64).
-    Returns the weighted w_n (a_n - i b_n), n = N down to 1 (Horner's
-    order), |a_{M+1}| + |b_{M+1}| at M = N - 63, and the sum of the T_n
-    errors over pi^2."""
-    a, b = _log_g_fourier(n_last)
-    coeffs = [min(1.0, (n_last - n + 1) / _FS_4_16_WINDOW)
-              * complex(a[n - 1], -b[n - 1]) for n in range(n_last, 0, -1)]
-    m_next = n_last - _FS_4_16_WINDOW + 2
-    return (coeffs, abs(a[m_next - 1]) + abs(b[m_next - 1]),
-            math.fsum(t.abs_err for t in _tn_batch(n_last)) / _PI ** 2)
+        log_n = math.log(n)
+        a = ((0.5 * log_n + a_shift) / (2.0 * pi2 * n * n) - 0.25 / n
+             - tn / pi2)
+        b = ((0.5 / n - c.gamma - math.log(4.0 * pi2 * n) - h)
+             / (2.0 * _PI * n))
+        coeffs.append(complex(a, -b))
+    return coeffs, tn_err / pi2
 
 
 @_entry("FS-4.16", "Fourier partial sum for log G(x)", 1,
         n_min=_FS_4_16_WINDOW)
 def fs_4_16(x: float, max_terms: int = 2000) -> SeriesResult:
+    """The mean of the partial sums S_M .. S_N, N = ``max_terms`` and
+    M = N - 63, of the Fourier series a_0 + sum_n (a_n cos 2 pi n x
+    + b_n sin 2 pi n x) of log G on (0, 1).
+
+    The mean misses sum_{n>M} l_n (a_n cos n t + b_n sin n t), t = 2 pi x,
+    l_n = min(1, (n-M)/L), L = 64.  Let c_n be |a_n| or |b_n|: it falls
+    and is convex (:func:`_log_g_table`), and s = sin(pi x).  Two bounds
+    hold, and the smaller is reported:
+
+    - Dirichlet: summed by parts once against sum_{k<=n} e^(ikt), which is
+      at most 1/s in size, each S_m misses at most c_{m+1}/s, so the mean
+      misses at most (|a_{M+1}| + |b_{M+1}|)/s.
+    - Fejer: e^(int) is the second difference G_{n+2} - 2G_{n+1} + G_n of
+      G_n = e^(int)/(e^(it) - 1)^2, |G_n| = 1/(4 s^2).  Summed by parts
+      twice, the miss of g_n = l_n c_n is at most sum_n |D2 g_n|/(4 s^2),
+      D2 g_n = g_n - 2g_{n-1} + g_{n-2}.  That sum is c_{M+1}/L and
+      2(c_{M+1} - c_{M+2})/L where the ramp l_n starts, at most
+      2(c_{M+1} - c_N)/L from its slope times the falling c_n, c_N/L where
+      it ends, and at most c_{M+1} - c_{M+2} from the convex D2 c_n
+      weighted by l_n <= 1; in all (5 c_{M+1} - 2 c_{M+2} - c_N)/L
+      + c_{M+1} - c_{M+2}.  For N >> 64 this is about
+      (|a_{M+1}| + |b_{M+1}|)/(128 s^2), the smaller bound unless x is
+      within about 1/400 of 0 or 1.
+
+    The T_n errors, over pi^2, and 1e-12 for rounding are added."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"requires 0 < x < 1, got {x}")
     c = get_constants()
-    coeffs, c_next, tn_err = _fs_4_16_coefficients(max_terms)
-    # value: a0 + Re sum_n w_n (a_n - i b_n) z^n, z = e^(2 pi i x)
+    coeffs, tn_err = _log_g_table(max_terms)
+    n_last, window = max_terms, _FS_4_16_WINDOW
+    m = n_last - window + 1
+    # value: a0 + Re sum_n w_n (a_n - i b_n) z^n, z = e^(2 pi i x), where
+    # the mean weights term n by w_n = min(1, (N-n+1)/64); Horner from n = N
     z = cmath.rect(1.0, _TWO_PI * x)
     acc = 0j
-    for cn in coeffs:
+    for n in range(n_last, m, -1):
+        acc = acc * z + (n_last - n + 1) / window * coeffs[n - 1]
+    for cn in reversed(coeffs[:m]):
         acc = acc * z + cn
     a0 = 1.0 / 12.0 - 2.0 * c.log_A - 0.25 * c.log_2pi
     value = a0 + (acc * z).real
-    # a_n and b_n keep one sign and shrink in size, so by Abel summation
-    # against the Dirichlet kernel every averaged partial sum S_m, m >= M,
-    # is within (|a_{M+1}| + |b_{M+1}|)/sin(pi x) of the series
-    err = c_next / math.sin(_PI * x) + 1e-12 + tn_err
+    # each bound is linear in c_n, so those of a_n and b_n add up to the
+    # bound of d_n = |a_n| + |b_n|, here at n = M+1, M+2 and N
+    d1, d2, d_last = (abs(coeffs[n - 1].real) + abs(coeffs[n - 1].imag)
+                      for n in (m + 1, m + 2, n_last))
+    s = math.sin(_PI * x)
+    fejer = (((5.0 * d1 - 2.0 * d2 - d_last) / window + d1 - d2)
+             / (4.0 * s * s))
+    err = min(d1 / s, fejer) + 1e-12 + tn_err
     return SeriesResult(value, err, max_terms, "fourier_partial_mean")
 
 

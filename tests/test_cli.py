@@ -1,5 +1,6 @@
 """Command-line front end tests: outputs, exit codes, report files."""
 
+import concurrent.futures
 import importlib.util
 import json
 import os
@@ -180,7 +181,7 @@ def test_verify_rejects_bad_options(extra, capsys):
 def test_parallelism_clamped_to_task_count(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-verdict selection started a pool")
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert run(["verify", "--ids", "I-6.16", "--parallelism", "8"]) == 0
     assert "CONFIRMED" in capsys.readouterr().out
 
@@ -199,20 +200,23 @@ def test_max_terms_reaches_disputed_series_route(monkeypatch, capsys):
 
 
 def test_verify_all_never_imports_numpy():
-    # the package has no runtime dependency: a whole cold run, lazy imports
-    # included, must finish without numpy
+    # the package has no runtime dependency, and a serial run starts no pool:
+    # a whole cold run, lazy imports included, must finish without numpy or
+    # the process-pool machinery
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = ("import sys\n"
               "from gammalab.cli import main\n"
               "rc = main(['verify', '--all', '--no-timing'])\n"
-              "print('numpy' in sys.modules)\n"
+              "print([m for m in ('numpy', 'multiprocessing',\n"
+              "                   'concurrent.futures.process')\n"
+              "       if m in sys.modules])\n"
               "sys.exit(rc)\n")
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "False"
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_verify_all_passes_benchmark_reference(tmp_path, monkeypatch):

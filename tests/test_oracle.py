@@ -14,8 +14,8 @@ from gammalab import registry as R  # noqa: E402
 from gammalab.integral_catalog import integral_catalog  # noqa: E402
 from gammalab.series import cvz_alternating  # noqa: E402
 from gammalab.series_catalog import (  # noqa: E402
+    _log_g_table,
     _tn_asymptotic,
-    _tn_batch,
     log_weighted_sin_sum,
     psi_sin_partial,
     sum_catalog,
@@ -72,20 +72,61 @@ def _tn_tail_oracle(n):
                             for j in range(26))
 
 
+def _a_n_oracle(n, tn):
+    """FS-4.16's cosine coefficient a_n of log G, from the oracle T_n."""
+    return ((mp.log(n) / 2 - mp.euler - mp.log(2 * mp.pi) - 1)
+            / (2 * mp.pi ** 2 * n * n) - mp.mpf(1) / (4 * n) - tn / mp.pi ** 2)
+
+
+def _check_table_a_n(n, ref, tn_err):
+    # the FS-4.16 table's a_n carries the T_n it took, with T_n's error
+    # over pi^2 and a few ulp of its own rounding
+    a_n = _log_g_table(2000)[0][n - 1].real
+    assert _close(a_n, _a_n_oracle(n, ref),
+                  tn_err / PI ** 2 + 8.0 * math.ulp(a_n)), n
+
+
 @pytest.mark.parametrize("n", [1, 2, 8])
 def test_tn(n):
     ref = _tn_tail_oracle(n)
     r = sum_catalog("S-4.4-Tn", (float(n),))
     assert _close(r.value, ref, r.abs_err)
-    batch = _tn_batch(8)[n - 1]
-    assert _close(batch.value, ref, batch.abs_err)
+    _check_table_a_n(n, ref, r.abs_err)
 
 
 @pytest.mark.parametrize("n", [12, 13, 20, 50, 200, 2000])
 def test_tn_asymptotic(n):
-    r = _tn_asymptotic(n)
-    assert _close(r.value, _tn_tail_oracle(n), r.abs_err)
-    assert _tn_batch(2000)[n - 1] == r
+    value, err = _tn_asymptotic(n)
+    ref = _tn_tail_oracle(n)
+    assert _close(value, ref, err)
+    _check_table_a_n(n, ref, err)
+
+
+def _worst_rel_err(fn, xs, ref):
+    return max(abs((mp.mpf(fn(x)) - ref(x)) / ref(x)) for x in xs)
+
+
+# both signs of 1e-15 .. 1e-1, next to the zero of log Gamma(1+y) at y = 0
+_NEAR_ZERO = [s * 10.0 ** -e for e in range(1, 16) for s in (1.0, -1.0)]
+
+
+def test_lgamma1p_relative_error():
+    # log Gamma(1+y) on |y| <= 1/2, with the first two zeta(k) terms summed
+    # as log1p; the worst found, 1.02e-15 at y = 0.289, comes from the
+    # cancellation where log Gamma(1+y) is smallest against its parts
+    ys = [k / 1000 for k in range(-500, 501) if k] + _NEAR_ZERO
+    worst = _worst_rel_err(K._lgamma1p, ys,
+                           lambda y: mp.loggamma(1 + mp.mpf(y)))
+    assert worst <= 1.5e-15
+
+
+def test_log_gamma_near_its_zeros():
+    # x = 1 + y takes _lgamma1p(y), x = 2 + y adds log1p(y); the worst
+    # found is 5.1e-16
+    xs = [c + y for c in (1.0, 2.0) for y in _NEAR_ZERO]
+    worst = _worst_rel_err(lambda x: K.log_gamma(x).value, xs,
+                           lambda x: mp.loggamma(mp.mpf(x)))
+    assert worst <= 1.0e-15
 
 
 def test_psi_sin_partial_grid():
@@ -108,11 +149,23 @@ def test_psi_sin_partial_grid():
 @pytest.mark.parametrize("x", [1e-3, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999,
                                0.99985])
 def test_fs_4_16_log_barnes_g(x):
-    # the Dirichlet-kernel bound holds at the default N and at caps, and
-    # widens near the ends
+    # the reported bound holds at the default N and at caps, and widens
+    # near the ends
     for cap in (64, 256, 2000):
         r = sum_catalog("FS-4.16", (x,), max_terms=cap)
         assert _close(r.value, mp.log(mp.barnesg(x)), r.abs_err), cap
+
+
+def test_fs_4_16_grid():
+    # 200 midpoints of (0, 1) and both ends: the smaller of the Dirichlet
+    # and Fejer bounds holds at every cap; mid-range the Fejer bound rules
+    grid = [(k + 0.5) / 200 for k in range(200)] + [1e-3, 0.999]
+    refs = [mp.log(mp.barnesg(x)) for x in grid]
+    for cap in (64, 256, 2000):
+        for x, ref in zip(grid, refs):
+            r = sum_catalog("FS-4.16", (x,), max_terms=cap)
+            assert _close(r.value, ref, r.abs_err), (cap, x)
+    assert sum_catalog("FS-4.16", (0.5,)).abs_err < 2e-5
 
 
 @pytest.mark.parametrize("u", [0.0, 1e-3, 0.5 * PI, 3.1, PI])

@@ -19,7 +19,7 @@ from gammalab.series import (
 )
 from gammalab.series_catalog import (
     SERIES_CATALOG,
-    _log_g_fourier,
+    _log_g_table,
     _tn_asymptotic,
     power_series_eval,
     sum_catalog,
@@ -373,18 +373,21 @@ def test_tn_expansion_agrees_with_direct_series():
     # FS-4.16 takes T_n from n = 12 on from its large-n expansion
     for n in range(11, 201):
         direct = sum_catalog("S-4.4-Tn", (float(n),))
-        expansion = _tn_asymptotic(n)
-        assert abs(direct.value - expansion.value) <= (
-            direct.abs_err + expansion.abs_err), n
+        value, err = _tn_asymptotic(n)
+        assert abs(direct.value - value) <= direct.abs_err + err, n
 
 
 def test_log_g_fourier_coefficients_keep_sign_and_shrink():
     # FS-4.16's Dirichlet-kernel bound needs a_n, b_n of one sign and
-    # falling in size from n = M+1 >= 2 on
-    a, b = _log_g_fourier(2000)
-    for c in (a, b):
+    # falling in size from n = M+1 >= 2 on, its Fejer-kernel bound sizes
+    # that are also convex there
+    coeffs = _log_g_table(2000)[0]
+    for c in ([z.real for z in coeffs], [-z.imag for z in coeffs]):
         assert all(x < 0.0 for x in c)
         assert all(abs(y) < abs(x) for x, y in zip(c, c[1:]))
+        size = [abs(x) for x in c]
+        assert all(x - 2.0 * y + z >= 0.0
+                   for x, y, z in zip(size, size[1:], size[2:]))
 
 
 def test_si_lattice_sums():
