@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 
 from . import kernels
 from .errors import GammalabError, integer_arg
@@ -47,7 +46,7 @@ _FN_KEYS = {
     "polygamma": (lambda k, x: kernels.polygamma(integer_arg(k, "k"), x),
                   2),
     "lambda": (kernels.lambda_fn, 1),
-    "si": (lambda x: kernels.sici(x)[0], 1),
+    "si": (kernels.sine_integral, 1),
     "ci": (lambda x: kernels.sici(x)[1], 1),
     "ei": (kernels.exp_integral, 1),
     "zeta": (lambda s: kernels.zeta_family("zeta", s), 1),
@@ -69,33 +68,11 @@ def _near_matches(key: str, pool) -> str:
     return f" (near matches: {', '.join(close)})" if close else ""
 
 
-# the registry of one pool worker, built once by its initializer
-_worker_registry: Registry | None = None
-
-
-def _start_worker() -> None:
-    global _worker_registry
-    _worker_registry = Registry()
-
-
-def _worker_verdict(rid, params, tol_class, opts):
-    return _worker_registry.suite_verdict(rid, params, tol_class, opts)
-
-
 def _run_suite(reg: Registry, records, cfg: Config):
-    """Serial and pool runs evaluate the same task list with the same
-    verdict method, so their records are equal.  The pool machinery is
-    imported only when a pool starts, so a serial run never loads
-    ``multiprocessing``."""
-    tasks = reg.suite_tasks([r.id for r in records])
-    ids, params = zip(*tasks)
-    args = (ids, params, repeat(cfg.tol_class), repeat(cfg.opts))
-    workers = min(cfg.parallelism, len(tasks))
-    if workers == 1:
-        return list(map(reg.suite_verdict, *args))
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers, initializer=_start_worker) as pool:
-        return list(pool.map(_worker_verdict, *args))
+    """The suite's verdicts for ``records``, all computed in this process;
+    ``cfg.parallelism`` is only recorded in the report."""
+    return reg.run_suite([r.id for r in records], tol_class=cfg.tol_class,
+                         opts=cfg.opts)
 
 
 def cmd_verify(args) -> int:
@@ -251,7 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "each sums the terms its own error bound needs for 1e-14, "
                    "and below that a capped entry reports its larger error")
     v.add_argument("--quad-level-cap", type=int, default=10)
-    v.add_argument("--parallelism", type=int, default=1)
+    v.add_argument("--parallelism", type=int, default=1,
+                   help="accepted (N >= 1) and recorded in the report's "
+                   "config; the suite runs in one process")
     v.add_argument("--json", metavar="PATH")
     v.add_argument("--md", metavar="PATH")
     v.add_argument("--no-timing", action="store_true",

@@ -468,7 +468,8 @@ def _sici_raw(x: float) -> tuple[float, float]:
             u *= -x2 / ((2 * k) * (2 * k + 1))
             t = u / (2 * k + 1)
             si += t
-            if abs(t) < 1e-18 * abs(si):
+            # <=: below x ~ 1e-306 both sides underflow to 0 (Si(x) = x)
+            if abs(t) <= 1e-18 * abs(si):
                 break
         cin = 0.0
         v = -1.0
@@ -571,6 +572,24 @@ def exp_integral(x: float) -> FnEvalResult:
 # zeta family dispatcher
 # ---------------------------------------------------------------------------
 
+# from this s on, zeta(s, a) is summed term by term: the terms fall fast or
+# underflow, while the Euler-Maclaurin tail's s (s+1) ... q^-s turns into NaN
+_S_DIRECT = 100.0
+
+
+def _hurwitz_direct(s: float, a: float, order: int) -> float:
+    """zeta(s, a) (``order`` 0) or its s-derivative (1) for s >= _S_DIRECT,
+    term by term, until the rest past y = a + n >= 1.02, at most
+    y^-s (1 + y/(s-1)) (1 + |log y|)^order, is below 2^-60 of the sum."""
+    total, x = 0.0, a
+    while True:
+        total += x ** -s * (-math.log(x)) ** order
+        x += 1.0
+        rest = x ** -s * (1 + x / (s - 1)) * (1 + abs(math.log(x))) ** order
+        if x >= 1.02 and rest <= 2.0 ** -60 * abs(total):
+            return total
+
+
 def zeta_family(kind: str, s: float | None = None,
                 a: float | None = None) -> FnEvalResult:
     """zeta(s), zeta(s,a), zeta'(s), zeta''(2) and zeta'(-1).
@@ -579,16 +598,21 @@ def zeta_family(kind: str, s: float | None = None,
     zeta'(-1) = (1 - gamma - log 2pi)/12 + zeta'(2)/(2 pi^2),
     which doubles as a cross-check against its independently tabulated value.
     """
-    if kind in ("zeta", "zeta_prime"):
-        if s is None or not s > 1.0:
+    if kind in ("zeta", "zeta_prime", "hurwitz"):
+        if s is None or not _require_finite(s, "s") > 1.0:
             raise DomainError(f"{kind} requires s > 1, got {s}")
-        v = _hurwitz_em(float(s), 1.0, order=0 if kind == "zeta" else 1)
-    elif kind == "hurwitz":
-        if s is None or not s > 1.0:
-            raise DomainError(f"hurwitz requires s > 1, got {s}")
-        if a is None or not a > 0.0:
+        if kind != "hurwitz":
+            a = 1.0
+        elif a is None or not _require_finite(a, "a") > 0.0:
             raise DomainError(f"hurwitz requires a > 0, got {a}")
-        v = _hurwitz_em(float(s), float(a))
+        s, a, order = float(s), float(a), int(kind == "zeta_prime")
+        try:
+            v = (_hurwitz_em(s, a, order) if s < _S_DIRECT
+                 else _hurwitz_direct(s, a, order))
+        except OverflowError:
+            v = math.inf
+        if not math.isfinite(v):
+            raise RangeOverflowError(f"{kind} overflows at s={s}, a={a}")
     elif kind == "zeta_prime2_at_2":
         v = _hurwitz_em(2.0, 1.0, order=2)
     elif kind == "zeta_prime_neg1":

@@ -1184,19 +1184,6 @@ class Registry:
         return replace(v, diagnostics={**v.diagnostics,
                                        "reported": rec.reported})
 
-    def suite_tasks(self, selection: list[str] | None = None,
-                    section: int | None = None) -> list[tuple[str, tuple]]:
-        """``(id, params)`` of every suite verdict, in catalog order."""
-        if selection is not None:
-            records = [self.record(rid) for rid in selection]
-        else:
-            records = self.list_identities(section=section)
-        if not records:
-            raise DomainError("empty selection")
-        return [(rec.id, params)
-                for rec in sorted(records, key=lambda r: r.id)
-                for params in rec.default_params]
-
     def adjudicate_dispute(self, rid: str) -> Verdict:
         rec = self.record(rid)
         if rec.expected != "DISPUTED":
@@ -1207,8 +1194,16 @@ class Registry:
                   section: int | None = None,
                   tol_class: str | None = None,
                   opts: EvalOptions = EvalOptions()) -> list[Verdict]:
-        return [self.suite_verdict(rid, params, tol_class, opts)
-                for rid, params in self.suite_tasks(selection, section)]
+        """Every suite verdict of the selection, in catalog order."""
+        if selection is not None:
+            records = [self.record(rid) for rid in selection]
+        else:
+            records = self.list_identities(section=section)
+        if not records:
+            raise DomainError("empty selection")
+        return [self.suite_verdict(rec.id, params, tol_class, opts)
+                for rec in sorted(records, key=lambda r: r.id)
+                for params in rec.default_params]
 
 
 def failures(verdicts: list[Verdict]) -> list[Verdict]:

@@ -1,6 +1,5 @@
 """Command-line front end tests: outputs, exit codes, report files."""
 
-import concurrent.futures
 import importlib.util
 import json
 import os
@@ -23,6 +22,12 @@ def test_eval_fn_lambda_zero(capsys):
     out = capsys.readouterr().out
     assert out.startswith("lambda 0 = 0.577215664901533")
     assert "±" in out
+
+
+def test_eval_fn_si_zero(capsys):
+    # Si(0) = 0 exactly; only Ci diverges there
+    assert run(["eval", "fn", "si", "0"]) == 0
+    assert capsys.readouterr().out == "si 0 = 0 ± 0\n"
 
 
 def test_eval_integral_and_series(capsys):
@@ -178,14 +183,6 @@ def test_verify_rejects_bad_options(extra, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_parallelism_clamped_to_task_count(monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-verdict selection started a pool")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert run(["verify", "--ids", "I-6.16", "--parallelism", "8"]) == 0
-    assert "CONFIRMED" in capsys.readouterr().out
-
-
 def test_max_terms_reaches_disputed_series_route(monkeypatch, capsys):
     caps = []
     original = registry.sum_catalog
@@ -199,16 +196,18 @@ def test_max_terms_reaches_disputed_series_route(monkeypatch, capsys):
     assert caps == [("S-5.18", 20)]
 
 
-def test_verify_all_never_imports_numpy():
-    # the package has no runtime dependency, and a serial run starts no pool:
-    # a whole cold run, lazy imports included, must finish without numpy or
-    # the process-pool machinery
+@pytest.mark.parametrize("par", ["1", "2"])
+def test_verify_all_never_imports_numpy(par):
+    # the package has no runtime dependency, and every run computes in one
+    # process: a whole cold run, lazy imports included, must finish without
+    # numpy or the process-pool machinery, whatever its --parallelism
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = ("import sys\n"
               "from gammalab.cli import main\n"
-              "rc = main(['verify', '--all', '--no-timing'])\n"
+              f"rc = main(['verify', '--all', '--no-timing',\n"
+              f"           '--parallelism', '{par}'])\n"
               "print([m for m in ('numpy', 'multiprocessing',\n"
               "                   'concurrent.futures.process')\n"
               "       if m in sys.modules])\n"

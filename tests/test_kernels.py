@@ -3,7 +3,11 @@ module invariants (recurrence/reflection grids, two-route agreement,
 functional equations)."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from gammalab import kernels as K
 from gammalab.errors import (
     DomainError,
     PoleError,
+    RangeOverflowError,
     RouteInconsistencyError,
     UnsupportedOrderError,
 )
@@ -171,6 +176,26 @@ def test_sici_examples():
         K.sici(-1.0)
 
 
+def test_si_tiny_x_terminates():
+    # below x ~ 1e-306 the series' stop test compared 0 with an underflowed
+    # 0 and never ended; a fresh process with a timeout fails rather than
+    # hangs the suite
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("from gammalab import cli, kernels as K\n"
+              "print(K.sine_integral(1e-306).value, K.sici(5e-324)[0].value)\n"
+              "raise SystemExit(cli.main(['eval', 'fn', 'si', '1e-320']))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    si_a, si_b = out.stdout.splitlines()[0].split()
+    assert (float(si_a), float(si_b)) == (1e-306, 5e-324)
+    # Si(x) = x: the CLI prints the value exactly as it prints x
+    lhs, rhs = out.stdout.splitlines()[1].split(" = ")
+    assert rhs.split(" ± ")[0] == lhs.split()[1]
+
+
 def test_sici_derivatives_match_integrands():
     h = 2e-4
     for x in (0.5, 1.0, 2.0, 5.0, 10.0):
@@ -241,6 +266,34 @@ def test_zeta_examples():
         K.zeta_family("hurwitz", 2.0, -1.0)
     with pytest.raises(DomainError):
         K.zeta_family("nope")
+
+
+@pytest.mark.parametrize("args", [("zeta", math.inf),
+                                  ("zeta_prime", math.inf),
+                                  ("hurwitz", math.inf, 1.0),
+                                  ("hurwitz", 2.0, math.inf),
+                                  ("zeta", math.nan)])
+def test_zeta_family_rejects_non_finite(args):
+    with pytest.raises(DomainError, match="must be finite"):
+        K.zeta_family(*args)
+
+
+@pytest.mark.parametrize("args, value", [(("zeta", 1e100), 1.0),
+                                         (("zeta", 1e160), 1.0),
+                                         (("zeta_prime", 1e100), 0.0),
+                                         (("hurwitz", 1e160, 2.0), 0.0)])
+def test_zeta_family_huge_s_is_finite(args, value):
+    # the first term is the whole sum; the Euler-Maclaurin route gave NaN
+    # or raised a bare OverflowError here
+    r = K.zeta_family(*args)
+    assert math.isfinite(r.value)
+    assert abs(r.value - value) <= r.abs_err
+
+
+@pytest.mark.parametrize("s, a", [(2000.0, 0.5), (2.0, 1e-200)])
+def test_hurwitz_overflow_is_a_range_error(s, a):
+    with pytest.raises(RangeOverflowError):
+        K.zeta_family("hurwitz", s, a)
 
 
 def test_gamma1_independent_em_oracle():

@@ -29,6 +29,18 @@ def _close(value, ref, err):
     return abs(mp.mpf(value) - ref) <= err
 
 
+@pytest.mark.parametrize("s", [99.0, 100.0, 150.0, 1000.0])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 50.0, 1000.0])
+def test_hurwitz_either_side_of_direct_sum(s, a):
+    r = K.zeta_family("hurwitz", s, a)
+    assert _close(r.value, mp.zeta(s, a), r.abs_err)
+    if r.value > 1e-250:  # relative accuracy, away from subnormals
+        assert _close(r.value, mp.zeta(s, a), 1e-15 * r.value)
+    if a == 1.0:
+        r = K.zeta_family("zeta_prime", s)
+        assert _close(r.value, mp.zeta(s, 1, 1), r.abs_err)
+
+
 def test_gamma1():
     r = K.stieltjes_gamma1()
     assert _close(r.value, mp.stieltjes(1), r.abs_err)
