@@ -94,57 +94,83 @@ def _bernoulli_float(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Riemann zeta at integer s >= 2 (cached; used by several Taylor series)
+# Hurwitz zeta by Euler-Maclaurin; zeta(k), zeta'(k) at integer k (cached)
 # ---------------------------------------------------------------------------
 
-def _hurwitz_em(s: float, a: float, order: int = 0, n_front: int = 24,
-                k_tail: int = 12) -> float:
-    """Euler-Maclaurin evaluation of zeta(s, a) or its first/second
-    s-derivative (``order`` 0, 1 or 2).  Requires s > 1, a > 0."""
-    front0 = front1 = front2 = 0.0
-    for n in range(n_front):
-        base = a + n
-        p = base ** (-s)
-        front0 += p
-        if order >= 1:
-            lg = math.log(base)
-            front1 -= lg * p
-            if order >= 2:
-                front2 += lg * lg * p
-    q = a + n_front
-    lq = math.log(q)
-    q1s = q ** (1.0 - s)
-    qs = q ** (-s)
-    sm1 = s - 1.0
-    total0 = front0 + q1s / sm1 + 0.5 * qs
-    total1 = front1 - q1s * (lq / sm1 + 1.0 / sm1 ** 2) - 0.5 * lq * qs
-    total2 = (front2 + q1s * (lq * lq / sm1 + 2.0 * lq / sm1 ** 2
-                              + 2.0 / sm1 ** 3) + 0.5 * lq * lq * qs)
-    # tail: sum_k B_{2k}/(2k)! * (s)_{2k-1} * q^{-s-2k+1}
-    pw = qs / q  # q^{-s-1}
-    prod = s
-    sum_inv = 1.0 / s
-    sum_inv2 = 1.0 / (s * s)
+# terms summed directly before the Euler-Maclaurin tail, and its orders
+_EM_FRONT = 24
+_EM_ORDERS = 12
+
+
+@lru_cache(maxsize=1024)
+def _em_tail_coeffs(s: float) -> tuple[tuple[float, ...], ...]:
+    """The Euler-Maclaurin tail coefficients of zeta(s, q) and of its first
+    two s-derivatives, highest order first for Horner's rule in q^-2:
+    T_k = B_2k/(2k)! (s)_(2k-1), T_k S1_k and T_k (S1_k^2 - S2_k), where
+    S1_k and S2_k sum (s+j)^-1 and (s+j)^-2 over j < 2k - 1.  They depend
+    on s alone (Johansson, Numer. Algorithms 2015), so each s builds them
+    once."""
+    s = float(s)
+    c0, c1, c2 = [], [], []
+    prod, sum_inv, sum_inv2 = s, 1.0 / s, 1.0 / (s * s)
     fact = 1.0
-    j_hi = 1
-    for k in range(1, k_tail + 1):
+    for k in range(1, _EM_ORDERS + 1):
         fact *= (2 * k - 1) * (2 * k)
-        while j_hi < 2 * k - 1:
-            sj = s + j_hi
+        for j in range(max(1, 2 * k - 3), 2 * k - 1):
+            sj = s + j
             prod *= sj
             sum_inv += 1.0 / sj
             sum_inv2 += 1.0 / (sj * sj)
-            j_hi += 1
-        c = _bernoulli_float(2 * k) / fact
-        t0 = c * prod * pw
-        total0 += t0
-        if order >= 1:
-            total1 += t0 * (sum_inv - lq)
-            if order >= 2:
-                total2 += t0 * (sum_inv * sum_inv - sum_inv2
-                                - 2.0 * sum_inv * lq + lq * lq)
-        pw /= q * q
-    return (total0, total1, total2)[order]
+        t = _bernoulli_float(2 * k) / fact * prod
+        c0.append(t)
+        c1.append(t * sum_inv)
+        c2.append(t * (sum_inv * sum_inv - sum_inv2))
+    return tuple(c0[::-1]), tuple(c1[::-1]), tuple(c2[::-1])
+
+
+def _hurwitz_em(s: float, a: float, order: int = 0) -> float:
+    """Euler-Maclaurin evaluation of zeta(s, a) or its first/second
+    s-derivative (``order`` 0, 1 or 2).  Requires s > 1, a > 0.
+
+    zeta(s, a) = sum_{n<24} (a+n)^-s + q^(1-s)/(s-1) + q^-s/2
+    + q^(-s-1) P_0(q^-2) with q = a + 24, where P_0 is the degree-11
+    polynomial of :func:`_em_tail_coeffs`; the derivatives take d/ds of
+    each piece, so their tails are q^(-s-1) times P_1 - log q P_0 and
+    P_2 - 2 log q P_1 + log^2 q P_0."""
+    coeffs = _em_tail_coeffs(s)
+    q = a + _EM_FRONT
+    qs = q ** (-s)
+    q1s = q ** (1.0 - s)
+    sm1 = s - 1.0
+    w = 1.0 / (q * q)
+    p0 = 0.0
+    for c in coeffs[0]:
+        p0 = p0 * w + c
+    if order == 0:
+        front = 0.0
+        for n in range(_EM_FRONT):
+            front += (a + n) ** (-s)
+        return front + q1s / sm1 + 0.5 * qs + qs / q * p0
+    p1 = 0.0
+    for c in coeffs[1]:
+        p1 = p1 * w + c
+    lq = math.log(q)
+    if order == 1:
+        front1 = 0.0
+        for n in range(_EM_FRONT):
+            front1 -= math.log(a + n) * (a + n) ** (-s)
+        return (front1 - q1s * (lq / sm1 + 1.0 / sm1 ** 2) - 0.5 * lq * qs
+                + qs / q * (p1 - lq * p0))
+    front2 = 0.0
+    for n in range(_EM_FRONT):
+        lg = math.log(a + n)
+        front2 += lg * lg * (a + n) ** (-s)
+    p2 = 0.0
+    for c in coeffs[2]:
+        p2 = p2 * w + c
+    return (front2 + q1s * (lq * lq / sm1 + 2.0 * lq / sm1 ** 2
+                            + 2.0 / sm1 ** 3) + 0.5 * lq * lq * qs
+            + qs / q * (p2 - 2.0 * lq * p1 + lq * lq * p0))
 
 
 @lru_cache(maxsize=None)
@@ -719,14 +745,48 @@ def _cl2_coeffs() -> tuple[float, ...]:
     return tuple(_zeta_int(2 * n) / (n * (2 * n + 1)) for n in range(1, 40))
 
 
+# 2 pi is held as an integer times 2^-_TWO_PI_BITS: a double below 2^1024
+# is a multiple n < 2^1022 of 2 pi plus a remainder, and the remainder taken
+# against this 2 pi is off by at most n 2^-1200 < 2^-178
+_TWO_PI_BITS = 1200
+
+
+@lru_cache(maxsize=1)
+def _two_pi_fixed() -> int:
+    """2 pi 2^_TWO_PI_BITS to within 1, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) in integers with 32 guard bits."""
+    one = 1 << (_TWO_PI_BITS + 32)
+
+    def atan_inv(x: int) -> int:
+        term = total = one // x
+        k, sign = 1, 1
+        while term:
+            term //= x * x
+            k += 2
+            sign = -sign
+            total += sign * (term // k)
+        return total
+
+    return (32 * atan_inv(5) - 8 * atan_inv(239)) >> 32
+
+
+def _reduce_2pi(theta: float) -> float:
+    """theta - 2 pi n for the integer n nearest theta/(2 pi), correctly
+    rounded for every finite theta (Payne and Hanek, SIGNUM Newsl. 1983,
+    with Python integers): theta = m/d exactly, d a power of 2."""
+    m, d = theta.as_integer_ratio()
+    two_pi = _two_pi_fixed()
+    half = two_pi >> 1
+    r = ((m << (_TWO_PI_BITS + 1 - d.bit_length())) + half) % two_pi - half
+    return r / (1 << _TWO_PI_BITS)
+
+
 def _cl2(theta: float) -> float:
-    t = math.fmod(theta, 2.0 * math.pi)
+    t = theta if abs(theta) <= math.pi else _reduce_2pi(theta)
     if t < 0.0:
         return -_cl2(-t)
     if t == 0.0:
         return 0.0
-    if t > math.pi:
-        return -_cl2(2.0 * math.pi - t)
     acc = t - t * math.log(t)
     r = (t / (2.0 * math.pi)) ** 2
     pw = t * r

@@ -296,6 +296,26 @@ def test_hurwitz_overflow_is_a_range_error(s, a):
         K.zeta_family("hurwitz", s, a)
 
 
+def test_hurwitz_em_same_bits_cold_or_warm():
+    # the tail coefficients are cached per s: a value must not depend on
+    # which s filled the cache first, and an int s (a key of its own) must
+    # build the same coefficients as the float
+    ss = (2.0, 2.5, 7.3, 26.0, 60.0)
+    points = [(s, a, order) for s in ss for a in (0.5, 1.0, 65.0, 4001.0)
+              for order in (0, 1, 2)]
+    K._em_tail_coeffs.cache_clear()
+    cold = [K._hurwitz_em(*p).hex() for p in points]
+    cold_coeffs = [K._em_tail_coeffs(s) for s in ss]
+    K._em_tail_coeffs.cache_clear()
+    for s in (60, 26, 7.3, 2.5, 2):
+        K._em_tail_coeffs(s)
+    warm = [K._hurwitz_em(*p).hex() for p in reversed(points)]
+    assert warm[::-1] == cold
+    assert [K._em_tail_coeffs(s) for s in ss] == cold_coeffs
+    assert [K._em_tail_coeffs(int(s)) for s in (2.0, 26.0, 60.0)] == [
+        cold_coeffs[0], cold_coeffs[3], cold_coeffs[4]]
+
+
 def test_gamma1_independent_em_oracle():
     # recompute the limit with a different cutoff and correction depth
     n = 200_000

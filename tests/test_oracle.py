@@ -2,7 +2,9 @@
 ``zeta_tail_sum`` or ``cvz_alternating`` must lie within its own reported
 error of mpmath at 30 digits."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,38 @@ def test_hurwitz_either_side_of_direct_sum(s, a):
     if a == 1.0:
         r = K.zeta_family("zeta_prime", s)
         assert _close(r.value, mp.zeta(s, 1, 1), r.abs_err)
+
+
+# zeta(s, a) and its first two s-derivatives, cached by make_oracle_data.py
+# at 40 + |log10 value| digits: at this file's 30 digits mpmath's zeta(21, 65)
+# is itself off by 3e-10
+_HURWITZ = json.loads((Path(__file__).resolve().parent / "data"
+                       / "hurwitz.json").read_text())
+
+
+@pytest.mark.parametrize("order, s, refs", [
+    pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in _HURWITZ["rows"]])
+def test_hurwitz_em_relative_error(order, s, refs):
+    # a = 0.5 .. 8891; the worst found is 1.1e-15 (order 1, s = 26, a = 15.8)
+    for a, ref in zip(_HURWITZ["a"], refs):
+        if ref is not None:
+            ref = mp.mpf(ref)
+            rel = abs((K._hurwitz_em(s, a, order) - ref) / ref)
+            assert rel <= 1e-14, (order, s, a, rel)
+
+
+# 100 log-uniform theta over [1e-3, 1e300], the float 2 pi (Cl2 = -8.9e-15
+# there) and a negative angle
+_CL2_THETA = [10.0 ** (-3.0 + 303.0 * i / 99) for i in range(100)] + [
+    2.0 * PI, -12345.678]
+
+
+@pytest.mark.parametrize("theta", _CL2_THETA)
+def test_clausen_cl2_any_theta(theta):
+    r = K.clausen_cl2(theta)
+    with mp.workdps(40 + max(0, int(math.log10(abs(theta))))):
+        t = mp.fmod(mp.mpf(theta), 2 * mp.pi)
+    assert _close(r.value, mp.clsin(2, t), r.abs_err), theta
 
 
 def test_gamma1():
