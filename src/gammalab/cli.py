@@ -181,13 +181,19 @@ def cmd_sweep(args) -> int:
               file=sys.stderr)
         return 1
     base = list(rec.default_params[0])
-    rows = []
+    # every grid point is checked before the first row is printed
+    grid = []
     for k in range(args.steps):
         val = args.start + (args.stop - args.start) * k / (args.steps - 1)
         base[idx] = val
-        v = reg.verify_identity(args.id, tuple(base))
+        grid.append(tuple(base))
+        reg.check_params(rec, grid[-1])
+    rows = []
+    for params in grid:
+        v = reg.verify_identity(args.id, params)
         rows.append(v)
-        print(f"{args.param}={fmt15(val):22s} lhs={fmt15(v.lhs_value):22s} "
+        print(f"{args.param}={fmt15(params[idx]):22s} "
+              f"lhs={fmt15(v.lhs_value):22s} "
               f"rhs={fmt15(v.rhs_value):22s} residual={fmt15(v.residual):13s} "
               f"{v.status}")
     if args.json:

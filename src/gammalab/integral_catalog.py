@@ -24,6 +24,7 @@ from .kernels import (
     _lgamma,
     _lgamma1p,
     _lnG_base,
+    _require_finite,
     _sici_raw,
     _zeta_int,
 )
@@ -74,6 +75,8 @@ def integral_catalog(key: str, params: tuple[float, ...] = (),
     if len(params) != entry.nparams:
         raise DomainError(
             f"{key} takes {entry.nparams} parameter(s), got {len(params)}")
+    for i, value in enumerate(params, 1):
+        _require_finite(value, f"{key} parameter {i}")
     eff_tol = entry.default_tol if tol is None else tol
     return entry.fn(*params, tol=eff_tol, max_level=max_level)
 

@@ -409,16 +409,16 @@ def _lambda_tail(c: float, n_last: int
     return tail, omitted
 
 
-def _lambda_sum(c: float, n_last: int):
+def _lambda_sum(c: float, n_min: int = 1, cap: int | None = None):
     """sum_{n>=1} [n/(n^2+c) - log(1+1/n)] as a SeriesResult: lambda(v) at
-    c = v^2, and -(psi(1+x) + psi(1-x))/2 at c = -x^2; the terms past
-    ``n_last`` through :func:`_lambda_tail`.
+    c = v^2, and -(psi(1+x) + psi(1-x))/2 at c = -x^2; the terms past N
+    through :func:`_lambda_tail`, N as ``zeta_tail_sum`` picks it from
+    ``n_min`` to ``cap``.
     """
     from .series import zeta_tail_sum
-    tail, omitted = _lambda_tail(c, n_last)
-    return zeta_tail_sum((n / (n * n + c) - math.log1p(1.0 / n)
-                          for n in range(1, n_last + 1)), n_last, tail,
-                         omitted=omitted)
+    return zeta_tail_sum(lambda n_last: (n / (n * n + c) - math.log1p(1.0 / n)
+                                         for n in range(1, n_last + 1)),
+                         lambda n: _lambda_tail(c, n), n_min=n_min, cap=cap)
 
 
 def _lambda_series(v: float) -> tuple[float, float]:
@@ -430,7 +430,8 @@ def _lambda_series(v: float) -> tuple[float, float]:
         w = 1.0 / (v * v)
         val = -math.log(abs(v)) - w / 12.0
         return val, w * w / 12.0 + 4.0 * _EPS * abs(val)
-    r = _lambda_sum(v * v, max(64, math.ceil(4.0 * abs(v))))
+    n_last = max(64, math.ceil(4.0 * abs(v)))
+    r = _lambda_sum(v * v, n_last, n_last)
     return r.value, r.abs_err
 
 
@@ -675,14 +676,17 @@ def _gamma1() -> tuple[float, float]:
     """
     from .series import zeta_tail_sum
     n_last, k_next = 64, 11  # 65^-10 < 1e-17
-    ell = [math.log1p(1.0 / n) for n in range(1, n_last + 1)]
     h = list(accumulate(1.0 / j for j in range(1, k_next)))  # H_1, H_2, ...
     log_tail = {k: (-1.0) ** k / k for k in range(2, k_next)}
-    r = zeta_tail_sum((math.log(n) * (1.0 / n - e) - 0.5 * e * e
-                       for n, e in enumerate(ell, 1)), n_last,
+
+    def term(n: int) -> float:
+        e = math.log1p(1.0 / n)
+        return math.log(n) * (1.0 / n - e) - 0.5 * e * e
+    r = zeta_tail_sum(lambda n: map(term, range(1, n + 1)),
                       {k: -d * h[k - 2] for k, d in log_tail.items()},
                       log_tail, omitted={k_next: h[k_next - 2] / k_next},
-                      log_omitted={k_next: 1.0 / k_next})
+                      log_omitted={k_next: 1.0 / k_next}, n_min=n_last,
+                      cap=n_last)
     return r.value, r.abs_err
 
 

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .integral_catalog import integral_catalog, probe_cauchy
 from .kernels import get_constants
-from .series import SeriesResult, tail_bound, target_terms, zeta_tail_sum
+from .series import SeriesResult, zeta_tail_sum
 from .series_catalog import (
     _bernoulli_fourier,
     _ps_fast,
@@ -327,13 +327,12 @@ def _rhs_3_14(p: float) -> float:
 def _ci_lattice_sum(power: int) -> float:
     """sum Ci(2 pi n)/n^power with the asymptotic lattice tail
     Ci(x) ~ -1/x^2 + 6/x^4 - 120/x^6 + 5040/x^8."""
-    omitted = {power + 8: 5040.0 / _TWO_PI ** 8}
-    n_terms = target_terms(lambda n: tail_bound(n, omitted))
     return zeta_tail_sum(
-        (K._ci_at_2pi_mult(n) / float(n) ** power
-         for n in range(1, n_terms + 1)), n_terms,
+        lambda n_terms: (K._ci_at_2pi_mult(n) / float(n) ** power
+                         for n in range(1, n_terms + 1)),
         {power + 2: -1.0 / _TWO_PI ** 2, power + 4: 6.0 / _TWO_PI ** 4,
-         power + 6: -120.0 / _TWO_PI ** 6}, omitted=omitted).value
+         power + 6: -120.0 / _TWO_PI ** 6},
+        omitted={power + 8: 5040.0 / _TWO_PI ** 8}).value
 
 
 def _rhs_3_19(x: float) -> float:
@@ -387,12 +386,11 @@ def _rhs_5_48(x: float) -> float:
 
 def _rhs_5_53(u: float) -> float:
     # 2 log(1+u/n)/n = 2 sum_k (-1)^(k+1) u^k/(k n^(k+1))
-    omitted = {11: 0.2 * u ** 10}
-    n_terms = target_terms(lambda n: tail_bound(n, omitted))
     acc = zeta_tail_sum(
-        (2.0 * math.log1p(u / n) / n for n in range(1, n_terms + 1)),
-        n_terms, {k + 1: 2.0 * (-1.0) ** (k + 1) * u ** k / k
-                  for k in range(1, 10)}, omitted=omitted).value
+        lambda n_terms: (2.0 * math.log1p(u / n) / n
+                         for n in range(1, n_terms + 1)),
+        {k + 1: 2.0 * (-1.0) ** (k + 1) * u ** k / k for k in range(1, 10)},
+        omitted={11: 0.2 * u ** 10}).value
     return acc + power_series_eval("PS-5.53", u).value
 
 
@@ -407,13 +405,11 @@ def _rhs_6_10(u: float) -> float:
 
 def _rhs_6_38() -> float:
     # the (6.40) minus (6.39) assembly; the weighted log sum runs from n=1
-    omitted = {18: 0.25 ** 8 / 8.0}
-    n_terms = target_terms(lambda n: tail_bound(n, omitted))
     acc = zeta_tail_sum(
-        (math.log1p(-0.25 / (n * n)) / (n * n)
-         for n in range(1, n_terms + 1)), n_terms,
+        lambda n_terms: (math.log1p(-0.25 / (n * n)) / (n * n)
+                         for n in range(1, n_terms + 1)),
         {2 * j + 2: -0.25 ** j / j for j in range(1, 8)},
-        omitted=omitted).value
+        omitted={18: 0.25 ** 8 / 8.0}).value
     return (-2.0 * _C.log_A + (2.0 - 3.5 * _C.zeta3) / _PI ** 2
             + (_G + math.log(_PI)) / 6.0 - acc / (2.0 * _PI ** 2))
 
@@ -1102,8 +1098,8 @@ class Registry:
         except KeyError:
             raise UnknownKeyError(f"unknown identity id {rid!r}") from None
 
-    def _check_params(self, rec: IdentityRecord,
-                      params: tuple[float, ...]) -> None:
+    def check_params(self, rec: IdentityRecord,
+                     params: tuple[float, ...]) -> None:
         if len(params) != len(rec.param_names):
             raise DomainError(
                 f"{rec.id} takes {len(rec.param_names)} parameter(s), "
@@ -1126,7 +1122,7 @@ class Registry:
             return self._verify_probe(rec)
         if params is None:
             params = rec.default_params[0]
-        self._check_params(rec, tuple(params))
+        self.check_params(rec, tuple(params))
         cls = tol_class or rec.tol_class
         if cls not in TOL_CLASS:
             raise DomainError(f"unknown tolerance class {cls!r}")

@@ -15,19 +15,23 @@ whenever they shrink at least geometrically by 1/2 from n = N+1 on.
 ``quad_tail`` builds such an expansion for the recurring denominators
 n^2 - q.
 
-``target_terms`` inverts a truncation bound: it finds the smallest N whose
-bound is at most ``TARGET_ERR`` (Johansson, "Rigorous high-precision
-computation of the Hurwitz zeta function and its derivatives", Numer.
-Algorithms 2015, picks N from the tolerance the same way), so a series is
-summed once, at the N its own bound asks for.  The bounds fall like a
-power of N + 1, so a secant in log-log coordinates finds that N in about
-three probes.
+``zeta_tail_sum`` also chooses N: the smallest one whose ``tail_bound``,
+from the omitted orders it reports, is at most ``TARGET_ERR`` (Johansson,
+"Rigorous high-precision computation of the Hurwitz zeta function and its
+derivatives", Numer. Algorithms 2015, picks N inside the routine that
+bounds the error the same way).  So a series is summed once, at the N its
+own bound asks for, and the bound that picks N is the one reported.
+
+``target_terms`` is that search; the bounds fall like a power of N + 1,
+so a secant in log-log coordinates finds N in about three probes.  It also
+serves the sums whose bound is not a zeta tail: the Dirichlet-kernel sums
+FS-7.1 and ``psi_sin_partial``, and the alternating S-4.29-rhs and S-6.33.
 
 ``cvz_alternating`` is the Chebyshev-weight acceleration for alternating
 series whose terms decay too slowly to truncate (error ~ 5.83^-n; Cohen,
 Rodriguez Villegas and Zagier, Exp. Math. 2000).
 
-The two primitives serve the series catalog, the kernels (lambda, gamma_1
+The primitives serve the series catalog, the kernels (lambda, gamma_1
 and Catalan's constant, imported inside the functions, since this module
 imports ``kernels``) and the registry's closed-form helpers.
 """
@@ -58,6 +62,12 @@ CVZ_TERMS = math.ceil(math.log(2.0 / TARGET_ERR)
                       / math.log(3.0 + math.sqrt(8.0))) + 8
 
 
+# zeta orders {k: coefficient}, and an expansion that depends on N: its
+# orders and first omitted orders at N
+Orders = Mapping[int, float]
+Expansion = Callable[[int], tuple[Orders, Orders]]
+
+
 @dataclass(frozen=True)
 class SeriesResult:
     value: float | complex
@@ -66,28 +76,47 @@ class SeriesResult:
     method: str
 
 
-def zeta_tail_sum(terms: Iterable[float], n_last: int,
-                  tail: Mapping[int, float] = {},
-                  log_tail: Mapping[int, float] = {},
-                  omitted: Mapping[int, float] = {},
-                  log_omitted: Mapping[int, float] = {},
+def zeta_tail_sum(terms: Callable[[int], Iterable[float]],
+                  tail: Orders | Expansion = {},
+                  log_tail: Orders | Expansion = {},
+                  omitted: Orders = {}, log_omitted: Orders = {},
+                  n_min: int = 1, cap: int | None = None,
                   floor: float = 2e-14, shift: float = 1.0,
                   method: str = "direct+zh_tail") -> SeriesResult:
-    """``terms`` plus the tail past ``n_last``, all summed exactly rounded
-    by ``math.fsum``: ``tail`` maps k to c_k of c_k n^-k, ``log_tail`` maps
-    k to d_k of d_k log(n) n^-k.  ``omitted`` and ``log_omitted`` hold the
-    first orders the expansion leaves out; each adds 2|e_k| zeta(k, a) or
-    2|e_k| |zeta'(k, a)| to the error, on top of ``floor * (1 + |value|)``.
-    The zeta functions are taken at a = n_last + ``shift``.
+    """``terms(N)``, the terms n <= N, plus the tail past N, all summed
+    exactly rounded by ``math.fsum``, at the smallest N >= ``n_min`` whose
+    truncation bound meets ``TARGET_ERR``, at most ``cap``
+    (:func:`target_terms`; ``n_min >= cap`` takes N = cap unprobed).
+
+    ``tail`` maps k to c_k of c_k n^-k, ``log_tail`` maps k to d_k of
+    d_k log(n) n^-k.  ``omitted`` and ``log_omitted`` hold the first orders
+    the expansion leaves out; each adds 2|e_k| zeta(k, a) or
+    2|e_k| |zeta'(k, a)| to the error (:func:`tail_bound`), on top of
+    ``floor * (1 + |value|)``.  An expansion that depends on N, such as
+    :func:`quad_tail`'s, is a function of N that returns ``(tail,
+    omitted)`` in place of both maps.  The zeta functions are taken at
+    a = N + ``shift``.
     """
+    if callable(tail) and omitted or callable(log_tail) and log_omitted:
+        raise TypeError("an expansion given as a function of N brings its "
+                        "own omitted orders")
+
+    def expansion(n: int):
+        t, o = tail(n) if callable(tail) else (tail, omitted)
+        lt, lo = (log_tail(n) if callable(log_tail)
+                  else (log_tail, log_omitted))
+        return t, lt, o, lo
+
+    n_last = target_terms(
+        lambda n: tail_bound(n, *expansion(n)[2:], shift), n_min, cap)
+    t, lt, o, lo = expansion(n_last)
     a = n_last + shift
     value = math.fsum(chain(
-        terms, [c * _hurwitz(float(k), a) for k, c in tail.items()],
-        [-d * _hurwitz_prime(float(k), a) for k, d in log_tail.items()]))
+        terms(n_last), [c * _hurwitz(float(k), a) for k, c in t.items()],
+        [-d * _hurwitz_prime(float(k), a) for k, d in lt.items()]))
     if not math.isfinite(value):
         raise EvaluationError(f"series not finite with N={n_last}")
-    err = (floor * (1.0 + abs(value))
-           + tail_bound(n_last, omitted, log_omitted, shift))
+    err = floor * (1.0 + abs(value)) + tail_bound(n_last, o, lo, shift)
     return SeriesResult(value, err, n_last, method)
 
 

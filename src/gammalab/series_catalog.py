@@ -2,15 +2,15 @@
 
 Each entry returns a :class:`SeriesResult` whose ``abs_err`` covers both
 rounding and truncation.  Most entries sum their first N terms directly
-and close the rest with an analytic Hurwitz-zeta tail through
-:func:`~gammalab.series.zeta_tail_sum`, whose error comes from the first
-order the tail leaves out and so grows as N shrinks.  N is not a per-entry
-constant: each entry takes the smallest N whose own truncation bound, the
-code that also reports ``abs_err``, is at most
-:data:`~gammalab.series.TARGET_ERR` (:func:`~gammalab.series.target_terms`).
-The CVZ entries take the acceleration order for that target, and the sums
-whose terms halve (S-4.27, S-5.45.2, S-5.45.3, S-5.46.2) stop at the first
-N whose bound, twice the next term, meets it.
+and close the rest with an analytic Hurwitz-zeta tail, in one call of
+:func:`~gammalab.series.zeta_tail_sum`: the entry passes its terms as a
+function of N, its expansion once, and its cap, and ``zeta_tail_sum``
+takes the smallest N whose truncation bound, from the first order the
+tail leaves out and the same bound it reports as ``abs_err``, is at most
+:data:`~gammalab.series.TARGET_ERR`.  The CVZ entries take the
+acceleration order for that target, and the sums whose terms halve
+(S-4.27, S-5.45.2, S-5.45.3, S-5.46.2) stop at the first N whose bound,
+twice the next term, meets it.
 
 ``max_terms`` is a cap: below the target N an entry sums at the cap and
 reports its larger error.  Each entry declares the smallest cap
@@ -21,7 +21,10 @@ a Dirichlet-kernel bound, the first omitted coefficients over sin(pi x),
 and a Fejer-kernel bound, about 1/128 of them over sin^2(pi x).
 ``FS-7.1`` picks N from the same kind of Dirichlet-kernel bound, and
 :func:`psi_sin_partial` meets ``_PSI_SIN_TARGET`` = 1e-8 rather than the
-series target.  Every partial sum is exactly rounded (``math.fsum``).
+series target; these and the alternating pair S-4.29-rhs and S-6.33 call
+:func:`~gammalab.series.target_terms` on their own bounds.  Every partial
+sum is exactly rounded (``math.fsum``).  :func:`sum_catalog` rejects a
+non-finite parameter with ``DomainError``.
 
 ``FS-6.2``, ``FS-8.13``, ``FS-8.14``, :func:`log_weighted_sin_sum` and
 the registry's alternating cosine sum share :func:`_bernoulli_fourier`:
@@ -47,8 +50,8 @@ from .kernels import (
     _euler_gamma,
     _hurwitz,
     _lambda_sum,
-    _lambda_tail,
     _lnG,
+    _require_finite,
     _si_small_at_pi_mult,
     _zeta_int,
     _zeta_prime_int,
@@ -105,35 +108,14 @@ def sum_catalog(key: str, params: tuple[float, ...] = (),
     if len(params) != entry.nparams:
         raise DomainError(
             f"{key} takes {entry.nparams} parameter(s), got {len(params)}")
+    for i, value in enumerate(params, 1):
+        _require_finite(value, f"{key} parameter {i}")
     if max_terms is None:
         return entry.fn(*params)
     if max_terms < entry.n_min:
         raise DomainError(
             f"{key} needs max_terms >= {entry.n_min}, got {max_terms}")
     return entry.fn(*params, max_terms=max_terms)
-
-
-def _target_n(max_terms: int | None, omitted: dict[int, float] = {},
-              log_omitted: dict[int, float] = {}, shift: float = 1.0) -> int:
-    """The N at which a fixed expansion's ``tail_bound`` meets the target,
-    at most ``max_terms``."""
-    return target_terms(
-        lambda n: tail_bound(n, omitted, log_omitted, shift), cap=max_terms)
-
-
-def _quad_expansion(q: float, orders: dict[int, float],
-                    max_terms: int | None, omit: dict[int, float] = {},
-                    n_min: int = 1, log: bool = False
-                    ) -> tuple[int, dict[int, float], dict[int, float]]:
-    """``(N, tail, omitted)``: the N at which the ``quad_tail`` expansion's
-    bound meets the target, at most ``max_terms``, and the expansion there;
-    ``log`` when its orders carry a log n factor."""
-    def bound(n: int) -> float:
-        omitted = quad_tail(q, orders, n, omit)[1]
-        return tail_bound(n, log_omitted=omitted) if log else \
-            tail_bound(n, omitted)
-    n_last = target_terms(bound, n_min, max_terms)
-    return (n_last, *quad_tail(q, orders, n_last, omit))
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +138,12 @@ def _taylor_check(value: float, u: float, coeff: Callable[[int], float]
 
 @_entry("S-1.20", "sum log n/(n^2+u^2)", 1)
 def s_1_20(u: float, max_terms: int | None = None) -> SeriesResult:
-    n_last, log_tail, log_omitted = _quad_expansion(-u * u, {0: 1.0},
-                                                    max_terms, log=True)
     u2 = u * u
     r = zeta_tail_sum(
-        (math.log(n) / (n * n + u2) for n in range(1, n_last + 1)), n_last,
-        log_tail=log_tail, log_omitted=log_omitted, floor=5e-15)
+        lambda n_last: (math.log(n) / (n * n + u2)
+                        for n in range(1, n_last + 1)),
+        log_tail=lambda n: quad_tail(-u2, {0: 1.0}, n), cap=max_terms,
+        floor=5e-15)
     if abs(u) < 1.0:
         # Taylor cross-route: sum_m (-1)^m zeta'(2m) u^(2m-2)
         return replace(r, abs_err=r.abs_err + _taylor_check(
@@ -171,10 +153,10 @@ def s_1_20(u: float, max_terms: int | None = None) -> SeriesResult:
 
 @_entry("S-1.23", "sum 1/(n^2+u^2)", 1)
 def s_1_23(u: float, max_terms: int | None = None) -> SeriesResult:
-    n_last, tail, omitted = _quad_expansion(-u * u, {0: 1.0}, max_terms)
     u2 = u * u
-    r = zeta_tail_sum((1.0 / (n * n + u2) for n in range(1, n_last + 1)),
-                      n_last, tail, omitted=omitted, floor=5e-15)
+    r = zeta_tail_sum(
+        lambda n_last: (1.0 / (n * n + u2) for n in range(1, n_last + 1)),
+        lambda n: quad_tail(-u2, {0: 1.0}, n), cap=max_terms, floor=5e-15)
     if abs(u) < 1.0:
         return replace(r, abs_err=r.abs_err + _taylor_check(
             r.value, u, lambda m: (-1.0) ** (m + 1) * _zeta_int(2 * m)))
@@ -193,37 +175,36 @@ def s_3_8(p: float, max_terms: int | None = None) -> SeriesResult:
     if not 0.0 < abs(p) < 2.0:
         raise DomainError(f"requires 0 < |p| < 2, got {p}")
     # si(2 pi n) ~ -1/(2 pi n) + 2/(2 pi n)^3 - 24/(2 pi n)^5 + 720/(2 pi n)^7
-    n_last, tail, omitted = _quad_expansion(
-        0.25 * p * p, {2: -0.25 / _TWO_PI, 4: 0.5 / _TWO_PI ** 3,
-                       6: -6.0 / _TWO_PI ** 5}, max_terms,
-        omit={8: 180.0 / _TWO_PI ** 7})
+    q = 0.25 * p * p
+    orders = {2: -0.25 / _TWO_PI, 4: 0.5 / _TWO_PI ** 3,
+              6: -6.0 / _TWO_PI ** 5}
+    omit = {8: 180.0 / _TWO_PI ** 7}
     return zeta_tail_sum(
-        (_si_small_at_pi_mult(n) / (n * (4.0 * n * n - p * p))
-         for n in range(1, n_last + 1)), n_last, tail,
-        omitted=omitted, floor=1e-14, method="lattice+asymptotic")
+        lambda n_last: (_si_small_at_pi_mult(n) / (n * (4.0 * n * n - p * p))
+                        for n in range(1, n_last + 1)),
+        lambda n: quad_tail(q, orders, n, omit), cap=max_terms, floor=1e-14,
+        method="lattice+asymptotic")
 
 
 def ci_quarter_sum(q: float, max_terms: int | None = None) -> SeriesResult:
     """sum_{n>=1} Ci(2 pi n)/(4 (n^2 - q)) for q < 1, no rounding floor."""
     # Ci(2 pi n) ~ -1/x^2 + 6/x^4 - 120/x^6 + 5040/x^8, x = 2 pi n
-    n_last, tail, omitted = _quad_expansion(
-        q, {2: -0.25 / _TWO_PI ** 2, 4: 1.5 / _TWO_PI ** 4,
-            6: -30.0 / _TWO_PI ** 6}, max_terms,
-        omit={8: 1260.0 / _TWO_PI ** 8})
+    orders = {2: -0.25 / _TWO_PI ** 2, 4: 1.5 / _TWO_PI ** 4,
+              6: -30.0 / _TWO_PI ** 6}
+    omit = {8: 1260.0 / _TWO_PI ** 8}
     return zeta_tail_sum(
-        (_ci_at_2pi_mult(n) / (4.0 * (n * n - q))
-         for n in range(1, n_last + 1)), n_last, tail,
-        omitted=omitted, floor=0.0)
+        lambda n_last: (_ci_at_2pi_mult(n) / (4.0 * (n * n - q))
+                        for n in range(1, n_last + 1)),
+        lambda n: quad_tail(q, orders, n, omit), cap=max_terms, floor=0.0)
 
 
 def log_quarter_sum(q: float, max_terms: int | None = None) -> SeriesResult:
     """sum_{n>=2} log n/(4 (n^2 - q)) for q <= 1, no rounding floor."""
-    n_last, log_tail, log_omitted = _quad_expansion(q, {0: 0.25}, max_terms,
-                                                    log=True)
-    return zeta_tail_sum((math.log(n) / (4.0 * (n * n - q))
-                          for n in range(2, n_last + 1)), n_last,
-                         log_tail=log_tail, log_omitted=log_omitted,
-                         floor=0.0)
+    return zeta_tail_sum(
+        lambda n_last: (math.log(n) / (4.0 * (n * n - q))
+                        for n in range(2, n_last + 1)),
+        log_tail=lambda n: quad_tail(q, {0: 0.25}, n), cap=max_terms,
+        floor=0.0)
 
 
 @_entry("S-3.14", "sum [Ci(2 pi n)-gamma-log(2 pi n)]/(4n^2-p^2)", 1)
@@ -245,17 +226,15 @@ def s_3_14(p: float, max_terms: int | None = None) -> SeriesResult:
 
 @_entry("S-4.26", "sum Si(2 pi n)/n^2", 0)
 def s_4_26(max_terms: int | None = None) -> SeriesResult:
-    omitted = {11: 40320.0 / _TWO_PI ** 9}
-    n_last = _target_n(max_terms, omitted)
     r = zeta_tail_sum(
-        (_si_small_at_pi_mult(n) / (n * n) for n in range(1, n_last + 1)),
-        n_last,
+        lambda n_last: (_si_small_at_pi_mult(n) / (n * n)
+                        for n in range(1, n_last + 1)),
         {3: -1.0 / _TWO_PI, 5: 2.0 / _TWO_PI ** 3, 7: -24.0 / _TWO_PI ** 5,
          9: 720.0 / _TWO_PI ** 7},
-        omitted=omitted, floor=0.0)
+        omitted={11: 40320.0 / _TWO_PI ** 9}, cap=max_terms, floor=0.0)
     value = 0.5 * _PI * _zeta_int(2) + r.value
     return SeriesResult(value, r.abs_err + 1e-13 * (1.0 + abs(value)),
-                        n_last, "lattice+asymptotic")
+                        r.terms_used, "lattice+asymptotic")
 
 
 def _alternating_tail(orders: dict[int, float], half: int) -> float:
@@ -292,16 +271,14 @@ def s_4_29_rhs(max_terms: int | None = None) -> SeriesResult:
 def s_4_30_rhs(max_terms: int | None = None) -> SeriesResult:
     # Si(m pi) = pi/2 + 1/(m pi) - 2/(m pi)^3 + 24/(m pi)^5 - ... for odd m,
     # and sum_{n>N} (2n-1)^-k = 2^-k zeta(k, N + 1/2)
-    omitted = {9: 720.0 / (512.0 * _PI ** 7)}
-    n_last = _target_n(max_terms, omitted, shift=0.5)
     return zeta_tail_sum(
-        ((0.5 * _PI + _si_small_at_pi_mult(2 * n - 1, twice=False))
-         / (2 * n - 1) ** 2 for n in range(1, n_last + 1)),
-        n_last,
+        lambda n_last: ((0.5 * _PI + _si_small_at_pi_mult(2 * n - 1,
+                                                          twice=False))
+                        / (2 * n - 1) ** 2 for n in range(1, n_last + 1)),
         {2: 0.125 * _PI, 3: 0.125 / _PI, 5: -2.0 / (32.0 * _PI ** 3),
          7: 24.0 / (128.0 * _PI ** 5)},
-        omitted=omitted, floor=1e-12, shift=0.5,
-        method="lattice+asymptotic")
+        omitted={9: 720.0 / (512.0 * _PI ** 7)}, cap=max_terms,
+        floor=1e-12, shift=0.5, method="lattice+asymptotic")
 
 
 def _ratio_half_sum(term: Callable[[int], float], n_first: int,
@@ -347,11 +324,11 @@ def s_4_4_tn(n: float, max_terms: int | None = None) -> SeriesResult:
     if n < 1:
         raise DomainError(f"requires n >= 1, got {n}")
     n2 = float(n) * float(n)
-    m_last, log_tail, log_omitted = _quad_expansion(
-        n2, {0: 1.0}, max_terms, n_min=_TN_N_MIN, log=True)
     return zeta_tail_sum(
-        (math.log(m) / (m * m - n2) for m in range(1, m_last + 1) if m != n),
-        m_last, log_tail=log_tail, log_omitted=log_omitted, floor=1e-13)
+        lambda m_last: (math.log(m) / (m * m - n2)
+                        for m in range(1, m_last + 1) if m != n),
+        log_tail=lambda m: quad_tail(n2, {0: 1.0}, m), n_min=_TN_N_MIN,
+        cap=max_terms, floor=1e-13)
 
 
 # from this n on, the FS-4.16 table takes T_n from its large-n expansion
@@ -399,12 +376,12 @@ def _with_harmonic(n_last: int):
 def s_4_31_1(max_terms: int | None = None) -> SeriesResult:
     g = _euler_gamma()
     # gamma + log n - H_n = -1/2n + 1/12n^2 - 1/120n^4 + 1/252n^6 - 1/240n^8
-    omitted = {9: -1.0 / 240.0}
-    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
-        ((g + math.log(n) - h) / n for n, h in _with_harmonic(n_last)),
-        n_last, {2: -0.5, 3: 1.0 / 12.0, 5: -1.0 / 120.0, 7: 1.0 / 252.0},
-        omitted=omitted, floor=1e-13, method="direct+asymptotic_tail")
+        lambda n_last: ((g + math.log(n) - h) / n
+                        for n, h in _with_harmonic(n_last)),
+        {2: -0.5, 3: 1.0 / 12.0, 5: -1.0 / 120.0, 7: 1.0 / 252.0},
+        omitted={9: -1.0 / 240.0}, cap=max_terms, floor=1e-13,
+        method="direct+asymptotic_tail")
 
 
 @_entry("S-4.32", "sum H_n [log(1+1/n) - 1/n]", 0)
@@ -413,14 +390,12 @@ def s_4_32(max_terms: int | None = None) -> SeriesResult:
     # H_n = log n + gamma + 1/2n - ..., times -1/2n^2 + 1/3n^3 - ...
     log_part = {2: -0.5, 3: 1.0 / 3.0, 4: -0.25, 5: 0.2, 6: -1.0 / 6.0}
     plain = {2: 0.0, 3: -0.25, 4: 5.0 / 24.0, 5: -11.0 / 72.0, 6: 7.0 / 60.0}
-    omitted, log_omitted = {7: g / 7.0 - 7.0 / 72.0}, {7: 1.0 / 7.0}
-    n_last = _target_n(max_terms, omitted, log_omitted)
     return zeta_tail_sum(
-        (h * (math.log1p(1.0 / n) - 1.0 / n)
-         for n, h in _with_harmonic(n_last)),
-        n_last, {k: g * c + plain[k] for k, c in log_part.items()},
-        log_part, omitted=omitted, log_omitted=log_omitted, floor=1e-13,
-        method="direct+asymptotic_tail")
+        lambda n_last: (h * (math.log1p(1.0 / n) - 1.0 / n)
+                        for n, h in _with_harmonic(n_last)),
+        {k: g * c + plain[k] for k, c in log_part.items()}, log_part,
+        omitted={7: g / 7.0 - 7.0 / 72.0}, log_omitted={7: 1.0 / 7.0},
+        cap=max_terms, floor=1e-13, method="direct+asymptotic_tail")
 
 
 # ---------------------------------------------------------------------------
@@ -432,22 +407,19 @@ def s_5_13(x: float, max_terms: int | None = None) -> SeriesResult:
     if abs(x) >= 1.0 and abs(x - round(x)) < 1e-12:
         raise DomainError(f"pole at integer x={x}")
     # the lambda sum at c = -x^2; its tail needs (N+1)^2 >= 2 x^2
-    n_last = target_terms(
-        lambda n: tail_bound(n, _lambda_tail(-x * x, n)[1]), cap=max_terms)
-    return _lambda_sum(-x * x, n_last)
+    return _lambda_sum(-x * x, cap=max_terms)
 
 
 @_entry("S-5.18", "sum [n log(1-1/4n^2) + log(1+1/n)/4]", 0)
 def s_5_18(max_terms: int | None = None) -> SeriesResult:
     # term ~ -1/8 n^-2 + 5/96 n^-3 - 1/16 n^-4 + 43/960 n^-5 - 1/24 n^-6
-    omitted = {6: -1.0 / 24.0}
-    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
-        (n * math.log1p(-0.25 / (n * n)) + 0.25 * math.log1p(1.0 / n)
-         for n in range(1, n_last + 1)),
-        n_last, {2: -0.125, 3: 5.0 / 96.0, 4: -1.0 / 16.0,
-                 5: 43.0 / 960.0},
-        omitted=omitted, floor=3e-14, method="direct+asymptotic_tail")
+        lambda n_last: (n * math.log1p(-0.25 / (n * n))
+                        + 0.25 * math.log1p(1.0 / n)
+                        for n in range(1, n_last + 1)),
+        {2: -0.125, 3: 5.0 / 96.0, 4: -1.0 / 16.0, 5: 43.0 / 960.0},
+        omitted={6: -1.0 / 24.0}, cap=max_terms, floor=3e-14,
+        method="direct+asymptotic_tail")
 
 
 @_entry("S-5.44.4", "sum [(1+n) log(1+1/n) - 1 - 1/(2n)]", 0)
@@ -455,12 +427,10 @@ def s_5_44_4(max_terms: int | None = None) -> SeriesResult:
     # exact expansion coefficient of n^-m is (-1)^(m+1)/(m(m+1)), m >= 2
     def c(m):
         return (-1.0) ** (m + 1) / (m * (m + 1.0))
-    omitted = {9: c(9)}
-    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
-        ((1.0 + n) * math.log1p(1.0 / n) - 1.0 - 0.5 / n
-         for n in range(1, n_last + 1)),
-        n_last, {m: c(m) for m in range(2, 9)}, omitted=omitted,
+        lambda n_last: ((1.0 + n) * math.log1p(1.0 / n) - 1.0 - 0.5 / n
+                        for n in range(1, n_last + 1)),
+        {m: c(m) for m in range(2, 9)}, omitted={9: c(9)}, cap=max_terms,
         method="direct+asymptotic_tail")
 
 
@@ -468,25 +438,22 @@ def s_5_44_4(max_terms: int | None = None) -> SeriesResult:
 def s_5_44_5(max_terms: int | None = None) -> SeriesResult:
     def c(m):
         return (-1.0) ** m * (m - 1.0) / (2.0 * m * (m + 1.0))
-    omitted = {9: c(9)}
-    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
-        ((0.5 + n) * math.log1p(1.0 / n) - 1.0
-         for n in range(1, n_last + 1)),
-        n_last, {m: c(m) for m in range(2, 9)}, omitted=omitted,
+        lambda n_last: ((0.5 + n) * math.log1p(1.0 / n) - 1.0
+                        for n in range(1, n_last + 1)),
+        {m: c(m) for m in range(2, 9)}, omitted={9: c(9)}, cap=max_terms,
         method="direct+asymptotic_tail")
 
 
 @_entry("S-5.45", "sum log(n+1)/(n(n+1))", 0)
 def s_5_45(max_terms: int | None = None) -> SeriesResult:
     # (log n + log(1+1/n)) (n^-2 - n^-3 + ...)
-    omitted, log_omitted = {7: 137.0 / 60.0}, {7: -1.0}
-    n_last = _target_n(max_terms, omitted, log_omitted)
     return zeta_tail_sum(
-        (math.log(n + 1.0) / (n * (n + 1.0)) for n in range(1, n_last + 1)),
-        n_last, {3: 1.0, 4: -1.5, 5: 11.0 / 6.0, 6: -25.0 / 12.0},
+        lambda n_last: (math.log(n + 1.0) / (n * (n + 1.0))
+                        for n in range(1, n_last + 1)),
+        {3: 1.0, 4: -1.5, 5: 11.0 / 6.0, 6: -25.0 / 12.0},
         {2: 1.0, 3: -1.0, 4: 1.0, 5: -1.0, 6: 1.0},
-        omitted=omitted, log_omitted=log_omitted,
+        omitted={7: 137.0 / 60.0}, log_omitted={7: -1.0}, cap=max_terms,
         method="direct+asymptotic_tail")
 
 
@@ -508,11 +475,10 @@ def s_5_45_3(max_terms: int | None = None) -> SeriesResult:
 def s_5_45_4(max_terms: int | None = None) -> SeriesResult:
     def c(m):
         return (-1.0) ** m / (m - 1.0)
-    omitted = {9: c(9)}
-    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
-        (math.log1p(1.0 / n) / n for n in range(1, n_last + 1)),
-        n_last, {m: c(m) for m in range(2, 9)}, omitted=omitted,
+        lambda n_last: (math.log1p(1.0 / n) / n
+                        for n in range(1, n_last + 1)),
+        {m: c(m) for m in range(2, 9)}, omitted={9: c(9)}, cap=max_terms,
         method="direct+asymptotic_tail")
 
 
@@ -525,24 +491,20 @@ def s_5_46_2(max_terms: int | None = None) -> SeriesResult:
 @_entry("S-5.56", "sum_{j>=2} [j log(1-1/j) + 1 + 1/(2j)]", 0)
 def s_5_56(max_terms: int | None = None) -> SeriesResult:
     # j log(1-1/j) = -1 - 1/(2j) - sum_{k>=2} j^-k/(k+1)
-    omitted = {9: -0.1}
-    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
-        (j * math.log1p(-1.0 / j) + 1.0 + 0.5 / j
-         for j in range(2, n_last + 1)),
-        n_last, {k: -1.0 / (k + 1.0) for k in range(2, 9)},
-        omitted=omitted, method="direct+asymptotic_tail")
+        lambda n_last: (j * math.log1p(-1.0 / j) + 1.0 + 0.5 / j
+                        for j in range(2, n_last + 1)),
+        {k: -1.0 / (k + 1.0) for k in range(2, 9)}, omitted={9: -0.1},
+        cap=max_terms, method="direct+asymptotic_tail")
 
 
 @_entry("S-5.58.1", "sum [j log(1+1/j) - 1 + 1/(2j)]", 0)
 def s_5_58_1(max_terms: int | None = None) -> SeriesResult:
-    omitted = {9: -0.1}
-    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
-        (j * math.log1p(1.0 / j) - 1.0 + 0.5 / j
-         for j in range(1, n_last + 1)),
-        n_last, {k: (-1.0) ** k / (k + 1.0) for k in range(2, 9)},
-        omitted=omitted, method="direct+asymptotic_tail")
+        lambda n_last: (j * math.log1p(1.0 / j) - 1.0 + 0.5 / j
+                        for j in range(1, n_last + 1)),
+        {k: (-1.0) ** k / (k + 1.0) for k in range(2, 9)},
+        omitted={9: -0.1}, cap=max_terms, method="direct+asymptotic_tail")
 
 
 # ---------------------------------------------------------------------------
@@ -552,12 +514,11 @@ def s_5_58_1(max_terms: int | None = None) -> SeriesResult:
 @_entry("S-6.3", "sum_{n>=2} log(1-1/n^2)", 0)
 def s_6_3(max_terms: int | None = None) -> SeriesResult:
     # log(1-1/n^2) = -sum_k n^-2k/k
-    omitted = {16: -1.0 / 8.0}
-    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
-        (math.log1p(-1.0 / (n * n)) for n in range(2, n_last + 1)),
-        n_last, {2 * k: -1.0 / k for k in range(1, 8)},
-        omitted=omitted, method="direct+asymptotic_tail")
+        lambda n_last: (math.log1p(-1.0 / (n * n))
+                        for n in range(2, n_last + 1)),
+        {2 * k: -1.0 / k for k in range(1, 8)}, omitted={16: -1.0 / 8.0},
+        cap=max_terms, method="direct+asymptotic_tail")
 
 
 def _cvz_entry(a: Callable[[int], float], max_terms: int | None,
@@ -578,12 +539,12 @@ def s_6_4(max_terms: int | None = None) -> SeriesResult:
 @_entry("S-6.5", "sum (-1)^(n+1) log(1+1/n)", 0)
 def s_6_5(max_terms: int | None = None) -> SeriesResult:
     # paired: equals sum_k -log(1 - 1/(4k^2)) = sum_j sum_k 4^-j k^-2j / j
-    omitted = {16: 0.25 ** 8 / 8.0}
-    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
-        (-math.log1p(-0.25 / (k * k)) for k in range(1, n_last + 1)),
-        n_last, {2 * j: 0.25 ** j / j for j in range(1, 8)},
-        omitted=omitted, method="paired+asymptotic_tail")
+        lambda n_last: (-math.log1p(-0.25 / (k * k))
+                        for k in range(1, n_last + 1)),
+        {2 * j: 0.25 ** j / j for j in range(1, 8)},
+        omitted={16: 0.25 ** 8 / 8.0}, cap=max_terms,
+        method="paired+asymptotic_tail")
 
 
 @_entry("S-6.6", "sum_{n>=2} (-1)^(n+1) log(1-1/n)", 0)
@@ -595,14 +556,12 @@ def s_6_6(max_terms: int | None = None) -> SeriesResult:
 @_entry("S-6.23", "sum_{n>=2} psi(n+1/2) log(1-1/n^2)", 0)
 def s_6_23(max_terms: int | None = None) -> SeriesResult:
     # psi(n+1/2) = log n + 1/(24 n^2) - 7/(960 n^4) + ...
-    omitted, log_omitted = {6: -13.0 / 960.0}, {6: -1.0 / 3.0}
-    n_last = _target_n(max_terms, omitted, log_omitted)
     return zeta_tail_sum(
-        (_digamma_pos(n + 0.5) * math.log1p(-1.0 / (n * n))
-         for n in range(2, n_last + 1)),
-        n_last, {4: -1.0 / 24.0}, {2: -1.0, 4: -0.5},
-        omitted=omitted, log_omitted=log_omitted,
-        floor=1e-13, method="direct+asymptotic_tail")
+        lambda n_last: (_digamma_pos(n + 0.5) * math.log1p(-1.0 / (n * n))
+                        for n in range(2, n_last + 1)),
+        {4: -1.0 / 24.0}, {2: -1.0, 4: -0.5}, omitted={6: -13.0 / 960.0},
+        log_omitted={6: -1.0 / 3.0}, cap=max_terms, floor=1e-13,
+        method="direct+asymptotic_tail")
 
 
 @_entry("S-6.24-aux", "sum n/(4n^2-1)^k for k in {2,3}", 1)
@@ -622,12 +581,11 @@ def s_6_24_aux(k: float, max_terms: int | None = None) -> SeriesResult:
             return math.comb(m, 2) * q ** (m - 2) / 64.0
         orders = range(2, 13)
     nxt = orders.stop
-    omitted = {2 * nxt + 1: c(nxt)}
-    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
-        (n / (4.0 * n * n - 1.0) ** k for n in range(1, n_last + 1)),
-        n_last, {2 * m + 1: c(m) for m in orders},
-        omitted=omitted, floor=1e-14)
+        lambda n_last: (n / (4.0 * n * n - 1.0) ** k
+                        for n in range(1, n_last + 1)),
+        {2 * m + 1: c(m) for m in orders}, omitted={2 * nxt + 1: c(nxt)},
+        cap=max_terms, floor=1e-14)
 
 
 @_entry("S-6.33", "sum (-1)^n n/(4n^2-1)^3", 0, n_min=2)
@@ -668,22 +626,20 @@ def s_7_11_aux(max_terms: int | None = None) -> SeriesResult:
 @_entry("S-7.12", "sum log(1+1/n)/(2n+1)", 0)
 def s_7_12(max_terms: int | None = None) -> SeriesResult:
     # log(1+1/n)/(2n+1): product expansion through n^-6, next -13/60 n^-7
-    omitted = {7: -13.0 / 60.0}
-    n_last = _target_n(max_terms, omitted)
     return zeta_tail_sum(
-        (math.log1p(1.0 / n) / (2.0 * n + 1.0)
-         for n in range(1, n_last + 1)),
-        n_last, {2: 0.5, 3: -0.5, 4: 5.0 / 12.0, 5: -1.0 / 3.0,
-                 6: 4.0 / 15.0},
-        omitted=omitted, method="direct+asymptotic_tail")
+        lambda n_last: (math.log1p(1.0 / n) / (2.0 * n + 1.0)
+                        for n in range(1, n_last + 1)),
+        {2: 0.5, 3: -0.5, 4: 5.0 / 12.0, 5: -1.0 / 3.0, 6: 4.0 / 15.0},
+        omitted={7: -13.0 / 60.0}, cap=max_terms,
+        method="direct+asymptotic_tail")
 
 
 @_entry("S-8.11", "sum 1/(4n^2-1)", 0)
 def s_8_11(max_terms: int | None = None) -> SeriesResult:
-    n_last, tail, omitted = _quad_expansion(0.25, {0: 0.25}, max_terms)
     return zeta_tail_sum(
-        (1.0 / (4.0 * n * n - 1.0) for n in range(1, n_last + 1)),
-        n_last, tail, omitted=omitted, floor=1e-14)
+        lambda n_last: (1.0 / (4.0 * n * n - 1.0)
+                        for n in range(1, n_last + 1)),
+        lambda n: quad_tail(0.25, {0: 0.25}, n), cap=max_terms, floor=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -799,15 +755,15 @@ def _bernoulli_fourier(slices: dict[int, float], term: Callable[[int], float],
     omitted order is ``omitted``, are summed through ``zeta_tail_sum`` to
     the N that the target asks for, at most ``max_terms``.  The error is
     the scaled truncation bound plus ``floor * (1 + |value|)``."""
-    n_last = _target_n(max_terms, omitted)
     exact = [a * (_bernoulli_slice(k, t) - math.fsum(
         (math.sin if k % 2 else math.cos)(_TWO_PI * n * t) / n ** k
         for n in range(1, n_first))) for k, a in slices.items()]
-    r = zeta_tail_sum(chain(exact, map(term, range(n_first, n_last + 1))),
-                      n_last, omitted=omitted, floor=0.0)
+    r = zeta_tail_sum(
+        lambda n_last: chain(exact, map(term, range(n_first, n_last + 1))),
+        omitted=omitted, cap=max_terms, floor=0.0)
     value = scale * r.value
     return SeriesResult(value, abs(scale) * r.abs_err
-                        + floor * (1.0 + abs(value)), n_last,
+                        + floor * (1.0 + abs(value)), r.terms_used,
                         "bernoulli_closed+residual")
 
 

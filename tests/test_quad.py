@@ -8,7 +8,11 @@ import pytest
 
 from gammalab import kernels as K
 from gammalab.errors import DomainError, EvaluationError, UnknownKeyError
-from gammalab.integral_catalog import integral_catalog, probe_cauchy
+from gammalab.integral_catalog import (
+    INTEGRAL_CATALOG,
+    integral_catalog,
+    probe_cauchy,
+)
 from gammalab.quad import integrate, integrate_semi_infinite
 
 C = K.get_constants()
@@ -239,3 +243,17 @@ def test_rounding_floor_does_not_grow_with_level():
     assert r.evals <= 1024
     exact = -0.5 * (K.digamma(1.999).value + K.digamma(0.001).value)
     assert abs(r.value - exact) <= r.abs_err
+
+
+@pytest.mark.parametrize("key", sorted(k for k, e in INTEGRAL_CATALOG.items()
+                                       if e.nparams))
+def test_catalog_rejects_non_finite_parameters(key):
+    # every slot: an infinite parameter once gave 0 +- 0 for Q-1.1
+    nparams = INTEGRAL_CATALOG[key].nparams
+    for slot in range(nparams):
+        for bad in (math.nan, math.inf, -math.inf):
+            params = tuple(bad if i == slot else 0.5 for i in range(nparams))
+            with pytest.raises(DomainError,
+                               match=f"{key} parameter {slot + 1} must be "
+                                     "finite"):
+                integral_catalog(key, params)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gammalab import kernels as K
-from gammalab import series_catalog
+from gammalab import series, series_catalog
 from gammalab.errors import DomainError, EvaluationError, UnknownKeyError
 from gammalab.series import (
     TARGET_ERR,
@@ -34,9 +34,10 @@ PI = math.pi
 # ---------------------------------------------------------------------------
 
 def _quarter_square(n_last, tail, omitted={}):
-    return zeta_tail_sum((1.0 / (4.0 * n * n - 1.0)
-                          for n in range(1, n_last + 1)),
-                         n_last, tail, omitted=omitted)
+    """sum 1/(4n^2-1) at the fixed N = ``n_last``."""
+    return zeta_tail_sum(lambda n_top: (1.0 / (4.0 * n * n - 1.0)
+                                        for n in range(1, n_top + 1)),
+                         tail, omitted=omitted, n_min=n_last, cap=n_last)
 
 
 def test_zeta_tail_sum_quarter_square_telescoping():
@@ -45,8 +46,7 @@ def test_zeta_tail_sum_quarter_square_telescoping():
         direct = _quarter_square(n_last, {})
         assert direct.value == pytest.approx(n_last / (2.0 * n_last + 1.0),
                                              rel=1e-15)
-        tail, omitted = quad_tail(0.25, {0: 0.25}, n_last)
-        r = _quarter_square(n_last, tail, omitted)
+        r = _quarter_square(n_last, lambda n: quad_tail(0.25, {0: 0.25}, n))
         assert abs(r.value - 0.5) <= r.abs_err < 1e-13
         assert r.terms_used == n_last
 
@@ -63,7 +63,7 @@ def test_zeta_tail_sum_error_shrinks_with_n():
 
 
 def test_zeta_tail_sum_zero_series():
-    r = zeta_tail_sum([0.0] * 50, 50)
+    r = zeta_tail_sum(lambda n_last: [0.0] * n_last, n_min=50, cap=50)
     assert r.value == 0.0 and r.abs_err < 1e-13
 
 
@@ -71,22 +71,65 @@ def test_zeta_tail_sum_quartic_lattice():
     # sum n/(4n^2-1)^2 = 1/8; the tail is sum_m m q^(m-1) n^-(2m+1)/16
     for n_last in (1, 5, 50):
         r = zeta_tail_sum(
-            (n / (4.0 * n * n - 1.0) ** 2 for n in range(1, n_last + 1)),
-            n_last, {2 * m + 1: m * 0.25 ** (m - 1) / 16.0 for m in (1, 2, 3)},
-            omitted={9: 4 * 0.25 ** 3 / 16.0})
+            lambda n_top: (n / (4.0 * n * n - 1.0) ** 2
+                           for n in range(1, n_top + 1)),
+            {2 * m + 1: m * 0.25 ** (m - 1) / 16.0 for m in (1, 2, 3)},
+            omitted={9: 4 * 0.25 ** 3 / 16.0}, n_min=n_last, cap=n_last)
         assert abs(r.value - 0.125) <= r.abs_err
 
 
 def test_zeta_tail_sum_log_tail():
     # sum log n/n^2 = -zeta'(2), ten terms and an exact log tail
-    r = zeta_tail_sum((math.log(n) / (n * n) for n in range(1, 11)), 10,
-                      log_tail={2: 1.0})
+    r = zeta_tail_sum(lambda n_last: (math.log(n) / (n * n)
+                                      for n in range(1, n_last + 1)),
+                      log_tail={2: 1.0}, n_min=10, cap=10)
     assert r.value == pytest.approx(-K._zeta_prime_int(2), abs=1e-15)
 
 
 def test_zeta_tail_sum_nonfinite_raises():
     with pytest.raises(EvaluationError):
-        zeta_tail_sum((math.inf if n == 5 else 0.0 for n in range(1, 11)), 10)
+        zeta_tail_sum(lambda n_last: (math.inf if n == 5 else 0.0
+                                      for n in range(1, n_last + 1)),
+                      n_min=10, cap=10)
+
+
+def test_zeta_tail_sum_expansion_of_n_brings_its_omitted_orders():
+    # a second copy of the omitted orders could disagree with the first
+    with pytest.raises(TypeError, match="own omitted orders"):
+        _quarter_square(10, lambda n: quad_tail(0.25, {0: 0.25}, n),
+                        omitted={6: 1.0})
+
+
+@pytest.mark.parametrize("v", [0.0, 1.3, 40.0])
+def test_fixed_n_sum_never_probes_its_bound(v, monkeypatch):
+    # n_min = cap sums at that N at once: lambda_fn's series builds its
+    # expansion once, calls Hurwitz once per tail and omitted order, and
+    # evaluates one bound, the one it reports
+    n_last = max(64, math.ceil(4.0 * abs(v)))
+    tail, omitted = K._lambda_tail(v * v, n_last)
+    calls = {"expansion": [], "bound": 0, "hurwitz": 0}
+    lambda_tail, tail_bound, hurwitz = (K._lambda_tail, series.tail_bound,
+                                        series._hurwitz)
+
+    def counted_tail(c, n):
+        calls["expansion"].append(n)
+        return lambda_tail(c, n)
+
+    def counted_bound(*args):
+        calls["bound"] += 1
+        return tail_bound(*args)
+
+    def counted_hurwitz(s, a):
+        calls["hurwitz"] += 1
+        return hurwitz(s, a)
+    monkeypatch.setattr(K, "_lambda_tail", counted_tail)
+    monkeypatch.setattr(series, "tail_bound", counted_bound)
+    monkeypatch.setattr(series, "_hurwitz", counted_hurwitz)
+    r = K._lambda_sum(v * v, n_last, n_last)
+    assert r.terms_used == n_last
+    assert calls == {"expansion": [n_last], "bound": 1,
+                     "hurwitz": len(tail) + len(omitted)}
+    assert len(tail) == 39
 
 
 def test_catalog_rejects_max_terms_below_n_min():
@@ -235,13 +278,14 @@ def _same_n(bound, *args, **kwargs):
 
 def _catalog_searches(key, monkeypatch):
     """Every target_terms call an entry makes at its test parameters, with
-    and without caps."""
+    and without caps: its own, and those of zeta_tail_sum."""
     searches = []
 
     def recording(bound, *args, **kwargs):
         searches.append((bound, args, kwargs))
         return target_terms(bound, *args, **kwargs)
     monkeypatch.setattr(series_catalog, "target_terms", recording)
+    monkeypatch.setattr(series, "target_terms", recording)
     for params in _test_params(key):
         for cap in (None, 1, 20, 1000):
             try:
@@ -294,9 +338,10 @@ def test_target_terms_synthetic_bounds():
 def test_coth_closed_form(x):
     # sum 2x/(x^2 + 4 pi^2 n^2) = (2x/4pi^2) sum 1/(n^2 + (x/2pi)^2)
     c = 2.0 * x / (4.0 * PI ** 2)
-    tail, omitted = quad_tail(-(x / (2.0 * PI)) ** 2, {0: c}, 1000)
-    r = zeta_tail_sum((2.0 * x / (x * x + 4.0 * PI ** 2 * n * n)
-                       for n in range(1, 1001)), 1000, tail, omitted=omitted)
+    r = zeta_tail_sum(lambda n_last: (2.0 * x / (x * x + 4.0 * PI ** 2 * n * n)
+                                      for n in range(1, n_last + 1)),
+                      lambda n: quad_tail(-(x / (2.0 * PI)) ** 2, {0: c}, n),
+                      n_min=1000, cap=1000)
     closed = 1.0 / math.expm1(x) - 1.0 / x + 0.5
     assert r.value == pytest.approx(closed, abs=1e-13)
     assert abs(r.value - closed) <= r.abs_err
@@ -325,8 +370,9 @@ def test_partial_fraction_lemma(n):
     den[n - 1] = 1.0
     vals = 1.0 / den
     vals[n - 1] = 0.0
-    tail, omitted = quad_tail(float(n * n), {0: 1.0}, m_hi)
-    total = zeta_tail_sum(vals, m_hi, tail, omitted=omitted).value
+    total = zeta_tail_sum(lambda m_last: vals[:m_last],
+                          lambda m: quad_tail(float(n * n), {0: 1.0}, m),
+                          n_min=m_hi, cap=m_hi).value
     assert abs(total - 0.75 / (n * n)) < 1e-10
 
 
@@ -354,6 +400,21 @@ def test_catalog_param_validation():
         sum_catalog("S-6.3", (1.0,))
     with pytest.raises(DomainError):
         sum_catalog("S-5.13", (2.0,))  # pole at integer argument
+
+
+@pytest.mark.parametrize("key", sorted(k for k, e in SERIES_CATALOG.items()
+                                       if e.nparams))
+def test_catalog_rejects_non_finite_parameters(key):
+    # every slot, before any entry code runs: nan and inf never reach a
+    # loop bound, an int() or a value
+    nparams = SERIES_CATALOG[key].nparams
+    for slot in range(nparams):
+        for bad in (math.nan, math.inf, -math.inf):
+            params = tuple(bad if i == slot else 0.5 for i in range(nparams))
+            with pytest.raises(DomainError,
+                               match=f"{key} parameter {slot + 1} must be "
+                                     "finite"):
+                sum_catalog(key, params)
 
 
 def test_catalog_spot_values():
