@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from . import kernels
 from .errors import GammalabError, integer_arg
 from .integral_catalog import integral_catalog, list_integral_ids
-from .registry import EvalOptions, Registry, TOL_CLASS, failures
+from .registry import EvalOptions, Registry, failures
 from .report import build_report, fmt15, to_json, to_markdown
 from .series_catalog import list_series_ids, sum_catalog
 
 
 @dataclass
 class Config:
-    tol_class: str | None = None
     opts: EvalOptions = EvalOptions()
     parallelism: int = 1
     json_path: str | None = None
@@ -33,7 +32,6 @@ class Config:
 
     def snapshot(self) -> dict:
         return {
-            "tol_class": self.tol_class or "per-record",
             "max_terms": self.opts.max_terms or "per-entry",
             "quad_level_cap": self.opts.level_cap,
             "parallelism": self.parallelism,
@@ -71,13 +69,11 @@ def _near_matches(key: str, pool) -> str:
 def _run_suite(reg: Registry, records, cfg: Config):
     """The suite's verdicts for ``records``, all computed in this process;
     ``cfg.parallelism`` is only recorded in the report."""
-    return reg.run_suite([r.id for r in records], tol_class=cfg.tol_class,
-                         opts=cfg.opts)
+    return reg.run_suite([r.id for r in records], opts=cfg.opts)
 
 
 def cmd_verify(args) -> int:
-    cfg = Config(tol_class=args.tol_class,
-                 opts=EvalOptions(args.max_terms, args.quad_level_cap),
+    cfg = Config(opts=EvalOptions(args.max_terms, args.quad_level_cap),
                  parallelism=args.parallelism, json_path=args.json,
                  md_path=args.md, no_timing=args.no_timing)
     reg = Registry()
@@ -228,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--section", type=int, help="restrict to one section")
     sel.add_argument("--all", action="store_true", help="full catalog "
                      "(default)")
-    v.add_argument("--tol-class", choices=sorted(TOL_CLASS), default=None)
     v.add_argument("--max-terms", type=int, default=None,
                    help="cap on the terms of every series route; by default "
                    "each sums the terms its own error bound needs for 1e-14, "

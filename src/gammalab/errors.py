@@ -38,10 +38,6 @@ class UnknownKeyError(GammalabError, KeyError):
     """Catalog lookup with an id that does not exist."""
 
 
-class MisuseError(GammalabError, ValueError):
-    """API used against its contract (e.g. adjudicating a non-dispute)."""
-
-
 def integer_arg(value: float, name: str) -> int:
     """``value`` as an int.  A non-integer raises ``DomainError``: an
     integer argument is never truncated."""

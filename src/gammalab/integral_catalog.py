@@ -5,14 +5,22 @@ protocol of the quadrature engine, and every half-line one receives the
 exact t: singular or cancelling factors are evaluated from the exact
 endpoint distances, removable 0/0 spots get explicit Taylor patches,
 and cot-weighted entries keep full relative accuracy at both ends of the
-interval.  Default tolerances: 1e-10, relaxed to 1e-8 for the cot-weighted
-family.
+interval.
+
+An entry returns its quadrature call without running it, e.g.
+``partial(integrate, f, 0.0, 1.0, limits)``; ``integral_catalog`` alone
+applies the tolerance (the entry's declared one, 1e-10, or 1e-8 for the
+cot-weighted family, unless the caller overrides it) and the level cap.
+Entries build that call each time they run, never at import, so an
+``integrate`` rebound after import (perfbench's tracer rebinds it) is the
+one called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .errors import DomainError, UnknownKeyError, integer_arg
@@ -36,12 +44,15 @@ __all__ = ["IntegralEntry", "INTEGRAL_CATALOG", "integral_catalog",
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 
+# an entry's quadrature call, still to be given ``tol`` and ``max_level``
+QuadCall = Callable[..., QuadResult]
+
 
 @dataclass(frozen=True)
 class IntegralEntry:
     label: str
     nparams: int
-    fn: Callable[..., QuadResult]
+    fn: Callable[..., QuadCall]
     default_tol: float = 1e-10
 
 
@@ -77,8 +88,9 @@ def integral_catalog(key: str, params: tuple[float, ...] = (),
             f"{key} takes {entry.nparams} parameter(s), got {len(params)}")
     for i, value in enumerate(params, 1):
         _require_finite(value, f"{key} parameter {i}")
-    eff_tol = entry.default_tol if tol is None else tol
-    return entry.fn(*params, tol=eff_tol, max_level=max_level)
+    quad = entry.fn(*params)
+    return quad(tol=entry.default_tol if tol is None else tol,
+                max_level=max_level)
 
 
 # ---------------------------------------------------------------------------
@@ -153,28 +165,28 @@ def _one_over_x_minus_pi_cot(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 @_entry("Q-1.1", "int_0^1 e^(-p x) log Gamma(x) dx", 1)
-def q_1_1(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_1_1(p: float) -> QuadCall:
     def f(x, da, db):
         return math.exp(-p * x) * _lgamma_s(x, da, db)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-1.11", "int_0^1 e^(-p x) log x dx", 1)
-def q_1_11(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_1_11(p: float) -> QuadCall:
     def f(x, da, db):
         return math.exp(-p * x) * math.log(da)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-1.12", "int_0^1 e^(-p x) psi(1+x) dx", 1)
-def q_1_12(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_1_12(p: float) -> QuadCall:
     def f(x, da, db):
         return math.exp(-p * x) * _digamma_pos(1.0 + x)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-1.13", "int_0^inf e^(-p x) psi(1+x) dx", 1)
-def q_1_13(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_1_13(p: float) -> QuadCall:
     if p <= 0.0:
         raise DomainError(f"requires p > 0, got {p}")
     def f(x):
@@ -182,14 +194,14 @@ def q_1_13(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def tail(t):
         # psi(1+x) grows like log x, so f decays slower than e^(-p x)
         return 0.0, math.exp(-p * t) * (math.log(1.0 + t) + 2.0) / p
-    return integrate_semi_infinite(f, p, tol, max_level, tail)
+    return partial(integrate_semi_infinite, f, p, tail=tail)
 
 
 @_entry("Q-2.6-moment", "int_0^1 x e^(-p x) log Gamma(x) dx", 1)
-def q_2_6_moment(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_2_6_moment(p: float) -> QuadCall:
     def f(x, da, db):
         return x * math.exp(-p * x) * _lgamma_s(x, da, db)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,54 +209,54 @@ def q_2_6_moment(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResul
 # ---------------------------------------------------------------------------
 
 @_entry("Q-2.1", "int_0^1 log Gamma(x) cos(p pi x) dx", 1)
-def q_2_1(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_2_1(p: float) -> QuadCall:
     def f(x, da, db):
         return _lgamma_s(x, da, db) * math.cos(p * _PI * x)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-2.2", "int_0^1 log Gamma(x) sin(p pi x) dx", 1)
-def q_2_2(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_2_2(p: float) -> QuadCall:
     def f(x, da, db):
         return _lgamma_s(x, da, db) * math.sin(p * _PI * x)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-2.6", "int_0^1 log(sin(pi x)) sin(p pi x) dx", 1)
-def q_2_6(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_2_6(p: float) -> QuadCall:
     def f(x, da, db):
         return _log_sin_pi(x, da, db) * math.sin(p * _PI * x)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-2.9", "int_0^1 log(2 sin(pi x)) cos(2 p pi x) dx", 1)
-def q_2_9(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_2_9(p: float) -> QuadCall:
     ln2 = math.log(2.0)
     def f(x, da, db):
         return (ln2 + _log_sin_pi(x, da, db)) * math.cos(2.0 * p * _PI * x)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-2.10", "int_0^(1/2) log(sin(pi x)) cos(2 p pi x) dx", 1)
-def q_2_10(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_2_10(p: float) -> QuadCall:
     def f(x, da, db):
         return math.log(math.sin(_PI * da)) * math.cos(2.0 * p * _PI * x)
-    return integrate(f, 0.0, 0.5, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 0.5)
 
 
 @_entry("Q-2.12", "int_0^1 log(sin(pi x)) sin((2x-1) p pi) dx", 1)
-def q_2_12(p: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_2_12(p: float) -> QuadCall:
     def f(x, da, db):
         return _log_sin_pi(x, da, db) * math.sin((2.0 * x - 1.0) * p * _PI)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-2.13", "int_0^1 (2x-1)^(2n+1) log(sin(pi x)) dx", 1)
-def q_2_13(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_2_13(n: float) -> QuadCall:
     m = 2 * integer_arg(n, "n") + 1
     def f(x, da, db):
         return (2.0 * x - 1.0) ** m * _log_sin_pi(x, da, db)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,165 +268,165 @@ def _x_lgamma(x: float, da: float, db: float) -> float:
 
 
 @_entry("Q-4.1", "int_0^1 x log Gamma(x) dx")
-def q_4_1(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
-    return integrate(_x_lgamma, 0.0, 1.0, tol=tol, max_level=max_level)
+def q_4_1() -> QuadCall:
+    return partial(integrate, _x_lgamma, 0.0, 1.0)
 
 
 @_entry("Q-4.11", "int_0^1 x^2 log Gamma(x) dx")
-def q_4_11(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_4_11() -> QuadCall:
     def f(x, da, db):
         return x * x * _lgamma_s(x, da, db)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-4.4", "int_0^1 x log Gamma(x) cos(2 n pi x) dx", 1)
-def q_4_4(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_4_4(n: float) -> QuadCall:
     w = 2.0 * _check_mode(n) * _PI
     def f(x, da, db):
         return _x_lgamma(x, da, db) * math.cos(w * x)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-4.8", "int_0^1 x log Gamma(x) sin(2 n pi x) dx", 1)
-def q_4_8(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_4_8(n: float) -> QuadCall:
     w = 2.0 * _check_mode(n) * _PI
     def f(x, da, db):
         return _x_lgamma(x, da, db) * math.sin(w * x)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-4.12.7", "int_0^1 B_(2n+1)(x) cot(pi x) dx", 1, tol=1e-8)
-def q_4_12_7(n: float, tol: float = 1e-8, max_level: int = 10) -> QuadResult:
+def q_4_12_7(n: float) -> QuadCall:
     m = 2 * integer_arg(n, "n") + 1
     def f(x, da, db):
         # odd Bernoulli polynomials vanish at both ends and at 1/2
         b = _bpoly(m, da) if da <= db else -_bpoly(m, db)
         return b * _cot_pi_s(x, da, db)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-4.12.8", "int_0^1 B_(2n)(x) log(sin(pi x)) dx", 1)
-def q_4_12_8(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_4_12_8(n: float) -> QuadCall:
     m = 2 * integer_arg(n, "n")
     def f(x, da, db):
         b = _bpoly(m, da) if da <= db else _bpoly(m, db)
         return b * _log_sin_pi(x, da, db)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-4.12.10", "int_0^1 B_(2n)(x) log Gamma(x) dx", 1)
-def q_4_12_10(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_4_12_10(n: float) -> QuadCall:
     m = 2 * integer_arg(n, "n")
     def f(x, da, db):
         b = _bpoly(m, da) if da <= db else _bpoly(m, db)
         return b * _lgamma_s(x, da, db)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-4.17", "int_0^u log Gamma(x) dx", 1)
-def q_4_17(u: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_4_17(u: float) -> QuadCall:
     if not 0.0 < u <= 1.0:
         raise DomainError(f"requires 0 < u <= 1, got {u}")
     def f(x, da, db):
         return _lgamma1p(da) - math.log(da) if da <= 0.5 else _lgamma(x)
-    return integrate(f, 0.0, u, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, u)
 
 
 @_entry("Q-4.25", "int_0^1 x log(x) sin(2 n pi x) dx", 1)
-def q_4_25(n: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_4_25(n: float) -> QuadCall:
     w = 2.0 * _check_mode(n) * _PI
     def f(x, da, db):
         return x * math.log(da) * math.sin(w * x)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-4.26-lhs", "int_0^1 x log(x) cot(pi x) dx", tol=1e-8)
-def q_4_26_lhs(tol: float = 1e-8, max_level: int = 10) -> QuadResult:
+def q_4_26_lhs() -> QuadCall:
     def f(x, da, db):
         return x * math.log(da) * _cot_pi_s(x, da, db)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-4.28-lhs", "int_0^1 log(x) log(sin(pi x)) dx")
-def q_4_28_lhs(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_4_28_lhs() -> QuadCall:
     def f(x, da, db):
         return math.log(da) * _log_sin_pi(x, da, db)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-4.29-lhs", "int_0^pi log(x) log(2 sin(x/2)) dx")
-def q_4_29_lhs(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_4_29_lhs() -> QuadCall:
     ln2 = math.log(2.0)
     def f(x, da, db):
         return math.log(da) * (ln2 + math.log(math.sin(0.5 * da))
                                if da < 2.0 else
                                ln2 + math.log(math.cos(0.5 * db)))
-    return integrate(f, 0.0, _PI, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, _PI)
 
 
 @_entry("Q-4.30-lhs", "int_0^pi log(x) log(cot(x/2)) dx")
-def q_4_30_lhs(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_4_30_lhs() -> QuadCall:
     def f(x, da, db):
         if db < 1.0:
             lcos = math.log(math.sin(0.5 * db))
         else:
             lcos = math.log(math.cos(0.5 * x))
         return math.log(da) * (lcos - math.log(math.sin(0.5 * da)))
-    return integrate(f, 0.0, _PI, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, _PI)
 
 
 @_entry("Q-4.31", "int_0^1 x log Gamma(x) cot(pi x) dx", tol=1e-8)
-def q_4_31(tol: float = 1e-8, max_level: int = 10) -> QuadResult:
+def q_4_31() -> QuadCall:
     def f(x, da, db):
         return _x_lgamma(x, da, db) * _cot_pi_s(x, da, db)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-4.33", "int_0^1 log G(1+x) cot(pi x) dx", tol=1e-8)
-def q_4_33(tol: float = 1e-8, max_level: int = 10) -> QuadResult:
+def q_4_33() -> QuadCall:
     def f(x, da, db):
         return _ln_g1p(x, db) * _cot_pi_s(x, da, db)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-4.34", "int_0^1 [log G(1+x) - x log Gamma(x)] cot(pi x) dx",
         tol=1e-8)
-def q_4_34(tol: float = 1e-8, max_level: int = 10) -> QuadResult:
+def q_4_34() -> QuadCall:
     def f(x, da, db):
         return (_ln_g1p(x, db) - _x_lgamma(x, da, db)) * _cot_pi_s(x, da, db)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-4.35", "int_0^1 log Gamma(1+x) cot(pi x) dx", tol=1e-8)
-def q_4_35(tol: float = 1e-8, max_level: int = 10) -> QuadResult:
+def q_4_35() -> QuadCall:
     def f(x, da, db):
         lg = _lgamma1p(da) if da <= 0.5 else _lgamma1p(-db) + math.log1p(-db)
         return lg * _cot_pi_s(x, da, db)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-4.36", "int_0^1 log^2 Gamma(x) dx")
-def q_4_36(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_4_36() -> QuadCall:
     def f(x, da, db):
         v = _lgamma_s(x, da, db)
         return v * v
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-4.36-lhs", "int_0^1 x log Gamma(x) psi(x) dx")
-def q_4_36_lhs(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_4_36_lhs() -> QuadCall:
     def f(x, da, db):
         return x * _lgamma_s(x, da, db) * _psi_s(x, da, db)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-4.37-lhs", "int_0^1 x log Gamma(x) psi(1-x) dx")
-def q_4_37_lhs(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_4_37_lhs() -> QuadCall:
     def f(x, da, db):
         psi_ref = (_digamma_pos(1.0 + db) - 1.0 / db if db <= 0.5
                    else _digamma_pos(1.0 - x))
         return x * _lgamma_s(x, da, db) * psi_ref
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -422,29 +434,29 @@ def q_4_37_lhs(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
 # ---------------------------------------------------------------------------
 
 @_entry("Q-5.4", "int_0^inf [sin(xt)/(t(e^t-1)) - x/(t e^t)] dt", 1)
-def q_5_4(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_5_4(x: float) -> QuadCall:
     def f(t):
         if t < 1e-4:
             return (0.5 * x - (5.0 * x / 12.0 + x ** 3 / 6.0) * t
                     + (x / 6.0 + x ** 3 / 12.0) * t * t)
         e = math.expm1(t)
         return (math.sin(x * t) + x * math.expm1(-t)) / (t * e)
-    return integrate_semi_infinite(f, 1.0, tol, max_level)
+    return partial(integrate_semi_infinite, f, 1.0)
 
 
 @_entry("Q-5.5", "int_0^inf [cos(xt)/(e^t-1) - 1/(t e^t)] dt", 1)
-def q_5_5(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_5_5(x: float) -> QuadCall:
     def f(t):
         if t < 1e-4:
             return (0.5 - (x * x / 2.0 + 5.0 / 12.0) * t
                     + (x * x / 4.0 + 1.0 / 6.0) * t * t)
         e = math.expm1(t)
         return (t * math.cos(x * t) + math.expm1(-t)) / (t * e)
-    return integrate_semi_infinite(f, 1.0, tol, max_level)
+    return partial(integrate_semi_infinite, f, 1.0)
 
 
 @_entry("Q-5.7", "int_0^inf [1/(e^t-1) - 1/t] cos(xt) dt", 1)
-def q_5_7(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_5_7(x: float) -> QuadCall:
     if x <= 0.0:
         raise DomainError(f"requires x > 0, got {x}")
     def f(t):
@@ -457,7 +469,7 @@ def q_5_7(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
     def tail(t):
         # -int_T^inf cos(xt)/t dt = Ci(x T), plus e^-T dust
         return _sici_raw(x * t)[1], 2e-20
-    return integrate_semi_infinite(f, 1.0, tol, max_level, tail)
+    return partial(integrate_semi_infinite, f, 1.0, tail=tail)
 
 
 # sinh(xt)/(e^t-1) and cosh(xt)/(e^t-1) are evaluated as
@@ -466,7 +478,7 @@ def q_5_7(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
 # difference of nearly equal exponentials.
 
 @_entry("Q-5.34", "int_0^inf [sinh(xt)/(t(e^t-1)) - x/(t e^t)] dt", 1)
-def q_5_34(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_5_34(x: float) -> QuadCall:
     if not 0.0 < x < 1.0:
         raise DomainError(f"requires 0 < x < 1, got {x}")
     def f(t):
@@ -476,11 +488,11 @@ def q_5_34(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
         em = math.expm1(-t)
         sinh_e = -0.5 * math.exp(-(1.0 - x) * t) * math.expm1(-2.0 * x * t)
         return (sinh_e + x * math.exp(-t) * em) / (-t * em)
-    return integrate_semi_infinite(f, 1.0 - x, tol, max_level)
+    return partial(integrate_semi_infinite, f, 1.0 - x)
 
 
 @_entry("Q-5.36", "int_0^inf [cosh(xt)/(e^t-1) - 1/(t e^t)] dt", 1)
-def q_5_36(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_5_36(x: float) -> QuadCall:
     if not 0.0 < x < 1.0:
         raise DomainError(f"requires 0 < x < 1, got {x}")
     def f(t):
@@ -491,41 +503,41 @@ def q_5_36(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
         cosh_e = (0.5 * math.exp(-(1.0 - x) * t)
                   * (1.0 + math.exp(-2.0 * x * t)))
         return (t * cosh_e + math.exp(-t) * em) / (-t * em)
-    return integrate_semi_infinite(f, 1.0 - x, tol, max_level)
+    return partial(integrate_semi_infinite, f, 1.0 - x)
 
 
 @_entry("Q-5.20", "int_0^x pi t cot(pi t) dt", 1)
-def q_5_20(x: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_5_20(x: float) -> QuadCall:
     if not 0.0 < x < 1.0:
         raise DomainError(f"requires 0 < x < 1, got {x}")
     def f(t, da, db):
         return _PI * t * math.cos(_PI * t) / math.sin(_PI * t)
-    return integrate(f, 0.0, x, (1.0, None), tol, max_level)
+    return partial(integrate, f, 0.0, x, (1.0, None))
 
 
 @_entry("Q-5.45-int", "int_0^1 (psi(1+x) + gamma)/x dx")
-def q_5_45_int(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_5_45_int() -> QuadCall:
     g = _euler_gamma()
     z = [_zeta_int(k) for k in range(2, 6)]
     def f(x, da, db):
         if da < 1e-4:
             return z[0] - z[1] * da + z[2] * da * da - z[3] * da ** 3
         return (_digamma_pos(1.0 + x) + g) / x
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-5.45-int-b", "int_0^1 (1-x) log(1-x)/(x log x) dx")
-def q_5_45_int_b(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_5_45_int_b() -> QuadCall:
     def f(x, da, db):
         num = db * math.log(db) if db < 0.5 else (1.0 - x) * math.log1p(-x)
         lg = math.log(da) if da < 0.5 else math.log1p(-db)
         return num / (x * lg)
     # the integrand vanishes only like -1/log(x) at 0: no limit patch
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-5.53-lhs", "int_0^u (1/x)(1/x - pi cot(pi x)) dx", 1)
-def q_5_53_lhs(u: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_5_53_lhs(u: float) -> QuadCall:
     if not 0.0 < u < 1.0:
         raise DomainError(f"requires 0 < u < 1, got {u}")
     z2 = 2.0 * _zeta_int(2)
@@ -533,7 +545,7 @@ def q_5_53_lhs(u: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
         if x < 1e-8:
             return z2
         return _one_over_x_minus_pi_cot(x) / x
-    return integrate(f, 0.0, u, (z2, None), tol, max_level)
+    return partial(integrate, f, 0.0, u, (z2, None))
 
 
 # ---------------------------------------------------------------------------
@@ -541,113 +553,113 @@ def q_5_53_lhs(u: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
 # ---------------------------------------------------------------------------
 
 @_entry("Q-6.7.1", "int_0^1 (1-cos(2 pi x)) psi(1-x) dx")
-def q_6_7_1(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_6_7_1() -> QuadCall:
     def f(x, da, db):
         s = math.sin(_PI * min(da, db))
         psi_ref = (_digamma_pos(1.0 + db) - 1.0 / db if db <= 0.5
                    else _digamma_pos(1.0 - x))
         return 2.0 * s * s * psi_ref
-    return integrate(f, 0.0, 1.0, (None, 0.0), tol, max_level)
+    return partial(integrate, f, 0.0, 1.0, (None, 0.0))
 
 
 @_entry("Q-6.9", "int_0^1 log Gamma(x) sin(2 k pi x) dx", 1)
-def q_6_9(k: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_6_9(k: float) -> QuadCall:
     w = 2.0 * _check_mode(k) * _PI
     def f(x, da, db):
         return _lgamma_s(x, da, db) * math.sin(w * x)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-6.17", "int_0^1 log Gamma(x) cos(2 k pi x) dx", 1)
-def q_6_17(k: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_6_17(k: float) -> QuadCall:
     w = 2.0 * _check_mode(k) * _PI
     def f(x, da, db):
         return _lgamma_s(x, da, db) * math.cos(w * x)
-    return integrate(f, 0.0, 1.0, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, 1.0)
 
 
 @_entry("Q-6.10", "int_0^u psi(1+x) cos^2(pi x) dx", 1)
-def q_6_10(u: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_6_10(u: float) -> QuadCall:
     if not 0.0 < u <= 1.0:
         raise DomainError(f"requires 0 < u <= 1, got {u}")
     def f(x, da, db):
         c = math.cos(_PI * x)
         return _digamma_pos(1.0 + x) * c * c
-    return integrate(f, 0.0, u, tol=tol, max_level=max_level)
+    return partial(integrate, f, 0.0, u)
 
 
 @_entry("Q-6.14", "int_0^(1/2) psi(1+x) cos^2(pi x) dx")
-def q_6_14(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
-    return q_6_10(0.5, tol=tol, max_level=max_level)
+def q_6_14() -> QuadCall:
+    return q_6_10(0.5)
 
 
 @_entry("Q-6.14.1", "int_0^1 psi(x) sin^2(pi x) dx")
-def q_6_14_1(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_6_14_1() -> QuadCall:
     def f(x, da, db):
         s = math.sin(_PI * min(da, db))
         return _psi_s(x, da, db) * s * s
-    return integrate(f, 0.0, 1.0, (0.0, None), tol, max_level)
+    return partial(integrate, f, 0.0, 1.0, (0.0, None))
 
 
 @_entry("Q-6.14.2", "int_0^(1/2) psi(x) sin^2(pi x) dx")
-def q_6_14_2(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_6_14_2() -> QuadCall:
     def f(x, da, db):
         s = math.sin(_PI * da) if da < 0.5 else math.sin(_PI * x)
         return _psi_s(x, da, 1.0 - x) * s * s
-    return integrate(f, 0.0, 0.5, (0.0, None), tol, max_level)
+    return partial(integrate, f, 0.0, 0.5, (0.0, None))
 
 
 @_entry("Q-6.15", "int_0^u sin^2(pi x)/x dx", 1)
-def q_6_15(u: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_6_15(u: float) -> QuadCall:
     if u <= 0.0:
         raise DomainError(f"requires u > 0, got {u}")
     def f(x, da, db):
         s = math.sin(_PI * x)
         return s * s / da
-    return integrate(f, 0.0, u, (0.0, None), tol, max_level)
+    return partial(integrate, f, 0.0, u, (0.0, None))
 
 
 @_entry("Q-6.24", "int_0^1 x(1-x) cos(pi x) cot(pi x) dx", tol=1e-8)
-def q_6_24(tol: float = 1e-8, max_level: int = 10) -> QuadResult:
+def q_6_24() -> QuadCall:
     def f(x, da, db):
         c = math.cos(_PI * x)
         return da * db * c * _cot_pi_s(x, da, db)
-    return integrate(f, 0.0, 1.0, (1.0 / _PI, 1.0 / _PI), tol, max_level)
+    return partial(integrate, f, 0.0, 1.0, (1.0 / _PI, 1.0 / _PI))
 
 
 @_entry("Q-6.34", "int_0^1 psi(x) x(1-x) cos(pi x) dx")
-def q_6_34(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_6_34() -> QuadCall:
     def f(x, da, db):
         return _psi_s(x, da, db) * da * db * math.cos(_PI * x)
-    return integrate(f, 0.0, 1.0, (-1.0, None), tol, max_level)
+    return partial(integrate, f, 0.0, 1.0, (-1.0, None))
 
 
 @_entry("Q-6.38", "int_0^1 x(1-x) cos(pi x) psi(x/2) dx")
-def q_6_38(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_6_38() -> QuadCall:
     def f(x, da, db):
         psi_half = _digamma_pos(1.0 + 0.5 * da) - 2.0 / da if da <= 1.0 \
             else _digamma_pos(0.5 * x)
         return da * db * math.cos(_PI * x) * psi_half
-    return integrate(f, 0.0, 1.0, (-2.0, None), tol, max_level)
+    return partial(integrate, f, 0.0, 1.0, (-2.0, None))
 
 
 @_entry("Q-6.40", "int_0^1 x(1-x) psi(x/2) dx")
-def q_6_40(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_6_40() -> QuadCall:
     def f(x, da, db):
         psi_half = _digamma_pos(1.0 + 0.5 * da) - 2.0 / da if da <= 1.0 \
             else _digamma_pos(0.5 * x)
         return da * db * psi_half
-    return integrate(f, 0.0, 1.0, (-2.0, None), tol, max_level)
+    return partial(integrate, f, 0.0, 1.0, (-2.0, None))
 
 
 @_entry("Q-7.15", "int_0^u psi(x) sin(pi x) dx", 1)
-def q_7_15(u: float, tol: float = 1e-10, max_level: int = 10) -> QuadResult:
+def q_7_15(u: float) -> QuadCall:
     if not 0.0 < u <= 1.0:
         raise DomainError(f"requires 0 < u <= 1, got {u}")
     def f(x, da, db):
         s = math.sin(_PI * da) if da <= 0.5 else math.sin(_PI * x)
         return _psi_s(x, da, 1.0 - x) * s
-    return integrate(f, 0.0, u, (-_PI, None), tol, max_level)
+    return partial(integrate, f, 0.0, u, (-_PI, None))
 
 
 _alias("Q-6.16", "Q-4.8", "int_0^1 x log Gamma(x) sin(2 n pi x) dx")
@@ -656,22 +668,22 @@ _alias("Q-5.35", "Q-5.34", "int_0^inf [sinh(xt)/(t(e^t-1)) - x/(t e^t)] dt")
 
 
 @_entry("Q-3.13", "int_0^1 log Gamma(x) sin(pi x) dx")
-def q_3_13(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
-    return q_2_2(1.0, tol=tol, max_level=max_level)
+def q_3_13() -> QuadCall:
+    return q_2_2(1.0)
 
 
 @_entry("Q-7.17", "int_0^(1/2) psi(x) sin(pi x) dx")
-def q_7_17(tol: float = 1e-10, max_level: int = 10) -> QuadResult:
-    return q_7_15(0.5, tol=tol, max_level=max_level)
+def q_7_17() -> QuadCall:
+    return q_7_15(0.5)
 
 
 # ---------------------------------------------------------------------------
 # divergence probes
 # ---------------------------------------------------------------------------
 
-def probe_cauchy(which: str, eps: float, tol: float = 1e-9,
-                 max_level: int = 10) -> QuadResult:
-    """integral over [eps, 1-eps] for the divergent cot-weighted probes."""
+def probe_cauchy(which: str, eps: float, max_level: int = 10) -> QuadResult:
+    """integral over [eps, 1-eps] for the divergent cot-weighted probes, at
+    tolerance 1e-9 and at most ``max_level`` levels."""
     if which == "logGamma_cot":
         def f(x, da, db):
             return _lgamma(x) * _cot_pi_s(x, x, 1.0 - x)
@@ -680,4 +692,4 @@ def probe_cauchy(which: str, eps: float, tol: float = 1e-9,
             return math.log(x) * _cot_pi_s(x, x, 1.0 - x)
     else:
         raise UnknownKeyError(f"unknown probe {which!r}")
-    return integrate(f, eps, 1.0 - eps, tol=tol, max_level=max_level)
+    return integrate(f, eps, 1.0 - eps, tol=1e-9, max_level=max_level)

@@ -8,10 +8,13 @@ verdict classifies their residual against the combined error budget:
     REFUTED     residual >  100 * budget
     INCONCLUSIVE otherwise
 
-where budget = lhs.abs_err + rhs.abs_err + tol_class.  DISPUTED records
-carry the source's own quoted machine values and are adjudicated, never
-counted as failures.  DIVERGENT-PROBE records instead check that shrinking
-the cutoff does not Cauchy-converge.
+where budget = lhs.abs_err + rhs.abs_err + TOL_CLASS[record.tol_class];
+the class is the record's own and no call overrides it.
+``Registry.verify_identity`` is the one way to a verdict, and ``run_suite``
+maps it over records.  DISPUTED records carry the source's own quoted
+machine values: they are adjudicated with precise quadrature, reported
+with those values, and never counted as failures.  DIVERGENT-PROBE records
+instead check that shrinking the cutoff does not Cauchy-converge.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from . import kernels as K
 from .errors import (
     DomainError,
     GammalabError,
-    MisuseError,
     UnknownKeyError,
     integer_arg,
 )
@@ -58,12 +60,15 @@ class EvalOptions:
 
     Every series route, and every series inside a closed-form route, sums
     the terms its own truncation bound asks for to reach
-    ``series.TARGET_ERR``.  ``max_terms`` caps the terms of every
-    ``series`` and ``power series`` route (``None``: no cap); below the
-    target N an entry sums at the cap and reports its larger error.
-    Series inside closed-form routes are not capped.  ``level_cap`` caps
-    the tanh-sinh refinement levels.  ``precise`` asks for quadrature
-    tolerance 1e-12, as used to adjudicate DISPUTED records.
+    ``series.TARGET_ERR``, except three zeta power series in closed forms
+    (I-1.17 rhs, I-1.25 rhs, I-5.48 lhs), which stop at a term 1e-19 of
+    their sum.  ``max_terms`` caps the terms of every ``series`` and
+    ``power series`` route (``None``: no cap); below the target N an entry
+    sums at the cap and reports its larger error.  Series inside
+    closed-form routes are not capped.  ``level_cap`` caps the tanh-sinh
+    refinement levels, divergence probes included.  ``precise`` asks for
+    quadrature tolerance 1e-12; ``verify_identity`` sets it for DISPUTED
+    records.
     """
     max_terms: int | None = None
     level_cap: int = 10
@@ -252,7 +257,7 @@ def _rhs_1_17(p: float) -> float:
     # 1/(1+p^2) and p/(1+p^2), the rest shrinks by 1/4 per term
     s = _ps_fast(lambda m: (-1.0) ** (m - 1) * (
         (_G + _L2PI) * _zeta_m1(2 * m) - K._zeta_prime_int(2 * m)
-        + 0.5 * _PI * p * _zeta_m1(2 * m + 1)), p * p, 0, 400)[0]
+        + 0.5 * _PI * p * _zeta_m1(2 * m + 1)), p * p, 0)[0]
     return (_PI / (2.0 * p) * _L2PI
             + ((_G + _L2PI) + 0.5 * _PI * p) / (1.0 + p * p) + s)
 
@@ -265,7 +270,7 @@ def _lhs_1_17(p: float) -> float:
 def _zeta_alternating(t: float) -> float:
     # sum (-1)^n zeta(2n) t^2n with zeta(2n) = 1 + (zeta(2n) - 1): the 1s
     # sum to -t^2/(1+t^2)
-    s = _ps_fast(lambda n: (-1.0) ** n * _zeta_m1(2 * n), t * t, 1, 400)[0]
+    s = _ps_fast(lambda n: (-1.0) ** n * _zeta_m1(2 * n), t * t, 1)[0]
     return 1.0 + 2.0 * t * t / (1.0 + t * t) - 2.0 * s
 
 
@@ -867,7 +872,7 @@ def build_records() -> list[IdentityRecord]:
         "I-5.48", 5, "(5.48): shifted zeta series vs Barnes G quotient",
         _expr("sum [zeta(2n+1)-1] x^(2n+2)/(n+1)",
               lambda x: _ps_fast(lambda n: _zeta_m1(2 * n + 1) / (n + 1.0),
-                                 x * x, 2, 400)[0], err=1e-13),
+                                 x * x, 2)[0], err=1e-13),
         _expr("Barnes G quotient form", _rhs_5_48),
         param_names=("x",), param_domain=((0.0, 1.0),),
         default_params=((0.3,), (0.7,), (0.95,))))
@@ -1114,45 +1119,48 @@ class Registry:
 
     def verify_identity(self, rid: str,
                         params: tuple[float, ...] | None = None,
-                        tol_class: str | None = None,
-                        opts: EvalOptions = EvalOptions(),
-                        swap_routes: bool = False) -> Verdict:
+                        opts: EvalOptions = EvalOptions()) -> Verdict:
+        """The verdict of record ``rid`` at ``params`` (by default its first
+        default point), at the record's tolerance class.  A DISPUTED record
+        runs with precise options and carries the source's quoted values
+        as ``diagnostics["reported"]``."""
         rec = self.record(rid)
+        params = tuple(rec.default_params[0] if params is None else params)
+        self.check_params(rec, params)
         if rec.probe is not None:
-            return self._verify_probe(rec)
-        if params is None:
-            params = rec.default_params[0]
-        self.check_params(rec, tuple(params))
-        cls = tol_class or rec.tol_class
-        if cls not in TOL_CLASS:
-            raise DomainError(f"unknown tolerance class {cls!r}")
+            return self._verify_probe(rec, opts)
+        diagnostics = {}
+        if rec.expected == "DISPUTED":
+            opts = replace(opts, precise=True)
+            diagnostics = {"reported": rec.reported}
         t0 = time.perf_counter()
-        lhs, rhs = (rec.rhs, rec.lhs) if swap_routes else (rec.lhs, rec.rhs)
-        note = ""
         # a numeric or domain failure of a route gives an INCONCLUSIVE
         # verdict; any other exception is a program error and propagates
         try:
-            lv, le = lhs.evaluate(tuple(params), opts)
-            rv, re_ = rhs.evaluate(tuple(params), opts)
+            lv, le = rec.lhs.evaluate(params, opts)
+            rv, re_ = rec.rhs.evaluate(params, opts)
         except (GammalabError, ArithmeticError, ValueError) as exc:
             dt = time.perf_counter() - t0
-            return Verdict(rec.id, tuple(params), math.nan, math.inf,
-                           math.nan, math.inf, math.inf, math.inf,
-                           "INCONCLUSIVE", rec.expected, cls, dt,
-                           note=f"route failure: {exc}")
+            return Verdict(rec.id, params, math.nan, math.inf, math.nan,
+                           math.inf, math.inf, math.inf, "INCONCLUSIVE",
+                           rec.expected, rec.tol_class, dt,
+                           note=f"route failure: {exc}",
+                           diagnostics=diagnostics)
         residual = abs(lv - rv)
-        budget = le + re_ + TOL_CLASS[cls]
+        budget = le + re_ + TOL_CLASS[rec.tol_class]
         status = _status(residual, budget)
         dt = time.perf_counter() - t0
-        return Verdict(rec.id, tuple(params), lv, le, rv, re_, residual,
-                       budget, status, rec.expected, cls, dt, note=note)
+        return Verdict(rec.id, params, lv, le, rv, re_, residual, budget,
+                       status, rec.expected, rec.tol_class, dt,
+                       diagnostics=diagnostics)
 
-    def _verify_probe(self, rec: IdentityRecord) -> Verdict:
+    def _verify_probe(self, rec: IdentityRecord,
+                      opts: EvalOptions) -> Verdict:
         t0 = time.perf_counter()
         vals = []
         errs = 0.0
         for eps in (1e-2, 1e-3, 1e-4):
-            r = probe_cauchy(rec.probe, eps)
+            r = probe_cauchy(rec.probe, eps, opts.level_cap)
             vals.append(r.value)
             errs += r.abs_err
         d1 = vals[1] - vals[0]
@@ -1166,38 +1174,18 @@ class Registry:
                        note="successive cutoff increments must not shrink",
                        diagnostics={"values": vals})
 
-    def suite_verdict(self, rid: str, params: tuple[float, ...],
-                      tol_class: str | None = None,
-                      opts: EvalOptions = EvalOptions()) -> Verdict:
-        """The suite's verdict for one record at ``params``.  A DISPUTED
-        record is run at the strict class with precise options and carries
-        the source's quoted values as ``diagnostics["reported"]``."""
-        rec = self.record(rid)
-        if rec.expected != "DISPUTED":
-            return self.verify_identity(rid, params, tol_class, opts)
-        v = self.verify_identity(rid, params, "strict",
-                                 replace(opts, precise=True))
-        return replace(v, diagnostics={**v.diagnostics,
-                                       "reported": rec.reported})
-
-    def adjudicate_dispute(self, rid: str) -> Verdict:
-        rec = self.record(rid)
-        if rec.expected != "DISPUTED":
-            raise MisuseError(f"{rid} is not in the disputed set")
-        return self.suite_verdict(rid, rec.default_params[0])
-
     def run_suite(self, selection: list[str] | None = None,
                   section: int | None = None,
-                  tol_class: str | None = None,
                   opts: EvalOptions = EvalOptions()) -> list[Verdict]:
-        """Every suite verdict of the selection, in catalog order."""
+        """Every verdict of the selection, at each record's default points,
+        in catalog order."""
         if selection is not None:
             records = [self.record(rid) for rid in selection]
         else:
             records = self.list_identities(section=section)
         if not records:
             raise DomainError("empty selection")
-        return [self.suite_verdict(rec.id, params, tol_class, opts)
+        return [self.verify_identity(rec.id, params, opts)
                 for rec in sorted(records, key=lambda r: r.id)
                 for params in rec.default_params]
 

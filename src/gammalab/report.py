@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .registry import Registry, Verdict, failures
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "1.1"
 
 __all__ = ["Report", "SCHEMA_VERSION", "build_report", "to_json",
            "to_markdown", "fmt15"]

@@ -101,15 +101,15 @@ def test_criterion_08_series_closed_forms(reg):
 def test_criterion_09_adjudications(reg):
     ok = True
     for rid in ("D-4.26", "D-4.27", "D-5.18", "D-7.11"):
-        v = reg.adjudicate_dispute(rid)
+        v = reg.verify_identity(rid)
         ok = ok and v.lhs_err < 1e-8 and v.rhs_err < 1e-8
         ok = ok and math.isfinite(v.lhs_value) and math.isfinite(v.rhs_value)
-    d518 = reg.adjudicate_dispute("D-5.18")
+    d518 = reg.verify_identity("D-5.18")
     # the series side settles the reported gap: it lands on the closed
     # form -0.1885012, not on the quoted machine value -0.187878
     ok = ok and abs(d518.lhs_value - (-0.1885012)) < 1e-6
     ok = ok and abs(d518.lhs_value - (-0.187878)) > 1e-4
-    d711 = reg.adjudicate_dispute("D-7.11")
+    d711 = reg.verify_identity("D-7.11")
     ok = ok and round(d711.lhs_value, 6) == -0.176012
     ok = ok and round(-d711.rhs_value, 6) == 0.176012
     _report(9, ok, "disputed items produce 8-digit sides; the series side "

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -73,7 +74,7 @@ def test_verify_all_writes_report(tmp_path, capsys):
                 "--no-timing"])
     assert code == 0
     doc = json.loads(path.read_text())
-    assert doc["schema_version"] == "1.0"
+    assert doc["schema_version"] == "1.1"
     assert len(doc["verdicts"]) >= 60
     assert doc["summary"]["failures"] == 0
     assert "wall_time" not in doc["verdicts"][0]
@@ -110,6 +111,52 @@ def test_sweep_identity(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("CONFIRMED") == 5
+
+
+def test_sweep_verdicts_equal_verify(tmp_path, capsys):
+    # one verdict path: a sweep over a DISPUTED record's default points
+    # reports what `verify` does, the source's quoted values included
+    sweep, verify = tmp_path / "sweep.json", tmp_path / "verify.json"
+    assert run(["sweep", "I-3.14", "--param", "p", "--from", "0.5",
+                "--to", "1.5", "--steps", "3", "--json", str(sweep),
+                "--no-timing"]) == 0
+    assert run(["verify", "--ids", "I-3.14", "--json", str(verify),
+                "--no-timing"]) == 0
+    capsys.readouterr()
+    swept = json.loads(sweep.read_text())["verdicts"]
+    assert swept == json.loads(verify.read_text())["verdicts"]
+    assert [v["params"] for v in swept] == [[0.5], [1.0], [1.5]]
+    assert all(v["diagnostics"]["reported"] == {} for v in swept)
+
+
+def test_quad_level_cap_reaches_divergence_probes(monkeypatch, capsys):
+    levels = []
+    catalog = importlib.import_module("gammalab.integral_catalog")
+    original = catalog.integrate
+
+    def recording(f, a, b, limits=(None, None), tol=1e-10, max_level=10):
+        levels.append(max_level)
+        return original(f, a, b, limits, tol, max_level)
+    monkeypatch.setattr(catalog, "integrate", recording)
+    assert run(["verify", "--ids", "P-logGcot,P-logxcot",
+                "--quad-level-cap", "4"]) == 0
+    capsys.readouterr()
+    assert levels == [4] * 6
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    # every `$ gammalab ...` line of the README's command-line block runs,
+    # so a removed flag cannot linger in the docs
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1]
+    block = block.split("```console", 1)[1].split("```", 1)[0]
+    lines = [line.removeprefix("$ gammalab ") for line in block.splitlines()
+             if line.startswith("$ gammalab ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert run(shlex.split(line, comments=True)) == 0, line
+    capsys.readouterr()
 
 
 def test_sweep_rejects_non_parametric(capsys):
@@ -165,7 +212,9 @@ def test_list_filters(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert run(["verify", "--tol-class", "bogus"]) == 1
-    capsys.readouterr()
+    # each record's own tolerance class decides: no flag overrides it
+    assert run(["verify", "--ids", "I-6.16", "--tol-class", "strict"]) == 1
+    assert "unrecognized arguments: --tol-class" in capsys.readouterr().err
 
 
 def test_options_do_not_leak_between_calls(tmp_path, capsys):

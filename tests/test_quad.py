@@ -1,6 +1,8 @@
 """Quadrature engine tests: the error-honesty suite, additivity and
 symmetry properties, closure checks, and the catalog error paths."""
 
+import importlib
+import inspect
 import math
 import random
 
@@ -189,6 +191,37 @@ def test_removable_hint():
 # ---------------------------------------------------------------------------
 # catalog behaviour
 # ---------------------------------------------------------------------------
+
+def test_entries_take_only_their_parameters():
+    # an entry returns its quadrature call; tol and max_level are applied
+    # by integral_catalog alone
+    for key, entry in INTEGRAL_CATALOG.items():
+        params = inspect.signature(entry.fn).parameters
+        assert len(params) == entry.nparams, key
+
+
+@pytest.mark.parametrize("key,params,default_tol", [
+    ("Q-4.31", (), 1e-8),       # cot-weighted: its own default
+    ("Q-6.14", (), 1e-10),      # delegates to Q-6.10
+    ("Q-5.20", (0.5,), 1e-10),  # removable limit at an endpoint
+    ("Q-1.13", (1.0,), 1e-10),  # half-line, with its own tail
+])
+def test_catalog_applies_tol_and_level_cap(monkeypatch, key, params,
+                                           default_tol):
+    # entries build their call when they run, so an `integrate` rebound
+    # after import (as perfbench's tracer does) sees every call
+    seen = []
+
+    def recording(f, a, b, limits=(None, None), tol=1e-10, max_level=10):
+        seen.append((tol, max_level))
+        return integrate(f, a, b, limits, tol, max_level)
+    for name in ("gammalab.quad", "gammalab.integral_catalog"):
+        monkeypatch.setattr(importlib.import_module(name), "integrate",
+                            recording)
+    integral_catalog(key, params, max_level=4)
+    integral_catalog(key, params, tol=1e-12, max_level=12)
+    assert seen == [(default_tol, 4), (1e-12, 12)]
+
 
 def test_catalog_unknown_and_arity():
     with pytest.raises(UnknownKeyError):
