@@ -109,11 +109,39 @@ def _check_mode(n: float) -> int:
     return m
 
 
+class _NodeMemo(dict):
+    """The values of a pure function of one float, by exact argument,
+    filled on first use.
+
+    Only integrands on (0, 1) use these, and there the argument is the
+    distance 1-sigma of a tanh-sinh node pair from its nearer endpoint, or
+    1/2 at the centre: rules that reached level L leave at most 2^(L+2)+1
+    keys in each memo (4097 at the default cap of 10), whatever their
+    parameters.
+    """
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[float], float]):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, d: float) -> float:
+        value = self[d] = self.fn(d)
+        return value
+
+
+_LGAMMA_NEAR_0 = _NodeMemo(lambda da: _lgamma1p(da) - math.log(da))
+_LGAMMA_NEAR_1 = _NodeMemo(lambda db: _lgamma1p(-db))
+_LOG_SIN_PI = _NodeMemo(lambda d: math.log(math.sin(_PI * d)))
+
+
 def _lgamma_s(x: float, da: float, db: float) -> float:
-    """log Gamma(x) on (0,1), full relative accuracy at both ends."""
+    """log Gamma(x) on (0,1), full relative accuracy at both ends.
+
+    Memoised by node: callers integrate over (0, 1) only."""
     if da <= 0.5:
-        return _lgamma1p(da) - math.log(da)
-    return _lgamma1p(-db)
+        return _LGAMMA_NEAR_0[da]
+    return _LGAMMA_NEAR_1[db]
 
 
 def _psi_s(x: float, da: float, db: float) -> float:
@@ -131,9 +159,11 @@ def _cot_pi_s(x: float, da: float, db: float) -> float:
 
 
 def _log_sin_pi(x: float, da: float, db: float) -> float:
-    """log(sin(pi x)) on (0,1)."""
+    """log(sin(pi x)) on (0,1).
+
+    Memoised by node: callers integrate over (0, 1) only."""
     d = min(da, db)
-    return math.log(math.sin(_PI * d)) if d < 0.5 else 0.0
+    return _LOG_SIN_PI[d] if d < 0.5 else 0.0
 
 
 def _ln_g1p(x: float, db: float) -> float:

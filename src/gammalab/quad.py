@@ -47,12 +47,14 @@ class QuadResult:
 
 
 @lru_cache(maxsize=None)
-def _nodes(level: int) -> tuple[tuple[float, float, float], ...]:
-    """Positive-t abscissae new at this level: (sigma, 1-sigma, weight).
+def _nodes(level: int) -> tuple[tuple[float, float], ...]:
+    """Positive-t abscissae new at this level: (1-sigma, weight).
 
-    sigma = 1/(1+exp(-pi*sinh t)) is the relative position in (0,1);
-    weight = pi*cosh(t)*sigma*(1-sigma).  Level 0 holds t = h, 2h, ...;
-    later levels only the odd multiples of their h.
+    sigma = 1/(1+exp(-pi*sinh t)) is the relative position in (0,1) of the
+    node at t, and 1-sigma that of its mirror at -t, so both lie 1-sigma of
+    the interval from their nearer endpoint; weight = pi*cosh(t)*sigma*
+    (1-sigma).  Level 0 holds t = h, 2h, ...; later levels only the odd
+    multiples of their h.
     """
     h = 2.0 ** (-level)
     ks = range(1, int(_T_MAX / h) + 1) if level == 0 else range(
@@ -62,10 +64,44 @@ def _nodes(level: int) -> tuple[tuple[float, float, float], ...]:
         t = k * h
         ps = math.pi * math.sinh(t)
         om = 1.0 / (1.0 + math.exp(ps))     # 1 - sigma, exactly
-        sg = 1.0 - om
-        w = math.pi * math.cosh(t) * sg * om
-        out.append((sg, om, w))
+        w = math.pi * math.cosh(t) * (1.0 - om) * om
+        out.append((om, w))
     return tuple(out)
+
+
+def _not_finite(x: float, v: float) -> EvaluationError:
+    return EvaluationError(f"integrand not finite at x={x!r}: {v!r}")
+
+
+def _add_level(f, nodes, a, b, width, cut, limits, acc, abs_acc):
+    """Add w*(f(hi) + f(lo)) to ``acc`` and w*|f(hi) + f(lo)| to
+    ``abs_acc`` for each node pair of one level, in node order.
+
+    Both nodes of a pair lie d = width*(1-sigma) < width/2 from their
+    nearer endpoint, so only that endpoint's limit can stand in for f.
+    The node near b is evaluated first.
+    """
+    lo_lim, hi_lim = limits
+    isfinite = math.isfinite
+    for om, w in nodes:
+        d = width * om
+        e = width - d
+        if d < cut and hi_lim is not None:
+            hi = hi_lim
+        else:
+            hi = f(b - d, e, d)
+            if not isfinite(hi):
+                raise _not_finite(b - d, hi)
+        if d < cut and lo_lim is not None:
+            lo = lo_lim
+        else:
+            lo = f(a + d, d, e)
+            if not isfinite(lo):
+                raise _not_finite(a + d, lo)
+        v = hi + lo
+        acc += w * v
+        abs_acc += w * abs(v)
+    return acc, abs_acc
 
 
 def integrate(
@@ -85,39 +121,19 @@ def integrate(
     if max_level > 14:
         raise DomainError("level cap is 14")
     width = b - a
-    lo_lim, hi_lim = limits
+    # nodes nearer than this to an endpoint with a limit take the limit
     cut = 1e-8 * width
-
-    def eval_at(sigma: float, om_sigma: float) -> float:
-        # sigma is the relative distance from a
-        if sigma <= om_sigma:
-            da = width * sigma
-            x = a + da
-            db = width - da
-        else:
-            db = width * om_sigma
-            x = b - db
-            da = width - db
-        if da < cut and lo_lim is not None:
-            return lo_lim
-        if db < cut and hi_lim is not None:
-            return hi_lim
-        v = f(x, da, db)
-        if not math.isfinite(v):
-            raise EvaluationError(f"integrand not finite at x={x!r}: {v!r}")
-        return v
-
-    evals = 0
+    half = 0.5 * width
     # level 0: t = 0 plus the cached positive abscissae, mirrored
-    fmid = eval_at(0.5, 0.5)
+    fmid = f(a + half, half, width - half)
+    if not math.isfinite(fmid):
+        raise _not_finite(a + half, fmid)
     total = 0.25 * math.pi * fmid
     abs_total = 0.25 * math.pi * abs(fmid)
-    evals += 1
-    for sg, om, w in _nodes(0):
-        v = eval_at(sg, om) + eval_at(om, sg)
-        total += w * v
-        abs_total += w * abs(v)
-        evals += 2
+    nodes = _nodes(0)
+    total, abs_total = _add_level(f, nodes, a, b, width, cut, limits, total,
+                                  abs_total)
+    evals = 1 + 2 * len(nodes)
     h = 1.0
     value = h * total
     prev = None
@@ -125,12 +141,10 @@ def integrate(
     err = abs(value)
     converged = False
     for level in range(1, max_level + 1):
-        new = 0.0
-        for sg, om, w in _nodes(level):
-            v = eval_at(sg, om) + eval_at(om, sg)
-            new += w * v
-            abs_total += w * abs(v)
-            evals += 2
+        nodes = _nodes(level)
+        new, abs_total = _add_level(f, nodes, a, b, width, cut, limits, 0.0,
+                                    abs_total)
+        evals += 2 * len(nodes)
         h *= 0.5
         prev2, prev = prev, value
         total += new

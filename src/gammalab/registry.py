@@ -143,13 +143,18 @@ def _status(residual: float, budget: float) -> str:
 # recipe constructors
 # ---------------------------------------------------------------------------
 
-def _quad(key: str, pmap: Callable[[tuple], tuple] = lambda p: p) -> Recipe:
+def _quad(key: str, pmap: Callable[[tuple], tuple] = lambda p: p,
+          scale: Callable[[tuple], float] = lambda p: 1.0,
+          label: str | None = None) -> Recipe:
+    """Quadrature ``key`` at ``pmap(params)`` times ``scale(params)``, with
+    the quadrature's own error times |scale|."""
     def fn(params, opts):
         r = integral_catalog(key, pmap(params),
                              tol=1e-12 if opts.precise else None,
                              max_level=opts.level_cap)
-        return r.value, r.abs_err
-    return Recipe(f"quadrature {key}", fn)
+        s = scale(params)
+        return s * r.value, abs(s) * r.abs_err
+    return Recipe(label or f"quadrature {key}", fn)
 
 
 def _ser(key: str, pmap: Callable[[tuple], tuple] = lambda p: p,
@@ -260,11 +265,6 @@ def _rhs_1_17(p: float) -> float:
         + 0.5 * _PI * p * _zeta_m1(2 * m + 1)), p * p, 0)[0]
     return (_PI / (2.0 * p) * _L2PI
             + ((_G + _L2PI) + 0.5 * _PI * p) / (1.0 + p * p) + s)
-
-
-def _lhs_1_17(p: float) -> float:
-    r = integral_catalog("Q-1.1", (_TWO_PI * p,))
-    return 2.0 * _PI ** 2 / (-math.expm1(-_TWO_PI * p)) * r.value
 
 
 def _zeta_alternating(t: float) -> float:
@@ -469,7 +469,9 @@ def build_records() -> list[IdentityRecord]:
         default_params=((1.0,), (2.0,))))
     add(IdentityRecord(
         "I-1.17", 1, "(1.17): zeta-series form equals the (1.8) transform",
-        _expr("scaled quadrature", _lhs_1_17, err=1e-12),
+        _quad("Q-1.1", lambda p: (_TWO_PI * p[0],),
+              lambda p: 2.0 * _PI ** 2 / (-math.expm1(-_TWO_PI * p[0])),
+              "scaled quadrature"),
         _expr("zeta/zeta' power series (1.17)", _rhs_1_17),
         param_names=("p",), param_domain=((0.01, 0.99),),
         default_params=((0.2,), (0.5,))))
@@ -693,8 +695,8 @@ def build_records() -> list[IdentityRecord]:
     add(IdentityRecord(
         "I-4.36", 4, "(4.36): x log Gamma psi integral vs -log^2 Gamma/2",
         _quad("Q-4.36-lhs"),
-        _expr("-(1/2) quadrature of log^2 Gamma",
-              lambda: -0.5 * integral_catalog("Q-4.36").value, err=1e-13)))
+        _quad("Q-4.36", scale=lambda p: -0.5,
+              label="-(1/2) quadrature of log^2 Gamma")))
     add(IdentityRecord(
         "I-4.37", 4, "(4.37): x log Gamma psi(1-x) integral, closed form",
         _quad("Q-4.37-lhs"),
@@ -991,9 +993,8 @@ def build_records() -> list[IdentityRecord]:
               lambda: (2.0 - 3.5 * C.zeta3) / _PI ** 2)))
     add(IdentityRecord(
         "I-6.37", 6, "(6.37): the cot integral recovered from the psi route",
-        _expr("-(2/pi) psi-route quadrature",
-              lambda: -2.0 / _PI * integral_catalog("Q-6.34").value,
-              err=1e-12),
+        _quad("Q-6.34", scale=lambda p: -2.0 / _PI,
+              label="-(2/pi) psi-route quadrature"),
         _expr("(7 zeta(3) - 4)/pi^3",
               lambda: (7.0 * C.zeta3 - 4.0) / _PI ** 3)))
     add(IdentityRecord(

@@ -15,11 +15,19 @@ from gammalab.integral_catalog import (
     integral_catalog,
     probe_cauchy,
 )
-from gammalab.quad import integrate, integrate_semi_infinite
+from gammalab.quad import (
+    QuadResult,
+    _nodes,
+    integrate,
+    integrate_semi_infinite,
+)
+from gammalab.registry import Registry
 
 C = K.get_constants()
 PI = math.pi
 GAMMA = C.gamma
+# the module: the package's `integral_catalog` is the function
+IC = importlib.import_module("gammalab.integral_catalog")
 
 
 def _logsin(x, da, db):
@@ -290,3 +298,219 @@ def test_catalog_rejects_non_finite_parameters(key):
                                match=f"{key} parameter {slot + 1} must be "
                                      "finite"):
                 integral_catalog(key, params)
+
+
+# ---------------------------------------------------------------------------
+# the rule loop against the per-node loop it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_nodes(level):
+    h = 2.0 ** (-level)
+    ks = range(1, int(4.0 / h) + 1) if level == 0 else range(
+        1, int(4.0 / h) + 1, 2)
+    out = []
+    for k in ks:
+        t = k * h
+        ps = math.pi * math.sinh(t)
+        om = 1.0 / (1.0 + math.exp(ps))
+        sg = 1.0 - om
+        out.append((sg, om, math.pi * math.cosh(t) * sg * om))
+    return tuple(out)
+
+
+def _reference_integrate(f, a, b, limits=(None, None), tol=1e-10,
+                         max_level=10):
+    """The rule with one closure call per node, kept as the reference."""
+    if not (a < b):
+        raise DomainError(f"integrate requires a < b, got [{a}, {b}]")
+    if max_level > 14:
+        raise DomainError("level cap is 14")
+    width = b - a
+    lo_lim, hi_lim = limits
+    cut = 1e-8 * width
+
+    def eval_at(sigma, om_sigma):
+        if sigma <= om_sigma:
+            da = width * sigma
+            x = a + da
+            db = width - da
+        else:
+            db = width * om_sigma
+            x = b - db
+            da = width - db
+        if da < cut and lo_lim is not None:
+            return lo_lim
+        if db < cut and hi_lim is not None:
+            return hi_lim
+        v = f(x, da, db)
+        if not math.isfinite(v):
+            raise EvaluationError(f"integrand not finite at x={x!r}: {v!r}")
+        return v
+
+    fmid = eval_at(0.5, 0.5)
+    total = 0.25 * math.pi * fmid
+    abs_total = 0.25 * math.pi * abs(fmid)
+    evals = 1
+    for sg, om, w in _reference_nodes(0):
+        v = eval_at(sg, om) + eval_at(om, sg)
+        total += w * v
+        abs_total += w * abs(v)
+        evals += 2
+    h = 1.0
+    value = h * total
+    prev = prev2 = None
+    err = abs(value)
+    converged = False
+    for level in range(1, max_level + 1):
+        new = 0.0
+        for sg, om, w in _reference_nodes(level):
+            v = eval_at(sg, om) + eval_at(om, sg)
+            new += w * v
+            abs_total += w * abs(v)
+            evals += 2
+        h *= 0.5
+        prev2, prev = prev, value
+        total += new
+        value = h * total
+        e1 = abs(value - prev)
+        floor = 40.0 * 2.220446049250313e-16 * h * abs_total
+        if prev2 is not None:
+            e2 = abs(prev - prev2)
+            if e1 == 0.0:
+                est = 0.0
+            elif e2 > e1:
+                est = e1 * (e1 / e2)
+            else:
+                est = e1
+        else:
+            est = e1
+        err = max(10.0 * est, floor)
+        if err * width <= tol and level >= 3:
+            converged = True
+            break
+    return QuadResult(value * width, err * width, evals, converged)
+
+
+def _bits(r):
+    return (r.value.hex(), r.abs_err.hex(), r.evals, r.converged)
+
+
+def _catalog_points():
+    """(key, params) for every catalog entry: () or the first two of a few
+    values that the entry accepts."""
+    for key in sorted(INTEGRAL_CATALOG):
+        entry = INTEGRAL_CATALOG[key]
+        if not entry.nparams:
+            yield key, ()
+            continue
+        accepted = []
+        for p in (0.25, 1.0, 0.75, 2.0):
+            params = (p,) * entry.nparams
+            try:
+                entry.fn(*params)
+            except DomainError:
+                continue
+            accepted.append(params)
+        assert len(accepted) >= 2, key
+        yield from ((key, params) for params in accepted[:2])
+
+
+CATALOG_POINTS = list(_catalog_points())
+
+
+@pytest.mark.parametrize("key,params", CATALOG_POINTS)
+def test_rule_loop_matches_per_node_reference(monkeypatch, key, params):
+    # the same additions in the same order: bit-equal results at every
+    # tolerance and level cap, limits and half-line entries included
+    got = [integral_catalog(key, params, tol, level)
+           for tol in (None, 1e-12) for level in (3, 10, 14)]
+    for name in ("gammalab.quad", "gammalab.integral_catalog"):
+        monkeypatch.setattr(importlib.import_module(name), "integrate",
+                            _reference_integrate)
+    want = [integral_catalog(key, params, tol, level)
+            for tol in (None, 1e-12) for level in (3, 10, 14)]
+    assert [_bits(r) for r in got] == [_bits(r) for r in want]
+
+
+def test_rule_loop_limits_and_errors_match_reference():
+    def sinc(x, da, db):
+        return math.sin(da) / da
+    for limits in ((1.0, None), (None, math.sin(2.0) / 2.0),
+                   (1.0, math.sin(2.0) / 2.0)):
+        for a, b in ((0.0, 2.0), (-1e-3, 2.0)):
+            assert _bits(integrate(sinc, a, b, limits, 1e-13, 12)) == \
+                _bits(_reference_integrate(sinc, a, b, limits, 1e-13, 12))
+    # the first non-finite value in evaluation order names its node
+    for bad in (lambda x, da, db: math.inf if x > 0.75 else 0.0,
+                lambda x, da, db: math.inf if da < 0.3 else 1.0,
+                lambda x, da, db: math.inf if abs(x - 0.5) > 0.4 else 0.0,
+                lambda x, da, db: math.nan):
+        with pytest.raises(EvaluationError) as got:
+            integrate(bad, 0.0, 1.0)
+        with pytest.raises(EvaluationError) as want:
+            _reference_integrate(bad, 0.0, 1.0)
+        assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# the node memos of integral_catalog
+# ---------------------------------------------------------------------------
+
+def _node_memos():
+    memos = [m for m in vars(IC).values() if isinstance(m, IC._NodeMemo)]
+    assert memos
+    return memos
+
+
+def _clear_node_memos():
+    for memo in _node_memos():
+        memo.clear()
+
+
+def _on_unit_interval(key, params):
+    call = INTEGRAL_CATALOG[key].fn(*params)
+    return call.func is integrate and call.args[1:3] == (0.0, 1.0)
+
+
+def test_node_memos_cannot_change_a_result():
+    # the same bytes whatever ran before in the process: each (0,1) entry
+    # with empty memos, and after a suite has filled them, in both orders
+    points = [p for p in CATALOG_POINTS if _on_unit_interval(*p)]
+    assert len(points) > 40
+
+    def cold():
+        out = []
+        for key, params in points:
+            _clear_node_memos()
+            out.append(_bits(integral_catalog(key, params)))
+        return out
+
+    def warm():
+        Registry().run_suite()
+        return [_bits(integral_catalog(key, params))
+                for key, params in points]
+    assert cold() == warm()
+    assert warm() == cold()
+
+
+def test_node_memos_hold_only_unit_interval_nodes():
+    # a suite and the first five rounds of the benchmark's sweep pool: every
+    # key is the distance of a node of some level <= 10 from its nearer
+    # endpoint (or the centre 1/2), so no memo outgrows 2^12 + 1 keys
+    _clear_node_memos()
+    reg = Registry()
+    reg.run_suite()
+    records = [r for r in reg.list_identities()
+               if r.param_names and r.probe is None]
+    rng = random.Random(0)
+    for _ in range(5):
+        for rec in records:
+            params = tuple(rng.uniform(lo, hi) for lo, hi in rec.param_domain)
+            try:
+                reg.verify_identity(rec.id, params)
+            except DomainError:
+                pass    # a non-integer draw of an integer index
+    nodes = {0.5} | {om for level in range(11) for om, _ in _nodes(level)}
+    for memo in _node_memos():
+        assert memo and set(memo) <= nodes
+        assert len(memo) <= 2 ** 12 + 1
