@@ -23,6 +23,8 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import truediv
 from typing import Callable
 
 from . import kernels as K
@@ -306,12 +308,24 @@ def _rhs_2_10(p: float) -> SeriesResult:
     """sin(p pi)/(2 pi p) sum (-1)^n n/(n^2-p^2), the sum as -log 2
     + p^2 sum (-1)^n/(n(n^2-p^2)) to n = 3999.  Its terms alternate and
     shrink, so the rest is below the first omitted one, which is the
-    error."""
+    error.
+
+    The n = 1 term -p^2/(1-p^2) is taken out of the sum: times the scale
+    it is -p sin(pi d)/(2 pi d (1+p)) with d = 1 - p, exact for p > 1/2,
+    so that neither sin(p pi) nor 1 - p^2 cancels as p -> 1.  At p = 1
+    the scale is 0 and the n = 1 term -1/4; at p = 0 the scale is 1/2."""
     acc = -math.log(2.0)
     acc += p * p * math.fsum((-1.0) ** (n % 2) / (n * (n * n - p * p))
-                             for n in range(1, 4000))
-    scale = math.sin(p * _PI) / (2.0 * _PI * p)
-    return SeriesResult(scale * acc,
+                             for n in range(2, 4000))
+    if p > 0.5:
+        d = 1.0 - p
+        sinc = math.sin(_PI * d) / (_PI * d) if d else 1.0
+        scale = sinc * d / (2.0 * p)
+        first = -p * sinc / (2.0 * (1.0 + p))
+    else:
+        scale = math.sin(p * _PI) / (2.0 * _PI * p) if p else 0.5
+        first = -scale * p * p / (1.0 - p * p)
+    return SeriesResult(scale * acc + first,
                         abs(scale) * p * p / (4000.0 * (4000.0 ** 2 - p * p)),
                         3999, "alternating")
 
@@ -421,12 +435,24 @@ def _rhs_6_38() -> float:
 
 def _alt_quarter_sum() -> SeriesResult:
     """I-8.15's left side 2/pi - (4/pi) sum (-1)^n/(4n^2-1), the sum by
-    the Leibniz split (-1)^n [1/(2n-1) - 1/(2n+1)]/2 to n = 99 999.  Its
-    terms alternate and shrink, so the rest is below the first omitted
-    one, which (times 4/pi) is the error."""
-    s = 0.5 * math.fsum(
-        (-1.0) ** (n % 2) * (1.0 / (2 * n - 1.0) - 1.0 / (2 * n + 1.0))
-        for n in range(1, 100_000))
+    the Leibniz split (-1)^n [1/(2n-1) - 1/(2n+1)]/2 to n = N = 99 999.
+    Its terms alternate and shrink, so the rest is below the first
+    omitted one, which (times 4/pi) is the error.
+
+    The split's terms are summed from their telescoped reciprocals, with
+    the same float as summing the terms one by one.  With r_k = fl(1/k),
+    term n is (-1)^n (r_(2n-1) - r_(2n+1)).  For n >= 2 the two
+    reciprocals lie within a factor 5/3 < 2 of each other, so by Sterbenz
+    their difference is exact, and the N terms have the exact sum
+        -fl(1 - r_3) + r_3 + sum_(k=2)^(N-1) (-1)^(k+1) 2 r_(2k+1) + r_(2N+1)
+    (N is odd).  fl(2/k) = 2 fl(1/k), and fsum rounds the exact sum of
+    its inputs once, so both input lists give the same float.  The
+    reciprocals come from C-level iterators and are never held in a list.
+    """
+    s = 0.5 * math.fsum(chain(
+        (-(1.0 - 1.0 / 3.0), 1.0 / 3.0, 1.0 / 199_999.0),
+        map(truediv, repeat(-2.0), range(5, 199_998, 4)),
+        map(truediv, repeat(2.0), range(7, 199_998, 4))))
     rest = 0.5 * (1.0 / 199_999.0 - 1.0 / 200_001.0)
     return SeriesResult(2.0 / _PI - 4.0 / _PI * s, 4.0 / _PI * rest, 99_999,
                         "alternating")

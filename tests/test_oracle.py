@@ -266,14 +266,22 @@ def test_log_weighted_sin_sum(x):
     assert _close(r.value, ref, r.abs_err)
 
 
-@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.95])
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.95, 0.0, 1e-9, 0.9999,
+                               1 - 1e-8, 1 - 1e-12, 1.0])
 def test_rhs_2_10(p):
-    # the series side of I-2.10 at its default p: a 4 000-term alternating
-    # sum, whose error includes its first omitted term
+    # the series side of I-2.10 at its default p and at and near both ends
+    # of [0, 1]: a 4 000-term alternating sum, whose error includes its
+    # first omitted term; near p = 1 sin(p pi) and the n = 1 term
+    # 1/(1 - p^2) must not cancel, and the ends take the limits
     value, err = R.Registry().record("I-2.10").rhs.evaluate((p,))
     pm = mp.mpf(p)
-    ref = mp.sin(pm * mp.pi) / (2 * mp.pi * pm) * mp.nsum(
-        lambda n: (-1) ** n * n / (n * n - pm * pm), [1, mp.inf])
+    if p == 0.0:
+        ref = -mp.log(2) / 2
+    elif p == 1.0:
+        ref = mp.mpf(-0.25)
+    else:
+        ref = mp.sin(pm * mp.pi) / (2 * mp.pi * pm) * mp.nsum(
+            lambda n: (-1) ** n * n / (n * n - pm * pm), [1, mp.inf])
     assert _close(value, ref, err)
 
 

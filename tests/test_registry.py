@@ -2,10 +2,12 @@
 route independence, dispute adjudication."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+from gammalab import registry as R
 from gammalab.errors import DomainError, UnknownKeyError
 from gammalab.integral_catalog import integral_catalog
 from gammalab.registry import (
@@ -17,6 +19,7 @@ from gammalab.registry import (
     build_records,
     failures,
 )
+from gammalab.series import SeriesResult
 from gammalab.series_catalog import sum_catalog
 
 
@@ -314,3 +317,33 @@ def test_zeta_power_series_near_one(reg, rid, t):
     v = reg.verify_identity(rid, (t,))
     assert v.status == "CONFIRMED", (rid, t, v.residual, v.budget)
     assert v.residual <= 1e-13 * max(1.0, abs(v.rhs_value))
+
+
+def _alt_quarter_sum_per_term():
+    """I-8.15's left side summed one Leibniz-split term at a time: the
+    reference for the telescoped sum in ``registry._alt_quarter_sum``."""
+    s = 0.5 * math.fsum(
+        (-1.0) ** (n % 2) * (1.0 / (2 * n - 1.0) - 1.0 / (2 * n + 1.0))
+        for n in range(1, 100_000))
+    rest = 0.5 * (1.0 / 199_999.0 - 1.0 / 200_001.0)
+    return SeriesResult(2.0 / math.pi - 4.0 / math.pi * s,
+                        4.0 / math.pi * rest, 99_999, "alternating")
+
+
+def test_alt_quarter_sum_matches_per_term_reference():
+    new, ref = R._alt_quarter_sum(), _alt_quarter_sum_per_term()
+    assert new.value.hex() == ref.value.hex()
+    assert new.abs_err.hex() == ref.abs_err.hex()
+    assert (new.terms_used, new.method) == (ref.terms_used, ref.method)
+
+
+def test_alt_quarter_sum_holds_no_term_list():
+    # a list of its 100 000 terms would be ~3.2 MB
+    R._alt_quarter_sum()
+    tracemalloc.start()
+    try:
+        R._alt_quarter_sum()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
