@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import kernels
 from .errors import GammalabError, integer_arg
@@ -16,26 +15,6 @@ from .integral_catalog import integral_catalog, list_integral_ids
 from .registry import EvalOptions, Registry, failures
 from .report import build_report, fmt15, to_json, to_markdown
 from .series_catalog import list_series_ids, sum_catalog
-
-
-@dataclass
-class Config:
-    opts: EvalOptions = EvalOptions()
-    parallelism: int = 1
-    json_path: str | None = None
-    md_path: str | None = None
-    no_timing: bool = False
-
-    def __post_init__(self) -> None:
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-
-    def snapshot(self) -> dict:
-        return {
-            "max_terms": self.opts.max_terms or "per-entry",
-            "quad_level_cap": self.opts.level_cap,
-            "parallelism": self.parallelism,
-        }
 
 
 _FN_KEYS = {
@@ -66,16 +45,16 @@ def _near_matches(key: str, pool) -> str:
     return f" (near matches: {', '.join(close)})" if close else ""
 
 
-def _run_suite(reg: Registry, records, cfg: Config):
+def _run_suite(reg: Registry, records, args, opts: EvalOptions):
     """The suite's verdicts for ``records``, all computed in this process;
-    ``cfg.parallelism`` is only recorded in the report."""
-    return reg.run_suite([r.id for r in records], opts=cfg.opts)
+    ``args.parallelism``, read here by perfbench's tracer, is only recorded."""
+    return reg.run_suite([r.id for r in records], opts=opts)
 
 
 def cmd_verify(args) -> int:
-    cfg = Config(opts=EvalOptions(args.max_terms, args.quad_level_cap),
-                 parallelism=args.parallelism, json_path=args.json,
-                 md_path=args.md, no_timing=args.no_timing)
+    opts = EvalOptions(args.max_terms, args.quad_level_cap)
+    if args.parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
     reg = Registry()
     if args.ids:
         records = []
@@ -96,15 +75,17 @@ def cmd_verify(args) -> int:
             return 1
     else:
         records = reg.list_identities()
-    verdicts = _run_suite(reg, records, cfg)
-    report = build_report(reg, verdicts, cfg.snapshot())
-    timing = not cfg.no_timing
-    if cfg.json_path:
-        with open(cfg.json_path, "w") as fh:
+    verdicts = _run_suite(reg, records, args, opts)
+    report = build_report(reg, verdicts, {
+        "max_terms": opts.max_terms or "per-entry",
+        "quad_level_cap": opts.level_cap, "parallelism": args.parallelism})
+    timing = not args.no_timing
+    if args.json:
+        with open(args.json, "w") as fh:
             fh.write(to_json(report, timing=timing))
             fh.write("\n")
-    if cfg.md_path:
-        with open(cfg.md_path, "w") as fh:
+    if args.md:
+        with open(args.md, "w") as fh:
             fh.write(to_markdown(report, reg, timing=timing))
             fh.write("\n")
     for v in verdicts:

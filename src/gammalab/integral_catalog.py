@@ -19,9 +19,8 @@ one called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, UnknownKeyError, integer_arg
 from .kernels import (
@@ -48,8 +47,7 @@ _TWO_PI = 2.0 * math.pi
 QuadCall = Callable[..., QuadResult]
 
 
-@dataclass(frozen=True)
-class IntegralEntry:
+class IntegralEntry(NamedTuple):
     label: str
     nparams: int
     fn: Callable[..., QuadCall]
@@ -67,9 +65,7 @@ def _entry(key: str, label: str, nparams: int = 0, tol: float = 1e-10):
 
 
 def _alias(new_key: str, key: str, label: str) -> None:
-    src = INTEGRAL_CATALOG[key]
-    INTEGRAL_CATALOG[new_key] = IntegralEntry(label, src.nparams, src.fn,
-                                              src.default_tol)
+    INTEGRAL_CATALOG[new_key] = INTEGRAL_CATALOG[key]._replace(label=label)
 
 
 def list_integral_ids() -> list[str]:

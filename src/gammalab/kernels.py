@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -46,16 +45,36 @@ _EPS = 2.220446049250313e-16
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
 class FnEvalResult:
-    """A function value with a claimed absolute-error bound."""
+    """A function value with a claimed absolute-error bound, read-only.
+    Not a tuple: :func:`sici` returns a tuple of two of these."""
 
-    value: float | complex
-    abs_err: float
+    __slots__ = ("value", "abs_err")
 
-    def __post_init__(self) -> None:
-        if self.abs_err < 0.0 or not math.isfinite(self.abs_err):
+    def __init__(self, value: float | complex, abs_err: float) -> None:
+        if abs_err < 0.0 or not math.isfinite(abs_err):
             raise ValueError("abs_err must be finite and non-negative")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "abs_err", abs_err)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"FnEvalResult.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"FnEvalResult(value={self.value!r}, abs_err={self.abs_err!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.abs_err) == (other.value, other.abs_err)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.abs_err))
+
+    def __reduce__(self):
+        return self.__class__, (self.value, self.abs_err)
 
 
 def _require_finite(x: float, name: str = "x") -> float:
@@ -69,28 +88,33 @@ def _require_finite(x: float, name: str = "x") -> float:
 # Bernoulli numbers (exact) and derived coefficient tables
 # ---------------------------------------------------------------------------
 
-# B_0, B_1, ...: one exact table, grown only when a larger n is asked for.
-# It is rebound, never mutated, so concurrent callers at worst recompute.
-_BERNOULLI: tuple[Fraction, ...] = (Fraction(1),)
+# B_0, B_1, ...: one exact table of reduced (numerator, denominator) pairs,
+# denominator > 0, grown only when a larger n is asked for.  It is rebound,
+# never mutated, so concurrent callers at worst recompute.
+_BERNOULLI: tuple[tuple[int, int], ...] = ((1, 1),)
 
 
-def _bernoulli_fractions(n_max: int) -> tuple[Fraction, ...]:
-    """B_0 .. B_{n_max} via the defining recurrence, exactly."""
+def _bernoulli_fractions(n_max: int) -> tuple[tuple[int, int], ...]:
+    """B_0 .. B_{n_max}, exactly: B_m = -sum_{k<m} C(m+1, k) B_k / (m+1)."""
     global _BERNOULLI
     if len(_BERNOULLI) <= n_max:
         bs = list(_BERNOULLI)
         for m in range(len(bs), n_max + 1):
-            acc = Fraction(0)
-            for k in range(m):
-                acc += math.comb(m + 1, k) * bs[k]
-            bs.append(-acc / (m + 1))
+            den = math.lcm(*(q for _, q in bs))
+            num = -sum(math.comb(m + 1, k) * p * (den // q)
+                       for k, (p, q) in enumerate(bs))
+            den *= m + 1
+            g = math.gcd(num, den)
+            bs.append((num // g, den // g))
         _BERNOULLI = tuple(bs)
     return _BERNOULLI[:n_max + 1]
 
 
 @lru_cache(maxsize=None)
 def _bernoulli_float(n: int) -> float:
-    return float(_bernoulli_fractions(n)[n])
+    # int / int is correctly rounded, as float(Fraction) is
+    num, den = _bernoulli_fractions(n)[n]
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -820,9 +844,8 @@ _BPOLY_MAX = 12
 @lru_cache(maxsize=None)
 def _bpoly_coeffs(n: int) -> tuple[float, ...]:
     """Coefficients of B_n(x), highest power first."""
-    bs = _bernoulli_fractions(n)
-    cs = [Fraction(math.comb(n, k)) * bs[k] for k in range(n + 1)]
-    return tuple(float(c) for c in cs)
+    return tuple(math.comb(n, k) * num / den
+                 for k, (num, den) in enumerate(_bernoulli_fractions(n)))
 
 
 def _bpoly(n: int, x: float) -> float:
@@ -849,8 +872,7 @@ def bernoulli_poly(n: int, x: float) -> FnEvalResult:
 # shared constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantsCache:
+class ConstantsCache(NamedTuple):
     """Read-only bundle of the constants the catalogs keep reaching for."""
 
     gamma: float

@@ -25,9 +25,8 @@ integrand this package meets.  Two calls cover every interval:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, EvaluationError
 
@@ -38,8 +37,7 @@ _T_MAX = 4.0
 _DEFAULT_MAX_LEVEL = 10
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     abs_err: float
     evals: int

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import truediv
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from . import kernels as K
 from .errors import (
@@ -54,10 +54,17 @@ __all__ = ["EvalOptions", "IdentityRecord", "Verdict", "Registry",
 
 TOL_CLASS = {"strict": 1e-9, "standard": 1e-7, "slow": 1e-5}
 _REFUTE_FACTOR = 100.0
+# the mapping fields' default, one object shared by every record: read-only
+_NO_ENTRIES: Mapping = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class EvalOptions:
+class _EvalFields(NamedTuple):
+    max_terms: int | None = None
+    level_cap: int = 10
+    precise: bool = False
+
+
+class EvalOptions(_EvalFields):
     """How the routes of one verdict are evaluated, passed per call.
 
     Every series route, and every series inside a closed-form route, sums
@@ -72,33 +79,34 @@ class EvalOptions:
     quadrature tolerance 1e-12; ``verify_identity`` sets it for DISPUTED
     records.
     """
-    max_terms: int | None = None
-    level_cap: int = 10
-    precise: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> EvalOptions:
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_terms is not None and self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
         if not 3 <= self.level_cap <= 14:
             raise DomainError("quadrature level cap must be in [3, 14]")
+        return self
 
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(NamedTuple):
     label: str
-    fn: Callable[..., tuple[float, float]] = field(repr=False)
+    fn: Callable[..., tuple[float, float]]
+
+    def __repr__(self) -> str:
+        return f"Recipe(label={self.label!r})"
 
     def evaluate(self, params: tuple[float, ...],
                  opts: EvalOptions = EvalOptions()) -> tuple[float, float]:
         return self.fn(params, opts)
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     id: str
     section: int
     anchor: str
@@ -111,12 +119,11 @@ class IdentityRecord:
     # the parameters that take integers only, checked with the domain
     integer_params: tuple[str, ...] = ()
     default_params: tuple[tuple[float, ...], ...] = ((),)
-    reported: dict = field(default_factory=dict)
+    reported: Mapping = _NO_ENTRIES
     probe: str | None = None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     id: str
     params: tuple[float, ...]
     lhs_value: float
@@ -130,7 +137,7 @@ class Verdict:
     tol_class: str
     wall_time: float
     note: str = ""
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: Mapping = _NO_ENTRIES
 
 
 def _status(residual: float, budget: float) -> str:
@@ -1158,8 +1165,8 @@ class Registry:
             return self._verify_probe(rec, opts)
         diagnostics = {}
         if rec.expected == "DISPUTED":
-            opts = replace(opts, precise=True)
-            diagnostics = {"reported": rec.reported}
+            opts = opts._replace(precise=True)
+            diagnostics = {"reported": dict(rec.reported)}  # JSON-ready
         t0 = time.perf_counter()
         # a numeric or domain failure of a route gives an INCONCLUSIVE
         # verdict; any other exception is a program error and propagates

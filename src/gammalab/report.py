@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple
 
-from .registry import Registry, Verdict, failures
+from .registry import _NO_ENTRIES, Registry, Verdict, failures
 
 SCHEMA_VERSION = "1.1"
 
@@ -29,14 +29,13 @@ def _num(x: float):
     return float(format(x, ".15g"))
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     schema_version: str
     config: dict
     verdicts: list[Verdict]
     summary: dict
     total_wall_time: float
-    anchors: dict = field(default_factory=dict)
+    anchors: Mapping = _NO_ENTRIES
 
 
 def build_report(registry: Registry, verdicts: list[Verdict],

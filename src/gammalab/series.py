@@ -39,9 +39,8 @@ imports ``kernels``) and the registry's closed-form helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, EvaluationError
 from .kernels import _hurwitz, _hurwitz_prime
@@ -68,8 +67,7 @@ Orders = Mapping[int, float]
 Expansion = Callable[[int], tuple[Orders, Orders]]
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     value: float | complex
     abs_err: float
     terms_used: int

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate, chain, count
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, UnknownKeyError, integer_arg
 from .kernels import (
@@ -77,8 +76,7 @@ _TWO_PI = 2.0 * math.pi
 _CVZ_N_MIN = 9
 
 
-@dataclass(frozen=True)
-class SeriesEntry:
+class SeriesEntry(NamedTuple):
     label: str
     nparams: int
     fn: Callable[..., SeriesResult]
@@ -146,7 +144,7 @@ def s_1_20(u: float, max_terms: int | None = None) -> SeriesResult:
         floor=5e-15)
     if abs(u) < 1.0:
         # Taylor cross-route: sum_m (-1)^m zeta'(2m) u^(2m-2)
-        return replace(r, abs_err=r.abs_err + _taylor_check(
+        return r._replace(abs_err=r.abs_err + _taylor_check(
             r.value, u, lambda m: (-1.0) ** m * _zeta_prime_int(2 * m)))
     return r
 
@@ -158,7 +156,7 @@ def s_1_23(u: float, max_terms: int | None = None) -> SeriesResult:
         lambda n_last: (1.0 / (n * n + u2) for n in range(1, n_last + 1)),
         lambda n: quad_tail(-u2, {0: 1.0}, n), cap=max_terms, floor=5e-15)
     if abs(u) < 1.0:
-        return replace(r, abs_err=r.abs_err + _taylor_check(
+        return r._replace(abs_err=r.abs_err + _taylor_check(
             r.value, u, lambda m: (-1.0) ** (m + 1) * _zeta_int(2 * m)))
     return r
 

@@ -304,10 +304,13 @@ def test_max_terms_reaches_disputed_series_route(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("par", ["1", "2"])
-def test_verify_all_never_imports_numpy(par):
+def test_verify_all_import_guard(par):
     # the package has no runtime dependency, and every run computes in one
     # process: a whole cold run, lazy imports included, must finish without
-    # numpy or the process-pool machinery, whatever its --parallelism
+    # numpy or the process-pool machinery, whatever its --parallelism.  Its
+    # records are NamedTuples and its Bernoulli numbers integer pairs, so
+    # dataclasses (and the inspect it pulls in), fractions and decimal, a
+    # third of the cold import, stay out too
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -316,7 +319,9 @@ def test_verify_all_never_imports_numpy(par):
               f"rc = main(['verify', '--all', '--no-timing',\n"
               f"           '--parallelism', '{par}'])\n"
               "print([m for m in ('numpy', 'multiprocessing',\n"
-              "                   'concurrent.futures.process')\n"
+              "                   'concurrent.futures.process',\n"
+              "                   'dataclasses', 'inspect', 'fractions',\n"
+              "                   'decimal')\n"
               "       if m in sys.modules])\n"
               "sys.exit(rc)\n")
     out = subprocess.run([sys.executable, "-c", script], env=env,

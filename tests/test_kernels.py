@@ -4,6 +4,7 @@ functional equations)."""
 
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,6 +25,52 @@ from gammalab.errors import (
 C = K.get_constants()
 GAMMA = 0.5772156649015329  # classical reference value
 PI = math.pi
+
+
+# ---------------------------------------------------------------------------
+# the result type
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("err", [-1e-300, math.nan, math.inf])
+def test_fn_eval_result_rejects_bad_error(err):
+    with pytest.raises(ValueError):
+        K.FnEvalResult(1.0, err)
+
+
+def test_fn_eval_result_is_a_read_only_value():
+    r = K.FnEvalResult(1.5, 2e-16)
+    with pytest.raises(AttributeError):
+        r.value = 2.0
+    with pytest.raises(AttributeError):
+        del r.abs_err
+    assert repr(r) == "FnEvalResult(value=1.5, abs_err=2e-16)"
+    assert r == K.FnEvalResult(1.5, 2e-16) != K.FnEvalResult(1.5, 0.0)
+    assert r != (1.5, 2e-16)
+    assert hash(r) == hash(K.FnEvalResult(1.5, 2e-16))
+    assert pickle.loads(pickle.dumps(r)) == r
+
+
+SINGLE_VALUED = [
+    (K.log_gamma, (2.5,)), (K.digamma, (2.5,)), (K.polygamma, (1, 2.5)),
+    (K.lambda_fn, (0.5,)), (K.sine_integral, (1.0,)),
+    (K.exp_integral, (-1.0,)), (K.zeta_family, ("zeta", 2.0)),
+    (K.stieltjes_gamma1, ()), (K.log_barnes_g, (2.5,)),
+    (K.clausen_cl2, (1.0,)), (K.bernoulli_poly, (3, 0.3)),
+]
+
+
+@pytest.mark.parametrize("fn,args", SINGLE_VALUED,
+                         ids=[fn.__name__ for fn, _ in SINGLE_VALUED])
+def test_single_valued_kernels_return_no_tuple(fn, args):
+    # callers tell sici's pair from a single result by isinstance(r, tuple)
+    r = fn(*args)
+    assert type(r) is K.FnEvalResult and not isinstance(r, tuple)
+
+
+def test_sici_returns_a_pair_of_results():
+    r = K.sici(1.0)
+    assert type(r) is tuple and len(r) == 2
+    assert all(type(x) is K.FnEvalResult for x in r)
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +288,32 @@ def test_exp_integral_domain():
 # zeta family, Stieltjes constant
 # ---------------------------------------------------------------------------
 
+def _bernoulli_oracle(n_max):
+    """B_0 .. B_{n_max} by the defining recurrence in ``Fraction``."""
+    bs = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        bs.append(-sum(math.comb(m + 1, k) * bs[k] for k in range(m))
+                  / (m + 1))
+    return bs
+
+
 def test_bernoulli_floats_equal_exact_fractions():
-    # one table, grown on demand: asking for a shorter prefix later neither
-    # shrinks nor rebuilds it
+    # one table of reduced (numerator, denominator) pairs, grown on demand:
+    # asking for a shorter prefix later neither shrinks nor rebuilds it
     exact = K._bernoulli_fractions(30)
-    assert exact[:3] == (Fraction(1), Fraction(-1, 2), Fraction(1, 6))
-    assert exact[12] == Fraction(-691, 2730)
+    assert exact[:3] == ((1, 1), (-1, 2), (1, 6))
+    assert exact[12] == (-691, 2730)
+    table = K._BERNOULLI
     assert K._bernoulli_fractions(5) == exact[:6]
-    assert len(K._BERNOULLI) >= 31
+    assert K._BERNOULLI is table and len(table) >= 31
+    oracle = _bernoulli_oracle(30)
     for n in range(31):
-        assert K._bernoulli_float(n) == float(exact[n]), n
+        ref = oracle[n]
+        assert exact[n] == (ref.numerator, ref.denominator), n
+        assert K._bernoulli_float(n) == float(ref), n
+    for n in range(K._BPOLY_MAX + 1):
+        assert K._bpoly_coeffs(n) == tuple(
+            float(math.comb(n, k) * oracle[k]) for k in range(n + 1)), n
 
 
 def test_zeta_examples():

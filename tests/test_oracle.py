@@ -75,6 +75,14 @@ def test_clausen_cl2_any_theta(theta):
     assert _close(r.value, mp.clsin(2, t), r.abs_err), theta
 
 
+def test_bernoulli_table():
+    # the exact (numerator, denominator) pairs, and their floats rounded
+    # once, against mpmath's own Bernoulli fractions
+    for n, (num, den) in enumerate(K._bernoulli_fractions(30)):
+        assert (num, den) == mp.bernfrac(n), n
+        assert K._bernoulli_float(n) == float(mp.mpf(num) / den), n
+
+
 def test_gamma1():
     r = K.stieltjes_gamma1()
     assert _close(r.value, mp.stieltjes(1), r.abs_err)

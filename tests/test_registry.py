@@ -1,15 +1,17 @@
 """Registry tests: catalog contracts, verdict semantics, determinism,
 route independence, dispute adjudication."""
 
+import json
 import math
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
+from gammalab import kernels as K
 from gammalab import registry as R
 from gammalab.errors import DomainError, UnknownKeyError
 from gammalab.integral_catalog import integral_catalog
+from gammalab.quad import integrate
 from gammalab.registry import (
     EvalOptions,
     IdentityRecord,
@@ -31,6 +33,56 @@ def reg():
 @pytest.fixture(scope="module")
 def all_verdicts(reg):
     return reg.run_suite()
+
+
+# ---------------------------------------------------------------------------
+# record types
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs", [{"max_terms": 0}, {"level_cap": 2},
+                                    {"level_cap": 15}])
+def test_eval_options_checked_at_construction(kwargs):
+    with pytest.raises(DomainError):
+        EvalOptions(**kwargs)
+
+
+def test_eval_options_defaults_and_replace():
+    opts = EvalOptions()
+    assert repr(opts) == ("EvalOptions(max_terms=None, level_cap=10, "
+                          "precise=False)")
+    precise = opts._replace(precise=True)
+    assert type(precise) is EvalOptions and precise.precise
+    assert EvalOptions(5, 14) == EvalOptions(max_terms=5, level_cap=14)
+
+
+def test_records_are_read_only(reg):
+    verdict = reg.verify_identity("I-4.31")
+    quad = integrate(lambda x, xa, bx: x, 0.0, 1.0)
+    for rec in (K.FnEvalResult(1.0, 0.0), quad, verdict):
+        with pytest.raises(AttributeError):
+            rec.value = 2.0
+    with pytest.raises(AttributeError):
+        verdict.status = "CONFIRMED"
+
+
+def test_default_mappings_are_not_shared_dicts():
+    # a NamedTuple default is one object for every instance: the mapping
+    # defaults must be immutable, so no verdict or record can alter another
+    args = ("X", (), 1.0, 0.0, 1.0, 0.0, 0.0, 1e-9, "CONFIRMED",
+            "CONFIRMED", "strict", 0.0)
+    a, b = R.Verdict(*args), R.Verdict(*args)
+    for diag in (a.diagnostics, b.diagnostics):
+        assert diag == {} and not isinstance(diag, dict)
+        with pytest.raises(TypeError):
+            diag["x"] = 1
+    recipe = Recipe("expr 1", lambda p, o: (1.0, 0.0))
+    assert repr(recipe) == "Recipe(label='expr 1')"
+    rec = IdentityRecord("X", 1, "", recipe, recipe)
+    assert rec.reported == {} and not isinstance(rec.reported, dict)
+    # a DISPUTED record without quoted values reports a plain empty dict
+    disputed = Registry([rec._replace(expected="DISPUTED")])
+    assert json.dumps(disputed.verify_identity("X").diagnostics) == (
+        '{"reported": {}}')
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +236,7 @@ def test_route_independence_audit(reg):
     for rid in ("I-4.31", "I-6.34", "I-5.35", "I-3.13", "I-8.11"):
         plain = reg.verify_identity(rid)
         rec = reg.record(rid)
-        swapped = Registry([replace(rec, lhs=rec.rhs, rhs=rec.lhs)]) \
+        swapped = Registry([rec._replace(lhs=rec.rhs, rhs=rec.lhs)]) \
             .verify_identity(rid)
         assert plain.status == swapped.status
         assert plain.residual == pytest.approx(swapped.residual, rel=1e-12)
@@ -250,8 +302,8 @@ def test_dispute_7_11_symmetric_values(reg):
 def test_adjudication_equals_suite_verdict(reg, all_verdicts):
     suite = next(v for v in all_verdicts if v.id == "D-4.30")
     adjudicated = reg.verify_identity("D-4.30")
-    assert replace(adjudicated, wall_time=0.0) == replace(suite,
-                                                          wall_time=0.0)
+    assert adjudicated._replace(wall_time=0.0) == suite._replace(
+        wall_time=0.0)
     assert adjudicated.diagnostics["reported"] == {}
 
 
