@@ -89,6 +89,12 @@ def integral_catalog(key: str, params: tuple[float, ...] = (),
                 max_level=max_level)
 
 
+def _plus(quad: QuadCall, value: float, err: float, **opts) -> QuadResult:
+    """``quad(**opts)`` plus a known ``value`` with error bound ``err``."""
+    r = quad(**opts)
+    return r._replace(value=r.value + value, abs_err=r.abs_err + err)
+
+
 # ---------------------------------------------------------------------------
 # endpoint-safe building blocks on (0, 1)
 # ---------------------------------------------------------------------------
@@ -217,10 +223,7 @@ def q_1_13(p: float) -> QuadCall:
         raise DomainError(f"requires p > 0, got {p}")
     def f(x):
         return math.exp(-p * x) * _digamma_pos(1.0 + x)
-    def tail(t):
-        # psi(1+x) grows like log x, so f decays slower than e^(-p x)
-        return 0.0, math.exp(-p * t) * (math.log(1.0 + t) + 2.0) / p
-    return partial(integrate_semi_infinite, f, p, tail=tail)
+    return partial(integrate_semi_infinite, f, 1.0 / p)
 
 
 @_entry("Q-2.6-moment", "int_0^1 x e^(-p x) log Gamma(x) dx", 1)
@@ -459,6 +462,15 @@ def q_4_37_lhs() -> QuadCall:
 # section 5: semi-infinite family
 # ---------------------------------------------------------------------------
 
+def _wave_scale(x: float) -> float:
+    """1/|1 - ix|, the length of e^(-(1-ix)t), is the scale for sin(xt) and
+    cos(xt) against e^-t; the last node, t = 163/|1 - ix|, lies past
+    e^-t = e^-39 only while |x| <= 4."""
+    if not abs(x) <= 4.0:
+        raise DomainError(f"requires |x| <= 4, got {x}")
+    return 1.0 / math.hypot(1.0, x)
+
+
 @_entry("Q-5.4", "int_0^inf [sin(xt)/(t(e^t-1)) - x/(t e^t)] dt", 1)
 def q_5_4(x: float) -> QuadCall:
     def f(t):
@@ -467,7 +479,7 @@ def q_5_4(x: float) -> QuadCall:
                     + (x / 6.0 + x ** 3 / 12.0) * t * t)
         e = math.expm1(t)
         return (math.sin(x * t) + x * math.expm1(-t)) / (t * e)
-    return partial(integrate_semi_infinite, f, 1.0)
+    return partial(integrate_semi_infinite, f, _wave_scale(x))
 
 
 @_entry("Q-5.5", "int_0^inf [cos(xt)/(e^t-1) - 1/(t e^t)] dt", 1)
@@ -478,35 +490,35 @@ def q_5_5(x: float) -> QuadCall:
                     + (x * x / 4.0 + 1.0 / 6.0) * t * t)
         e = math.expm1(t)
         return (t * math.cos(x * t) + math.expm1(-t)) / (t * e)
-    return partial(integrate_semi_infinite, f, 1.0)
+    return partial(integrate_semi_infinite, f, _wave_scale(x))
 
 
 @_entry("Q-5.7", "int_0^inf [1/(e^t-1) - 1/t] cos(xt) dt", 1)
 def q_5_7(x: float) -> QuadCall:
     if x <= 0.0:
         raise DomainError(f"requires x > 0, got {x}")
-    def f(t):
+    # f ~ -cos(xt)/t does not decay exponentially: the rule covers [0, 46],
+    # and -int_46^inf cos(xt)/t dt = Ci(46 x), plus e^-46 dust
+    def f(t, da, db):
         if t < 1e-3:
             base = -0.5 + t / 12.0 - t ** 3 / 720.0
         else:
             e = math.expm1(t)
             base = (t - e) / (t * e)
         return base * math.cos(x * t)
-    def tail(t):
-        # -int_T^inf cos(xt)/t dt = Ci(x T), plus e^-T dust
-        return _sici_raw(x * t)[1], 2e-20
-    return partial(integrate_semi_infinite, f, 1.0, tail=tail)
+    return partial(_plus, partial(integrate, f, 0.0, 46.0),
+                   _sici_raw(46.0 * x)[1], 2e-20)
 
 
-# sinh(xt)/(e^t-1) and cosh(xt)/(e^t-1) are evaluated as
-# e^(-(1-x)t) (1 -+ e^(-2xt)) / (2 (1-e^(-t))): no factor overflows on the
-# window [0, 46/(1-x)], and 1 - e^(-2xt) comes from expm1, not from a
-# difference of nearly equal exponentials.
+# sinh(xt)/(e^t-1) and cosh(xt)/(e^t-1), at scale 1/(1-x), are evaluated as
+# e^(-(1-x)t) (1 -+ e^(-2xt)) / (2 (1-e^(-t))): no factor overflows at any
+# node, and 1 - e^(-2xt) comes from expm1, not from a difference of nearly
+# equal exponentials.
 
 @_entry("Q-5.34", "int_0^inf [sinh(xt)/(t(e^t-1)) - x/(t e^t)] dt", 1)
 def q_5_34(x: float) -> QuadCall:
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"requires 0 < x < 1, got {x}")
+    if not 0.0 <= x < 1.0:
+        raise DomainError(f"requires 0 <= x < 1, got {x}")
     def f(t):
         if t < 1e-4:
             return (0.5 * x + (x ** 3 / 6.0 - 5.0 * x / 12.0) * t
@@ -514,13 +526,13 @@ def q_5_34(x: float) -> QuadCall:
         em = math.expm1(-t)
         sinh_e = -0.5 * math.exp(-(1.0 - x) * t) * math.expm1(-2.0 * x * t)
         return (sinh_e + x * math.exp(-t) * em) / (-t * em)
-    return partial(integrate_semi_infinite, f, 1.0 - x)
+    return partial(integrate_semi_infinite, f, 1.0 / (1.0 - x))
 
 
 @_entry("Q-5.36", "int_0^inf [cosh(xt)/(e^t-1) - 1/(t e^t)] dt", 1)
 def q_5_36(x: float) -> QuadCall:
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"requires 0 < x < 1, got {x}")
+    if not 0.0 <= x < 1.0:
+        raise DomainError(f"requires 0 <= x < 1, got {x}")
     def f(t):
         if t < 1e-4:
             return (0.5 + (x * x / 2.0 - 5.0 / 12.0) * t
@@ -529,7 +541,7 @@ def q_5_36(x: float) -> QuadCall:
         cosh_e = (0.5 * math.exp(-(1.0 - x) * t)
                   * (1.0 + math.exp(-2.0 * x * t)))
         return (t * cosh_e + math.exp(-t) * em) / (-t * em)
-    return partial(integrate_semi_infinite, f, 1.0 - x)
+    return partial(integrate_semi_infinite, f, 1.0 / (1.0 - x))
 
 
 @_entry("Q-5.20", "int_0^x pi t cot(pi t) dt", 1)

@@ -1,31 +1,28 @@
 """Numerical integration built on the double-exponential transformation.
 
-The tanh-sinh substitution x = (a+b)/2 + (b-a)/2 * tanh((pi/2) sinh t)
-turns endpoint log-singular integrands into smooth, double-exponentially
-decaying ones, so one fixed rule family with level doubling covers every
-integrand this package meets.  Two calls cover every interval:
+Two rules share one level-doubling loop and one stopping test.  Each level
+halves the step of a trapezoid rule in a variable whose map makes the
+integrand decay double-exponentially at both ends.
 
-* ``integrate(f, a, b, limits)`` on a finite (a, b).  Integrands receive
+* ``integrate(f, a, b, limits)`` on a finite (a, b), by tanh-sinh,
+  x = (a+b)/2 + (b-a)/2 * tanh((pi/2) sinh t).  Integrands receive
   ``(x, da, db)`` where ``da``/``db`` are the exact distances to the
   endpoints; singular factors like ``log x`` must be evaluated as
   ``log(da)`` so that nodes hugging an endpoint keep full precision.  A
   log singularity needs no declaration.  ``limits=(lo, hi)`` names a
   removable 0/0 value at an endpoint: nodes closer to that endpoint than
   1e-8 of the interval use it instead of calling f.
-* ``integrate_semi_infinite(f, rate, ..., tail)`` on [0, inf).  ``f(t)``
-  receives the exact t.  The rule runs on [0, T] with T = 46/rate, and
-  ``tail(T)`` returns ``(value, bound)`` for the rest, added to the value
-  and the error.  The default tail is ``(0, 2|f(T)|/rate)``: it bounds the
-  rest when |f(t)| <= |f(T)| e^(-rate (t-T)) for t >= T, that is when f
-  decays at least at ``rate`` from T on.  An integrand that decays more
-  slowly, or oscillates with a non-decaying envelope, must pass its own
-  tail.
+* ``integrate_semi_infinite(f, scale)`` on [0, inf), by exp-sinh,
+  t = scale * exp(u - e^-u).  ``f(t)`` receives the exact t and must decay
+  like e^(-t/scale): the last node is at t = 163 scale.  A scale that is
+  wrong by a small factor costs levels, not the bound: one 4x too small
+  still leaves only e^-40 of f past the last node.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, EvaluationError
@@ -34,6 +31,7 @@ __all__ = ["QuadResult", "integrate", "integrate_semi_infinite"]
 
 _EPS = 2.220446049250313e-16
 _T_MAX = 4.0
+_U_MAX = math.log(60.0) + 1.0
 _DEFAULT_MAX_LEVEL = 10
 
 
@@ -71,14 +69,32 @@ def _not_finite(x: float, v: float) -> EvaluationError:
     return EvaluationError(f"integrand not finite at x={x!r}: {v!r}")
 
 
-def _add_level(f, nodes, a, b, width, cut, limits, acc, abs_acc):
+@lru_cache(maxsize=None)
+def _exp_sinh_nodes(level: int) -> tuple[tuple[float, float], ...]:
+    """Exp-sinh abscissae new at this level: (x, dx/du) at x = exp(u - e^-u)
+    for u in [-4, log 60 + 1], the integers at level 0 and later only the
+    odd multiples of their h."""
+    h = 2.0 ** (-level)
+    k0, k1 = -4 * 2 ** level, int(_U_MAX / h)
+    ks = range(k0, k1 + 1) if level == 0 else range(k0 + 1, k1 + 1, 2)
+    out = []
+    for k in ks:
+        e = math.exp(-k * h)
+        x = math.exp(k * h - e)
+        out.append((x, x * (1.0 + e)))
+    return tuple(out)
+
+
+def _add_level(f, a, b, width, cut, limits, level, acc, abs_acc):
     """Add w*(f(hi) + f(lo)) to ``acc`` and w*|f(hi) + f(lo)| to
-    ``abs_acc`` for each node pair of one level, in node order.
+    ``abs_acc`` for each tanh-sinh node pair of one level, in node order;
+    return both sums and the number of evaluations.
 
     Both nodes of a pair lie d = width*(1-sigma) < width/2 from their
     nearer endpoint, so only that endpoint's limit can stand in for f.
     The node near b is evaluated first.
     """
+    nodes = _nodes(level)
     lo_lim, hi_lim = limits
     isfinite = math.isfinite
     for om, w in nodes:
@@ -99,7 +115,49 @@ def _add_level(f, nodes, a, b, width, cut, limits, acc, abs_acc):
         v = hi + lo
         acc += w * v
         abs_acc += w * abs(v)
-    return acc, abs_acc
+    return acc, abs_acc, 2 * len(nodes)
+
+
+def _add_half_line(f, scale, level, acc, abs_acc):
+    """``_add_level`` for the exp-sinh nodes of one level: w*f(scale*x)."""
+    nodes = _exp_sinh_nodes(level)
+    isfinite = math.isfinite
+    for x, w in nodes:
+        v = f(scale * x)
+        if not isfinite(v):
+            raise _not_finite(scale * x, v)
+        acc += w * v
+        abs_acc += w * abs(v)
+    return acc, abs_acc, len(nodes)
+
+
+def _levels(add, total, abs_total, evals, scale, tol, max_level):
+    """The level-doubling loop and stopping test of both rules.  ``add`` is
+    ``_add_level`` or ``_add_half_line`` with its integrand bound; ``total``,
+    ``abs_total`` and ``evals`` are the rule's sums before level 0, and
+    ``scale`` maps the rule's own variable to the integral's."""
+    if max_level > 14:
+        raise DomainError("level cap is 14")
+    total, abs_total, n = add(0, total, abs_total)
+    evals += n
+    value = total
+    prev = prev2 = None
+    err = abs(value)
+    for level in range(1, max_level + 1):
+        new, abs_total, n = add(level, 0.0, abs_total)
+        evals += n
+        h = 0.5 ** level
+        prev2, prev = prev, value
+        total += new
+        value = h * total
+        # 10 e1^2/e2 while the differences shrink, floored at the rounding
+        e1 = abs(value - prev)
+        e2 = 0.0 if prev2 is None else abs(prev - prev2)
+        est = e1 * (e1 / e2) if e2 > e1 else e1
+        err = max(10.0 * est, 40.0 * _EPS * h * abs_total)
+        if err * scale <= tol and level >= 3:
+            return QuadResult(value * scale, err * scale, evals, True)
+    return QuadResult(value * scale, err * scale, evals, False)
 
 
 def integrate(
@@ -116,83 +174,28 @@ def integrate(
     """
     if not (a < b):
         raise DomainError(f"integrate requires a < b, got [{a}, {b}]")
-    if max_level > 14:
-        raise DomainError("level cap is 14")
     width = b - a
     # nodes nearer than this to an endpoint with a limit take the limit
     cut = 1e-8 * width
     half = 0.5 * width
-    # level 0: t = 0 plus the cached positive abscissae, mirrored
+    # level 0 also holds the centre, t = 0
     fmid = f(a + half, half, width - half)
     if not math.isfinite(fmid):
         raise _not_finite(a + half, fmid)
-    total = 0.25 * math.pi * fmid
-    abs_total = 0.25 * math.pi * abs(fmid)
-    nodes = _nodes(0)
-    total, abs_total = _add_level(f, nodes, a, b, width, cut, limits, total,
-                                  abs_total)
-    evals = 1 + 2 * len(nodes)
-    h = 1.0
-    value = h * total
-    prev = None
-    prev2 = None
-    err = abs(value)
-    converged = False
-    for level in range(1, max_level + 1):
-        nodes = _nodes(level)
-        new, abs_total = _add_level(f, nodes, a, b, width, cut, limits, 0.0,
-                                    abs_total)
-        evals += 2 * len(nodes)
-        h *= 0.5
-        prev2, prev = prev, value
-        total += new
-        value = h * total
-        e1 = abs(value - prev)
-        floor = 40.0 * _EPS * h * abs_total
-        if prev2 is not None:
-            e2 = abs(prev - prev2)
-            if e1 == 0.0:
-                est = 0.0
-            elif e2 > e1:
-                est = e1 * (e1 / e2)
-            else:
-                est = e1
-        else:
-            est = e1
-        err = max(10.0 * est, floor)
-        if err * width <= tol and level >= 3:
-            converged = True
-            break
-    return QuadResult(value * width, err * width, evals, converged)
+    return _levels(partial(_add_level, f, a, b, width, cut, limits),
+                   0.25 * math.pi * fmid, 0.25 * math.pi * abs(fmid), 1,
+                   width, tol, max_level)
 
 
 def integrate_semi_infinite(
     f: Callable[[float], float],
-    rate: float,
+    scale: float,
     tol: float = 1e-10,
     max_level: int = _DEFAULT_MAX_LEVEL,
-    tail: Callable[[float], tuple[float, float]] | None = None,
 ) -> QuadResult:
-    """Integrate f over [0, inf); f is called as f(t).
-
-    The rule runs on [0, T], T = 46/rate; ``tail(T)`` gives the value and
-    error bound of the integral over [T, inf), by default
-    ``(0, 2|f(T)|/rate)`` (see the module docstring for when that holds).
-    """
-    if not rate > 0.0:
-        raise DomainError(f"decay rate must be positive, got {rate}")
-    t_split = 46.0 / rate
-
-    def g(x: float, da: float, db: float) -> float:
-        return f(da)
-
-    core = integrate(g, 0.0, t_split, tol=tol, max_level=max_level)
-    evals = core.evals
-    if tail is None:
-        tail_value = 0.0
-        tail_bound = 2.0 * abs(f(t_split)) / rate + 1e-280
-        evals += 1
-    else:
-        tail_value, tail_bound = tail(t_split)
-    return QuadResult(core.value + tail_value, core.abs_err + tail_bound,
-                      evals, core.converged)
+    """Integrate f over [0, inf); f is called as f(t) and must decay like
+    e^(-t/scale)."""
+    if not 0.0 < scale < math.inf:
+        raise DomainError(f"scale must be positive and finite, got {scale}")
+    return _levels(partial(_add_half_line, f, scale), 0.0, 0.0, 0, scale,
+                   tol, max_level)

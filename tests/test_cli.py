@@ -352,7 +352,8 @@ def test_verify_all_passes_benchmark_reference(tmp_path, monkeypatch):
 def test_perfbench_tracer_binds_current_names(tmp_path, monkeypatch):
     # perfbench wraps gammalab functions by the names its callers look up,
     # so a rename in the package breaks a traced benchmark run: run one,
-    # and resolve every kernel name the reference maker records
+    # and resolve every kernel name the reference maker records; I-1.12's
+    # quadrature is the one on a finite interval, so it reaches quad.integrate
     root = Path(__file__).resolve().parents[1]
     bench = root / "perfbench"
     if not (bench / "worker.py").exists():
@@ -361,7 +362,7 @@ def test_perfbench_tracer_binds_current_names(tmp_path, monkeypatch):
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, str(bench / "worker.py"), "cli", str(tmp_path), "--",
-         "verify", "--ids", "I-3.8,I-5.4,I-4.16", "--no-timing"],
+         "verify", "--ids", "I-1.12,I-3.8,I-5.4,I-4.16", "--no-timing"],
         env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     (spans_file,) = tmp_path.glob("spans-*.json")

@@ -329,6 +329,26 @@ def test_lhs_5_48(x):
     assert _close(value, ref, err)
 
 
+# the half-line integrals, cached by make_oracle_data.py: 500 uniform draws
+# over each identity's domain, its ends, and five Q-5.36 points where an
+# earlier half-line rule was off by up to 7 400x its claim
+_HALFLINE = json.loads((Path(__file__).resolve().parent / "data"
+                        / "halfline.json").read_text())["rows"]
+
+
+@pytest.mark.parametrize("key", sorted({row[0] for row in _HALFLINE}))
+def test_halfline_error_honesty(key):
+    rows = [(x, mp.mpf(ref)) for k, x, ref in _HALFLINE if k == key]
+    assert len(rows) >= 500
+    bad = []
+    for x, ref in rows:
+        r = integral_catalog(key, (x,))
+        true_err = abs(mp.mpf(r.value) - ref)
+        if not true_err <= 2 * r.abs_err:
+            bad.append((x, float(true_err), r.abs_err))
+    assert bad == []
+
+
 def test_q_5_36_near_one():
     r = integral_catalog("Q-5.36", (0.999,))
     x = mp.mpf(0.999)

@@ -163,22 +163,23 @@ def test_converged_implies_within_tolerance(key, params, tol):
         assert r.abs_err <= tol
 
 
-def test_semi_infinite_tail_contract():
-    # e^-t on [0, 46] plus an exact tail e^-T integrates to 1
-    calls = []
-    def tail(t):
-        calls.append(t)
-        return math.exp(-t), 1e-30
-    r = integrate_semi_infinite(lambda t: math.exp(-t), 1.0, 1e-12,
-                                tail=tail)
-    assert calls == [46.0]
-    assert abs(r.value - 1.0) <= r.abs_err
-    # the default tail bounds the rest by 2|f(T)|/rate and adds nothing
-    r = integrate_semi_infinite(lambda t: math.exp(-0.5 * t), 0.5, 1e-12)
-    assert r.abs_err >= 2.0 * math.exp(-46.0) / 0.5
-    assert abs(r.value - 2.0) <= r.abs_err
+def test_semi_infinite_scale_contract():
+    # e^(-t/s) integrates to s within its bar at the scale it decays on,
+    # and still when the scale passed is off by 4x either way
+    for s in (0.01, 1.0, 100.0):
+        for scale in (s, 0.25 * s, 4.0 * s):
+            r = integrate_semi_infinite(lambda t: math.exp(-t / s), scale,
+                                        1e-12)
+            assert r.converged, (s, scale)
+            assert abs(r.value - s) <= r.abs_err, (s, scale)
+    for scale in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            integrate_semi_infinite(lambda t: 0.0, scale)
     with pytest.raises(DomainError):
-        integrate_semi_infinite(lambda t: 0.0, 0.0)
+        integrate_semi_infinite(lambda t: 0.0, 1.0, max_level=15)
+    for bad in (lambda t: math.inf if t > 10.0 else 0.0, lambda t: math.nan):
+        with pytest.raises(EvaluationError):
+            integrate_semi_infinite(bad, 1.0)
 
 
 def test_engine_error_paths():
@@ -212,20 +213,28 @@ def test_entries_take_only_their_parameters():
     ("Q-4.31", (), 1e-8),       # cot-weighted: its own default
     ("Q-6.14", (), 1e-10),      # delegates to Q-6.10
     ("Q-5.20", (0.5,), 1e-10),  # removable limit at an endpoint
-    ("Q-1.13", (1.0,), 1e-10),  # half-line, with its own tail
+    ("Q-1.13", (1.0,), 1e-10),  # half-line, exp-sinh
+    ("Q-5.7", (0.7,), 1e-10),   # [0, 46] plus a known tail
 ])
 def test_catalog_applies_tol_and_level_cap(monkeypatch, key, params,
                                            default_tol):
-    # entries build their call when they run, so an `integrate` rebound
-    # after import (as perfbench's tracer does) sees every call
+    # entries build their call when they run, so an `integrate` or
+    # `integrate_semi_infinite` rebound after import (as perfbench's tracer
+    # does with `integrate`) sees every call
     seen = []
 
     def recording(f, a, b, limits=(None, None), tol=1e-10, max_level=10):
         seen.append((tol, max_level))
         return integrate(f, a, b, limits, tol, max_level)
+
+    def recording_half_line(f, scale, tol=1e-10, max_level=10):
+        seen.append((tol, max_level))
+        return integrate_semi_infinite(f, scale, tol, max_level)
     for name in ("gammalab.quad", "gammalab.integral_catalog"):
-        monkeypatch.setattr(importlib.import_module(name), "integrate",
-                            recording)
+        module = importlib.import_module(name)
+        monkeypatch.setattr(module, "integrate", recording)
+        monkeypatch.setattr(module, "integrate_semi_infinite",
+                            recording_half_line)
     integral_catalog(key, params, max_level=4)
     integral_catalog(key, params, tol=1e-12, max_level=12)
     assert seen == [(default_tol, 4), (1e-12, 12)]
@@ -237,7 +246,11 @@ def test_catalog_unknown_and_arity():
     with pytest.raises(DomainError):
         integral_catalog("Q-1.1")          # missing parameter
     with pytest.raises(DomainError):
-        integral_catalog("Q-5.34", (1.5,))  # outside (0,1)
+        integral_catalog("Q-5.34", (1.5,))  # outside [0,1)
+    with pytest.raises(DomainError):
+        integral_catalog("Q-5.36", (1.0,))  # diverges at 1
+    with pytest.raises(DomainError):
+        integral_catalog("Q-5.5", (4.5,))   # past the rule's reach
 
 
 def test_catalog_spot_values():
@@ -264,7 +277,7 @@ def test_divergence_probes_not_cauchy():
 
 @pytest.mark.parametrize("x", [0.95, 0.99, 0.999])
 def test_sinh_cosh_transforms_near_one(x):
-    # the window [0, 46/(1-x)] passes t = 709, where e^t overflows
+    # the far nodes, t ~ 163/(1-x), pass t = 709, where e^t overflows
     exact = {
         "Q-5.34": 0.5 * (math.lgamma(1.0 - x) - math.lgamma(1.0 + x)),
         "Q-5.36": -0.5 * (K.digamma(1.0 + x).value
@@ -274,6 +287,17 @@ def test_sinh_cosh_transforms_near_one(x):
         r = integral_catalog(key, (x,))
         assert math.isfinite(r.value) and math.isfinite(r.abs_err)
         assert abs(r.value - value) <= r.abs_err, key
+
+
+def test_sinh_cosh_transforms_at_zero():
+    # both integrals exist at x = 0, where the scale 1/(1-x) is 1: 0 and gamma
+    r = integral_catalog("Q-5.34", (0.0,))
+    assert r.converged and r.value == 0.0
+    r = integral_catalog("Q-5.36", (0.0,))
+    assert r.converged and abs(r.value - GAMMA) <= r.abs_err
+    reg = Registry()
+    for rid in ("I-5.35", "I-5.36"):
+        assert reg.verify_identity(rid, (0.0,)).status == "CONFIRMED", rid
 
 
 def test_rounding_floor_does_not_grow_with_level():
