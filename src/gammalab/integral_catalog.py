@@ -2,10 +2,11 @@
 
 Every finite-interval integrand is written against the ``(x, da, db)``
 protocol of the quadrature engine, and every half-line one receives the
-exact t: singular or cancelling factors are evaluated from the exact
-endpoint distances, removable 0/0 spots get explicit Taylor patches,
-and cot-weighted entries keep full relative accuracy at both ends of the
-interval.
+exact t and runs on the one exp-sinh rule: singular or cancelling factors
+are evaluated from the exact endpoint distances, removable 0/0 spots get
+explicit Taylor patches, and cot-weighted entries keep full relative
+accuracy at both ends of the interval.  Q-5.7's slowly decaying part is
+added in closed form, with its rounding bound, through ``_plus``.
 
 An entry returns its quadrature call without running it, e.g.
 ``partial(integrate, f, 0.0, 1.0, limits)``; ``integral_catalog`` alone
@@ -32,10 +33,9 @@ from .kernels import (
     _lgamma1p,
     _lnG_base,
     _require_finite,
-    _sici_raw,
     _zeta_int,
 )
-from .quad import QuadResult, integrate, integrate_semi_infinite
+from .quad import _EPS, QuadResult, integrate, integrate_semi_infinite
 
 __all__ = ["IntegralEntry", "INTEGRAL_CATALOG", "integral_catalog",
            "list_integral_ids", "probe_cauchy"]
@@ -151,6 +151,13 @@ def _psi_s(x: float, da: float, db: float) -> float:
     if da <= 0.5:
         return _digamma_pos(1.0 + da) - 1.0 / da
     return _digamma_pos(x)
+
+
+def _psi_half_s(x: float, da: float) -> float:
+    """psi(x/2) on (0,1); the 2/x pole is carried exactly."""
+    if da <= 1.0:
+        return _digamma_pos(1.0 + 0.5 * da) - 2.0 / da
+    return _digamma_pos(0.5 * x)
 
 
 def _cot_pi_s(x: float, da: float, db: float) -> float:
@@ -452,9 +459,7 @@ def q_4_36_lhs() -> QuadCall:
 @_entry("Q-4.37-lhs", "int_0^1 x log Gamma(x) psi(1-x) dx")
 def q_4_37_lhs() -> QuadCall:
     def f(x, da, db):
-        psi_ref = (_digamma_pos(1.0 + db) - 1.0 / db if db <= 0.5
-                   else _digamma_pos(1.0 - x))
-        return x * _lgamma_s(x, da, db) * psi_ref
+        return x * _lgamma_s(x, da, db) * _psi_s(1.0 - x, db, da)
     return partial(integrate, f, 0.0, 1.0)
 
 
@@ -497,17 +502,21 @@ def q_5_5(x: float) -> QuadCall:
 def q_5_7(x: float) -> QuadCall:
     if x <= 0.0:
         raise DomainError(f"requires x > 0, got {x}")
-    # f ~ -cos(xt)/t does not decay exponentially: the rule covers [0, 46],
-    # and -int_46^inf cos(xt)/t dt = Ci(46 x), plus e^-46 dust
-    def f(t, da, db):
+    # 1/(e^t-1) - 1/t = [1/(e^t-1) - e^-t/t] - (1-e^-t)/t: the bracket decays
+    # like e^-t, and int_0^inf (1-e^-t) cos(xt)/t dt = log(1 + 1/x^2)/2
+    def f(t):
         if t < 1e-3:
-            base = -0.5 + t / 12.0 - t ** 3 / 720.0
+            # next term -41 t^5/30240 is below rounding at the cut
+            base = 0.5 - t * (5.0 / 12.0 - t * (1.0 / 6.0 - t * (
+                31.0 / 720.0 - t / 120.0)))
         else:
-            e = math.expm1(t)
-            base = (t - e) / (t * e)
+            base = (t + math.expm1(-t)) / (t * math.expm1(t))
         return base * math.cos(x * t)
-    return partial(_plus, partial(integrate, f, 0.0, 46.0),
-                   _sici_raw(46.0 * x)[1], 2e-20)
+    # log(1 + 1/x^2)/2 as log(1 + x^2)/2 - log x: 1/x^2 overflows for tiny x
+    half_log, log_x = 0.5 * math.log1p(x * x), math.log(x)
+    quad = partial(integrate_semi_infinite, f, _wave_scale(x))
+    return partial(_plus, quad, log_x - half_log,
+                   4.0 * _EPS * (1.0 + half_log + abs(log_x)))
 
 
 # sinh(xt)/(e^t-1) and cosh(xt)/(e^t-1), at scale 1/(1-x), are evaluated as
@@ -594,9 +603,7 @@ def q_5_53_lhs(u: float) -> QuadCall:
 def q_6_7_1() -> QuadCall:
     def f(x, da, db):
         s = math.sin(_PI * min(da, db))
-        psi_ref = (_digamma_pos(1.0 + db) - 1.0 / db if db <= 0.5
-                   else _digamma_pos(1.0 - x))
-        return 2.0 * s * s * psi_ref
+        return 2.0 * s * s * _psi_s(1.0 - x, db, da)
     return partial(integrate, f, 0.0, 1.0, (None, 0.0))
 
 
@@ -675,18 +682,14 @@ def q_6_34() -> QuadCall:
 @_entry("Q-6.38", "int_0^1 x(1-x) cos(pi x) psi(x/2) dx")
 def q_6_38() -> QuadCall:
     def f(x, da, db):
-        psi_half = _digamma_pos(1.0 + 0.5 * da) - 2.0 / da if da <= 1.0 \
-            else _digamma_pos(0.5 * x)
-        return da * db * math.cos(_PI * x) * psi_half
+        return da * db * math.cos(_PI * x) * _psi_half_s(x, da)
     return partial(integrate, f, 0.0, 1.0, (-2.0, None))
 
 
 @_entry("Q-6.40", "int_0^1 x(1-x) psi(x/2) dx")
 def q_6_40() -> QuadCall:
     def f(x, da, db):
-        psi_half = _digamma_pos(1.0 + 0.5 * da) - 2.0 / da if da <= 1.0 \
-            else _digamma_pos(0.5 * x)
-        return da * db * psi_half
+        return da * db * _psi_half_s(x, da)
     return partial(integrate, f, 0.0, 1.0, (-2.0, None))
 
 

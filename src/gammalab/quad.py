@@ -16,7 +16,8 @@ integrand decay double-exponentially at both ends.
   t = scale * exp(u - e^-u).  ``f(t)`` receives the exact t and must decay
   like e^(-t/scale): the last node is at t = 163 scale.  A scale that is
   wrong by a small factor costs levels, not the bound: one 4x too small
-  still leaves only e^-40 of f past the last node.
+  still leaves only e^-40 of f past the last node.  A slower part of an
+  integrand must be split off in closed form first.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ verdict classifies their residual against the combined error budget:
     REFUTED     residual >  100 * budget
     INCONCLUSIVE otherwise
 
-where budget = lhs.abs_err + rhs.abs_err + TOL_CLASS[record.tol_class];
-the class is the record's own and no call overrides it.
+where budget = lhs.abs_err + rhs.abs_err + 1e-9, one floor for every
+record and every call.
 ``Registry.verify_identity`` is the one way to a verdict, and ``run_suite``
 maps it over records.  DISPUTED records carry the source's own quoted
 machine values: they are adjudicated with precise quadrature, reported
@@ -49,10 +49,10 @@ from .series_catalog import (
     sum_catalog,
 )
 
-__all__ = ["EvalOptions", "IdentityRecord", "Verdict", "Registry",
-           "TOL_CLASS"]
+__all__ = ["EvalOptions", "IdentityRecord", "Verdict", "Registry"]
 
-TOL_CLASS = {"strict": 1e-9, "standard": 1e-7, "slow": 1e-5}
+# the one budget floor, divergence probes included
+_FLOOR = 1e-9
 _REFUTE_FACTOR = 100.0
 # the mapping fields' default, one object shared by every record: read-only
 _NO_ENTRIES: Mapping = MappingProxyType({})
@@ -112,7 +112,6 @@ class IdentityRecord(NamedTuple):
     anchor: str
     lhs: Recipe
     rhs: Recipe
-    tol_class: str = "strict"
     expected: str = "CONFIRMED"
     param_names: tuple[str, ...] = ()
     param_domain: tuple[tuple[float, float], ...] = ()
@@ -134,7 +133,6 @@ class Verdict(NamedTuple):
     budget: float
     status: str
     expected: str
-    tol_class: str
     wall_time: float
     note: str = ""
     diagnostics: Mapping = _NO_ENTRIES
@@ -580,7 +578,7 @@ def build_records() -> list[IdentityRecord]:
         "I-3.14", 3, "(3.14): Ci-weighted sum vs Si/Ci closed form "
                      "(marked uncertain at source)",
         _ser("S-3.14"), _expr("Si/Ci closed form (3.14)", _rhs_3_14),
-        tol_class="strict", expected="DISPUTED",
+        expected="DISPUTED",
         param_names=("p",), param_domain=((0.0, 2.0),),
         default_params=((0.5,), (1.0,), (1.5,))))
     add(IdentityRecord(
@@ -677,7 +675,6 @@ def build_records() -> list[IdentityRecord]:
         "I-4.16", 4, "(4.16): Fourier series of log G",
         _ser("FS-4.16"),
         _expr("log Barnes G", lambda x: K._lnG(x)),
-        tol_class="slow",
         param_names=("x",), param_domain=((0.0, 1.0),),
         default_params=((0.25,), (0.5,), (0.75,))))
     add(IdentityRecord(
@@ -805,7 +802,6 @@ def build_records() -> list[IdentityRecord]:
         _quad("Q-5.7"),
         _expr("log x + regularised sum",
               lambda x: math.log(x) + K.lambda_fn(x).value, err=2e-13),
-        tol_class="standard",
         param_names=("x",), param_domain=((0.0, 4.0),),
         default_params=((0.3,), (0.7,), (1.5,))))
     add(IdentityRecord(
@@ -1059,7 +1055,6 @@ def build_records() -> list[IdentityRecord]:
         _quad("Q-7.15"),
         _series_expr("Kummer/Barnes closed-plus-residual series",
                      psi_sin_partial),
-        tol_class="standard",
         param_names=("u",), param_domain=((0.0, 1.0),),
         default_params=((0.25,), (0.5,), (1.0,))))
     add(IdentityRecord(
@@ -1155,9 +1150,8 @@ class Registry:
                         params: tuple[float, ...] | None = None,
                         opts: EvalOptions = EvalOptions()) -> Verdict:
         """The verdict of record ``rid`` at ``params`` (by default its first
-        default point), at the record's tolerance class.  A DISPUTED record
-        runs with precise options and carries the source's quoted values
-        as ``diagnostics["reported"]``."""
+        default point).  A DISPUTED record runs with precise options and
+        carries the source's quoted values as ``diagnostics["reported"]``."""
         rec = self.record(rid)
         params = tuple(rec.default_params[0] if params is None else params)
         self.check_params(rec, params)
@@ -1177,15 +1171,15 @@ class Registry:
             dt = time.perf_counter() - t0
             return Verdict(rec.id, params, math.nan, math.inf, math.nan,
                            math.inf, math.inf, math.inf, "INCONCLUSIVE",
-                           rec.expected, rec.tol_class, dt,
+                           rec.expected, dt,
                            note=f"route failure: {exc}",
                            diagnostics=diagnostics)
         residual = abs(lv - rv)
-        budget = le + re_ + TOL_CLASS[rec.tol_class]
+        budget = le + re_ + _FLOOR
         status = _status(residual, budget)
         dt = time.perf_counter() - t0
         return Verdict(rec.id, params, lv, le, rv, re_, residual, budget,
-                       status, rec.expected, rec.tol_class, dt,
+                       status, rec.expected, dt,
                        diagnostics=diagnostics)
 
     def _verify_probe(self, rec: IdentityRecord,
@@ -1199,12 +1193,12 @@ class Registry:
             errs += r.abs_err
         d1 = vals[1] - vals[0]
         d2 = vals[2] - vals[1]
-        budget = errs + TOL_CLASS["strict"]
+        budget = errs + _FLOOR
         diverges = abs(d2) > 0.5 * abs(d1) and abs(d1) > 1e3 * budget
         dt = time.perf_counter() - t0
         return Verdict(rec.id, (), d1, errs, d2, errs, abs(d2) - abs(d1),
                        budget, "CONFIRMED" if diverges else "INCONCLUSIVE",
-                       rec.expected, "strict", dt,
+                       rec.expected, dt,
                        note="successive cutoff increments must not shrink",
                        diagnostics={"values": vals})
 

@@ -8,7 +8,7 @@ from typing import Mapping, NamedTuple
 
 from .registry import _NO_ENTRIES, Registry, Verdict, failures
 
-SCHEMA_VERSION = "1.1"
+SCHEMA_VERSION = "1.2"
 
 __all__ = ["Report", "SCHEMA_VERSION", "build_report", "to_json",
            "to_markdown", "fmt15"]
@@ -68,7 +68,6 @@ def _verdict_dict(v: Verdict, anchor: str, timing: bool) -> dict:
         "budget": _num(v.budget),
         "status": v.status,
         "expected_status": v.expected,
-        "tol_class": v.tol_class,
     }
     if timing:
         d["wall_time"] = v.wall_time

@@ -13,14 +13,16 @@ relative error grows as the value shrinks (at 30 digits zeta(21, 65) is
 off by 3e-10 and zeta(56, 500) by 3e-9).  Takes about 20 s.
 
 ``data/halfline.json`` holds the half-line integrals Q-1.13, Q-5.4, Q-5.5,
-Q-5.34 and Q-5.36, one row ``[key, parameter, value]`` each: 500 seeded
-uniform draws over the ``param_domain`` of the identity each one serves,
-the domain's ends where the integral converges, and for Q-5.36 five points
-where an earlier half-line rule claimed 3e-13 to 8e-11 and was off by up to
-2.3e-6.  The Q-5 values come from DLMF 5.9.16, psi(z) =
+Q-5.34, Q-5.36 and Q-5.7, one row ``[key, parameter, value]`` each: 500
+seeded uniform draws over the ``param_domain`` of the identity each one
+serves, the domain's ends where the integral converges, and for Q-5.36 five
+points where an earlier half-line rule claimed 3e-13 to 8e-11 and was off by
+up to 2.3e-6.  The Q-5 values come from DLMF 5.9.16, psi(z) =
 int_0^inf (e^-t/t - e^(-zt)/(1-e^-t)) dt, at z = 1 +- x and 1 + ix (and its
-x-integral for the sin and sinh transforms); Q-1.13's from mpmath's own
-quadrature at 40 digits.  Written to 30 digits.  Takes about a minute.
+x-integral for the sin and sinh transforms; Q-5.7 is log x - Re psi(1+ix));
+Q-1.13's from mpmath's own quadrature at 40 digits.  The keys draw from one
+random stream in order, so a key appended at the end leaves the rows before
+it unchanged.  Written to 30 digits.  Takes about a minute.
 """
 
 import json
@@ -72,9 +74,11 @@ HALFLINE = {
                                     - mp.loggamma(1 + mp.mpf(x))) / 2),
     "Q-5.36": ("I-5.36", lambda x: -(mp.digamma(1 + mp.mpf(x))
                                      + mp.digamma(1 - mp.mpf(x))) / 2),
+    "Q-5.7": ("I-5.7", lambda x: mp.log(x)
+              - mp.re(mp.digamma(1 + 1j * mp.mpf(x)))),
 }
-# both sides diverge at x = 1
-OPEN_AT_ONE = ("Q-5.34", "Q-5.36")
+# the domain end where an integral diverges
+DIVERGES_AT = {"Q-5.34": 1.0, "Q-5.36": 1.0, "Q-5.7": 0.0}
 Q_5_36_POINTS = [0.6545, 0.7408, 0.8232, 0.8926, 0.9746]
 
 
@@ -86,7 +90,7 @@ def write_halfline() -> None:
     rows = []
     for key, (rid, ref) in HALFLINE.items():
         ((lo, hi),) = records[rid].param_domain
-        ends = [lo] if key in OPEN_AT_ONE else [lo, hi]
+        ends = [e for e in (lo, hi) if e != DIVERGES_AT.get(key)]
         params = ends + [rng.uniform(lo, hi) for _ in range(500)]
         if key == "Q-5.36":
             params += Q_5_36_POINTS

@@ -81,8 +81,9 @@ def test_verify_all_writes_report(tmp_path, capsys):
                 "--no-timing"])
     assert code == 0
     doc = json.loads(path.read_text())
-    assert doc["schema_version"] == "1.1"
+    assert doc["schema_version"] == "1.2"
     assert len(doc["verdicts"]) >= 60
+    assert not any("tol_class" in v for v in doc["verdicts"])
     assert doc["summary"]["failures"] == 0
     assert "wall_time" not in doc["verdicts"][0]
     text = md.read_text()
@@ -105,7 +106,7 @@ def test_verify_exit_two_on_refuted_confirmed(monkeypatch, capsys):
     corrupted = IdentityRecord(
         good.id, good.section, good.anchor, good.lhs,
         Recipe("wrong", lambda p, b: (0.75, 1e-15)),
-        good.tol_class, good.expected)
+        good.expected)
     monkeypatch.setattr(cli, "Registry",
                         lambda: Registry(records=[corrupted]))
     assert run(["verify", "--all"]) == 2

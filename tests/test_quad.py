@@ -214,7 +214,7 @@ def test_entries_take_only_their_parameters():
     ("Q-6.14", (), 1e-10),      # delegates to Q-6.10
     ("Q-5.20", (0.5,), 1e-10),  # removable limit at an endpoint
     ("Q-1.13", (1.0,), 1e-10),  # half-line, exp-sinh
-    ("Q-5.7", (0.7,), 1e-10),   # [0, 46] plus a known tail
+    ("Q-5.7", (0.7,), 1e-10),   # exp-sinh plus a closed-form part
 ])
 def test_catalog_applies_tol_and_level_cap(monkeypatch, key, params,
                                            default_tol):

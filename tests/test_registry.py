@@ -3,6 +3,7 @@ route independence, dispute adjudication."""
 
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -17,7 +18,6 @@ from gammalab.registry import (
     IdentityRecord,
     Recipe,
     Registry,
-    TOL_CLASS,
     build_records,
     failures,
 )
@@ -202,13 +202,32 @@ def test_verdict_classification_thresholds():
             "I-9.2", 9, "scratch: controlled residual",
             Recipe("a", lambda p, b: (1.0, 0.0)),
             Recipe("b", lambda p, b: (1.0 + gap, 0.0)))
-    tol = TOL_CLASS["strict"]
+    tol = R._FLOOR
     assert Registry([rec_with_gap(0.5 * tol)]).verify_identity(
         "I-9.2").status == "CONFIRMED"
     assert Registry([rec_with_gap(50 * tol)]).verify_identity(
         "I-9.2").status == "INCONCLUSIVE"
     assert Registry([rec_with_gap(1e4 * tol)]).verify_identity(
         "I-9.2").status == "REFUTED"
+
+
+@pytest.mark.parametrize("rid", ["I-4.16", "I-5.7", "I-7.15"])
+def test_one_floor_confirms_across_the_domain(reg, rid):
+    # the three records that once had a floor of 1e-7 or 1e-5 hold at the
+    # one floor: 500 seeded draws plus points 10^-k of the span from each end
+    (lo, hi), = reg.record(rid).param_domain
+    span = hi - lo
+    points = [p for k in (3, 6, 9) for p in (lo + 10.0 ** -k * span,
+                                             hi - 10.0 ** -k * span)]
+    rng = random.Random(18)
+    points += [rng.uniform(lo, hi) for _ in range(500)]
+    bad = []
+    for x in points:
+        v = reg.verify_identity(rid, (x,))
+        assert v.budget == v.lhs_err + v.rhs_err + R._FLOOR
+        if v.status != "CONFIRMED":
+            bad.append((x, v.status, v.residual, v.budget, v.note))
+    assert bad == []
 
 
 def test_suite_green_except_for_claimed_disputes(all_verdicts):
@@ -275,7 +294,6 @@ def test_equivalence_cluster_1_17(reg):
 
 def test_adjudication_diagnostics(reg):
     v = reg.verify_identity("D-4.26")
-    assert v.tol_class == "strict"
     assert v.diagnostics["reported"] == {"lhs": -0.121552, "rhs": -0.121155}
     # both sides to eight significant digits
     assert v.lhs_err < 1e-8 and v.rhs_err < 1e-8
@@ -344,7 +362,7 @@ def test_exit_code_contract_with_corrupted_entry():
     corrupted = IdentityRecord(
         good.id, good.section, good.anchor, good.lhs,
         Recipe("wrong constant", lambda p, b: (0.75, 1e-15)),
-        good.tol_class, good.expected)
+        good.expected)
     r = Registry(records=[corrupted])
     verdicts = r.run_suite()
     assert len(failures(verdicts)) == 1
