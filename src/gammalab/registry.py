@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 import time
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import truediv
+from itertools import chain, count, islice, repeat
+from operator import mul, sub, truediv
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -318,10 +318,21 @@ def _rhs_2_10(p: float) -> SeriesResult:
     The n = 1 term -p^2/(1-p^2) is taken out of the sum: times the scale
     it is -p sin(pi d)/(2 pi d (1+p)) with d = 1 - p, exact for p > 1/2,
     so that neither sin(p pi) nor 1 - p^2 cancels as p -> 1.  At p = 1
-    the scale is 0 and the n = 1 term -1/4; at p = 0 the scale is 1/2."""
+    the scale is 0 and the n = 1 term -1/4; at p = 0 the scale is 1/2.
+
+    The even and the odd terms, 1999 each, come from C-level iterators over
+    the floats n = 2, 4, .. and 3, 5, ..: n*n and n*(n*n - p*p) round as
+    they do with an integer n, and no list of terms is held."""
+    p2 = p * p
+
+    def half(first: float, sign: float):
+        def n():
+            return count(first, 2.0)
+        return islice(map(truediv, repeat(sign), map(mul, n(), map(
+            sub, map(mul, n(), n()), repeat(p2)))), 1999)
+
     acc = -math.log(2.0)
-    acc += p * p * math.fsum((-1.0) ** (n % 2) / (n * (n * n - p * p))
-                             for n in range(2, 4000))
+    acc += p2 * math.fsum(chain(half(2.0, 1.0), half(3.0, -1.0)))
     if p > 0.5:
         d = 1.0 - p
         sinc = math.sin(_PI * d) / (_PI * d) if d else 1.0

@@ -15,26 +15,24 @@ twice the next term, meets it.
 ``max_terms`` is a cap: below the target N an entry sums at the cap and
 reports its larger error.  Each entry declares the smallest cap
 (``n_min``) at which its bound holds; :func:`sum_catalog` rejects smaller
-caps with ``DomainError``.  Only ``FS-4.16`` keeps a fixed N (2000), the
-mean of its last 64 partial sums, and bounds its error by the smaller of
-a Dirichlet-kernel bound, the first omitted coefficients over sin(pi x),
-and a Fejer-kernel bound, about 1/128 of them over sin^2(pi x).
-``FS-7.1`` picks N from the same kind of Dirichlet-kernel bound, and
-:func:`psi_sin_partial` meets ``_PSI_SIN_TARGET`` = 1e-8 rather than the
-series target; these and the alternating pair S-4.29-rhs and S-6.33 call
-:func:`~gammalab.series.target_terms` on their own bounds.  Every partial
+caps with ``DomainError``.  ``FS-7.1`` picks N from a Dirichlet-kernel
+bound, and :func:`psi_sin_partial` meets ``_PSI_SIN_TARGET`` = 1e-8
+rather than the series target; these and the alternating pair S-4.29-rhs
+and S-6.33 call :func:`~gammalab.series.target_terms` on their own
+bounds.  Every partial
 sum is exactly rounded (``math.fsum``).  :func:`sum_catalog` rejects a
 non-finite parameter with ``DomainError``.
 
-``FS-6.2``, ``FS-8.13``, ``FS-8.14``, :func:`log_weighted_sin_sum` and
-the registry's alternating cosine sum share :func:`_bernoulli_fourier`:
-exact Bernoulli slices of their 1/n expansion plus a residual summed to
-the target N.
+``FS-4.16``, ``FS-6.2``, ``FS-8.13``, ``FS-8.14``,
+:func:`log_weighted_sin_sum` and the registry's alternating cosine sum
+share :func:`_bernoulli_fourier`: exact Bernoulli slices of their 1/n
+expansion plus a residual summed to the target N.  ``FS-4.16`` also sums
+the 1/n and log(n)/n orders of its coefficients in closed form, and its
+residual to n = 11, past which its bound holds.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 from itertools import accumulate, chain, count
@@ -42,6 +40,7 @@ from typing import Callable, NamedTuple
 
 from .errors import DomainError, UnknownKeyError, integer_arg
 from .kernels import (
+    _bernoulli_float,
     _bpoly,
     _ci_at_2pi_mult,
     _cl2,
@@ -329,7 +328,7 @@ def s_4_4_tn(n: float, max_terms: int | None = None) -> SeriesResult:
         cap=max_terms, floor=1e-13)
 
 
-# from this n on, the FS-4.16 table takes T_n from its large-n expansion
+# from this n on, FS-4.16 bounds a_n by the large-n expansion of T_n
 _TN_ASYMPTOTIC_N = 12
 # the expansion's orders zeta'(-2j)/n^(2j+2) kept, j = 1 .. 6; at n = 12
 # the first omitted one is 1.6e-18
@@ -746,19 +745,20 @@ def _bernoulli_slice(k: int, t: float) -> float:
 def _bernoulli_fourier(slices: dict[int, float], term: Callable[[int], float],
                        t: float, omitted: dict[int, float], n_first: int = 1,
                        max_terms: int | None = None, floor: float = 1e-13,
-                       scale: float = 1.0) -> SeriesResult:
+                       scale: float = 1.0, n_min: int = 1) -> SeriesResult:
     """``scale`` times sum_{n>=n_first} [sum_k a_k trig(2 pi n t)/n^k
     + term(n)].  The slices {k: a_k} are exact (:func:`_bernoulli_slice`
     less its terms below ``n_first``); the residual terms, whose first
     omitted order is ``omitted``, are summed through ``zeta_tail_sum`` to
-    the N that the target asks for, at most ``max_terms``.  The error is
-    the scaled truncation bound plus ``floor * (1 + |value|)``."""
+    the N that the target asks for, at least ``n_min`` and at most
+    ``max_terms``.  The error is the scaled truncation bound plus
+    ``floor * (1 + |value|)``."""
     exact = [a * (_bernoulli_slice(k, t) - math.fsum(
         (math.sin if k % 2 else math.cos)(_TWO_PI * n * t) / n ** k
         for n in range(1, n_first))) for k, a in slices.items()]
     r = zeta_tail_sum(
         lambda n_last: chain(exact, map(term, range(n_first, n_last + 1))),
-        omitted=omitted, cap=max_terms, floor=0.0)
+        omitted=omitted, n_min=n_min, cap=max_terms, floor=0.0)
     value = scale * r.value
     return SeriesResult(value, abs(scale) * r.abs_err
                         + floor * (1.0 + abs(value)), r.terms_used,
@@ -814,95 +814,71 @@ def fs_7_1(x: float, max_terms: int | None = None) -> SeriesResult:
     return SeriesResult(acc, err, n_last, "closed+residual")
 
 
-# FS-4.16 averages the last _FS_4_16_WINDOW partial sums
-_FS_4_16_WINDOW = 64
+@lru_cache(maxsize=1)
+def _log_g_residuals() -> tuple[tuple[tuple[float, float], ...], float]:
+    """(a_n - A_n, b_n - B_n) of :func:`fs_4_16` for n below
+    ``_TN_ASYMPTOTIC_N``, and the sum of their T_n errors over pi^2.
+
+    a_n - A_n = (T~_n - T_n)/pi^2, T~_n the expansion of
+    :func:`_tn_asymptotic` and T_n the direct ``S-4.4-Tn`` series;
+    b_n - B_n = (H~_n - H_n)/(2 pi n), H~_n = log n + gamma + 1/(2n)
+    - sum_{k<=6} B_2k/(2k n^2k)."""
+    gamma = get_constants().gamma
+    res, tn_err = [], 0.0
+    for n, h in _with_harmonic(_TN_ASYMPTOTIC_N - 1):
+        tn = s_4_4_tn(n)
+        tn_err += tn.abs_err
+        h_asym = math.log(n) + gamma + 0.5 / n - math.fsum(
+            _bernoulli_float(2 * k) / (2 * k * float(n) ** (2 * k))
+            for k in range(1, _TN_ORDERS + 1))
+        res.append(((_tn_asymptotic(n)[0] - tn.value) / _PI ** 2,
+                    (h_asym - h) / (_TWO_PI * n)))
+    return tuple(res), tn_err / _PI ** 2
 
 
-@lru_cache(maxsize=8)
-def _log_g_table(n_last: int) -> tuple[list[complex], float]:
-    """The Fourier coefficients of log G on (0, 1) as a_n - i b_n, n = 1 ..
-    ``n_last``, and the sum of their T_n errors over pi^2.  a_n = (log n/2
-    - gamma - log 2 pi - 1)/(2 pi^2 n^2) - 1/(4n) - T_n/pi^2 and b_n =
-    (1/2n - gamma - log(4 pi^2 n) - H_n)/(2 pi n), with T_n from the
-    direct ``S-4.4-Tn`` series below n = 12 and from its large-n expansion
-    from there.  From that expansion, a_n = -1/(2n) - gamma/(2 pi^2 n^2)
-    + O(n^-4) and b_n = -(log n + gamma + log 2 pi)/(pi n) + O(n^-3): both
-    keep one sign, and their sizes fall and are convex."""
-    c = get_constants()
-    a_shift = -c.gamma - c.log_2pi - 1.0
-    pi2 = _PI ** 2
-    coeffs = []
-    tn_err = h = 0.0
-    for n in range(1, n_last + 1):
-        if n < _TN_ASYMPTOTIC_N:
-            r = s_4_4_tn(n)
-            tn, err = r.value, r.abs_err
-        else:
-            tn, err = _tn_asymptotic(n)
-        tn_err += err
-        h += 1.0 / n
-        log_n = math.log(n)
-        a = ((0.5 * log_n + a_shift) / (2.0 * pi2 * n * n) - 0.25 / n
-             - tn / pi2)
-        b = ((0.5 / n - c.gamma - math.log(4.0 * pi2 * n) - h)
-             / (2.0 * _PI * n))
-        coeffs.append(complex(a, -b))
-    return coeffs, tn_err / pi2
+@_entry("FS-4.16", "Fourier series of log G(x)", 1,
+        n_min=_TN_ASYMPTOTIC_N - 1)
+def fs_4_16(x: float, max_terms: int | None = None) -> SeriesResult:
+    """log G on (0, 1) by its Fourier series a_0 + sum_n (a_n cos 2 pi n x
+    + b_n sin 2 pi n x), which Kummer's series for log Gamma gives:
+    a_n = (log n/2 - gamma - log 2 pi - 1)/(2 pi^2 n^2) - 1/(4n) - T_n/pi^2
+    and b_n = (1/2n - gamma - log(4 pi^2 n) - H_n)/(2 pi n).
 
-
-@_entry("FS-4.16", "Fourier partial sum for log G(x)", 1,
-        n_min=_FS_4_16_WINDOW)
-def fs_4_16(x: float, max_terms: int = 2000) -> SeriesResult:
-    """The mean of the partial sums S_M .. S_N, N = ``max_terms`` and
-    M = N - 63, of the Fourier series a_0 + sum_n (a_n cos 2 pi n x
-    + b_n sin 2 pi n x) of log G on (0, 1).
-
-    The mean misses sum_{n>M} l_n (a_n cos n t + b_n sin n t), t = 2 pi x,
-    l_n = min(1, (n-M)/L), L = 64.  Let c_n be |a_n| or |b_n|: it falls
-    and is convex (:func:`_log_g_table`), and s = sin(pi x).  Two bounds
-    hold, and the smaller is reported:
-
-    - Dirichlet: summed by parts once against sum_{k<=n} e^(ikt), which is
-      at most 1/s in size, each S_m misses at most c_{m+1}/s, so the mean
-      misses at most (|a_{M+1}| + |b_{M+1}|)/s.
-    - Fejer: e^(int) is the second difference G_{n+2} - 2G_{n+1} + G_n of
-      G_n = e^(int)/(e^(it) - 1)^2, |G_n| = 1/(4 s^2).  Summed by parts
-      twice, the miss of g_n = l_n c_n is at most sum_n |D2 g_n|/(4 s^2),
-      D2 g_n = g_n - 2g_{n-1} + g_{n-2}.  That sum is c_{M+1}/L and
-      2(c_{M+1} - c_{M+2})/L where the ramp l_n starts, at most
-      2(c_{M+1} - c_N)/L from its slope times the falling c_n, c_N/L where
-      it ends, and at most c_{M+1} - c_{M+2} from the convex D2 c_n
-      weighted by l_n <= 1; in all (5 c_{M+1} - 2 c_{M+2} - c_N)/L
-      + c_{M+1} - c_{M+2}.  For N >> 64 this is about
-      (|a_{M+1}| + |b_{M+1}|)/(128 s^2), the smaller bound unless x is
-      within about 1/400 of 0 or 1.
-
-    The T_n errors, over pi^2, and 1e-12 for rounding are added."""
+    Krylov's method: the large-n expansions of the coefficients, from
+    those of T_n (:func:`_tn_asymptotic`) and H_n,
+        A_n = -1/(2n) - gamma/(2 pi^2 n^2)
+              - sum_{j<=6} zeta'(-2j)/(pi^2 n^(2j+2)),
+        B_n = -(log n + gamma + log 2 pi)/(pi n)
+              + sum_{k<=6} B_2k/(4 pi k n^(2k+1)),
+    are summed exactly: by 1/2 log(2 sin pi x), :func:`log_sin_over_n`
+    and Bernoulli slices.  The residuals a_n - A_n and b_n - B_n
+    (:func:`_log_g_residuals`) are summed to n = 11, at every cap; past
+    it each lies within its first omitted order, zeta'(-14)/(pi^2 n^16)
+    and B_14/(28 pi n^15), whose ``tail_bound`` is the truncation error.
+    The T_n errors over pi^2 and 1e-13 (1 + |value|) are added."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"requires 0 < x < 1, got {x}")
     c = get_constants()
-    coeffs, tn_err = _log_g_table(max_terms)
-    n_last, window = max_terms, _FS_4_16_WINDOW
-    m = n_last - window + 1
-    # value: a0 + Re sum_n w_n (a_n - i b_n) z^n, z = e^(2 pi i x), where
-    # the mean weights term n by w_n = min(1, (N-n+1)/64); Horner from n = N
-    z = cmath.rect(1.0, _TWO_PI * x)
-    acc = 0j
-    for n in range(n_last, m, -1):
-        acc = acc * z + (n_last - n + 1) / window * coeffs[n - 1]
-    for cn in reversed(coeffs[:m]):
-        acc = acc * z + cn
+    orders, zp_omitted = _tn_orders()
+    slices = {1: -(c.gamma + c.log_2pi) / _PI, 2: -c.gamma / (2.0 * _PI ** 2)}
+    for j, zp in zip(range(_TN_ORDERS, 0, -1), orders):
+        slices[2 * j + 2] = -zp / _PI ** 2
+    for k in range(1, _TN_ORDERS + 1):
+        slices[2 * k + 1] = _bernoulli_float(2 * k) / (4.0 * _PI * k)
+    k = _TN_ORDERS + 1
+    omitted = {2 * k + 2: zp_omitted / _PI ** 2,
+               2 * k + 1: _bernoulli_float(2 * k) / (4.0 * _PI * k)}
+    res, tn_err = _log_g_residuals()
+    n_last = len(res)
+    r = _bernoulli_fourier(
+        slices, lambda n: (res[n - 1][0] * math.cos(_TWO_PI * n * x)
+                           + res[n - 1][1] * math.sin(_TWO_PI * n * x)),
+        x, omitted, n_min=n_last, max_terms=n_last, floor=0.0)
     a0 = 1.0 / 12.0 - 2.0 * c.log_A - 0.25 * c.log_2pi
-    value = a0 + (acc * z).real
-    # each bound is linear in c_n, so those of a_n and b_n add up to the
-    # bound of d_n = |a_n| + |b_n|, here at n = M+1, M+2 and N
-    d1, d2, d_last = (abs(coeffs[n - 1].real) + abs(coeffs[n - 1].imag)
-                      for n in (m + 1, m + 2, n_last))
-    s = math.sin(_PI * x)
-    fejer = (((5.0 * d1 - 2.0 * d2 - d_last) / window + d1 - d2)
-             / (4.0 * s * s))
-    err = min(d1 / s, fejer) + 1e-12 + tn_err
-    return SeriesResult(value, err, max_terms, "fourier_partial_mean")
+    value = math.fsum((a0, 0.5 * math.log(2.0 * math.sin(_PI * x)),
+                       -log_sin_over_n(x) / _PI, r.value))
+    err = r.abs_err + tn_err + 1e-13 * (1.0 + abs(value))
+    return SeriesResult(value, err, n_last, "kummer_closed+residual")
 
 
 def log_sin_over_n(u: float) -> float:

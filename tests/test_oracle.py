@@ -16,8 +16,9 @@ from gammalab import registry as R  # noqa: E402
 from gammalab.integral_catalog import integral_catalog  # noqa: E402
 from gammalab.series import cvz_alternating  # noqa: E402
 from gammalab.series_catalog import (  # noqa: E402
-    _log_g_table,
+    _log_g_residuals,
     _tn_asymptotic,
+    _tn_orders,
     log_weighted_sin_sum,
     psi_sin_partial,
     sum_catalog,
@@ -132,10 +133,25 @@ def _a_n_oracle(n, tn):
             / (2 * mp.pi ** 2 * n * n) - mp.mpf(1) / (4 * n) - tn / mp.pi ** 2)
 
 
+def _expansion_a_n(n):
+    """A_n, the large-n expansion of a_n that FS-4.16 sums exactly:
+    -1/(2n) - gamma/(2 pi^2 n^2) - sum_j zeta'(-2j)/(pi^2 n^(2j+2))."""
+    orders, _ = _tn_orders()
+    n2 = float(n) * float(n)
+    gamma = K.get_constants().gamma
+    return math.fsum([-0.5 / n, -gamma / (2.0 * PI ** 2 * n2)]
+                     + [-zp / (PI ** 2 * n2 ** (len(orders) + 1 - i))
+                        for i, zp in enumerate(orders)])
+
+
 def _check_table_a_n(n, ref, tn_err):
-    # the FS-4.16 table's a_n carries the T_n it took, with T_n's error
-    # over pi^2 and a few ulp of its own rounding
-    a_n = _log_g_table(2000)[0][n - 1].real
+    # the a_n that FS-4.16 sums: A_n plus its residual up to n = 11, and A_n
+    # alone from n = 12 on, where T_n's error holds the first omitted order
+    # zeta'(-14)/n^16; it carries T_n's error over pi^2 and a few ulp
+    residuals = _log_g_residuals()[0]
+    a_n = _expansion_a_n(n)
+    if n <= len(residuals):
+        a_n += residuals[n - 1][0]
     assert _close(a_n, _a_n_oracle(n, ref),
                   tn_err / PI ** 2 + 8.0 * math.ulp(a_n)), n
 
@@ -203,22 +219,23 @@ def test_psi_sin_partial_grid():
 @pytest.mark.parametrize("x", [1e-3, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999,
                                0.99985])
 def test_fs_4_16_log_barnes_g(x):
-    # the reported bound holds at the default N and at caps, and widens
-    # near the ends
-    for cap in (64, 256, 2000):
+    # the reported bound holds at the default N and at every cap from the
+    # smallest one on
+    for cap in (11, 64, 256, 2000):
         r = sum_catalog("FS-4.16", (x,), max_terms=cap)
         assert _close(r.value, mp.log(mp.barnesg(x)), r.abs_err), cap
 
 
 def test_fs_4_16_grid():
-    # 200 midpoints of (0, 1) and both ends: the smaller of the Dirichlet
-    # and Fejer bounds holds at every cap; mid-range the Fejer bound rules
+    # 200 midpoints of (0, 1) and both ends: the bound holds at every cap,
+    # and is at most 1e-12 on [1e-3, 1 - 1e-3]
     grid = [(k + 0.5) / 200 for k in range(200)] + [1e-3, 0.999]
     refs = [mp.log(mp.barnesg(x)) for x in grid]
-    for cap in (64, 256, 2000):
+    for cap in (11, 64, 256, 2000):
         for x, ref in zip(grid, refs):
             r = sum_catalog("FS-4.16", (x,), max_terms=cap)
             assert _close(r.value, ref, r.abs_err), (cap, x)
+            assert r.abs_err <= 1e-12, (cap, x)
     assert sum_catalog("FS-4.16", (0.5,)).abs_err < 2e-5
 
 

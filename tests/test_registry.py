@@ -407,6 +407,46 @@ def test_alt_quarter_sum_matches_per_term_reference():
     assert (new.terms_used, new.method) == (ref.terms_used, ref.method)
 
 
+def _rhs_2_10_per_term(p):
+    """I-2.10's right side summed one term at a time: the reference for the
+    iterator sum in ``registry._rhs_2_10``."""
+    acc = -math.log(2.0)
+    acc += p * p * math.fsum((-1.0) ** (n % 2) / (n * (n * n - p * p))
+                             for n in range(2, 4000))
+    if p > 0.5:
+        d = 1.0 - p
+        sinc = math.sin(math.pi * d) / (math.pi * d) if d else 1.0
+        scale = sinc * d / (2.0 * p)
+        first = -p * sinc / (2.0 * (1.0 + p))
+    else:
+        scale = math.sin(p * math.pi) / (2.0 * math.pi * p) if p else 0.5
+        first = -scale * p * p / (1.0 - p * p)
+    return SeriesResult(scale * acc + first,
+                        abs(scale) * p * p / (4000.0 * (4000.0 ** 2 - p * p)),
+                        3999, "alternating")
+
+
+def test_rhs_2_10_matches_per_term_reference():
+    rng = random.Random(210)
+    for p in [0.0, 0.5, 1.0] + [rng.random() for _ in range(500)]:
+        new, ref = R._rhs_2_10(p), _rhs_2_10_per_term(p)
+        assert new.value.hex() == ref.value.hex(), p
+        assert new.abs_err.hex() == ref.abs_err.hex(), p
+        assert (new.terms_used, new.method) == (ref.terms_used, ref.method)
+
+
+def test_rhs_2_10_holds_no_term_list():
+    # a list of its 3 998 terms would be ~0.13 MB, and nothing is kept
+    R._rhs_2_10(0.3)
+    tracemalloc.start()
+    try:
+        R._rhs_2_10(0.7)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024 and current < 1024, (current, peak)
+
+
 def test_alt_quarter_sum_holds_no_term_list():
     # a list of its 100 000 terms would be ~3.2 MB
     R._alt_quarter_sum()

@@ -19,7 +19,6 @@ from gammalab.series import (
 )
 from gammalab.series_catalog import (
     SERIES_CATALOG,
-    _log_g_table,
     _tn_asymptotic,
     power_series_eval,
     sum_catalog,
@@ -180,7 +179,7 @@ _TEST_PARAMS = {
     "S-3.8": [(1.0,), (1.9,)], "S-3.14": [(0.5,), (1.5,)],
     "S-4.4-Tn": [(1.0,), (8.0,)], "S-5.13": [(0.25,), (0.95,)],
     "S-6.24-aux": [(2.0,), (3.0,)],
-    "FS-6.2": [(0.3,)], "FS-7.1": [(0.3,)], "FS-4.16": [(0.25,)],
+    "FS-6.2": [(0.3,)], "FS-7.1": [(0.3,)], "FS-4.16": [(0.25,), (1e-3,)],
     "FS-8.13": [(0.3,)], "FS-8.14": [(0.3,)],
 }
 _N_GRID = (1, 2, 3, 5, 8, 9, 11, 20, 64, 100, 256, 1000, 4000)
@@ -195,12 +194,11 @@ def _test_params(key):
 @pytest.mark.parametrize("key", sorted(SERIES_CATALOG))
 def test_catalog_error_grows_as_max_terms_shrinks(key):
     # the reference sums at the N its own bound picks; every cap, above or
-    # below that N, must agree with it within both errors.  Only the
-    # fixed-N entry FS-4.16 keeps a default, and is capped below it
+    # below that N, must agree with it within both errors.  No entry keeps
+    # a fixed N as its default
     entry = SERIES_CATALOG[key]
-    n_def = inspect.signature(entry.fn).parameters["max_terms"].default
-    grid = sorted({n for n in _N_GRID if n_def is None or n < n_def}
-                  | {entry.n_min})
+    assert inspect.signature(entry.fn).parameters["max_terms"].default is None
+    grid = sorted(set(_N_GRID) | {entry.n_min})
     for params in _test_params(key):
         ref = sum_catalog(key, params)
         for n in grid:
@@ -214,12 +212,10 @@ def test_catalog_error_grows_as_max_terms_shrinks(key):
                 (key, params, n)
 
 
-@pytest.mark.parametrize("key", sorted(set(SERIES_CATALOG)
-                                       - {"FS-4.16", "FS-7.1"}))
+@pytest.mark.parametrize("key", sorted(set(SERIES_CATALOG) - {"FS-7.1"}))
 def test_target_n_is_small(key):
     # each entry's own bound meets the target within 1024 terms; only the
-    # fixed-N FS-4.16 and the test-only FS-7.1 (~35k terms at x = 0.3)
-    # sum more
+    # test-only FS-7.1 (~35k terms at x = 0.3) sums more
     for params in _test_params(key):
         r = sum_catalog(key, params)
         assert r.terms_used <= 1024, (key, params, r.terms_used)
@@ -438,17 +434,36 @@ def test_tn_expansion_agrees_with_direct_series():
         assert abs(direct.value - value) <= direct.abs_err + err, n
 
 
-def test_log_g_fourier_coefficients_keep_sign_and_shrink():
-    # FS-4.16's Dirichlet-kernel bound needs a_n, b_n of one sign and
-    # falling in size from n = M+1 >= 2 on, its Fejer-kernel bound sizes
-    # that are also convex there
-    coeffs = _log_g_table(2000)[0]
-    for c in ([z.real for z in coeffs], [-z.imag for z in coeffs]):
-        assert all(x < 0.0 for x in c)
-        assert all(abs(y) < abs(x) for x, y in zip(c, c[1:]))
-        size = [abs(x) for x in c]
-        assert all(x - 2.0 * y + z >= 0.0
-                   for x, y, z in zip(size, size[1:], size[2:]))
+def test_log_g_coefficients_within_their_first_omitted_orders():
+    # FS-4.16 sums the residuals a_n - A_n and b_n - B_n to n = 11 and
+    # bounds them from n = 12 on by the first orders A_n and B_n leave out,
+    # zeta'(-14)/(pi^2 n^16) and B_14/(28 pi n^15).  At 60 digits: a_n with
+    # T_n from its expansion, within that order plus T_n's error, and b_n
+    # with the exact H_n
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        g, l2pi, pi2 = mp.euler, mp.log(2 * mp.pi), mp.pi ** 2
+        zp = [mp.zeta(-2 * j, 1, 1) for j in range(1, 8)]
+        bern = [mp.bernoulli(2 * k) for k in range(1, 8)]
+        h = mp.fsum(mp.mpf(1) / m for m in range(1, 12))
+        for n in range(12, 2001):
+            h += mp.mpf(1) / n
+            tn, tn_err = _tn_asymptotic(n)
+            a_n = ((mp.log(n) / 2 - g - l2pi - 1) / (2 * pi2 * n * n)
+                   - mp.mpf(1) / (4 * n) - mp.mpf(tn) / pi2)
+            big_a = (-mp.mpf(1) / (2 * n) - g / (2 * pi2 * n * n)
+                     - mp.fsum(zp[j - 1] / (pi2 * mp.mpf(n) ** (2 * j + 2))
+                               for j in range(1, 7)))
+            assert abs(a_n - big_a) <= (abs(zp[6]) / (pi2 * mp.mpf(n) ** 16)
+                                        + tn_err / pi2), n
+            b_n = ((mp.mpf(1) / (2 * n) - g - mp.log(4 * pi2 * n) - h)
+                   / (2 * mp.pi * n))
+            big_b = (-(mp.log(n) + g + l2pi) / (mp.pi * n)
+                     + mp.fsum(bern[k - 1] / (4 * mp.pi * k
+                                              * mp.mpf(n) ** (2 * k + 1))
+                               for k in range(1, 7)))
+            assert abs(b_n - big_b) <= abs(bern[6]) / (
+                28 * mp.pi * mp.mpf(n) ** 15), n
 
 
 def test_si_lattice_sums():
