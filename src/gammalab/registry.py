@@ -215,7 +215,9 @@ _L2PI = _C.log_2pi
 
 
 def _lam(v: float) -> float:
-    return K.lambda_fn(v).value
+    """lambda(v) = -Re psi(1+iv), the float ``K.lambda_fn`` returns; its
+    direct-series cross-check runs there and in Tier-1, not per verdict."""
+    return K._lambda_digamma(v)[0]
 
 
 def _psi(x: float) -> float:
@@ -788,8 +790,7 @@ def build_records() -> list[IdentityRecord]:
     # ----- section 5
     add(IdentityRecord(
         "I-5.1", 5, "(5.1): Maclaurin series of the regularised sum",
-        _expr("two-route kernel",
-              lambda x: K.lambda_fn(x).value, err=2e-13),
+        _expr("-Re psi(1+ix)", _lam, err=2e-13),
         _ps("PS-5.1"),
         param_names=("x",), param_domain=((0.0, 1.0),),
         default_params=((0.1,), (0.5,), (0.9,))))
@@ -804,15 +805,14 @@ def build_records() -> list[IdentityRecord]:
     add(IdentityRecord(
         "I-5.5", 5, "(5.5): cos transform equals the regularised sum",
         _quad("Q-5.5"),
-        _expr("two-route kernel", lambda x: K.lambda_fn(x).value,
-              err=2e-13),
+        _expr("-Re psi(1+ix)", _lam, err=2e-13),
         param_names=("x",), param_domain=((0.0, 4.0),),
         default_params=((0.1,), (0.5,), (1.3,), (2.0,))))
     add(IdentityRecord(
         "I-5.7", 5, "(5.7): cos transform of 1/(e^t-1)-1/t",
         _quad("Q-5.7"),
         _expr("log x + regularised sum",
-              lambda x: math.log(x) + K.lambda_fn(x).value, err=2e-13),
+              lambda x: math.log(x) + _lam(x), err=2e-13),
         param_names=("x",), param_domain=((0.0, 4.0),),
         default_params=((0.3,), (0.7,), (1.5,))))
     add(IdentityRecord(

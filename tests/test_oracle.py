@@ -108,6 +108,15 @@ def test_lambda_series(v):
     assert _close(value, -mp.re(mp.digamma(1 + 1j * mp.mpf(v))), err), v
 
 
+@pytest.mark.parametrize("v", _LAMBDA_V)
+def test_lambda_digamma(v):
+    # the route every lambda verdict takes (registry._lam); its claim is
+    # 1e-13 max(1, |lambda|), 1e-14 at v = 0
+    value, err = K._lambda_digamma(v)
+    assert err <= 1e-13 * max(1.0, abs(value))
+    assert _close(value, -mp.re(mp.digamma(1 + 1j * mp.mpf(v))), err), v
+
+
 @pytest.mark.parametrize("x", [0.25, 0.5, 0.95])
 def test_s_5_13(x):
     r = sum_catalog("S-5.13", (x,))

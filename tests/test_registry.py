@@ -1,6 +1,7 @@
 """Registry tests: catalog contracts, verdict semantics, determinism,
 route independence, dispute adjudication."""
 
+import itertools
 import json
 import math
 import random
@@ -457,3 +458,35 @@ def test_alt_quarter_sum_holds_no_term_list():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
+
+
+# ---------------------------------------------------------------------------
+# the regularised sum lambda(v) in closed forms
+# ---------------------------------------------------------------------------
+
+_LAMBDA_RECORDS = ("I-1.8", "I-1.12", "I-1.13", "I-5.1", "I-5.5", "I-5.7")
+
+
+def test_lam_is_lambda_fn_bit_for_bit():
+    # test_kernels' two-route grid: [-1.3, 8] covers every v these reach
+    for v in (-1.3 + 9.3 * i / 186 for i in range(187)):
+        assert R._lam(v).hex() == K.lambda_fn(v).value.hex(), v
+
+
+def test_verdicts_never_sum_the_lambda_series(monkeypatch):
+    # lambda_fn's direct series only cross-checks its digamma value; the
+    # verdicts skip it, and test_kernels' two-route grid runs it instead
+    calls = []
+    series = K._lambda_series
+    monkeypatch.setattr(K, "_lambda_series",
+                        lambda v: calls.append(v) or series(v))
+    reg = Registry()
+    reg.run_suite()
+    for rid in _LAMBDA_RECORDS:
+        rec = reg.record(rid)
+        for params in (*rec.default_params,
+                       *itertools.product(*rec.param_domain)):
+            reg.verify_identity(rid, params)
+    assert calls == []
+    K.lambda_fn(1.0)  # the counter does see the public kernel's series
+    assert calls == [1.0]
