@@ -310,7 +310,8 @@ def s_4_27(max_terms: int | None = None) -> SeriesResult:
 # section 4: harmonic/log families
 # ---------------------------------------------------------------------------
 
-# the registry uses n <= 8; the tail expansion needs (N+1)^2 >= 2n^2
+# the registry uses n <= 8; the tail expansion needs (N+1)^2 >= 2n^2, and
+# its zeta' orders shrink like (n/N)^2: from N = 4n on it needs 14 of them
 _TN_N_MIN = 11
 
 
@@ -324,8 +325,8 @@ def s_4_4_tn(n: float, max_terms: int | None = None) -> SeriesResult:
     return zeta_tail_sum(
         lambda m_last: (math.log(m) / (m * m - n2)
                         for m in range(1, m_last + 1) if m != n),
-        log_tail=lambda m: quad_tail(n2, {0: 1.0}, m), n_min=_TN_N_MIN,
-        cap=max_terms, floor=1e-13)
+        log_tail=lambda m: quad_tail(n2, {0: 1.0}, m),
+        n_min=max(_TN_N_MIN, 4 * n), cap=max_terms, floor=1e-13)
 
 
 # from this n on, FS-4.16 bounds a_n by the large-n expansion of T_n
