@@ -115,11 +115,12 @@ class _NodeMemo(dict):
     """The values of a pure function of one float, by exact argument,
     filled on first use.
 
-    Only integrands on (0, 1) use these, and there the argument is the
-    distance 1-sigma of a tanh-sinh node pair from its nearer endpoint, or
-    1/2 at the centre: rules that reached level L leave at most 2^(L+2)+1
-    keys in each memo (4097 at the default cap of 10), whatever their
-    parameters.
+    Only integrands on (0, 1) use these, for the factors that depend on
+    no parameter: log Gamma(x) and psi(1+x), one memo per half of the
+    interval, and log sin(pi x).  The argument is the distance 1-sigma of
+    a tanh-sinh node pair from its nearer endpoint, or 1/2 at the centre:
+    rules that reached level L leave at most 2^(L+2)+1 keys in each memo
+    (4097 at the default cap of 10), whatever their parameters.
     """
     __slots__ = ("fn",)
 
@@ -135,6 +136,9 @@ class _NodeMemo(dict):
 _LGAMMA_NEAR_0 = _NodeMemo(lambda da: _lgamma1p(da) - math.log(da))
 _LGAMMA_NEAR_1 = _NodeMemo(lambda db: _lgamma1p(-db))
 _LOG_SIN_PI = _NodeMemo(lambda d: math.log(math.sin(_PI * d)))
+# x = da near 0 and x = 1 - db near 1, as the rule computes x
+_PSI_1P_NEAR_0 = _NodeMemo(lambda da: _digamma_pos(1.0 + da))
+_PSI_1P_NEAR_1 = _NodeMemo(lambda db: _digamma_pos(1.0 + (1.0 - db)))
 
 
 def _lgamma_s(x: float, da: float, db: float) -> float:
@@ -144,6 +148,15 @@ def _lgamma_s(x: float, da: float, db: float) -> float:
     if da <= 0.5:
         return _LGAMMA_NEAR_0[da]
     return _LGAMMA_NEAR_1[db]
+
+
+def _psi_1p_s(x: float, da: float, db: float) -> float:
+    """psi(1+x) on (0,1).
+
+    Memoised by node: callers integrate over (0, 1) only."""
+    if da <= 0.5:
+        return _PSI_1P_NEAR_0[da]
+    return _PSI_1P_NEAR_1[db]
 
 
 def _psi_s(x: float, da: float, db: float) -> float:
@@ -220,7 +233,7 @@ def q_1_11(p: float) -> QuadCall:
 @_entry("Q-1.12", "int_0^1 e^(-p x) psi(1+x) dx", 1)
 def q_1_12(p: float) -> QuadCall:
     def f(x, da, db):
-        return math.exp(-p * x) * _digamma_pos(1.0 + x)
+        return math.exp(-p * x) * _psi_1p_s(x, da, db)
     return partial(integrate, f, 0.0, 1.0)
 
 

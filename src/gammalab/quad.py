@@ -93,42 +93,74 @@ def _add_level(f, a, b, width, cut, limits, level, acc, abs_acc):
 
     Both nodes of a pair lie d = width*(1-sigma) < width/2 from their
     nearer endpoint, so only that endpoint's limit can stand in for f.
-    The node near b is evaluated first.
+    The node near b is evaluated first.  Finiteness is tested once per
+    level, on ``abs_acc``, which any inf or NaN value makes non-finite;
+    only then, or when f raises, is the level walked again to name the
+    first non-finite value in node order.
     """
     nodes = _nodes(level)
     lo_lim, hi_lim = limits
-    isfinite = math.isfinite
-    for om, w in nodes:
+    try:
+        if lo_lim is None and hi_lim is None:
+            for om, w in nodes:
+                d = width * om
+                e = width - d
+                v = f(b - d, e, d) + f(a + d, d, e)
+                acc += w * v
+                abs_acc += w * abs(v)
+        else:
+            for om, w in nodes:
+                d = width * om
+                e = width - d
+                hi = (hi_lim if d < cut and hi_lim is not None
+                      else f(b - d, e, d))
+                lo = (lo_lim if d < cut and lo_lim is not None
+                      else f(a + d, d, e))
+                v = hi + lo
+                acc += w * v
+                abs_acc += w * abs(v)
+    except Exception:
+        # a non-finite value before the node that raised fails first
+        _check_finite(_level_values(f, a, b, width, cut, limits, nodes))
+        raise
+    if not math.isfinite(abs_acc):
+        _check_finite(_level_values(f, a, b, width, cut, limits, nodes))
+    return acc, abs_acc, 2 * len(nodes)
+
+
+def _level_values(f, a, b, width, cut, limits, nodes):
+    """(x, f) at the nodes of ``_add_level`` that call f, in its order."""
+    lo_lim, hi_lim = limits
+    for om, _ in nodes:
         d = width * om
         e = width - d
-        if d < cut and hi_lim is not None:
-            hi = hi_lim
-        else:
-            hi = f(b - d, e, d)
-            if not isfinite(hi):
-                raise _not_finite(b - d, hi)
-        if d < cut and lo_lim is not None:
-            lo = lo_lim
-        else:
-            lo = f(a + d, d, e)
-            if not isfinite(lo):
-                raise _not_finite(a + d, lo)
-        v = hi + lo
-        acc += w * v
-        abs_acc += w * abs(v)
-    return acc, abs_acc, 2 * len(nodes)
+        if not (d < cut and hi_lim is not None):
+            yield b - d, f(b - d, e, d)
+        if not (d < cut and lo_lim is not None):
+            yield a + d, f(a + d, d, e)
+
+
+def _check_finite(values):
+    """Raise for the first (x, f) of ``values`` whose f is not finite; a
+    level of finite values whose sum overflowed passes."""
+    for x, v in values:
+        if not math.isfinite(v):
+            raise _not_finite(x, v)
 
 
 def _add_half_line(f, scale, level, acc, abs_acc):
     """``_add_level`` for the exp-sinh nodes of one level: w*f(scale*x)."""
     nodes = _exp_sinh_nodes(level)
-    isfinite = math.isfinite
-    for x, w in nodes:
-        v = f(scale * x)
-        if not isfinite(v):
-            raise _not_finite(scale * x, v)
-        acc += w * v
-        abs_acc += w * abs(v)
+    try:
+        for x, w in nodes:
+            v = f(scale * x)
+            acc += w * v
+            abs_acc += w * abs(v)
+    except Exception:
+        _check_finite((scale * x, f(scale * x)) for x, _ in nodes)
+        raise
+    if not math.isfinite(abs_acc):
+        _check_finite((scale * x, f(scale * x)) for x, _ in nodes)
     return acc, abs_acc, len(nodes)
 
 

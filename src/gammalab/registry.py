@@ -251,6 +251,19 @@ def _rhs_1_8(p: float) -> float:
             + 2.0 * em1 * _sum_glc(p))
 
 
+def _rhs_1_11(p: float) -> float:
+    """-(gamma + log p - Ei(-p))/p, which cancels as p -> 0; below p = 1/2
+    it is -Ein(p)/p, Ein(p) = sum_{k>=1} (-1)^(k+1) p^k/(k k!) (DLMF
+    6.2.3), whose 18th term is below 1e-20 of the first."""
+    if p < 0.5:
+        terms, t = [], 1.0
+        for k in range(1, 19):
+            t *= -p / k     # (-p)^k/k!
+            terms.append(t / k)
+        return math.fsum(terms) / p
+    return -(_G + math.log(p) - K.exp_integral(-p).value) / p
+
+
 def _rhs_1_12(p: float) -> float:
     em1 = -math.expm1(-p)
     return (0.5 * em1 * (_G + _L2PI) - 0.5 * em1 * _lam(p / _TWO_PI)
@@ -497,8 +510,7 @@ def build_records() -> list[IdentityRecord]:
     add(IdentityRecord(
         "I-1.11", 1, "(1.11): int_0^1 e^(-px) log x dx",
         _quad("Q-1.11"),
-        _expr("-(gamma + log p - Ei(-p))/p",
-              lambda p: -(g + math.log(p) - K.exp_integral(-p).value) / p),
+        _expr("-(gamma + log p - Ei(-p))/p", _rhs_1_11),
         param_names=("p",), param_domain=((1e-6, 50.0),),
         default_params=((0.5,), (1.0,), (3.0,))))
     add(IdentityRecord(

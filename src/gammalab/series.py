@@ -20,7 +20,8 @@ from the omitted orders it reports, is at most ``TARGET_ERR`` (Johansson,
 "Rigorous high-precision computation of the Hurwitz zeta function and its
 derivatives", Numer. Algorithms 2015, picks N inside the routine that
 bounds the error the same way).  So a series is summed once, at the N its
-own bound asks for, and the bound that picks N is the one reported.
+own bound asks for, and the bound that picks N is the one reported: the
+expansion and bound of the chosen N are those its probe computed.
 
 ``target_terms`` is that search; the bounds fall like a power of N + 1,
 so a secant in log-log coordinates finds N in about three probes.  It also
@@ -105,16 +106,27 @@ def zeta_tail_sum(terms: Callable[[int], Iterable[float]],
                   else (log_tail, log_omitted))
         return t, lt, o, lo
 
-    n_last = target_terms(
-        lambda n: tail_bound(n, *expansion(n)[2:], shift), n_min, cap)
-    t, lt, o, lo = expansion(n_last)
+    # the expansion and bound of each N the search probes, reused at the
+    # chosen N; N = cap is unprobed when n_min >= cap
+    probed = {}
+
+    def bound(n: int) -> float:
+        e = expansion(n)
+        b = tail_bound(n, *e[2:], shift)
+        probed[n] = e, b
+        return b
+
+    n_last = target_terms(bound, n_min, cap)
+    pair = probed.get(n_last)
+    t, lt, o, lo = expansion(n_last) if pair is None else pair[0]
     a = n_last + shift
     value = math.fsum(chain(
         terms(n_last), [c * _hurwitz(float(k), a) for k, c in t.items()],
         [-d * _hurwitz_prime(float(k), a) for k, d in lt.items()]))
     if not math.isfinite(value):
         raise EvaluationError(f"series not finite with N={n_last}")
-    err = floor * (1.0 + abs(value)) + tail_bound(n_last, o, lo, shift)
+    err = floor * (1.0 + abs(value)) + (
+        tail_bound(n_last, o, lo, shift) if pair is None else pair[1])
     return SeriesResult(value, err, n_last, method)
 
 

@@ -957,12 +957,12 @@ def psi_sin_partial(u: float) -> SeriesResult:
         n_last = target_terms(lambda n: _psi_sin_bound(n, su, cu), n_min=2,
                               target=_PSI_SIN_TARGET)
         w = _TWO_PI * u
-        r1 = math.fsum(math.log(n) * math.sin(w * n)
-                       / (2.0 * n * (4.0 * n * n - 1.0))
-                       for n in range(2, n_last + 1))
-        r2 = math.fsum(math.log(n) * math.cos(w * n)
-                       / (4.0 * n * n * (4.0 * n * n - 1.0))
-                       for n in range(2, n_last + 1))
+        t1, t2 = [], []
+        for n in range(2, n_last + 1):
+            log_n, q = math.log(n), 4.0 * n * n - 1.0
+            t1.append(log_n * math.sin(w * n) / (2.0 * n * q))
+            t2.append(log_n * math.cos(w * n) / (4.0 * n * n * q))
+        r1, r2 = math.fsum(t1), math.fsum(t2)
         trunc = _psi_sin_bound(n_last, su, cu)
     s_c = log_cos_over_n2(u)
     series = su * (0.5 * s_a + r1) + cu * (0.25 * s_c + r2) - k_log.value

@@ -319,6 +319,22 @@ def test_rhs_2_10(p):
     assert _close(value, ref, err)
 
 
+def test_rhs_1_11():
+    # -(gamma + log p - Ei(-p))/p at 201 log-spaced p over its domain; below
+    # p = 1/2 the Ein series keeps the digits the closed form cancels
+    rec = R.Registry().record("I-1.11")
+    lo, hi = rec.param_domain[0]
+    for i in range(201):
+        p = min(hi, lo * (hi / lo) ** (i / 200))
+        value, err = rec.rhs.evaluate((p,))
+        pm = mp.mpf(p)
+        with mp.workdps(40):
+            ref = -(mp.euler + mp.log(pm) - mp.ei(-pm)) / pm
+        assert _close(value, ref, err), p
+    assert R.Registry().verify_identity("I-1.11", (1e-6,)).status == \
+        "CONFIRMED"
+
+
 def test_lhs_8_15():
     # 2/pi - (4/pi) sum (-1)^n/(4n^2-1) = 1; the 100 000-term sum is off by
     # half its first omitted term

@@ -17,6 +17,7 @@ from gammalab.integral_catalog import (
 )
 from gammalab.quad import (
     QuadResult,
+    _exp_sinh_nodes,
     _nodes,
     integrate,
     integrate_semi_infinite,
@@ -464,16 +465,45 @@ def test_rule_loop_limits_and_errors_match_reference():
         for a, b in ((0.0, 2.0), (-1e-3, 2.0)):
             assert _bits(integrate(sinc, a, b, limits, 1e-13, 12)) == \
                 _bits(_reference_integrate(sinc, a, b, limits, 1e-13, 12))
+    # non-finite values only where a limit stands in for f: no error
+    def covered(x, da, db):
+        return math.nan if min(da, db) < 1e-8 else math.sin(da) / da
+    lims = (1.0, math.sin(1.0))
+    assert _bits(integrate(covered, 0.0, 1.0, lims, 1e-13, 12)) == \
+        _bits(_reference_integrate(covered, 0.0, 1.0, lims, 1e-13, 12))
     # the first non-finite value in evaluation order names its node
-    for bad in (lambda x, da, db: math.inf if x > 0.75 else 0.0,
-                lambda x, da, db: math.inf if da < 0.3 else 1.0,
-                lambda x, da, db: math.inf if abs(x - 0.5) > 0.4 else 0.0,
-                lambda x, da, db: math.nan):
+    for bad, limits in (
+            (lambda x, da, db: math.inf if x > 0.75 else 0.0, (None, None)),
+            (lambda x, da, db: math.inf if da < 0.3 else 1.0, (None, None)),
+            (lambda x, da, db: math.inf if abs(x - 0.5) > 0.4 else 0.0,
+             (None, None)),
+            (lambda x, da, db: math.nan, (None, None)),
+            # +inf and -inf in one pair, whose sum is NaN
+            (lambda x, da, db: math.inf if db < 0.1
+             else -math.inf if da < 0.1 else 0.0, (None, None)),
+            # an error raised after the first non-finite value of a level
+            (lambda x, da, db: math.inf if x > 0.9 else math.log(x - 0.2),
+             (None, None)),
+            # limits set, the non-finite values away from the endpoints
+            (lambda x, da, db: math.inf if 0.2 < da < 0.3 else 1.0,
+             (1.0, None)),
+            (lambda x, da, db: math.inf if 0.2 < db < 0.3 else 1.0,
+             (1.0, 2.0))):
         with pytest.raises(EvaluationError) as got:
-            integrate(bad, 0.0, 1.0)
+            integrate(bad, 0.0, 1.0, limits)
         with pytest.raises(EvaluationError) as want:
-            _reference_integrate(bad, 0.0, 1.0)
+            _reference_integrate(bad, 0.0, 1.0, limits)
         assert str(got.value) == str(want.value)
+
+
+def test_half_line_error_names_first_node():
+    # NaN past t = 10 and inf on (1, 2): level 0 meets the inf first
+    def bad(t):
+        return math.nan if t > 10.0 else math.inf if 1.0 < t < 2.0 else 0.0
+    first = next(x for x, _ in _exp_sinh_nodes(0) if 1.0 < x < 2.0)
+    with pytest.raises(EvaluationError) as got:
+        integrate_semi_infinite(bad, 1.0)
+    assert str(got.value) == f"integrand not finite at x={first!r}: inf"
 
 
 # ---------------------------------------------------------------------------

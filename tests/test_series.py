@@ -131,6 +131,38 @@ def test_fixed_n_sum_never_probes_its_bound(v, monkeypatch):
     assert len(tail) == 39
 
 
+@pytest.mark.parametrize("q", [-3.0, -400.0])
+def test_searched_sum_reuses_its_last_probe(q, monkeypatch):
+    # the N-search builds the expansion once per probed N and evaluates the
+    # bound once per N whose expansion holds ((N+1)^2 >= 2|q|); the chosen
+    # N takes both from its probe, and sums to the same bits as a fixed-N
+    # sum at that N
+    calls = {"expansion": [], "bound": []}
+    quad_tail_, tail_bound = series_catalog.quad_tail, series.tail_bound
+
+    def counted_tail(q, orders, n, *args):
+        calls["expansion"].append(n)
+        return quad_tail_(q, orders, n, *args)
+
+    def counted_bound(n, *args):
+        calls["bound"].append(n)
+        return tail_bound(n, *args)
+    monkeypatch.setattr(series_catalog, "quad_tail", counted_tail)
+    monkeypatch.setattr(series, "tail_bound", counted_bound)
+    r = series_catalog.log_quarter_sum(q)
+    n_last, probed = r.terms_used, calls["expansion"]
+    assert len(probed) >= 2 and len(set(probed)) == len(probed)
+    assert calls["bound"] == [n for n in probed if (n + 1) ** 2 >= 2 * -q]
+    assert probed.count(n_last) == calls["bound"].count(n_last) == 1
+    fixed = zeta_tail_sum(
+        lambda n_top: (math.log(n) / (4.0 * (n * n - q))
+                       for n in range(2, n_top + 1)),
+        log_tail=lambda n: quad_tail_(q, {0: 0.25}, n), n_min=n_last,
+        cap=n_last, floor=0.0)
+    assert (r.value.hex(), r.abs_err.hex()) == (fixed.value.hex(),
+                                                fixed.abs_err.hex())
+
+
 def test_catalog_rejects_max_terms_below_n_min():
     assert SERIES_CATALOG["S-4.4-Tn"].n_min == 11
     with pytest.raises(DomainError):
