@@ -107,7 +107,7 @@ def zeta_tail_sum(terms: Callable[[int], Iterable[float]],
         return t, lt, o, lo
 
     # the expansion and bound of each N the search probes, reused at the
-    # chosen N; N = cap is unprobed when n_min >= cap
+    # chosen N; a cap the search returns unprobed builds both afresh
     probed = {}
 
     def bound(n: int) -> float:

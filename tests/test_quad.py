@@ -488,7 +488,10 @@ def test_rule_loop_limits_and_errors_match_reference():
             (lambda x, da, db: math.inf if 0.2 < da < 0.3 else 1.0,
              (1.0, None)),
             (lambda x, da, db: math.inf if 0.2 < db < 0.3 else 1.0,
-             (1.0, 2.0))):
+             (1.0, 2.0)),
+            # a NaN the limit at b covers, evaluated before the bad node
+            (lambda x, da, db: math.nan if db < 1e-8
+             else math.inf if da < 1e-10 else 1.0, (None, 1.0))):
         with pytest.raises(EvaluationError) as got:
             integrate(bad, 0.0, 1.0, limits)
         with pytest.raises(EvaluationError) as want:
