@@ -70,6 +70,12 @@ def _not_finite(x: float, v: float) -> EvaluationError:
     return EvaluationError(f"integrand not finite at x={x!r}: {v!r}")
 
 
+def _overflowed(level: int) -> EvaluationError:
+    # finite values whose weighted sum left the float range; raising here
+    # keeps every later level, and its abs_acc, finite
+    return EvaluationError(f"integrand sum overflowed at level {level}")
+
+
 @lru_cache(maxsize=None)
 def _exp_sinh_nodes(level: int) -> tuple[tuple[float, float], ...]:
     """Exp-sinh abscissae new at this level: (x, dx/du) at x = exp(u - e^-u)
@@ -96,35 +102,31 @@ def _add_level(f, a, b, width, cut, limits, level, acc, abs_acc):
     The node near b is evaluated first.  Finiteness is tested once per
     level, on ``abs_acc``, which any inf or NaN value makes non-finite;
     only then, or when f raises, is the level walked again to name the
-    first non-finite value in node order.
+    first non-finite value in node order.  A level whose values are all
+    finite but whose sum overflowed raises too.
     """
     nodes = _nodes(level)
     lo_lim, hi_lim = limits
     try:
-        if lo_lim is None and hi_lim is None:
-            for om, w in nodes:
-                d = width * om
-                e = width - d
-                v = f(b - d, e, d) + f(a + d, d, e)
-                acc += w * v
-                abs_acc += w * abs(v)
-        else:
-            for om, w in nodes:
-                d = width * om
-                e = width - d
-                hi = (hi_lim if d < cut and hi_lim is not None
-                      else f(b - d, e, d))
-                lo = (lo_lim if d < cut and lo_lim is not None
-                      else f(a + d, d, e))
-                v = hi + lo
-                acc += w * v
-                abs_acc += w * abs(v)
+        for om, w in nodes:
+            d = width * om
+            e = width - d
+            hi = (hi_lim if d < cut and hi_lim is not None
+                  else f(b - d, e, d))
+            lo = (lo_lim if d < cut and lo_lim is not None
+                  else f(a + d, d, e))
+            v = hi + lo
+            acc += w * v
+            abs_acc += w * abs(v)
     except Exception:
-        # a non-finite value before the node that raised fails first
+        # a non-finite value before the node that raised fails first; a
+        # deterministic f raises its own error again when the walk reaches
+        # that node, so the bare raise only serves an f that does not
         _check_finite(_level_values(f, a, b, width, cut, limits, nodes))
         raise
     if not math.isfinite(abs_acc):
         _check_finite(_level_values(f, a, b, width, cut, limits, nodes))
+        raise _overflowed(level)
     return acc, abs_acc, 2 * len(nodes)
 
 
@@ -141,8 +143,7 @@ def _level_values(f, a, b, width, cut, limits, nodes):
 
 
 def _check_finite(values):
-    """Raise for the first (x, f) of ``values`` whose f is not finite; a
-    level of finite values whose sum overflowed passes."""
+    """Raise for the first (x, f) of ``values`` whose f is not finite."""
     for x, v in values:
         if not math.isfinite(v):
             raise _not_finite(x, v)
@@ -157,10 +158,12 @@ def _add_half_line(f, scale, level, acc, abs_acc):
             acc += w * v
             abs_acc += w * abs(v)
     except Exception:
+        # as in _add_level: a deterministic f raises again in the walk
         _check_finite((scale * x, f(scale * x)) for x, _ in nodes)
         raise
     if not math.isfinite(abs_acc):
         _check_finite((scale * x, f(scale * x)) for x, _ in nodes)
+        raise _overflowed(level)
     return acc, abs_acc, len(nodes)
 
 

@@ -509,6 +509,23 @@ def test_half_line_error_names_first_node():
     assert str(got.value) == f"integrand not finite at x={first!r}: inf"
 
 
+def test_overflowing_sum_raises_after_one_level():
+    # finite values whose weighted sum overflows: the level is walked once
+    # more to look for a non-finite value, then the rule raises
+    calls = []
+
+    def huge(x, da, db):
+        calls.append(x)
+        return 1e308
+    with pytest.raises(EvaluationError, match="overflowed at level 0"):
+        integrate(huge, 0.0, 1.0, max_level=6)
+    assert len(calls) == 1 + 2 * 2 * len(_nodes(0))
+    calls.clear()
+    with pytest.raises(EvaluationError, match="overflowed at level 0"):
+        integrate_semi_infinite(lambda t: huge(t, 0.0, 0.0), 1.0)
+    assert len(calls) == 2 * len(_exp_sinh_nodes(0))
+
+
 # ---------------------------------------------------------------------------
 # the node memos of integral_catalog
 # ---------------------------------------------------------------------------
