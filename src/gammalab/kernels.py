@@ -221,13 +221,20 @@ def _zeta_prime_int(k: int) -> float:
 _STIRLING_TERMS = 9
 
 
+@lru_cache(maxsize=None)
+def _stirling_coeffs() -> tuple[float, ...]:
+    # B_2j/(2j (2j-1)), j = 1 .. _STIRLING_TERMS
+    return tuple(_bernoulli_float(2 * j) / ((2 * j) * (2 * j - 1))
+                 for j in range(1, _STIRLING_TERMS + 1))
+
+
 def _stirling_lgamma(x: float) -> float:
     """Asymptotic series, reliable for x >= 10."""
     acc = (x - 0.5) * math.log(x) - x + 0.5 * _LOG_2PI
     inv2 = 1.0 / (x * x)
     pw = 1.0 / x
-    for j in range(1, _STIRLING_TERMS + 1):
-        acc += _bernoulli_float(2 * j) / ((2 * j) * (2 * j - 1)) * pw
+    for c in _stirling_coeffs():
+        acc += c * pw
         pw *= inv2
     return acc
 
@@ -303,6 +310,13 @@ _PSI_SHIFT_TO = 8.0
 _PSI_TERMS = 7
 
 
+@lru_cache(maxsize=None)
+def _psi_coeffs() -> tuple[float, ...]:
+    # B_2j/(2j), j = 1 .. _PSI_TERMS
+    return tuple(_bernoulli_float(2 * j) / (2 * j)
+                 for j in range(1, _PSI_TERMS + 1))
+
+
 def _digamma_pos(x: float) -> float:
     """psi(x) for x > 0."""
     acc = 0.0
@@ -312,8 +326,8 @@ def _digamma_pos(x: float) -> float:
     acc += math.log(x) - 0.5 / x
     inv2 = 1.0 / (x * x)
     pw = inv2
-    for j in range(1, _PSI_TERMS + 1):
-        acc -= _bernoulli_float(2 * j) / (2 * j) * pw
+    for c in _psi_coeffs():
+        acc -= c * pw
         pw *= inv2
     return acc
 
@@ -348,8 +362,8 @@ def _digamma_complex(z: complex) -> complex:
     acc += cmath.log(z) - 0.5 / z
     inv2 = 1.0 / (z * z)
     pw = inv2
-    for j in range(1, _PSI_TERMS + 1):
-        acc -= _bernoulli_float(2 * j) / (2 * j) * pw
+    for c in _psi_coeffs():
+        acc -= c * pw
         pw *= inv2
     return acc
 
@@ -595,6 +609,22 @@ def _ci_at_2pi_mult(n: int) -> float:
 # exponential integral  Ei(x) for x < 0
 # ---------------------------------------------------------------------------
 
+# Ein's series stops after k = 20: for 0 <= u <= 1 the 20th term is below
+# 3e-20 of Ein(u) >= 0.79 u
+_EIN_TERMS = 20
+
+
+def _ein(u: float) -> float:
+    """Ein(u) = sum_{k>=1} (-1)^(k+1) u^k/(k k!) for 0 <= u <= 1, the entire
+    part of E1(u) = Ein(u) - gamma - log u (DLMF 6.2.3), its rounded terms
+    summed exactly rounded by ``math.fsum``."""
+    terms, t = [], -1.0
+    for k in range(1, _EIN_TERMS + 1):
+        t *= -u / k     # (-1)^(k+1) u^k/k!
+        terms.append(t / k)
+    return math.fsum(terms)
+
+
 def exp_integral(x: float) -> FnEvalResult:
     """Ei(x) for strictly negative x."""
     x = _require_finite(x)
@@ -602,18 +632,8 @@ def exp_integral(x: float) -> FnEvalResult:
         raise DomainError(f"exp_integral requires x < 0, got {x}")
     u = -x
     if u <= 1.0:
-        # Ei(-u) = gamma + log u + sum (-1)^k u^k / (k * k!)
-        acc = _euler_gamma() + math.log(u)
-        term = 1.0
-        k = 0
-        while True:
-            k += 1
-            term *= -u / k
-            t = term / k
-            acc += t
-            if abs(t) < 1e-18 * max(abs(acc), 1e-30):
-                break
-        v = acc
+        # Ei(-u) = -E1(u) = gamma + log u - Ein(u)
+        v = _euler_gamma() + math.log(u) - _ein(u)
     else:
         v = -_e1_cf(complex(u, 0.0)).real
     return FnEvalResult(v, 1e-14 * max(1.0, abs(v)))

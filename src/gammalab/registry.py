@@ -253,14 +253,9 @@ def _rhs_1_8(p: float) -> float:
 
 def _rhs_1_11(p: float) -> float:
     """-(gamma + log p - Ei(-p))/p, which cancels as p -> 0; below p = 1/2
-    it is -Ein(p)/p, Ein(p) = sum_{k>=1} (-1)^(k+1) p^k/(k k!) (DLMF
-    6.2.3), whose 18th term is below 1e-20 of the first."""
+    it is -Ein(p)/p (DLMF 6.2.3)."""
     if p < 0.5:
-        terms, t = [], 1.0
-        for k in range(1, 19):
-            t *= -p / k     # (-p)^k/k!
-            terms.append(t / k)
-        return math.fsum(terms) / p
+        return -K._ein(p) / p
     return -(_G + math.log(p) - K.exp_integral(-p).value) / p
 
 
@@ -362,8 +357,8 @@ def _rhs_2_10(p: float) -> SeriesResult:
 
 
 def _rhs_3_8(p: float) -> float:
-    cp, sp = math.cos(p * _PI), math.sin(p * _PI)
-    return (2.0 - _si(p * _PI) * sp / (1.0 - cp) + _ci(p * _PI)
+    # sin(p pi)/(1 - cos p pi) = cot(p pi/2), which cancels as p -> 2
+    return (2.0 - _si(p * _PI) * K._cot_pi(0.5 * p) + _ci(p * _PI)
             - math.log(p * _PI) + 0.5 * (_psi(0.5 * p) + _psi(-0.5 * p)))
 
 

@@ -177,7 +177,9 @@ def s_3_8(p: float, max_terms: int | None = None) -> SeriesResult:
               6: -6.0 / _TWO_PI ** 5}
     omit = {8: 180.0 / _TWO_PI ** 7}
     return zeta_tail_sum(
-        lambda n_last: (_si_small_at_pi_mult(n) / (n * (4.0 * n * n - p * p))
+        # 4n^2 - p^2 as (2n - p)(2n + p), which does not cancel at n = 1
+        lambda n_last: (_si_small_at_pi_mult(n)
+                        / (n * ((2.0 * n - p) * (2.0 * n + p)))
                         for n in range(1, n_last + 1)),
         lambda n: quad_tail(q, orders, n, omit), cap=max_terms, floor=1e-14,
         method="lattice+asymptotic")

@@ -13,6 +13,8 @@ mp = pytest.importorskip("mpmath")
 
 from gammalab import kernels as K  # noqa: E402
 from gammalab import registry as R  # noqa: E402
+from gammalab import series  # noqa: E402
+from gammalab.errors import DomainError  # noqa: E402
 from gammalab.integral_catalog import integral_catalog  # noqa: E402
 from gammalab.series import cvz_alternating  # noqa: E402
 from gammalab.series_catalog import (  # noqa: E402
@@ -42,6 +44,25 @@ def test_hurwitz_either_side_of_direct_sum(s, a):
     if a == 1.0:
         r = K.zeta_family("zeta_prime", s)
         assert _close(r.value, mp.zeta(s, 1, 1), r.abs_err)
+
+
+_BOUND_K = [2, 3, 4, 5, 6, 8, 11, 17, 29, 41, 60]
+_BOUND_A = [1.5, 2.0, 2.5, 3.0, 5.0, 9.0, 17.0, 65.0, 257.0, 1025.0, 65537.0]
+
+
+@pytest.mark.parametrize("k", _BOUND_K)
+def test_zeta_tail_upper_bounds(k):
+    # tail_bound's closed-form zeta(k, a) and |zeta'(k, a)| are upper bounds
+    # within 1.2x and 1.35x; zeta' needs a >= e^(1/k)
+    for a in _BOUND_A:
+        with mp.workdps(40 + int(k * math.log10(a))):
+            z, dz = mp.zeta(k, a), -mp.zeta(k, a, 1)
+        assert z <= series._zeta_upper(k, a) <= 1.2 * z, (k, a)
+        if k * math.log(a) < 1.0:
+            with pytest.raises(DomainError):
+                series._zeta_prime_upper(k, a)
+        else:
+            assert dz <= series._zeta_prime_upper(k, a) <= 1.35 * dz, (k, a)
 
 
 # zeta(s, a) and its first two s-derivatives, cached by make_oracle_data.py
@@ -333,6 +354,26 @@ def test_rhs_1_11():
         assert _close(value, ref, err), p
     assert R.Registry().verify_identity("I-1.11", (1e-6,)).status == \
         "CONFIRMED"
+
+
+@pytest.mark.parametrize("p", [2.0 - 10.0 ** -k for k in range(2, 13)]
+                         + [1.9988878882636572])
+def test_rhs_3_8_near_two(p):
+    # 2 - Si(p pi) cot(p pi/2) + Ci(p pi) - log(p pi) + (psi(p/2)
+    # + psi(-p/2))/2, whose poles at p = 2 grow like 1/(2 - p): cot(p pi/2)
+    # must come from p/2's fraction, not from sin(p pi)/(1 - cos p pi)
+    value, err = R.Registry().record("I-3.8").rhs.evaluate((p,))
+    pm = mp.mpf(p)
+    x = pm * mp.pi
+    ref = (2 - mp.si(x) * mp.cot(x / 2) + mp.ci(x) - mp.log(x)
+           + (mp.digamma(pm / 2) + mp.digamma(-pm / 2)) / 2)
+    assert _close(value, ref, err)
+
+
+@pytest.mark.parametrize("k", [3, 6, 9])
+def test_identity_3_8_near_two(k):
+    assert R.Registry().verify_identity(
+        "I-3.8", (2.0 - 10.0 ** -k,)).status == "CONFIRMED"
 
 
 def test_lhs_8_15():

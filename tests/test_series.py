@@ -102,10 +102,10 @@ def test_zeta_tail_sum_expansion_of_n_brings_its_omitted_orders():
 @pytest.mark.parametrize("v", [0.0, 1.3, 40.0])
 def test_fixed_n_sum_never_probes_its_bound(v, monkeypatch):
     # n_min = cap sums at that N at once: lambda_fn's series builds its
-    # expansion once, calls Hurwitz once per tail and omitted order, and
-    # evaluates one bound, the one it reports
+    # expansion once, calls Hurwitz once per tail order, and evaluates one
+    # bound, the one it reports, which makes no Hurwitz call
     n_last = max(64, math.ceil(4.0 * abs(v)))
-    tail, omitted = K._lambda_tail(v * v, n_last)
+    tail, _ = K._lambda_tail(v * v, n_last)
     calls = {"expansion": [], "bound": 0, "hurwitz": 0}
     lambda_tail, tail_bound, hurwitz = (K._lambda_tail, series.tail_bound,
                                         series._hurwitz)
@@ -127,7 +127,7 @@ def test_fixed_n_sum_never_probes_its_bound(v, monkeypatch):
     r = K._lambda_sum(v * v, n_last, n_last)
     assert r.terms_used == n_last
     assert calls == {"expansion": [n_last], "bound": 1,
-                     "hurwitz": len(tail) + len(omitted)}
+                     "hurwitz": len(tail)}
     assert len(tail) == 39
 
 
@@ -251,6 +251,49 @@ def test_target_n_is_small(key):
     for params in _test_params(key):
         r = sum_catalog(key, params)
         assert r.terms_used <= 1024, (key, params, r.terms_used)
+
+
+def _exact_tail_bound(n_last, omitted={}, log_omitted={}, shift=1.0):
+    """``tail_bound`` with each zeta order evaluated, not bounded."""
+    a = n_last + shift
+    return 2.0 * (sum(abs(e) * K._hurwitz(float(k), a)
+                      for k, e in omitted.items())
+                  + sum(abs(e * K._hurwitz_prime(float(k), a))
+                        for k, e in log_omitted.items()))
+
+
+def _searched_ns(key, monkeypatch, bound=None):
+    """The N of every target_terms search an entry makes at its test
+    parameters, with ``tail_bound`` replaced by ``bound`` if given."""
+    found = []
+
+    def recording(*args, **kwargs):
+        found.append(target_terms(*args, **kwargs))
+        return found[-1]
+    monkeypatch.setattr(series_catalog, "target_terms", recording)
+    monkeypatch.setattr(series, "target_terms", recording)
+    if bound is not None:
+        monkeypatch.setattr(series_catalog, "tail_bound", bound)
+        monkeypatch.setattr(series, "tail_bound", bound)
+    series_catalog._log_g_residuals.cache_clear()  # FS-4.16's T_n sums
+    for params in _test_params(key):
+        sum_catalog(key, params)
+    monkeypatch.undo()
+    series_catalog._log_g_residuals.cache_clear()
+    return found
+
+
+@pytest.mark.parametrize("key", sorted(k for k in SERIES_CATALOG
+                                       if not k.startswith("PS-")))
+def test_closed_form_tail_bound_moves_n_by_one_at_most(key, monkeypatch):
+    # tail_bound bounds each zeta order in closed form, within 1.2x (1.35x
+    # for zeta'); every search then picks the N that the exact zeta values
+    # pick, or the next one
+    exact = _searched_ns(key, monkeypatch, _exact_tail_bound)
+    closed = _searched_ns(key, monkeypatch)
+    assert len(closed) == len(exact)
+    for n, n_exact in zip(closed, exact):
+        assert n_exact <= n <= n_exact + 1, (key, n, n_exact)
 
 
 # ---------------------------------------------------------------------------
