@@ -32,6 +32,7 @@ from .kernels import (
     _lgamma,
     _lgamma1p,
     _lnG_base,
+    _one_over_x_minus_pi_cot,
     _require_finite,
     _zeta_int,
 )
@@ -194,22 +195,6 @@ def _ln_g1p(x: float, db: float) -> float:
         return _lnG_base(x)
     w = -db  # x - 1
     return _lnG_base(w) + _lgamma1p(w)
-
-
-def _one_over_x_minus_pi_cot(x: float) -> float:
-    """1/x - pi cot(pi x), cancellation-free for small x."""
-    if x < 0.5:
-        acc = 0.0
-        x2 = x * x
-        pw = x
-        for k in range(1, 40):
-            t = 2.0 * _zeta_int(2 * k) * pw
-            acc += t
-            if t < 1e-18 * acc:
-                break
-            pw *= x2
-        return acc
-    return 1.0 / x - _PI * math.cos(_PI * x) / math.sin(_PI * x)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import cmath
 import math
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import (
     DomainError,
@@ -343,6 +343,30 @@ def _cot_pi(x: float) -> float:
     return math.cos(math.pi * f) / math.sin(math.pi * f)
 
 
+@lru_cache(maxsize=1)
+def _two_zeta_even() -> tuple[float, ...]:
+    """2 zeta(2k) for k = 1..39, the coefficients of
+    :func:`_one_over_x_minus_pi_cot`'s series."""
+    return tuple(2.0 * _zeta_int(2 * k) for k in range(1, 40))
+
+
+def _one_over_x_minus_pi_cot(x: float) -> float:
+    """1/x - pi cot(pi x) for x > 0, cancellation-free below 1/2 by its
+    series sum_k 2 zeta(2k) x^(2k-1)."""
+    if x < 0.5:
+        acc = 0.0
+        x2 = x * x
+        pw = x
+        for z in _two_zeta_even():
+            t = z * pw
+            acc += t
+            if t < 1e-18 * acc:
+                break
+            pw *= x2
+        return acc
+    return 1.0 / x - math.pi * math.cos(math.pi * x) / math.sin(math.pi * x)
+
+
 def _digamma_real(x: float) -> float:
     if x <= 0.0:
         if x == math.floor(x):
@@ -433,18 +457,22 @@ _LAMBDA_V_ASYMPTOTIC = 1e4
 
 
 def _lambda_tail(c: float, n_last: int
-                 ) -> tuple[dict[int, float], dict[int, float]]:
-    """The zeta expansion ``(tail, omitted)`` of the lambda sum past
-    ``n_last``: sum_j (-c)^j n^(-2j-1) (``quad_tail``) plus
-    sum_k (-1)^k n^-k / k from -log(1+1/n), kept to k = 40; the two n^-1
-    orders cancel."""
+                 ) -> tuple[dict[int, float], Callable[[], dict[int, float]]]:
+    """The zeta expansion ``(omitted, build)`` of the lambda sum past
+    ``n_last``, ``build()`` giving its orders: sum_j (-c)^j n^(-2j-1)
+    (``quad_tail``) plus sum_k (-1)^k n^-k / k from -log(1+1/n), kept to
+    k = 40; the two n^-1 orders cancel."""
     from .series import quad_tail
-    tail, omitted = quad_tail(-c, {-1: 1.0}, n_last)
-    del tail[1]
-    for k in range(2, 41):
-        tail[k] = tail.get(k, 0.0) + (-1.0) ** k / k
+    omitted, quad = quad_tail(-c, {-1: 1.0}, n_last)
     omitted[41] = omitted.get(41, 0.0) + 1.0 / 41.0
-    return tail, omitted
+
+    def build() -> dict[int, float]:
+        tail = quad()
+        del tail[1]
+        for k in range(2, 41):
+            tail[k] = tail.get(k, 0.0) + (-1.0) ** k / k
+        return tail
+    return omitted, build
 
 
 def _lambda_sum(c: float, n_min: int = 1, cap: int | None = None):
@@ -521,6 +549,23 @@ def _e1_cf(z: complex) -> complex:
     return h * cmath.exp(-z)
 
 
+def _cin(x: float) -> float:
+    """Cin(x) = int_0^x (1 - cos t)/t dt = gamma + log x - Ci(x) by its
+    power series, for |x| <= 4: free of the cancellation of
+    Ci(x) - gamma - log x as x -> 0."""
+    x2 = x * x
+    cin = 0.0
+    v = -1.0
+    k = 0
+    while True:
+        k += 1
+        v *= -x2 / ((2 * k - 1) * (2 * k))
+        t = v / (2 * k)
+        cin += t
+        if abs(t) < 1e-18 * max(abs(cin), 1e-30):
+            return cin
+
+
 def _sici_raw(x: float) -> tuple[float, float]:
     """(Si(x), Ci(x)) for x > 0."""
     if x <= 4.0:
@@ -536,18 +581,7 @@ def _sici_raw(x: float) -> tuple[float, float]:
             # <=: below x ~ 1e-306 both sides underflow to 0 (Si(x) = x)
             if abs(t) <= 1e-18 * abs(si):
                 break
-        cin = 0.0
-        v = -1.0
-        k = 0
-        while True:
-            k += 1
-            v *= -x2 / ((2 * k - 1) * (2 * k))
-            t = v / (2 * k)
-            cin += t
-            if abs(t) < 1e-18 * max(abs(cin), 1e-30):
-                break
-        ci = _euler_gamma() + math.log(x) - cin
-        return si, ci
+        return si, _euler_gamma() + math.log(x) - _cin(x)
     e1 = _e1_cf(complex(0.0, x))
     return e1.imag + 0.5 * math.pi, -e1.real
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import time
-from functools import lru_cache
 from itertools import chain, count, islice, repeat
 from operator import mul, sub, truediv
 from types import MappingProxyType
@@ -40,6 +39,7 @@ from .series import SeriesResult, zeta_tail_sum
 from .series_catalog import (
     _bernoulli_fourier,
     _ps_fast,
+    _sum_log_4n2m1,
     _zeta_m1,
     ci_quarter_sum,
     log_quarter_sum,
@@ -232,12 +232,6 @@ def _ci(x: float) -> float:
     return K._sici_raw(x)[1]
 
 
-@lru_cache(maxsize=1)
-def _sum_log_4n2m1() -> float:
-    """sum log n/(4n^2-1), cached."""
-    return log_quarter_sum(0.25).value
-
-
 def _sum_glc(p: float) -> float:
     """sum (gamma + log(2 pi n))/(4 pi^2 n^2 + p^2)."""
     s1 = (1.0 / math.expm1(p) - 1.0 / p + 0.5) / (2.0 * p)
@@ -363,10 +357,12 @@ def _rhs_3_8(p: float) -> float:
 
 
 def _rhs_3_14(p: float) -> float:
-    cp, sp = math.cos(p * _PI), math.sin(p * _PI)
-    return -(_PI / (4.0 * p)) * (
-        _si(p * _PI) + (_ci(p * _PI) - _G - math.log(p * _PI)) * sp
-        / (1.0 - cp))
+    x = p * _PI
+    # Ci(x) - gamma - log x = -Cin(x), which cancels as p -> 0 unless taken
+    # from Cin's series; sin(p pi)/(1 - cos p pi) = cot(p pi/2), which
+    # cancels as p -> 2 unless taken from p/2's fraction
+    ci_rest = -K._cin(x) if x <= 4.0 else _ci(x) - _G - math.log(x)
+    return -(_PI / (4.0 * p)) * (_si(x) + ci_rest * K._cot_pi(0.5 * p))
 
 
 def _ci_lattice_sum(power: int) -> float:
@@ -604,9 +600,9 @@ def build_records() -> list[IdentityRecord]:
     add(IdentityRecord(
         "I-3.15", 3, "(3.15): p=1 Ci-weighted specialisation",
         _expr("(gamma+log 2pi n)-weighted sum",
-              lambda: 0.5 * (g + l2pi) + _sum_log_4n2m1(), err=1e-13),
+              lambda: 0.5 * (g + l2pi) + _sum_log_4n2m1().value, err=1e-13),
         _expr("(pi/4) Si(pi) + sum Ci(2 pi n)/(4n^2-1)",
-              lambda: 0.25 * _PI * _si(_PI) + ci_quarter_sum(0.25).value,
+              lambda: 0.25 * _PI * _si(_PI) + ci_quarter_sum(0.5).value,
               err=1e-13)))
     add(IdentityRecord(
         "I-3.19", 3, "(3.19): Fourier expansion of sin x",
@@ -1021,7 +1017,7 @@ def build_records() -> list[IdentityRecord]:
         _ser("S-6.23"),
         _expr("log-2 and log-sum closed form",
               lambda: (g + 2.0 * math.log(2.0) - 2.0) * math.log(2.0)
-              - 4.0 * _sum_log_4n2m1(), err=1e-13)))
+              - 4.0 * _sum_log_4n2m1().value, err=1e-13)))
     add(IdentityRecord(
         "I-6.24", 6, "(6.24): x(1-x) cos cot integral vs zeta(3)",
         _quad("Q-6.24"),
@@ -1062,7 +1058,7 @@ def build_records() -> list[IdentityRecord]:
         "I-7.12", 7, "(7.12): log(1+1/n)/(2n+1) sum vs log-weighted sum",
         _ser("S-7.12"),
         _expr("2 sum log n/(4n^2-1)",
-              lambda: 2.0 * _sum_log_4n2m1(), err=1e-13)))
+              lambda: 2.0 * _sum_log_4n2m1().value, err=1e-13)))
     add(IdentityRecord(
         "I-7.13", 7, "(7.13): int_0^1 psi(x) sin^2(pi x) dx",
         _quad("Q-7.13"),
@@ -1079,7 +1075,7 @@ def build_records() -> list[IdentityRecord]:
         "I-7.17", 7, "(7.17): the u = 1/2 case in closed form",
         _quad("Q-7.17"),
         _expr("-(2/pi) sum log n/(4n^2-1) - (gamma+log 2pi)/pi - 1/2",
-              lambda: -2.0 / _PI * _sum_log_4n2m1()
+              lambda: -2.0 / _PI * _sum_log_4n2m1().value
               - (g + l2pi) / _PI - 0.5, err=1e-13)))
     add(IdentityRecord(
         "D-7.11", 7, "(7.11): alternating log series pair (source saw a "

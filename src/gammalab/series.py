@@ -24,7 +24,8 @@ from the omitted orders it reports, is at most ``TARGET_ERR`` (Johansson,
 derivatives", Numer. Algorithms 2015, picks N inside the routine that
 bounds the error the same way).  So a series is summed once, at the N its
 own bound asks for, and the bound that picks N is the one reported: the
-expansion and bound of the chosen N are those its probe computed.
+omitted orders and bound of the chosen N are those its probe computed, and
+an expansion that depends on N builds its tail orders once, at that N.
 
 ``target_terms`` is that search; the bounds fall like a power of N + 1,
 so a secant in log-log coordinates finds N in about three probes.  It also
@@ -66,9 +67,9 @@ CVZ_TERMS = math.ceil(math.log(2.0 / TARGET_ERR)
 
 
 # zeta orders {k: coefficient}, and an expansion that depends on N: its
-# orders and first omitted orders at N
+# first omitted orders at N and a builder of its orders at N
 Orders = Mapping[int, float]
-Expansion = Callable[[int], tuple[Orders, Orders]]
+Expansion = Callable[[int], tuple[Orders, Callable[[], Orders]]]
 
 
 class SeriesResult(NamedTuple):
@@ -95,19 +96,21 @@ def zeta_tail_sum(terms: Callable[[int], Iterable[float]],
     the expansion leaves out; each adds 2|e_k| times an upper bound on
     zeta(k, a) or |zeta'(k, a)| to the error (:func:`tail_bound`), on top
     of ``floor * (1 + |value|)``.  An expansion that depends on N, such as
-    :func:`quad_tail`'s, is a function of N that returns ``(tail,
-    omitted)`` in place of both maps.  The zeta functions are taken at
-    a = N + ``shift``.
+    :func:`quad_tail`'s, is a function of N that returns ``(omitted,
+    build)`` in place of both maps, ``build()`` giving its orders at N:
+    the search probes only the omitted orders, and the orders are built
+    once, at the chosen N.  The zeta functions are taken at a = N +
+    ``shift``.
     """
     if callable(tail) and omitted or callable(log_tail) and log_omitted:
         raise TypeError("an expansion given as a function of N brings its "
                         "own omitted orders")
 
     def expansion(n: int):
-        t, o = tail(n) if callable(tail) else (tail, omitted)
-        lt, lo = (log_tail(n) if callable(log_tail)
-                  else (log_tail, log_omitted))
-        return t, lt, o, lo
+        o, t = tail(n) if callable(tail) else (omitted, lambda: tail)
+        lo, lt = (log_tail(n) if callable(log_tail)
+                  else (log_omitted, lambda: log_tail))
+        return o, lo, t, lt
 
     # the expansion and bound of each N the search probes, reused at the
     # chosen N; a cap the search returns unprobed builds both afresh
@@ -115,17 +118,17 @@ def zeta_tail_sum(terms: Callable[[int], Iterable[float]],
 
     def bound(n: int) -> float:
         e = expansion(n)
-        b = tail_bound(n, *e[2:], shift)
+        b = tail_bound(n, e[0], e[1], shift)
         probed[n] = e, b
         return b
 
     n_last = target_terms(bound, n_min, cap)
     pair = probed.get(n_last)
-    t, lt, o, lo = expansion(n_last) if pair is None else pair[0]
+    o, lo, t, lt = expansion(n_last) if pair is None else pair[0]
     a = n_last + shift
     value = math.fsum(chain(
-        terms(n_last), [c * _hurwitz(float(k), a) for k, c in t.items()],
-        [-d * _hurwitz_prime(float(k), a) for k, d in lt.items()]))
+        terms(n_last), [c * _hurwitz(float(k), a) for k, c in t().items()],
+        [-d * _hurwitz_prime(float(k), a) for k, d in lt().items()]))
     if not math.isfinite(value):
         raise EvaluationError(f"series not finite with N={n_last}")
     err = floor * (1.0 + abs(value)) + (
@@ -229,14 +232,16 @@ def target_terms(bound: Callable[[int], float], n_min: int = 1,
 
 def quad_tail(q: float, orders: Mapping[int, float], n_last: int,
               omit: Mapping[int, float] = {}
-              ) -> tuple[dict[int, float], dict[int, float]]:
+              ) -> tuple[dict[int, float], Callable[[], dict[int, float]]]:
     """Expansion of sum_{n>N} sum_s a_s n^-s / (n^2 - q) in zeta orders.
 
     1/(n^2 - q) = sum_j q^j n^(-2j-2), so ``orders`` {s: a_s} becomes
     {s+2+2j: a_s q^j} for j < J, with J chosen so that the omitted orders
-    are 1e-17 of the leading one.  Returns ``(tail, omitted)`` for
-    :func:`zeta_tail_sum`; ``omit`` lists asymptotic orders the caller
-    leaves out, whose leading zeta order joins ``omitted``.  Requires
+    are 1e-17 of the leading one.  Returns ``(omitted, build)`` for
+    :func:`zeta_tail_sum`, ``build()`` giving the orders j < J, so that a
+    probe of N computes only the omitted ones; ``omit`` lists asymptotic
+    orders the caller leaves out, whose leading zeta order joins
+    ``omitted``.  Requires
     (N+1)^2 >= 2|q|, so that each further order shrinks by 1/2 or more,
     and |q|^J within the float range; otherwise raises ``DomainError``,
     which a larger N cures.
@@ -250,16 +255,21 @@ def quad_tail(q: float, orders: Mapping[int, float], n_last: int,
     if abs(q) > 1.0 and n_ord * math.log(abs(q)) > 700.0:
         raise DomainError(
             f"tail expansion needs |q|^{n_ord} < e^700; N={n_last}, q={q}")
-    tail: dict[int, float] = {}
     omitted: dict[int, float] = {}
     for s, c in orders.items():
-        for j in range(n_ord):
-            tail[s + 2 + 2 * j] = tail.get(s + 2 + 2 * j, 0.0) + c * q ** j
         k = s + 2 + 2 * n_ord
         omitted[k] = omitted.get(k, 0.0) + abs(c * q ** n_ord)
     for s, c in omit.items():
         omitted[s + 2] = omitted.get(s + 2, 0.0) + abs(c)
-    return tail, omitted
+
+    def build() -> dict[int, float]:
+        tail: dict[int, float] = {}
+        for s, c in orders.items():
+            for j in range(n_ord):
+                k = s + 2 + 2 * j
+                tail[k] = tail.get(k, 0.0) + c * q ** j
+        return tail
+    return omitted, build
 
 
 def cvz_alternating(a: Callable[[int], float],

@@ -17,16 +17,20 @@ reports its larger error.  Each entry declares the smallest cap
 (``n_min``) at which its bound holds; :func:`sum_catalog` rejects smaller
 caps with ``DomainError``.  ``FS-7.1`` picks N from a Dirichlet-kernel
 bound, and :func:`psi_sin_partial` meets ``_PSI_SIN_TARGET`` = 1e-8
-rather than the series target; these and the alternating pair S-4.29-rhs
-and S-6.33 call :func:`~gammalab.series.target_terms` on their own
-bounds.  Every partial
+rather than the series target, by a second summation by parts whose
+remainder is a first difference of its coefficients (N ~ 90 in the middle
+of its domain), summed from one table of their parts per process; these
+and the alternating pair S-4.29-rhs and S-6.33 call
+:func:`~gammalab.series.target_terms` on their own bounds.  Every partial
 sum is exactly rounded (``math.fsum``).  :func:`sum_catalog` rejects a
 non-finite parameter with ``DomainError``.
 
 ``FS-4.16``, ``FS-6.2``, ``FS-8.13``, ``FS-8.14``,
 :func:`log_weighted_sin_sum` and the registry's alternating cosine sum
 share :func:`_bernoulli_fourier`: exact Bernoulli slices of their 1/n
-expansion plus a residual summed to the target N.  ``FS-4.16`` also sums
+expansion plus a residual summed to the target N; the residual
+coefficients of the first five depend on n alone and are computed once per
+process for each n.  ``FS-4.16`` also sums
 the 1/n and log(n)/n orders of its coefficients in closed form, and its
 residual to n = 11, past which its bound holds.
 """
@@ -35,7 +39,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain, count, repeat
+from operator import mul, truediv
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, UnknownKeyError, integer_arg
@@ -44,11 +49,13 @@ from .kernels import (
     _bpoly,
     _ci_at_2pi_mult,
     _cl2,
+    _cot_pi,
     _digamma_pos,
     _euler_gamma,
     _hurwitz,
     _lambda_sum,
     _lnG,
+    _one_over_x_minus_pi_cot,
     _require_finite,
     _si_small_at_pi_mult,
     _zeta_int,
@@ -185,15 +192,20 @@ def s_3_8(p: float, max_terms: int | None = None) -> SeriesResult:
         method="lattice+asymptotic")
 
 
-def ci_quarter_sum(q: float, max_terms: int | None = None) -> SeriesResult:
-    """sum_{n>=1} Ci(2 pi n)/(4 (n^2 - q)) for q < 1, no rounding floor."""
+def ci_quarter_sum(h: float, max_terms: int | None = None) -> SeriesResult:
+    """sum_{n>=1} Ci(2 pi n)/(4 (n^2 - h^2)) for |h| < 1, no rounding
+    floor."""
     # Ci(2 pi n) ~ -1/x^2 + 6/x^4 - 120/x^6 + 5040/x^8, x = 2 pi n
     orders = {2: -0.25 / _TWO_PI ** 2, 4: 1.5 / _TWO_PI ** 4,
               6: -30.0 / _TWO_PI ** 6}
     omit = {8: 1260.0 / _TWO_PI ** 8}
+    q = h * h
+    # the n = 1 denominator as (1 - h)(1 + h), which does not cancel at h = 1
+    first = _ci_at_2pi_mult(1) / (4.0 * ((1.0 - h) * (1.0 + h)))
     return zeta_tail_sum(
-        lambda n_last: (_ci_at_2pi_mult(n) / (4.0 * (n * n - q))
-                        for n in range(1, n_last + 1)),
+        lambda n_last: chain((first,), (
+            _ci_at_2pi_mult(n) / (4.0 * (n * n - q))
+            for n in range(2, n_last + 1))),
         lambda n: quad_tail(q, orders, n, omit), cap=max_terms, floor=0.0)
 
 
@@ -211,12 +223,17 @@ def s_3_14(p: float, max_terms: int | None = None) -> SeriesResult:
     if not 0.0 < abs(p) < 2.0:
         raise DomainError(f"requires 0 < |p| < 2, got {p}")
     g = _euler_gamma()
-    q = 0.25 * p * p
-    ci = ci_quarter_sum(q, max_terms)
-    # -(gamma + log 2 pi) sum 1/(4n^2-p^2): exact closed form
-    s_quad = 0.5 / (p * p) - _PI / (4.0 * p) * (
-        math.cos(_PI * p / 2.0) / math.sin(_PI * p / 2.0))
-    s_log = log_quarter_sum(q, max_terms)
+    ci = ci_quarter_sum(0.5 * p, max_terms)
+    # -(gamma + log 2 pi) sum 1/(4n^2-p^2), in closed form
+    # (1/h - pi cot(pi h))/(8h), h = |p|/2: below h = 1/2 by its series,
+    # where 0.5/p^2 - (pi/4p) cot(pi p/2) cancels, and above it with
+    # cot(pi p/2) from p/2's fraction, which does not cancel as p -> 2
+    h = 0.5 * abs(p)
+    if h < 0.5:
+        s_quad = _one_over_x_minus_pi_cot(h) / (8.0 * h)
+    else:
+        s_quad = 0.5 / (p * p) - _PI / (4.0 * p) * _cot_pi(0.5 * p)
+    s_log = log_quarter_sum(0.25 * p * p, max_terms)
     value = ci.value - (g + math.log(_TWO_PI)) * s_quad - s_log.value
     err = ci.abs_err + s_log.abs_err + 2e-14 * (1.0 + abs(value))
     return SeriesResult(value, err, max(ci.terms_used, s_log.terms_used),
@@ -768,16 +785,23 @@ def _bernoulli_fourier(slices: dict[int, float], term: Callable[[int], float],
                         "bernoulli_closed+residual")
 
 
+@lru_cache(maxsize=None)
+def _log_square_residual(n: int, orders: int) -> float:
+    """log(1 - 1/n^2) + sum_{j<=orders} 1/(j n^2j), the residual coefficient
+    of FS-6.2 (``orders`` = 6) and :func:`log_weighted_sin_sum` (5), once per
+    process for each n."""
+    return math.log1p(-1.0 / (n * n)) + math.fsum(
+        1.0 / (j * float(n) ** (2 * j)) for j in range(1, orders + 1))
+
+
 @_entry("FS-6.2", "sum_{n>=2} log(1-1/n^2) cos(2 pi n x)", 1)
 def fs_6_2(x: float, max_terms: int | None = None) -> SeriesResult:
     # log(1-1/n^2) = -sum_j 1/(j n^2j); the j <= 6 slices are exact and the
     # residual is below (4/3) n^-14/7
     return _bernoulli_fourier(
         {2 * j: -1.0 / j for j in range(1, 7)},
-        lambda n: (math.log1p(-1.0 / (n * n)) + math.fsum(
-            1.0 / (j * float(n) ** (2 * j)) for j in range(1, 7)))
-        * math.cos(_TWO_PI * n * x), x, {14: 1.0 / 7.0}, n_first=2,
-        max_terms=max_terms)
+        lambda n: _log_square_residual(n, 6) * math.cos(_TWO_PI * n * x), x,
+        {14: 1.0 / 7.0}, n_first=2, max_terms=max_terms)
 
 
 def log_weighted_sin_sum(x: float) -> SeriesResult:
@@ -786,9 +810,8 @@ def log_weighted_sin_sum(x: float) -> SeriesResult:
     residual is below (4/3) n^-13/6 per term."""
     return _bernoulli_fourier(
         {2 * j + 1: -1.0 / j for j in range(1, 6)},
-        lambda n: (math.log1p(-1.0 / (n * n)) + math.fsum(
-            1.0 / (j * float(n) ** (2 * j)) for j in range(1, 6)))
-        * math.sin(_TWO_PI * n * x) / n, x, {13: 1.0 / 6.0}, n_first=2)
+        lambda n: _log_square_residual(n, 5) * math.sin(_TWO_PI * n * x) / n,
+        x, {13: 1.0 / 6.0}, n_first=2)
 
 
 def _fs_7_1_residual(n: int) -> float:
@@ -914,39 +937,86 @@ def log_cos_over_n2(u: float) -> float:
 # the truncation error psi_sin_partial sums its residuals to
 _PSI_SIN_TARGET = 1e-8
 
+# log n, 2n(4n^2-1) and 4n^2(4n^2-1) from n = 2 on, the parts of the
+# residual coefficients of psi_sin_partial: one table per process, grown to
+# the largest N asked for
+_PSI_SIN_TABLE: tuple[list[float], list[float], list[float]] = ([], [], [])
 
-def _psi_sin_bound(n_last: int, su: float, cu: float) -> float:
+
+def _psi_sin_table(n_last: int
+                   ) -> tuple[list[float], list[float], list[float]]:
+    """:data:`_PSI_SIN_TABLE`, grown to n = ``n_last``."""
+    logs, d1, d2 = _PSI_SIN_TABLE
+    for n in range(len(logs) + 2, n_last + 1):
+        q = 4.0 * n * n - 1.0
+        logs.append(math.log(n))
+        d1.append(2.0 * n * q)
+        d2.append(4.0 * n * n * q)
+    return _PSI_SIN_TABLE
+
+
+def _psi_sin_coeffs(n: float) -> tuple[float, float]:
+    """c1_n = log n/(2n(4n^2-1)) and c2_n = log n/(4n^2(4n^2-1)), the
+    coefficients of :func:`psi_sin_partial`'s sine and cosine residuals."""
+    log_n, q = math.log(n), 4.0 * n * n - 1.0
+    return log_n / (2.0 * n * q), log_n / (4.0 * n * n * q)
+
+
+def _psi_sin_bound(n_last: int, su: float, cu: float
+                   ) -> tuple[float, float, float]:
     """The truncation bound of :func:`psi_sin_partial`'s residuals past
-    N = ``n_last``, times 2/pi as they enter its value.
+    N = ``n_last``, times 2/pi as they enter its value, and the factors
+    c1_{N+1}/(2s) and c2_{N+1}/(2s) of their boundary terms, each 0 where
+    that residual keeps its first-order bound.
 
-    The coefficients c1_n = log n/(2n(4n^2-1)) and c2_n = log n/(4n^2
-    (4n^2-1)) are positive and fall from n = 2 on, so by Abel summation
-    against the Dirichlet kernel each tail is at most c_{N+1}/sin(pi u),
-    and never more than its absolute tail, which is below r/8 and r/16 of
-    the integrals of log t/t^3 and log t/t^4 from N, r = 1/(1 - 1/(4N^2)).
-    The sine residual enters times sin(pi u), which cancels its kernel.
+    The coefficients c_n fall from n = 2 on and are convex there, s =
+    sin(pi u).  By Abel summation against the Dirichlet kernel each tail
+    is at most c_{N+1}/s, and never more than its absolute tail, which is
+    below r/8 and r/16 of the integrals of log t/t^3 and log t/t^4 from N,
+    r = 1/(1 - 1/(4N^2)).  A second summation by parts (Abel's partial
+    summation; Knopp, Theory and Application of Infinite Series) leaves,
+    past the boundary
+    terms c1_{N+1} cos((N+1/2)w)/(2s) and -c2_{N+1} sin((N+1/2)w)/(2s),
+    w = 2 pi u, remainders at most dc_{N+1}/(2s^2), dc_n = c_n - c_{n+1}.
+    Each residual takes the smaller of its two bounds, so near u = 0 and
+    u = 1 it keeps the first.  The sine residual enters times s, which
+    cancels one s of its kernel, the cosine one times cos(pi u).
     """
     n = n_last + 1.0
-    log_n, log_last = math.log(n), math.log(n_last)
+    log_last = math.log(n_last)
     r = 1.0 / (1.0 - 0.25 / (n_last * n_last))
-    c1 = log_n / (2.0 * n * (4.0 * n * n - 1.0))
-    c2 = log_n / (4.0 * n * n * (4.0 * n * n - 1.0))
+    c1, c2 = _psi_sin_coeffs(n)
+    c1_next, c2_next = _psi_sin_coeffs(n + 1.0)
     abs1 = r * (2.0 * log_last + 1.0) / (32.0 * n_last ** 2)
     abs2 = r * (3.0 * log_last + 1.0) / (144.0 * n_last ** 3)
-    return 2.0 / _PI * (min(c1, su * abs1) + abs(cu) * min(c2 / su, abs2))
+    first1, first2 = min(c1, su * abs1), min(c2 / su, abs2)
+    second1 = (c1 - c1_next) / (2.0 * su)
+    second2 = (c2 - c2_next) / (2.0 * su) / su
+    bound = min(first1, second1) + abs(cu) * min(first2, second2)
+    return (2.0 / _PI * bound, c1 / (2.0 * su) if second1 < first1 else 0.0,
+            c2 / (2.0 * su) if second2 < first2 else 0.0)
+
+
+@lru_cache(maxsize=1)
+def _sum_log_4n2m1() -> SeriesResult:
+    """sum_{n>=2} log n/(4n^2-1), :func:`log_quarter_sum` at q = 1/4, once
+    per process."""
+    return log_quarter_sum(0.25)
 
 
 def psi_sin_partial(u: float) -> SeriesResult:
     """Closed-plus-residual evaluation of the log-weighted series side of
     the partial sine transform of psi on [0, u].  The residuals take the N
-    at which their bound meets ``_PSI_SIN_TARGET``; at u = 1 the sine
-    residual vanishes and the cosine one is sum log n/(4n^2-1) + zeta'(2)/4
-    in closed form."""
+    at which their bound meets ``_PSI_SIN_TARGET``, plus the boundary terms
+    of a second summation by parts where that bound is the smaller
+    (:func:`_psi_sin_bound`); their terms come from one table per process
+    (:func:`_psi_sin_table`).  At u = 1 the sine residual vanishes and the
+    cosine one is sum log n/(4n^2-1) + zeta'(2)/4 in closed form."""
     if not 0.0 < u <= 1.0:
         raise DomainError(f"requires 0 < u <= 1, got {u}")
     c = get_constants()
     # k_log = sum log n/(4n^2-1)
-    k_log = log_quarter_sum(0.25)
+    k_log = _sum_log_4n2m1()
     if u == 1.0:
         su, cu, s_a = 0.0, -1.0, 0.0
         r1 = 0.0
@@ -956,16 +1026,20 @@ def psi_sin_partial(u: float) -> SeriesResult:
     else:
         su, cu = math.sin(_PI * u), math.cos(_PI * u)
         s_a = log_sin_over_n(u)
-        n_last = target_terms(lambda n: _psi_sin_bound(n, su, cu), n_min=2,
-                              target=_PSI_SIN_TARGET)
+        n_last = target_terms(lambda n: _psi_sin_bound(n, su, cu)[0],
+                              n_min=2, target=_PSI_SIN_TARGET)
+        trunc, e1, e2 = _psi_sin_bound(n_last, su, cu)
         w = _TWO_PI * u
-        t1, t2 = [], []
-        for n in range(2, n_last + 1):
-            log_n, q = math.log(n), 4.0 * n * n - 1.0
-            t1.append(log_n * math.sin(w * n) / (2.0 * n * q))
-            t2.append(log_n * math.cos(w * n) / (4.0 * n * n * q))
-        r1, r2 = math.fsum(t1), math.fsum(t2)
-        trunc = _psi_sin_bound(n_last, su, cu)
+        logs, d1, d2 = _psi_sin_table(n_last)
+        # the terms log n trig(w n)/d_n, n = 2..N; map stops with w n
+        wn = list(map(mul, repeat(w), range(2, n_last + 1)))
+        edge = (n_last + 0.5) * w
+        r1 = math.fsum(chain(
+            map(truediv, map(mul, logs, map(math.sin, wn)), d1),
+            (e1 * math.cos(edge),)))
+        r2 = math.fsum(chain(
+            map(truediv, map(mul, logs, map(math.cos, wn)), d2),
+            (-e2 * math.sin(edge),)))
     s_c = log_cos_over_n2(u)
     series = su * (0.5 * s_a + r1) + cu * (0.25 * s_c + r2) - k_log.value
     value = (2.0 / _PI * series
@@ -974,16 +1048,23 @@ def psi_sin_partial(u: float) -> SeriesResult:
     return SeriesResult(value, err, n_last, "kummer_closed+residual")
 
 
+@lru_cache(maxsize=None)
+def _quarter_residual(n: int, odd: int) -> float:
+    """n^odd/(n^2 - 1/4) less its five orders sum_{j<5} 4^-j n^(odd-2j-2),
+    the residual coefficient of FS-8.13 (``odd`` = 0) and FS-8.14 (1), once
+    per process for each n."""
+    return n ** odd / (n * n - 0.25) - math.fsum(
+        0.25 ** j / float(n) ** (2 * j + 2 - odd) for j in range(5))
+
+
 @_entry("FS-8.13", "sum cos(2 pi n t)/(4n^2-1)", 1)
 def fs_8_13(t: float, max_terms: int | None = None) -> SeriesResult:
     # 1/(n^2 - 1/4) = sum_j 4^-j n^(-2j-2); five exact slices + residual,
     # the residual below (4/3) 4^-5 n^-12
     return _bernoulli_fourier(
         {2 * j + 2: 0.25 ** j for j in range(5)},
-        lambda n: (1.0 / (n * n - 0.25) - math.fsum(
-            0.25 ** j / float(n) ** (2 * j + 2) for j in range(5)))
-        * math.cos(_TWO_PI * n * t), t, {12: 0.25 ** 5},
-        max_terms=max_terms, scale=0.25)
+        lambda n: _quarter_residual(n, 0) * math.cos(_TWO_PI * n * t), t,
+        {12: 0.25 ** 5}, max_terms=max_terms, scale=0.25)
 
 
 @_entry("FS-8.14", "sum n sin(2 pi n t)/(4n^2-1)", 1)
@@ -994,7 +1075,5 @@ def fs_8_14(t: float, max_terms: int | None = None) -> SeriesResult:
     # sum sin(2 pi n t)/n, the residual below (4/3) 4^-5 n^-11
     return _bernoulli_fourier(
         {2 * j + 1: 0.25 ** j for j in range(5)},
-        lambda n: (n / (n * n - 0.25) - math.fsum(
-            0.25 ** j / float(n) ** (2 * j + 1) for j in range(5)))
-        * math.sin(_TWO_PI * n * t), t, {11: 0.25 ** 5},
-        max_terms=max_terms, scale=0.25)
+        lambda n: _quarter_residual(n, 1) * math.sin(_TWO_PI * n * t), t,
+        {11: 0.25 ** 5}, max_terms=max_terms, scale=0.25)

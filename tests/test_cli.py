@@ -350,6 +350,26 @@ def test_verify_all_passes_benchmark_reference(tmp_path, monkeypatch):
     assert bench_run.check_report(verdicts, reference) == (0, False)
 
 
+def test_sweep_pass_passes_benchmark_reference(monkeypatch):
+    # the gate the benchmark applies to every `sweep` pass: each failing
+    # (round, id) is one its reference file lists, and a pass fails no more
+    # than the 408 verdicts of the non-integer draws of integer indices
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    if not (bench / "worker.py").exists():
+        pytest.skip("no perfbench/ next to the tests")
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_worker",
+                                                  bench / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    res = worker.run_sweep({"seed": 0, "pass": 0})
+    reference = json.loads((bench / "reference" / "sweep.json").read_text())
+    known = {(i, rid) for i, rid, _ in reference["failing"]}
+    assert res["tally"]["attempted"] == reference["verdicts"]
+    assert [f for f in res["failures"] if (f[0], f[1]) not in known] == []
+    assert len(res["failures"]) <= 408
+
+
 def test_perfbench_tracer_binds_current_names(tmp_path, monkeypatch):
     # perfbench wraps gammalab functions by the names its callers look up,
     # so a rename in the package breaks a traced benchmark run: run one,

@@ -232,9 +232,13 @@ def test_log_gamma_near_its_zeros():
 def test_psi_sin_partial_grid():
     # int_0^u psi(x) sin(pi x) dx, the other side of I-7.15, integrated
     # piecewise over the sorted grid: at 15 digits the running sum is good
-    # to ~1e-15, far inside the ~1e-8 claims
+    # to ~1e-15, far inside the >= 1e-12 claims.  The grid reaches 10^-k and
+    # 1 - 10^-k, where the residuals keep their first-order bound; between
+    # 0.1 and 0.9 the second summation by parts meets the target by N = 120
     grid = sorted({k / 200 for k in range(1, 201)}
-                  | {1e-4, 1e-3, 0.999, 0.9999})
+                  | {1e-4, 1e-3, 0.999, 0.9999}
+                  | {x for k in range(2, 9) for x in (10.0 ** -k,
+                                                      1.0 - 10.0 ** -k)})
     with mp.workdps(15):
         f = lambda x: mp.digamma(x) * mp.sin(mp.pi * x)  # noqa: E731
         ref, last = mp.mpf(0), mp.mpf(0)
@@ -244,6 +248,8 @@ def test_psi_sin_partial_grid():
             r = psi_sin_partial(u)
             assert _close(r.value, ref, r.abs_err), u
             assert r.abs_err <= 2.5e-8, u
+            if 0.1 <= u <= 0.9:
+                assert r.terms_used <= 120, u
 
 
 @pytest.mark.parametrize("x", [1e-3, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999,
@@ -376,6 +382,36 @@ def test_identity_3_8_near_two(k):
         "I-3.8", (2.0 - 10.0 ** -k,)).status == "CONFIRMED"
 
 
+# I-3.14 near both ends of its domain: the pole at p = 2, and p -> 0, where
+# both sides cancel O(1/p^2) terms in their closed forms
+_ENDS_3_14 = ([2.0 - 10.0 ** -k for k in range(2, 13)]
+              + [10.0 ** -k for k in range(1, 9)])
+
+
+@pytest.mark.parametrize("p", _ENDS_3_14)
+def test_rhs_3_14_near_its_ends(p):
+    # -(pi/4p) (Si(p pi) + (Ci(p pi) - gamma - log(p pi)) cot(p pi/2)), whose
+    # pole at p = 2 grows like 1/(2 - p), as its bar must: cot(p pi/2) from
+    # p/2's fraction, not from sin(p pi)/(1 - cos p pi); as p -> 0,
+    # Ci(p pi) - gamma - log(p pi) = -Cin(p pi) from Cin's series
+    value, err = R.Registry().record("I-3.14").rhs.evaluate((p,))
+    pm = mp.mpf(p)
+    x = pm * mp.pi
+    ref = -(mp.pi / (4 * pm)) * (
+        mp.si(x) + (mp.ci(x) - mp.euler - mp.log(x)) * mp.cot(x / 2))
+    assert _close(value, ref, err)
+    assert err <= 1e-13 * abs(value)
+
+
+@pytest.mark.parametrize("p", [2.0 - 1e-3, 2.0 - 1e-6, 2.0 - 1e-9,
+                               1e-3, 1e-6, 1e-9])
+def test_identity_3_14_near_its_ends(p):
+    # DISPUTED at source, but the two sides agree within their bars near
+    # the pole and near 0 too: neither refuted nor a route failure
+    v = R.Registry().verify_identity("I-3.14", (p,))
+    assert v.status == "CONFIRMED" and not v.note, v
+
+
 def test_lhs_8_15():
     # 2/pi - (4/pi) sum (-1)^n/(4n^2-1) = 1; the 100 000-term sum is off by
     # half its first omitted term
@@ -449,16 +485,13 @@ def _aux_f(x, orders=14):
                    for k in range(orders))
 
 
-def _aux_g(x, orders=14):
-    """g(x) ~ sum_k (-1)^k (2k+1)!/x^(2k+2): Ci(x) = f sin x - g cos x."""
-    return mp.fsum((-1) ** k * mp.factorial(2 * k + 1) / x ** (2 * k + 2)
-                   for k in range(orders))
-
-
 def _log_quarter(q):
-    """sum_{n>=2} log n/(4(n^2 - q)) = -(1/4) sum_j q^j zeta'(2j+2)."""
-    return -mp.nsum(lambda j: q ** j * mp.zeta(2 * j + 2, derivative=1),
-                    [0, mp.inf]) / 4
+    """sum_{n>=2} log n/(4(n^2 - q)) for q <= 1: direct to n = _N0, then
+    1/(n^2 - q) = sum_j q^j n^(-2j-2) and
+    sum_{n>_N0} log n n^-s = -zeta'(s, _N0 + 1)."""
+    return (mp.fsum(mp.log(n) / (4 * (n * n - q)) for n in range(2, _N0 + 1))
+            - mp.fsum(q ** j * mp.zeta(2 * j + 2, _N0 + 1, 1)
+                      for j in range(16)) / 4)
 
 
 # exact lattice values up to n = 30, the auxiliary expansions (14 orders,
@@ -466,17 +499,25 @@ def _log_quarter(q):
 _N0 = 30
 
 
-@pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5] + _ENDS_3_14)
 def test_s_3_14(p):
+    # at p = 2 - 10^-k the n = 1 terms grow like 1/(2 - p), and so must the
+    # bar; as p -> 0, sum 1/(4n^2 - p^2) must not cancel its 1/(2p^2)
+    # terms.  4n^2 - p^2 = (2n - p)(2n + p) is exact at 30 digits for a float
+    # p; past n = _N0, Ci(2 pi n) = -g(2 pi n), g(x) ~ sum_k (-1)^k
+    # (2k+1)!/x^(2k+2) (Ci(x) = f sin x - g cos x), and 1/(4n^2 - p^2)
+    # = sum_j (p^2/4)^j/(4 n^(2j+2)), each order a Hurwitz zeta
     pm = mp.mpf(p)
+    q = pm ** 2 / 4
     two_pi = 2 * mp.pi
-    ci = (mp.fsum(mp.ci(two_pi * n) / (4 * n * n - pm ** 2)
+    ci = (mp.fsum(mp.ci(two_pi * n) / ((2 * n - pm) * (2 * n + pm))
                   for n in range(1, _N0 + 1))
-          + mp.nsum(lambda n: -_aux_g(two_pi * n) / (4 * n * n - pm ** 2),
-                    [_N0 + 1, mp.inf]))
-    quarter = mp.nsum(lambda n: 1 / (4 * n * n - pm ** 2), [1, mp.inf])
-    ref = (ci - (mp.euler + mp.log(two_pi)) * quarter
-           - _log_quarter(pm ** 2 / 4))
+          - mp.fsum((-1) ** k * mp.factorial(2 * k + 1) / two_pi ** (2 * k + 2)
+                    * q ** j / 4 * mp.zeta(2 * k + 2 * j + 4, _N0 + 1)
+                    for k in range(14) for j in range(12)))
+    quarter = mp.nsum(lambda n: 1 / ((2 * n - pm) * (2 * n + pm)),
+                      [1, mp.inf])
+    ref = (ci - (mp.euler + mp.log(two_pi)) * quarter - _log_quarter(q))
     r = sum_catalog("S-3.14", (p,))
     assert _close(r.value, ref, r.abs_err)
 
@@ -509,7 +550,7 @@ def test_s_5_18():
 
 
 def test_s_6_23():
-    # I-6.23's closed form, with its log sum taken from zeta'(2j+2)
+    # I-6.23's closed form, with its log sum from Hurwitz zeta'(2j+2, 31)
     ref = ((mp.euler + 2 * mp.log(2) - 2) * mp.log(2)
            - 4 * _log_quarter(mp.mpf(1) / 4))
     r = sum_catalog("S-6.23")

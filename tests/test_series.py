@@ -105,7 +105,7 @@ def test_fixed_n_sum_never_probes_its_bound(v, monkeypatch):
     # expansion once, calls Hurwitz once per tail order, and evaluates one
     # bound, the one it reports, which makes no Hurwitz call
     n_last = max(64, math.ceil(4.0 * abs(v)))
-    tail, _ = K._lambda_tail(v * v, n_last)
+    tail = K._lambda_tail(v * v, n_last)[1]()
     calls = {"expansion": [], "bound": 0, "hurwitz": 0}
     lambda_tail, tail_bound, hurwitz = (K._lambda_tail, series.tail_bound,
                                         series._hurwitz)
@@ -133,16 +133,21 @@ def test_fixed_n_sum_never_probes_its_bound(v, monkeypatch):
 
 @pytest.mark.parametrize("q", [-3.0, -400.0])
 def test_searched_sum_reuses_its_last_probe(q, monkeypatch):
-    # the N-search builds the expansion once per probed N and evaluates the
-    # bound once per N whose expansion holds ((N+1)^2 >= 2|q|); the chosen
-    # N takes both from its probe, and sums to the same bits as a fixed-N
-    # sum at that N
-    calls = {"expansion": [], "bound": []}
+    # the N-search takes the omitted orders once per probed N and evaluates
+    # the bound once per N whose expansion holds ((N+1)^2 >= 2|q|); the
+    # chosen N takes both from its probe, builds its tail orders once, and
+    # sums to the same bits as a fixed-N sum at that N
+    calls = {"expansion": [], "bound": [], "build": []}
     quad_tail_, tail_bound = series_catalog.quad_tail, series.tail_bound
 
     def counted_tail(q, orders, n, *args):
         calls["expansion"].append(n)
-        return quad_tail_(q, orders, n, *args)
+        omitted, build = quad_tail_(q, orders, n, *args)
+
+        def counted_build():
+            calls["build"].append(n)
+            return build()
+        return omitted, counted_build
 
     def counted_bound(n, *args):
         calls["bound"].append(n)
@@ -154,6 +159,7 @@ def test_searched_sum_reuses_its_last_probe(q, monkeypatch):
     assert len(probed) >= 2 and len(set(probed)) == len(probed)
     assert calls["bound"] == [n for n in probed if (n + 1) ** 2 >= 2 * -q]
     assert probed.count(n_last) == calls["bound"].count(n_last) == 1
+    assert calls["build"] == [n_last]
     fixed = zeta_tail_sum(
         lambda n_top: (math.log(n) / (4.0 * (n * n - q))
                        for n in range(2, n_top + 1)),
@@ -636,3 +642,79 @@ def test_fourier_partial_sums():
                + 0.5 * PI * math.cos(PI * x)
                + (C.gamma + C.log_2pi) * math.sin(PI * x))
         assert abs(lhs - rhs) < 1e-9, x
+
+
+# ---------------------------------------------------------------------------
+# psi_sin_partial's second summation by parts; per-process tables
+# ---------------------------------------------------------------------------
+
+def test_psi_sin_coefficients_fall_and_are_convex():
+    # the second summation by parts bounds each remainder by
+    # dc_{N+1}/(2 s^2), dc_n = c_n - c_{n+1}, only if dc_n > 0 does not grow
+    # past N, i.e. c falls and is convex; checked from n = 2 to 2^16, the
+    # largest N a search tries.  Each second difference is above 12/n^2 of
+    # c_n, far above the rounding of the three c it is taken from
+    eps = 2.0 ** -52
+    for c in zip(*(series_catalog._psi_sin_coeffs(float(n))
+                   for n in range(2, 2 ** 16 + 3))):
+        d = [a - b for a, b in zip(c, c[1:])]
+        d2 = [a - b for a, b in zip(d, d[1:])]
+        assert min(d) > 0.0
+        assert all(x > 64.0 * eps * y for x, y in zip(d2, c))
+
+
+def _table_points():
+    """The entries that read a per-process table or cache, as calls."""
+    from gammalab.integral_catalog import integral_catalog
+    psi = series_catalog.psi_sin_partial
+    points = [lambda u=u: psi(u)
+              for u in (1e-4, 0.002, 0.05, 0.25, 0.37, 0.5, 0.9, 0.9999,
+                        1.0)]
+    points += [lambda key=key, t=t, cap=cap: sum_catalog(key, (t,),
+                                                         max_terms=cap)
+               for key in ("FS-8.13", "FS-8.14", "FS-6.2")
+               for t in (0.05, 0.3, 0.85) for cap in (None, 3, 40)]
+    points += [lambda t=t: series_catalog.log_weighted_sin_sum(t)
+               for t in (0.05, 0.3, 0.85)]
+    points += [lambda t=t: sum_catalog("S-3.14", (t,)) for t in (0.5, 1.99)]
+    points += [lambda u=u: integral_catalog("Q-5.53-lhs", (u,))
+               for u in (0.1, 0.45, 0.9)]
+    return points
+
+
+def _clear_tables(monkeypatch):
+    monkeypatch.setattr(series_catalog, "_PSI_SIN_TABLE", ([], [], []))
+    for cached in (series_catalog._sum_log_4n2m1,
+                   series_catalog._quarter_residual,
+                   series_catalog._log_square_residual, K._two_zeta_even):
+        cached.cache_clear()
+
+
+def test_tables_cannot_change_a_result(monkeypatch):
+    # the same bytes whatever ran before in the process: each entry with
+    # empty tables, and after a suite and a spread of I-7.15 draws have
+    # grown them in several steps, in both orders
+    from gammalab.registry import Registry
+    points = _table_points()
+
+    def bits(r):
+        return r.value.hex(), r.abs_err.hex()
+
+    def cold():
+        out = []
+        for call in points:
+            _clear_tables(monkeypatch)
+            out.append(bits(call()))
+        return out
+
+    def warm():
+        reg = Registry()
+        reg.run_suite()
+        for k in range(1, 40):
+            reg.verify_identity("I-7.15", (k / 40.0,))
+        reg.verify_identity("I-7.15", (0.001,))
+        return [bits(call()) for call in points]
+    assert cold() == warm()
+    # u = 0.002 sums to N = 338, u = 0.001 to 322
+    assert len(series_catalog._PSI_SIN_TABLE[0]) == 337
+    assert warm() == cold()
