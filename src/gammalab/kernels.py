@@ -476,8 +476,8 @@ def _lambda_tail(c: float, n_last: int
 
 
 def _lambda_sum(c: float, n_min: int = 1, cap: int | None = None):
-    """sum_{n>=1} [n/(n^2+c) - log(1+1/n)] as a SeriesResult: lambda(v) at
-    c = v^2, and -(psi(1+x) + psi(1-x))/2 at c = -x^2; the terms past N
+    """sum_{n>=1} [n/(n^2+c) - log(1+1/n)] as a SeriesResult, lambda(v) at
+    c = v^2: the direct series of :func:`_lambda_series`, the terms past N
     through :func:`_lambda_tail`, N as ``zeta_tail_sum`` picks it from
     ``n_min`` to ``cap``.
     """

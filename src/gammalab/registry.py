@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from itertools import chain, count, islice, repeat
-from operator import mul, sub, truediv
+from operator import truediv
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -285,20 +285,48 @@ def _zeta_alternating(t: float) -> float:
     return 1.0 + 2.0 * t * t / (1.0 + t * t) - 2.0 * s
 
 
+def _sin_versin(p: float) -> tuple[float, float]:
+    """(sin p pi, 1 - cos p pi) from d = p - 2 round(p/2), which is exact:
+    sin d pi and 2 sin^2(d pi/2) do not lose the digits that p pi's
+    rounding and 1 - cos cancel as p -> 0 or 2."""
+    d = p - 2.0 * round(0.5 * p)
+    h = math.sin(0.5 * _PI * d)
+    return math.sin(_PI * d), 2.0 * h * h
+
+
+def _psi_pair(h: float) -> float:
+    """psi(h) + psi(-h) as psi(1 + h) + psi(1 - h), which is exact: the
+    poles 1/h and -1/h cancel."""
+    return _psi(1.0 + h) + _psi(1.0 - h)
+
+
+def _x_minus_sin(x: float) -> float:
+    """x - sin x for 0 <= x <= 1 by its power series x^3/3! - x^5/5! + ..,
+    free of the cancellation as x -> 0."""
+    x2 = x * x
+    t = x * x2 / 6.0
+    acc = t
+    k = 3
+    while abs(t) > 1e-18 * abs(acc):
+        t *= -x2 / ((k + 1) * (k + 2))
+        k += 2
+        acc += t
+    return acc
+
+
 def _rhs_2_1(p: float) -> float:
-    cp, sp = math.cos(p * _PI), math.sin(p * _PI)
-    psis = _psi(0.5 * p) + _psi(-0.5 * p)
-    return ((_L2PI + _G) * (1.0 - cp) / (p * p * _PI * _PI)
-            + sp / (4.0 * p * _PI) * psis
-            + 2.0 * (1.0 - cp) / _PI ** 2
-            * log_quarter_sum(0.25 * p * p).value)
+    sp, vp = _sin_versin(p)
+    return ((_L2PI + _G) * vp / (p * p * _PI * _PI)
+            + sp / (4.0 * p * _PI) * _psi_pair(0.5 * p)
+            + 2.0 * vp / _PI ** 2 * log_quarter_sum(0.25 * p * p).value)
 
 
 def _rhs_2_2(p: float) -> float:
-    cp, sp = math.cos(p * _PI), math.sin(p * _PI)
-    psis = _psi(0.5 * p) + _psi(-0.5 * p)
-    return ((_L2PI + _G) * (p * _PI - sp) / (p * p * _PI * _PI)
-            + (1.0 - cp) / (4.0 * p * _PI) * psis
+    sp, vp = _sin_versin(p)
+    x = p * _PI
+    x_sin = _x_minus_sin(x) if x <= 1.0 else x - sp
+    return ((_L2PI + _G) * x_sin / (p * p * _PI * _PI)
+            + vp / (4.0 * p * _PI) * _psi_pair(0.5 * p)
             - 2.0 * sp / _PI ** 2 * log_quarter_sum(0.25 * p * p).value)
 
 
@@ -324,19 +352,15 @@ def _rhs_2_10(p: float) -> SeriesResult:
     so that neither sin(p pi) nor 1 - p^2 cancels as p -> 1.  At p = 1
     the scale is 0 and the n = 1 term -1/4; at p = 0 the scale is 1/2.
 
-    The even and the odd terms, 1999 each, come from C-level iterators over
-    the floats n = 2, 4, .. and 3, 5, ..: n*n and n*(n*n - p*p) round as
-    they do with an integer n, and no list of terms is held."""
+    The even and the odd terms, 1999 each, come from one generator per
+    half over the float counters n = 2, 4, .. and 3, 5, ..: n*n and
+    n*(n*n - p*p) round as they do with an integer n, and no list of terms
+    is held."""
     p2 = p * p
-
-    def half(first: float, sign: float):
-        def n():
-            return count(first, 2.0)
-        return islice(map(truediv, repeat(sign), map(mul, n(), map(
-            sub, map(mul, n(), n()), repeat(p2)))), 1999)
-
     acc = -math.log(2.0)
-    acc += p2 * math.fsum(chain(half(2.0, 1.0), half(3.0, -1.0)))
+    acc += p2 * math.fsum(chain(
+        (1.0 / (n * (n * n - p2)) for n in islice(count(2.0, 2.0), 1999)),
+        (-1.0 / (n * (n * n - p2)) for n in islice(count(3.0, 2.0), 1999))))
     if p > 0.5:
         d = 1.0 - p
         sinc = math.sin(_PI * d) / (_PI * d) if d else 1.0
@@ -351,9 +375,13 @@ def _rhs_2_10(p: float) -> SeriesResult:
 
 
 def _rhs_3_8(p: float) -> float:
-    # sin(p pi)/(1 - cos p pi) = cot(p pi/2), which cancels as p -> 2
-    return (2.0 - _si(p * _PI) * K._cot_pi(0.5 * p) + _ci(p * _PI)
-            - math.log(p * _PI) + 0.5 * (_psi(0.5 * p) + _psi(-0.5 * p)))
+    x = p * _PI
+    # sin(p pi)/(1 - cos p pi) = cot(p pi/2), which cancels as p -> 2; as
+    # p -> 0, Ci(x) - log x = gamma - Cin(x) from Cin's series, and the
+    # digamma pair without its poles +-2/p
+    ci_rest = _G - K._cin(x) if x <= 4.0 else _ci(x) - math.log(x)
+    return (2.0 - _si(x) * K._cot_pi(0.5 * p) + ci_rest
+            + 0.5 * _psi_pair(0.5 * p))
 
 
 def _rhs_3_14(p: float) -> float:

@@ -45,6 +45,7 @@ from typing import Callable, NamedTuple
 
 from .errors import DomainError, UnknownKeyError, integer_arg
 from .kernels import (
+    _EPS,
     _bernoulli_float,
     _bpoly,
     _ci_at_2pi_mult,
@@ -53,7 +54,6 @@ from .kernels import (
     _digamma_pos,
     _euler_gamma,
     _hurwitz,
-    _lambda_sum,
     _lnG,
     _one_over_x_minus_pi_cot,
     _require_finite,
@@ -423,8 +423,19 @@ def s_4_32(max_terms: int | None = None) -> SeriesResult:
 def s_5_13(x: float, max_terms: int | None = None) -> SeriesResult:
     if abs(x) >= 1.0 and abs(x - round(x)) < 1e-12:
         raise DomainError(f"pole at integer x={x}")
-    # the lambda sum at c = -x^2; its tail needs (N+1)^2 >= 2 x^2
-    return _lambda_sum(-x * x, cap=max_terms)
+    # = -(psi(1+x) + psi(1-x))/2 = gamma + x^2 sum 1/(n (n^2 - x^2)) (DLMF
+    # 5.7.6): the tail has only the orders x^2j n^(-2j-3), of which N = 8
+    # needs at most 9 for |x| < 1 (quad_tail, which needs (N+1)^2 >= 2 x^2).
+    # The bar is x^2 times the sum's, plus the rounding of gamma + x^2 s
+    q = x * x
+    s = zeta_tail_sum(lambda n_last: (1.0 / (n * ((n - x) * (n + x)))
+                                      for n in range(1, n_last + 1)),
+                      lambda n: quad_tail(q, {1: 1.0}, n), n_min=8,
+                      cap=max_terms)
+    g = _euler_gamma()
+    qs = q * s.value
+    return SeriesResult(g + qs, q * s.abs_err + 4.0 * _EPS * (g + abs(qs)),
+                        s.terms_used, s.method)
 
 
 @_entry("S-5.18", "sum [n log(1-1/4n^2) + log(1+1/n)/4]", 0)

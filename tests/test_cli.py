@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gammalab import cli, registry
+from gammalab import cli, kernels, registry
 from gammalab.registry import (
     EvalOptions,
     IdentityRecord,
@@ -362,12 +362,22 @@ def test_sweep_pass_passes_benchmark_reference(monkeypatch):
                                                   bench / "worker.py")
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)
+    # the pass's Hurwitz zeta work, 5 298 calls in a fresh process: 9 609
+    # when S-5.13 closed its tail with 39 orders, not the 9 it needs now
+    calls = [0]
+    hurwitz_em = kernels._hurwitz_em
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return hurwitz_em(*args, **kwargs)
+    monkeypatch.setattr(kernels, "_hurwitz_em", counted)
     res = worker.run_sweep({"seed": 0, "pass": 0})
     reference = json.loads((bench / "reference" / "sweep.json").read_text())
     known = {(i, rid) for i, rid, _ in reference["failing"]}
     assert res["tally"]["attempted"] == reference["verdicts"]
     assert [f for f in res["failures"] if (f[0], f[1]) not in known] == []
     assert len(res["failures"]) <= 408
+    assert calls[0] <= 5300
 
 
 def test_perfbench_tracer_binds_current_names(tmp_path, monkeypatch):

@@ -138,8 +138,12 @@ def test_lambda_digamma(v):
     assert _close(value, -mp.re(mp.digamma(1 + 1j * mp.mpf(v))), err), v
 
 
-@pytest.mark.parametrize("x", [0.25, 0.5, 0.95])
+@pytest.mark.parametrize("x", [0.25, 0.5, 0.95, 0.0]
+                         + [10.0 ** -k for k in range(1, 7)]
+                         + [1.0 - 10.0 ** -k for k in range(1, 7)])
 def test_s_5_13(x):
+    # gamma + x^2 sum 1/(n (n^2 - x^2)): at x = 0 the bar is gamma's
+    # rounding alone, and as x -> 1 the n = 1 term 1/(1 - x^2) grows
     r = sum_catalog("S-5.13", (x,))
     x = mp.mpf(x)
     assert _close(r.value, -(mp.digamma(1 + x) + mp.digamma(1 - x)) / 2,
@@ -362,6 +366,13 @@ def test_rhs_1_11():
         "CONFIRMED"
 
 
+def _rhs_3_8_oracle(p):
+    pm = mp.mpf(p)
+    x = pm * mp.pi
+    return (2 - mp.si(x) * mp.cot(x / 2) + mp.ci(x) - mp.log(x)
+            + (mp.digamma(pm / 2) + mp.digamma(-pm / 2)) / 2)
+
+
 @pytest.mark.parametrize("p", [2.0 - 10.0 ** -k for k in range(2, 13)]
                          + [1.9988878882636572])
 def test_rhs_3_8_near_two(p):
@@ -369,17 +380,56 @@ def test_rhs_3_8_near_two(p):
     # + psi(-p/2))/2, whose poles at p = 2 grow like 1/(2 - p): cot(p pi/2)
     # must come from p/2's fraction, not from sin(p pi)/(1 - cos p pi)
     value, err = R.Registry().record("I-3.8").rhs.evaluate((p,))
-    pm = mp.mpf(p)
-    x = pm * mp.pi
-    ref = (2 - mp.si(x) * mp.cot(x / 2) + mp.ci(x) - mp.log(x)
-           + (mp.digamma(pm / 2) + mp.digamma(-pm / 2)) / 2)
-    assert _close(value, ref, err)
+    assert _close(value, _rhs_3_8_oracle(p), err)
+
+
+@pytest.mark.parametrize("p", [10.0 ** -k for k in range(1, 9)])
+def test_rhs_3_8_near_zero(p):
+    # as p -> 0, Ci(p pi) - log(p pi) must come from Cin's series and
+    # psi(p/2) + psi(-p/2) without its poles +-2/p
+    value, err = R.Registry().record("I-3.8").rhs.evaluate((p,))
+    assert _close(value, _rhs_3_8_oracle(p), err)
 
 
 @pytest.mark.parametrize("k", [3, 6, 9])
 def test_identity_3_8_near_two(k):
     assert R.Registry().verify_identity(
         "I-3.8", (2.0 - 10.0 ** -k,)).status == "CONFIRMED"
+
+
+@pytest.mark.parametrize("k", [3, 6, 9])
+def test_identity_3_8_near_zero(k):
+    assert R.Registry().verify_identity(
+        "I-3.8", (10.0 ** -k,)).status == "CONFIRMED"
+
+
+@pytest.mark.parametrize("p", [10.0 ** -k for k in range(1, 9)]
+                         + [2.0 - 10.0 ** -k for k in range(2, 13)])
+@pytest.mark.parametrize("ident", ["I-2.1", "I-2.2"])
+def test_identity_2_1_2_2_near_their_ends(ident, p):
+    # int_0^1 log Gamma(x) cos(p pi x) dx and its sine twin, both sides
+    # against mpmath: the closed forms must not lose p pi's rounding to
+    # sin(p pi) near p = 2, nor cancel 1 - cos(p pi), p pi - sin(p pi) or
+    # the digamma pair's poles +-2/p as p -> 0
+    rec = R.Registry().record(ident)
+    pm = mp.mpf(p)
+    x = pm * mp.pi
+    trig = mp.cos if ident == "I-2.1" else mp.sin
+    with mp.workdps(40):
+        psis = mp.digamma(pm / 2) + mp.digamma(-pm / 2)
+        scale = mp.log(2 * mp.pi) + mp.euler
+        versin = 2 * mp.sin(x / 2) ** 2
+        if ident == "I-2.1":
+            ref = (scale * versin / x ** 2 + mp.sin(x) / (4 * x) * psis
+                   + 2 * versin / mp.pi ** 2 * _log_quarter(pm ** 2 / 4))
+        else:
+            ref = (scale * (x - mp.sin(x)) / x ** 2 + versin / (4 * x) * psis
+                   - 2 * mp.sin(x) / mp.pi ** 2 * _log_quarter(pm ** 2 / 4))
+        lhs_ref = mp.quad(lambda t: mp.loggamma(t) * trig(x * t), [0, 0.5, 1])
+    value, err = rec.rhs.evaluate((p,))
+    assert _close(value, ref, err)
+    value, err = rec.lhs.evaluate((p,))
+    assert _close(value, lhs_ref, err)
 
 
 # I-3.14 near both ends of its domain: the pole at p = 2, and p -> 0, where

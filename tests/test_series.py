@@ -185,6 +185,23 @@ def test_catalog_rejects_max_terms_below_n_min():
         sum_catalog("S-4.4-Tn", (40.0,), max_terms=50)
 
 
+@pytest.mark.parametrize("x", [0.0, 0.25, 0.5, 0.95, 1.0 - 1e-6])
+def test_s_5_13_tail_takes_few_hurwitz_orders(x, monkeypatch):
+    # gamma + x^2 sum 1/(n (n^2 - x^2)): from N = 8 the tail's n^-3 orders
+    # shrink by x^2/81 each, so at most 9 of them meet the target on
+    # [0, 1); the lambda sum at -x^2 took 39, one per log(1+1/n) order
+    calls = []
+    hurwitz_em = K._hurwitz_em
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hurwitz_em(*args, **kwargs)
+    monkeypatch.setattr(K, "_hurwitz_em", counted)
+    r = sum_catalog("S-5.13", (x,))
+    assert r.terms_used == 8
+    assert 1 <= len(calls) <= 9
+
+
 def test_quad_tail_large_q_never_overflows():
     # near (N+1)^2 = 2|q| the expansion needs ~50 orders of q^j; where |q|^j
     # leaves the float range it refuses the N, which a larger N cures
