@@ -332,15 +332,31 @@ def _digamma_pos(x: float) -> float:
     return acc
 
 
+def _sincos_pi(x: float) -> tuple[float, float]:
+    """(sin pi x, cos pi x) from the exact d = x - n, n the integer nearest x
+    (the lower at a tie), signed by (-1)^n: sin keeps its digits near every
+    integer (IEEE 754-2008's sinPi), cos only to eps near a half-integer."""
+    n = round(x)
+    d = x - n
+    if d == -0.5:
+        n, d = n - 1, 0.5
+    t = math.pi * d
+    s, c = math.sin(t), math.cos(t)
+    return (-s, -c) if n & 1 else (s, c)
+
+
+def _versin(s: float, c: float) -> float:
+    """1 - c for (s, c) = (sin t, cos t), as s^2/(1 + c) where c > 0: free
+    of 1 - cos t's cancellation as t -> 0 mod 2 pi."""
+    return s * s / (1.0 + c) if c > 0.0 else 1.0 - c
+
+
 def _cot_pi(x: float) -> float:
-    """cot(pi*x) computed from the fractional part, for accuracy."""
-    f = x - math.floor(x)
-    if f == 0.0:
+    """cot(pi x) from :func:`_sincos_pi`."""
+    s, c = _sincos_pi(x)
+    if s == 0.0:
         raise PoleError(f"cot(pi*x) pole at x={x}")
-    # use the half-period symmetry to keep the argument small
-    if f > 0.5:
-        return -math.cos(math.pi * (1.0 - f)) / math.sin(math.pi * (1.0 - f))
-    return math.cos(math.pi * f) / math.sin(math.pi * f)
+    return c / s
 
 
 @lru_cache(maxsize=1)
@@ -374,6 +390,12 @@ def _digamma_real(x: float) -> float:
         # reflection: psi(x) = psi(1-x) - pi*cot(pi*x)
         return _digamma_pos(1.0 - x) - math.pi * _cot_pi(x)
     return _digamma_pos(x)
+
+
+def _psi_pair(h: float) -> float:
+    """psi(h) + psi(-h) as psi(1 + h) + psi(1 - h), which is exact: the
+    poles 1/h and -1/h cancel."""
+    return _digamma_real(1.0 + h) + _digamma_real(1.0 - h)
 
 
 def _digamma_complex(z: complex) -> complex:

@@ -220,10 +220,6 @@ def _lam(v: float) -> float:
     return K._lambda_digamma(v)[0]
 
 
-def _psi(x: float) -> float:
-    return K._digamma_real(x)
-
-
 def _si(x: float) -> float:
     return K._sici_raw(x)[0]
 
@@ -233,8 +229,14 @@ def _ci(x: float) -> float:
 
 
 def _sum_glc(p: float) -> float:
-    """sum (gamma + log(2 pi n))/(4 pi^2 n^2 + p^2)."""
-    s1 = (1.0 / math.expm1(p) - 1.0 / p + 0.5) / (2.0 * p)
+    """sum (gamma + log(2 pi n))/(4 pi^2 n^2 + p^2).  Below |p| = 1/2 its
+    part (1/expm1(p) - 1/p + 1/2)/(2p), which cancels as p -> 0, comes from
+    the Bernoulli series sum_k B_2k p^(2k-2)/(2 (2k)!) = 1/24 - p^2/1440."""
+    if abs(p) < 0.5:
+        s1 = _ps_fast(lambda k: K._bernoulli_float(2 * k)
+                      / (2.0 * math.factorial(2 * k)), p * p, 0)[0]
+    else:
+        s1 = (1.0 / math.expm1(p) - 1.0 / p + 0.5) / (2.0 * p)
     s2 = sum_catalog("S-1.20", (p / _TWO_PI,)).value / _TWO_PI ** 2
     return (_G + _L2PI) * s1 + s2
 
@@ -285,21 +287,6 @@ def _zeta_alternating(t: float) -> float:
     return 1.0 + 2.0 * t * t / (1.0 + t * t) - 2.0 * s
 
 
-def _sin_versin(p: float) -> tuple[float, float]:
-    """(sin p pi, 1 - cos p pi) from d = p - 2 round(p/2), which is exact:
-    sin d pi and 2 sin^2(d pi/2) do not lose the digits that p pi's
-    rounding and 1 - cos cancel as p -> 0 or 2."""
-    d = p - 2.0 * round(0.5 * p)
-    h = math.sin(0.5 * _PI * d)
-    return math.sin(_PI * d), 2.0 * h * h
-
-
-def _psi_pair(h: float) -> float:
-    """psi(h) + psi(-h) as psi(1 + h) + psi(1 - h), which is exact: the
-    poles 1/h and -1/h cancel."""
-    return _psi(1.0 + h) + _psi(1.0 - h)
-
-
 def _x_minus_sin(x: float) -> float:
     """x - sin x for 0 <= x <= 1 by its power series x^3/3! - x^5/5! + ..,
     free of the cancellation as x -> 0."""
@@ -315,30 +302,30 @@ def _x_minus_sin(x: float) -> float:
 
 
 def _rhs_2_1(p: float) -> float:
-    sp, vp = _sin_versin(p)
+    sp, cp = K._sincos_pi(p)
+    vp = K._versin(sp, cp)
     return ((_L2PI + _G) * vp / (p * p * _PI * _PI)
-            + sp / (4.0 * p * _PI) * _psi_pair(0.5 * p)
+            + sp / (4.0 * p * _PI) * K._psi_pair(0.5 * p)
             + 2.0 * vp / _PI ** 2 * log_quarter_sum(0.25 * p * p).value)
 
 
 def _rhs_2_2(p: float) -> float:
-    sp, vp = _sin_versin(p)
+    sp, cp = K._sincos_pi(p)
     x = p * _PI
     x_sin = _x_minus_sin(x) if x <= 1.0 else x - sp
     return ((_L2PI + _G) * x_sin / (p * p * _PI * _PI)
-            + vp / (4.0 * p * _PI) * _psi_pair(0.5 * p)
+            + K._versin(sp, cp) / (4.0 * p * _PI) * K._psi_pair(0.5 * p)
             - 2.0 * sp / _PI ** 2 * log_quarter_sum(0.25 * p * p).value)
 
 
 def _rhs_2_6(p: float) -> float:
-    psis = _psi(0.5 * p) + _psi(-0.5 * p)
-    return -(1.0 - math.cos(p * _PI)) / (2.0 * p * _PI) * (
-        2.0 * _G + 2.0 * math.log(2.0) + psis)
+    return -K._versin(*K._sincos_pi(p)) / (2.0 * p * _PI) * (
+        2.0 * _G + 2.0 * math.log(2.0) + K._psi_pair(0.5 * p))
 
 
 def _rhs_2_9(p: float) -> float:
-    return -math.sin(2.0 * p * _PI) / (4.0 * p * _PI) * (
-        _psi(1.0 + p) + _psi(1.0 - p) + 2.0 * _G)
+    return -K._sincos_pi(2.0 * p)[0] / (4.0 * p * _PI) * (
+        K._psi_pair(p) + 2.0 * _G)
 
 
 def _rhs_2_10(p: float) -> SeriesResult:
@@ -347,10 +334,9 @@ def _rhs_2_10(p: float) -> SeriesResult:
     shrink, so the rest is below the first omitted one, which is the
     error.
 
-    The n = 1 term -p^2/(1-p^2) is taken out of the sum: times the scale
-    it is -p sin(pi d)/(2 pi d (1+p)) with d = 1 - p, exact for p > 1/2,
-    so that neither sin(p pi) nor 1 - p^2 cancels as p -> 1.  At p = 1
-    the scale is 0 and the n = 1 term -1/4; at p = 0 the scale is 1/2.
+    The n = 1 term -p^2/(1-p^2) is taken out of the sum, with (1-p)(1+p)
+    and sin(p pi) from :func:`kernels._sincos_pi`: neither cancels as p -> 1.
+    At p = 1 it is -1/4 with its scale; at p = 0 the scale is 1/2.
 
     The even and the odd terms, 1999 each, come from one generator per
     half over the float counters n = 2, 4, .. and 3, 5, ..: n*n and
@@ -361,14 +347,9 @@ def _rhs_2_10(p: float) -> SeriesResult:
     acc += p2 * math.fsum(chain(
         (1.0 / (n * (n * n - p2)) for n in islice(count(2.0, 2.0), 1999)),
         (-1.0 / (n * (n * n - p2)) for n in islice(count(3.0, 2.0), 1999))))
-    if p > 0.5:
-        d = 1.0 - p
-        sinc = math.sin(_PI * d) / (_PI * d) if d else 1.0
-        scale = sinc * d / (2.0 * p)
-        first = -p * sinc / (2.0 * (1.0 + p))
-    else:
-        scale = math.sin(p * _PI) / (2.0 * _PI * p) if p else 0.5
-        first = -scale * p * p / (1.0 - p * p)
+    scale = K._sincos_pi(p)[0] / (2.0 * _PI * p) if p else 0.5
+    one_m = (1.0 - p) * (1.0 + p)
+    first = -scale * p * p / one_m if one_m else -0.25
     return SeriesResult(scale * acc + first,
                         abs(scale) * p * p / (4000.0 * (4000.0 ** 2 - p * p)),
                         3999, "alternating")
@@ -381,7 +362,7 @@ def _rhs_3_8(p: float) -> float:
     # digamma pair without its poles +-2/p
     ci_rest = _G - K._cin(x) if x <= 4.0 else _ci(x) - math.log(x)
     return (2.0 - _si(x) * K._cot_pi(0.5 * p) + ci_rest
-            + 0.5 * _psi_pair(0.5 * p))
+            + 0.5 * K._psi_pair(0.5 * p))
 
 
 def _rhs_3_14(p: float) -> float:
@@ -450,7 +431,7 @@ def _em_log2gamma() -> float:
 
 def _rhs_5_48(x: float) -> float:
     return (-_G * x * x - K._lnG(1.0 + x) - K._lnG(1.0 - x)
-            + math.log1p(-x * x))
+            + math.log1p(x) + math.log1p(-x))
 
 
 def _rhs_5_53(u: float) -> float:
@@ -464,11 +445,12 @@ def _rhs_5_53(u: float) -> float:
 
 
 def _rhs_6_10(u: float) -> float:
+    s, c = K._sincos_pi(2.0 * u)
     return (K._lgamma(1.0 + u)
             + log_weighted_sin_sum(u).value / (4.0 * _PI)
             + 0.5 * u * math.log(2.0)
-            + (1.0 - math.cos(_TWO_PI * u)) / 8.0
-            + 0.5 * (_G + math.log(_PI)) * (u - math.sin(_TWO_PI * u) / _TWO_PI)
+            + K._versin(s, c) / 8.0
+            + 0.5 * (_G + math.log(_PI)) * (u - s / _TWO_PI)
             - 0.5 * (math.log(_TWO_PI * u) + _G - _ci(_TWO_PI * u)))
 
 
@@ -641,7 +623,7 @@ def build_records() -> list[IdentityRecord]:
     add(IdentityRecord(
         "I-3.22", 3, "(3.22): cosine partial-fraction expansion",
         _expr("pi cos(ux)/sin(pi x)",
-              lambda u, x: _PI * math.cos(u * x) / math.sin(_PI * x)),
+              lambda u, x: _PI * math.cos(u * x) / K._sincos_pi(x)[0]),
         _expr("1/x + 2x sum (-1)^(n+1) cos(nu)/(n^2-x^2)",
               lambda u, x: 1.0 / x + 2.0 * x * _alt_cos_sum(u, x).value,
               err=1e-12),
@@ -649,7 +631,7 @@ def build_records() -> list[IdentityRecord]:
         default_params=((0.5, 0.3), (0.5, 0.7), (2.0, 0.3), (2.0, 0.7))))
     add(IdentityRecord(
         "I-3.24", 3, "(3.24): cosecant partial-fraction expansion",
-        _expr("pi/sin(pi x)", lambda x: _PI / math.sin(_PI * x)),
+        _expr("pi/sin(pi x)", lambda x: _PI / K._sincos_pi(x)[0]),
         _expr("1/x + 2x sum (-1)^(n+1)/(n^2-x^2)",
               lambda x: 1.0 / x + 2.0 * x * _alt_cos_sum(0.0, x).value,
               err=1e-12),
@@ -850,7 +832,7 @@ def build_records() -> list[IdentityRecord]:
         "I-5.13", 5, "(5.13): digamma-pair series",
         _ser("S-5.13"),
         _expr("-(psi(1+x)+psi(1-x))/2",
-              lambda x: -0.5 * (_psi(1.0 + x) + _psi(1.0 - x))),
+              lambda x: -0.5 * K._psi_pair(x)),
         param_names=("x",), param_domain=((0.0, 1.0),),
         default_params=((0.25,), (0.5,), (0.75,))))
     add(IdentityRecord(
@@ -889,14 +871,14 @@ def build_records() -> list[IdentityRecord]:
         _expr("duplication combination",
               lambda x: 0.5 * (K._lnG(1.0 - 2.0 * x) - K._lnG(1.0 + 2.0 * x))
               - (K._lnG(1.0 - x) - K._lnG(1.0 + x))
-              + 0.5 * math.log(2.0 * math.cos(_PI * x))),
+              + 0.5 * math.log(2.0 * K._sincos_pi(x)[1])),
         param_names=("x",), param_domain=((-0.25, 0.25),),
         default_params=((0.05,), (0.1,), (0.2,))))
     add(IdentityRecord(
         "I-5.32", 5, "(5.32): odd zeta series vs log Gamma closed form",
         _ps("PS-5.32"),
         _expr("log(pi x/sin pi x)/2 - gamma x - log Gamma(1+x)",
-              lambda x: 0.5 * math.log(_PI * x / math.sin(_PI * x))
+              lambda x: 0.5 * math.log(_PI * x / K._sincos_pi(x)[0])
               - g * x - K._lgamma(1.0 + x)),
         param_names=("x",), param_domain=((0.0, 1.0),),
         default_params=((0.1,), (0.5,), (0.9,))))
@@ -911,7 +893,7 @@ def build_records() -> list[IdentityRecord]:
         "I-5.36", 5, "(5.36): cosh transform vs digamma pair",
         _quad("Q-5.36"),
         _expr("-(psi(1+x)+psi(1-x))/2",
-              lambda x: -0.5 * (_psi(1.0 + x) + _psi(1.0 - x))),
+              lambda x: -0.5 * K._psi_pair(x)),
         param_names=("x",), param_domain=((0.0, 1.0),),
         default_params=((0.1,), (0.3,), (0.5,), (0.7,), (0.9,))))
     add(IdentityRecord(
@@ -1116,7 +1098,7 @@ def build_records() -> list[IdentityRecord]:
     # ----- section 8
     add(IdentityRecord(
         "I-8.7", 8, "(8.7): cosecant expansion",
-        _expr("pi/sin(mu pi)", lambda mu: _PI / math.sin(mu * _PI)),
+        _expr("pi/sin(mu pi)", lambda mu: _PI / K._sincos_pi(mu)[0]),
         _expr("1/mu - 2 mu sum (-1)^n/(n^2-mu^2)",
               lambda mu: 1.0 / mu + 2.0 * mu * _alt_cos_sum(0.0, mu).value,
               err=1e-12),
@@ -1127,7 +1109,7 @@ def build_records() -> list[IdentityRecord]:
         _ser("S-8.11"), _expr("1/2", lambda: 0.5)))
     add(IdentityRecord(
         "I-8.13", 8, "(8.13): Fourier expansion of sin(pi t)",
-        _expr("sin(pi t)", lambda t: math.sin(_PI * t)),
+        _expr("sin(pi t)", lambda t: K._sincos_pi(t)[0]),
         _expr("2/pi - (4/pi) sum cos(2 pi n t)/(4n^2-1)",
               lambda t: 2.0 / _PI
               - 4.0 / _PI * sum_catalog("FS-8.13", (t,)).value, err=1e-12),
@@ -1135,7 +1117,7 @@ def build_records() -> list[IdentityRecord]:
         default_params=((0.3,),)))
     add(IdentityRecord(
         "I-8.14", 8, "(8.14): Fourier expansion of cos(pi t)",
-        _expr("(pi/8) cos(pi t)", lambda t: 0.125 * _PI * math.cos(_PI * t)),
+        _expr("(pi/8) cos(pi t)", lambda t: 0.125 * _PI * K._sincos_pi(t)[1]),
         _expr("sum n sin(2 pi n t)/(4n^2-1)",
               lambda t: sum_catalog("FS-8.14", (t,)).value, err=1e-12),
         param_names=("t",), param_domain=((0.0, 1.0),),

@@ -58,6 +58,7 @@ from .kernels import (
     _one_over_x_minus_pi_cot,
     _require_finite,
     _si_small_at_pi_mult,
+    _sincos_pi,
     _zeta_int,
     _zeta_prime_int,
     get_constants,
@@ -687,9 +688,9 @@ def power_series_eval(key: str, x: float,
 
     Every family converges on the unit disc; the zeta(k) -> 1 part of each
     coefficient is resummed in closed form so that arguments near the
-    boundary stay cheap and accurate.  The sum stops once a term is 1e-19
-    of it, or after ``max_terms`` terms; the error bounds the terms left
-    out.
+    boundary stay cheap and accurate (log(1 - x^2) as log1p(x) + log1p(-x),
+    not from fl(x x)).  The sum stops once a term is 1e-19 of it, or after
+    ``max_terms`` terms; the error bounds the terms left out.
     """
     if key not in _PS_KEYS:
         raise UnknownKeyError(f"unknown power series id {key!r}")
@@ -705,7 +706,7 @@ def power_series_eval(key: str, x: float,
         # terms x^(2n+2): the zeta->1 part is sum_{m>=2} x2^m/m
         s, rest, used = _ps_fast(lambda n: _zeta_m1(2 * n + 1) / (n + 1.0),
                                  x2, 2, max_terms)
-        value = -math.log1p(-x2) - x2 + s
+        value = -(math.log1p(x) + math.log1p(-x)) - x2 + s
     elif key == "PS-5.32":
         s, rest, used = _ps_fast(
             lambda n: _zeta_m1(2 * n + 1) / (2 * n + 1.0), x2, 1, max_terms)
@@ -729,7 +730,7 @@ def power_series_eval(key: str, x: float,
     else:  # PS-5.53
         s, rest, used = _ps_fast(lambda n: _zeta_m1(2 * n + 1) / n, x2, 1,
                                  max_terms)
-        value = -math.log1p(-x2) + s
+        value = -(math.log1p(x) + math.log1p(-x)) + s
     return SeriesResult(value, 2e-15 * (1.0 + abs(value)) + rest,
                         used, "taylor_accelerated")
 
@@ -912,7 +913,7 @@ def fs_4_16(x: float, max_terms: int | None = None) -> SeriesResult:
                            + res[n - 1][1] * math.sin(_TWO_PI * n * x)),
         x, omitted, n_min=n_last, max_terms=n_last, floor=0.0)
     a0 = 1.0 / 12.0 - 2.0 * c.log_A - 0.25 * c.log_2pi
-    value = math.fsum((a0, 0.5 * math.log(2.0 * math.sin(_PI * x)),
+    value = math.fsum((a0, 0.5 * math.log(2.0 * _sincos_pi(x)[0]),
                        -log_sin_over_n(x) / _PI, r.value))
     err = r.abs_err + tn_err + 1e-13 * (1.0 + abs(value))
     return SeriesResult(value, err, n_last, "kummer_closed+residual")
@@ -924,7 +925,7 @@ def log_sin_over_n(u: float) -> float:
         raise DomainError(f"requires 0 < u < 1, got {u}")
     from .kernels import _lgamma
     c = get_constants()
-    return _PI * (_lgamma(u) - 0.5 * math.log(_PI / math.sin(_PI * u))
+    return _PI * (_lgamma(u) - 0.5 * math.log(_PI / _sincos_pi(u)[0])
                   - (c.gamma + c.log_2pi) * (0.5 - u))
 
 
@@ -1035,7 +1036,7 @@ def psi_sin_partial(u: float) -> SeriesResult:
         r2 = k_log.value + 0.25 * _zeta_prime_int(2)
         n_last, trunc = k_log.terms_used, 2.0 / _PI * k_log.abs_err
     else:
-        su, cu = math.sin(_PI * u), math.cos(_PI * u)
+        su, cu = _sincos_pi(u)
         s_a = log_sin_over_n(u)
         n_last = target_terms(lambda n: _psi_sin_bound(n, su, cu)[0],
                               n_min=2, target=_PSI_SIN_TARGET)

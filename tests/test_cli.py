@@ -371,6 +371,18 @@ def test_sweep_pass_passes_benchmark_reference(monkeypatch):
         calls[0] += 1
         return hurwitz_em(*args, **kwargs)
     monkeypatch.setattr(kernels, "_hurwitz_em", counted)
+    # and no verdict's residual is outside its two bars, floor aside (the
+    # pool's I-1.8 draw at p = 0.00405 was, at 1.49x, before its rhs took
+    # the Bernoulli series)
+    out_of_bars = []
+    verify = Registry.verify_identity
+
+    def checked(self, *args, **kwargs):
+        v = verify(self, *args, **kwargs)
+        if v.residual > v.lhs_err + v.rhs_err:
+            out_of_bars.append(v)
+        return v
+    monkeypatch.setattr(Registry, "verify_identity", checked)
     res = worker.run_sweep({"seed": 0, "pass": 0})
     reference = json.loads((bench / "reference" / "sweep.json").read_text())
     known = {(i, rid) for i, rid, _ in reference["failing"]}
@@ -378,6 +390,7 @@ def test_sweep_pass_passes_benchmark_reference(monkeypatch):
     assert [f for f in res["failures"] if (f[0], f[1]) not in known] == []
     assert len(res["failures"]) <= 408
     assert calls[0] <= 5300
+    assert out_of_bars == []
 
 
 def test_perfbench_tracer_binds_current_names(tmp_path, monkeypatch):

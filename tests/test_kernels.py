@@ -147,6 +147,29 @@ def test_recurrence_grid():
         x += 0.2
 
 
+def _cot_pi_by_floor(x):
+    # cot(pi x) from x - floor(x), the form _cot_pi took before _sincos_pi
+    f = x - math.floor(x)
+    if f > 0.5:
+        return -math.cos(PI * (1.0 - f)) / math.sin(PI * (1.0 - f))
+    return math.cos(PI * f) / math.sin(PI * f)
+
+
+def test_cot_pi_keeps_its_floats():
+    # digamma's reflection goes through _cot_pi: wherever x - floor(x) is
+    # exact (all x but (-1/2, 0)) it gives the floats of the floor form,
+    # half-integers included; on (-1/2, 0) that form rounded x + 1
+    rng = np.random.default_rng(16)
+    xs = np.concatenate([rng.uniform(0.0, 1.0, 2000), rng.uniform(-60, 60, 2000),
+                         np.arange(-20, 21) + 0.5, [1e-300, 0.25, 0.75]])
+    for x in map(float, xs):
+        if not -0.5 < x < 0.0:
+            assert K._cot_pi(x).hex() == _cot_pi_by_floor(x).hex(), x
+    for x in (0.0, -3.0, 7.0, 2.0 ** 53):
+        with pytest.raises(PoleError):
+            K._cot_pi(x)
+
+
 def test_reflection_grids():
     # psi(1-x) - psi(x) = pi cot(pi x); log-gamma reflection on the same grid
     for i in range(1, 98):

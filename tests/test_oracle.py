@@ -224,6 +224,46 @@ def test_lgamma1p_relative_error():
     assert worst <= 1.5e-15
 
 
+def _log_grid(lo, hi, n):
+    return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+
+
+def _worst_eps(fn, xs, ref):
+    """The largest |fn(x) - ref(x)| over xs, in eps max(1, |fn(x)|)."""
+    return max(float(abs(mp.mpf(v) - ref(x)) / (K._EPS * max(1.0, abs(v))))
+               for x in xs for v in (fn(x),))
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 2, -7, 1000])
+def test_sincos_pi_near_integers(n):
+    # sin(pi x) and cos(pi x) from the exact d = x - n: within 2 eps of
+    # their size at x = n +- 10^-k, where math.sin(pi * x) loses the digits
+    # that pi x's rounding drops, and within 2 eps at n + 1/2 - 10^-k,
+    # where cos(pi x) keeps an absolute error only
+    for k in range(1, 16):
+        for x in (n + 10.0 ** -k, n - 10.0 ** -k, n + 0.5 - 10.0 ** -k):
+            s, c = K._sincos_pi(x)
+            for v, ref in ((s, mp.sinpi(x)), (c, mp.cospi(x))):
+                size = abs(ref) if abs(x - n) < 0.25 or v is s else 1
+                assert abs(mp.mpf(v) - ref) <= 2 * K._EPS * size, (x, v)
+
+
+def test_digamma_pos_log_grid():
+    # psi(x) on 601 log-spaced points of [1e-3, 1e3], on its own: the worst
+    # found is 7.7 eps (x = 1.122, near psi's zero at 1.4616)
+    worst = _worst_eps(K._digamma_pos, _log_grid(1e-3, 1e3, 601),
+                       lambda x: mp.digamma(mp.mpf(x)))
+    assert worst <= 15.4
+
+
+def test_lnG_log_grid():
+    # log G(x) on 241 log-spaced points of [1e-9, 2], on its own: the worst
+    # found is 1.2 eps (x = 7.9e-8)
+    worst = _worst_eps(K._lnG, _log_grid(1e-9, 2.0, 241),
+                       lambda x: mp.log(mp.barnesg(mp.mpf(x))))
+    assert worst <= 2.4
+
+
 def test_log_gamma_near_its_zeros():
     # x = 1 + y takes _lgamma1p(y), x = 2 + y adds log1p(y); the worst
     # found is 5.1e-16
@@ -460,6 +500,60 @@ def test_identity_3_14_near_its_ends(p):
     # the pole and near 0 too: neither refuted nor a route failure
     v = R.Registry().verify_identity("I-3.14", (p,))
     assert v.status == "CONFIRMED" and not v.note, v
+
+
+# (1/expm1(p) - 1/p + 1/2)/(2p) in I-1.8's rhs cancels as p -> 0; 0.00405 is
+# the sweep pool's draw where it was out of its bar
+@pytest.mark.parametrize("p", [0.004048451024351252]
+                         + [s * 10.0 ** -k for k in range(1, 9)
+                            for s in (1.0, -1.0)])
+def test_rhs_1_8_near_zero(p):
+    value, err = R.Registry().record("I-1.8").rhs.evaluate((p,))
+    pm = mp.mpf(p)
+    ref = mp.quad(lambda t: mp.exp(-pm * t) * mp.loggamma(t), [0, 0.5, 1])
+    assert _close(value, ref, err)
+
+
+def _lnG_mp(x):
+    return mp.log(mp.barnesg(x))
+
+
+# the rewritten side of each record near its domain's ends, by mpmath: the
+# closed forms take sin(pi x), 1 - cos(pi x), psi(p/2) + psi(-p/2) and
+# log(1 - x^2), each of which cancels there as written
+_NEAR_END_SIDES = {
+    "I-2.6": ("rhs", lambda p: -(1 - mp.cos(mp.pi * p)) / (2 * p * mp.pi) * (
+        2 * mp.euler + 2 * mp.log(2) + mp.digamma(p / 2)
+        + mp.digamma(-p / 2))),
+    "I-3.22": ("lhs", lambda u, x: mp.pi * mp.cos(u * x) / mp.sin(mp.pi * x)),
+    "I-3.24": ("lhs", lambda x: mp.pi / mp.sin(mp.pi * x)),
+    "I-8.7": ("lhs", lambda x: mp.pi / mp.sin(mp.pi * x)),
+    "I-5.32": ("rhs", lambda x: mp.log(mp.pi * x / mp.sin(mp.pi * x)) / 2
+               - mp.euler * x - mp.loggamma(1 + x)),
+    "I-5.17": ("lhs", lambda x: -(1 + mp.euler) * x * x - _lnG_mp(1 + x)
+               - _lnG_mp(1 - x)),
+    "I-5.48": ("rhs", lambda x: -mp.euler * x * x - _lnG_mp(1 + x)
+               - _lnG_mp(1 - x) + mp.log(1 - x * x)),
+}
+_NEAR_END = ([("I-2.6", (p,)) for p in (2e-6, 2e-9, 2.0 - 2e-6, 2.0 - 2e-9)]
+             + [(rid, (0.5, 1.0 - 10.0 ** -k) if rid == "I-3.22"
+                 else (1.0 - 10.0 ** -k,))
+                for rid in ("I-3.22", "I-3.24", "I-8.7", "I-5.32", "I-5.17",
+                            "I-5.48") for k in (6, 9)])
+
+
+@pytest.mark.parametrize("rid, params", _NEAR_END)
+def test_closed_forms_near_their_ends(monkeypatch, rid, params):
+    # within its own bar against mpmath at 40 digits, and CONFIRMED by the
+    # bars alone, without the 1e-9 floor
+    side, ref = _NEAR_END_SIDES[rid]
+    rec = R.Registry().record(rid)
+    value, err = getattr(rec, side).evaluate(params)
+    with mp.workdps(40):
+        assert _close(value, ref(*map(mp.mpf, params)), err)
+    monkeypatch.setattr(R, "_FLOOR", 0.0)
+    v = R.Registry().verify_identity(rid, params)
+    assert v.status == "CONFIRMED", v
 
 
 def test_lhs_8_15():

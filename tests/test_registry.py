@@ -198,18 +198,18 @@ def test_every_catalog_entry_is_reached(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_verdict_classification_thresholds():
-    def rec_with_gap(gap):
-        return IdentityRecord(
+    # the gaps are multiples of the verdict's own budget, so the thresholds
+    # hold whatever share of it the bars and the floor take
+    def verdict(gap):
+        return Registry([IdentityRecord(
             "I-9.2", 9, "scratch: controlled residual",
-            Recipe("a", lambda p, b: (1.0, 0.0)),
-            Recipe("b", lambda p, b: (1.0 + gap, 0.0)))
-    tol = R._FLOOR
-    assert Registry([rec_with_gap(0.5 * tol)]).verify_identity(
-        "I-9.2").status == "CONFIRMED"
-    assert Registry([rec_with_gap(50 * tol)]).verify_identity(
-        "I-9.2").status == "INCONCLUSIVE"
-    assert Registry([rec_with_gap(1e4 * tol)]).verify_identity(
-        "I-9.2").status == "REFUTED"
+            Recipe("a", lambda p, b: (1.0, 1e-7)),
+            Recipe("b", lambda p, b: (1.0 + gap, 2e-7)))]).verify_identity(
+                "I-9.2")
+    budget = verdict(0.0).budget
+    assert verdict(0.5 * budget).status == "CONFIRMED"
+    assert verdict(50 * budget).status == "INCONCLUSIVE"
+    assert verdict(1e4 * budget).status == "REFUTED"
 
 
 @pytest.mark.parametrize("rid", ["I-4.16", "I-5.7", "I-7.15"])
@@ -414,14 +414,9 @@ def _rhs_2_10_per_term(p):
     acc = -math.log(2.0)
     acc += p * p * math.fsum((-1.0) ** (n % 2) / (n * (n * n - p * p))
                              for n in range(2, 4000))
-    if p > 0.5:
-        d = 1.0 - p
-        sinc = math.sin(math.pi * d) / (math.pi * d) if d else 1.0
-        scale = sinc * d / (2.0 * p)
-        first = -p * sinc / (2.0 * (1.0 + p))
-    else:
-        scale = math.sin(p * math.pi) / (2.0 * math.pi * p) if p else 0.5
-        first = -scale * p * p / (1.0 - p * p)
+    scale = K._sincos_pi(p)[0] / (2.0 * math.pi * p) if p else 0.5
+    one_m = (1.0 - p) * (1.0 + p)
+    first = -scale * p * p / one_m if one_m else -0.25
     return SeriesResult(scale * acc + first,
                         abs(scale) * p * p / (4000.0 * (4000.0 ** 2 - p * p)),
                         3999, "alternating")
