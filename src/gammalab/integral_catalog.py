@@ -93,7 +93,7 @@ def integral_catalog(key: str, params: tuple[float, ...] = (),
 def _plus(quad: QuadCall, value: float, err: float, **opts) -> QuadResult:
     """``quad(**opts)`` plus a known ``value`` with error bound ``err``."""
     r = quad(**opts)
-    return r._replace(value=r.value + value, abs_err=r.abs_err + err)
+    return QuadResult(r.value + value, r.abs_err + err, r.evals, r.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +179,14 @@ def _cot_pi_s(x: float, da: float, db: float) -> float:
     if da <= db:
         return math.cos(_PI * da) / math.sin(_PI * da)
     return -math.cos(_PI * db) / math.sin(_PI * db)
+
+
+def _cot_defect(d: float) -> float:
+    """1/d - pi cot(pi d) for 0 < d < 1: by its zeta series below 1/8, where
+    the difference cancels, and as written above."""
+    if d < 0.125:
+        return _one_over_x_minus_pi_cot(d)
+    return 1.0 / d - _PI / math.tan(_PI * d)
 
 
 def _log_sin_pi(x: float, da: float, db: float) -> float:
@@ -555,9 +563,18 @@ def q_5_36(x: float) -> QuadCall:
 def q_5_20(x: float) -> QuadCall:
     if not 0.0 < x < 1.0:
         raise DomainError(f"requires 0 < x < 1, got {x}")
+    # less the pole just past b as x -> 1: pi t cot(pi t) + t/d, d = 1 - t =
+    # (1 - x) + db (1 - x exact where d < 1/8) and t = da, is t (1/d - pi
+    # cot(pi d)); int_0^x t/d dt = -x - log(1 - x) is added back in closed form
+    omx = 1.0 - x
     def f(t, da, db):
-        return _PI * t * math.cos(_PI * t) / math.sin(_PI * t)
-    return partial(integrate, f, 0.0, x, (1.0, None))
+        d = omx + db
+        if d < 0.125:
+            return t * _one_over_x_minus_pi_cot(d)
+        return t * (_PI / math.tan(_PI * da) + 1.0 / d)
+    lg = math.log1p(-x)
+    return partial(_plus, partial(integrate, f, 0.0, x, (1.0, None)),
+                   x + lg, 2.0 * _EPS * (x - lg))
 
 
 @_entry("Q-5.45-int", "int_0^1 (psi(1+x) + gamma)/x dx")
@@ -585,12 +602,19 @@ def q_5_45_int_b() -> QuadCall:
 def q_5_53_lhs(u: float) -> QuadCall:
     if not 0.0 < u < 1.0:
         raise DomainError(f"requires 0 < u < 1, got {u}")
-    z2 = 2.0 * _zeta_int(2)
+    # less the pole's 1/d, d = 1 - x, as in Q-5.20: with g = _cot_defect,
+    # (1/x - pi cot(pi x))/x - 1/d is (1/x + 1 - g(d))/x and g(x)/x - 1/d,
+    # regular at x = 1; int_0^u dx/(1 - x) = -log(1 - u) is added back
+    omu = 1.0 - u
     def f(x, da, db):
-        if x < 1e-8:
-            return z2
-        return _one_over_x_minus_pi_cot(x) / x
-    return partial(integrate, f, 0.0, u, (z2, None))
+        d = omu + db
+        if d < 0.5:
+            return (1.0 / x + 1.0 - _cot_defect(d)) / x
+        return _cot_defect(da) / x - 1.0 / d
+    lg = -math.log1p(-u)
+    return partial(_plus, partial(integrate, f, 0.0, u,
+                                  (2.0 * _zeta_int(2) - 1.0, None)),
+                   lg, 2.0 * _EPS * lg)
 
 
 # ---------------------------------------------------------------------------

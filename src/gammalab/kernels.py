@@ -367,20 +367,18 @@ def _two_zeta_even() -> tuple[float, ...]:
 
 
 def _one_over_x_minus_pi_cot(x: float) -> float:
-    """1/x - pi cot(pi x) for x > 0, cancellation-free below 1/2 by its
-    series sum_k 2 zeta(2k) x^(2k-1)."""
-    if x < 0.5:
-        acc = 0.0
-        x2 = x * x
-        pw = x
-        for z in _two_zeta_even():
-            t = z * pw
-            acc += t
-            if t < 1e-18 * acc:
-                break
-            pw *= x2
-        return acc
-    return 1.0 / x - math.pi * math.cos(math.pi * x) / math.sin(math.pi * x)
+    """1/x - pi cot(pi x) for 0 < x < 1/2 by its series
+    sum_k 2 zeta(2k) x^(2k-1), free of the difference's cancellation."""
+    acc = 0.0
+    x2 = x * x
+    pw = x
+    for z in _two_zeta_even():
+        t = z * pw
+        acc += t
+        if t < 1e-18 * acc:
+            break
+        pw *= x2
+    return acc
 
 
 def _digamma_real(x: float) -> float:

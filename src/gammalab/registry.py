@@ -8,8 +8,7 @@ verdict classifies their residual against the combined error budget:
     REFUTED     residual >  100 * budget
     INCONCLUSIVE otherwise
 
-where budget = lhs.abs_err + rhs.abs_err + 1e-9, one floor for every
-record and every call.
+where budget = lhs.abs_err + rhs.abs_err: the two error bars alone decide.
 ``Registry.verify_identity`` is the one way to a verdict, and ``run_suite``
 maps it over records.  DISPUTED records carry the source's own quoted
 machine values: they are adjudicated with precise quadrature, reported
@@ -51,8 +50,6 @@ from .series_catalog import (
 
 __all__ = ["EvalOptions", "IdentityRecord", "Verdict", "Registry"]
 
-# the one budget floor, divergence probes included
-_FLOOR = 1e-9
 _REFUTE_FACTOR = 100.0
 # the mapping fields' default, one object shared by every record: read-only
 _NO_ENTRIES: Mapping = MappingProxyType({})
@@ -1199,7 +1196,7 @@ class Registry:
                            note=f"route failure: {exc}",
                            diagnostics=diagnostics)
         residual = abs(lv - rv)
-        budget = le + re_ + _FLOOR
+        budget = le + re_
         status = _status(residual, budget)
         dt = time.perf_counter() - t0
         return Verdict(rec.id, params, lv, le, rv, re_, residual, budget,
@@ -1217,11 +1214,10 @@ class Registry:
             errs += r.abs_err
         d1 = vals[1] - vals[0]
         d2 = vals[2] - vals[1]
-        budget = errs + _FLOOR
-        diverges = abs(d2) > 0.5 * abs(d1) and abs(d1) > 1e3 * budget
+        diverges = abs(d2) > 0.5 * abs(d1) and abs(d1) > 1e3 * errs
         dt = time.perf_counter() - t0
         return Verdict(rec.id, (), d1, errs, d2, errs, abs(d2) - abs(d1),
-                       budget, "CONFIRMED" if diverges else "INCONCLUSIVE",
+                       errs, "CONFIRMED" if diverges else "INCONCLUSIVE",
                        rec.expected, dt,
                        note="successive cutoff increments must not shrink",
                        diagnostics={"values": vals})

@@ -8,7 +8,7 @@ from typing import Mapping, NamedTuple
 
 from .registry import _NO_ENTRIES, Registry, Verdict, failures
 
-SCHEMA_VERSION = "1.2"
+SCHEMA_VERSION = "1.3"
 
 __all__ = ["Report", "SCHEMA_VERSION", "build_report", "to_json",
            "to_markdown", "fmt15"]

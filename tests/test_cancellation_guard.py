@@ -42,12 +42,6 @@ ALLOWED = {
     ("integral_catalog.py", "q_7_15", "math.sin(_PI * x)"): _FACTOR,
     ("integral_catalog.py", "q_6_14_2", "math.sin(_PI * x)"):
         "taken only where da = x >= 1/2, at b = 1/2, where sin(pi x) = 1",
-    ("integral_catalog.py", "q_5_20", "math.sin(_PI * t)"):
-        "Q-5.20: sin reduced exactly alone makes the rule claim 2.7e-12 "
-        "against a true error of 7e-9 at x = 1 - 1e-9; it waits for the "
-        "pole of cot at t = 1 to be subtracted",
-    ("integral_catalog.py", "q_5_20", "math.cos(_PI * t)"):
-        "Q-5.20, as its sin",
     ("series_catalog.py", "fs_4_16", "math.cos(_TWO_PI * n * x)"): _FOURIER,
     ("series_catalog.py", "fs_4_16", "math.sin(_TWO_PI * n * x)"): _FOURIER,
     ("series_catalog.py", "fs_6_2", "math.cos(_TWO_PI * n * x)"): _FOURIER,

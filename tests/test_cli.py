@@ -81,7 +81,7 @@ def test_verify_all_writes_report(tmp_path, capsys):
                 "--no-timing"])
     assert code == 0
     doc = json.loads(path.read_text())
-    assert doc["schema_version"] == "1.2"
+    assert doc["schema_version"] == "1.3"
     assert len(doc["verdicts"]) >= 60
     assert not any("tol_class" in v for v in doc["verdicts"])
     assert doc["summary"]["failures"] == 0
@@ -371,9 +371,9 @@ def test_sweep_pass_passes_benchmark_reference(monkeypatch):
         calls[0] += 1
         return hurwitz_em(*args, **kwargs)
     monkeypatch.setattr(kernels, "_hurwitz_em", counted)
-    # and no verdict's residual is outside its two bars, floor aside (the
-    # pool's I-1.8 draw at p = 0.00405 was, at 1.49x, before its rhs took
-    # the Bernoulli series)
+    # and no verdict's residual is outside its two bars, its whole budget
+    # (the pool's I-1.8 draw at p = 0.00405 was, at 1.49x, before its rhs
+    # took the Bernoulli series)
     out_of_bars = []
     verify = Registry.verify_identity
 

@@ -548,15 +548,14 @@ _NEAR_END = ([("I-2.6", (p,)) for p in (2e-6, 2e-9, 2.0 - 2e-6, 2.0 - 2e-9)]
 
 
 @pytest.mark.parametrize("rid, params", _NEAR_END)
-def test_closed_forms_near_their_ends(monkeypatch, rid, params):
+def test_closed_forms_near_their_ends(rid, params):
     # within its own bar against mpmath at 40 digits, and CONFIRMED by the
-    # bars alone, without the 1e-9 floor
+    # two bars
     side, ref = _NEAR_END_SIDES[rid]
     rec = R.Registry().record(rid)
     value, err = getattr(rec, side).evaluate(params)
     with mp.workdps(40):
         assert _close(value, ref(*map(mp.mpf, params)), err)
-    monkeypatch.setattr(R, "_FLOOR", 0.0)
     v = R.Registry().verify_identity(rid, params)
     assert v.status == "CONFIRMED", v
 
@@ -586,6 +585,38 @@ def test_rhs_1_17(p):
     ref = mp.pi / (2 * pm) * lg + mp.nsum(term, [0, mp.inf])
     value = R._rhs_1_17(p)
     assert _close(value, ref, 3e-14 * max(1.0, abs(value)))
+
+
+def _q_5_20_mp(x):
+    # Kinkelin: int_0^x pi t cot(pi t) dt = x log 2pi + log G(1-x) - log G(1+x)
+    return x * mp.log(2 * mp.pi) + _lnG_mp(1 - x) - _lnG_mp(1 + x)
+
+
+def _q_5_53_mp(u):
+    # the integrand less its pole's 1/(1 - x), which is integrated in closed
+    # form; 1/x - pi cot(pi x) cancels near 0, so it takes 100 digits there
+    def f(x):
+        if x < mp.mpf("1e-20"):
+            return 2 * mp.zeta(2) - 1 + 2 * mp.zeta(4) * x * x
+        with mp.workdps(100):
+            v = (1 / x - mp.pi * mp.cot(mp.pi * x)) / x - 1 / (1 - x)
+        return +v
+    return mp.quad(f, [0, mp.mpf(1) / 2, u] if u > 0.5 else [0, u]) \
+        - mp.log1p(-u)
+
+
+@pytest.mark.parametrize("key, ref", [("Q-5.20", _q_5_20_mp),
+                                      ("Q-5.53-lhs", _q_5_53_mp)])
+@pytest.mark.parametrize("x", [0.25, 0.5, 0.9] + [1.0 - 10.0 ** -k
+                                                  for k in range(1, 13)])
+def test_cot_pole_integrals_near_one(key, ref, x):
+    # the pole of cot(pi t) lies 1 - x past b: with it subtracted the rule
+    # converges at level 3; before, both were off by up to 5 600x their bar
+    # and ran to the level cap (8 193 evaluations) at 1 - 1e-9
+    r = integral_catalog(key, (x,))
+    with mp.workdps(40):
+        assert _close(r.value, ref(mp.mpf(x)), r.abs_err)
+    assert r.converged and r.evals <= 129
 
 
 @pytest.mark.parametrize("x", [0.3, 0.95, 0.999])

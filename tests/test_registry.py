@@ -198,8 +198,7 @@ def test_every_catalog_entry_is_reached(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_verdict_classification_thresholds():
-    # the gaps are multiples of the verdict's own budget, so the thresholds
-    # hold whatever share of it the bars and the floor take
+    # the gaps are multiples of the verdict's own budget, the two bars
     def verdict(gap):
         return Registry([IdentityRecord(
             "I-9.2", 9, "scratch: controlled residual",
@@ -207,6 +206,7 @@ def test_verdict_classification_thresholds():
             Recipe("b", lambda p, b: (1.0 + gap, 2e-7)))]).verify_identity(
                 "I-9.2")
     budget = verdict(0.0).budget
+    assert budget == 1e-7 + 2e-7
     assert verdict(0.5 * budget).status == "CONFIRMED"
     assert verdict(50 * budget).status == "INCONCLUSIVE"
     assert verdict(1e4 * budget).status == "REFUTED"
@@ -214,8 +214,9 @@ def test_verdict_classification_thresholds():
 
 @pytest.mark.parametrize("rid", ["I-4.16", "I-5.7", "I-7.15"])
 def test_one_floor_confirms_across_the_domain(reg, rid):
-    # the three records that once had a floor of 1e-7 or 1e-5 hold at the
-    # one floor: 500 seeded draws plus points 10^-k of the span from each end
+    # the three records that once had a floor of 1e-7 or 1e-5 hold within
+    # their two bars: 500 seeded draws plus points 10^-k of the span from
+    # each end
     (lo, hi), = reg.record(rid).param_domain
     span = hi - lo
     points = [p for k in (3, 6, 9) for p in (lo + 10.0 ** -k * span,
@@ -225,7 +226,7 @@ def test_one_floor_confirms_across_the_domain(reg, rid):
     bad = []
     for x in points:
         v = reg.verify_identity(rid, (x,))
-        assert v.budget == v.lhs_err + v.rhs_err + R._FLOOR
+        assert v.budget == v.lhs_err + v.rhs_err
         if v.status != "CONFIRMED":
             bad.append((x, v.status, v.residual, v.budget, v.note))
     assert bad == []
@@ -235,6 +236,49 @@ def test_suite_green_except_for_claimed_disputes(all_verdicts):
     assert failures(all_verdicts) == []
     bad = [v for v in all_verdicts
            if v.status != "CONFIRMED" and v.expected == "CONFIRMED"]
+    assert bad == []
+
+
+def test_confirmed_verdicts_hold_within_their_two_bars(reg, all_verdicts):
+    # the two bars are the whole budget: no margin outside them confirms
+    # (the worst is I-2.10 and I-8.15, at 0.48 of their bars)
+    out = [(v.id, v.params, v.residual / (v.lhs_err + v.rhs_err))
+           for v in all_verdicts if v.status == "CONFIRMED"
+           and reg.record(v.id).probe is None
+           and not v.residual <= v.lhs_err + v.rhs_err]
+    assert out == []
+
+
+def _near_end_points(reg):
+    """lo + 10^-k w and hi - 10^-k w, k = 3, 6, 9, for each non-integer
+    parameter of each parametric record in turn, the others at the first
+    default: 270 points."""
+    for rec in reg.list_identities():
+        if not rec.param_names or rec.probe is not None:
+            continue
+        for i, (name, (lo, hi)) in enumerate(zip(rec.param_names,
+                                                 rec.param_domain)):
+            if name in rec.integer_params:
+                continue
+            for k in (3, 6, 9):
+                for x in (lo + 10.0 ** -k * (hi - lo),
+                          hi - 10.0 ** -k * (hi - lo)):
+                    params = list(rec.default_params[0])
+                    params[i] = x
+                    yield rec.id, tuple(params)
+
+
+def test_near_end_points_hold_within_their_two_bars(reg):
+    # I-5.20 and I-5.53 were out at 1 - 1e-6 and 1 - 1e-9 (6x to 62x),
+    # before their quadratures took the pole of cot just past b out
+    points = list(_near_end_points(reg))
+    assert len(points) == 270
+    bad = []
+    for rid, params in points:
+        v = reg.verify_identity(rid, params)
+        if not v.residual <= v.lhs_err + v.rhs_err or (
+                v.expected == "CONFIRMED" and v.status != "CONFIRMED"):
+            bad.append((rid, params, v.status, v.residual, v.budget, v.note))
     assert bad == []
 
 
