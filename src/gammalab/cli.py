@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on the terms of every series route; by default "
                    "each sums the terms its own error bound needs for 1e-14, "
                    "and below that a capped entry reports its larger error")
-    v.add_argument("--quad-level-cap", type=int, default=10)
+    v.add_argument("--quad-level-cap", type=int,
+                   default=EvalOptions().level_cap)
     v.add_argument("--parallelism", type=int, default=1,
                    help="accepted (N >= 1) and recorded in the report's "
                    "config; the suite runs in one process")

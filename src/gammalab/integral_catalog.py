@@ -10,11 +10,10 @@ added in closed form, with its rounding bound, through ``_plus``.
 
 An entry returns its quadrature call without running it, e.g.
 ``partial(integrate, f, 0.0, 1.0, limits)``; ``integral_catalog`` alone
-applies the tolerance (the entry's declared one, 1e-10, or 1e-8 for the
-cot-weighted family, unless the caller overrides it) and the level cap.
-Entries build that call each time they run, never at import, so an
-``integrate`` rebound after import (perfbench's tracer rebinds it) is the
-one called.
+applies the level cap, and every entry and probe runs at the rules' one
+tolerance, which ``quad`` states.  Entries build that call each time they
+run, never at import, so an ``integrate`` rebound after import
+(perfbench's tracer rebinds it) is the one called.
 """
 
 from __future__ import annotations
@@ -36,7 +35,13 @@ from .kernels import (
     _require_finite,
     _zeta_int,
 )
-from .quad import _EPS, QuadResult, integrate, integrate_semi_infinite
+from .quad import (
+    _DEFAULT_MAX_LEVEL,
+    _EPS,
+    QuadResult,
+    integrate,
+    integrate_semi_infinite,
+)
 
 __all__ = ["IntegralEntry", "INTEGRAL_CATALOG", "integral_catalog",
            "list_integral_ids", "probe_cauchy"]
@@ -44,7 +49,7 @@ __all__ = ["IntegralEntry", "INTEGRAL_CATALOG", "integral_catalog",
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 
-# an entry's quadrature call, still to be given ``tol`` and ``max_level``
+# an entry's quadrature call, still to be given ``max_level``
 QuadCall = Callable[..., QuadResult]
 
 
@@ -52,15 +57,14 @@ class IntegralEntry(NamedTuple):
     label: str
     nparams: int
     fn: Callable[..., QuadCall]
-    default_tol: float = 1e-10
 
 
 INTEGRAL_CATALOG: dict[str, IntegralEntry] = {}
 
 
-def _entry(key: str, label: str, nparams: int = 0, tol: float = 1e-10):
+def _entry(key: str, label: str, nparams: int = 0):
     def deco(fn):
-        INTEGRAL_CATALOG[key] = IntegralEntry(label, nparams, fn, tol)
+        INTEGRAL_CATALOG[key] = IntegralEntry(label, nparams, fn)
         return fn
     return deco
 
@@ -74,8 +78,7 @@ def list_integral_ids() -> list[str]:
 
 
 def integral_catalog(key: str, params: tuple[float, ...] = (),
-                     tol: float | None = None,
-                     max_level: int = 10) -> QuadResult:
+                     max_level: int = _DEFAULT_MAX_LEVEL) -> QuadResult:
     try:
         entry = INTEGRAL_CATALOG[key]
     except KeyError:
@@ -85,9 +88,7 @@ def integral_catalog(key: str, params: tuple[float, ...] = (),
             f"{key} takes {entry.nparams} parameter(s), got {len(params)}")
     for i, value in enumerate(params, 1):
         _require_finite(value, f"{key} parameter {i}")
-    quad = entry.fn(*params)
-    return quad(tol=entry.default_tol if tol is None else tol,
-                max_level=max_level)
+    return entry.fn(*params)(max_level=max_level)
 
 
 def _plus(quad: QuadCall, value: float, err: float, **opts) -> QuadResult:
@@ -337,7 +338,7 @@ def q_4_8(n: float) -> QuadCall:
     return partial(integrate, f, 0.0, 1.0)
 
 
-@_entry("Q-4.12.7", "int_0^1 B_(2n+1)(x) cot(pi x) dx", 1, tol=1e-8)
+@_entry("Q-4.12.7", "int_0^1 B_(2n+1)(x) cot(pi x) dx", 1)
 def q_4_12_7(n: float) -> QuadCall:
     m = 2 * integer_arg(n, "n") + 1
     def f(x, da, db):
@@ -382,7 +383,7 @@ def q_4_25(n: float) -> QuadCall:
     return partial(integrate, f, 0.0, 1.0)
 
 
-@_entry("Q-4.26-lhs", "int_0^1 x log(x) cot(pi x) dx", tol=1e-8)
+@_entry("Q-4.26-lhs", "int_0^1 x log(x) cot(pi x) dx")
 def q_4_26_lhs() -> QuadCall:
     def f(x, da, db):
         return x * math.log(da) * _cot_pi_s(x, da, db)
@@ -417,29 +418,28 @@ def q_4_30_lhs() -> QuadCall:
     return partial(integrate, f, 0.0, _PI)
 
 
-@_entry("Q-4.31", "int_0^1 x log Gamma(x) cot(pi x) dx", tol=1e-8)
+@_entry("Q-4.31", "int_0^1 x log Gamma(x) cot(pi x) dx")
 def q_4_31() -> QuadCall:
     def f(x, da, db):
         return _x_lgamma(x, da, db) * _cot_pi_s(x, da, db)
     return partial(integrate, f, 0.0, 1.0)
 
 
-@_entry("Q-4.33", "int_0^1 log G(1+x) cot(pi x) dx", tol=1e-8)
+@_entry("Q-4.33", "int_0^1 log G(1+x) cot(pi x) dx")
 def q_4_33() -> QuadCall:
     def f(x, da, db):
         return _ln_g1p(x, db) * _cot_pi_s(x, da, db)
     return partial(integrate, f, 0.0, 1.0)
 
 
-@_entry("Q-4.34", "int_0^1 [log G(1+x) - x log Gamma(x)] cot(pi x) dx",
-        tol=1e-8)
+@_entry("Q-4.34", "int_0^1 [log G(1+x) - x log Gamma(x)] cot(pi x) dx")
 def q_4_34() -> QuadCall:
     def f(x, da, db):
         return (_ln_g1p(x, db) - _x_lgamma(x, da, db)) * _cot_pi_s(x, da, db)
     return partial(integrate, f, 0.0, 1.0)
 
 
-@_entry("Q-4.35", "int_0^1 log Gamma(1+x) cot(pi x) dx", tol=1e-8)
+@_entry("Q-4.35", "int_0^1 log Gamma(1+x) cot(pi x) dx")
 def q_4_35() -> QuadCall:
     def f(x, da, db):
         lg = _lgamma1p(da) if da <= 0.5 else _lgamma1p(-db) + math.log1p(-db)
@@ -686,7 +686,7 @@ def q_6_15(u: float) -> QuadCall:
     return partial(integrate, f, 0.0, u, (0.0, None))
 
 
-@_entry("Q-6.24", "int_0^1 x(1-x) cos(pi x) cot(pi x) dx", tol=1e-8)
+@_entry("Q-6.24", "int_0^1 x(1-x) cos(pi x) cot(pi x) dx")
 def q_6_24() -> QuadCall:
     def f(x, da, db):
         c = math.cos(_PI * x)
@@ -744,9 +744,10 @@ def q_7_17() -> QuadCall:
 # divergence probes
 # ---------------------------------------------------------------------------
 
-def probe_cauchy(which: str, eps: float, max_level: int = 10) -> QuadResult:
+def probe_cauchy(which: str, eps: float,
+                 max_level: int = _DEFAULT_MAX_LEVEL) -> QuadResult:
     """integral over [eps, 1-eps] for the divergent cot-weighted probes, at
-    tolerance 1e-9 and at most ``max_level`` levels."""
+    most ``max_level`` levels."""
     if which == "logGamma_cot":
         def f(x, da, db):
             return _lgamma(x) * _cot_pi_s(x, x, 1.0 - x)
@@ -755,4 +756,4 @@ def probe_cauchy(which: str, eps: float, max_level: int = 10) -> QuadResult:
             return math.log(x) * _cot_pi_s(x, x, 1.0 - x)
     else:
         raise UnknownKeyError(f"unknown probe {which!r}")
-    return integrate(f, eps, 1.0 - eps, tol=1e-9, max_level=max_level)
+    return integrate(f, eps, 1.0 - eps, max_level=max_level)

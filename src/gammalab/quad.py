@@ -34,6 +34,7 @@ _EPS = 2.220446049250313e-16
 _T_MAX = 4.0
 _U_MAX = math.log(60.0) + 1.0
 _DEFAULT_MAX_LEVEL = 10
+_MIN_LEVEL, _MAX_LEVEL = 3, 14
 
 
 class QuadResult(NamedTuple):
@@ -167,13 +168,18 @@ def _add_half_line(f, scale, level, acc, abs_acc):
     return acc, abs_acc, len(nodes)
 
 
+def _check_max_level(max_level: int) -> None:
+    if not _MIN_LEVEL <= max_level <= _MAX_LEVEL:
+        raise DomainError(f"quadrature level cap must be in "
+                          f"[{_MIN_LEVEL}, {_MAX_LEVEL}]")
+
+
 def _levels(add, total, abs_total, evals, scale, tol, max_level):
     """The level-doubling loop and stopping test of both rules.  ``add`` is
     ``_add_level`` or ``_add_half_line`` with its integrand bound; ``total``,
     ``abs_total`` and ``evals`` are the rule's sums before level 0, and
     ``scale`` maps the rule's own variable to the integral's."""
-    if max_level > 14:
-        raise DomainError("level cap is 14")
+    _check_max_level(max_level)
     total, abs_total, n = add(0, total, abs_total)
     evals += n
     value = total
@@ -191,7 +197,7 @@ def _levels(add, total, abs_total, evals, scale, tol, max_level):
         e2 = 0.0 if prev2 is None else abs(prev - prev2)
         est = e1 * (e1 / e2) if e2 > e1 else e1
         err = max(10.0 * est, 40.0 * _EPS * h * abs_total)
-        if err * scale <= tol and level >= 3:
+        if err * scale <= tol and level >= _MIN_LEVEL:
             return QuadResult(value * scale, err * scale, evals, True)
     return QuadResult(value * scale, err * scale, evals, False)
 

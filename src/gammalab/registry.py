@@ -11,9 +11,12 @@ verdict classifies their residual against the combined error budget:
 where budget = lhs.abs_err + rhs.abs_err: the two error bars alone decide.
 ``Registry.verify_identity`` is the one way to a verdict, and ``run_suite``
 maps it over records.  DISPUTED records carry the source's own quoted
-machine values: they are adjudicated with precise quadrature, reported
-with those values, and never counted as failures.  DIVERGENT-PROBE records
-instead check that shrinking the cutoff does not Cauchy-converge.
+machine values: they are reported with those values and never counted as
+failures.  DIVERGENT-PROBE records instead check that shrinking the cutoff
+does not Cauchy-converge.  Their two sides are the increments d1 and d2 of
+the integral as the cutoff goes 1e-2, 1e-3, 1e-4, each with the errors of
+its own two quadratures as its bar; the probe diverges when |d2| > |d1|/2
+and |d1| exceeds 1e3 times the three quadratures' errors.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .errors import (
 )
 from .integral_catalog import integral_catalog, probe_cauchy
 from .kernels import get_constants
+from .quad import _DEFAULT_MAX_LEVEL, _check_max_level
 from .series import SeriesResult, zeta_tail_sum
 from .series_catalog import (
     _bernoulli_fourier,
@@ -57,8 +61,7 @@ _NO_ENTRIES: Mapping = MappingProxyType({})
 
 class _EvalFields(NamedTuple):
     max_terms: int | None = None
-    level_cap: int = 10
-    precise: bool = False
+    level_cap: int = _DEFAULT_MAX_LEVEL
 
 
 class EvalOptions(_EvalFields):
@@ -71,10 +74,9 @@ class EvalOptions(_EvalFields):
     their sum.  ``max_terms`` caps the terms of every ``series`` and
     ``power series`` route (``None``: no cap); below the target N an entry
     sums at the cap and reports its larger error.  Series inside
-    closed-form routes are not capped.  ``level_cap`` caps the tanh-sinh
-    refinement levels, divergence probes included.  ``precise`` asks for
-    quadrature tolerance 1e-12; ``verify_identity`` sets it for DISPUTED
-    records.
+    closed-form routes are not capped.  ``level_cap`` caps the refinement
+    levels of every quadrature, divergence probes included; ``quad`` states
+    its default and range, and the one tolerance at which a rule stops.
     """
     __slots__ = ()
 
@@ -82,8 +84,7 @@ class EvalOptions(_EvalFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.max_terms is not None and self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
-        if not 3 <= self.level_cap <= 14:
-            raise DomainError("quadrature level cap must be in [3, 14]")
+        _check_max_level(self.level_cap)
         return self
 
 
@@ -153,9 +154,7 @@ def _quad(key: str, pmap: Callable[[tuple], tuple] = lambda p: p,
     """Quadrature ``key`` at ``pmap(params)`` times ``scale(params)``, with
     the quadrature's own error times |scale|."""
     def fn(params, opts):
-        r = integral_catalog(key, pmap(params),
-                             tol=1e-12 if opts.precise else None,
-                             max_level=opts.level_cap)
+        r = integral_catalog(key, pmap(params), max_level=opts.level_cap)
         s = scale(params)
         return s * r.value, abs(s) * r.abs_err
     return Recipe(label or f"quadrature {key}", fn)
@@ -1171,8 +1170,8 @@ class Registry:
                         params: tuple[float, ...] | None = None,
                         opts: EvalOptions = EvalOptions()) -> Verdict:
         """The verdict of record ``rid`` at ``params`` (by default its first
-        default point).  A DISPUTED record runs with precise options and
-        carries the source's quoted values as ``diagnostics["reported"]``."""
+        default point).  A DISPUTED record carries the source's quoted
+        values as ``diagnostics["reported"]``."""
         rec = self.record(rid)
         params = tuple(rec.default_params[0] if params is None else params)
         self.check_params(rec, params)
@@ -1180,7 +1179,6 @@ class Registry:
             return self._verify_probe(rec, opts)
         diagnostics = {}
         if rec.expected == "DISPUTED":
-            opts = opts._replace(precise=True)
             diagnostics = {"reported": dict(rec.reported)}  # JSON-ready
         t0 = time.perf_counter()
         # a numeric or domain failure of a route gives an INCONCLUSIVE
@@ -1206,31 +1204,31 @@ class Registry:
     def _verify_probe(self, rec: IdentityRecord,
                       opts: EvalOptions) -> Verdict:
         t0 = time.perf_counter()
-        vals = []
-        errs = 0.0
-        for eps in (1e-2, 1e-3, 1e-4):
-            r = probe_cauchy(rec.probe, eps, opts.level_cap)
-            vals.append(r.value)
-            errs += r.abs_err
+        rs = [probe_cauchy(rec.probe, eps, opts.level_cap)
+              for eps in (1e-2, 1e-3, 1e-4)]
+        vals = [r.value for r in rs]
+        e0, e1, e2 = (r.abs_err for r in rs)
         d1 = vals[1] - vals[0]
         d2 = vals[2] - vals[1]
-        diverges = abs(d2) > 0.5 * abs(d1) and abs(d1) > 1e3 * errs
+        diverges = (abs(d2) > 0.5 * abs(d1)
+                    and abs(d1) > 1e3 * (e0 + e1 + e2))
+        d1_err, d2_err = e0 + e1, e1 + e2
         dt = time.perf_counter() - t0
-        return Verdict(rec.id, (), d1, errs, d2, errs, abs(d2) - abs(d1),
-                       errs, "CONFIRMED" if diverges else "INCONCLUSIVE",
+        return Verdict(rec.id, (), d1, d1_err, d2, d2_err, abs(d2) - abs(d1),
+                       d1_err + d2_err,
+                       "CONFIRMED" if diverges else "INCONCLUSIVE",
                        rec.expected, dt,
                        note="successive cutoff increments must not shrink",
                        diagnostics={"values": vals})
 
     def run_suite(self, selection: list[str] | None = None,
-                  section: int | None = None,
                   opts: EvalOptions = EvalOptions()) -> list[Verdict]:
-        """Every verdict of the selection, at each record's default points,
-        in catalog order."""
+        """Every verdict of the selection (by default every record), at each
+        record's default points, in catalog order."""
         if selection is not None:
             records = [self.record(rid) for rid in selection]
         else:
-            records = self.list_identities(section=section)
+            records = self._records
         if not records:
             raise DomainError("empty selection")
         return [self.verify_identity(rec.id, params, opts)

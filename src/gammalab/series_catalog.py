@@ -127,45 +127,22 @@ def sum_catalog(key: str, params: tuple[float, ...] = (),
 # section 1: the log-weighted quadratic-denominator lemmas
 # ---------------------------------------------------------------------------
 
-def _taylor_check(value: float, u: float, coeff: Callable[[int], float]
-                  ) -> float:
-    """|value - sum_m coeff(m) u^(2m-2)|, the cross-route check for |u| < 1."""
-    alt = 0.0
-    pw = 1.0
-    for m in range(1, 80):
-        t = coeff(m) * pw
-        alt += t
-        pw *= u * u
-        if abs(t) < 1e-18:
-            break
-    return abs(value - alt)
-
-
 @_entry("S-1.20", "sum log n/(n^2+u^2)", 1)
 def s_1_20(u: float, max_terms: int | None = None) -> SeriesResult:
     u2 = u * u
-    r = zeta_tail_sum(
+    return zeta_tail_sum(
         lambda n_last: (math.log(n) / (n * n + u2)
                         for n in range(1, n_last + 1)),
         log_tail=lambda n: quad_tail(-u2, {0: 1.0}, n), cap=max_terms,
         floor=5e-15)
-    if abs(u) < 1.0:
-        # Taylor cross-route: sum_m (-1)^m zeta'(2m) u^(2m-2)
-        return r._replace(abs_err=r.abs_err + _taylor_check(
-            r.value, u, lambda m: (-1.0) ** m * _zeta_prime_int(2 * m)))
-    return r
 
 
 @_entry("S-1.23", "sum 1/(n^2+u^2)", 1)
 def s_1_23(u: float, max_terms: int | None = None) -> SeriesResult:
     u2 = u * u
-    r = zeta_tail_sum(
+    return zeta_tail_sum(
         lambda n_last: (1.0 / (n * n + u2) for n in range(1, n_last + 1)),
         lambda n: quad_tail(-u2, {0: 1.0}, n), cap=max_terms, floor=5e-15)
-    if abs(u) < 1.0:
-        return r._replace(abs_err=r.abs_err + _taylor_check(
-            r.value, u, lambda m: (-1.0) ** (m + 1) * _zeta_int(2 * m)))
-    return r
 
 
 # ---------------------------------------------------------------------------

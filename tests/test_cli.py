@@ -154,20 +154,20 @@ def test_quad_level_cap_reaches_divergence_probes(monkeypatch, capsys):
 
 def test_closed_form_quadratures_obey_options(monkeypatch, capsys):
     # the quadratures inside I-1.17's lhs and I-4.36's and I-6.37's closed
-    # forms take the level cap and the precise tolerance like any
-    # quadrature route, and report |scale| times their own error
+    # forms take the level cap like any quadrature route, and no tolerance
+    # of their own, and report |scale| times their own error
     calls = []
     catalog = importlib.import_module("gammalab.integral_catalog")
     original = catalog.integrate
 
-    def recording(f, a, b, limits=(None, None), tol=1e-10, max_level=10):
-        calls.append((tol, max_level))
-        return original(f, a, b, limits, tol, max_level)
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
     monkeypatch.setattr(catalog, "integrate", recording)
     assert run(["verify", "--ids", "I-1.17,I-4.36,I-6.37",
                 "--quad-level-cap", "3"]) == 0
     capsys.readouterr()
-    assert [level for _, level in calls] == [3] * 5
+    assert calls == [{"max_level": 3}] * 5
     reg = Registry()
     for rid, route, params, key, qparams, scale in [
             ("I-1.17", "lhs", (0.5,), "Q-1.1", (math.pi,),
@@ -176,9 +176,9 @@ def test_closed_form_quadratures_obey_options(monkeypatch, capsys):
             ("I-6.37", "lhs", (), "Q-6.34", (), -2.0 / math.pi)]:
         recipe = getattr(reg.record(rid), route)
         calls.clear()
-        value, err = recipe.evaluate(params, EvalOptions(precise=True))
-        assert calls == [(1e-12, 10)]
-        r = catalog.integral_catalog(key, qparams, tol=1e-12)
+        value, err = recipe.evaluate(params, EvalOptions(level_cap=12))
+        assert calls == [{"max_level": 12}]
+        r = catalog.integral_catalog(key, qparams, max_level=12)
         assert (value, err) == (scale * r.value, abs(scale) * r.abs_err)
 
 

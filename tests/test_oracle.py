@@ -150,6 +150,27 @@ def test_s_5_13(x):
                   r.abs_err)
 
 
+@pytest.mark.parametrize("u", [0.05, 0.5, 0.9, 0.99, 0.999, 1.2, 3.0])
+def test_s_1_20_and_s_1_23(u):
+    # the lemma sums of section 1 hold their direct bars, which claim
+    # ~1e-14, up to u -> 1, where their Taylor series in u^2 converges
+    # slowest, and past it.  S-1.20 below 1 is -sum (-u^2)^(m-1) zeta'(2m),
+    # whose terms fall like (u/2)^(2m): 55 of them reach 1e-33; above 1 it
+    # takes Euler-Maclaurin, where mpmath's default nsum is 4e-4 off
+    um = mp.mpf(u)
+    if u < 1.0:
+        ref_20 = -mp.fsum((-um * um) ** (m - 1) * mp.zeta(2 * m, 1, 1)
+                          for m in range(1, 56))
+    else:
+        ref_20 = mp.nsum(lambda n: mp.log(n) / (n * n + um * um),
+                         [1, mp.inf], method="euler-maclaurin")
+    ref_23 = (mp.pi * um * mp.coth(mp.pi * um) - 1) / (2 * um * um)
+    for key, ref in (("S-1.20", ref_20), ("S-1.23", ref_23)):
+        r = sum_catalog(key, (u,))
+        assert r.abs_err <= 1e-13, (key, u, r.abs_err)
+        assert _close(r.value, ref, r.abs_err), (key, u)
+
+
 def _tn_tail_oracle(n):
     """T_n as a direct sum to M = 4n + 8 plus the convergent tail
     -sum_j n^(2j) zeta'(2j+2, M+1), whose orders shrink by 1/16."""

@@ -31,6 +31,12 @@ GAMMA = C.gamma
 IC = importlib.import_module("gammalab.integral_catalog")
 
 
+def _run_at(key, params, tol, max_level=10):
+    """Entry ``key``'s quadrature call at ``params``, run directly at a
+    tolerance of the caller's own."""
+    return INTEGRAL_CATALOG[key].fn(*params)(tol=tol, max_level=max_level)
+
+
 def _logsin(x, da, db):
     d = min(da, db)
     return math.log(math.sin(PI * d)) if d < 0.5 else 0.0
@@ -126,10 +132,10 @@ def test_laplace_closure_small_p():
 
 def test_parametric_derivative_check():
     h = 1e-3
-    up = integral_catalog("Q-1.1", (0.5 + h,), tol=1e-12)
-    dn = integral_catalog("Q-1.1", (0.5 - h,), tol=1e-12)
+    up = _run_at("Q-1.1", (0.5 + h,), 1e-12)
+    dn = _run_at("Q-1.1", (0.5 - h,), 1e-12)
     deriv = (up.value - dn.value) / (2 * h)
-    moment = integral_catalog("Q-2.6-moment", (0.5,), tol=1e-12)
+    moment = _run_at("Q-2.6-moment", (0.5,), 1e-12)
     assert abs(deriv + moment.value) < 1e-6
 
 
@@ -157,11 +163,24 @@ def test_oscillation_cap():
     ("Q-3.13", (), 1e-10),
     ("Q-6.34", (), 1e-10),
     ("Q-1.1", (1.0,), 1e-10),
+    # the other cot-weighted entries, also at 1e-8
+    ("Q-4.12.7", (1.0,), 1e-8),
+    ("Q-4.12.7", (2.0,), 1e-8),
+    ("Q-4.12.7", (3.0,), 1e-8),
+    ("Q-4.26-lhs", (), 1e-8),
+    ("Q-4.33", (), 1e-8),
+    ("Q-4.34", (), 1e-8),
+    ("Q-4.35", (), 1e-8),
+    ("Q-6.24", (), 1e-8),
 ])
 def test_converged_implies_within_tolerance(key, params, tol):
-    r = integral_catalog(key, params, tol=tol)
+    # the entry's call run at ``tol`` meets it when it converges; the
+    # catalog runs it at the rules' one tolerance, 1e-10, and it converges
+    r = _run_at(key, params, tol)
     if r.converged:
         assert r.abs_err <= tol
+    r = integral_catalog(key, params)
+    assert r.converged and r.abs_err <= 1e-10
 
 
 def test_semi_infinite_scale_contract():
@@ -203,42 +222,54 @@ def test_removable_hint():
 # ---------------------------------------------------------------------------
 
 def test_entries_take_only_their_parameters():
-    # an entry returns its quadrature call; tol and max_level are applied
-    # by integral_catalog alone
+    # an entry returns its quadrature call; max_level is applied by
+    # integral_catalog alone
     for key, entry in INTEGRAL_CATALOG.items():
         params = inspect.signature(entry.fn).parameters
         assert len(params) == entry.nparams, key
 
 
-@pytest.mark.parametrize("key,params,default_tol", [
-    ("Q-4.31", (), 1e-8),       # cot-weighted: its own default
+@pytest.mark.parametrize("key,params,tol", [
+    ("Q-4.31", (), 1e-8),       # cot-weighted
     ("Q-6.14", (), 1e-10),      # delegates to Q-6.10
     ("Q-5.20", (0.5,), 1e-10),  # removable limit at an endpoint
     ("Q-1.13", (1.0,), 1e-10),  # half-line, exp-sinh
     ("Q-5.7", (0.7,), 1e-10),   # exp-sinh plus a closed-form part
 ])
-def test_catalog_applies_tol_and_level_cap(monkeypatch, key, params,
-                                           default_tol):
+def test_catalog_applies_tol_and_level_cap(monkeypatch, key, params, tol):
     # entries build their call when they run, so an `integrate` or
     # `integrate_semi_infinite` rebound after import (as perfbench's tracer
-    # does with `integrate`) sees every call
-    seen = []
+    # does with `integrate`) sees every call.  The catalog passes the level
+    # cap alone, and the rule's loop gets the one tolerance, 1e-10; a
+    # ``tol`` given to the entry's own call reaches the loop unchanged
+    quad = importlib.import_module("gammalab.quad")
+    passed, reached = [], []
 
-    def recording(f, a, b, limits=(None, None), tol=1e-10, max_level=10):
-        seen.append((tol, max_level))
-        return integrate(f, a, b, limits, tol, max_level)
+    def recording(*args, **kwargs):
+        passed.append(kwargs)
+        return integrate(*args, **kwargs)
 
-    def recording_half_line(f, scale, tol=1e-10, max_level=10):
-        seen.append((tol, max_level))
-        return integrate_semi_infinite(f, scale, tol, max_level)
+    def recording_half_line(*args, **kwargs):
+        passed.append(kwargs)
+        return integrate_semi_infinite(*args, **kwargs)
     for name in ("gammalab.quad", "gammalab.integral_catalog"):
         module = importlib.import_module(name)
         monkeypatch.setattr(module, "integrate", recording)
         monkeypatch.setattr(module, "integrate_semi_infinite",
                             recording_half_line)
+    levels = quad._levels
+
+    def recording_levels(add, total, abs_total, evals, scale, tol,
+                         max_level):
+        reached.append((tol, max_level))
+        return levels(add, total, abs_total, evals, scale, tol, max_level)
+    monkeypatch.setattr(quad, "_levels", recording_levels)
     integral_catalog(key, params, max_level=4)
-    integral_catalog(key, params, tol=1e-12, max_level=12)
-    assert seen == [(default_tol, 4), (1e-12, 12)]
+    integral_catalog(key, params)
+    _run_at(key, params, tol, 12)
+    assert passed == [{"max_level": 4}, {"max_level": 10},
+                      {"tol": tol, "max_level": 12}]
+    assert reached == [(1e-10, 4), (1e-10, 10), (tol, 12)]
 
 
 def test_catalog_unknown_and_arity():
@@ -446,14 +477,18 @@ CATALOG_POINTS = list(_catalog_points())
 @pytest.mark.parametrize("key,params", CATALOG_POINTS)
 def test_rule_loop_matches_per_node_reference(monkeypatch, key, params):
     # the same additions in the same order: bit-equal results at every
-    # tolerance and level cap, limits and half-line entries included
-    got = [integral_catalog(key, params, tol, level)
-           for tol in (None, 1e-12) for level in (3, 10, 14)]
+    # level cap, at the catalog's one tolerance and run directly at 1e-12,
+    # limits and half-line entries included
+    def results():
+        return ([integral_catalog(key, params, level)
+                 for level in (3, 10, 14)]
+                + [_run_at(key, params, 1e-12, level)
+                   for level in (3, 10, 14)])
+    got = results()
     for name in ("gammalab.quad", "gammalab.integral_catalog"):
         monkeypatch.setattr(importlib.import_module(name), "integrate",
                             _reference_integrate)
-    want = [integral_catalog(key, params, tol, level)
-            for tol in (None, 1e-12) for level in (3, 10, 14)]
+    want = results()
     assert [_bits(r) for r in got] == [_bits(r) for r in want]
 
 

@@ -12,7 +12,7 @@ import pytest
 from gammalab import kernels as K
 from gammalab import registry as R
 from gammalab.errors import DomainError, UnknownKeyError
-from gammalab.integral_catalog import integral_catalog
+from gammalab.integral_catalog import integral_catalog, probe_cauchy
 from gammalab.quad import integrate
 from gammalab.registry import (
     EvalOptions,
@@ -49,10 +49,9 @@ def test_eval_options_checked_at_construction(kwargs):
 
 def test_eval_options_defaults_and_replace():
     opts = EvalOptions()
-    assert repr(opts) == ("EvalOptions(max_terms=None, level_cap=10, "
-                          "precise=False)")
-    precise = opts._replace(precise=True)
-    assert type(precise) is EvalOptions and precise.precise
+    assert repr(opts) == "EvalOptions(max_terms=None, level_cap=10)"
+    capped = opts._replace(level_cap=12)
+    assert type(capped) is EvalOptions and capped.level_cap == 12
     assert EvalOptions(5, 14) == EvalOptions(max_terms=5, level_cap=14)
 
 
@@ -239,6 +238,14 @@ def test_suite_green_except_for_claimed_disputes(all_verdicts):
     assert bad == []
 
 
+def test_budget_is_the_two_bars(all_verdicts):
+    # the report's budget rule holds for every verdict, the divergence
+    # probes included
+    assert {"P-logGcot", "P-logxcot"} <= {v.id for v in all_verdicts}
+    assert [v.id for v in all_verdicts
+            if v.budget != v.lhs_err + v.rhs_err] == []
+
+
 def test_confirmed_verdicts_hold_within_their_two_bars(reg, all_verdicts):
     # the two bars are the whole budget: no margin outside them confirms
     # (the worst is I-2.10 and I-8.15, at 0.48 of their bars)
@@ -376,6 +383,10 @@ def test_probes_confirm_divergence(reg):
         assert v.expected == "DIVERGENT-PROBE"
         assert v.status == "CONFIRMED"
         assert len(v.diagnostics["values"]) == 3
+        # each increment carries the errors of its own two quadratures
+        e0, e1, e2 = (probe_cauchy(reg.record(rid).probe, eps).abs_err
+                      for eps in (1e-2, 1e-3, 1e-4))
+        assert (v.lhs_err, v.rhs_err) == (e0 + e1, e1 + e2)
 
 
 def test_probes_reject_parameters(reg):
@@ -387,7 +398,7 @@ def test_probes_reject_parameters(reg):
 
 def test_run_suite_rejects_empty_selection(reg):
     with pytest.raises(DomainError):
-        reg.run_suite(section=9)
+        reg.run_suite([])
 
 
 @pytest.mark.parametrize("max_terms", [1, 3, 20])
