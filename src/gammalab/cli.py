@@ -1,13 +1,19 @@
 """Command-line front end: verify / eval / sweep / list.
 
 Exit codes: 0 success, 1 usage or internal error, 2 verification failure
-(an expected-CONFIRMED identity came back REFUTED).
+(an expected-CONFIRMED identity came back REFUTED).  A report path that
+cannot be opened for writing exits 1 with ``error: cannot write report
+PATH: <reason>`` before any identity is verified, and leaves an existing
+report as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
+from contextlib import ExitStack
 
 from . import kernels
 from .errors import GammalabError, integer_arg
@@ -45,6 +51,36 @@ def _near_matches(key: str, pool) -> str:
     return f" (near matches: {', '.join(close)})" if close else ""
 
 
+# no O_TRUNC: on ext4, a file truncated to zero and rewritten has its new
+# data forced to disk when it is closed, tens of ms a report
+_REPORT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _open_report(reports: ExitStack, path: str | None):
+    """``path`` opened for text writing at its start, created with the
+    default mode if missing but not truncated, and closed with ``reports``;
+    None for no path.  An existing file keeps its inode, links and mode."""
+    if not path:
+        return None
+    try:
+        fd = os.open(path, _REPORT_FLAGS, 0o666)
+    except OSError as exc:
+        raise ValueError(f"cannot write report {path}: "
+                         f"{exc.strerror or exc}") from None
+    return reports.enter_context(open(fd, "w"))
+
+
+def _write_report(fh, text: str) -> None:
+    """Write ``text`` and a newline over ``fh`` from its start, trim a
+    regular file to them (/dev/null and pipes cannot be trimmed) and close
+    ``fh``."""
+    with fh:
+        fh.write(text)
+        fh.write("\n")
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def _run_suite(reg: Registry, records, args, opts: EvalOptions):
     """The suite's verdicts for ``records``, all computed in this process;
     ``args.parallelism``, read here by perfbench's tracer, is only recorded."""
@@ -75,19 +111,19 @@ def cmd_verify(args) -> int:
             return 1
     else:
         records = reg.list_identities()
-    verdicts = _run_suite(reg, records, args, opts)
-    report = build_report(reg, verdicts, {
-        "max_terms": opts.max_terms or "per-entry",
-        "quad_level_cap": opts.level_cap, "parallelism": args.parallelism})
-    timing = not args.no_timing
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(to_json(report, timing=timing))
-            fh.write("\n")
-    if args.md:
-        with open(args.md, "w") as fh:
-            fh.write(to_markdown(report, reg, timing=timing))
-            fh.write("\n")
+    with ExitStack() as reports:
+        json_fh = _open_report(reports, args.json)
+        md_fh = _open_report(reports, args.md)
+        verdicts = _run_suite(reg, records, args, opts)
+        report = build_report(reg, verdicts, {
+            "max_terms": opts.max_terms or "per-entry",
+            "quad_level_cap": opts.level_cap,
+            "parallelism": args.parallelism})
+        timing = not args.no_timing
+        if json_fh:
+            _write_report(json_fh, to_json(report, timing=timing))
+        if md_fh:
+            _write_report(md_fh, to_markdown(report, reg, timing=timing))
     for v in verdicts:
         pstr = "(" + ", ".join(fmt15(p) for p in v.params) + ")"
         print(f"{v.id:12s} {pstr:18s} {v.status:12s} "
@@ -165,20 +201,21 @@ def cmd_sweep(args) -> int:
         base[idx] = val
         grid.append(tuple(base))
         reg.check_params(rec, grid[-1])
-    rows = []
-    for params in grid:
-        v = reg.verify_identity(args.id, params)
-        rows.append(v)
-        print(f"{args.param}={fmt15(params[idx]):22s} "
-              f"lhs={fmt15(v.lhs_value):22s} "
-              f"rhs={fmt15(v.rhs_value):22s} residual={fmt15(v.residual):13s} "
-              f"{v.status}")
-    if args.json:
-        report = build_report(reg, rows, {"sweep": args.id,
-                                          "param": args.param})
-        with open(args.json, "w") as fh:
-            fh.write(to_json(report, timing=not args.no_timing))
-            fh.write("\n")
+    with ExitStack() as reports:
+        json_fh = _open_report(reports, args.json)
+        rows = []
+        for params in grid:
+            v = reg.verify_identity(args.id, params)
+            rows.append(v)
+            print(f"{args.param}={fmt15(params[idx]):22s} "
+                  f"lhs={fmt15(v.lhs_value):22s} "
+                  f"rhs={fmt15(v.rhs_value):22s} "
+                  f"residual={fmt15(v.residual):13s} {v.status}")
+        if json_fh:
+            report = build_report(reg, rows, {"sweep": args.id,
+                                              "param": args.param})
+            _write_report(json_fh, to_json(report,
+                                           timing=not args.no_timing))
     return 0
 
 

@@ -192,9 +192,99 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
              if line.startswith("$ gammalab ")]
     assert lines
     monkeypatch.chdir(tmp_path)
-    for line in lines:
-        assert run(shlex.split(line, comments=True)) == 0, line
+    # twice in one directory: the second run rewrites the first's reports
+    for _ in range(2):
+        for line in lines:
+            assert run(shlex.split(line, comments=True)) == 0, line
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert len(doc["verdicts"]) == 222
     capsys.readouterr()
+
+
+_REPORT_IDS = ["verify", "--ids", "I-8.11,I-3.14", "--no-timing"]
+
+
+def _fresh_reports(tmp_path, capsys):
+    """The bytes of ``_REPORT_IDS``' JSON and Markdown reports written
+    into files that did not exist."""
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    js, md = fresh / "r.json", fresh / "r.md"
+    assert run(_REPORT_IDS + ["--json", str(js), "--md", str(md)]) == 0
+    capsys.readouterr()
+    return js.read_bytes(), md.read_bytes()
+
+
+def test_report_rewrite_gives_fresh_bytes(tmp_path, capsys):
+    # a report is rewritten in place, not truncated first: over a longer
+    # and over a shorter existing file it must leave exactly the fresh bytes
+    fresh_js, fresh_md = _fresh_reports(tmp_path, capsys)
+    js, md = tmp_path / "r.json", tmp_path / "r.md"
+    longer = (b"x" * 3 * len(fresh_js), b"y" * 3 * len(fresh_md))
+    for old_js, old_md in [longer, (b"{}\n", b"#\n")]:
+        js.write_bytes(old_js)
+        md.write_bytes(old_md)
+        assert run(_REPORT_IDS + ["--json", str(js), "--md", str(md)]) == 0
+        assert js.read_bytes() == fresh_js
+        assert md.read_bytes() == fresh_md
+    capsys.readouterr()
+
+
+def test_report_rewrite_keeps_file_links_and_mode(tmp_path, capsys):
+    fresh_js, _ = _fresh_reports(tmp_path, capsys)
+    js, twin = tmp_path / "r.json", tmp_path / "twin.json"
+    js.write_bytes(b"x" * 3 * len(fresh_js))
+    js.chmod(0o640)
+    os.link(js, twin)
+    before = js.stat()
+    assert run(_REPORT_IDS + ["--json", str(js)]) == 0
+    capsys.readouterr()
+    after = js.stat()
+    assert (after.st_ino, after.st_nlink) == (before.st_ino, 2)
+    assert after.st_mode == before.st_mode
+    assert twin.read_bytes() == js.read_bytes() == fresh_js
+
+
+def test_report_written_through_symlink(tmp_path, capsys):
+    fresh_js, _ = _fresh_reports(tmp_path, capsys)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"x" * 3 * len(fresh_js))
+    link.symlink_to(target)
+    assert run(_REPORT_IDS + ["--json", str(link)]) == 0
+    capsys.readouterr()
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh_js
+
+
+def test_report_to_devnull(capsys):
+    # a target that is not a regular file is written and not trimmed
+    assert run(["verify", "--ids", "I-8.11", "--json", os.devnull,
+                "--md", os.devnull]) == 0
+    assert "CONFIRMED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--ids", "I-8.11", "--json", "{ok}", "--md", "{bad}"],
+    ["sweep", "I-2.6", "--param", "p", "--from", "0.1", "--to", "0.9",
+     "--steps", "3", "--json", "{bad}"],
+])
+def test_unwritable_report_fails_before_the_work(argv, tmp_path, monkeypatch,
+                                                 capsys):
+    # the report paths are opened before any verdict is computed: a path
+    # that cannot be written exits 1 at once, and an existing report
+    # named beside it keeps its bytes
+    def no_work(*args, **kwargs):
+        raise AssertionError("verified an identity")
+    monkeypatch.setattr(Registry, "verify_identity", no_work)
+    ok, bad = tmp_path / "ok.json", tmp_path / "missing" / "r.json"
+    ok.write_bytes(b"old report\n")
+    argv = [a.format(ok=ok, bad=bad) for a in argv]
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: cannot write report {bad}: "
+                       "No such file or directory\n")
+    assert ok.read_bytes() == b"old report\n"
 
 
 def test_sweep_rejects_non_parametric(capsys):
