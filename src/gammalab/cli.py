@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage or internal error, 2 verification failure
 (an expected-CONFIRMED identity came back REFUTED).  A report path that
 cannot be opened for writing exits 1 with ``error: cannot write report
 PATH: <reason>`` before any identity is verified, and leaves an existing
-report as it was.
+report as it was.  A run that stops before writing its reports removes
+the report files it created.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import os
 import stat
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 
 from . import kernels
 from .errors import GammalabError, integer_arg
@@ -59,15 +60,34 @@ _REPORT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 def _open_report(reports: ExitStack, path: str | None):
     """``path`` opened for text writing at its start, created with the
     default mode if missing but not truncated, and closed with ``reports``;
-    None for no path.  An existing file keeps its inode, links and mode."""
+    None for no path.  An existing file keeps its inode, links and mode; a
+    file this call creates is removed again if ``reports`` closes before
+    :func:`_write_report` has written it."""
     if not path:
         return None
     try:
-        fd = os.open(path, _REPORT_FLAGS, 0o666)
+        try:
+            fd = os.open(path, _REPORT_FLAGS | os.O_EXCL, 0o666)
+            created = True
+        except FileExistsError:
+            fd = os.open(path, _REPORT_FLAGS, 0o666)
+            created = False
     except OSError as exc:
         raise ValueError(f"cannot write report {path}: "
                          f"{exc.strerror or exc}") from None
-    return reports.enter_context(open(fd, "w"))
+    fh = reports.enter_context(open(fd, "w"))
+    if created:
+        reports.callback(_remove_unwritten, fh, path)
+    return fh
+
+
+def _remove_unwritten(fh, path: str) -> None:
+    """Close and remove the report file ``path`` this run created, unless
+    :func:`_write_report` has written and closed ``fh``."""
+    if not fh.closed:
+        fh.close()
+        with suppress(FileNotFoundError):
+            os.unlink(path)
 
 
 def _write_report(fh, text: str) -> None:

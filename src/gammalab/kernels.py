@@ -937,8 +937,8 @@ def bernoulli_poly(n: int, x: float) -> FnEvalResult:
         raise UnsupportedOrderError(f"order capped at {_BPOLY_MAX}, got {n}")
     x = _require_finite(x)
     v = _bpoly(n, x)
-    scale = sum(abs(c) * max(1.0, abs(x)) ** k
-                for k, c in enumerate(reversed(_bpoly_coeffs(n))))
+    scale = math.fsum(abs(c) * max(1.0, abs(x)) ** k
+                      for k, c in enumerate(reversed(_bpoly_coeffs(n))))
     return FnEvalResult(v, (n + 1) * _EPS * scale)
 
 

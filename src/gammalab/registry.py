@@ -411,7 +411,7 @@ def _rhs_4_4(n: float) -> float:
 
 def _rhs_4_8(n: float) -> float:
     n = int(n)
-    h = sum(1.0 / k for k in range(1, n + 1))
+    h = math.fsum(1.0 / k for k in range(1, n + 1))
     return ((_G + math.log(n) - h) / n + 1.0 / (n * n)) / (4.0 * _PI)
 
 

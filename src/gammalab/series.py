@@ -145,10 +145,10 @@ def tail_bound(n_last: int, omitted: Mapping[int, float] = {},
     (:func:`_zeta_upper`, :func:`_zeta_prime_upper`).  No Hurwitz call, no
     summation."""
     a = n_last + shift
-    return 2.0 * (sum(abs(e) * _zeta_upper(k, a)
-                      for k, e in omitted.items())
-                  + sum(abs(e) * _zeta_prime_upper(k, a)
-                        for k, e in log_omitted.items()))
+    return 2.0 * (math.fsum(abs(e) * _zeta_upper(k, a)
+                            for k, e in omitted.items())
+                  + math.fsum(abs(e) * _zeta_prime_upper(k, a)
+                              for k, e in log_omitted.items()))
 
 
 # relative padding of the closed-form bounds, for their own rounding: a few

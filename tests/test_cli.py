@@ -267,24 +267,48 @@ def test_report_to_devnull(capsys):
     ["verify", "--ids", "I-8.11", "--json", "{ok}", "--md", "{bad}"],
     ["sweep", "I-2.6", "--param", "p", "--from", "0.1", "--to", "0.9",
      "--steps", "3", "--json", "{bad}"],
+    ["verify", "--ids", "I-8.11", "--json", "{new}", "--md", "{bad}"],
 ])
 def test_unwritable_report_fails_before_the_work(argv, tmp_path, monkeypatch,
                                                  capsys):
     # the report paths are opened before any verdict is computed: a path
-    # that cannot be written exits 1 at once, and an existing report
-    # named beside it keeps its bytes
+    # that cannot be written exits 1 at once, an existing report named
+    # beside it keeps its bytes, and a new one is not left behind
     def no_work(*args, **kwargs):
         raise AssertionError("verified an identity")
     monkeypatch.setattr(Registry, "verify_identity", no_work)
     ok, bad = tmp_path / "ok.json", tmp_path / "missing" / "r.json"
+    new = tmp_path / "new.json"
     ok.write_bytes(b"old report\n")
-    argv = [a.format(ok=ok, bad=bad) for a in argv]
+    argv = [a.format(ok=ok, bad=bad, new=new) for a in argv]
     assert run(argv) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == (f"error: cannot write report {bad}: "
                        "No such file or directory\n")
     assert ok.read_bytes() == b"old report\n"
+    assert not new.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--ids", "I-8.11", "--json", "{new}", "--md", "{old}"],
+    ["verify", "--ids", "I-8.11", "--json", "{old}", "--md", "{new}"],
+    ["sweep", "I-2.6", "--param", "p", "--from", "0.1", "--to", "0.9",
+     "--steps", "3", "--json", "{new}"],
+])
+def test_failed_run_removes_only_the_reports_it_created(argv, tmp_path,
+                                                        monkeypatch, capsys):
+    # a run that stops before writing its reports takes back the report
+    # files it created, and leaves an existing one as it was
+    def fail(*args, **kwargs):
+        raise ValueError("no verdict")
+    monkeypatch.setattr(Registry, "verify_identity", fail)
+    new, old = tmp_path / "new.json", tmp_path / "old.md"
+    old.write_bytes(b"old report\n")
+    assert run([a.format(new=new, old=old) for a in argv]) == 1
+    assert capsys.readouterr().err == "error: no verdict\n"
+    assert not new.exists()
+    assert old.read_bytes() == b"old report\n"
 
 
 def test_sweep_rejects_non_parametric(capsys):
