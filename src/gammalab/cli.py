@@ -11,6 +11,8 @@ the report files it created.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import stat
 import sys
@@ -302,6 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # the final collections at exit walk all ~13 500 tracked objects, ~5.6 ms
+    # of a 55-ms cold `verify --all` (Python 3.11); frozen ones are skipped
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

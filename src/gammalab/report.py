@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import math
-from json.encoder import encode_basestring_ascii as _string
 from typing import Mapping, NamedTuple
+
+try:  # what json.dumps uses; the json package would load its decoder too
+    from _json import encode_basestring_ascii as _string
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _string
 
 from .registry import _NO_ENTRIES, Registry, Verdict, failures
 
@@ -76,13 +79,37 @@ def _number(x: float) -> str:
         return s if "." in s else s + ".0"
     if abs(x) > 1e-307 and not s.endswith(("e+15", "e+308")):
         return s
-    return json.dumps(float(s))
+    return _nested(float(s), "")
 
 
 def _nested(part, pad: str) -> str:
-    """``json.dumps(part, indent=2)`` re-indented to start at ``pad``: exact,
-    since a JSON string holds no raw newline."""
-    return json.dumps(part, indent=2).replace("\n", "\n" + pad)
+    """``json.dumps(part, indent=2)`` with every line after the first
+    indented by ``pad``; a key that is not a string raises TypeError in
+    :func:`_string`."""
+    if isinstance(part, str):
+        return _string(part)
+    if part is None or isinstance(part, bool):
+        return "null" if part is None else "true" if part else "false"
+    if isinstance(part, int):
+        return int.__repr__(part)
+    if isinstance(part, float):
+        if math.isfinite(part):
+            return float.__repr__(part)
+        return ("NaN" if part != part
+                else "Infinity" if part > 0 else "-Infinity")
+    inner = pad + "  "
+    if isinstance(part, (list, tuple)):
+        items, ends = [_nested(x, inner) for x in part], "[]"
+    elif isinstance(part, dict):
+        items, ends = [f"{_string(k)}: {_nested(x, inner)}"
+                       for k, x in part.items()], "{}"
+    else:
+        raise TypeError(f"Object of type {type(part).__name__} "
+                        "is not JSON serializable")
+    if not items:
+        return ends
+    return (f"{ends[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{pad}{ends[1]}")
 
 
 def _verdict_json(v: Verdict, anchor: str, timing: bool) -> str:

@@ -418,31 +418,115 @@ def test_max_terms_reaches_disputed_series_route(monkeypatch, capsys):
     assert caps == [("S-5.18", 20)]
 
 
-@pytest.mark.parametrize("par", ["1", "2"])
-def test_verify_all_import_guard(par):
-    # the package has no runtime dependency, and every run computes in one
-    # process: a whole cold run, lazy imports included, must finish without
-    # numpy or the process-pool machinery, whatever its --parallelism.  Its
-    # records are NamedTuples and its Bernoulli numbers integer pairs, so
-    # dataclasses (and the inspect it pulls in), fractions and decimal, a
-    # third of the cold import, stay out too
+def _python(script, *args):
+    """``python -c script args`` in a fresh process with this tree's
+    ``src/`` on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    script = ("import sys\n"
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# registered before anything from gammalab, so it runs after every exit
+# hook the process adds: it reports whether the heap was frozen at exit
+_FREEZE_PROBE = ("import atexit, gc\n"
+                 "atexit.register(lambda: print('frozen at exit:',\n"
+                 "                              gc.get_freeze_count() > 0))\n")
+
+
+@pytest.mark.parametrize("par", ["1", "2"])
+def test_verify_all_import_guard(par, tmp_path):
+    # the package has no runtime dependency, and every run computes in one
+    # process: a whole cold run, lazy imports and both reports included,
+    # must finish without numpy or the process-pool machinery, whatever its
+    # --parallelism.  Its records are NamedTuples and its Bernoulli numbers
+    # integer pairs, so dataclasses (and the inspect it pulls in), fractions
+    # and decimal, a third of the cold import, stay out too; the reports
+    # are written without the json package, whose decoder no command uses.
+    # The process then exits with its heap frozen
+    js, md = str(tmp_path / "r.json"), str(tmp_path / "r.md")
+    script = (_FREEZE_PROBE
+              + "import sys\n"
               "from gammalab.cli import main\n"
-              f"rc = main(['verify', '--all', '--no-timing',\n"
-              f"           '--parallelism', '{par}'])\n"
+              "rc = main(['verify', '--all', '--no-timing', '--parallelism',\n"
+              f"           '{par}', '--json', {js!r}, '--md', {md!r}])\n"
               "print([m for m in ('numpy', 'multiprocessing',\n"
               "                   'concurrent.futures.process',\n"
               "                   'dataclasses', 'inspect', 'fractions',\n"
-              "                   'decimal')\n"
+              "                   'decimal', 'json', 'json.decoder',\n"
+              "                   'json.scanner', 'json.encoder')\n"
               "       if m in sys.modules])\n"
               "sys.exit(rc)\n")
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
+    out = _python(script)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert out.stdout.splitlines()[-2:] == ["[]", "frozen at exit: True"]
+    assert json.loads(Path(js).read_text())["summary"]["total"] == 222
+    assert Path(md).read_text().startswith("# Identity verification")
+
+
+def test_import_registers_no_exit_hook():
+    # importing the library or the CLI module freezes nothing and adds no
+    # exit hook: only a process that ran main() skips the final collections
+    script = (_FREEZE_PROBE
+              + "n = atexit._ncallbacks()\n"
+              "import gammalab, gammalab.cli\n"
+              "print('hooks added:', atexit._ncallbacks() - n)\n")
+    out = _python(script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["hooks added: 0",
+                                       "frozen at exit: False"]
+
+
+def test_main_registers_one_freeze_hook():
+    # tests call main() many times in one process; its exit hook stays single
+    script = ("import atexit, gc\n"
+              "calls, freeze = [], gc.freeze\n"
+              "gc.freeze = lambda: calls.append(freeze())\n"
+              "atexit.register(lambda: print('freezes:', len(calls)))\n"
+              "from gammalab.cli import main\n"
+              "for argv in (['list'], ['list'], ['eval', 'fn', 'si', '0']):\n"
+              "    main(argv)\n")
+    out = _python(script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "freezes: 1"
+
+
+_CONSOLE = "import sys; from gammalab.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize("argv, reports, last", [
+    (["verify", "--ids", "I-4.31,I-6.16", "--no-timing", "--json",
+      "{d}/a.json", "--md", "{d}/b.md"], ["a.json", "b.md"],
+     "summary: CONFIRMED=2; failures=0"),
+    (["sweep", "I-2.6", "--param", "p", "--from", "0.1", "--to", "0.9",
+      "--steps", "5", "--no-timing", "--json", "{d}/c.json"], ["c.json"],
+     "p=0.9 "),
+    (["eval", "fn", "lambda", "0"], [], "lambda 0 = "),
+    (["list"], [], "P-logxcot "),
+], ids=["verify", "sweep", "eval", "list"])
+def test_cli_process_exit_path(argv, reports, last, tmp_path, capsys):
+    # the console script's process, which exits with a frozen heap, prints
+    # and writes what the same command run through main() does
+    sub, here = tmp_path / "sub", tmp_path / "here"
+    sub.mkdir()
+    here.mkdir()
+    out = _python(_CONSOLE, *[a.format(d=sub) for a in argv])
+    assert run([a.format(d=here) for a in argv]) == 0
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == capsys.readouterr().out
+    assert out.stdout.splitlines()[-1].startswith(last)
+    written = {p.name: p.read_bytes() for p in sub.iterdir()}
+    assert sorted(written) == reports
+    assert written == {p.name: p.read_bytes() for p in here.iterdir()}
+
+
+def test_cli_process_unwritable_report_exits_1(tmp_path):
+    bad = tmp_path / "missing" / "r.json"
+    out = _python(_CONSOLE, "verify", "--ids", "I-6.16", "--json", str(bad))
+    assert out.returncode == 1
+    assert (out.stdout, out.stderr) == (
+        "", f"error: cannot write report {bad}: No such file or directory\n")
 
 
 def test_verify_all_passes_benchmark_reference(tmp_path, monkeypatch):

@@ -143,6 +143,45 @@ def test_empty_report_equals_reference(timing):
     assert to_json(report, timing) == reference_json(report, timing)
 
 
+NESTED = {
+    "empty dict": {},
+    "empty list": [],
+    "nested": {"a": {}, "b": [[], {"c": [1, {"d": None}]}], "e": True,
+               "f": False, "g": (2, ())},
+    "numbers": [0, -7, 10 ** 30, -0.0, 0.1, 5e-324, 1e16,
+                1.7976931348623157e308, -1.7976931348623157e308],
+    "non-finite": {"nan": math.nan, "inf": math.inf, "-inf": -math.inf},
+    "strings": {'"': "\\", "a\nb": "\t", "é": ["✓", ""]},
+    "string": 'a "quoted" é ✓',
+    "int": 3,
+    "float": -0.0,
+    "none": None,
+    "true": True,
+    "false": False,
+}
+
+
+@pytest.mark.parametrize("pad", ["", "  ", "      "])
+@pytest.mark.parametrize("name", NESTED)
+def test_nested_part_equals_json_dumps(name, pad):
+    # config, summary and diagnostics are written without the json package
+    from gammalab.report import _nested
+    part = NESTED[name]
+    assert _nested(part, pad) == json.dumps(part, indent=2).replace(
+        "\n", "\n" + pad)
+
+
+@pytest.mark.parametrize("part", [{(1,): 2}, {1: 2}, {"a": [{1.5}]},
+                                  object()], ids=["tuple key", "int key",
+                                                  "set", "object"])
+def test_nested_part_raises_type_error(part):
+    # as json.dumps does, except that an int key is refused too, not
+    # written as a string: every key of a report part is a string
+    from gammalab.report import _nested
+    with pytest.raises(TypeError):
+        _nested(part, "")
+
+
 def _float_grid():
     """Every binary exponent at a few mantissas, and each power of ten with
     its neighbours and the values that round up to it at 15 digits."""
