@@ -21,7 +21,7 @@ from contextlib import ExitStack, suppress
 from . import kernels
 from .errors import GammalabError, integer_arg
 from .integral_catalog import integral_catalog, list_integral_ids
-from .registry import EvalOptions, Registry, failures
+from .registry import EXPECTED_STATUSES, EvalOptions, Registry, failures
 from .report import build_report, fmt15, to_json, to_markdown
 from .series_catalog import list_series_ids, sum_catalog
 
@@ -243,8 +243,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_list(args) -> int:
     reg = Registry()
-    for rec in reg.list_identities(section=args.section,
-                                   expected=args.status):
+    records = reg.list_identities(section=args.section, expected=args.status)
+    if not records:
+        where = [] if args.section is None else [f"in section {args.section}"]
+        if args.status:
+            where.append(f"with expected status {args.status}")
+        print(f"error: no identities {' '.join(where)}", file=sys.stderr)
+        return 1
+    for rec in records:
         pnames = ",".join(rec.param_names) or "-"
         print(f"{rec.id:12s} sec {rec.section}  params [{pnames}]  "
               f"{rec.expected:15s} {rec.anchor}")
@@ -297,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ls = sub.add_parser("list", help="list catalogued identities")
     ls.add_argument("--section", type=int, default=None)
-    ls.add_argument("--status", default=None,
+    ls.add_argument("--status", default=None, choices=EXPECTED_STATUSES,
                     help="filter by expected status")
     ls.set_defaults(func=cmd_list)
     return ap

@@ -19,8 +19,9 @@ run, never at import, so an ``integrate`` rebound after import
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Callable
 from functools import partial
-from typing import Callable, NamedTuple
 
 from .errors import DomainError, UnknownKeyError, integer_arg
 from .kernels import (
@@ -53,10 +54,8 @@ _TWO_PI = 2.0 * math.pi
 QuadCall = Callable[..., QuadResult]
 
 
-class IntegralEntry(NamedTuple):
-    label: str
-    nparams: int
-    fn: Callable[..., QuadCall]
+# label: str; nparams: int; fn: Callable[..., QuadCall]
+IntegralEntry = namedtuple("IntegralEntry", "label nparams fn")
 
 
 INTEGRAL_CATALOG: dict[str, IntegralEntry] = {}

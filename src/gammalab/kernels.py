@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, NamedTuple
 
 from .errors import (
     DomainError,
@@ -404,6 +405,8 @@ def _digamma_complex(z: complex) -> complex:
         acc -= 1.0 / z
         z += 1.0
     acc += cmath.log(z) - 0.5 / z
+    if abs(z) > 1e150:  # z * z would overflow; the terms below are < eps
+        return acc
     inv2 = 1.0 / (z * z)
     pw = inv2
     for c in _psi_coeffs():
@@ -414,18 +417,24 @@ def _digamma_complex(z: complex) -> complex:
 
 def digamma(z: float | complex) -> FnEvalResult:
     """psi(z); real arguments give exactly-real results."""
-    if isinstance(z, complex) and z.imag != 0.0:
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise DomainError("digamma requires finite arguments")
-        v = _digamma_complex(z)
-        return FnEvalResult(v, 1e-13 * max(1.0, abs(v)))
-    x = _require_finite(z.real if isinstance(z, complex) else z)
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"digamma pole at non-positive integer x={x}")
-    v = _digamma_real(x)
-    if isinstance(z, complex):
-        return FnEvalResult(complex(v, 0.0), 1e-13 * max(1.0, abs(v)))
-    return FnEvalResult(v, 1e-13 * max(1.0, abs(v)))
+    try:
+        if isinstance(z, complex) and z.imag != 0.0:
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise DomainError("digamma requires finite arguments")
+            v = _digamma_complex(z)
+        else:
+            x = _require_finite(z.real if isinstance(z, complex) else z)
+            if x <= 0.0 and x == math.floor(x):
+                raise PoleError(f"digamma pole at non-positive integer x={x}")
+            v = _digamma_real(x)
+            if isinstance(z, complex):
+                v = complex(v, 0.0)
+        err = 1e-13 * max(1.0, abs(v))
+    except OverflowError:  # abs() of a complex near the largest float
+        v = math.inf
+    if not cmath.isfinite(v):  # -1/z, for |z| below ~5.6e-309
+        raise RangeOverflowError(f"digamma overflows at z={z}")
+    return FnEvalResult(v, err)
 
 
 def _psi1(x: float) -> float:
@@ -445,7 +454,12 @@ def polygamma(k: int, x: float) -> FnEvalResult:
     x = _require_finite(x)
     if x <= 0.0:
         raise DomainError(f"polygamma requires x > 0, got {x}")
-    v = _psi1(x) if k == 1 else _psi2(x)
+    try:
+        v = _psi1(x) if k == 1 else _psi2(x)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise RangeOverflowError(f"polygamma({k}, x) overflows at x={x}")
     return FnEvalResult(v, 1e-13 * max(1.0, abs(v)))
 
 
@@ -535,7 +549,8 @@ def lambda_fn(v: float) -> FnEvalResult:
     a_val, a_err = _lambda_digamma(v)
     b_val, b_err = _lambda_series(v)
     budget = a_err + b_err
-    if abs(a_val - b_val) > 10.0 * max(budget, 1e-12):
+    # written so that a NaN route fails it too
+    if not abs(a_val - b_val) <= 10.0 * max(budget, 1e-12):
         raise RouteInconsistencyError(
             f"lambda routes disagree at v={v}: {a_val} vs {b_val}")
     return FnEvalResult(a_val, max(a_err, b_err))
@@ -937,8 +952,13 @@ def bernoulli_poly(n: int, x: float) -> FnEvalResult:
         raise UnsupportedOrderError(f"order capped at {_BPOLY_MAX}, got {n}")
     x = _require_finite(x)
     v = _bpoly(n, x)
-    scale = math.fsum(abs(c) * max(1.0, abs(x)) ** k
-                      for k, c in enumerate(reversed(_bpoly_coeffs(n))))
+    try:
+        scale = math.fsum(abs(c) * max(1.0, abs(x)) ** k
+                          for k, c in enumerate(reversed(_bpoly_coeffs(n))))
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):  # scale bounds |B_n(x)| too
+        raise RangeOverflowError(f"B_{n}(x) overflows at x={x}")
     return FnEvalResult(v, (n + 1) * _EPS * scale)
 
 
@@ -946,18 +966,12 @@ def bernoulli_poly(n: int, x: float) -> FnEvalResult:
 # shared constants
 # ---------------------------------------------------------------------------
 
-class ConstantsCache(NamedTuple):
-    """Read-only bundle of the constants the catalogs keep reaching for."""
-
-    gamma: float
-    gamma1: float
-    log_2pi: float
-    zeta2: float
-    zeta3: float
-    zeta_prime_2: float
-    zeta_prime_neg1: float
-    log_A: float
-    catalan: float
+class ConstantsCache(namedtuple("ConstantsCache", (
+        "gamma gamma1 log_2pi zeta2 zeta3 zeta_prime_2 zeta_prime_neg1 "
+        "log_A catalan"))):
+    """Read-only bundle of the constants the catalogs keep reaching for,
+    every field a float."""
+    __slots__ = ()
 
 
 @lru_cache(maxsize=1)

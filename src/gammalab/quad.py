@@ -23,8 +23,9 @@ integrand decay double-exponentially at both ends.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple
 
 from .errors import DomainError, EvaluationError
 
@@ -37,11 +38,9 @@ _DEFAULT_MAX_LEVEL = 10
 _MIN_LEVEL, _MAX_LEVEL = 3, 14
 
 
-class QuadResult(NamedTuple):
-    value: float
-    abs_err: float
-    evals: int
-    converged: bool
+# value, abs_err: float; evals: int, integrand calls; converged: bool, the
+# error estimate met the tolerance within the level cap
+QuadResult = namedtuple("QuadResult", "value abs_err evals converged")
 
 
 @lru_cache(maxsize=None)

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
+from collections.abc import Callable, Mapping
 from itertools import chain, count, islice, repeat
 from operator import truediv
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
 
 from . import kernels as K
 from .errors import (
@@ -55,17 +56,15 @@ from .series_catalog import (
 __all__ = ["EvalOptions", "IdentityRecord", "Verdict", "Registry"]
 
 _REFUTE_FACTOR = 100.0
+EXPECTED_STATUSES = ("CONFIRMED", "DISPUTED", "DIVERGENT-PROBE")
 # the mapping fields' default, one object shared by every record: read-only
 _NO_ENTRIES: Mapping = MappingProxyType({})
 
 
-class _EvalFields(NamedTuple):
-    max_terms: int | None = None
-    level_cap: int = _DEFAULT_MAX_LEVEL
-
-
-class EvalOptions(_EvalFields):
-    """How the routes of one verdict are evaluated, passed per call.
+class EvalOptions(namedtuple("EvalOptions", "max_terms level_cap",
+                             defaults=(None, _DEFAULT_MAX_LEVEL))):
+    """How the routes of one verdict are evaluated, passed per call:
+    ``max_terms`` (int or None) and ``level_cap`` (int).
 
     Every series route, and every series inside a closed-form route, sums
     the terms its own truncation bound asks for to reach
@@ -92,9 +91,10 @@ _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 
 
-class Recipe(NamedTuple):
-    label: str
-    fn: Callable[..., tuple[float, float]]
+class Recipe(namedtuple("Recipe", "label fn")):
+    """One route of an identity: its ``label`` (str) and ``fn``, called as
+    ``fn(params, opts)`` and returning ``(value, abs_err)``, two floats."""
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"Recipe(label={self.label!r})"
@@ -104,36 +104,22 @@ class Recipe(NamedTuple):
         return self.fn(params, opts)
 
 
-class IdentityRecord(NamedTuple):
-    id: str
-    section: int
-    anchor: str
-    lhs: Recipe
-    rhs: Recipe
-    expected: str = "CONFIRMED"
-    param_names: tuple[str, ...] = ()
-    param_domain: tuple[tuple[float, float], ...] = ()
-    # the parameters that take integers only, checked with the domain
-    integer_params: tuple[str, ...] = ()
-    default_params: tuple[tuple[float, ...], ...] = ((),)
-    reported: Mapping = _NO_ENTRIES
-    probe: str | None = None
+# id, anchor, expected: str; section: int; lhs, rhs: Recipe;
+# param_names, integer_params (integer-only, checked with the domain):
+# tuple[str, ...]; param_domain: tuple[tuple[float, float], ...];
+# default_params: tuple[tuple[float, ...], ...]; reported: Mapping;
+# probe: str | None
+IdentityRecord = namedtuple(
+    "IdentityRecord", "id section anchor lhs rhs expected param_names "
+    "param_domain integer_params default_params reported probe",
+    defaults=("CONFIRMED", (), (), (), ((),), _NO_ENTRIES, None))
 
-
-class Verdict(NamedTuple):
-    id: str
-    params: tuple[float, ...]
-    lhs_value: float
-    lhs_err: float
-    rhs_value: float
-    rhs_err: float
-    residual: float
-    budget: float
-    status: str
-    expected: str
-    wall_time: float
-    note: str = ""
-    diagnostics: Mapping = _NO_ENTRIES
+# id, status, expected, note: str; params: tuple[float, ...]; diagnostics:
+# Mapping; the rest float
+Verdict = namedtuple(
+    "Verdict", "id params lhs_value lhs_err rhs_value rhs_err residual "
+    "budget status expected wall_time note diagnostics",
+    defaults=("", _NO_ENTRIES))
 
 
 def _status(residual: float, budget: float) -> str:

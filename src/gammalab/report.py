@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple
+from collections import namedtuple
 
 try:  # what json.dumps uses; the json package would load its decoder too
     from _json import encode_basestring_ascii as _string
@@ -27,13 +27,10 @@ def fmt15(x: float) -> str:
     return format(x, ".15g")
 
 
-class Report(NamedTuple):
-    schema_version: str
-    config: dict
-    verdicts: list[Verdict]
-    summary: dict
-    total_wall_time: float
-    anchors: Mapping = _NO_ENTRIES
+# schema_version: str; config: dict; verdicts: list[Verdict]; summary: dict;
+# total_wall_time: float; anchors: Mapping
+Report = namedtuple("Report", "schema_version config verdicts summary "
+                    "total_wall_time anchors", defaults=(_NO_ENTRIES,))
 
 
 def build_report(registry: Registry, verdicts: list[Verdict],

@@ -44,8 +44,9 @@ imports ``kernels``) and the registry's closed-form helpers.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping
 from itertools import chain
-from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, EvaluationError
 from .kernels import _hurwitz, _hurwitz_prime
@@ -72,11 +73,8 @@ Orders = Mapping[int, float]
 Expansion = Callable[[int], tuple[Orders, Callable[[], Orders]]]
 
 
-class SeriesResult(NamedTuple):
-    value: float | complex
-    abs_err: float
-    terms_used: int
-    method: str
+# value: float | complex; abs_err: float; terms_used: int; method: str
+SeriesResult = namedtuple("SeriesResult", "value abs_err terms_used method")
 
 
 def zeta_tail_sum(terms: Callable[[int], Iterable[float]],

@@ -38,10 +38,11 @@ residual to n = 11, past which its bound holds.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import accumulate, chain, count, repeat
 from operator import mul, truediv
-from typing import Callable, NamedTuple
 
 from .errors import DomainError, UnknownKeyError, integer_arg
 from .kernels import (
@@ -83,11 +84,10 @@ _TWO_PI = 2.0 * math.pi
 _CVZ_N_MIN = 9
 
 
-class SeriesEntry(NamedTuple):
-    label: str
-    nparams: int
-    fn: Callable[..., SeriesResult]
-    n_min: int = 1
+# label: str; nparams: int; fn: Callable[..., SeriesResult]; n_min: int,
+# the least max_terms fn accepts
+SeriesEntry = namedtuple("SeriesEntry", "label nparams fn n_min",
+                         defaults=(1,))
 
 
 SERIES_CATALOG: dict[str, SeriesEntry] = {}

@@ -344,6 +344,16 @@ def test_sweep_checks_whole_grid_before_first_row(capsys):
     assert capsys.readouterr().out.count("CONFIRMED") == 8
 
 
+@pytest.mark.parametrize("argv", [["polygamma", "1", "1e-200"],
+                                  ["bernoulli_poly", "6", "1e300"],
+                                  ["digamma", "1e-320"]])
+def test_eval_fn_overflow_exits_1(argv, capsys):
+    assert run(["eval", "fn", *argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:")
+    assert "overflows" in out.err and "Traceback" not in out.err
+
+
 def test_eval_rejects_non_finite_parameter(capsys):
     for argv in (["series", "S-5.13", "inf"], ["series", "FS-8.13", "inf"],
                  ["series", "S-1.20", "nan"], ["integral", "Q-1.1", "inf"]):
@@ -360,6 +370,25 @@ def test_list_filters(capsys):
     assert run(["list", "--status", "DISPUTED"]) == 0
     out = capsys.readouterr().out
     assert "D-4.26" in out and "I-6.16" not in out
+
+
+def test_list_statuses_are_the_catalogs():
+    assert sorted(registry.EXPECTED_STATUSES) == sorted(
+        {r.expected for r in Registry().list_identities()})
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--section", "99"], "error: no identities in section 99\n"),
+    (["--section", "6", "--status", "DISPUTED"],
+     "error: no identities in section 6 with expected status "
+     "DISPUTED\n"),
+    (["--status", "confirmed"], "invalid choice: 'confirmed'"),
+])
+def test_list_empty_selection_exits_1(argv, err, capsys):
+    # an empty listing printed nothing and exited 0
+    assert run(["list", *argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and err in out.err
 
 
 def test_usage_error_exit_code(capsys):
@@ -418,14 +447,14 @@ def test_max_terms_reaches_disputed_series_route(monkeypatch, capsys):
     assert caps == [("S-5.18", 20)]
 
 
-def _python(script, *args):
-    """``python -c script args`` in a fresh process with this tree's
+def _python(script, *args, flags=()):
+    """``python flags -c script args`` in a fresh process with this tree's
     ``src/`` on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *flags, "-c", script, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 # registered before anything from gammalab, so it runs after every exit
@@ -435,32 +464,42 @@ _FREEZE_PROBE = ("import atexit, gc\n"
                  "                              gc.get_freeze_count() > 0))\n")
 
 
+_FORBIDDEN = ("typing", "numpy", "multiprocessing",
+              "concurrent.futures.process", "dataclasses", "inspect",
+              "fractions", "decimal", "json", "json.decoder", "json.scanner",
+              "json.encoder")
+
+
 @pytest.mark.parametrize("par", ["1", "2"])
 def test_verify_all_import_guard(par, tmp_path):
     # the package has no runtime dependency, and every run computes in one
-    # process: a whole cold run, lazy imports and both reports included,
-    # must finish without numpy or the process-pool machinery, whatever its
-    # --parallelism.  Its records are NamedTuples and its Bernoulli numbers
-    # integer pairs, so dataclasses (and the inspect it pulls in), fractions
-    # and decimal, a third of the cold import, stay out too; the reports
-    # are written without the json package, whose decoder no command uses.
-    # The process then exits with its heap frozen
+    # process: `import gammalab`, and then a whole cold run, lazy imports
+    # and both reports included, must finish without numpy or the
+    # process-pool machinery, whatever its --parallelism.  Its records and
+    # results are collections.namedtuple classes and no annotation is
+    # evaluated, so typing stays out; its Bernoulli numbers are integer
+    # pairs, so fractions and decimal do too, and so do dataclasses and the
+    # inspect it pulls in.  The reports are written without the json
+    # package, whose decoder no command uses.  The process then exits with
+    # its heap frozen.  -S keeps out what a site .pth file imports (typing,
+    # on some installs)
     js, md = str(tmp_path / "r.json"), str(tmp_path / "r.md")
     script = (_FREEZE_PROBE
               + "import sys\n"
+              f"loaded = lambda: [m for m in {_FORBIDDEN!r}\n"
+              "                  if m in sys.modules]\n"
+              "import gammalab\n"
+              "print(loaded())\n"
               "from gammalab.cli import main\n"
               "rc = main(['verify', '--all', '--no-timing', '--parallelism',\n"
               f"           '{par}', '--json', {js!r}, '--md', {md!r}])\n"
-              "print([m for m in ('numpy', 'multiprocessing',\n"
-              "                   'concurrent.futures.process',\n"
-              "                   'dataclasses', 'inspect', 'fractions',\n"
-              "                   'decimal', 'json', 'json.decoder',\n"
-              "                   'json.scanner', 'json.encoder')\n"
-              "       if m in sys.modules])\n"
+              "print(loaded())\n"
               "sys.exit(rc)\n")
-    out = _python(script)
+    out = _python(script, flags=["-S"])
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-2:] == ["[]", "frozen at exit: True"]
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-2:] == ["[]", "frozen at exit: True"]
     assert json.loads(Path(js).read_text())["summary"]["total"] == 222
     assert Path(md).read_text().startswith("# Identity verification")
 

@@ -233,6 +233,13 @@ def test_lambda_route_guard_raises_on_forced_mismatch(monkeypatch):
         K.lambda_fn(2.0)
 
 
+def test_lambda_route_guard_raises_on_nan_route(monkeypatch):
+    # NaN compares false with everything, so the guard must not pass it
+    monkeypatch.setattr(K, "_lambda_series", lambda v: (math.nan, 1e-16))
+    with pytest.raises(RouteInconsistencyError):
+        K.lambda_fn(2.0)
+
+
 # ---------------------------------------------------------------------------
 # Si / Ci / Ei
 # ---------------------------------------------------------------------------
@@ -383,6 +390,29 @@ def test_zeta_family_huge_s_is_finite(args, value):
 def test_hurwitz_overflow_is_a_range_error(s, a):
     with pytest.raises(RangeOverflowError):
         K.zeta_family("hurwitz", s, a)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (K.polygamma, (1, 1e-155)), (K.polygamma, (2, 1e-155)),
+    (K.polygamma, (2, 1e-103)), (K.polygamma, (1, 5e-324)),
+    (K.bernoulli_poly, (6, 1e300)), (K.bernoulli_poly, (6, -1e300)),
+    (K.bernoulli_poly, (12, 1e26)), (K.bernoulli_poly, (1, 1.7e308)),
+    (K.digamma, (1e-320,)), (K.digamma, (-1e-320,)), (K.digamma, (5e-324,)),
+    (K.digamma, (complex(1e-320, 0.0),)), (K.digamma, (1e-320 + 1e-320j,)),
+    (K.digamma, (complex(1.0, 1e308),)), (K.digamma, (1.7e308 + 1.7e308j,)),
+    (K.lambda_fn, (1e308,)), (K.lambda_fn, (-1.7976931348623157e308,)),
+])
+def test_kernels_at_float_range_edges(fn, args):
+    # each raised a bare OverflowError, FnEvalResult's ValueError, or (the
+    # lambda routes, NaN passing their agreement test) returned NaN
+    try:
+        r = fn(*args)
+    except RangeOverflowError:
+        return
+    assert math.isfinite(abs(r.value)) and math.isfinite(r.abs_err)
+    if fn is K.lambda_fn:
+        # -log|v| - 1/(12 v^2) to double precision
+        assert abs(r.value + math.log(abs(args[0]))) <= r.abs_err
 
 
 def test_hurwitz_em_same_bits_cold_or_warm():

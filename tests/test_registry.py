@@ -66,7 +66,7 @@ def test_records_are_read_only(reg):
 
 
 def test_default_mappings_are_not_shared_dicts():
-    # a NamedTuple default is one object for every instance: the mapping
+    # a namedtuple default is one object for every instance: the mapping
     # defaults must be immutable, so no verdict or record can alter another
     args = ("X", (), 1.0, 0.0, 1.0, 0.0, 0.0, 1e-9, "CONFIRMED",
             "CONFIRMED", "strict", 0.0)
