@@ -179,7 +179,7 @@ def cmd_eval(args) -> int:
         else:
             r = integral_catalog(key, params)
             value, err = r.value, r.abs_err
-    except GammalabError as exc:
+    except (GammalabError, ArithmeticError) as exc:
         pool = (list_series_ids() if args.kind == "series"
                 else list_integral_ids() if args.kind == "integral" else [])
         extra = _near_matches(key, pool) if "unknown" in str(exc) else ""

@@ -23,18 +23,24 @@ from collections import namedtuple
 from collections.abc import Callable
 from functools import partial
 
-from .errors import DomainError, UnknownKeyError, integer_arg
+from .errors import (
+    DomainError,
+    UnknownKeyError,
+    UnsupportedOrderError,
+    integer_arg,
+)
 from .kernels import (
+    _BPOLY_MAX,
     _bpoly,
     _cl2,
     _digamma_pos,
-    _euler_gamma,
     _lgamma,
     _lgamma1p,
     _lnG_base,
     _one_over_x_minus_pi_cot,
     _require_finite,
     _zeta_int,
+    get_constants,
 )
 from .quad import (
     _DEFAULT_MAX_LEVEL,
@@ -49,6 +55,7 @@ __all__ = ["IntegralEntry", "INTEGRAL_CATALOG", "integral_catalog",
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
+_C = get_constants()
 
 # an entry's quadrature call, still to be given ``max_level``
 QuadCall = Callable[..., QuadResult]
@@ -337,9 +344,20 @@ def q_4_8(n: float) -> QuadCall:
     return partial(integrate, f, 0.0, 1.0)
 
 
+def _bernoulli_order(n: float, plus: int) -> int:
+    """2n + ``plus``, the Bernoulli polynomial order of a Q-4.12.x entry at
+    the integer n, kept to 0 .. ``_BPOLY_MAX`` as in ``bernoulli_poly``:
+    a larger order would grow the exact Bernoulli table without bound."""
+    m = 2 * integer_arg(n, "n") + plus
+    if not 0 <= m <= _BPOLY_MAX:
+        raise UnsupportedOrderError(f"n = {n} gives Bernoulli order {m}, "
+                                    f"outside [0, {_BPOLY_MAX}]")
+    return m
+
+
 @_entry("Q-4.12.7", "int_0^1 B_(2n+1)(x) cot(pi x) dx", 1)
 def q_4_12_7(n: float) -> QuadCall:
-    m = 2 * integer_arg(n, "n") + 1
+    m = _bernoulli_order(n, 1)
     def f(x, da, db):
         # odd Bernoulli polynomials vanish at both ends and at 1/2
         b = _bpoly(m, da) if da <= db else -_bpoly(m, db)
@@ -349,7 +367,7 @@ def q_4_12_7(n: float) -> QuadCall:
 
 @_entry("Q-4.12.8", "int_0^1 B_(2n)(x) log(sin(pi x)) dx", 1)
 def q_4_12_8(n: float) -> QuadCall:
-    m = 2 * integer_arg(n, "n")
+    m = _bernoulli_order(n, 0)
     def f(x, da, db):
         b = _bpoly(m, da) if da <= db else _bpoly(m, db)
         return b * _log_sin_pi(x, da, db)
@@ -358,7 +376,7 @@ def q_4_12_8(n: float) -> QuadCall:
 
 @_entry("Q-4.12.10", "int_0^1 B_(2n)(x) log Gamma(x) dx", 1)
 def q_4_12_10(n: float) -> QuadCall:
-    m = 2 * integer_arg(n, "n")
+    m = _bernoulli_order(n, 0)
     def f(x, da, db):
         b = _bpoly(m, da) if da <= db else _bpoly(m, db)
         return b * _lgamma_s(x, da, db)
@@ -578,7 +596,7 @@ def q_5_20(x: float) -> QuadCall:
 
 @_entry("Q-5.45-int", "int_0^1 (psi(1+x) + gamma)/x dx")
 def q_5_45_int() -> QuadCall:
-    g = _euler_gamma()
+    g = _C.gamma
     z = [_zeta_int(k) for k in range(2, 6)]
     def f(x, da, db):
         if da < 1e-4:
@@ -612,7 +630,7 @@ def q_5_53_lhs(u: float) -> QuadCall:
         return _cot_defect(da) / x - 1.0 / d
     lg = -math.log1p(-u)
     return partial(_plus, partial(integrate, f, 0.0, u,
-                                  (2.0 * _zeta_int(2) - 1.0, None)),
+                                  (2.0 * _C.zeta2 - 1.0, None)),
                    lg, 2.0 * _EPS * lg)
 
 

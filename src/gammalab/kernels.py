@@ -14,7 +14,6 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache
-from itertools import accumulate
 
 from .errors import (
     DomainError,
@@ -43,7 +42,36 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
-_LOG_2PI = math.log(2.0 * math.pi)
+
+
+class ConstantsCache(namedtuple("ConstantsCache", (
+        "gamma gamma1 log_2pi zeta2 zeta3 zeta_prime_2 zeta_prime_neg1 "
+        "log_A catalan"))):
+    """Read-only bundle of the constants the catalogs keep reaching for,
+    every field a float."""
+    __slots__ = ()
+
+
+# each field the double nearest the constant (mpmath at 50 digits): Euler's
+# gamma, the Stieltjes gamma_1, log 2 pi, zeta(2), zeta(3), zeta'(2),
+# zeta'(-1), log A (Glaisher's A) and Catalan's G
+_CONSTANTS = ConstantsCache(
+    gamma=0.5772156649015329,
+    gamma1=-0.07281584548367673,
+    log_2pi=1.8378770664093456,
+    zeta2=1.6449340668482264,
+    zeta3=1.2020569031595942,
+    zeta_prime_2=-0.9375482543158438,
+    zeta_prime_neg1=-0.16542114370045094,
+    log_A=0.24875447703378425,
+    catalan=0.915965594177219,
+)
+_LOG_2PI = _CONSTANTS.log_2pi
+
+
+def get_constants() -> ConstantsCache:
+    """The stored constants, each correctly rounded."""
+    return _CONSTANTS
 
 
 class FnEvalResult:
@@ -268,7 +296,7 @@ def _lgamma1p(y: float) -> float:
         if abs(t) < 1e-18 * (abs(acc) + 1e-30):
             break
         pw *= y
-    return acc + (((1.5 - _euler_gamma()) * y - math.log1p(0.5 * y))
+    return acc + (((1.5 - _CONSTANTS.gamma) * y - math.log1p(0.5 * y))
                   - math.log1p(y))
 
 
@@ -463,24 +491,6 @@ def polygamma(k: int, x: float) -> FnEvalResult:
     return FnEvalResult(v, 1e-13 * max(1.0, abs(v)))
 
 
-@lru_cache(maxsize=1)
-def _euler_gamma() -> float:
-    # gamma = -psi(1); deeper shift than the general kernel, since this
-    # constant feeds nearly every closed form downstream
-    acc = 0.0
-    x = 1.0
-    while x < 24.0:
-        acc -= 1.0 / x
-        x += 1.0
-    acc += math.log(x) - 0.5 / x
-    inv2 = 1.0 / (x * x)
-    pw = inv2
-    for j in range(1, 10):
-        acc -= _bernoulli_float(2 * j) / (2 * j) * pw
-        pw *= inv2
-    return -acc
-
-
 # ---------------------------------------------------------------------------
 # Lambda: the regularised sum  lim ( sum j/(j^2+v^2) - log n )
 # ---------------------------------------------------------------------------
@@ -537,8 +547,7 @@ def _lambda_series(v: float) -> tuple[float, float]:
 
 def _lambda_digamma(v: float) -> tuple[float, float]:
     if v == 0.0:
-        g = _euler_gamma()
-        return g, 1e-14
+        return _CONSTANTS.gamma, 1e-14
     val = -_digamma_complex(complex(1.0, v)).real
     return val, 1e-13 * max(1.0, abs(val))
 
@@ -616,7 +625,7 @@ def _sici_raw(x: float) -> tuple[float, float]:
             # <=: below x ~ 1e-306 both sides underflow to 0 (Si(x) = x)
             if abs(t) <= 1e-18 * abs(si):
                 break
-        return si, _euler_gamma() + math.log(x) - _cin(x)
+        return si, _CONSTANTS.gamma + math.log(x) - _cin(x)
     e1 = _e1_cf(complex(0.0, x))
     return e1.imag + 0.5 * math.pi, -e1.real
 
@@ -702,7 +711,7 @@ def exp_integral(x: float) -> FnEvalResult:
     u = -x
     if u <= 1.0:
         # Ei(-u) = -E1(u) = gamma + log u - Ein(u)
-        v = _euler_gamma() + math.log(u) - _ein(u)
+        v = _CONSTANTS.gamma + math.log(u) - _ein(u)
     else:
         v = -_e1_cf(complex(u, 0.0)).real
     return FnEvalResult(v, 1e-14 * max(1.0, abs(v)))
@@ -732,12 +741,8 @@ def _hurwitz_direct(s: float, a: float, order: int) -> float:
 
 def zeta_family(kind: str, s: float | None = None,
                 a: float | None = None) -> FnEvalResult:
-    """zeta(s), zeta(s,a), zeta'(s), zeta''(2) and zeta'(-1).
-
-    zeta'(-1) is *constructed* from zeta'(2) through
-    zeta'(-1) = (1 - gamma - log 2pi)/12 + zeta'(2)/(2 pi^2),
-    which doubles as a cross-check against its independently tabulated value.
-    """
+    """zeta(s), zeta(s,a), zeta'(s), zeta''(2) and zeta'(-1), the last the
+    stored constant of :func:`get_constants`."""
     if kind in ("zeta", "zeta_prime", "hurwitz"):
         if s is None or not _require_finite(s, "s") > 1.0:
             raise DomainError(f"{kind} requires s > 1, got {s}")
@@ -756,9 +761,7 @@ def zeta_family(kind: str, s: float | None = None,
     elif kind == "zeta_prime2_at_2":
         v = _hurwitz_em(2.0, 1.0, order=2)
     elif kind == "zeta_prime_neg1":
-        g = _euler_gamma()
-        v = (1.0 - g - _LOG_2PI) / 12.0 + _hurwitz_em(2.0, 1.0, order=1) / (
-            2.0 * math.pi ** 2)
+        v = _CONSTANTS.zeta_prime_neg1
     else:
         raise DomainError(f"unknown zeta kind {kind!r}")
     return FnEvalResult(v, 1e-13 * max(1.0, abs(v)))
@@ -779,33 +782,10 @@ def _hurwitz_prime(s: float, a: float) -> float:
 # first Stieltjes constant
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _gamma1() -> tuple[float, float]:
-    """(gamma_1, err) as sum_{n>=1} g(n), g(n) = log n/n - (log^2(n+1) -
-    log^2 n)/2, whose partial sums are sum_{k<=N} log k/k - log^2(N+1)/2.
-
-    With L = log(1+1/n), g(n) = log n (1/n - L) - L^2/2
-    = sum_{k>=2} (-1)^k (log n - H_(k-1)) n^-k / k, the tail past N = 64.
-    """
-    from .series import zeta_tail_sum
-    n_last, k_next = 64, 11  # 65^-10 < 1e-17
-    h = list(accumulate(1.0 / j for j in range(1, k_next)))  # H_1, H_2, ...
-    log_tail = {k: (-1.0) ** k / k for k in range(2, k_next)}
-
-    def term(n: int) -> float:
-        e = math.log1p(1.0 / n)
-        return math.log(n) * (1.0 / n - e) - 0.5 * e * e
-    r = zeta_tail_sum(lambda n: map(term, range(1, n + 1)),
-                      {k: -d * h[k - 2] for k, d in log_tail.items()},
-                      log_tail, omitted={k_next: h[k_next - 2] / k_next},
-                      log_omitted={k_next: 1.0 / k_next}, n_min=n_last,
-                      cap=n_last)
-    return r.value, r.abs_err
-
-
 def stieltjes_gamma1() -> FnEvalResult:
-    """gamma_1, from a telescoped form of its limit definition."""
-    return FnEvalResult(*_gamma1())
+    """gamma_1, the stored double, within half an ulp."""
+    g1 = _CONSTANTS.gamma1
+    return FnEvalResult(g1, 0.5 * math.ulp(g1))
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +801,7 @@ def _lnG_taylor_coeffs() -> tuple[float, ...]:
 
 def _lnG_base(w: float) -> float:
     """log G(1+w) for |w| <= 0.5."""
-    acc = 0.5 * (_LOG_2PI - 1.0) * w - 0.5 * (1.0 + _euler_gamma()) * w * w
+    acc = 0.5 * (_LOG_2PI - 1.0) * w - 0.5 * (1.0 + _CONSTANTS.gamma) * w * w
     pw = w ** 3
     for c in _lnG_taylor_coeffs():
         t = c * pw
@@ -960,35 +940,3 @@ def bernoulli_poly(n: int, x: float) -> FnEvalResult:
     if not math.isfinite(scale):  # scale bounds |B_n(x)| too
         raise RangeOverflowError(f"B_{n}(x) overflows at x={x}")
     return FnEvalResult(v, (n + 1) * _EPS * scale)
-
-
-# ---------------------------------------------------------------------------
-# shared constants
-# ---------------------------------------------------------------------------
-
-class ConstantsCache(namedtuple("ConstantsCache", (
-        "gamma gamma1 log_2pi zeta2 zeta3 zeta_prime_2 zeta_prime_neg1 "
-        "log_A catalan"))):
-    """Read-only bundle of the constants the catalogs keep reaching for,
-    every field a float."""
-    __slots__ = ()
-
-
-@lru_cache(maxsize=1)
-def get_constants() -> ConstantsCache:
-    from .series import cvz_alternating
-    g = _euler_gamma()
-    zp2 = _hurwitz_em(2.0, 1.0, order=1)
-    zp_neg1 = (1.0 - g - _LOG_2PI) / 12.0 + zp2 / (2.0 * math.pi ** 2)
-    return ConstantsCache(
-        gamma=g,
-        gamma1=_gamma1()[0],
-        log_2pi=_LOG_2PI,
-        zeta2=math.pi ** 2 / 6.0,
-        zeta3=_zeta_int(3),
-        zeta_prime_2=zp2,
-        zeta_prime_neg1=zp_neg1,
-        log_A=1.0 / 12.0 - zp_neg1,
-        # beta(2) = sum (-1)^k/(2k+1)^2
-        catalan=cvz_alternating(lambda k: 1.0 / (2 * k + 1) ** 2, 40)[0],
-    )

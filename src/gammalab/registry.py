@@ -32,6 +32,7 @@ from types import MappingProxyType
 from . import kernels as K
 from .errors import (
     DomainError,
+    EvaluationError,
     GammalabError,
     UnknownKeyError,
     integer_arg,
@@ -1167,11 +1168,15 @@ class Registry:
         if rec.expected == "DISPUTED":
             diagnostics = {"reported": dict(rec.reported)}  # JSON-ready
         t0 = time.perf_counter()
-        # a numeric or domain failure of a route gives an INCONCLUSIVE
-        # verdict; any other exception is a program error and propagates
+        # a numeric or domain failure of a route, a value or bar that is
+        # not finite among them, gives an INCONCLUSIVE verdict; any other
+        # exception is a program error and propagates
         try:
             lv, le = rec.lhs.evaluate(params, opts)
             rv, re_ = rec.rhs.evaluate(params, opts)
+            if not all(map(math.isfinite, (lv, le, rv, re_))):
+                raise EvaluationError(f"not finite: lhs {lv} ± {le}, "
+                                      f"rhs {rv} ± {re_}")
         except (GammalabError, ArithmeticError, ValueError) as exc:
             dt = time.perf_counter() - t0
             return Verdict(rec.id, params, math.nan, math.inf, math.nan,

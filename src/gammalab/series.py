@@ -36,9 +36,9 @@ FS-7.1 and ``psi_sin_partial``, and the alternating S-4.29-rhs and S-6.33.
 series whose terms decay too slowly to truncate (error ~ 5.83^-n; Cohen,
 Rodriguez Villegas and Zagier, Exp. Math. 2000).
 
-The primitives serve the series catalog, the kernels (lambda, gamma_1
-and Catalan's constant, imported inside the functions, since this module
-imports ``kernels``) and the registry's closed-form helpers.
+The primitives serve the series catalog, the kernels (lambda's series,
+imported inside the function, since this module imports ``kernels``) and
+the registry's closed-form helpers.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ residual to n = 11, past which its bound holds.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import namedtuple
 from collections.abc import Callable
@@ -44,7 +45,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, count, repeat
 from operator import mul, truediv
 
-from .errors import DomainError, UnknownKeyError, integer_arg
+from .errors import DomainError, EvaluationError, UnknownKeyError, integer_arg
 from .kernels import (
     _EPS,
     _bernoulli_float,
@@ -53,7 +54,6 @@ from .kernels import (
     _cl2,
     _cot_pi,
     _digamma_pos,
-    _euler_gamma,
     _hurwitz,
     _lnG,
     _one_over_x_minus_pi_cot,
@@ -80,6 +80,7 @@ __all__ = ["SeriesEntry", "SERIES_CATALOG", "sum_catalog",
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
+_C = get_constants()
 # cvz_alternating estimates its error from a re-summation 8 orders shorter
 _CVZ_N_MIN = 9
 
@@ -116,11 +117,16 @@ def sum_catalog(key: str, params: tuple[float, ...] = (),
     for i, value in enumerate(params, 1):
         _require_finite(value, f"{key} parameter {i}")
     if max_terms is None:
-        return entry.fn(*params)
-    if max_terms < entry.n_min:
+        r = entry.fn(*params)
+    elif max_terms < entry.n_min:
         raise DomainError(
             f"{key} needs max_terms >= {entry.n_min}, got {max_terms}")
-    return entry.fn(*params, max_terms=max_terms)
+    else:
+        r = entry.fn(*params, max_terms=max_terms)
+    if not (cmath.isfinite(r.value) and math.isfinite(r.abs_err)):
+        raise EvaluationError(f"{key} is not finite at {params}: "
+                              f"{r.value} ± {r.abs_err}")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +206,7 @@ def log_quarter_sum(q: float, max_terms: int | None = None) -> SeriesResult:
 def s_3_14(p: float, max_terms: int | None = None) -> SeriesResult:
     if not 0.0 < abs(p) < 2.0:
         raise DomainError(f"requires 0 < |p| < 2, got {p}")
-    g = _euler_gamma()
+    g = _C.gamma
     ci = ci_quarter_sum(0.5 * p, max_terms)
     # -(gamma + log 2 pi) sum 1/(4n^2-p^2), in closed form
     # (1/h - pi cot(pi h))/(8h), h = |p|/2: below h = 1/2 by its series,
@@ -212,7 +218,7 @@ def s_3_14(p: float, max_terms: int | None = None) -> SeriesResult:
     else:
         s_quad = 0.5 / (p * p) - _PI / (4.0 * p) * _cot_pi(0.5 * p)
     s_log = log_quarter_sum(0.25 * p * p, max_terms)
-    value = ci.value - (g + math.log(_TWO_PI)) * s_quad - s_log.value
+    value = ci.value - (g + _C.log_2pi) * s_quad - s_log.value
     err = ci.abs_err + s_log.abs_err + 2e-14 * (1.0 + abs(value))
     return SeriesResult(value, err, max(ci.terms_used, s_log.terms_used),
                         "lattice+closed_forms")
@@ -226,7 +232,7 @@ def s_4_26(max_terms: int | None = None) -> SeriesResult:
         {3: -1.0 / _TWO_PI, 5: 2.0 / _TWO_PI ** 3, 7: -24.0 / _TWO_PI ** 5,
          9: 720.0 / _TWO_PI ** 7},
         omitted={11: 40320.0 / _TWO_PI ** 9}, cap=max_terms, floor=0.0)
-    value = 0.5 * _PI * _zeta_int(2) + r.value
+    value = 0.5 * _PI * _C.zeta2 + r.value
     return SeriesResult(value, r.abs_err + 1e-13 * (1.0 + abs(value)),
                         r.terms_used, "lattice+asymptotic")
 
@@ -254,7 +260,7 @@ def s_4_29_rhs(max_terms: int | None = None) -> SeriesResult:
     n_last = _even_target_n(max_terms, omitted)
     tail = -_alternating_tail(
         {3: 1.0 / _PI, 5: -2.0 / _PI ** 3, 7: 24.0 / _PI ** 5}, n_last // 2)
-    value = 0.5 * _PI * _zeta_int(2) + tail + math.fsum(
+    value = 0.5 * _PI * _C.zeta2 + tail + math.fsum(
         _si_small_at_pi_mult(n, twice=False) / (n * n)
         for n in range(1, n_last + 1))
     err = tail_bound(n_last, omitted) + 1e-13 * (1.0 + abs(value))
@@ -332,7 +338,7 @@ _TN_ASYMPTOTIC_N = 12
 # the first omitted one is 1.6e-18
 _TN_ORDERS = 6
 # zeta'(0) - 1/2, the constant of T_n's order 1/n^2
-_TN_SHIFT = -0.5 * math.log(_TWO_PI) - 0.5
+_TN_SHIFT = -0.5 * _C.log_2pi - 0.5
 
 
 @lru_cache(maxsize=1)
@@ -369,7 +375,7 @@ def _with_harmonic(n_last: int):
 
 @_entry("S-4.31.1", "sum (gamma + log n - H_n)/n", 0)
 def s_4_31_1(max_terms: int | None = None) -> SeriesResult:
-    g = _euler_gamma()
+    g = _C.gamma
     # gamma + log n - H_n = -1/2n + 1/12n^2 - 1/120n^4 + 1/252n^6 - 1/240n^8
     return zeta_tail_sum(
         lambda n_last: ((g + math.log(n) - h) / n
@@ -381,7 +387,7 @@ def s_4_31_1(max_terms: int | None = None) -> SeriesResult:
 
 @_entry("S-4.32", "sum H_n [log(1+1/n) - 1/n]", 0)
 def s_4_32(max_terms: int | None = None) -> SeriesResult:
-    g = _euler_gamma()
+    g = _C.gamma
     # H_n = log n + gamma + 1/2n - ..., times -1/2n^2 + 1/3n^3 - ...
     log_part = {2: -0.5, 3: 1.0 / 3.0, 4: -0.25, 5: 0.2, 6: -1.0 / 6.0}
     plain = {2: 0.0, 3: -0.25, 4: 5.0 / 24.0, 5: -11.0 / 72.0, 6: 7.0 / 60.0}
@@ -410,7 +416,7 @@ def s_5_13(x: float, max_terms: int | None = None) -> SeriesResult:
                                       for n in range(1, n_last + 1)),
                       lambda n: quad_tail(q, {1: 1.0}, n), n_min=8,
                       cap=max_terms)
-    g = _euler_gamma()
+    g = _C.gamma
     qs = q * s.value
     return SeriesResult(g + qs, q * s.abs_err + 4.0 * _EPS * (g + abs(qs)),
                         s.terms_used, s.method)
@@ -673,7 +679,7 @@ def power_series_eval(key: str, x: float,
         raise UnknownKeyError(f"unknown power series id {key!r}")
     if not abs(x) < 1.0:
         raise DomainError(f"{key} requires |x| < 1, got {x}")
-    g = _euler_gamma()
+    g = _C.gamma
     x2 = x * x
     if key == "PS-5.1":
         s, rest, used = _ps_fast(lambda n: (-1.0) ** n * _zeta_m1(2 * n + 1),
@@ -838,7 +844,7 @@ def _log_g_residuals() -> tuple[tuple[tuple[float, float], ...], float]:
     :func:`_tn_asymptotic` and T_n the direct ``S-4.4-Tn`` series;
     b_n - B_n = (H~_n - H_n)/(2 pi n), H~_n = log n + gamma + 1/(2n)
     - sum_{k<=6} B_2k/(2k n^2k)."""
-    gamma = get_constants().gamma
+    gamma = _C.gamma
     res, tn_err = [], 0.0
     for n, h in _with_harmonic(_TN_ASYMPTOTIC_N - 1):
         tn = s_4_4_tn(n)
@@ -873,9 +879,9 @@ def fs_4_16(x: float, max_terms: int | None = None) -> SeriesResult:
     The T_n errors over pi^2 and 1e-13 (1 + |value|) are added."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"requires 0 < x < 1, got {x}")
-    c = get_constants()
     orders, zp_omitted = _tn_orders()
-    slices = {1: -(c.gamma + c.log_2pi) / _PI, 2: -c.gamma / (2.0 * _PI ** 2)}
+    slices = {1: -(_C.gamma + _C.log_2pi) / _PI,
+              2: -_C.gamma / (2.0 * _PI ** 2)}
     for j, zp in zip(range(_TN_ORDERS, 0, -1), orders):
         slices[2 * j + 2] = -zp / _PI ** 2
     for k in range(1, _TN_ORDERS + 1):
@@ -889,7 +895,7 @@ def fs_4_16(x: float, max_terms: int | None = None) -> SeriesResult:
         slices, lambda n: (res[n - 1][0] * math.cos(_TWO_PI * n * x)
                            + res[n - 1][1] * math.sin(_TWO_PI * n * x)),
         x, omitted, n_min=n_last, max_terms=n_last, floor=0.0)
-    a0 = 1.0 / 12.0 - 2.0 * c.log_A - 0.25 * c.log_2pi
+    a0 = 1.0 / 12.0 - 2.0 * _C.log_A - 0.25 * _C.log_2pi
     value = math.fsum((a0, 0.5 * math.log(2.0 * _sincos_pi(x)[0]),
                        -log_sin_over_n(x) / _PI, r.value))
     err = r.abs_err + tn_err + 1e-13 * (1.0 + abs(value))
@@ -901,25 +907,23 @@ def log_sin_over_n(u: float) -> float:
     if not 0.0 < u < 1.0:
         raise DomainError(f"requires 0 < u < 1, got {u}")
     from .kernels import _lgamma
-    c = get_constants()
     return _PI * (_lgamma(u) - 0.5 * math.log(_PI / _sincos_pi(u)[0])
-                  - (c.gamma + c.log_2pi) * (0.5 - u))
+                  - (_C.gamma + _C.log_2pi) * (0.5 - u))
 
 
 def log_cos_over_n2(u: float) -> float:
     """sum_{n>=1} log(n) cos(2 pi n u)/n^2, closed via the G-function."""
     from .kernels import _lgamma, _lnG
-    c = get_constants()
     if u == 1.0 or u == 0.0:
-        zp_neg1_u = c.zeta_prime_neg1
+        zp_neg1_u = _C.zeta_prime_neg1
         cl = 0.0
         b2 = _bpoly(2, 1.0)
     else:
-        zp_neg1_u = c.zeta_prime_neg1 - _lnG(1.0 + u) + u * _lgamma(u)
+        zp_neg1_u = _C.zeta_prime_neg1 - _lnG(1.0 + u) + u * _lgamma(u)
         cl = _cl2(_TWO_PI * u)
         b2 = _bpoly(2, u)
     return (-2.0 * _PI ** 2 * zp_neg1_u
-            - (c.log_2pi + c.gamma - 1.0) * _PI ** 2 * b2
+            - (_C.log_2pi + _C.gamma - 1.0) * _PI ** 2 * b2
             + 0.5 * _PI * cl)
 
 
@@ -1003,14 +1007,13 @@ def psi_sin_partial(u: float) -> SeriesResult:
     cosine one is sum log n/(4n^2-1) + zeta'(2)/4 in closed form."""
     if not 0.0 < u <= 1.0:
         raise DomainError(f"requires 0 < u <= 1, got {u}")
-    c = get_constants()
     # k_log = sum log n/(4n^2-1)
     k_log = _sum_log_4n2m1()
     if u == 1.0:
         su, cu, s_a = 0.0, -1.0, 0.0
         r1 = 0.0
         # 1/(4n^2 (4n^2-1)) = 1/(4n^2-1) - 1/(4n^2), sum log n/n^2 = -zeta'(2)
-        r2 = k_log.value + 0.25 * _zeta_prime_int(2)
+        r2 = k_log.value + 0.25 * _C.zeta_prime_2
         n_last, trunc = k_log.terms_used, 2.0 / _PI * k_log.abs_err
     else:
         su, cu = _sincos_pi(u)
@@ -1032,7 +1035,7 @@ def psi_sin_partial(u: float) -> SeriesResult:
     s_c = log_cos_over_n2(u)
     series = su * (0.5 * s_a + r1) + cu * (0.25 * s_c + r2) - k_log.value
     value = (2.0 / _PI * series
-             + (c.gamma + c.log_2pi) * (cu - 1.0) / _PI - 0.5 * su)
+             + (_C.gamma + _C.log_2pi) * (cu - 1.0) / _PI - 0.5 * su)
     err = trunc + 2.0 / _PI * k_log.abs_err + 1e-12
     return SeriesResult(value, err, n_last, "kummer_closed+residual")
 

@@ -354,6 +354,30 @@ def test_eval_fn_overflow_exits_1(argv, capsys):
     assert "overflows" in out.err and "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["series", "FS-4.16", "1e-320"], "FS-4.16 is not finite"),
+    (["integral", "Q-1.1", "--", "-1e300"], "math range error"),
+    (["integral", "Q-6.15", "1e-320"], "division by zero"),
+    (["integral", "Q-4.12.7", "7"], "Bernoulli order 15")])
+def test_eval_numeric_failure_exits_1(argv, message, capsys):
+    # FS-4.16 printed `= inf ± inf`, the quadratures a traceback, and
+    # Q-4.12.7 returned a value past the Bernoulli order cap
+    assert run(["eval", *argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:")
+    assert message in out.err and "Traceback" not in out.err
+
+
+def test_eval_huge_bernoulli_index_exits_at_once():
+    # the exact Bernoulli table was built to order 2n+1: this never returned
+    out = _python("from gammalab.cli import main\n"
+                  "raise SystemExit(main(['eval', 'integral', 'Q-4.12.7', "
+                  "'1e17']))\n", timeout=10)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.startswith("error: n = 1e+17")
+    assert "Traceback" not in out.stderr
+
+
 def test_eval_rejects_non_finite_parameter(capsys):
     for argv in (["series", "S-5.13", "inf"], ["series", "FS-8.13", "inf"],
                  ["series", "S-1.20", "nan"], ["integral", "Q-1.1", "inf"]):
@@ -447,14 +471,15 @@ def test_max_terms_reaches_disputed_series_route(monkeypatch, capsys):
     assert caps == [("S-5.18", 20)]
 
 
-def _python(script, *args, flags=()):
+def _python(script, *args, flags=(), timeout=120):
     """``python flags -c script args`` in a fresh process with this tree's
-    ``src/`` on its path."""
+    ``src/`` on its path, stopped after ``timeout`` seconds."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *flags, "-c", script, *args],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 # registered before anything from gammalab, so it runs after every exit
@@ -480,9 +505,10 @@ def test_verify_all_import_guard(par, tmp_path):
     # evaluated, so typing stays out; its Bernoulli numbers are integer
     # pairs, so fractions and decimal do too, and so do dataclasses and the
     # inspect it pulls in.  The reports are written without the json
-    # package, whose decoder no command uses.  The process then exits with
-    # its heap frozen.  -S keeps out what a site .pth file imports (typing,
-    # on some installs)
+    # package, whose decoder no command uses.  Its constants are stored, so
+    # the import computes no zeta tail and no Bernoulli number.  The process
+    # then exits with its heap frozen.  -S keeps out what a site .pth file
+    # imports (typing, on some installs)
     js, md = str(tmp_path / "r.json"), str(tmp_path / "r.md")
     script = (_FREEZE_PROBE
               + "import sys\n"
@@ -490,6 +516,9 @@ def test_verify_all_import_guard(par, tmp_path):
               "                  if m in sys.modules]\n"
               "import gammalab\n"
               "print(loaded())\n"
+              "from gammalab import kernels\n"
+              "print(kernels._em_tail_coeffs.cache_info().currsize,\n"
+              "      kernels._BERNOULLI)\n"
               "from gammalab.cli import main\n"
               "rc = main(['verify', '--all', '--no-timing', '--parallelism',\n"
               f"           '{par}', '--json', {js!r}, '--md', {md!r}])\n"
@@ -498,7 +527,7 @@ def test_verify_all_import_guard(par, tmp_path):
     out = _python(script, flags=["-S"])
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[0] == "[]"
+    assert lines[:2] == ["[]", "0 ((1, 1),)"]
     assert lines[-2:] == ["[]", "frozen at exit: True"]
     assert json.loads(Path(js).read_text())["summary"]["total"] == 222
     assert Path(md).read_text().startswith("# Identity verification")

@@ -113,8 +113,25 @@ def test_gamma1():
 
 def test_catalan():
     v, e = cvz_alternating(lambda k: 1.0 / (2 * k + 1) ** 2, 40)
-    assert v == K.get_constants().catalan
     assert _close(v, mp.catalan, e)
+
+
+def test_constants_are_correctly_rounded():
+    # every stored constant is the double nearest its value, and so are the
+    # kernels that return one
+    with mp.workdps(50):
+        ref = {"gamma": mp.euler, "gamma1": mp.stieltjes(1),
+               "log_2pi": mp.log(2 * mp.pi), "zeta2": mp.zeta(2),
+               "zeta3": mp.zeta(3), "zeta_prime_2": mp.zeta(2, derivative=1),
+               "zeta_prime_neg1": mp.zeta(-1, derivative=1),
+               "log_A": mp.log(mp.glaisher), "catalan": mp.catalan}
+        nearest = {name: float(v) for name, v in ref.items()}
+    assert K.get_constants()._asdict() == nearest
+    assert K._LOG_2PI == nearest["log_2pi"]
+    assert K.zeta_family("zeta_prime_neg1").value == nearest["zeta_prime_neg1"]
+    g1 = K.stieltjes_gamma1()
+    assert g1.value == nearest["gamma1"]
+    assert 0.0 < g1.abs_err <= 0.5 * math.ulp(g1.value)
 
 
 # the benchmark's kernel range, then the direct sum's far end (N = 4|v|)

@@ -11,7 +11,12 @@ import pytest
 
 from gammalab import kernels as K
 from gammalab import registry as R
-from gammalab.errors import DomainError, UnknownKeyError
+from gammalab.errors import (
+    DomainError,
+    EvaluationError,
+    UnknownKeyError,
+    UnsupportedOrderError,
+)
 from gammalab.integral_catalog import integral_catalog, probe_cauchy
 from gammalab.quad import integrate
 from gammalab.registry import (
@@ -151,6 +156,53 @@ def test_route_failure_becomes_inconclusive():
     v = r.verify_identity("I-9.1")
     assert v.status == "INCONCLUSIVE"
     assert "route failure" in v.note
+
+
+@pytest.mark.parametrize("route", [(math.inf, math.inf), (1.0, math.inf),
+                                   (math.nan, 0.0), (-math.inf, 0.0)])
+def test_non_finite_route_is_a_route_failure(route):
+    # a residual of inf is <= a budget of inf: it confirmed
+    bad = IdentityRecord(
+        "I-9.1", 9, "scratch: non-finite route",
+        Recipe("inf", lambda p, opts: route),
+        Recipe("one", lambda p, opts: (1.0, 1e-15)))
+    v = Registry(records=[bad]).verify_identity("I-9.1")
+    assert v.status == "INCONCLUSIVE"
+    assert v.note.startswith("route failure: not finite")
+
+
+@pytest.mark.parametrize("x", [1e-320, 5e-324])
+def test_fs_4_16_at_float_range_edge_is_a_route_failure(reg, x):
+    # inside I-4.16's domain [0, 1]: its left side was inf +- inf, CONFIRMED
+    with pytest.raises(EvaluationError, match="not finite"):
+        sum_catalog("FS-4.16", (x,))
+    v = reg.verify_identity("I-4.16", (x,))
+    assert v.status == "INCONCLUSIVE"
+    assert v.note.startswith("route failure: FS-4.16 is not finite")
+
+
+@pytest.mark.parametrize("value, err", [(1.0, math.inf), (math.nan, 0.0),
+                                        (complex(math.inf, 0.0), 0.0)])
+def test_sum_catalog_rejects_a_non_finite_result(monkeypatch, value, err):
+    from gammalab import series_catalog
+    monkeypatch.setitem(series_catalog.SERIES_CATALOG, "S-9.1",
+                        series_catalog.SeriesEntry(
+                            "scratch", 0, lambda: SeriesResult(value, err, 1,
+                                                               "direct")))
+    with pytest.raises(EvaluationError, match="S-9.1 is not finite"):
+        sum_catalog("S-9.1")
+
+
+@pytest.mark.parametrize("key, n", [("Q-4.12.7", 6.0), ("Q-4.12.8", 7.0),
+                                    ("Q-4.12.10", 7.0), ("Q-4.12.8", -1.0)])
+def test_bernoulli_entries_cap_their_order(key, n):
+    # the exact Bernoulli table was built to order 2n+1 with no cap, so a
+    # large n never returned (test_cli's eval at 1e17); the records' domain
+    # [1, 3] stays inside the cap
+    with pytest.raises(UnsupportedOrderError, match="Bernoulli order"):
+        integral_catalog(key, (n,))
+    for inside in (1.0, 3.0, 5.0):
+        integral_catalog(key, (inside,))
 
 
 def test_program_error_in_route_propagates():
