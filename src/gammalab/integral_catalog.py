@@ -25,6 +25,8 @@ from functools import partial
 
 from .errors import (
     DomainError,
+    EvaluationError,
+    GammalabError,
     UnknownKeyError,
     UnsupportedOrderError,
     integer_arg,
@@ -94,7 +96,12 @@ def integral_catalog(key: str, params: tuple[float, ...] = (),
             f"{key} takes {entry.nparams} parameter(s), got {len(params)}")
     for i, value in enumerate(params, 1):
         _require_finite(value, f"{key} parameter {i}")
-    return entry.fn(*params)(max_level=max_level)
+    try:
+        return entry.fn(*params)(max_level=max_level)
+    except GammalabError:
+        raise
+    except ArithmeticError as exc:
+        raise EvaluationError(f"{key} at {params}: {exc}") from exc
 
 
 def _plus(quad: QuadCall, value: float, err: float, **opts) -> QuadResult:
@@ -344,20 +351,21 @@ def q_4_8(n: float) -> QuadCall:
     return partial(integrate, f, 0.0, 1.0)
 
 
-def _bernoulli_order(n: float, plus: int) -> int:
+def _bernoulli_order(n: float, plus: int, lowest: int = 0) -> int:
     """2n + ``plus``, the Bernoulli polynomial order of a Q-4.12.x entry at
-    the integer n, kept to 0 .. ``_BPOLY_MAX`` as in ``bernoulli_poly``:
-    a larger order would grow the exact Bernoulli table without bound."""
+    the integer n, kept to ``lowest`` .. ``_BPOLY_MAX`` as in
+    ``bernoulli_poly``."""
     m = 2 * integer_arg(n, "n") + plus
-    if not 0 <= m <= _BPOLY_MAX:
+    if not lowest <= m <= _BPOLY_MAX:
         raise UnsupportedOrderError(f"n = {n} gives Bernoulli order {m}, "
-                                    f"outside [0, {_BPOLY_MAX}]")
+                                    f"outside [{lowest}, {_BPOLY_MAX}]")
     return m
 
 
 @_entry("Q-4.12.7", "int_0^1 B_(2n+1)(x) cot(pi x) dx", 1)
 def q_4_12_7(n: float) -> QuadCall:
-    m = _bernoulli_order(n, 1)
+    # n = 0 diverges: B_1(x) cot(pi x) ~ -1/(2 pi x) at both ends
+    m = _bernoulli_order(n, 1, lowest=3)
     def f(x, da, db):
         # odd Bernoulli polynomials vanish at both ends and at 1/2
         b = _bpoly(m, da) if da <= db else -_bpoly(m, db)

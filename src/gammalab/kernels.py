@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import lru_cache
 
 from .errors import (
@@ -114,35 +114,35 @@ def _require_finite(x: float, name: str = "x") -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers (exact) and derived coefficient tables
+# one power-series loop; Bernoulli numbers (exact)
 # ---------------------------------------------------------------------------
 
-# B_0, B_1, ...: one exact table of reduced (numerator, denominator) pairs,
-# denominator > 0, grown only when a larger n is asked for.  It is rebound,
-# never mutated, so concurrent callers at worst recompute.
-_BERNOULLI: tuple[tuple[int, int], ...] = ((1, 1),)
+def _power_sum(coeffs: Iterable[float], pw: float, step: float,
+               acc: float = 0.0) -> float:
+    """acc + sum_k c_k pw step^k over ``coeffs``: every convergent power
+    series of the package sums here.  It stops after the first term at most
+    1e-18 of the sum, or at the end of the table."""
+    for c in coeffs:
+        t = c * pw
+        acc += t
+        if abs(t) <= 1e-18 * abs(acc):
+            break
+        pw *= step
+    return acc
 
 
-def _bernoulli_fractions(n_max: int) -> tuple[tuple[int, int], ...]:
-    """B_0 .. B_{n_max}, exactly: B_m = -sum_{k<m} C(m+1, k) B_k / (m+1)."""
-    global _BERNOULLI
-    if len(_BERNOULLI) <= n_max:
-        bs = list(_BERNOULLI)
-        for m in range(len(bs), n_max + 1):
-            den = math.lcm(*(q for _, q in bs))
-            num = -sum(math.comb(m + 1, k) * p * (den // q)
-                       for k, (p, q) in enumerate(bs))
-            den *= m + 1
-            g = math.gcd(num, den)
-            bs.append((num // g, den // g))
-        _BERNOULLI = tuple(bs)
-    return _BERNOULLI[:n_max + 1]
+# B_0 .. B_30, exact reduced (numerator, denominator) pairs, denominator > 0
+_BERNOULLI: tuple[tuple[int, int], ...] = (
+    (1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42), (0, 1),
+    (-1, 30), (0, 1), (5, 66), (0, 1), (-691, 2730), (0, 1), (7, 6), (0, 1),
+    (-3617, 510), (0, 1), (43867, 798), (0, 1), (-174611, 330), (0, 1),
+    (854513, 138), (0, 1), (-236364091, 2730), (0, 1), (8553103, 6), (0, 1),
+    (-23749461029, 870), (0, 1), (8615841276005, 14322))
 
 
-@lru_cache(maxsize=None)
 def _bernoulli_float(n: int) -> float:
     # int / int is correctly rounded, as float(Fraction) is
-    num, den = _bernoulli_fractions(n)[n]
+    num, den = _BERNOULLI[n]
     return num / den
 
 
@@ -226,13 +226,16 @@ def _hurwitz_em(s: float, a: float, order: int = 0) -> float:
             + qs / q * (p2 - 2.0 * lq * p1 + lq * lq * p0))
 
 
+# every power series asks for the same zeta(k) - 1, k <= ~80
 @lru_cache(maxsize=None)
+def _zeta_m1(k: int) -> float:
+    """zeta(k) - 1 = zeta(k, 2) for integer k >= 2, to full precision."""
+    return _hurwitz_em(float(k), 2.0)
+
+
 def _zeta_int(k: int) -> float:
-    """zeta(k) for integer k >= 2."""
-    if k > 52:
-        # 2^-k already below double precision relative to 1
-        return 1.0 + 2.0 ** (-k) + 3.0 ** (-k)
-    return _hurwitz_em(float(k), 1.0)
+    """zeta(k) for integer k >= 2: 1 + zeta(k, 2) rounds once."""
+    return 1.0 + _zeta_m1(k)
 
 
 @lru_cache(maxsize=None)
@@ -288,16 +291,9 @@ def _lgamma1p(y: float) -> float:
     first two terms of zeta(k) = 1 + 2^-k + ... summed in closed form:
     (3/2 - gamma) y - log1p(y) - log1p(y/2) + sum_{k>=2} (-1)^k
     (zeta(k) - 1 - 2^-k)/k y^k."""
-    acc = 0.0
-    pw = y * y
-    for c in _lgamma1p_coeffs():
-        t = c * pw
-        acc += t
-        if abs(t) < 1e-18 * (abs(acc) + 1e-30):
-            break
-        pw *= y
-    return acc + (((1.5 - _CONSTANTS.gamma) * y - math.log1p(0.5 * y))
-                  - math.log1p(y))
+    return (_power_sum(_lgamma1p_coeffs(), y * y, y)
+            + (((1.5 - _CONSTANTS.gamma) * y - math.log1p(0.5 * y))
+               - math.log1p(y)))
 
 
 def _lgamma(x: float) -> float:
@@ -398,16 +394,7 @@ def _two_zeta_even() -> tuple[float, ...]:
 def _one_over_x_minus_pi_cot(x: float) -> float:
     """1/x - pi cot(pi x) for 0 < x < 1/2 by its series
     sum_k 2 zeta(2k) x^(2k-1), free of the difference's cancellation."""
-    acc = 0.0
-    x2 = x * x
-    pw = x
-    for z in _two_zeta_even():
-        t = z * pw
-        acc += t
-        if t < 1e-18 * acc:
-            break
-        pw *= x2
-    return acc
+    return _power_sum(_two_zeta_even(), x, x * x)
 
 
 def _digamma_real(x: float) -> float:
@@ -593,38 +580,29 @@ def _e1_cf(z: complex) -> complex:
     return h * cmath.exp(-z)
 
 
+@lru_cache(maxsize=1)
+def _sici_coeffs() -> tuple[tuple[float, ...], ...]:
+    """The Maclaurin coefficients in -x^2 of Si(x)/x, Cin(x)/x^2 and
+    (x - sin x)/x^3, 1/((2k+1)(2k+1)!), 1/((2k+2)(2k+2)!) and 1/(2k+3)!
+    for k < 20, each correctly rounded; for x <= 4 the sums stop by k = 16."""
+    return (tuple(1 / (j * math.factorial(j)) for j in range(1, 40, 2)),
+            tuple(1 / (j * math.factorial(j)) for j in range(2, 41, 2)),
+            tuple(1 / math.factorial(j) for j in range(3, 42, 2)))
+
+
 def _cin(x: float) -> float:
     """Cin(x) = int_0^x (1 - cos t)/t dt = gamma + log x - Ci(x) by its
     power series, for |x| <= 4: free of the cancellation of
     Ci(x) - gamma - log x as x -> 0."""
     x2 = x * x
-    cin = 0.0
-    v = -1.0
-    k = 0
-    while True:
-        k += 1
-        v *= -x2 / ((2 * k - 1) * (2 * k))
-        t = v / (2 * k)
-        cin += t
-        if abs(t) < 1e-18 * max(abs(cin), 1e-30):
-            return cin
+    return _power_sum(_sici_coeffs()[1], x2, -x2)
 
 
 def _sici_raw(x: float) -> tuple[float, float]:
     """(Si(x), Ci(x)) for x > 0."""
     if x <= 4.0:
-        x2 = x * x
-        si = x
-        u = x
-        k = 0
-        while True:
-            k += 1
-            u *= -x2 / ((2 * k) * (2 * k + 1))
-            t = u / (2 * k + 1)
-            si += t
-            # <=: below x ~ 1e-306 both sides underflow to 0 (Si(x) = x)
-            if abs(t) <= 1e-18 * abs(si):
-                break
+        # below x ~ 1e-306 x^2 underflows to 0 and the sum stops at Si = x
+        si = _power_sum(_sici_coeffs()[0], x, -x * x)
         return si, _CONSTANTS.gamma + math.log(x) - _cin(x)
     e1 = _e1_cf(complex(0.0, x))
     return e1.imag + 0.5 * math.pi, -e1.real
@@ -654,33 +632,20 @@ def sine_integral(x: float) -> FnEvalResult:
     return FnEvalResult(si, 1e-14 + 1e-15 * abs(si))
 
 
-# lattice caches: the series catalog needs Si/si/Ci at multiples of pi.
-# Only the exact values (n <= 200) are cached: past that the asymptotic
-# series costs less than a cache entry, and long sums would fill the cache.
+# the series catalog's Si/si/Ci at multiples of pi; no run asks past n = 40
 @lru_cache(maxsize=None)
 def _sici_at_pi_mult(n: int, twice: bool) -> tuple[float, float]:
     return _sici_raw((2.0 * math.pi if twice else math.pi) * n)
 
 
 def _si_small_at_pi_mult(n: int, twice: bool = True) -> float:
-    """si(2*pi*n) (twice=True) or si(pi*n); asymptotic beyond n=200."""
-    if n <= 200:
-        return _sici_at_pi_mult(n, twice)[0] - 0.5 * math.pi
-    x = (2.0 * math.pi if twice else math.pi) * n
-    sgn = 1.0 if twice else (-1.0) ** (n % 2)
-    x2 = x * x
-    f = (1.0 / x) * (1.0 - 2.0 / x2 + 24.0 / (x2 * x2)
-                     - 720.0 / (x2 * x2 * x2))
-    return -sgn * f
+    """si(2*pi*n) (twice=True) or si(pi*n)."""
+    return _sici_at_pi_mult(n, twice)[0] - 0.5 * math.pi
 
 
 def _ci_at_2pi_mult(n: int) -> float:
-    """Ci(2*pi*n); asymptotic beyond n=200."""
-    if n <= 200:
-        return _sici_at_pi_mult(n, True)[1]
-    x = 2.0 * math.pi * n
-    x2 = x * x
-    return -(1.0 / x2) * (1.0 - 6.0 / x2 + 120.0 / (x2 * x2))
+    """Ci(2*pi*n)."""
+    return _sici_at_pi_mult(n, True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -801,15 +766,9 @@ def _lnG_taylor_coeffs() -> tuple[float, ...]:
 
 def _lnG_base(w: float) -> float:
     """log G(1+w) for |w| <= 0.5."""
-    acc = 0.5 * (_LOG_2PI - 1.0) * w - 0.5 * (1.0 + _CONSTANTS.gamma) * w * w
-    pw = w ** 3
-    for c in _lnG_taylor_coeffs():
-        t = c * pw
-        acc += t
-        if abs(t) < 1e-18 * (abs(acc) + 1e-30):
-            break
-        pw *= w
-    return acc
+    return _power_sum(_lnG_taylor_coeffs(), w ** 3, w,
+                      0.5 * (_LOG_2PI - 1.0) * w
+                      - 0.5 * (1.0 + _CONSTANTS.gamma) * w * w)
 
 
 def _lnG(x: float) -> float:
@@ -884,16 +843,8 @@ def _cl2(theta: float) -> float:
         return -_cl2(-t)
     if t == 0.0:
         return 0.0
-    acc = t - t * math.log(t)
     r = (t / (2.0 * math.pi)) ** 2
-    pw = t * r
-    for c in _cl2_coeffs():
-        term = c * pw
-        acc += term
-        if abs(term) < 1e-18 * (abs(acc) + 1e-30):
-            break
-        pw *= r
-    return acc
+    return _power_sum(_cl2_coeffs(), t * r, r, t - t * math.log(t))
 
 
 def clausen_cl2(theta: float) -> FnEvalResult:
@@ -912,9 +863,10 @@ _BPOLY_MAX = 12
 
 @lru_cache(maxsize=None)
 def _bpoly_coeffs(n: int) -> tuple[float, ...]:
-    """Coefficients of B_n(x), highest power first."""
-    return tuple(math.comb(n, k) * num / den
-                 for k, (num, den) in enumerate(_bernoulli_fractions(n)))
+    """Coefficients of B_n(x), highest power first; past n = 30, the end
+    of the Bernoulli table, an IndexError."""
+    return tuple(math.comb(n, k) * _BERNOULLI[k][0] / _BERNOULLI[k][1]
+                 for k in range(n + 1))
 
 
 def _bpoly(n: int, x: float) -> float:

@@ -45,7 +45,6 @@ from .series_catalog import (
     _bernoulli_fourier,
     _ps_fast,
     _sum_log_4n2m1,
-    _zeta_m1,
     ci_quarter_sum,
     log_quarter_sum,
     log_weighted_sin_sum,
@@ -257,8 +256,8 @@ def _rhs_1_17(p: float) -> float:
     #   + (pi/2) zeta(2m+1) p] p^(2m-2); the zeta -> 1 parts sum to
     # 1/(1+p^2) and p/(1+p^2), the rest shrinks by 1/4 per term
     s = _ps_fast(lambda m: (-1.0) ** (m - 1) * (
-        (_G + _L2PI) * _zeta_m1(2 * m) - K._zeta_prime_int(2 * m)
-        + 0.5 * _PI * p * _zeta_m1(2 * m + 1)), p * p, 0)[0]
+        (_G + _L2PI) * K._zeta_m1(2 * m) - K._zeta_prime_int(2 * m)
+        + 0.5 * _PI * p * K._zeta_m1(2 * m + 1)), p * p, 0)[0]
     return (_PI / (2.0 * p) * _L2PI
             + ((_G + _L2PI) + 0.5 * _PI * p) / (1.0 + p * p) + s)
 
@@ -266,7 +265,7 @@ def _rhs_1_17(p: float) -> float:
 def _zeta_alternating(t: float) -> float:
     # sum (-1)^n zeta(2n) t^2n with zeta(2n) = 1 + (zeta(2n) - 1): the 1s
     # sum to -t^2/(1+t^2)
-    s = _ps_fast(lambda n: (-1.0) ** n * _zeta_m1(2 * n), t * t, 1)[0]
+    s = _ps_fast(lambda n: (-1.0) ** n * K._zeta_m1(2 * n), t * t, 1)[0]
     return 1.0 + 2.0 * t * t / (1.0 + t * t) - 2.0 * s
 
 
@@ -274,14 +273,7 @@ def _x_minus_sin(x: float) -> float:
     """x - sin x for 0 <= x <= 1 by its power series x^3/3! - x^5/5! + ..,
     free of the cancellation as x -> 0."""
     x2 = x * x
-    t = x * x2 / 6.0
-    acc = t
-    k = 3
-    while abs(t) > 1e-18 * abs(acc):
-        t *= -x2 / ((k + 1) * (k + 2))
-        k += 2
-        acc += t
-    return acc
+    return K._power_sum(K._sici_coeffs()[2], x * x2, -x2)
 
 
 def _rhs_2_1(p: float) -> float:
@@ -909,7 +901,7 @@ def build_records() -> list[IdentityRecord]:
     add(IdentityRecord(
         "I-5.48", 5, "(5.48): shifted zeta series vs Barnes G quotient",
         _expr("sum [zeta(2n+1)-1] x^(2n+2)/(n+1)",
-              lambda x: _ps_fast(lambda n: _zeta_m1(2 * n + 1) / (n + 1.0),
+              lambda x: _ps_fast(lambda n: K._zeta_m1(2 * n + 1) / (n + 1.0),
                                  x * x, 2)[0], err=1e-13),
         _expr("Barnes G quotient form", _rhs_5_48),
         param_names=("x",), param_domain=((0.0, 1.0),),

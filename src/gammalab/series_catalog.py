@@ -45,7 +45,13 @@ from functools import lru_cache
 from itertools import accumulate, chain, count, repeat
 from operator import mul, truediv
 
-from .errors import DomainError, EvaluationError, UnknownKeyError, integer_arg
+from .errors import (
+    DomainError,
+    EvaluationError,
+    GammalabError,
+    UnknownKeyError,
+    integer_arg,
+)
 from .kernels import (
     _EPS,
     _bernoulli_float,
@@ -61,6 +67,7 @@ from .kernels import (
     _si_small_at_pi_mult,
     _sincos_pi,
     _zeta_int,
+    _zeta_m1,
     _zeta_prime_int,
     get_constants,
 )
@@ -116,13 +123,16 @@ def sum_catalog(key: str, params: tuple[float, ...] = (),
             f"{key} takes {entry.nparams} parameter(s), got {len(params)}")
     for i, value in enumerate(params, 1):
         _require_finite(value, f"{key} parameter {i}")
-    if max_terms is None:
-        r = entry.fn(*params)
-    elif max_terms < entry.n_min:
+    if max_terms is not None and max_terms < entry.n_min:
         raise DomainError(
             f"{key} needs max_terms >= {entry.n_min}, got {max_terms}")
-    else:
-        r = entry.fn(*params, max_terms=max_terms)
+    try:
+        r = (entry.fn(*params) if max_terms is None
+             else entry.fn(*params, max_terms=max_terms))
+    except GammalabError:
+        raise
+    except ArithmeticError as exc:
+        raise EvaluationError(f"{key} at {params}: {exc}") from exc
     if not (cmath.isfinite(r.value) and math.isfinite(r.abs_err)):
         raise EvaluationError(f"{key} is not finite at {params}: "
                               f"{r.value} ± {r.abs_err}")
@@ -305,7 +315,7 @@ def _ratio_half_sum(term: Callable[[int], float], n_first: int,
 def s_4_27(max_terms: int | None = None) -> SeriesResult:
     # zeta(2n) -> 1, so split off sum 1/(2n+1)^2 = pi^2/8 - 1
     return _ratio_half_sum(
-        lambda n: _hurwitz(2.0 * n, 2.0) / (2 * n + 1) ** 2, 1, max_terms,
+        lambda n: _zeta_m1(2 * n) / (2 * n + 1) ** 2, 1, max_terms,
         "zeta_split", offset=_PI * _PI / 8.0 - 1.0)
 
 
@@ -473,7 +483,7 @@ def s_5_45(max_terms: int | None = None) -> SeriesResult:
 def s_5_45_2(max_terms: int | None = None) -> SeriesResult:
     # zeta(n+1) - 1 carries the sum; the 1s give log 2
     return _ratio_half_sum(
-        lambda n: (-1.0) ** (n + 1) * _hurwitz(n + 1.0, 2.0) / n, 1,
+        lambda n: (-1.0) ** (n + 1) * _zeta_m1(n + 1) / n, 1,
         max_terms, "zeta_split", offset=math.log(2.0))
 
 
@@ -496,7 +506,7 @@ def s_5_45_4(max_terms: int | None = None) -> SeriesResult:
 
 @_entry("S-5.46.2", "sum [zeta(2n+1) - 1]", 0)
 def s_5_46_2(max_terms: int | None = None) -> SeriesResult:
-    return _ratio_half_sum(lambda n: _hurwitz(2.0 * n + 1.0, 2.0), 1,
+    return _ratio_half_sum(lambda n: _zeta_m1(2 * n + 1), 1,
                            max_terms, "zeta_minus_one")
 
 
@@ -657,13 +667,6 @@ def s_8_11(max_terms: int | None = None) -> SeriesResult:
 # ---------------------------------------------------------------------------
 # power-series families (Maclaurin coefficients built from zeta values)
 # ---------------------------------------------------------------------------
-
-# every power series asks for the same zeta(k) - 1, k <= ~80
-@lru_cache(maxsize=None)
-def _zeta_m1(k: int) -> float:
-    """zeta(k) - 1, full relative precision."""
-    return _hurwitz(float(k), 2.0)
-
 
 def power_series_eval(key: str, x: float,
                       max_terms: int | None = None) -> SeriesResult:

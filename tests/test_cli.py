@@ -44,6 +44,10 @@ def test_eval_integral_and_series(capsys):
     assert run(["eval", "series", "S-6.3"]) == 0
     out = capsys.readouterr().out
     assert "-0.693147180559" in out
+    # a complex value: log Gamma(1 + i/2)
+    assert run(["eval", "series", "PS-5.41", "0.5"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "PS-5.41 0.5 = -0.190945499186779-0.244058298905428j ± ")
 
 
 def test_eval_unknown_key(capsys):
@@ -344,6 +348,21 @@ def test_sweep_checks_whole_grid_before_first_row(capsys):
     assert capsys.readouterr().out.count("CONFIRMED") == 8
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["verify", "--section", "9"], "error: no identities in section 9"),
+    (["eval", "fn", "digamma", "1", "2"],
+     "error: digamma takes 1 parameter(s)"),
+    (["sweep", "I-99.9", "--param", "p", "--from", "0", "--to", "1",
+      "--steps", "3"], "error: unknown identity id 'I-99.9'"),
+    (["sweep", "I-2.6", "--param", "p", "--from", "-1", "--to", "0.5",
+      "--steps", "3"], "error: sweep range outside domain [0.0, 2.0]")])
+def test_cli_rejects_with_one_error_line(argv, err, capsys):
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(err)
+    assert out.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [["polygamma", "1", "1e-200"],
                                   ["bernoulli_poly", "6", "1e300"],
                                   ["digamma", "1e-320"]])
@@ -358,10 +377,14 @@ def test_eval_fn_overflow_exits_1(argv, capsys):
     (["series", "FS-4.16", "1e-320"], "FS-4.16 is not finite"),
     (["integral", "Q-1.1", "--", "-1e300"], "math range error"),
     (["integral", "Q-6.15", "1e-320"], "division by zero"),
-    (["integral", "Q-4.12.7", "7"], "Bernoulli order 15")])
+    (["integral", "Q-4.12.7", "7"], "Bernoulli order 15"),
+    (["integral", "Q-4.12.7", "0"], "Bernoulli order 1,"),
+    (["integral", "Q-2.6-moment", "--", "-1e300"],
+     "error: Q-2.6-moment at (-1e+300,): math range error")])
 def test_eval_numeric_failure_exits_1(argv, message, capsys):
-    # FS-4.16 printed `= inf ± inf`, the quadratures a traceback, and
-    # Q-4.12.7 returned a value past the Bernoulli order cap
+    # FS-4.16 printed `= inf ± inf`, the quadratures a traceback or a bare
+    # "math range error", and Q-4.12.7 returned a value past the Bernoulli
+    # order cap and at the divergent n = 0
     assert run(["eval", *argv]) == 1
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error:")
@@ -505,8 +528,9 @@ def test_verify_all_import_guard(par, tmp_path):
     # evaluated, so typing stays out; its Bernoulli numbers are integer
     # pairs, so fractions and decimal do too, and so do dataclasses and the
     # inspect it pulls in.  The reports are written without the json
-    # package, whose decoder no command uses.  Its constants are stored, so
-    # the import computes no zeta tail and no Bernoulli number.  The process
+    # package, whose decoder no command uses.  Its constants and Bernoulli
+    # numbers are stored, and its coefficient tables are built on first
+    # use, so the import computes no zeta value and no table.  The process
     # then exits with its heap frozen.  -S keeps out what a site .pth file
     # imports (typing, on some installs)
     js, md = str(tmp_path / "r.json"), str(tmp_path / "r.md")
@@ -517,8 +541,10 @@ def test_verify_all_import_guard(par, tmp_path):
               "import gammalab\n"
               "print(loaded())\n"
               "from gammalab import kernels\n"
-              "print(kernels._em_tail_coeffs.cache_info().currsize,\n"
-              "      kernels._BERNOULLI)\n"
+              "print(*(f.cache_info().currsize for f in (\n"
+              "    kernels._em_tail_coeffs, kernels._sici_coeffs,\n"
+              "    kernels._lgamma1p_coeffs, kernels._two_zeta_even,\n"
+              "    kernels._zeta_m1)))\n"
               "from gammalab.cli import main\n"
               "rc = main(['verify', '--all', '--no-timing', '--parallelism',\n"
               f"           '{par}', '--json', {js!r}, '--md', {md!r}])\n"
@@ -527,7 +553,7 @@ def test_verify_all_import_guard(par, tmp_path):
     out = _python(script, flags=["-S"])
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[:2] == ["[]", "0 ((1, 1),)"]
+    assert lines[:2] == ["[]", "0 0 0 0 0"]
     assert lines[-2:] == ["[]", "frozen at exit: True"]
     assert json.loads(Path(js).read_text())["summary"]["total"] == 222
     assert Path(md).read_text().startswith("# Identity verification")

@@ -17,10 +17,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "gammalab"
 FILES = sorted(p.name for p in SRC.glob("*.py"))
 
 ALLOWED = {
-    ("kernels.py", "_bernoulli_fractions",
-     "sum(math.comb(m + 1, k) * p * (den // q) "
-     "for k, (p, q) in enumerate(bs))"):
-        "an exact integer numerator: integer sums do not round",
     ("report.py", "build_report", "sum(v.wall_time for v in verdicts)"):
         "the summed route time, a wall-clock figure that `--no-timing` "
         "leaves out of the report",

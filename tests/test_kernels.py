@@ -321,6 +321,19 @@ def test_exp_integral_domain():
 # zeta family, Stieltjes constant
 # ---------------------------------------------------------------------------
 
+def test_power_sum_stops_after_the_first_negligible_term():
+    # 1 + 1/2 + 1/4 + ...: 2^-59 is the first term at most 1e-18 of the
+    # sum, so 60 coefficients are read; a zero sum stops at once, as Si's
+    # does where x^2 underflows; a short table ends the sum
+    coeffs = iter([1.0] * 100)
+    assert K._power_sum(coeffs, 1.0, 0.5) == 2.0
+    assert len(list(coeffs)) == 40
+    coeffs = iter([1.0] * 5)
+    assert K._power_sum(coeffs, 0.0, 0.5) == 0.0
+    assert len(list(coeffs)) == 4
+    assert K._power_sum((3.0, 2.0), 1.0, 0.5, acc=1.0) == 5.0
+
+
 def _bernoulli_oracle(n_max):
     """B_0 .. B_{n_max} by the defining recurrence in ``Fraction``."""
     bs = [Fraction(1)]
@@ -331,22 +344,19 @@ def _bernoulli_oracle(n_max):
 
 
 def test_bernoulli_floats_equal_exact_fractions():
-    # one table of reduced (numerator, denominator) pairs, grown on demand:
-    # asking for a shorter prefix later neither shrinks nor rebuilds it
-    exact = K._bernoulli_fractions(30)
-    assert exact[:3] == ((1, 1), (-1, 2), (1, 6))
-    assert exact[12] == (-691, 2730)
-    table = K._BERNOULLI
-    assert K._bernoulli_fractions(5) == exact[:6]
-    assert K._BERNOULLI is table and len(table) >= 31
+    # the stored table of reduced (numerator, denominator) pairs is the
+    # defining recurrence's B_0 .. B_30, and each float is rounded once
     oracle = _bernoulli_oracle(30)
+    assert K._BERNOULLI == tuple((b.numerator, b.denominator)
+                                 for b in oracle)
     for n in range(31):
-        ref = oracle[n]
-        assert exact[n] == (ref.numerator, ref.denominator), n
-        assert K._bernoulli_float(n) == float(ref), n
+        assert K._bernoulli_float(n) == float(oracle[n]), n
     for n in range(K._BPOLY_MAX + 1):
         assert K._bpoly_coeffs(n) == tuple(
             float(math.comb(n, k) * oracle[k]) for k in range(n + 1)), n
+    # past the table's end a polynomial is refused, not cut short
+    with pytest.raises(IndexError):
+        K._bpoly_coeffs(31)
 
 
 def test_zeta_examples():

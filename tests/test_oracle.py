@@ -100,9 +100,38 @@ def test_clausen_cl2_any_theta(theta):
 def test_bernoulli_table():
     # the exact (numerator, denominator) pairs, and their floats rounded
     # once, against mpmath's own Bernoulli fractions
-    for n, (num, den) in enumerate(K._bernoulli_fractions(30)):
+    assert len(K._BERNOULLI) == 31
+    for n, (num, den) in enumerate(K._BERNOULLI):
         assert (num, den) == mp.bernfrac(n), n
         assert K._bernoulli_float(n) == float(mp.mpf(num) / den), n
+
+
+def test_zeta_at_integers():
+    # zeta(k) - 1 = zeta(k, 2) keeps its relative precision, and zeta(k) =
+    # 1 + zeta(k, 2) rounds once, so it lies within 1 ulp; a second
+    # Euler-Maclaurin evaluation of zeta(k, 1) was 3.3 ulps off
+    for k in range(2, 81):
+        zm1 = mp.zeta(k, 2)
+        assert abs(K._zeta_m1(k) - zm1) <= 4 * K._EPS * zm1, k
+        z = mp.zeta(k)
+        assert abs(K._zeta_int(k) - z) <= math.ulp(float(z)), k
+
+
+def test_zeta_prime2_at_2():
+    r = K.zeta_family("zeta_prime2_at_2")
+    assert _close(r.value, mp.zeta(2, 1, 2), r.abs_err)
+
+
+def test_si_cin_series_relative_error():
+    # Si and Cin by their power series on (0, 4], and Ci from Cin, within a
+    # few ulps of the sums' largest terms
+    for i in range(1, 201):
+        x = i / 50.0
+        si, ci = K._sici_raw(x)
+        cin = mp.euler + mp.log(x) - mp.ci(x)
+        assert _close(si, mp.si(x), 1e-15 * abs(si)), x
+        assert _close(K._cin(x), cin, 1e-15 * cin), x
+        assert _close(ci, mp.ci(x), 2e-15 * (1.0 + abs(ci))), x
 
 
 def test_gamma1():

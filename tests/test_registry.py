@@ -14,10 +14,16 @@ from gammalab import registry as R
 from gammalab.errors import (
     DomainError,
     EvaluationError,
+    RangeOverflowError,
     UnknownKeyError,
     UnsupportedOrderError,
 )
-from gammalab.integral_catalog import integral_catalog, probe_cauchy
+from gammalab.integral_catalog import (
+    INTEGRAL_CATALOG,
+    IntegralEntry,
+    integral_catalog,
+    probe_cauchy,
+)
 from gammalab.quad import integrate
 from gammalab.registry import (
     EvalOptions,
@@ -194,15 +200,61 @@ def test_sum_catalog_rejects_a_non_finite_result(monkeypatch, value, err):
 
 
 @pytest.mark.parametrize("key, n", [("Q-4.12.7", 6.0), ("Q-4.12.8", 7.0),
-                                    ("Q-4.12.10", 7.0), ("Q-4.12.8", -1.0)])
+                                    ("Q-4.12.10", 7.0), ("Q-4.12.8", -1.0),
+                                    ("Q-4.12.7", 0.0)])
 def test_bernoulli_entries_cap_their_order(key, n):
     # the exact Bernoulli table was built to order 2n+1 with no cap, so a
-    # large n never returned (test_cli's eval at 1e17); the records' domain
-    # [1, 3] stays inside the cap
+    # large n never returned (test_cli's eval at 1e17); B_1(x) cot(pi x) ~
+    # -1/(2 pi x) at both ends, so Q-4.12.7 diverges at n = 0, yet returned
+    # a finite value; the records' domain [1, 3] stays inside the cap
     with pytest.raises(UnsupportedOrderError, match="Bernoulli order"):
         integral_catalog(key, (n,))
     for inside in (1.0, 3.0, 5.0):
         integral_catalog(key, (inside,))
+
+
+def test_even_bernoulli_entries_at_n_0():
+    # unlike Q-4.12.7's, their integrands converge at n = 0
+    for key, ref in (("Q-4.12.8", -math.log(2.0)),
+                     ("Q-4.12.10", 0.5 * math.log(2.0 * math.pi))):
+        r = integral_catalog(key, (0.0,))
+        assert abs(r.value - ref) <= r.abs_err, key
+
+
+def test_arithmetic_error_names_entry_and_params(monkeypatch):
+    # a bare OverflowError read only "math range error": the catalogs name
+    # the entry and its parameters, and chain the original
+    from gammalab import series_catalog
+    with pytest.raises(EvaluationError) as info:
+        integral_catalog("Q-2.6-moment", (-1e300,))
+    assert str(info.value) == "Q-2.6-moment at (-1e+300,): math range error"
+    assert isinstance(info.value.__cause__, OverflowError)
+    monkeypatch.setitem(series_catalog.SERIES_CATALOG, "S-9.1",
+                        series_catalog.SeriesEntry("scratch", 1,
+                                                   lambda x: 1.0 / x))
+    with pytest.raises(EvaluationError) as info:
+        sum_catalog("S-9.1", (0.0,))
+    assert str(info.value) == "S-9.1 at (0.0,): float division by zero"
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+    # a package error that is an ArithmeticError passes through unwrapped
+    def overflow(*args, **kwargs):
+        raise RangeOverflowError("past the double range")
+    monkeypatch.setitem(series_catalog.SERIES_CATALOG, "S-9.2",
+                        series_catalog.SeriesEntry("scratch", 0, overflow))
+    monkeypatch.setitem(INTEGRAL_CATALOG, "Q-9.2",
+                        IntegralEntry("scratch", 0, overflow))
+    for catalog, key in ((sum_catalog, "S-9.2"), (integral_catalog, "Q-9.2")):
+        with pytest.raises(RangeOverflowError, match="^past the double"):
+            catalog(key)
+    # and a route failure's note carries the key
+    rec = IdentityRecord(
+        "I-9.1", 9, "scratch: overflowing route", R._quad("Q-2.6-moment"),
+        Recipe("one", lambda p, opts: (1.0, 1e-15)), param_names=("p",),
+        param_domain=((-1e300, 1.0),), default_params=((-1e300,),))
+    v = Registry(records=[rec]).verify_identity("I-9.1")
+    assert v.status == "INCONCLUSIVE"
+    assert v.note == ("route failure: Q-2.6-moment at (-1e+300,): "
+                      "math range error")
 
 
 def test_program_error_in_route_propagates():
