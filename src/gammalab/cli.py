@@ -148,8 +148,13 @@ def cmd_verify(args) -> int:
             _write_report(md_fh, to_markdown(report, reg, timing=timing))
     for v in verdicts:
         pstr = "(" + ", ".join(fmt15(p) for p in v.params) + ")"
+        # a probe's sides are its cutoff increments d1 and d2
+        probe = (f" lhs=d1={fmt15(v.lhs_value)} rhs=d2={fmt15(v.rhs_value)}"
+                 " (cutoff increments; residual=|d2|-|d1|)"
+                 if v.expected == "DIVERGENT-PROBE" else "")
         print(f"{v.id:12s} {pstr:18s} {v.status:12s} "
-              f"residual={fmt15(v.residual)} budget={fmt15(v.budget)}")
+              f"residual={fmt15(v.residual)} budget={fmt15(v.budget)}"
+              + probe)
     bad = failures(verdicts)
     counts = report.summary["counts"]
     print("summary: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))

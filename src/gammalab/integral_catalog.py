@@ -134,8 +134,9 @@ class _NodeMemo(dict):
     no parameter: log Gamma(x) and psi(1+x), one memo per half of the
     interval, and log sin(pi x).  The argument is the distance 1-sigma of
     a tanh-sinh node pair from its nearer endpoint, or 1/2 at the centre:
-    rules that reached level L leave at most 2^(L+2)+1 keys in each memo
-    (4097 at the default cap of 10), whatever their parameters.
+    rules that reached level L >= 1 have 7*2^L+1 nodes and leave at most
+    7*2^(L-1)+1 keys in each memo (3 585 at the default cap of 10),
+    whatever their parameters.
     """
     __slots__ = ("fn",)
 

@@ -11,7 +11,12 @@ integrand decay double-exponentially at both ends.
   ``log(da)`` so that nodes hugging an endpoint keep full precision.  A
   log singularity needs no declaration.  ``limits=(lo, hi)`` names a
   removable 0/0 value at an endpoint: nodes closer to that endpoint than
-  1e-8 of the interval use it instead of calling f.
+  1e-8 of the interval use it instead of calling f.  The node table ends
+  at t = 3.5, so a rule that reached level L has 7*2^L + 1 nodes.
+  Past t = 3.5 every node lies within 1-sigma < 3e-23 of its endpoint
+  (sigma as in ``_nodes``): an integrand bounded by C(1 + log^2 d) at
+  distance d from an endpoint, as every log singularity and removable
+  limit of the catalog is, loses less than 1e-19*C per endpoint there.
 * ``integrate_semi_infinite(f, scale)`` on [0, inf), by exp-sinh,
   t = scale * exp(u - e^-u).  ``f(t)`` receives the exact t and must decay
   like e^(-t/scale): the last node is at t = 163 scale.  A scale that is
@@ -32,7 +37,7 @@ from .errors import DomainError, EvaluationError
 __all__ = ["QuadResult", "integrate", "integrate_semi_infinite"]
 
 _EPS = 2.220446049250313e-16
-_T_MAX = 4.0
+_T_MAX = 3.5
 _U_MAX = math.log(60.0) + 1.0
 _DEFAULT_MAX_LEVEL = 10
 _MIN_LEVEL, _MAX_LEVEL = 3, 14
@@ -52,6 +57,12 @@ def _nodes(level: int) -> tuple[tuple[float, float], ...]:
     the interval from their nearer endpoint; weight = pi*cosh(t)*sigma*
     (1-sigma).  Level 0 holds t = h, 2h, ...; later levels only the odd
     multiples of their h.
+
+    The table ends at t = _T_MAX = 3.5, where 1-sigma < 3e-23 and the
+    weight is 1.4e-21; the weights integrate to 1-sigma, so nodes past it
+    would add less than 1e-19*C per endpoint for an integrand bounded by
+    C(1 + log^2 d).  A table ending at 3.25 would move 209 route values of
+    the benchmark's sweep pool by up to 0.045 of their bars.
     """
     h = 2.0 ** (-level)
     ks = range(1, int(_T_MAX / h) + 1) if level == 0 else range(

@@ -175,9 +175,12 @@ def to_markdown(report: Report, registry: Registry,
         lines.append("|---|---|---|---|---|---|")
         for v in by_section[sec]:
             pstr = ", ".join(fmt15(p) for p in v.params)
+            # a probe's sides are its cutoff increments d1 and d2
+            d1, d2, r = (("d1 = ", "d2 = ", r"\|d2\| - \|d1\| = ")
+                         if v.expected == "DIVERGENT-PROBE" else ("", "", ""))
             lines.append(
-                f"| {v.id} | {pstr} | {fmt15(v.lhs_value)} "
-                f"| {fmt15(v.rhs_value)} | {fmt15(v.residual)} "
+                f"| {v.id} | {pstr} | {d1}{fmt15(v.lhs_value)} "
+                f"| {d2}{fmt15(v.rhs_value)} | {r}{fmt15(v.residual)} "
                 f"| {v.status} |")
         lines.append("")
     disputed = [v for v in report.verdicts if v.expected == "DISPUTED"]

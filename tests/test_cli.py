@@ -19,6 +19,7 @@ from gammalab.registry import (
     Registry,
     build_records,
 )
+from gammalab.report import fmt15
 
 
 def run(argv):
@@ -94,6 +95,28 @@ def test_verify_all_writes_report(tmp_path, capsys):
     assert "## Section 4" in text
     assert "Disputed items" in text
     capsys.readouterr()
+
+
+def test_probe_rows_name_their_fields(tmp_path, capsys):
+    # a probe's lhs and rhs are its cutoff increments d1 and d2, and its
+    # residual is |d2| - |d1|: the console and the Markdown say so on the
+    # probe rows alone, and the JSON report holds only the numbers
+    md, js = tmp_path / "r.md", tmp_path / "r.json"
+    assert run(["verify", "--ids", "P-logGcot,I-6.16", "--no-timing",
+                "--md", str(md), "--json", str(js)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    probe = json.loads(js.read_text())["verdicts"][1]
+    assert probe["id"] == "P-logGcot"
+    d1, d2 = (fmt15(probe[side]["value"]) for side in ("lhs", "rhs"))
+    assert out[0].startswith("I-6.16 ") and "d1" not in out[0]
+    assert out[1].endswith(f" lhs=d1={d1} rhs=d2={d2} "
+                           "(cutoff increments; residual=|d2|-|d1|)")
+    rows = {r.split()[1]: r for r in md.read_text().splitlines()
+            if r.startswith(("| I-", "| P-"))}
+    assert "d1" not in rows["I-6.16"]
+    assert rows["P-logGcot"].startswith(
+        f"| P-logGcot |  | d1 = {d1} | d2 = {d2} | \\|d2\\| - \\|d1\\| = ")
+    assert "d1" not in js.read_text()
 
 
 def test_verify_json_is_reproducible(tmp_path, capsys):
@@ -506,10 +529,12 @@ def _python(script, *args, flags=(), timeout=120):
 
 
 # registered before anything from gammalab, so it runs after every exit
-# hook the process adds: it reports whether the heap was frozen at exit
+# hook the process adds: it reports whether the heap was frozen at exit.
+# It compares with the count read when it is registered, which a bare
+# 3.12.1 process already puts at 375
 _FREEZE_PROBE = ("import atexit, gc\n"
-                 "atexit.register(lambda: print('frozen at exit:',\n"
-                 "                              gc.get_freeze_count() > 0))\n")
+                 "atexit.register(lambda n=gc.get_freeze_count(): print(\n"
+                 "    'frozen at exit:', gc.get_freeze_count() > n))\n")
 
 
 _FORBIDDEN = ("typing", "numpy", "multiprocessing",

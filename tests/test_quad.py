@@ -362,8 +362,8 @@ def test_catalog_rejects_non_finite_parameters(key):
 
 def _reference_nodes(level):
     h = 2.0 ** (-level)
-    ks = range(1, int(4.0 / h) + 1) if level == 0 else range(
-        1, int(4.0 / h) + 1, 2)
+    ks = range(1, int(3.5 / h) + 1) if level == 0 else range(
+        1, int(3.5 / h) + 1, 2)
     out = []
     for k in ks:
         t = k * h
@@ -605,7 +605,7 @@ def test_node_memos_cannot_change_a_result():
 def test_node_memos_hold_only_unit_interval_nodes():
     # a suite and the first five rounds of the benchmark's sweep pool: every
     # key is the distance of a node of some level <= 10 from its nearer
-    # endpoint (or the centre 1/2), so no memo outgrows 2^12 + 1 keys
+    # endpoint (or the centre 1/2), so no memo outgrows 7*2^9 + 1 keys
     _clear_node_memos()
     reg = Registry()
     reg.run_suite()
@@ -622,4 +622,76 @@ def test_node_memos_hold_only_unit_interval_nodes():
     nodes = {0.5} | {om for level in range(11) for om, _ in _nodes(level)}
     for memo in _node_memos():
         assert memo and set(memo) <= nodes
-        assert len(memo) <= 2 ** 12 + 1
+        assert len(memo) <= 7 * 2 ** 9 + 1
+
+
+# ---------------------------------------------------------------------------
+# the end of the tanh-sinh node table
+# ---------------------------------------------------------------------------
+
+def _with_table_end(t_max, run):
+    """``run()`` with the node table ending at ``t_max``, from empty node
+    caches and memos; the caches are emptied again afterwards."""
+    quad = importlib.import_module("gammalab.quad")
+    saved, quad._T_MAX = quad._T_MAX, t_max
+    _nodes.cache_clear()
+    _clear_node_memos()
+    try:
+        return run()
+    finally:
+        quad._T_MAX = saved
+        _nodes.cache_clear()
+        _clear_node_memos()
+
+
+def test_table_end_at_3_5_moves_no_result():
+    # every catalog point at each level cap and the six probe integrals: the
+    # nodes past t = 3.5 change no bit of a value, a bar or a convergence,
+    # and only save evaluations
+    def results():
+        return ([integral_catalog(key, params, level)
+                 for key, params in CATALOG_POINTS for level in (3, 10, 14)]
+                + [probe_cauchy(which, eps)
+                   for which in ("logGamma_cot", "logx_cot")
+                   for eps in (1e-2, 1e-3, 1e-4)])
+
+    def bits(r):
+        return r.value.hex(), r.abs_err.hex(), r.converged
+    long = _with_table_end(4.0, results)
+    short = _with_table_end(3.5, results)
+    assert len(short) == 3 * len(CATALOG_POINTS) + 6
+    assert [bits(r) for r in short] == [bits(r) for r in long]
+    assert all(s.evals <= r.evals for s, r in zip(short, long))
+    assert sum(s.evals for s in short) < sum(r.evals for r in long)
+
+
+def test_nodes_past_3_5_carry_below_1e_19():
+    # log^2 d, the catalog's worst endpoint growth: at every level up to the
+    # largest cap, the t = 4 table's nodes past t = 3.5 add under 1e-19 to
+    # the rule's value at one endpoint of (0, 1)
+    om_end = 1.0 / (1.0 + math.exp(PI * math.sinh(3.5)))
+    tables = _with_table_end(4.0, lambda: [_nodes(level)
+                                           for level in range(15)])
+    dropped = 0.0
+    for level, table in enumerate(tables):
+        dropped += sum(w * math.log(om) ** 2 for om, w in table
+                       if om < om_end)
+        assert 0.0 < 0.5 ** level * dropped < 1e-19
+    assert om_end < 3e-23
+
+
+def test_suite_evaluations_per_rule(monkeypatch):
+    # the suite's evaluations per rule, the probes included, as the rules
+    # report them (nodes, a limit's stand-ins counted): a measured baseline
+    # for changes to the nodes or the stopping test
+    quad = importlib.import_module("gammalab.quad")
+    levels, evals = quad._levels, {}
+
+    def counting_levels(add, *args):
+        r = levels(add, *args)
+        rule = "tanh-sinh" if add.func is quad._add_level else "exp-sinh"
+        evals[rule] = evals.get(rule, 0) + r.evals
+        return r
+    monkeypatch.setattr(quad, "_levels", counting_levels)
+    Registry().run_suite()
+    assert evals == {"tanh-sinh": 10662, "exp-sinh": 1971}
