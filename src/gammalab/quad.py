@@ -43,8 +43,9 @@ _DEFAULT_MAX_LEVEL = 10
 _MIN_LEVEL, _MAX_LEVEL = 3, 14
 
 
-# value, abs_err: float; evals: int, integrand calls; converged: bool, the
-# error estimate met the tolerance within the level cap
+# value, abs_err: float; evals: int, nodes evaluated, a ``limits`` value
+# that stands in for f counting as one; converged: bool, the error estimate
+# met the tolerance within the level cap
 QuadResult = namedtuple("QuadResult", "value abs_err evals converged")
 
 
@@ -106,7 +107,7 @@ def _exp_sinh_nodes(level: int) -> tuple[tuple[float, float], ...]:
 def _add_level(f, a, b, width, cut, limits, level, acc, abs_acc):
     """Add w*(f(hi) + f(lo)) to ``acc`` and w*|f(hi) + f(lo)| to
     ``abs_acc`` for each tanh-sinh node pair of one level, in node order;
-    return both sums and the number of evaluations.
+    return both sums and the number of nodes.
 
     Both nodes of a pair lie d = width*(1-sigma) < width/2 from their
     nearer endpoint, so only that endpoint's limit can stand in for f.

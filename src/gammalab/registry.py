@@ -43,7 +43,6 @@ from .quad import _DEFAULT_MAX_LEVEL, _check_max_level
 from .series import SeriesResult, zeta_tail_sum
 from .series_catalog import (
     _bernoulli_fourier,
-    _ps_fast,
     _sum_log_4n2m1,
     ci_quarter_sum,
     log_quarter_sum,
@@ -68,14 +67,14 @@ class EvalOptions(namedtuple("EvalOptions", "max_terms level_cap",
 
     Every series route, and every series inside a closed-form route, sums
     the terms its own truncation bound asks for to reach
-    ``series.TARGET_ERR``, except three zeta power series in closed forms
-    (I-1.17 rhs, I-1.25 rhs, I-5.48 lhs), which stop at a term 1e-19 of
-    their sum.  ``max_terms`` caps the terms of every ``series`` and
-    ``power series`` route (``None``: no cap); below the target N an entry
-    sums at the cap and reports its larger error.  Series inside
-    closed-form routes are not capped.  ``level_cap`` caps the refinement
-    levels of every quadrature, divergence probes included; ``quad`` states
-    its default and range, and the one tolerance at which a rule stops.
+    ``series.TARGET_ERR``, or, if its terms shrink geometrically, up to the
+    first term at most 1e-18 of its sum (``kernels._power_sum``).
+    ``max_terms`` caps the terms of every ``series`` and ``power series``
+    route (``None``: no cap); below the target N an entry sums at the cap
+    and reports its larger error.  Series inside closed-form routes are not
+    capped.  ``level_cap`` caps the refinement levels of every quadrature,
+    divergence probes included; ``quad`` states its default and range, and
+    the one tolerance at which a rule stops.
     """
     __slots__ = ()
 
@@ -215,8 +214,10 @@ def _sum_glc(p: float) -> float:
     part (1/expm1(p) - 1/p + 1/2)/(2p), which cancels as p -> 0, comes from
     the Bernoulli series sum_k B_2k p^(2k-2)/(2 (2k)!) = 1/24 - p^2/1440."""
     if abs(p) < 0.5:
-        s1 = _ps_fast(lambda k: K._bernoulli_float(2 * k)
-                      / (2.0 * math.factorial(2 * k)), p * p, 0)[0]
+        # k <= 15: the stored B_0 .. B_30; the sum stops by k = 10
+        s1 = K._power_sum((K._bernoulli_float(2 * k)
+                           / (2.0 * math.factorial(2 * k))
+                           for k in range(1, 16)), 1.0, p * p)
     else:
         s1 = (1.0 / math.expm1(p) - 1.0 / p + 0.5) / (2.0 * p)
     s2 = sum_catalog("S-1.20", (p / _TWO_PI,)).value / _TWO_PI ** 2
@@ -255,9 +256,10 @@ def _rhs_1_17(p: float) -> float:
     # sum_{m>=1} (-1)^(m-1) [(gamma + log 2pi) zeta(2m) - zeta'(2m)
     #   + (pi/2) zeta(2m+1) p] p^(2m-2); the zeta -> 1 parts sum to
     # 1/(1+p^2) and p/(1+p^2), the rest shrinks by 1/4 per term
-    s = _ps_fast(lambda m: (-1.0) ** (m - 1) * (
+    s = K._power_sum(((-1.0) ** (m - 1) * (
         (_G + _L2PI) * K._zeta_m1(2 * m) - K._zeta_prime_int(2 * m)
-        + 0.5 * _PI * p * K._zeta_m1(2 * m + 1)), p * p, 0)[0]
+        + 0.5 * _PI * p * K._zeta_m1(2 * m + 1)) for m in count(1)),
+        1.0, p * p)
     return (_PI / (2.0 * p) * _L2PI
             + ((_G + _L2PI) + 0.5 * _PI * p) / (1.0 + p * p) + s)
 
@@ -265,8 +267,10 @@ def _rhs_1_17(p: float) -> float:
 def _zeta_alternating(t: float) -> float:
     # sum (-1)^n zeta(2n) t^2n with zeta(2n) = 1 + (zeta(2n) - 1): the 1s
     # sum to -t^2/(1+t^2)
-    s = _ps_fast(lambda n: (-1.0) ** n * K._zeta_m1(2 * n), t * t, 1)[0]
-    return 1.0 + 2.0 * t * t / (1.0 + t * t) - 2.0 * s
+    t2 = t * t
+    s = K._power_sum(((-1.0) ** n * K._zeta_m1(2 * n) for n in count(1)),
+                     t2, t2)
+    return 1.0 + 2.0 * t2 / (1.0 + t2) - 2.0 * s
 
 
 def _x_minus_sin(x: float) -> float:
@@ -901,8 +905,9 @@ def build_records() -> list[IdentityRecord]:
     add(IdentityRecord(
         "I-5.48", 5, "(5.48): shifted zeta series vs Barnes G quotient",
         _expr("sum [zeta(2n+1)-1] x^(2n+2)/(n+1)",
-              lambda x: _ps_fast(lambda n: K._zeta_m1(2 * n + 1) / (n + 1.0),
-                                 x * x, 2)[0], err=1e-13),
+              lambda x: K._power_sum((K._zeta_m1(2 * n + 1) / (n + 1.0)
+                                      for n in count(1)), (x * x) ** 2, x * x),
+              err=1e-13),
         _expr("Barnes G quotient form", _rhs_5_48),
         param_names=("x",), param_domain=((0.0, 1.0),),
         default_params=((0.3,), (0.7,), (0.95,))))

@@ -8,9 +8,11 @@ function of N, its expansion once, and its cap, and ``zeta_tail_sum``
 takes the smallest N whose truncation bound, from the first order the
 tail leaves out and the same bound it reports as ``abs_err``, is at most
 :data:`~gammalab.series.TARGET_ERR`.  The CVZ entries take the
-acceleration order for that target, and the sums whose terms halve
-(S-4.27, S-5.45.2, S-5.45.3, S-5.46.2) stop at the first N whose bound,
-twice the next term, meets it.
+acceleration order for that target.  The sums whose terms halve (S-4.27,
+S-5.45.2, S-5.45.3, S-5.46.2) and the ``PS-*`` families sum in
+:func:`~gammalab.kernels._power_sum`, to the first term at most 1e-18 of
+the sum, and bound the rest by |next term| / (1 - r), where r bounds the
+ratio of consecutive terms.
 
 ``max_terms`` is a cap: below the target N an entry sums at the cap and
 reports its larger error.  Each entry declares the smallest cap
@@ -42,7 +44,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from operator import mul, truediv
 
 from .errors import (
@@ -63,6 +65,7 @@ from .kernels import (
     _hurwitz,
     _lnG,
     _one_over_x_minus_pi_cot,
+    _power_sum,
     _require_finite,
     _si_small_at_pi_mult,
     _sincos_pi,
@@ -73,7 +76,6 @@ from .kernels import (
 )
 from .series import (
     CVZ_TERMS,
-    TARGET_ERR,
     SeriesResult,
     cvz_alternating,
     quad_tail,
@@ -291,24 +293,29 @@ def s_4_30_rhs(max_terms: int | None = None) -> SeriesResult:
         floor=1e-12, shift=0.5, method="lattice+asymptotic")
 
 
+def _ratio_sum(coeff: Callable[[int], float], first: int, pw: float,
+               step: float, ratio: float, max_terms: int | None,
+               acc: float = 0.0) -> tuple[float, float, int]:
+    """acc + sum_{n>=first} coeff(n) pw step^(n-first) in ``_power_sum``,
+    at most max_terms terms.  Each term is at most ``ratio`` < 1 of the one
+    before, so the terms left out are at most |next term| / (1 - ratio);
+    returns (sum, that bound, terms summed)."""
+    ns = count(first)
+    s = _power_sum(islice(map(coeff, ns), max_terms), pw, step, acc)
+    n = next(ns)
+    rest = abs(coeff(n) * pw * step ** (n - first)) / (1.0 - ratio)
+    return s, rest, n - first
+
+
 def _ratio_half_sum(term: Callable[[int], float], n_first: int,
                     max_terms: int | None, method: str,
                     offset: float = 0.0) -> SeriesResult:
     """offset + the sum of term(n) from n_first on.  The terms shrink by 1/2
-    or faster, so 2 |next term| bounds what is left; the sum stops at the
-    first N where that bound meets the target, or after max_terms terms."""
-    acc = 0.0
-    n = n_first
-    t = term(n)
-    for used in count(1):
-        acc += t
-        t = term(n + 1)
-        if 2.0 * abs(t) <= TARGET_ERR or used == max_terms:
-            break
-        n += 1
-    value = offset + acc
-    return SeriesResult(value, 2.0 * abs(t) + 1e-14 * (1.0 + abs(value)),
-                        used, method)
+    or faster, so 2 |next term| bounds what is left."""
+    value, rest, used = _ratio_sum(term, n_first, 1.0, 1.0, 0.5, max_terms,
+                                   offset)
+    return SeriesResult(value, rest + 1e-14 * (1.0 + abs(value)), used,
+                        method)
 
 
 @_entry("S-4.27", "sum zeta(2n)/(2n+1)^2", 0)
@@ -675,8 +682,9 @@ def power_series_eval(key: str, x: float,
     Every family converges on the unit disc; the zeta(k) -> 1 part of each
     coefficient is resummed in closed form so that arguments near the
     boundary stay cheap and accurate (log(1 - x^2) as log1p(x) + log1p(-x),
-    not from fl(x x)).  The sum stops once a term is 1e-19 of it, or after
-    ``max_terms`` terms; the error bounds the terms left out.
+    not from fl(x x)).  The sum stops after the first term at most 1e-18 of
+    it (``kernels._power_sum``), or after ``max_terms`` terms; the error
+    bounds the terms left out.
     """
     if key not in _PS_KEYS:
         raise UnknownKeyError(f"unknown power series id {key!r}")
@@ -684,29 +692,32 @@ def power_series_eval(key: str, x: float,
         raise DomainError(f"{key} requires |x| < 1, got {x}")
     g = _C.gamma
     x2 = x * x
+
+    def zeta_sum(coeff, pw=x2):
+        # sum_{n>=1} coeff(n) pw x2^(n-1): the zeta - 1 coefficients shrink
+        # by 1/4 or faster
+        return _ratio_sum(coeff, 1, pw, x2, 0.25 * x2, max_terms)
+
     if key == "PS-5.1":
-        s, rest, used = _ps_fast(lambda n: (-1.0) ** n * _zeta_m1(2 * n + 1),
-                                 x2, 1, max_terms)
+        s, rest, used = zeta_sum(lambda n: (-1.0) ** n * _zeta_m1(2 * n + 1))
         value = g - x2 / (1.0 + x2) + s
     elif key == "PS-5.17":
         # terms x^(2n+2): the zeta->1 part is sum_{m>=2} x2^m/m
-        s, rest, used = _ps_fast(lambda n: _zeta_m1(2 * n + 1) / (n + 1.0),
-                                 x2, 2, max_terms)
+        s, rest, used = zeta_sum(lambda n: _zeta_m1(2 * n + 1) / (n + 1.0),
+                                 x2 ** 2)
         value = -(math.log1p(x) + math.log1p(-x)) - x2 + s
     elif key == "PS-5.32":
-        s, rest, used = _ps_fast(
-            lambda n: _zeta_m1(2 * n + 1) / (2 * n + 1.0), x2, 1, max_terms)
+        s, rest, used = zeta_sum(lambda n: _zeta_m1(2 * n + 1) / (2 * n + 1.0))
         value = math.atanh(x) - x + x * s
         rest *= abs(x)
     elif key == "PS-5.41":
         # log Gamma(1+z) = -log(1+z) + (1-gamma) z
         #                  + sum_{k>=2} (-1)^k (zeta(k)-1) z^k/k at z = ix
-        re, re_rest, re_used = _ps_fast(
-            lambda m: (-1.0) ** m * _zeta_m1(2 * m) / (2.0 * m), x2, 1,
-            max_terms)
-        im, im_rest, im_used = _ps_fast(
+        re, re_rest, re_used = zeta_sum(
+            lambda m: (-1.0) ** m * _zeta_m1(2 * m) / (2.0 * m))
+        im, im_rest, im_used = zeta_sum(
             lambda m: (-1.0) ** (m + 1) * _zeta_m1(2 * m + 1)
-            / (2.0 * m + 1.0), x2, 1, max_terms)
+            / (2.0 * m + 1.0))
         re = -0.5 * math.log1p(x2) + re
         im = (1.0 - g) * x - math.atan(x) + x * im
         err = (1e-13 * (1.0 + abs(re) + abs(im)) + re_rest
@@ -714,29 +725,10 @@ def power_series_eval(key: str, x: float,
         return SeriesResult(complex(re, im), err, max(re_used, im_used),
                             "taylor_accelerated")
     else:  # PS-5.53
-        s, rest, used = _ps_fast(lambda n: _zeta_m1(2 * n + 1) / n, x2, 1,
-                                 max_terms)
+        s, rest, used = zeta_sum(lambda n: _zeta_m1(2 * n + 1) / n)
         value = -(math.log1p(x) + math.log1p(-x)) + s
     return SeriesResult(value, 2e-15 * (1.0 + abs(value)) + rest,
                         used, "taylor_accelerated")
-
-
-def _ps_fast(coeff: Callable[[int], float], x2: float, start_pow: int,
-             max_terms: int | None = None) -> tuple[float, float, int]:
-    """sum_{n>=1} coeff(n) x2^(n+start_pow-1), stopping once a term is
-    1e-19 of the sum, or after max_terms terms.  |coeff(n+1)| <= |coeff(n)|/4
-    (the zeta-1 coefficients shrink by 1/4), so for 0 <= x2 < 1 the terms
-    left out are at most |next term| / (1 - x2/4); returns (sum, bound,
-    terms summed)."""
-    acc = 0.0
-    pw = x2 ** start_pow
-    for n in count(1):
-        t = coeff(n) * pw
-        acc += t
-        pw *= x2
-        if abs(t) <= 1e-19 * max(abs(acc), 1e-25) or n == max_terms:
-            break
-    return acc, abs(coeff(n + 1) * pw) / (1.0 - 0.25 * x2), n
 
 
 _PS_KEYS = ("PS-5.1", "PS-5.17", "PS-5.32", "PS-5.41", "PS-5.53")

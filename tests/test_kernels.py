@@ -5,12 +5,12 @@ functional equations)."""
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from gammalab import kernels as K
@@ -25,6 +25,12 @@ from gammalab.errors import (
 C = K.get_constants()
 GAMMA = 0.5772156649015329  # classical reference value
 PI = math.pi
+
+
+def _grid(a, b, n):
+    """n evenly spaced points from a to b, both included."""
+    step = (b - a) / (n - 1)
+    return [a + i * step for i in range(n - 1)] + [b]
 
 
 # ---------------------------------------------------------------------------
@@ -85,19 +91,18 @@ def test_log_gamma_at_1_and_half():
 
 
 def test_log_gamma_product_oracle():
-    # independent route: log Gamma(1+x) = sum[x log(1+1/n) - log(1+x/n)]
-    x = 0.5
-    n = np.arange(1, 1_000_001, dtype=float)
-    oracle = float((x * np.log1p(1.0 / n) - np.log1p(x / n)).sum())
-    got = K.log_gamma(1.5).value
-    assert got == pytest.approx(oracle, abs=2e-7)   # oracle truncation
-    assert got == pytest.approx(-0.1207822376352452, abs=1e-12)
+    # the product's limit, log Gamma(3/2), from mpmath at 30 digits
+    mp = pytest.importorskip("mpmath")
+    r = K.log_gamma(1.5)
+    with mp.workdps(30):
+        assert abs(mp.mpf(r.value) - mp.loggamma(1.5)) <= r.abs_err
+    assert r.value == pytest.approx(-0.1207822376352452, abs=1e-12)
 
 
 def test_log_gamma_matches_libm_on_grid():
-    for x in np.linspace(0.05, 30.0, 173):
-        mine = K.log_gamma(float(x))
-        ref = math.lgamma(float(x))
+    for x in _grid(0.05, 30.0, 173):
+        mine = K.log_gamma(x)
+        ref = math.lgamma(x)
         assert abs(mine.value - ref) <= max(mine.abs_err, 4e-15 * (1 + abs(ref)))
 
 
@@ -159,10 +164,11 @@ def test_cot_pi_keeps_its_floats():
     # digamma's reflection goes through _cot_pi: wherever x - floor(x) is
     # exact (all x but (-1/2, 0)) it gives the floats of the floor form,
     # half-integers included; on (-1/2, 0) that form rounded x + 1
-    rng = np.random.default_rng(16)
-    xs = np.concatenate([rng.uniform(0.0, 1.0, 2000), rng.uniform(-60, 60, 2000),
-                         np.arange(-20, 21) + 0.5, [1e-300, 0.25, 0.75]])
-    for x in map(float, xs):
+    rng = random.Random(16)
+    xs = ([rng.uniform(0.0, 1.0) for _ in range(2000)]
+          + [rng.uniform(-60.0, 60.0) for _ in range(2000)]
+          + [k + 0.5 for k in range(-20, 21)] + [1e-300, 0.25, 0.75])
+    for x in xs:
         if not -0.5 < x < 0.0:
             assert K._cot_pi(x).hex() == _cot_pi_by_floor(x).hex(), x
     for x in (0.0, -3.0, 7.0, 2.0 ** 53):
@@ -221,9 +227,9 @@ def test_lambda_two_route_agreement_grid():
     # the verdicts take only the digamma route (registry._lam), so this is
     # where its direct series cross-checks it over every v their closed
     # forms reach: |v| <= 1.28 (I-1.8), v <= 7.96 (I-1.12), x <= 4 (I-5.x)
-    for v in np.linspace(-1.3, 8.0, 187):
-        a, ea = K._lambda_digamma(float(v))
-        b, eb = K._lambda_series(float(v))
+    for v in _grid(-1.3, 8.0, 187):
+        a, ea = K._lambda_digamma(v)
+        b, eb = K._lambda_series(v)
         assert abs(a - b) <= ea + eb, v
 
 
@@ -495,9 +501,9 @@ def test_barnes_g_examples():
 
 
 def test_barnes_functional_equation_grid():
-    for x in np.linspace(0.25, 2.0, 36):
-        r = (K.log_barnes_g(1.0 + float(x)).value
-             - K.log_barnes_g(float(x)).value - K.log_gamma(float(x)).value)
+    for x in _grid(0.25, 2.0, 36):
+        r = (K.log_barnes_g(1.0 + x).value
+             - K.log_barnes_g(x).value - K.log_gamma(x).value)
         assert abs(r) < 1e-10, x
 
 
@@ -520,10 +526,11 @@ def test_barnes_domain():
 def test_clausen_special_points():
     assert K.clausen_cl2(0.0).value == 0.0
     assert abs(K.clausen_cl2(PI).value) < 1e-15
-    # alternating odd-series oracle for Cl2(pi/2) = Catalan
-    k = np.arange(0, 2_000_000, dtype=float)
-    partial = float(((-1.0) ** (k % 2) / (2 * k + 1) ** 2).sum())
-    assert K.clausen_cl2(PI / 2).value == pytest.approx(partial, abs=3e-13)
+    # Cl2(pi/2) = Catalan, by mpmath
+    mp = pytest.importorskip("mpmath")
+    r = K.clausen_cl2(PI / 2)
+    with mp.workdps(30):
+        assert abs(mp.mpf(r.value) - mp.catalan) <= r.abs_err
 
 
 def test_clausen_periodicity_and_oddness():
@@ -545,16 +552,8 @@ def test_bernoulli_poly_examples():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("x", [0.1, 0.25, 0.5])
 def test_bernoulli_poly_vs_truncated_fourier(n, x):
-    kmax = 10_000
-    k = np.arange(1, kmax + 1, dtype=float)
-    if n % 2 == 0:
-        series = float((np.cos(2 * PI * k * x) / k ** n).sum())
-        sign = (-1.0) ** (n // 2 + 1)
-    else:
-        series = float((np.sin(2 * PI * k * x) / k ** n).sum())
-        sign = (-1.0) ** ((n - 1) // 2 + 1)
-    fourier = sign * 2.0 * math.factorial(n) / (2 * PI) ** n * series
-    # analytic truncation bound: 4 (n)!/(2 pi)^n * sum_{k>K} k^-n
-    tail = (kmax ** (1 - n) / (n - 1)) if n > 1 else 1.0 / kmax * 50
-    bound = 4.0 * math.factorial(n) / (2 * PI) ** n * (tail + kmax ** -1.0)
-    assert abs(K.bernoulli_poly(n, x).value - fourier) <= max(bound, 1e-7)
+    # the Fourier series' sum, B_n(x), by mpmath
+    mp = pytest.importorskip("mpmath")
+    r = K.bernoulli_poly(n, x)
+    with mp.workdps(30):
+        assert abs(mp.mpf(r.value) - mp.bernpoly(n, x)) <= r.abs_err

@@ -1,12 +1,12 @@
 """Independent high-precision oracle: every sum the package takes through
-``zeta_tail_sum`` or ``cvz_alternating`` must lie within its own reported
-error of mpmath at 30 digits."""
+``zeta_tail_sum`` or ``cvz_alternating``, and every geometric sum at any
+cap, must lie within its own reported error of mpmath at 30 digits."""
 
 import json
 import math
+import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 mp = pytest.importorskip("mpmath")
@@ -22,6 +22,7 @@ from gammalab.series_catalog import (  # noqa: E402
     _tn_asymptotic,
     _tn_orders,
     log_weighted_sin_sum,
+    power_series_eval,
     psi_sin_partial,
     sum_catalog,
 )
@@ -165,7 +166,7 @@ def test_constants_are_correctly_rounded():
 
 # the benchmark's kernel range, then the direct sum's far end (N = 4|v|)
 # and the asymptotic branch past |v| = 1e4
-_LAMBDA_V = [float(v) for v in np.linspace(-1.3, 8.0, 32)] + [
+_LAMBDA_V = [-1.3 + i * ((8.0 + 1.3) / 31) for i in range(31)] + [8.0] + [
     0.0, 20.0, 1e3, 9999.0, 1.0001e4, 1e5, -1e5]
 
 
@@ -182,6 +183,56 @@ def test_lambda_digamma(v):
     value, err = K._lambda_digamma(v)
     assert err <= 1e-13 * max(1.0, abs(value))
     assert _close(value, -mp.re(mp.digamma(1 + 1j * mp.mpf(v))), err), v
+
+
+# the routes whose terms shrink geometrically, at caps on either side of
+# the N at which kernels._power_sum stops them: every bar must hold
+_CAPS = (1, 2, 3, 5, 10, None)
+_rng = random.Random(37)
+_PS_X = [0.0, 0.5, -0.5] + [_rng.uniform(-0.95, 0.95) for _ in range(6)]
+
+
+def _odd_zeta_series(term):
+    """x -> sum_{n>=1} zeta(2n+1) term(n, x)."""
+    return lambda x: mp.nsum(lambda n: mp.zeta(2 * n + 1) * term(n, x),
+                             [1, mp.inf], method="direct")
+
+
+_PS_REF = {
+    "PS-5.1": lambda x: -mp.re(mp.digamma(1 + 1j * x)),
+    "PS-5.17": _odd_zeta_series(lambda n, x: x ** (2 * n + 2) / (n + 1)),
+    "PS-5.32": _odd_zeta_series(lambda n, x: x ** (2 * n + 1) / (2 * n + 1)),
+    "PS-5.41": lambda x: mp.loggamma(1 + 1j * x),
+    "PS-5.53": _odd_zeta_series(lambda n, x: x ** (2 * n) / n),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PS_REF))
+def test_power_series_bars_hold_at_every_cap(key):
+    for x in _PS_X:
+        ref = _PS_REF[key](mp.mpf(x))
+        for cap in _CAPS:
+            r = power_series_eval(key, x, cap)
+            assert abs(mp.mpmathify(r.value) - ref) <= r.abs_err, (x, cap)
+
+
+# term(n), the first n and the nsum method that converges fastest on it
+_HALVING_SUMS = {
+    "S-4.27": (lambda n: mp.zeta(2 * n) / (2 * n + 1) ** 2, 1, "r"),
+    "S-5.45.2": (lambda n: (-1) ** (n + 1) * mp.zeta(n + 1) / n, 1, "s"),
+    "S-5.45.3": (lambda n: -mp.zeta(n, 1, 1), 2, "direct"),
+    "S-5.46.2": (lambda n: mp.zeta(2 * n + 1) - 1, 1, "direct"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_HALVING_SUMS))
+def test_halving_sum_bars_hold_at_every_cap(key):
+    term, first, method = _HALVING_SUMS[key]
+    ref = mp.nsum(term, [first, mp.inf], method=method)
+    assert _close(sum_catalog(key).value, ref, 5e-16)
+    for cap in _CAPS:
+        r = sum_catalog(key, max_terms=cap)
+        assert _close(r.value, ref, r.abs_err), cap
 
 
 @pytest.mark.parametrize("x", [0.25, 0.5, 0.95, 0.0]

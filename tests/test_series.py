@@ -4,7 +4,6 @@ import inspect
 import math
 import random
 
-import numpy as np
 import pytest
 
 from gammalab import kernels as K
@@ -459,11 +458,8 @@ def test_lemma_taylor_vs_direct(u):
 def test_partial_fraction_lemma(n):
     # sum_{m != n} 1/(m^2-n^2) = 3/(4n^2)
     m_hi = 20_000
-    m = np.arange(1, m_hi + 1, dtype=float)
-    den = m * m - float(n * n)
-    den[n - 1] = 1.0
-    vals = 1.0 / den
-    vals[n - 1] = 0.0
+    vals = [0.0 if m == n else 1.0 / (m * m - n * n)
+            for m in range(1, m_hi + 1)]
     total = zeta_tail_sum(lambda m_last: vals[:m_last],
                           lambda m: quad_tail(float(n * n), {0: 1.0}, m),
                           n_min=m_hi, cap=m_hi).value
