@@ -147,7 +147,7 @@ def _bernoulli_float(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz zeta by Euler-Maclaurin; zeta(k), zeta'(k) at integer k (cached)
+# Hurwitz zeta by Euler-Maclaurin; zeta(k), zeta'(k) at integer k (stored)
 # ---------------------------------------------------------------------------
 
 # terms summed directly before the Euler-Maclaurin tail, and its orders
@@ -226,11 +226,66 @@ def _hurwitz_em(s: float, a: float, order: int = 0) -> float:
             + qs / q * (p2 - 2.0 * lq * p1 + lq * lq * p0))
 
 
-# every power series asks for the same zeta(k) - 1, k <= ~80
-@lru_cache(maxsize=None)
+# zeta(k) - 1 for k = 2 .. 53 and zeta'(k) for k = 2 .. 93, each the double
+# nearest the value (tests/make_tables.py).  Past each table the first two
+# terms of the Dirichlet series are correctly rounded, for every k to 1100
+_ZETA_M1 = (
+    0.6449340668482264, 0.2020569031595943, 0.08232323371113819,
+    0.03692775514336993, 0.01734306198444914, 0.008349277381922827,
+    0.00407735619794434, 0.0020083928260822143, 0.0009945751278180853,
+    0.0004941886041194645, 0.0002460865533080483, 0.00012271334757848915,
+    6.124813505870483e-05, 3.058823630702049e-05, 1.528225940865187e-05,
+    7.637197637899763e-06, 3.81729326499984e-06, 1.908212716553939e-06,
+    9.539620338727962e-07, 4.769329867878064e-07, 2.38450502727733e-07,
+    1.1921992596531106e-07, 5.960818905125948e-08, 2.980350351465228e-08,
+    1.4901554828365043e-08, 7.45071178983543e-09, 3.725334024788457e-09,
+    1.862659723513049e-09, 9.313274324196682e-10, 4.656629065033784e-10,
+    2.3283118336765053e-10, 1.164155017270052e-10, 5.820772087902701e-11,
+    2.9103850444971e-11, 1.4551921891041985e-11, 7.275959835057482e-12,
+    3.637979547378651e-12, 1.818989650307066e-12, 9.094947840263888e-13,
+    4.547473783042154e-13, 2.2737368458246524e-13, 1.136868407680228e-13,
+    5.684341987627585e-14, 2.842170976889302e-14, 1.4210854828031608e-14,
+    7.105427395210853e-15, 3.552713691337114e-15, 1.7763568435791204e-15,
+    8.881784210930816e-16, 4.440892103143813e-16, 2.220446050798042e-16,
+    1.1102230251410661e-16)
+
+_ZETA_PRIME = (
+    -0.9375482543158438, -0.19812624288563685, -0.06891126589612538,
+    -0.02857378050946295, -0.012852165131795726, -0.006033516960875638,
+    -0.002901952553710673, -0.001415982227241809, -0.0006970330081713937,
+    -0.0003450222223683635, -0.00017138284585435377, -8.532390865593046e-05,
+    -4.254149338178082e-05, -2.123108553300034e-05, -1.0602442032514314e-05,
+    -5.296883357529712e-06, -2.647002978815879e-06, -1.32302369477849e-06,
+    -6.613530207367108e-07, -3.306236767712906e-07, -1.652942541579519e-07,
+    -8.264127237635775e-08, -4.1318686290136234e-08, -2.065869359501104e-08,
+    -1.0329130384528033e-08, -5.1644930804760725e-09, -2.5822225094320892e-09,
+    -1.2911032460593604e-09, -6.45548953880003e-10, -3.2277358732399237e-10,
+    -1.6138649714844644e-10, -8.069314974264981e-11, -4.0346541929035525e-11,
+    -2.0173259984146603e-11, -1.0086626332047546e-11, -5.0433119460396735e-12,
+    -2.5216555663645905e-12, -1.2608276476320762e-12, -6.304137786330142e-13,
+    -3.1520687425559474e-13, -1.5760343210751714e-13, -7.880171438033781e-14,
+    -3.940085663236347e-14, -1.9700428130246968e-14, -9.85021400314532e-15,
+    -4.925106980913296e-15, -2.462553483570199e-15, -1.2312767394896178e-15,
+    -6.156383689796488e-16, -3.078191842347711e-16, -1.539095920323678e-16,
+    -7.695479598784467e-17, -3.847739798447592e-17, -1.9238698989089155e-17,
+    -9.619349493494977e-18, -4.8096747463976215e-18, -2.4048373730821884e-18,
+    -1.20241868650222e-18, -6.01209343238152e-19, -3.0060467161475666e-19,
+    -1.5030233580593856e-19, -7.515116790248935e-20, -3.7575583951084695e-20,
+    -1.8787791975489024e-20, -9.393895987726736e-21, -4.6969479938574435e-21,
+    -2.3484739969267466e-21, -1.174236998462715e-21, -5.87118499231138e-22,
+    -2.935592496154959e-22, -1.4677962480772354e-22, -7.338981240385365e-23,
+    -3.6694906201924115e-23, -1.8347453100961155e-23, -9.173726550480276e-24,
+    -4.5868632752400375e-24, -2.2934316376199853e-24, -1.1467158188099816e-24,
+    -5.733579094049871e-25, -2.866789547024923e-25, -1.4333947735124573e-25,
+    -7.166973867562273e-26, -3.583486933781132e-26, -1.7917434668905645e-26,
+    -8.958717334452817e-27, -4.479358667226407e-27, -2.2396793336132027e-27,
+    -1.1198396668066012e-27, -5.599198334033006e-28, -2.7995991670165025e-28,
+    -1.3997995835082512e-28, -6.998997917541256e-29)
+
+
 def _zeta_m1(k: int) -> float:
-    """zeta(k) - 1 = zeta(k, 2) for integer k >= 2, to full precision."""
-    return _hurwitz_em(float(k), 2.0)
+    """zeta(k) - 1 = zeta(k, 2) for integer k >= 2, correctly rounded."""
+    return _ZETA_M1[k - 2] if k < 54 else 2.0 ** -k + 3.0 ** -k
 
 
 def _zeta_int(k: int) -> float:
@@ -238,12 +293,11 @@ def _zeta_int(k: int) -> float:
     return 1.0 + _zeta_m1(k)
 
 
-@lru_cache(maxsize=None)
 def _zeta_prime_int(k: int) -> float:
-    """zeta'(k) for integer k >= 2."""
-    if k > 56:
-        return -math.log(2.0) * 2.0 ** (-k) - math.log(3.0) * 3.0 ** (-k)
-    return _hurwitz_em(float(k), 1.0, order=1)
+    """zeta'(k) for integer k >= 2, correctly rounded."""
+    if k < 94:
+        return _ZETA_PRIME[k - 2]
+    return -math.log(2.0) * 2.0 ** (-k) - math.log(3.0) * 3.0 ** (-k)
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +325,19 @@ def _stirling_lgamma(x: float) -> float:
     return acc
 
 
-# the series of _lgamma1p, whose terms shrink like (|y|/3)^k, stops before
-# k = 26 for |y| <= 1/2
-_LGAMMA1P_ORDER = 25
-
-
-@lru_cache(maxsize=None)
-def _lgamma1p_coeffs() -> tuple[float, ...]:
-    # (-1)^k (zeta(k) - 1 - 2^-k)/k, k = 2 .. _LGAMMA1P_ORDER; the
-    # Hurwitz zeta(k, 3) is that difference without the cancellation
-    return tuple((-1.0) ** k * _hurwitz_em(float(k), 3.0) / k
-                 for k in range(2, _LGAMMA1P_ORDER + 1))
+# (-1)^k (zeta(k) - 1 - 2^-k)/k = (-1)^k zeta(k, 3)/k, k = 2 .. 25, the
+# coefficients of _lgamma1p's series, each the double nearest the value
+# (tests/make_tables.py); the terms shrink like (|y|/3)^k, so the sum stops
+# before the table's end for |y| <= 1/2
+_LGAMMA1P_COEFFS = (
+    0.19746703342411323, -0.025685634386531427, 0.004955808427784548,
+    -0.0011355510286739853, 0.0002863436640748566, -7.66824831318324e-05,
+    2.1388274743042423e-05, -6.140869564690491e-06, 1.8012627818085338e-06,
+    -5.370321926785962e-07, 1.6216069233735823e-07, -4.946423680685744e-08,
+    1.5212772050344947e-08, -4.710545468032904e-09, 1.4668966344919833e-09,
+    -4.5900627351542783e-10, 1.4422218749110315e-10, -4.54780916546803e-11,
+    1.4385873327305658e-11, -4.563265937212529e-12, 1.4510739168404548e-12,
+    -4.624528056444812e-13, 1.4767816120227553e-13, -4.7245078278707445e-14)
 
 
 def _lgamma1p(y: float) -> float:
@@ -291,7 +347,7 @@ def _lgamma1p(y: float) -> float:
     first two terms of zeta(k) = 1 + 2^-k + ... summed in closed form:
     (3/2 - gamma) y - log1p(y) - log1p(y/2) + sum_{k>=2} (-1)^k
     (zeta(k) - 1 - 2^-k)/k y^k."""
-    return (_power_sum(_lgamma1p_coeffs(), y * y, y)
+    return (_power_sum(_LGAMMA1P_COEFFS, y * y, y)
             + (((1.5 - _CONSTANTS.gamma) * y - math.log1p(0.5 * y))
                - math.log1p(y)))
 

@@ -83,10 +83,11 @@ def zeta_tail_sum(terms: Callable[[int], Iterable[float]],
                   omitted: Orders = {}, log_omitted: Orders = {},
                   n_min: int = 1, cap: int | None = None,
                   floor: float = 2e-14, shift: float = 1.0,
-                  method: str = "direct+zh_tail") -> SeriesResult:
+                  method: str = "direct+zh_tail",
+                  target: float = TARGET_ERR) -> SeriesResult:
     """``terms(N)``, the terms n <= N, plus the tail past N, all summed
     exactly rounded by ``math.fsum``, at the smallest N >= ``n_min`` whose
-    truncation bound meets ``TARGET_ERR``, at most ``cap``
+    truncation bound meets ``target``, at most ``cap``
     (:func:`target_terms`; ``n_min >= cap`` takes N = cap unprobed).
 
     ``tail`` maps k to c_k of c_k n^-k, ``log_tail`` maps k to d_k of
@@ -120,7 +121,7 @@ def zeta_tail_sum(terms: Callable[[int], Iterable[float]],
         probed[n] = e, b
         return b
 
-    n_last = target_terms(bound, n_min, cap)
+    n_last = target_terms(bound, n_min, cap, target)
     pair = probed.get(n_last)
     o, lo, t, lt = expansion(n_last) if pair is None else pair[0]
     a = n_last + shift

@@ -31,8 +31,8 @@ non-finite parameter with ``DomainError``.
 :func:`log_weighted_sin_sum` and the registry's alternating cosine sum
 share :func:`_bernoulli_fourier`: exact Bernoulli slices of their 1/n
 expansion plus a residual summed to the target N; the residual
-coefficients of the first five depend on n alone and are computed once per
-process for each n.  ``FS-4.16`` also sums
+coefficients of the next four depend on n alone and are computed once per
+process for each n, and ``FS-4.16``'s are stored.  ``FS-4.16`` also sums
 the 1/n and log(n)/n orders of its coefficients in closed form, and its
 residual to n = 11, past which its bound holds.
 """
@@ -76,6 +76,7 @@ from .kernels import (
 )
 from .series import (
     CVZ_TERMS,
+    TARGET_ERR,
     SeriesResult,
     cvz_alternating,
     quad_tail,
@@ -128,9 +129,23 @@ def sum_catalog(key: str, params: tuple[float, ...] = (),
     if max_terms is not None and max_terms < entry.n_min:
         raise DomainError(
             f"{key} needs max_terms >= {entry.n_min}, got {max_terms}")
+    return (_sum(key, params, max_terms) if params
+            else _sum_parameter_free(key, max_terms))
+
+
+@lru_cache(maxsize=None)
+def _sum_parameter_free(key: str, max_terms: int | None) -> SeriesResult:
+    """A series without parameters, summed once per process for each cap;
+    an error is raised again at every call."""
+    return _sum(key, (), max_terms)
+
+
+def _sum(key: str, params: tuple[float, ...],
+         max_terms: int | None) -> SeriesResult:
+    fn = SERIES_CATALOG[key].fn
     try:
-        r = (entry.fn(*params) if max_terms is None
-             else entry.fn(*params, max_terms=max_terms))
+        r = (fn(*params) if max_terms is None
+             else fn(*params, max_terms=max_terms))
     except GammalabError:
         raise
     except ArithmeticError as exc:
@@ -294,14 +309,14 @@ def s_4_30_rhs(max_terms: int | None = None) -> SeriesResult:
 
 
 def _ratio_sum(coeff: Callable[[int], float], first: int, pw: float,
-               step: float, ratio: float, max_terms: int | None,
-               acc: float = 0.0) -> tuple[float, float, int]:
-    """acc + sum_{n>=first} coeff(n) pw step^(n-first) in ``_power_sum``,
-    at most max_terms terms.  Each term is at most ``ratio`` < 1 of the one
-    before, so the terms left out are at most |next term| / (1 - ratio);
-    returns (sum, that bound, terms summed)."""
+               step: float, ratio: float, max_terms: int | None
+               ) -> tuple[float, float, int]:
+    """sum_{n>=first} coeff(n) pw step^(n-first) in ``_power_sum``, at most
+    max_terms terms.  Each term is at most ``ratio`` < 1 of the one before,
+    so the terms left out are at most |next term| / (1 - ratio); returns
+    (sum, that bound, terms summed)."""
     ns = count(first)
-    s = _power_sum(islice(map(coeff, ns), max_terms), pw, step, acc)
+    s = _power_sum(islice(map(coeff, ns), max_terms), pw, step)
     n = next(ns)
     rest = abs(coeff(n) * pw * step ** (n - first)) / (1.0 - ratio)
     return s, rest, n - first
@@ -310,12 +325,17 @@ def _ratio_sum(coeff: Callable[[int], float], first: int, pw: float,
 def _ratio_half_sum(term: Callable[[int], float], n_first: int,
                     max_terms: int | None, method: str,
                     offset: float = 0.0) -> SeriesResult:
-    """offset + the sum of term(n) from n_first on.  The terms shrink by 1/2
-    or faster, so 2 |next term| bounds what is left."""
-    value, rest, used = _ratio_sum(term, n_first, 1.0, 1.0, 0.5, max_terms,
-                                   offset)
-    return SeriesResult(value, rest + 1e-14 * (1.0 + abs(value)), used,
-                        method)
+    """offset + the sum of term(n) from n_first on, the offset added last,
+    where it rounds once.  The terms shrink by 1/2 or faster, so
+    2 |next term| bounds what is left, and B = |offset| + 2 |term(n_first)|
+    bounds the offset, every partial sum and the terms' sizes summed.  The
+    rounding is taken at 2 eps B: each term is off by an ulp at most (its
+    correctly rounded zeta value and one operation), and each addition by
+    half an ulp of a partial sum, and these partly cancel."""
+    s, rest, used = _ratio_sum(term, n_first, 1.0, 1.0, 0.5, max_terms)
+    value = offset + s
+    bound = abs(offset) + 2.0 * abs(term(n_first))
+    return SeriesResult(value, rest + 2.0 * _EPS * bound, used, method)
 
 
 @_entry("S-4.27", "sum zeta(2n)/(2n+1)^2", 0)
@@ -354,34 +374,15 @@ _TN_ASYMPTOTIC_N = 12
 # the expansion's orders zeta'(-2j)/n^(2j+2) kept, j = 1 .. 6; at n = 12
 # the first omitted one is 1.6e-18
 _TN_ORDERS = 6
-# zeta'(0) - 1/2, the constant of T_n's order 1/n^2
-_TN_SHIFT = -0.5 * _C.log_2pi - 0.5
 
 
 @lru_cache(maxsize=1)
 def _tn_orders() -> tuple[tuple[float, ...], float]:
     """zeta'(-2j) = (-1)^j (2j)! zeta(2j+1) / (2 (2 pi)^(2j)) for j =
-    ``_TN_ORDERS`` down to 1 (Horner's order), and |zeta'(-2j)| at the
-    first omitted j."""
+    ``_TN_ORDERS`` down to 1, and |zeta'(-2j)| at the first omitted j."""
     zp = [(-1.0) ** j * math.factorial(2 * j) * _zeta_int(2 * j + 1)
           / (2.0 * _TWO_PI ** (2 * j)) for j in range(1, _TN_ORDERS + 2)]
     return tuple(reversed(zp[:_TN_ORDERS])), abs(zp[_TN_ORDERS])
-
-
-def _tn_asymptotic(n: int) -> tuple[float, float]:
-    """T_n = pi^2/(4n) + (log n/4 + zeta'(0) - 1/2)/n^2
-    + sum_{j>=1} zeta'(-2j)/n^(2j+2), to j = ``_TN_ORDERS``, by Horner's
-    rule in w = 1/n^2, and its error bound.  The orders alternate in sign
-    and the expansion envelopes T_n, so the first omitted order bounds the
-    truncation; 4 ulp cover the rounding."""
-    orders, omitted = _tn_orders()
-    w = 1.0 / (float(n) * float(n))
-    poly = 0.0
-    for zp in orders:
-        poly = poly * w + zp
-    value = _PI ** 2 / (4.0 * n) + w * (
-        (0.25 * math.log(n) + _TN_SHIFT) + w * poly)
-    return value, omitted * w ** (_TN_ORDERS + 2) + 4.0 * math.ulp(value)
 
 
 def _with_harmonic(n_last: int):
@@ -427,12 +428,15 @@ def s_5_13(x: float, max_terms: int | None = None) -> SeriesResult:
     # = -(psi(1+x) + psi(1-x))/2 = gamma + x^2 sum 1/(n (n^2 - x^2)) (DLMF
     # 5.7.6): the tail has only the orders x^2j n^(-2j-3), of which N = 8
     # needs at most 9 for |x| < 1 (quad_tail, which needs (N+1)^2 >= 2 x^2).
-    # The bar is x^2 times the sum's, plus the rounding of gamma + x^2 s
+    # The bar is x^2 times the sum's, plus the rounding of gamma + x^2 s, so
+    # past |x| = 1 the sum's floor and target shrink by 1/x^2
     q = x * x
+    scale = 1.0 / max(1.0, q)
     s = zeta_tail_sum(lambda n_last: (1.0 / (n * ((n - x) * (n + x)))
                                       for n in range(1, n_last + 1)),
                       lambda n: quad_tail(q, {1: 1.0}, n), n_min=8,
-                      cap=max_terms)
+                      cap=max_terms, floor=2e-14 * scale,
+                      target=TARGET_ERR * scale)
     g = _C.gamma
     qs = q * s.value
     return SeriesResult(g + qs, q * s.abs_err + 4.0 * _EPS * (g + abs(qs)),
@@ -830,26 +834,26 @@ def fs_7_1(x: float, max_terms: int | None = None) -> SeriesResult:
     return SeriesResult(acc, err, n_last, "closed+residual")
 
 
-@lru_cache(maxsize=1)
-def _log_g_residuals() -> tuple[tuple[tuple[float, float], ...], float]:
-    """(a_n - A_n, b_n - B_n) of :func:`fs_4_16` for n below
-    ``_TN_ASYMPTOTIC_N``, and the sum of their T_n errors over pi^2.
-
-    a_n - A_n = (T~_n - T_n)/pi^2, T~_n the expansion of
-    :func:`_tn_asymptotic` and T_n the direct ``S-4.4-Tn`` series;
-    b_n - B_n = (H~_n - H_n)/(2 pi n), H~_n = log n + gamma + 1/(2n)
-    - sum_{k<=6} B_2k/(2k n^2k)."""
-    gamma = _C.gamma
-    res, tn_err = [], 0.0
-    for n, h in _with_harmonic(_TN_ASYMPTOTIC_N - 1):
-        tn = s_4_4_tn(n)
-        tn_err += tn.abs_err
-        h_asym = math.log(n) + gamma + 0.5 / n - math.fsum(
-            _bernoulli_float(2 * k) / (2 * k * float(n) ** (2 * k))
-            for k in range(1, _TN_ORDERS + 1))
-        res.append(((_tn_asymptotic(n)[0] - tn.value) / _PI ** 2,
-                    (h_asym - h) / (_TWO_PI * n)))
-    return tuple(res), tn_err / _PI ** 2
+# (a_n - A_n, b_n - B_n) of :func:`fs_4_16` for n = 1 .. 11, each the double
+# nearest the value (tests/make_tables.py): a_n - A_n = (T~_n - T_n)/pi^2,
+# T~_n = pi^2/(4n) + (log n/4 + zeta'(0) - 1/2)/n^2 + sum_{j<=6}
+# zeta'(-2j)/n^(2j+2), T_n the S-4.4-Tn series; b_n - B_n =
+# (H~_n - H_n)/(2 pi n), H~_n = log n + gamma + 1/(2n)
+# - sum_{k<=6} B_2k/(2k n^2k)
+_LOG_G_RESIDUALS = (
+    (0.0050271776720387604, 0.0025355158789889774),
+    (1.950215435534154e-07, 1.8851445871559473e-07),
+    (4.2583961461201454e-10, 6.016354850863511e-10),
+    (5.078682276297139e-12, 9.421858412744246e-12),
+    (1.5727544587186757e-13, 3.613172863828478e-13),
+    (9.009301234624033e-15, 2.4688082473851348e-14),
+    (7.935573822657437e-16, 2.5267772233001007e-15),
+    (9.606782018695738e-17, 3.4860515026060675e-16),
+    (1.485326143241087e-17, 6.051266838398662e-17),
+    (2.7881875381498463e-18, 1.2602234567827017e-17),
+    (6.127268364432841e-19, 3.042885870907253e-18))
+# their rounding, half an ulp each, summed: 6.51e-19
+_LOG_G_ROUNDING = 6.6e-19
 
 
 @_entry("FS-4.16", "Fourier series of log G(x)", 1,
@@ -861,17 +865,17 @@ def fs_4_16(x: float, max_terms: int | None = None) -> SeriesResult:
     and b_n = (1/2n - gamma - log(4 pi^2 n) - H_n)/(2 pi n).
 
     Krylov's method: the large-n expansions of the coefficients, from
-    those of T_n (:func:`_tn_asymptotic`) and H_n,
+    those of T_n (T~_n of :data:`_LOG_G_RESIDUALS`) and H_n,
         A_n = -1/(2n) - gamma/(2 pi^2 n^2)
               - sum_{j<=6} zeta'(-2j)/(pi^2 n^(2j+2)),
         B_n = -(log n + gamma + log 2 pi)/(pi n)
               + sum_{k<=6} B_2k/(4 pi k n^(2k+1)),
     are summed exactly: by 1/2 log(2 sin pi x), :func:`log_sin_over_n`
     and Bernoulli slices.  The residuals a_n - A_n and b_n - B_n
-    (:func:`_log_g_residuals`) are summed to n = 11, at every cap; past
+    (:data:`_LOG_G_RESIDUALS`) are summed to n = 11, at every cap; past
     it each lies within its first omitted order, zeta'(-14)/(pi^2 n^16)
     and B_14/(28 pi n^15), whose ``tail_bound`` is the truncation error.
-    The T_n errors over pi^2 and 1e-13 (1 + |value|) are added."""
+    The residuals' rounding and 1e-13 (1 + |value|) are added."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"requires 0 < x < 1, got {x}")
     orders, zp_omitted = _tn_orders()
@@ -884,7 +888,7 @@ def fs_4_16(x: float, max_terms: int | None = None) -> SeriesResult:
     k = _TN_ORDERS + 1
     omitted = {2 * k + 2: zp_omitted / _PI ** 2,
                2 * k + 1: _bernoulli_float(2 * k) / (4.0 * _PI * k)}
-    res, tn_err = _log_g_residuals()
+    res = _LOG_G_RESIDUALS
     n_last = len(res)
     r = _bernoulli_fourier(
         slices, lambda n: (res[n - 1][0] * math.cos(_TWO_PI * n * x)
@@ -893,7 +897,7 @@ def fs_4_16(x: float, max_terms: int | None = None) -> SeriesResult:
     a0 = 1.0 / 12.0 - 2.0 * _C.log_A - 0.25 * _C.log_2pi
     value = math.fsum((a0, 0.5 * math.log(2.0 * _sincos_pi(x)[0]),
                        -log_sin_over_n(x) / _PI, r.value))
-    err = r.abs_err + tn_err + 1e-13 * (1.0 + abs(value))
+    err = r.abs_err + _LOG_G_ROUNDING + 1e-13 * (1.0 + abs(value))
     return SeriesResult(value, err, n_last, "kummer_closed+residual")
 
 

@@ -553,10 +553,11 @@ def test_verify_all_import_guard(par, tmp_path):
     # evaluated, so typing stays out; its Bernoulli numbers are integer
     # pairs, so fractions and decimal do too, and so do dataclasses and the
     # inspect it pulls in.  The reports are written without the json
-    # package, whose decoder no command uses.  Its constants and Bernoulli
-    # numbers are stored, and its coefficient tables are built on first
-    # use, so the import computes no zeta value and no table.  The process
-    # then exits with its heap frozen.  -S keeps out what a site .pth file
+    # package, whose decoder no command uses.  Its constants, Bernoulli
+    # numbers and zeta tables are stored, its derived coefficient tables are
+    # built on first use and its parameter-free series summed on first use,
+    # so the import computes no table and sums no series.  The process then
+    # exits with its heap frozen.  -S keeps out what a site .pth file
     # imports (typing, on some installs)
     js, md = str(tmp_path / "r.json"), str(tmp_path / "r.md")
     script = (_FREEZE_PROBE
@@ -565,11 +566,12 @@ def test_verify_all_import_guard(par, tmp_path):
               "                  if m in sys.modules]\n"
               "import gammalab\n"
               "print(loaded())\n"
-              "from gammalab import kernels\n"
+              "from gammalab import kernels, series_catalog as S\n"
               "print(*(f.cache_info().currsize for f in (\n"
               "    kernels._em_tail_coeffs, kernels._sici_coeffs,\n"
-              "    kernels._lgamma1p_coeffs, kernels._two_zeta_even,\n"
-              "    kernels._zeta_m1)))\n"
+              "    kernels._two_zeta_even, kernels._lnG_taylor_coeffs,\n"
+              "    kernels._cl2_coeffs, S._tn_orders,\n"
+              "    S._sum_parameter_free)))\n"
               "from gammalab.cli import main\n"
               "rc = main(['verify', '--all', '--no-timing', '--parallelism',\n"
               f"           '{par}', '--json', {js!r}, '--md', {md!r}])\n"
@@ -578,10 +580,71 @@ def test_verify_all_import_guard(par, tmp_path):
     out = _python(script, flags=["-S"])
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[:2] == ["[]", "0 0 0 0 0"]
+    assert lines[:2] == ["[]", "0 0 0 0 0 0 0"]
     assert lines[-2:] == ["[]", "frozen at exit: True"]
     assert json.loads(Path(js).read_text())["summary"]["total"] == 222
     assert Path(md).read_text().startswith("# Identity verification")
+
+
+def test_cold_suite_reads_stored_tables():
+    # a cold `verify --all` takes zeta(k) - 1, zeta'(k), the log Gamma(1+y)
+    # coefficients and FS-4.16's residuals from their stored tables: no
+    # Euler-Maclaurin call under the functions that once built them, and
+    # no S-4.4-Tn sum for FS-4.16.  The zeta tails of the series, at
+    # a = N + 1, and zeta''(2) keep their calls
+    script = (
+        "import json, sys\n"
+        "from gammalab import kernels, series_catalog\n"
+        "TABLES = {'_zeta_m1', '_zeta_prime_int', '_lgamma1p_coeffs',\n"
+        "          '_log_g_residuals'}\n"
+        "seen = {'tables': 0, 'zeta_tail_sum': 0, '_em_log2gamma': 0,\n"
+        "        's_4_4_tn': 0}\n"
+        "em, tn = kernels._hurwitz_em, series_catalog.s_4_4_tn\n"
+        "def stack():\n"
+        "    f, names = sys._getframe(2), set()\n"
+        "    while f is not None:\n"
+        "        names.add(f.f_code.co_name)\n"
+        "        f = f.f_back\n"
+        "    return names\n"
+        "def counted_em(*args, **kwargs):\n"
+        "    names = stack()\n"
+        "    seen['tables'] += bool(names & TABLES)\n"
+        "    for name in ('zeta_tail_sum', '_em_log2gamma'):\n"
+        "        seen[name] += name in names\n"
+        "    return em(*args, **kwargs)\n"
+        "def counted_tn(*args, **kwargs):\n"
+        "    seen['s_4_4_tn'] += 1\n"
+        "    return tn(*args, **kwargs)\n"
+        "kernels._hurwitz_em = counted_em\n"
+        "series_catalog.s_4_4_tn = counted_tn\n"
+        "from gammalab.cli import main\n"
+        "rc = main(['verify', '--all', '--no-timing'])\n"
+        "print(json.dumps(seen), file=sys.stderr)\n"
+        "sys.exit(rc)\n")
+    out = _python(script)
+    assert out.returncode == 0, out.stderr
+    seen = json.loads(out.stderr.strip().splitlines()[-1])
+    assert seen["tables"] == 0 and seen["s_4_4_tn"] == 0, seen
+    assert seen["zeta_tail_sum"] > 0 and seen["_em_log2gamma"] == 1, seen
+
+
+def test_parameter_free_series_memo_keeps_report_bytes(tmp_path, capsys):
+    # each parameter-free series is summed once per process for each cap:
+    # a `verify --all` run after a `--max-terms 5` run in the same process
+    # writes the bytes a fresh process writes
+    capped, warm = tmp_path / "capped.json", tmp_path / "warm.json"
+    cold = tmp_path / "cold.json"
+    cli.main(["verify", "--all", "--no-timing", "--max-terms", "5",
+              "--json", str(capped)])
+    assert cli.main(["verify", "--all", "--no-timing", "--json",
+                     str(warm)]) == 0
+    capsys.readouterr()
+    out = _python("from gammalab.cli import main\n"
+                  "raise SystemExit(main(['verify', '--all', '--no-timing',\n"
+                  f"                       '--json', {str(cold)!r}]))\n")
+    assert out.returncode == 0, out.stderr
+    assert warm.read_bytes() == cold.read_bytes()
+    assert capped.read_bytes() != cold.read_bytes()
 
 
 def test_import_registers_no_exit_hook():

@@ -18,14 +18,14 @@ from gammalab.errors import DomainError  # noqa: E402
 from gammalab.integral_catalog import integral_catalog  # noqa: E402
 from gammalab.series import cvz_alternating  # noqa: E402
 from gammalab.series_catalog import (  # noqa: E402
-    _log_g_residuals,
-    _tn_asymptotic,
+    _LOG_G_RESIDUALS,
     _tn_orders,
     log_weighted_sin_sum,
     power_series_eval,
     psi_sin_partial,
     sum_catalog,
 )
+from test_series import _tn_asymptotic  # noqa: E402
 
 mp.mp.dps = 30
 PI = math.pi
@@ -227,9 +227,13 @@ _HALVING_SUMS = {
 
 @pytest.mark.parametrize("key", sorted(_HALVING_SUMS))
 def test_halving_sum_bars_hold_at_every_cap(key):
+    # uncapped, the bar is the rounding bound computed from the terms, at
+    # most 1e-15, and no smaller than the error
     term, first, method = _HALVING_SUMS[key]
     ref = mp.nsum(term, [first, mp.inf], method=method)
-    assert _close(sum_catalog(key).value, ref, 5e-16)
+    r = sum_catalog(key)
+    assert _close(r.value, ref, 5e-16)
+    assert _close(r.value, ref, r.abs_err) and r.abs_err <= 1e-15
     for cap in _CAPS:
         r = sum_catalog(key, max_terms=cap)
         assert _close(r.value, ref, r.abs_err), cap
@@ -237,11 +241,15 @@ def test_halving_sum_bars_hold_at_every_cap(key):
 
 @pytest.mark.parametrize("x", [0.25, 0.5, 0.95, 0.0]
                          + [10.0 ** -k for k in range(1, 7)]
-                         + [1.0 - 10.0 ** -k for k in range(1, 7)])
+                         + [1.0 - 10.0 ** -k for k in range(1, 7)]
+                         + [1.5, 2.5, 10.5, 100.3])
 def test_s_5_13(x):
     # gamma + x^2 sum 1/(n (n^2 - x^2)): at x = 0 the bar is gamma's
-    # rounding alone, and as x -> 1 the n = 1 term 1/(1 - x^2) grows
+    # rounding alone, and as x -> 1 the n = 1 term 1/(1 - x^2) grows.  Past
+    # |x| = 1 the sum's floor and target shrink by 1/x^2, so that the bar
+    # stays near the sum's own
     r = sum_catalog("S-5.13", (x,))
+    assert r.abs_err <= 1e-13 * (1.0 + abs(r.value))
     x = mp.mpf(x)
     assert _close(r.value, -(mp.digamma(1 + x) + mp.digamma(1 - x)) / 2,
                   r.abs_err)
@@ -300,10 +308,9 @@ def _check_table_a_n(n, ref, tn_err):
     # the a_n that FS-4.16 sums: A_n plus its residual up to n = 11, and A_n
     # alone from n = 12 on, where T_n's error holds the first omitted order
     # zeta'(-14)/n^16; it carries T_n's error over pi^2 and a few ulp
-    residuals = _log_g_residuals()[0]
     a_n = _expansion_a_n(n)
-    if n <= len(residuals):
-        a_n += residuals[n - 1][0]
+    if n <= len(_LOG_G_RESIDUALS):
+        a_n += _LOG_G_RESIDUALS[n - 1][0]
     assert _close(a_n, _a_n_oracle(n, ref),
                   tn_err / PI ** 2 + 8.0 * math.ulp(a_n)), n
 
@@ -318,6 +325,8 @@ def test_tn(n):
 
 @pytest.mark.parametrize("n", [12, 13, 20, 50, 200, 2000])
 def test_tn_asymptotic(n):
+    # from n = 12 on FS-4.16 takes a_n as its expansion A_n, whose T_n part
+    # lies within its first omitted order of T_n
     value, err = _tn_asymptotic(n)
     ref = _tn_tail_oracle(n)
     assert _close(value, ref, err)

@@ -15,7 +15,7 @@ from gammalab.report import build_report, to_json
 # sha256 of the file `gammalab verify --all --no-timing --json PATH` writes;
 # the same on CPython 3.10, 3.11, 3.12 and 3.13
 SUITE_DIGEST = (
-    "6ec12acc71a69a3f96f80c69df686ab649402b73bc928da6570250882eab3cd8")
+    "f38a92246c3743ad5d9b22460e63633688895aa6eceab8b81ffc6e0f38db2160")
 
 
 def _num(x):

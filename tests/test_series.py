@@ -18,7 +18,8 @@ from gammalab.series import (
 )
 from gammalab.series_catalog import (
     SERIES_CATALOG,
-    _tn_asymptotic,
+    _TN_ORDERS,
+    _tn_orders,
     power_series_eval,
     sum_catalog,
 )
@@ -297,11 +298,12 @@ def _searched_ns(key, monkeypatch, bound=None):
     if bound is not None:
         monkeypatch.setattr(series_catalog, "tail_bound", bound)
         monkeypatch.setattr(series, "tail_bound", bound)
-    series_catalog._log_g_residuals.cache_clear()  # FS-4.16's T_n sums
+    # a parameter-free series is summed once per process
+    series_catalog._sum_parameter_free.cache_clear()
     for params in _test_params(key):
         sum_catalog(key, params)
     monkeypatch.undo()
-    series_catalog._log_g_residuals.cache_clear()
+    series_catalog._sum_parameter_free.cache_clear()
     return found
 
 
@@ -518,6 +520,22 @@ def test_catalog_spot_values():
     assert sum_catalog("S-4.4-Tn", (1,)).value == pytest.approx(
         1.0231387264281, abs=1e-10)
     assert sum_catalog("S-8.11").value == pytest.approx(0.5, abs=1e-12)
+
+
+def _tn_asymptotic(n):
+    """T_n = pi^2/(4n) + (log n/4 + zeta'(0) - 1/2)/n^2
+    + sum_{j>=1} zeta'(-2j)/n^(2j+2), to j = ``_TN_ORDERS``, from FS-4.16's
+    orders, and its error bound: the orders alternate in sign and envelope
+    T_n, so the first omitted one bounds the truncation; 4 ulp cover the
+    rounding."""
+    orders, omitted = _tn_orders()
+    w = 1.0 / (float(n) * float(n))
+    poly = 0.0
+    for zp in orders:
+        poly = poly * w + zp
+    value = PI ** 2 / (4.0 * n) + w * (
+        (0.25 * math.log(n) - 0.5 * C.log_2pi - 0.5) + w * poly)
+    return value, omitted * w ** (_TN_ORDERS + 2) + 4.0 * math.ulp(value)
 
 
 def test_tn_expansion_agrees_with_direct_series():
