@@ -293,6 +293,15 @@ def _zeta_int(k: int) -> float:
     return 1.0 + _zeta_m1(k)
 
 
+@lru_cache(maxsize=1)
+def _one_minus_eta() -> tuple[float, ...]:
+    """1 - eta(k) = sum_{n>=2} (-1)^n n^-k = 2^(1-k) - (1 - 2^(1-k))
+    (zeta(k) - 1) for k = 2..80, from the stored zeta(k) - 1, each within
+    2 ulps: the Dirichlet coefficients of the registry's alternating sums."""
+    return tuple(2.0 ** (1 - k) - (1.0 - 2.0 ** (1 - k)) * _zeta_m1(k)
+                 for k in range(2, 81))
+
+
 def _zeta_prime_int(k: int) -> float:
     """zeta'(k) for integer k >= 2, correctly rounded."""
     if k < 94:

@@ -105,9 +105,12 @@ def _exp_sinh_nodes(level: int) -> tuple[tuple[float, float], ...]:
 
 
 def _add_level(f, a, b, width, cut, limits, level, acc, abs_acc):
-    """Add w*(f(hi) + f(lo)) to ``acc`` and w*|f(hi) + f(lo)| to
+    """Add w*(f(hi) + f(lo)) to ``acc`` and w*(|f(hi)| + |f(lo)|) to
     ``abs_acc`` for each tanh-sinh node pair of one level, in node order;
-    return both sums and the number of nodes.
+    return both sums and the number of nodes.  ``abs_acc`` sets the rounding
+    floor, and each value carries its own rounding, so a pair whose values
+    cancel, as those of an integrand odd about the midpoint do, still adds
+    both.
 
     Both nodes of a pair lie d = width*(1-sigma) < width/2 from their
     nearer endpoint, so only that endpoint's limit can stand in for f.
@@ -127,9 +130,8 @@ def _add_level(f, a, b, width, cut, limits, level, acc, abs_acc):
                   else f(b - d, e, d))
             lo = (lo_lim if d < cut and lo_lim is not None
                   else f(a + d, d, e))
-            v = hi + lo
-            acc += w * v
-            abs_acc += w * abs(v)
+            acc += w * (hi + lo)
+            abs_acc += w * (abs(hi) + abs(lo))
     except Exception:
         # a non-finite value before the node that raised fails first; a
         # deterministic f raises its own error again when the walk reaches

@@ -25,8 +25,7 @@ import math
 import time
 from collections import namedtuple
 from collections.abc import Callable, Mapping
-from itertools import chain, count, islice, repeat
-from operator import truediv
+from itertools import chain, count
 from types import MappingProxyType
 
 from . import kernels as K
@@ -307,6 +306,15 @@ def _rhs_2_9(p: float) -> float:
         K._psi_pair(p) + 2.0 * _G)
 
 
+# sum_{n>=N} (-1)^n n^-k, the rests past N of the two alternating sums below
+# in zeta orders: k = 3 and 5 at N = 4000 (I-2.10), k = 2 at N = 100 000
+# (I-8.15), each the double nearest its value (tests/make_tables.py).  Every
+# later order is below 1e-21 and is left out
+_ALT_TAILS_2_10 = (
+    7.815429687194824e-12, 4.885864257144928e-19)
+_ALT_TAIL_8_15 = 5.000049999999995e-11
+
+
 def _rhs_2_10(p: float) -> SeriesResult:
     """sin(p pi)/(2 pi p) sum (-1)^n n/(n^2-p^2), the sum as -log 2
     + p^2 sum (-1)^n/(n(n^2-p^2)) to n = 3999.  Its terms alternate and
@@ -317,15 +325,18 @@ def _rhs_2_10(p: float) -> SeriesResult:
     and sin(p pi) from :func:`kernels._sincos_pi`: neither cancels as p -> 1.
     At p = 1 it is -1/4 with its scale; at p = 0 the scale is 1/2.
 
-    The even and the odd terms, 1999 each, come from one generator per
-    half over the float counters n = 2, 4, .. and 3, 5, ..: n*n and
-    n*(n*n - p*p) round as they do with an integer n, and no list of terms
-    is held."""
+    The sum from n = 2 to 3999 is summed in zeta orders,
+    sum_j p^(2j) [E(2j+3) - T_j] with E(k) = 1 - eta(k) from
+    :func:`kernels._one_minus_eta` and T_j the stored rest past n = 3999
+    of order j (zero from j = 2 on).  The orders shrink by p^2/4, so past
+    |p| = 1 they would run beyond the table, and such p raise."""
+    if abs(p) > 1.0:
+        raise DomainError(f"requires |p| <= 1, got {p}")
     p2 = p * p
-    acc = -math.log(2.0)
-    acc += p2 * math.fsum(chain(
-        (1.0 / (n * (n * n - p2)) for n in islice(count(2.0, 2.0), 1999)),
-        (-1.0 / (n * (n * n - p2)) for n in islice(count(3.0, 2.0), 1999))))
+    e = K._one_minus_eta()
+    t0, t1 = _ALT_TAILS_2_10
+    acc = -math.log(2.0) + p2 * K._power_sum(
+        chain((e[1] - t0, e[3] - t1), e[5::2]), 1.0, p2)
     scale = K._sincos_pi(p)[0] / (2.0 * _PI * p) if p else 0.5
     one_m = (1.0 - p) * (1.0 + p)
     first = -scale * p * p / one_m if one_m else -0.25
@@ -445,25 +456,17 @@ def _rhs_6_38() -> float:
 
 
 def _alt_quarter_sum() -> SeriesResult:
-    """I-8.15's left side 2/pi - (4/pi) sum (-1)^n/(4n^2-1), the sum by
-    the Leibniz split (-1)^n [1/(2n-1) - 1/(2n+1)]/2 to n = N = 99 999.
-    Its terms alternate and shrink, so the rest is below the first
-    omitted one, which (times 4/pi) is the error.
+    """I-8.15's left side 2/pi - (4/pi) sum (-1)^n/(4n^2-1) to n = N =
+    99 999.  Its terms alternate and shrink, so the rest is below the first
+    omitted one, which (times 4/pi) is the error; the first omitted term is
+    written as the Leibniz split (-1)^n [1/(2n-1) - 1/(2n+1)]/2.
 
-    The split's terms are summed from their telescoped reciprocals, with
-    the same float as summing the terms one by one.  With r_k = fl(1/k),
-    term n is (-1)^n (r_(2n-1) - r_(2n+1)).  For n >= 2 the two
-    reciprocals lie within a factor 5/3 < 2 of each other, so by Sterbenz
-    their difference is exact, and the N terms have the exact sum
-        -fl(1 - r_3) + r_3 + sum_(k=2)^(N-1) (-1)^(k+1) 2 r_(2k+1) + r_(2N+1)
-    (N is odd).  fl(2/k) = 2 fl(1/k), and fsum rounds the exact sum of
-    its inputs once, so both input lists give the same float.  The
-    reciprocals come from C-level iterators and are never held in a list.
-    """
-    s = 0.5 * math.fsum(chain(
-        (-(1.0 - 1.0 / 3.0), 1.0 / 3.0, 1.0 / 199_999.0),
-        map(truediv, repeat(-2.0), range(5, 199_998, 4)),
-        map(truediv, repeat(2.0), range(7, 199_998, 4))))
+    The sum is -1/3 for n = 1 plus, from n = 2 to N, the zeta orders
+    sum_j 4^(-j-1) E(2j+2) with E(k) = 1 - eta(k) from
+    :func:`kernels._one_minus_eta`, less a quarter of the stored rest
+    T' = sum_{n>N} (-1)^n n^-2 of order j = 0."""
+    s = (K._power_sum(K._one_minus_eta()[0::2], 0.25, 0.25) - 1.0 / 3.0
+         - 0.25 * _ALT_TAIL_8_15)
     rest = 0.5 * (1.0 / 199_999.0 - 1.0 / 200_001.0)
     return SeriesResult(2.0 / _PI - 4.0 / _PI * s, 4.0 / _PI * rest, 99_999,
                         "alternating")
@@ -901,7 +904,7 @@ def build_records() -> list[IdentityRecord]:
         _ser("S-5.45.4"), _ser("S-5.45")))
     add(IdentityRecord(
         "I-5.46.2", 5, "(5.46.2): sum [zeta(2n+1)-1] = 1/4",
-        _ser("S-5.46.2"), _expr("1/4", lambda: 0.25)))
+        _ser("S-5.46.2"), _expr("1/4", lambda: 0.25, err=0.0)))
     add(IdentityRecord(
         "I-5.48", 5, "(5.48): shifted zeta series vs Barnes G quotient",
         _expr("sum [zeta(2n+1)-1] x^(2n+2)/(n+1)",
@@ -1106,7 +1109,7 @@ def build_records() -> list[IdentityRecord]:
         "I-8.15", 8, "(8.15): alternating quarter-square sum closes to 1",
         _series_expr("2/pi - (4/pi) sum (-1)^n/(4n^2-1)", _alt_quarter_sum,
                      err=1e-12),
-        _expr("1", lambda: 1.0)))
+        _expr("1", lambda: 1.0, err=0.0)))
 
     rec.sort(key=lambda r: r.id)
     return rec

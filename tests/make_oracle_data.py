@@ -1,8 +1,8 @@
 """Write the cached mpmath references that ``test_oracle.py`` reads:
 
-    python tests/make_oracle_data.py [hurwitz] [halfline]
+    python tests/make_oracle_data.py [hurwitz] [halfline] [finite]
 
-(both files when no name is given).
+(every file when no name is given).
 
 ``data/hurwitz.json`` holds zeta(s, a) and its first two s-derivatives on
 s = 2..60, 2.5 and 7.3 and a = 0.5 10^(i/4), i = 0..17: the list ``a``, then
@@ -23,6 +23,11 @@ x-integral for the sin and sinh transforms; Q-5.7 is log x - Re psi(1+ix));
 Q-1.13's from mpmath's own quadrature at 40 digits.  The keys draw from one
 random stream in order, so a key appended at the end leaves the rows before
 it unchanged.  Written to 30 digits.  Takes about a minute.
+
+``data/finite.json`` holds the finite-interval integral Q-1.12,
+int_0^1 e^(-px) psi(1+x) dx, in the same rows: the ends of I-1.12's
+``param_domain`` and 200 seeded uniform draws over it, from mpmath's own
+quadrature at 40 digits.  Takes a few seconds.
 """
 
 import json
@@ -102,9 +107,34 @@ def write_halfline() -> None:
     print(f"{len(rows)} references written to {out}")
 
 
+# key: (the identity whose param_domain is drawn from, its reference)
+FINITE = {
+    "Q-1.12": ("I-1.12", lambda p: mp.quad(
+        lambda x: mp.exp(-mp.mpf(p) * x) * mp.digamma(1 + x), [0, 1])),
+}
+
+
+def write_finite() -> None:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    from gammalab.registry import Registry
+    records = {r.id: r for r in Registry().list_identities()}
+    rng = random.Random(112)
+    rows = []
+    for key, (rid, ref) in FINITE.items():
+        ((lo, hi),) = records[rid].param_domain
+        params = [lo, hi] + [rng.uniform(lo, hi) for _ in range(200)]
+        with mp.workdps(40):
+            rows += [json.dumps([key, x, mp.nstr(ref(x), 30)])
+                     for x in params]
+    out = DATA / "finite.json"
+    out.write_text('{"rows": [\n' + ",\n".join(rows) + "\n]}\n")
+    print(f"{len(rows)} references written to {out}")
+
+
 def main() -> int:
-    names = sys.argv[1:] or ["hurwitz", "halfline"]
-    writers = {"hurwitz": write_hurwitz, "halfline": write_halfline}
+    names = sys.argv[1:] or ["hurwitz", "halfline", "finite"]
+    writers = {"hurwitz": write_hurwitz, "halfline": write_halfline,
+               "finite": write_finite}
     DATA.mkdir(exist_ok=True)
     for name in names:
         writers[name]()

@@ -1,5 +1,6 @@
-"""Print the literal tables of ``kernels`` and ``series_catalog``, each entry
-``float()`` of its mpmath value at ``DPS`` digits, the double nearest it:
+"""Print the literal tables of ``kernels``, ``series_catalog`` and
+``registry``, each entry ``float()`` of its mpmath value at ``DPS`` digits,
+the double nearest it:
 
     python tests/make_tables.py
 
@@ -7,7 +8,9 @@ The blocks it prints are pasted into the source as they stand:
 ``kernels._ZETA_M1`` (zeta(k) - 1, k = 2 .. 53), ``kernels._ZETA_PRIME``
 (zeta'(k), k = 2 .. 93), ``kernels._LGAMMA1P_COEFFS`` ((-1)^k zeta(k, 3)/k,
 k = 2 .. 25) and ``series_catalog._LOG_G_RESIDUALS`` (FS-4.16's a_n - A_n
-and b_n - B_n, n = 1 .. 11).  ``test_tables.py`` recomputes every entry
+and b_n - B_n, n = 1 .. 11), ``registry._ALT_TAILS_2_10`` (the rests
+sum_{n>=4000} (-1)^n n^-k, k = 3 and 5) and ``registry._ALT_TAIL_8_15``
+(sum_{n>=100000} (-1)^n n^-2).  ``test_tables.py`` recomputes every entry
 with the functions below.
 """
 
@@ -20,6 +23,8 @@ LGAMMA1P_K = range(2, 26)
 # FS-4.16 sums its residuals to n = 11; its expansions keep six orders
 RESIDUAL_N = range(1, 12)
 ORDERS = 6
+# kernels._one_minus_eta, derived on first use, is checked to 2 ulps
+ONE_MINUS_ETA_K = range(2, 81)
 
 
 def zeta_m1(k):
@@ -32,6 +37,22 @@ def zeta_prime(k):
 
 def lgamma1p_coeff(k):
     return (-1) ** k * mp.zeta(k, 3) / k
+
+
+def one_minus_eta(k):
+    """1 - eta(k) = sum_{n>=2} (-1)^n n^-k."""
+    return 1 - mp.altzeta(k)
+
+
+def alt_tail(k, n_first):
+    """sum_{n>=N} (-1)^n n^-k = (-1)^N 2^-k (zeta(k, N/2) - zeta(k, (N+1)/2)),
+    the even and the odd n apart.  The difference cancels about log10(N)
+    digits, and mpmath's zeta(s, a) loses some at large a, so it takes 25
+    more."""
+    with mp.workdps(mp.mp.dps + 25):
+        half = mp.mpf(n_first) / 2
+        return (-1) ** n_first * mp.mpf(2) ** -k * (
+            mp.zeta(k, half) - mp.zeta(k, half + mp.mpf(1) / 2))
 
 
 def t_n(n):
@@ -88,6 +109,8 @@ def values():
             "_LGAMMA1P_COEFFS": tuple(lgamma1p_coeff(k) for k in LGAMMA1P_K),
             "_LOG_G_RESIDUALS": tuple((residual_a(n), residual_b(n))
                                       for n in RESIDUAL_N),
+            "_ALT_TAILS_2_10": (alt_tail(3, 4000), alt_tail(5, 4000)),
+            "_ALT_TAIL_8_15": alt_tail(2, 100_000),
         }
 
 
@@ -112,5 +135,8 @@ def block(name, values, width=79):
 
 if __name__ == "__main__":
     for name, table in values().items():
-        print(block(name, nearest(table)))
+        if isinstance(table, tuple):
+            print(block(name, nearest(table)))
+        else:
+            print(f"{name} = {nearest(table)!r}")
         print()

@@ -570,8 +570,8 @@ def test_verify_all_import_guard(par, tmp_path):
               "print(*(f.cache_info().currsize for f in (\n"
               "    kernels._em_tail_coeffs, kernels._sici_coeffs,\n"
               "    kernels._two_zeta_even, kernels._lnG_taylor_coeffs,\n"
-              "    kernels._cl2_coeffs, S._tn_orders,\n"
-              "    S._sum_parameter_free)))\n"
+              "    kernels._cl2_coeffs, kernels._one_minus_eta,\n"
+              "    S._tn_orders, S._sum_parameter_free)))\n"
               "from gammalab.cli import main\n"
               "rc = main(['verify', '--all', '--no-timing', '--parallelism',\n"
               f"           '{par}', '--json', {js!r}, '--md', {md!r}])\n"
@@ -580,7 +580,7 @@ def test_verify_all_import_guard(par, tmp_path):
     out = _python(script, flags=["-S"])
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[:2] == ["[]", "0 0 0 0 0 0 0"]
+    assert lines[:2] == ["[]", "0 0 0 0 0 0 0 0"]
     assert lines[-2:] == ["[]", "frozen at exit: True"]
     assert json.loads(Path(js).read_text())["summary"]["total"] == 222
     assert Path(md).read_text().startswith("# Identity verification")

@@ -775,6 +775,27 @@ def test_halfline_error_honesty(key):
     assert bad == []
 
 
+# the finite-interval integral Q-1.12, cached by make_oracle_data.py: 200
+# uniform draws over I-1.12's domain and its ends.  While tanh-sinh's
+# rounding floor counted |f(hi) + f(lo)|, not |f(hi)| + |f(lo)|, three of
+# these points were off by more than their claim, up to 2.3x at p = 1e-6
+_FINITE = json.loads((Path(__file__).resolve().parent / "data"
+                      / "finite.json").read_text())["rows"]
+
+
+@pytest.mark.parametrize("key", sorted({row[0] for row in _FINITE}))
+def test_finite_interval_error_honesty(key):
+    rows = [(x, mp.mpf(ref)) for k, x, ref in _FINITE if k == key]
+    assert len(rows) >= 200
+    bad = []
+    for x, ref in rows:
+        r = integral_catalog(key, (x,))
+        true_err = abs(mp.mpf(r.value) - ref)
+        if not true_err <= r.abs_err:
+            bad.append((x, float(true_err), r.abs_err))
+    assert bad == []
+
+
 def test_q_5_36_near_one():
     r = integral_catalog("Q-5.36", (0.999,))
     x = mp.mpf(0.999)

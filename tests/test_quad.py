@@ -408,9 +408,9 @@ def _reference_integrate(f, a, b, limits=(None, None), tol=1e-10,
     abs_total = 0.25 * math.pi * abs(fmid)
     evals = 1
     for sg, om, w in _reference_nodes(0):
-        v = eval_at(sg, om) + eval_at(om, sg)
-        total += w * v
-        abs_total += w * abs(v)
+        hi, lo = eval_at(sg, om), eval_at(om, sg)
+        total += w * (hi + lo)
+        abs_total += w * (abs(hi) + abs(lo))
         evals += 2
     h = 1.0
     value = h * total
@@ -420,9 +420,9 @@ def _reference_integrate(f, a, b, limits=(None, None), tol=1e-10,
     for level in range(1, max_level + 1):
         new = 0.0
         for sg, om, w in _reference_nodes(level):
-            v = eval_at(sg, om) + eval_at(om, sg)
-            new += w * v
-            abs_total += w * abs(v)
+            hi, lo = eval_at(sg, om), eval_at(om, sg)
+            new += w * (hi + lo)
+            abs_total += w * (abs(hi) + abs(lo))
             evals += 2
         h *= 0.5
         prev2, prev = prev, value

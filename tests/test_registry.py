@@ -551,7 +551,7 @@ def test_zeta_power_series_near_one(reg, rid, t):
 
 def _alt_quarter_sum_per_term():
     """I-8.15's left side summed one Leibniz-split term at a time: the
-    reference for the telescoped sum in ``registry._alt_quarter_sum``."""
+    reference for the zeta-order sum in ``registry._alt_quarter_sum``."""
     s = 0.5 * math.fsum(
         (-1.0) ** (n % 2) * (1.0 / (2 * n - 1.0) - 1.0 / (2 * n + 1.0))
         for n in range(1, 100_000))
@@ -569,7 +569,7 @@ def test_alt_quarter_sum_matches_per_term_reference():
 
 def _rhs_2_10_per_term(p):
     """I-2.10's right side summed one term at a time: the reference for the
-    iterator sum in ``registry._rhs_2_10``."""
+    zeta-order sum in ``registry._rhs_2_10``."""
     acc = -math.log(2.0)
     acc += p * p * math.fsum((-1.0) ** (n % 2) / (n * (n * n - p * p))
                              for n in range(2, 4000))
@@ -581,13 +581,41 @@ def _rhs_2_10_per_term(p):
                         3999, "alternating")
 
 
+def _rhs_2_10_exact(mp, p):
+    """The same 3 998-term partial sum in mpmath, with p's exact value."""
+    pm = mp.mpf(p)
+    if p == 1.0:
+        return mp.mpf(-0.25)
+    s = mp.fsum(mp.mpf((-1) ** n) / (n * (n * n - pm * pm))
+                for n in range(2, 4000))
+    scale = mp.sin(pm * mp.pi) / (2 * mp.pi * pm) if p else mp.mpf(0.5)
+    return scale * (-mp.log(2) + pm * pm * s) - scale * pm * pm / (1 - pm * pm)
+
+
 def test_rhs_2_10_matches_per_term_reference():
+    # the zeta-order sum is the same 3 998-term partial sum: within 2 ulps
+    # of the terms summed one at a time, and at every 25th point within 3
+    # ulps of the exact partial sum; the bar, N and method are unchanged
+    mp = pytest.importorskip("mpmath")
     rng = random.Random(210)
-    for p in [0.0, 0.5, 1.0] + [rng.random() for _ in range(500)]:
+    ps = [0.0, 0.5, 1.0] + [rng.random() for _ in range(500)]
+    for i, p in enumerate(ps):
         new, ref = R._rhs_2_10(p), _rhs_2_10_per_term(p)
-        assert new.value.hex() == ref.value.hex(), p
+        assert abs(new.value - ref.value) <= 2 * math.ulp(ref.value), p
         assert new.abs_err.hex() == ref.abs_err.hex(), p
         assert (new.terms_used, new.method) == (ref.terms_used, ref.method)
+        if i % 25 == 0:
+            with mp.workdps(30):
+                exact = _rhs_2_10_exact(mp, p)
+                assert abs(new.value - exact) <= 3 * math.ulp(new.value), p
+
+
+@pytest.mark.parametrize("p", [1.0 + 2.0 ** -52, -1.5, 4.0])
+def test_rhs_2_10_raises_past_one(p):
+    # its zeta orders shrink by p^2/4: past |p| = 1 they would outrun the
+    # table of 1 - eta(k)
+    with pytest.raises(DomainError):
+        R._rhs_2_10(p)
 
 
 def test_rhs_2_10_holds_no_term_list():

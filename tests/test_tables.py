@@ -1,8 +1,9 @@
-"""The stored tables of ``kernels`` and ``series_catalog`` against mpmath:
-every entry is the double nearest its value, the closed forms past the
-zeta tables are correctly rounded to k = 1100, and FS-4.16's residuals agree
-with the S-4.4-Tn series within its own bar.  ``make_tables.py`` prints the
-tables; it is the reference here."""
+"""The stored tables of ``kernels``, ``series_catalog`` and ``registry``
+against mpmath: every entry is the double nearest its value, the closed
+forms past the zeta tables are correctly rounded to k = 1100, 1 - eta(k) is
+within 2 ulps, and FS-4.16's residuals agree with the S-4.4-Tn series within
+its own bar.  ``make_tables.py`` prints the tables; it is the reference
+here."""
 
 import math
 
@@ -12,6 +13,7 @@ mp = pytest.importorskip("mpmath")
 
 import make_tables as T  # noqa: E402
 from gammalab import kernels as K  # noqa: E402
+from gammalab import registry as R  # noqa: E402
 from gammalab import series_catalog as S  # noqa: E402
 
 STORED = {
@@ -19,6 +21,8 @@ STORED = {
     "_ZETA_PRIME": K._ZETA_PRIME,
     "_LGAMMA1P_COEFFS": K._LGAMMA1P_COEFFS,
     "_LOG_G_RESIDUALS": S._LOG_G_RESIDUALS,
+    "_ALT_TAILS_2_10": R._ALT_TAILS_2_10,
+    "_ALT_TAIL_8_15": R._ALT_TAIL_8_15,
 }
 
 
@@ -40,6 +44,16 @@ def test_table_lookups():
         K._ZETA_PRIME)
     assert len(K._LGAMMA1P_COEFFS) == len(T.LGAMMA1P_K)
     assert len(S._LOG_G_RESIDUALS) == S._TN_ASYMPTOTIC_N - 1
+
+
+def test_one_minus_eta_within_two_ulps():
+    # derived from the stored zeta(k) - 1 on first use, over the whole table
+    with mp.workdps(T.DPS):
+        refs = [T.one_minus_eta(k) for k in T.ONE_MINUS_ETA_K]
+    table = K._one_minus_eta()
+    assert len(table) == len(refs)
+    for k, e, ref in zip(T.ONE_MINUS_ETA_K, table, refs):
+        assert abs(e - ref) <= 2 * math.ulp(e), k
 
 
 def _dirichlet(k, weight):
