@@ -31,7 +31,7 @@ from .kernels import (
 from .quad import QuadResult, integrate, integrate_semi_infinite
 from .integral_catalog import integral_catalog, list_integral_ids
 from .registry import EvalOptions, IdentityRecord, Registry, Verdict
-from .series import SeriesResult, cvz_alternating
+from .series import SeriesResult
 from .series_catalog import list_series_ids, power_series_eval, sum_catalog
 
 __version__ = "0.1.0"
@@ -44,7 +44,7 @@ __all__ = [
     "QuadResult", "integrate", "integrate_semi_infinite",
     "integral_catalog", "list_integral_ids",
     "EvalOptions", "IdentityRecord", "Registry", "Verdict",
-    "SeriesResult", "cvz_alternating",
+    "SeriesResult",
     "list_series_ids", "power_series_eval", "sum_catalog",
     "__version__",
 ]

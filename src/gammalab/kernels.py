@@ -226,9 +226,10 @@ def _hurwitz_em(s: float, a: float, order: int = 0) -> float:
             + qs / q * (p2 - 2.0 * lq * p1 + lq * lq * p0))
 
 
-# zeta(k) - 1 for k = 2 .. 53 and zeta'(k) for k = 2 .. 93, each the double
-# nearest the value (tests/make_tables.py).  Past each table the first two
-# terms of the Dirichlet series are correctly rounded, for every k to 1100
+# zeta(k) - 1 for k = 2 .. 53, zeta'(k) for k = 2 .. 93 and zeta''(2), each
+# the double nearest the value (tests/make_tables.py).  Past each table the
+# first two terms of the Dirichlet series are correctly rounded, for every k
+# to 1100
 _ZETA_M1 = (
     0.6449340668482264, 0.2020569031595943, 0.08232323371113819,
     0.03692775514336993, 0.01734306198444914, 0.008349277381922827,
@@ -281,6 +282,8 @@ _ZETA_PRIME = (
     -8.958717334452817e-27, -4.479358667226407e-27, -2.2396793336132027e-27,
     -1.1198396668066012e-27, -5.599198334033006e-28, -2.7995991670165025e-28,
     -1.3997995835082512e-28, -6.998997917541256e-29)
+
+_ZETA_PRIME2_AT_2 = 1.989280234298901
 
 
 def _zeta_m1(k: int) -> float:
@@ -771,8 +774,9 @@ def _hurwitz_direct(s: float, a: float, order: int) -> float:
 
 def zeta_family(kind: str, s: float | None = None,
                 a: float | None = None) -> FnEvalResult:
-    """zeta(s), zeta(s,a), zeta'(s), zeta''(2) and zeta'(-1), the last the
-    stored constant of :func:`get_constants`."""
+    """zeta(s), zeta(s,a), zeta'(s), zeta''(2) and zeta'(-1), the last two
+    stored: :data:`_ZETA_PRIME2_AT_2` and the constant of
+    :func:`get_constants`."""
     if kind in ("zeta", "zeta_prime", "hurwitz"):
         if s is None or not _require_finite(s, "s") > 1.0:
             raise DomainError(f"{kind} requires s > 1, got {s}")
@@ -789,7 +793,7 @@ def zeta_family(kind: str, s: float | None = None,
         if not math.isfinite(v):
             raise RangeOverflowError(f"{kind} overflows at s={s}, a={a}")
     elif kind == "zeta_prime2_at_2":
-        v = _hurwitz_em(2.0, 1.0, order=2)
+        v = _ZETA_PRIME2_AT_2
     elif kind == "zeta_prime_neg1":
         v = _CONSTANTS.zeta_prime_neg1
     else:

@@ -412,11 +412,10 @@ def _rhs_4_8(n: float) -> float:
 def _em_log2gamma() -> float:
     """int_0^1 log^2 Gamma, closed form (Espinosa-Moll)."""
     half_l = 0.5 * _L2PI
-    zpp2 = K._hurwitz_em(2.0, 1.0, order=2)
     return (_G * _G / 12.0 + _PI ** 2 / 48.0 + _G * half_l / 3.0
             + 4.0 * half_l * half_l / 3.0
             - (_G + 2.0 * half_l) * _C.zeta_prime_2 / _PI ** 2
-            + zpp2 / (2.0 * _PI ** 2))
+            + K._ZETA_PRIME2_AT_2 / (2.0 * _PI ** 2))
 
 
 def _rhs_5_48(x: float) -> float:

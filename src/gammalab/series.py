@@ -30,11 +30,7 @@ an expansion that depends on N builds its tail orders once, at that N.
 ``target_terms`` is that search; the bounds fall like a power of N + 1,
 so a secant in log-log coordinates finds N in about three probes.  It also
 serves the sums whose bound is not a zeta tail: the Dirichlet-kernel sums
-FS-7.1 and ``psi_sin_partial``, and the alternating S-4.29-rhs and S-6.33.
-
-``cvz_alternating`` is the Chebyshev-weight acceleration for alternating
-series whose terms decay too slowly to truncate (error ~ 5.83^-n; Cohen,
-Rodriguez Villegas and Zagier, Exp. Math. 2000).
+FS-7.1 and ``psi_sin_partial``.
 
 The primitives serve the series catalog, the kernels (lambda's series,
 imported inside the function, since this module imports ``kernels``) and
@@ -52,7 +48,7 @@ from .errors import DomainError, EvaluationError
 from .kernels import _hurwitz, _hurwitz_prime
 
 __all__ = ["SeriesResult", "zeta_tail_sum", "tail_bound", "target_terms",
-           "TARGET_ERR", "quad_tail", "CVZ_TERMS", "cvz_alternating"]
+           "TARGET_ERR", "quad_tail"]
 
 _EPS = 2.220446049250313e-16
 
@@ -60,11 +56,6 @@ _EPS = 2.220446049250313e-16
 TARGET_ERR = 1e-14
 # the largest N a search tries when the caller sets no cap
 _N_LIMIT = 1 << 16
-# the CVZ order for TARGET_ERR: the re-summation eight orders shorter, which
-# sets the error estimate, has error about 2 (3+sqrt 8)^-n, so
-# n = ceil(log(2/tol)/log(3+sqrt 8)), plus those 8 orders (27)
-CVZ_TERMS = math.ceil(math.log(2.0 / TARGET_ERR)
-                      / math.log(3.0 + math.sqrt(8.0))) + 8
 
 
 # zeta orders {k: coefficient}, and an expansion that depends on N: its
@@ -270,30 +261,3 @@ def quad_tail(q: float, orders: Mapping[int, float], n_last: int,
         return tail
     return omitted, build
 
-
-def cvz_alternating(a: Callable[[int], float],
-                    n_terms: int = CVZ_TERMS) -> tuple[float, float]:
-    """sum_{k>=0} (-1)^k a_k for positive, smoothly decaying a_k.
-
-    Chebyshev-polynomial weights; geometric convergence at rate ~1/5.83.
-    Returns (value, error_estimate), the estimate taken from a re-summation
-    eight orders shorter, so ``n_terms`` must exceed 8.
-    """
-    if n_terms <= 8:
-        raise DomainError(f"cvz_alternating needs n_terms > 8, got {n_terms}")
-
-    def run(n: int) -> float:
-        d = (3.0 + math.sqrt(8.0)) ** n
-        d = 0.5 * (d + 1.0 / d)
-        b = -1.0
-        c = -d
-        s = 0.0
-        for k in range(n):
-            c = b - c
-            s += c * a(k)
-            b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-        return s / d
-
-    full = run(n_terms)
-    short = run(n_terms - 8)
-    return full, abs(full - short) * 0.5 + 50 * _EPS * abs(full) + 1e-17

@@ -7,12 +7,15 @@ and close the rest with an analytic Hurwitz-zeta tail, in one call of
 function of N, its expansion once, and its cap, and ``zeta_tail_sum``
 takes the smallest N whose truncation bound, from the first order the
 tail leaves out and the same bound it reports as ``abs_err``, is at most
-:data:`~gammalab.series.TARGET_ERR`.  The CVZ entries take the
-acceleration order for that target.  The sums whose terms halve (S-4.27,
+:data:`~gammalab.series.TARGET_ERR`.  The alternating sums S-6.4, S-6.33,
+S-7.11 and S-7.11-aux take their even and odd terms as two such calls, the
+odd one at shift 1/2 (:func:`_alternating`), and S-4.29-rhs adds its
+halves, S-4.26 over 4 and S-4.30-rhs.  The sums whose terms halve (S-4.27,
 S-5.45.2, S-5.45.3, S-5.46.2) and the ``PS-*`` families sum in
 :func:`~gammalab.kernels._power_sum`, to the first term at most 1e-18 of
-the sum, and bound the rest by |next term| / (1 - r), where r bounds the
-ratio of consecutive terms.
+the sum, bound the rest by |next term| / (1 - r), where r bounds the ratio
+of consecutive terms, and the rounding by 2 eps times the sizes of their
+closed-form parts and twice their first term (:func:`_ratio_sum`).
 
 ``max_terms`` is a cap: below the target N an entry sums at the cap and
 reports its larger error.  Each entry declares the smallest cap
@@ -22,9 +25,8 @@ bound, and :func:`psi_sin_partial` meets ``_PSI_SIN_TARGET`` = 1e-8
 rather than the series target, by a second summation by parts whose
 remainder is a first difference of its coefficients (N ~ 90 in the middle
 of its domain), summed from one table of their parts per process; these
-and the alternating pair S-4.29-rhs and S-6.33 call
-:func:`~gammalab.series.target_terms` on their own bounds.  Every partial
-sum is exactly rounded (``math.fsum``).  :func:`sum_catalog` rejects a
+two call :func:`~gammalab.series.target_terms` on their own bounds.  Every
+partial sum is exactly rounded (``math.fsum``).  :func:`sum_catalog` rejects a
 non-finite parameter with ``DomainError``.
 
 ``FS-4.16``, ``FS-6.2``, ``FS-8.13``, ``FS-8.14``,
@@ -62,7 +64,6 @@ from .kernels import (
     _cl2,
     _cot_pi,
     _digamma_pos,
-    _hurwitz,
     _lnG,
     _one_over_x_minus_pi_cot,
     _power_sum,
@@ -75,12 +76,9 @@ from .kernels import (
     get_constants,
 )
 from .series import (
-    CVZ_TERMS,
     TARGET_ERR,
     SeriesResult,
-    cvz_alternating,
     quad_tail,
-    tail_bound,
     target_terms,
     zeta_tail_sum,
 )
@@ -91,8 +89,6 @@ __all__ = ["SeriesEntry", "SERIES_CATALOG", "sum_catalog",
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 _C = get_constants()
-# cvz_alternating estimates its error from a re-summation 8 orders shorter
-_CVZ_N_MIN = 9
 
 
 # label: str; nparams: int; fn: Callable[..., SeriesResult]; n_min: int,
@@ -264,34 +260,22 @@ def s_4_26(max_terms: int | None = None) -> SeriesResult:
                         r.terms_used, "lattice+asymptotic")
 
 
-def _alternating_tail(orders: dict[int, float], half: int) -> float:
-    """sum_{n>N} (-1)^n sum_k c_k n^-k for even N = 2 ``half``, from
-    sum_{n>N} (-1)^n n^-k = 2^-k [zeta(k, half+1) - zeta(k, half+1/2)]."""
-    return math.fsum(c * 2.0 ** -k * (_hurwitz(float(k), half + 1.0)
-                                      - _hurwitz(float(k), half + 0.5))
-                     for k, c in orders.items())
-
-
-def _even_target_n(max_terms: int | None, omitted: dict[int, float]) -> int:
-    """The even N >= 2 at which ``tail_bound`` meets the target, at most
-    ``max_terms``."""
-    return 2 * target_terms(lambda h: tail_bound(2 * h, omitted), cap=(
-        None if max_terms is None else max_terms // 2))
+def _half_cap(max_terms: int | None, odd: int) -> int | None:
+    """The cap on m of the half of terms n = 2m - ``odd`` <= ``max_terms``."""
+    return None if max_terms is None else (max_terms + odd) // 2
 
 
 @_entry("S-4.29-rhs", "sum Si(n pi)/n^2", 0, n_min=2)
 def s_4_29_rhs(max_terms: int | None = None) -> SeriesResult:
-    # si(n pi) = -(-1)^n [1/(n pi) - 2/(n pi)^3 + 24/(n pi)^5 - ...], an
-    # enveloping expansion: each remainder is below its first omitted term
-    omitted = {9: 720.0 / _PI ** 7}
-    n_last = _even_target_n(max_terms, omitted)
-    tail = -_alternating_tail(
-        {3: 1.0 / _PI, 5: -2.0 / _PI ** 3, 7: 24.0 / _PI ** 5}, n_last // 2)
-    value = 0.5 * _PI * _C.zeta2 + tail + math.fsum(
-        _si_small_at_pi_mult(n, twice=False) / (n * n)
-        for n in range(1, n_last + 1))
-    err = tail_bound(n_last, omitted) + 1e-13 * (1.0 + abs(value))
-    return SeriesResult(value, err, n_last, "lattice+zeta_split")
+    # its even terms are S-4.26's over 4 and its odd ones S-4.30-rhs's, both
+    # summed once per process
+    even = sum_catalog("S-4.26", (), _half_cap(max_terms, 0))
+    odd = sum_catalog("S-4.30-rhs", (), _half_cap(max_terms, 1))
+    value = 0.25 * even.value + odd.value
+    return SeriesResult(
+        value, 0.25 * even.abs_err + odd.abs_err + 0.5 * _EPS * abs(value),
+        max(2 * even.terms_used, 2 * odd.terms_used - 1),
+        "lattice+asymptotic")
 
 
 @_entry("S-4.30-rhs", "sum Si((2n-1) pi)/(2n-1)^2", 0)
@@ -305,37 +289,44 @@ def s_4_30_rhs(max_terms: int | None = None) -> SeriesResult:
         {2: 0.125 * _PI, 3: 0.125 / _PI, 5: -2.0 / (32.0 * _PI ** 3),
          7: 24.0 / (128.0 * _PI ** 5)},
         omitted={9: 720.0 / (512.0 * _PI ** 7)}, cap=max_terms,
-        floor=1e-12, shift=0.5, method="lattice+asymptotic")
+        # S-4.26's floor, for the same Si kernel at multiples of pi: its
+        # values' own bars, 1e-14 + 1e-15 Si, summed over 1/(2n-1)^2, come
+        # to 1.5e-14
+        floor=1e-13, shift=0.5, method="lattice+asymptotic")
 
 
 def _ratio_sum(coeff: Callable[[int], float], first: int, pw: float,
-               step: float, ratio: float, max_terms: int | None
+               step: float, ratio: float, max_terms: int | None,
+               parts: tuple[float, ...] = (), scale: float = 1.0
                ) -> tuple[float, float, int]:
-    """sum_{n>=first} coeff(n) pw step^(n-first) in ``_power_sum``, at most
-    max_terms terms.  Each term is at most ``ratio`` < 1 of the one before,
-    so the terms left out are at most |next term| / (1 - ratio); returns
-    (sum, that bound, terms summed)."""
+    """The closed-form ``parts``, added in order, plus ``scale`` times
+    sum_{n>=first} coeff(n) pw step^(n-first) in ``_power_sum``, at most
+    max_terms terms; returns (value, error, terms summed).  Each term is at
+    most ``ratio`` <= 1/2 of the one before, so the terms left out are at
+    most |next term| / (1 - ratio).  B = sum |parts| + 2 |scale first term|
+    bounds the parts, every partial sum and the terms' sizes summed, and
+    the rounding is taken at 2 eps B: each part and term is off by an ulp
+    at most, and each addition by half an ulp of a partial sum, and these
+    partly cancel."""
     ns = count(first)
     s = _power_sum(islice(map(coeff, ns), max_terms), pw, step)
     n = next(ns)
     rest = abs(coeff(n) * pw * step ** (n - first)) / (1.0 - ratio)
-    return s, rest, n - first
+    value = 0.0
+    for p in parts:
+        value += p
+    size = math.fsum(map(abs, parts)) + 2.0 * abs(scale * coeff(first) * pw)
+    return (value + scale * s, abs(scale) * rest + 2.0 * _EPS * size,
+            n - first)
 
 
 def _ratio_half_sum(term: Callable[[int], float], n_first: int,
                     max_terms: int | None, method: str,
                     offset: float = 0.0) -> SeriesResult:
-    """offset + the sum of term(n) from n_first on, the offset added last,
-    where it rounds once.  The terms shrink by 1/2 or faster, so
-    2 |next term| bounds what is left, and B = |offset| + 2 |term(n_first)|
-    bounds the offset, every partial sum and the terms' sizes summed.  The
-    rounding is taken at 2 eps B: each term is off by an ulp at most (its
-    correctly rounded zeta value and one operation), and each addition by
-    half an ulp of a partial sum, and these partly cancel."""
-    s, rest, used = _ratio_sum(term, n_first, 1.0, 1.0, 0.5, max_terms)
-    value = offset + s
-    bound = abs(offset) + 2.0 * abs(term(n_first))
-    return SeriesResult(value, rest + 2.0 * _EPS * bound, used, method)
+    """offset + the sum of term(n) from n_first on, whose terms shrink by
+    1/2 or faster (:func:`_ratio_sum`)."""
+    return SeriesResult(*_ratio_sum(term, n_first, 1.0, 1.0, 0.5, max_terms,
+                                    (offset,)), method)
 
 
 @_entry("S-4.27", "sum zeta(2n)/(2n+1)^2", 0)
@@ -554,19 +545,42 @@ def s_6_3(max_terms: int | None = None) -> SeriesResult:
         cap=max_terms, method="direct+asymptotic_tail")
 
 
-def _cvz_entry(a: Callable[[int], float], max_terms: int | None,
-               sign: float = 1.0) -> SeriesResult:
-    """sign * sum_k (-1)^k a(k) at the CVZ order for the target (an
-    acceleration order, not a term count), at most ``max_terms``."""
-    n_ord = CVZ_TERMS if max_terms is None else min(max_terms, CVZ_TERMS)
-    v, e = cvz_alternating(a, n_ord)
-    return SeriesResult(sign * v, e, n_ord, "cvz")
+def _alternating(f: Callable[[int], float], tail: dict[int, float],
+                 omitted: dict[int, float], log_tail: dict[int, float] = {},
+                 log_omitted: dict[int, float] = {}, n_first: int = 1,
+                 max_terms: int | None = None) -> SeriesResult:
+    """sum_{n>=n_first} (-1)^n f(n), its even half less its odd half: with
+    g(t) = f(2t) the even terms are g(m) and the odd ones g(m - 1/2), so
+    each half is a :func:`zeta_tail_sum` with the zeta orders of g, the odd
+    one at shift 1/2.  The odd half picks N for half the target; the even
+    half's orders, at N + 1, meet it at the same N.  ``max_terms`` caps n
+    in both (:func:`_half_cap`).  Each half takes 4 eps (1 + |half|) for
+    the rounding of its positive terms and tail, the difference half an
+    ulp."""
+    def half(p: int, n_min: int = 1, cap: int | None = None) -> SeriesResult:
+        return zeta_tail_sum(
+            lambda m_last: (f(2 * m - p) for m in range(
+                (n_first + p + 1) // 2, m_last + 1)),
+            tail, log_tail, omitted, log_omitted, n_min=n_min, cap=cap,
+            floor=4.0 * _EPS, shift=1.0 - 0.5 * p, target=0.5 * TARGET_ERR)
+    odd = half(1, cap=_half_cap(max_terms, 1))
+    m_even = odd.terms_used if max_terms is None else min(
+        odd.terms_used, _half_cap(max_terms, 0))
+    even = half(0, m_even, m_even)
+    value = even.value - odd.value
+    return SeriesResult(
+        value, even.abs_err + odd.abs_err + 0.5 * _EPS * abs(value),
+        max(2 * even.terms_used, 2 * odd.terms_used - 1),
+        "alternating+zeta_tail")
 
 
-@_entry("S-6.4", "sum_{n>=2} (-1)^(n+1) log(1-1/n^2)", 0, n_min=_CVZ_N_MIN)
+@_entry("S-6.4", "sum_{n>=2} (-1)^(n+1) log(1-1/n^2)", 0, n_min=2)
 def s_6_4(max_terms: int | None = None) -> SeriesResult:
-    return _cvz_entry(
-        lambda k: -math.log1p(-1.0 / ((k + 2.0) * (k + 2.0))), max_terms)
+    # g(t) = -log(1 - 1/(4t^2)) = sum_j 4^-j t^-2j / j
+    return _alternating(
+        lambda n: -math.log1p(-1.0 / (n * n)),
+        {2 * j: 0.25 ** j / j for j in range(1, 5)},
+        {10: 0.25 ** 5 / 5.0}, n_first=2, max_terms=max_terms)
 
 
 @_entry("S-6.5", "sum (-1)^(n+1) log(1+1/n)", 0)
@@ -623,37 +637,51 @@ def s_6_24_aux(k: float, max_terms: int | None = None) -> SeriesResult:
 
 @_entry("S-6.33", "sum (-1)^n n/(4n^2-1)^3", 0, n_min=2)
 def s_6_33(max_terms: int | None = None) -> SeriesResult:
-    # n/(4n^2-1)^3 = sum_m C(m+2, 2) 4^-m n^-(2m+5) / 64; from n = 3 on each
-    # order shrinks by 1/36 or more, so twelve orders leave 1e-17 of the tail
+    # g(t) = 2t/(16t^2-1)^3 = sum_m C(m+2, 2) 16^-m t^-(2m+5) / 2048; at
+    # t >= 3/2 each order shrinks by 1/12 or more.  Seven of them meet the
+    # target at N = 2, where the first one left out bounds both halves'
+    # truncation by 4.3e-18, below an ulp of the sum
     def c(m):
-        return math.comb(m + 2, 2) * 0.25 ** m / 64.0
-    omitted = {29: c(12)}
-    n_last = _even_target_n(max_terms, omitted)
-    value = math.fsum(
-        [(-1.0) ** (n % 2) * n / (4.0 * n * n - 1.0) ** 3
-         for n in range(1, n_last + 1)]
-        + [_alternating_tail({2 * m + 5: c(m) for m in range(12)},
-                             n_last // 2)])
-    return SeriesResult(value, tail_bound(n_last, omitted) + 1e-16, n_last,
-                        "alternating+zeta_split")
+        return math.comb(m + 2, 2) * 0.0625 ** m / 2048.0
+    return _alternating(
+        lambda n: n / (4.0 * n * n - 1.0) ** 3,
+        {2 * m + 5: c(m) for m in range(7)}, {19: c(7)},
+        max_terms=max_terms)
 
 
 # ---------------------------------------------------------------------------
 # section 7 / 8
 # ---------------------------------------------------------------------------
 
-@_entry("S-7.11", "sum (-1)^n log(1+1/n)/(2n+1)", 0, n_min=_CVZ_N_MIN)
+@_entry("S-7.11", "sum (-1)^n log(1+1/n)/(2n+1)", 0, n_min=2)
 def s_7_11(max_terms: int | None = None) -> SeriesResult:
-    return _cvz_entry(
-        lambda k: math.log1p(1.0 / (k + 1.0)) / (2.0 * k + 3.0), max_terms,
-        sign=-1.0)
+    # g(t) = log(1 + 1/(2t))/(4t+1) = sum_k c_k t^-k, the product of
+    # sum_i (-1)^(i+1) 2^-i t^-i / i and sum_l (-1)^l 4^-(l+1) t^-(l+1)
+    def c(k):
+        return (-1.0) ** k * 0.25 ** k * math.fsum(
+            2.0 ** i / i for i in range(1, k))
+    return _alternating(
+        lambda n: math.log1p(1.0 / n) / (2.0 * n + 1.0),
+        {k: c(k) for k in range(2, 8)}, {8: c(8)}, max_terms=max_terms)
 
 
-@_entry("S-7.11-aux", "sum (-1)^n n log n/(4n^2-1)", 0, n_min=_CVZ_N_MIN)
+@_entry("S-7.11-aux", "sum (-1)^n n log n/(4n^2-1)", 0, n_min=2)
 def s_7_11_aux(max_terms: int | None = None) -> SeriesResult:
-    return _cvz_entry(
-        lambda k: (k + 1.0) * math.log(k + 1.0)
-        / (4.0 * (k + 1.0) ** 2 - 1.0), max_terms, sign=-1.0)
+    # n log n/(4n^2-1) = log n/(4n) + log n/(4n (4n^2-1)): the first sums to
+    # eta'(1)/4 = (gamma log 2 - log^2 2/2)/4, and the second's halves
+    # converge: g(t) = (log 2 + log t) sum_j 16^-j t^-(2j+3) / 128
+    l2 = math.log(2.0)
+    eta = 0.25 * _C.gamma * l2 - 0.125 * l2 * l2
+    h = {2 * j + 3: 0.0625 ** j / 128.0 for j in range(3)}
+    r = _alternating(
+        lambda n: math.log(n) / (4.0 * n * (4.0 * n * n - 1.0)),
+        {k: l2 * c for k, c in h.items()}, {9: l2 * 0.0625 ** 3 / 128.0},
+        h, {9: 0.0625 ** 3 / 128.0}, max_terms=max_terms)
+    value = eta + r.value
+    # gamma log 2 and log^2 2 are within 3 rounding units each
+    err = r.abs_err + 2.0 * _EPS * (0.25 * _C.gamma * l2 + 0.125 * l2 * l2)
+    return SeriesResult(value, err + 0.5 * _EPS * abs(value), r.terms_used,
+                        r.method)
 
 
 @_entry("S-7.12", "sum log(1+1/n)/(2n+1)", 0)
@@ -688,7 +716,7 @@ def power_series_eval(key: str, x: float,
     boundary stay cheap and accurate (log(1 - x^2) as log1p(x) + log1p(-x),
     not from fl(x x)).  The sum stops after the first term at most 1e-18 of
     it (``kernels._power_sum``), or after ``max_terms`` terms; the error
-    bounds the terms left out.
+    bounds the terms left out and the rounding (:func:`_ratio_sum`).
     """
     if key not in _PS_KEYS:
         raise UnknownKeyError(f"unknown power series id {key!r}")
@@ -697,42 +725,42 @@ def power_series_eval(key: str, x: float,
     g = _C.gamma
     x2 = x * x
 
-    def zeta_sum(coeff, pw=x2):
-        # sum_{n>=1} coeff(n) pw x2^(n-1): the zeta - 1 coefficients shrink
-        # by 1/4 or faster
-        return _ratio_sum(coeff, 1, pw, x2, 0.25 * x2, max_terms)
+    def zeta_sum(coeff, pw=x2, parts=(), scale=1.0):
+        # the parts plus scale times sum_{n>=1} coeff(n) pw x2^(n-1): the
+        # zeta - 1 coefficients shrink by 1/4 or faster
+        return _ratio_sum(coeff, 1, pw, x2, 0.25 * x2, max_terms, parts,
+                          scale)
 
     if key == "PS-5.1":
-        s, rest, used = zeta_sum(lambda n: (-1.0) ** n * _zeta_m1(2 * n + 1))
-        value = g - x2 / (1.0 + x2) + s
+        value, err, used = zeta_sum(
+            lambda n: (-1.0) ** n * _zeta_m1(2 * n + 1),
+            parts=(g, -x2 / (1.0 + x2)))
     elif key == "PS-5.17":
         # terms x^(2n+2): the zeta->1 part is sum_{m>=2} x2^m/m
-        s, rest, used = zeta_sum(lambda n: _zeta_m1(2 * n + 1) / (n + 1.0),
-                                 x2 ** 2)
-        value = -(math.log1p(x) + math.log1p(-x)) - x2 + s
+        value, err, used = zeta_sum(
+            lambda n: _zeta_m1(2 * n + 1) / (n + 1.0), x2 ** 2,
+            (-math.log1p(x), -math.log1p(-x), -x2))
     elif key == "PS-5.32":
-        s, rest, used = zeta_sum(lambda n: _zeta_m1(2 * n + 1) / (2 * n + 1.0))
-        value = math.atanh(x) - x + x * s
-        rest *= abs(x)
+        value, err, used = zeta_sum(
+            lambda n: _zeta_m1(2 * n + 1) / (2 * n + 1.0),
+            parts=(math.atanh(x), -x), scale=x)
     elif key == "PS-5.41":
         # log Gamma(1+z) = -log(1+z) + (1-gamma) z
         #                  + sum_{k>=2} (-1)^k (zeta(k)-1) z^k/k at z = ix
-        re, re_rest, re_used = zeta_sum(
-            lambda m: (-1.0) ** m * _zeta_m1(2 * m) / (2.0 * m))
-        im, im_rest, im_used = zeta_sum(
+        re, re_err, re_used = zeta_sum(
+            lambda m: (-1.0) ** m * _zeta_m1(2 * m) / (2.0 * m),
+            parts=(-0.5 * math.log1p(x2),))
+        im, im_err, im_used = zeta_sum(
             lambda m: (-1.0) ** (m + 1) * _zeta_m1(2 * m + 1)
-            / (2.0 * m + 1.0))
-        re = -0.5 * math.log1p(x2) + re
-        im = (1.0 - g) * x - math.atan(x) + x * im
-        err = (1e-13 * (1.0 + abs(re) + abs(im)) + re_rest
-               + abs(x) * im_rest)
-        return SeriesResult(complex(re, im), err, max(re_used, im_used),
-                            "taylor_accelerated")
+            / (2.0 * m + 1.0), parts=((1.0 - g) * x, -math.atan(x)),
+            scale=x)
+        return SeriesResult(complex(re, im), re_err + im_err,
+                            max(re_used, im_used), "taylor_accelerated")
     else:  # PS-5.53
-        s, rest, used = zeta_sum(lambda n: _zeta_m1(2 * n + 1) / n)
-        value = -(math.log1p(x) + math.log1p(-x)) + s
-    return SeriesResult(value, 2e-15 * (1.0 + abs(value)) + rest,
-                        used, "taylor_accelerated")
+        value, err, used = zeta_sum(
+            lambda n: _zeta_m1(2 * n + 1) / n,
+            parts=(-math.log1p(x), -math.log1p(-x)))
+    return SeriesResult(value, err, used, "taylor_accelerated")
 
 
 _PS_KEYS = ("PS-5.1", "PS-5.17", "PS-5.32", "PS-5.41", "PS-5.53")

@@ -6,9 +6,10 @@ the double nearest it:
 
 The blocks it prints are pasted into the source as they stand:
 ``kernels._ZETA_M1`` (zeta(k) - 1, k = 2 .. 53), ``kernels._ZETA_PRIME``
-(zeta'(k), k = 2 .. 93), ``kernels._LGAMMA1P_COEFFS`` ((-1)^k zeta(k, 3)/k,
-k = 2 .. 25) and ``series_catalog._LOG_G_RESIDUALS`` (FS-4.16's a_n - A_n
-and b_n - B_n, n = 1 .. 11), ``registry._ALT_TAILS_2_10`` (the rests
+(zeta'(k), k = 2 .. 93), ``kernels._ZETA_PRIME2_AT_2`` (zeta''(2)),
+``kernels._LGAMMA1P_COEFFS`` ((-1)^k zeta(k, 3)/k, k = 2 .. 25) and
+``series_catalog._LOG_G_RESIDUALS`` (FS-4.16's a_n - A_n and b_n - B_n,
+n = 1 .. 11), ``registry._ALT_TAILS_2_10`` (the rests
 sum_{n>=4000} (-1)^n n^-k, k = 3 and 5) and ``registry._ALT_TAIL_8_15``
 (sum_{n>=100000} (-1)^n n^-2).  ``test_tables.py`` recomputes every entry
 with the functions below.
@@ -106,6 +107,7 @@ def values():
         return {
             "_ZETA_M1": tuple(zeta_m1(k) for k in ZETA_M1_K),
             "_ZETA_PRIME": tuple(zeta_prime(k) for k in ZETA_PRIME_K),
+            "_ZETA_PRIME2_AT_2": mp.zeta(2, 1, 2),
             "_LGAMMA1P_COEFFS": tuple(lgamma1p_coeff(k) for k in LGAMMA1P_K),
             "_LOG_G_RESIDUALS": tuple((residual_a(n), residual_b(n))
                                       for n in RESIDUAL_N),

@@ -588,10 +588,11 @@ def test_verify_all_import_guard(par, tmp_path):
 
 def test_cold_suite_reads_stored_tables():
     # a cold `verify --all` takes zeta(k) - 1, zeta'(k), the log Gamma(1+y)
-    # coefficients and FS-4.16's residuals from their stored tables: no
-    # Euler-Maclaurin call under the functions that once built them, and
-    # no S-4.4-Tn sum for FS-4.16.  The zeta tails of the series, at
-    # a = N + 1, and zeta''(2) keep their calls
+    # coefficients, FS-4.16's residuals and zeta''(2) from their stored
+    # tables: no Euler-Maclaurin call under the functions that once built
+    # them or under int_0^1 log^2 Gamma's closed form, and no S-4.4-Tn sum
+    # for FS-4.16.  The zeta tails of the series, at a = N + 1, keep their
+    # calls
     script = (
         "import json, sys\n"
         "from gammalab import kernels, series_catalog\n"
@@ -625,7 +626,7 @@ def test_cold_suite_reads_stored_tables():
     assert out.returncode == 0, out.stderr
     seen = json.loads(out.stderr.strip().splitlines()[-1])
     assert seen["tables"] == 0 and seen["s_4_4_tn"] == 0, seen
-    assert seen["zeta_tail_sum"] > 0 and seen["_em_log2gamma"] == 1, seen
+    assert seen["zeta_tail_sum"] > 0 and seen["_em_log2gamma"] == 0, seen
 
 
 def test_parameter_free_series_memo_keeps_report_bytes(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Independent high-precision oracle: every sum the package takes through
-``zeta_tail_sum`` or ``cvz_alternating``, and every geometric sum at any
-cap, must lie within its own reported error of mpmath at 30 digits."""
+``zeta_tail_sum``, and every geometric and alternating sum at any cap, must
+lie within its own reported error of mpmath at 30 digits."""
 
 import json
 import math
@@ -16,9 +16,10 @@ from gammalab import registry as R  # noqa: E402
 from gammalab import series  # noqa: E402
 from gammalab.errors import DomainError  # noqa: E402
 from gammalab.integral_catalog import integral_catalog  # noqa: E402
-from gammalab.series import cvz_alternating  # noqa: E402
 from gammalab.series_catalog import (  # noqa: E402
+    SERIES_CATALOG,
     _LOG_G_RESIDUALS,
+    _alternating,
     _tn_orders,
     log_weighted_sin_sum,
     power_series_eval,
@@ -142,8 +143,15 @@ def test_gamma1():
 
 
 def test_catalan():
-    v, e = cvz_alternating(lambda k: 1.0 / (2 * k + 1) ** 2, 40)
-    assert _close(v, mp.catalan, e)
+    # G = 1 + sum_{n>=1} (-1)^n/(2n+1)^2 by the catalog's alternating sum,
+    # g(t) = 1/(4t+1)^2 = sum_k (-1)^k (k-1) 4^-k t^-k
+    def c(k):
+        return (-1.0) ** k * (k - 1) * 0.25 ** k
+    r = _alternating(lambda n: 1.0 / (2 * n + 1) ** 2,
+                     {k: c(k) for k in range(2, 12)}, {12: c(12)})
+    g = 1.0 + r.value
+    assert r.abs_err <= 2e-14
+    assert _close(g, mp.catalan, r.abs_err + 0.5 * math.ulp(g))
 
 
 def test_constants_are_correctly_rounded():
@@ -209,8 +217,12 @@ _PS_REF = {
 
 @pytest.mark.parametrize("key", sorted(_PS_REF))
 def test_power_series_bars_hold_at_every_cap(key):
+    # uncapped, the bar is the rounding bound of _ratio_sum, a few eps of
+    # the closed-form parts and first term: no literal allowance
     for x in _PS_X:
         ref = _PS_REF[key](mp.mpf(x))
+        bar = power_series_eval(key, x).abs_err
+        assert bar <= 6 * K._EPS * (1 + float(abs(ref))), x
         for cap in _CAPS:
             r = power_series_eval(key, x, cap)
             assert abs(mp.mpmathify(r.value) - ref) <= r.abs_err, (x, cap)
@@ -236,6 +248,40 @@ def test_halving_sum_bars_hold_at_every_cap(key):
     assert _close(r.value, ref, r.abs_err) and r.abs_err <= 1e-15
     for cap in _CAPS:
         r = sum_catalog(key, max_terms=cap)
+        assert _close(r.value, ref, r.abs_err), cap
+
+
+# sum_{n>=n_first} (-1)^n f(n), and S-4.29-rhs = sum Si(n pi)/n^2 as
+# pi^3/12 plus its alternating part sum si(n pi)/n^2
+_ALTERNATING = {
+    "S-4.29-rhs": (lambda n: (-1) ** n * (mp.si(n * mp.pi) - mp.pi / 2)
+                   / n ** 2, 1),
+    "S-6.4": (lambda n: -mp.log(1 - 1 / n ** 2), 2),
+    "S-6.33": (lambda n: n / (4 * n ** 2 - 1) ** 3, 1),
+    "S-7.11": (lambda n: mp.log(1 + 1 / n) / (2 * n + 1), 1),
+    "S-7.11-aux": (lambda n: n * mp.log(n) / (4 * n ** 2 - 1), 1),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_ALTERNATING))
+def test_alternating_sum_bars_hold_at_every_cap(key):
+    # every claim covers the error, uncapped and at each cap; a cap below
+    # the entry's n_min is refused, and no cap is passed in n.  Uncapped,
+    # the halves of the zeta-tail sums claim at most 2e-14
+    f, first = _ALTERNATING[key]
+    ref = mp.nsum(lambda n: (-1) ** int(n) * f(n), [first, mp.inf])
+    if key == "S-4.29-rhs":
+        ref += mp.pi ** 3 / 12
+    r = sum_catalog(key)
+    assert _close(r.value, ref, r.abs_err)
+    assert r.abs_err <= (1e-12 if key == "S-4.29-rhs" else 2e-14)
+    for cap in _CAPS:
+        if cap is not None and cap < SERIES_CATALOG[key].n_min:
+            with pytest.raises(DomainError):
+                sum_catalog(key, max_terms=cap)
+            continue
+        r = sum_catalog(key, max_terms=cap)
+        assert cap is None or r.terms_used <= cap
         assert _close(r.value, ref, r.abs_err), cap
 
 

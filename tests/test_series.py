@@ -11,7 +11,6 @@ from gammalab import series, series_catalog
 from gammalab.errors import DomainError, EvaluationError, UnknownKeyError
 from gammalab.series import (
     TARGET_ERR,
-    cvz_alternating,
     quad_tail,
     target_terms,
     zeta_tail_sum,
@@ -176,8 +175,6 @@ def test_catalog_rejects_max_terms_below_n_min():
     # S-5.13 takes any N >= 1 whose tail expansion converges at its x
     with pytest.raises(DomainError):
         sum_catalog("S-5.13", (1.5,), max_terms=1)
-    with pytest.raises(DomainError):
-        cvz_alternating(lambda k: 1.0 / (k + 1.0), 8)
     # the n^2 - q expansion needs (N+1)^2 >= 2|q|
     with pytest.raises(DomainError):
         quad_tail(64.0, {0: 1.0}, 10)
@@ -211,12 +208,6 @@ def test_quad_tail_large_q_never_overflows():
         sum_catalog("S-4.4-Tn", (2000.0,), max_terms=3000)
     r = sum_catalog("S-4.4-Tn", (2000.0,))
     assert math.isfinite(r.value) and r.abs_err < 1e-10
-
-
-def test_cvz_alternating_log2():
-    v, e = cvz_alternating(lambda k: 1.0 / (k + 1.0))
-    assert v == pytest.approx(math.log(2.0), abs=1e-13)
-    assert abs(v - math.log(2.0)) <= max(e, 1e-15)
 
 
 def test_terms_used_never_exceeds_budget():
@@ -296,7 +287,6 @@ def _searched_ns(key, monkeypatch, bound=None):
     monkeypatch.setattr(series_catalog, "target_terms", recording)
     monkeypatch.setattr(series, "target_terms", recording)
     if bound is not None:
-        monkeypatch.setattr(series_catalog, "tail_bound", bound)
         monkeypatch.setattr(series, "tail_bound", bound)
     # a parameter-free series is summed once per process
     series_catalog._sum_parameter_free.cache_clear()

@@ -19,6 +19,7 @@ from gammalab import series_catalog as S  # noqa: E402
 STORED = {
     "_ZETA_M1": K._ZETA_M1,
     "_ZETA_PRIME": K._ZETA_PRIME,
+    "_ZETA_PRIME2_AT_2": K._ZETA_PRIME2_AT_2,
     "_LGAMMA1P_COEFFS": K._LGAMMA1P_COEFFS,
     "_LOG_G_RESIDUALS": S._LOG_G_RESIDUALS,
     "_ALT_TAILS_2_10": R._ALT_TAILS_2_10,
@@ -42,6 +43,7 @@ def test_table_lookups():
     assert [K._zeta_m1(k) for k in T.ZETA_M1_K] == list(K._ZETA_M1)
     assert [K._zeta_prime_int(k) for k in T.ZETA_PRIME_K] == list(
         K._ZETA_PRIME)
+    assert K.zeta_family("zeta_prime2_at_2").value == K._ZETA_PRIME2_AT_2
     assert len(K._LGAMMA1P_COEFFS) == len(T.LGAMMA1P_K)
     assert len(S._LOG_G_RESIDUALS) == S._TN_ASYMPTOTIC_N - 1
 
